@@ -393,7 +393,7 @@ fn storage_rates(scale: Scale, scale_name: &str) {
                 modelardb::DiskStoreOptions {
                     bulk_write_size: BULK,
                     memory_budget_bytes: budget,
-                    value_bounds: Some(std::sync::Arc::clone(&bounds)),
+                    value_bounds: Some(bounds.clone()),
                     prefetch_depth: prefetch,
                     ..Default::default()
                 },

@@ -379,8 +379,6 @@ pub struct Cluster {
     /// the [`Cluster::ingest_batch`] path), reused across calls so the
     /// compatibility path does not allocate a fresh column set per tick.
     scratch_row: Mutex<RowBatch>,
-    /// Group sizes for the zone map's value-bounds closure.
-    sizes: HashMap<Gid, usize>,
 }
 
 /// An error naming the worker it was observed on (every path that talks to
@@ -436,7 +434,6 @@ impl Cluster {
                 config.replication_factor
             )));
         }
-        let sizes: HashMap<Gid, usize> = catalog.groups.iter().map(|g| (g.gid, g.size())).collect();
         // A manifest from a previous life of this cluster directory wins
         // over a fresh assignment: failovers and handoffs moved groups, and
         // each worker's log only has the groups that ended up on it.
@@ -494,7 +491,6 @@ impl Cluster {
                 &catalog,
                 &registry,
                 &config,
-                &sizes,
                 budget_share,
             )?);
         }
@@ -521,7 +517,6 @@ impl Cluster {
             }),
             group_row_indices,
             scratch_row,
-            sizes,
         };
         cluster.persist_manifest(&cluster.topo_read());
         Ok(cluster)
@@ -1266,15 +1261,10 @@ fn spawn_worker(
     catalog: &Arc<Catalog>,
     registry: &Arc<ModelRegistry>,
     config: &ClusterConfig,
-    sizes: &HashMap<Gid, usize>,
     budget_share: Option<u64>,
 ) -> Result<Worker> {
     let (sender, receiver) = bounded::<Command>(config.ingest_queue_depth);
-    let bounds_registry = Arc::clone(registry);
-    let bounds_sizes = sizes.clone();
-    let value_bounds: mdb_storage::ValueBoundsFn = Arc::new(move |segment: &_| {
-        mdb_models::segment_value_range(&bounds_registry, segment, *bounds_sizes.get(&segment.gid)?)
-    });
+    let value_bounds = mdb_query::value_bounds_fn(catalog, registry);
     let sketch_feed = mdb_query::sketch_feed(catalog, registry);
     let rollup_feed = (!config.rollup_levels.is_empty())
         .then(|| mdb_query::rollup_feed(catalog, registry, &config.rollup_levels));
@@ -1291,14 +1281,11 @@ fn spawn_worker(
                 ..Default::default()
             },
         )?),
-        None => {
-            let mut store =
-                MemoryStore::with_value_bounds(value_bounds).with_sketch_feed(sketch_feed);
-            if let Some(feed) = rollup_feed {
-                store = store.with_rollup_feed(feed);
-            }
-            Box::new(store)
-        }
+        None => Box::new(MemoryStore::with_feeds(
+            Some(value_bounds),
+            Some(sketch_feed),
+            rollup_feed,
+        )),
     };
     let shared = Arc::new(WorkerShared::default());
     let thread_shared = Arc::clone(&shared);

@@ -302,7 +302,6 @@ impl Cluster {
             &self.catalog,
             &self.registry,
             &self.config,
-            &self.sizes,
             budget_share,
         )?;
         topo.workers.push(worker);

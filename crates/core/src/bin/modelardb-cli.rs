@@ -12,7 +12,10 @@
 //!
 //! The CSV format is `source,timestamp_ms,value` (header optional), matching
 //! how the paper's system ingests per-series files: the `source` column is
-//! resolved to a Tid through the configured `modelardb.source` entries.
+//! resolved to a Tid through the configured `modelardb.source` entries (the
+//! n-th configured source is Tid n; `tidN` and a bare number name a Tid
+//! directly, and are all a `--connect` client, which has no configuration,
+//! understands).
 //! Queries given on the command line run after ingestion; with none, a
 //! default summary query runs.
 //!
@@ -22,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use modelardb::{Client, ConfigFile, MdbError, ModelarDb, Result, Tid};
+use modelardb::{Client, ConfigFile, MdbError, ModelarDb, Result, SeriesSpec, Tid};
 
 const SUMMARY_QUERY: &str =
     "SELECT Tid, COUNT_S(*), AVG_S(*) FROM Segment GROUP BY Tid ORDER BY Tid";
@@ -62,8 +65,8 @@ fn run_local(config_path: &str, args: &[String]) -> Result<()> {
     if let Some(n) = config.max_connections {
         server_options.max_connections = n;
     }
+    let sources = source_map(&config.series);
     let mut db = config.into_builder()?.build()?;
-    let sources: HashMap<String, Tid> = source_map(&db);
     println!(
         "configured {} series in {} groups",
         db.catalog().series.len(),
@@ -181,16 +184,18 @@ fn run_remote_queries(client: &mut Client, queries: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn source_map(db: &ModelarDb) -> HashMap<String, Tid> {
-    // SeriesSpec order equals tid order in the builder.
-    db.catalog()
-        .series
+/// The configured source names → Tids: the builder numbers series in
+/// configuration order, from 1.
+fn source_map(series: &[SeriesSpec]) -> HashMap<String, Tid> {
+    series
         .iter()
-        .map(|m| (format!("tid{}", m.tid), m.tid))
+        .zip(1..)
+        .map(|(spec, tid)| (spec.source.clone(), tid))
         .collect()
 }
 
-/// Parses `source,timestamp,value` CSV; `source` may be `tidN` or a raw tid.
+/// Parses `source,timestamp,value` CSV; `source` is a name in `sources`,
+/// `tidN`, or a raw tid.
 fn parse_csv(text: &str, sources: &HashMap<String, Tid>) -> Result<Vec<(Tid, i64, f32)>> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -235,6 +240,44 @@ mod tests {
         // The --connect path has no source map; `tidN` still resolves.
         let rows = parse_csv("tid7,100,1.0\n7,200,2.0", &HashMap::new()).unwrap();
         assert_eq!(rows, vec![(7, 100, 1.0), (7, 200, 2.0)]);
+    }
+
+    #[test]
+    fn csv_keyed_by_configured_source_names_ingests() {
+        let config = ConfigFile::parse(
+            "modelardb.storage = memory\n\
+             modelardb.source = t9632, 100\n\
+             modelardb.source = tid1, 100\n",
+        )
+        .unwrap();
+        let sources = source_map(&config.series);
+        let mut db = config.into_builder().unwrap().build().unwrap();
+        // Names resolve by configured position — even one that looks like
+        // another series' `tidN` — and `tidN`/numbers still name Tids.
+        let csv = "source,timestamp,value\n\
+                   t9632,0,1.0\ntid1,0,7.0\nt9632,100,1.0\n2,100,7.0\ntid2,200,7.0\n";
+        let points = parse_csv(csv, &sources).unwrap();
+        assert_eq!(
+            points.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [1, 2, 1, 2, 2]
+        );
+        for (tid, ts, value) in points {
+            db.ingest_point(tid, ts, value).unwrap();
+        }
+        db.flush().unwrap();
+        let counts = db
+            .sql("SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid ORDER BY Tid")
+            .unwrap();
+        let counts: Vec<(i64, i64)> = counts
+            .rows
+            .iter()
+            .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+            .collect();
+        assert_eq!(counts, [(1, 2), (2, 3)]);
+        assert!(
+            parse_csv("t9634,0,1.0", &sources).is_err(),
+            "unconfigured name"
+        );
     }
 
     #[test]

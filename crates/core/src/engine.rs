@@ -10,8 +10,7 @@ use mdb_compression::{CompressionStats, GroupIngestor};
 use mdb_models::ModelRegistry;
 use mdb_query::{QueryEngine, QueryResult, ScanPool};
 use mdb_storage::{
-    Catalog, DiskStore, DiskStoreOptions, MemoryStore, SegmentPredicate, SegmentStore,
-    ValueBoundsFn, ZoneMap,
+    Catalog, DiskStore, DiskStoreOptions, MemoryStore, SegmentPredicate, SegmentStore, ZoneMap,
 };
 use mdb_types::{Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value};
 
@@ -66,18 +65,16 @@ impl ModelarDb {
         // Both stores maintain a zone map fed by the models' closed-form
         // value ranges, so scans can prune segment runs before decoding,
         // plus per-group sketches so P50_S/COUNT_DISTINCT/TOP_K_S queries
-        // resolve from metadata alone.
-        let bounds = value_bounds_fn(&catalog, &registry);
+        // resolve from metadata alone, plus rollup cells — all derived in
+        // one pass over one reconstruction of each finalized segment.
+        let bounds = mdb_query::value_bounds_fn(&catalog, &registry);
         let sketch_feed = mdb_query::sketch_feed(&catalog, &registry);
         let rollup_feed = (!config.rollup_levels.is_empty())
             .then(|| mdb_query::rollup_feed(&catalog, &registry, &config.rollup_levels));
         let store: Box<dyn SegmentStore> = match &config.storage {
             StorageSpec::Memory => {
                 let mut store =
-                    MemoryStore::with_value_bounds(bounds).with_sketch_feed(sketch_feed);
-                if let Some(feed) = rollup_feed {
-                    store = store.with_rollup_feed(feed);
-                }
+                    MemoryStore::with_feeds(Some(bounds), Some(sketch_feed), rollup_feed);
                 store.set_pruning(config.zone_pruning);
                 Box::new(store)
             }
@@ -365,6 +362,12 @@ impl ModelarDb {
         self.store.cache_stats()
     }
 
+    /// Counters of the store's insert-time statistics pass: segments
+    /// digested, model reconstructions, points sketched.
+    pub fn digest_stats(&self) -> mdb_storage::DigestStats {
+        self.store.digest_stats()
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &Config {
         &self.config
@@ -407,17 +410,6 @@ impl mdb_query::Datastore for ModelarDb {
             ),
         })
     }
-}
-
-/// The zone map's stored-value statistic provider: the models' constant-time
-/// aggregate over a segment's full range, closed over the registry and the
-/// catalog's group sizes.
-pub fn value_bounds_fn(catalog: &Arc<Catalog>, registry: &Arc<ModelRegistry>) -> ValueBoundsFn {
-    let sizes: HashMap<Gid, usize> = catalog.groups.iter().map(|g| (g.gid, g.size())).collect();
-    let registry = Arc::clone(registry);
-    Arc::new(move |segment| {
-        mdb_models::segment_value_range(&registry, segment, *sizes.get(&segment.gid)?)
-    })
 }
 
 #[cfg(test)]

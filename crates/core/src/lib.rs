@@ -45,7 +45,7 @@ pub mod engine;
 
 pub use builder::{ModelarDbBuilder, SeriesSpec};
 pub use configfile::ConfigFile;
-pub use engine::{value_bounds_fn, ModelarDb, StorageSpec};
+pub use engine::{ModelarDb, StorageSpec};
 
 // Re-export the public surface of the component crates.
 pub use mdb_cluster::{Cluster, ClusterConfig, ClusterHealth, WorkerHealth, WorkerState};
@@ -58,14 +58,16 @@ pub use mdb_partitioner::{
     CorrelationPrimitive, CorrelationSpec, Partitioning, ScalingHint,
 };
 pub use mdb_query::{
-    parse, rollup_feed, scan_shape, sketch_feed, Cell, CommonOptions, CommonOptionsBuilder,
-    Datastore, DatastoreHealth, Query, QueryEngine, QueryResult, ScanShape, SketchFunc,
+    parse, rollup_feed, scan_shape, sketch_feed, value_bounds_fn, Cell, CommonOptions,
+    CommonOptionsBuilder, Datastore, DatastoreHealth, Query, QueryEngine, QueryResult, ScanShape,
+    SketchFunc,
 };
 pub use mdb_server::{Client, Server, ServerOptions, SharedDatastore};
 pub use mdb_storage::{
-    checksum_v2, scan_to_vec, CacheStats, Catalog, DiskStore, DiskStoreOptions, MemoryStore,
-    RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn, SegmentPredicate, SegmentStore,
-    SketchFeedFn, ValueBoundsFn, ZoneMap,
+    checksum_v2, scan_to_vec, CacheStats, Catalog, Digest, DigestBuf, DigestStats, DiskStore,
+    DiskStoreOptions, MemoryStore, RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn,
+    SegmentDigester, SegmentPredicate, SegmentStore, SketchFeed, SketchFeedFn, ValueBounds,
+    ValueBoundsFn, ZoneMap,
 };
 pub use mdb_types::{
     BatchView, BlockFormat, BlockMeta, BlockSketch, DataPoint, DimensionSchema, Dimensions,

@@ -111,6 +111,14 @@ impl<'a> BitReader<'a> {
         if self.pos + count as usize > self.bytes.len() * 8 {
             return None;
         }
+        // Away from the end of the input, one big-endian word load holds
+        // every wanted bit (up to 57 past a 7-bit offset).
+        let offset = self.pos % 8;
+        if let (1..=57, Some(word)) = (count, self.bytes.get(self.pos / 8..self.pos / 8 + 8)) {
+            let word = u64::from_be_bytes(word.try_into().expect("an 8-byte slice"));
+            self.pos += count as usize;
+            return Some((word << offset) >> (64 - count));
+        }
         let mut out = 0u64;
         let mut remaining = count;
         while remaining > 0 {

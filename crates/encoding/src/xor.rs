@@ -156,12 +156,24 @@ impl<'a> XorDecoder<'a> {
 
 /// Decodes exactly `count` values.
 pub fn decode_all(bytes: &[u8], count: usize) -> Option<Vec<f32>> {
+    let mut out = Vec::new();
+    decode_into(bytes, count, &mut out).then_some(out)
+}
+
+/// Decodes exactly `count` values into `out` (cleared first), so a caller
+/// decoding many streams reuses one buffer. `false` when the stream ends
+/// early; `out` then holds the values decoded so far.
+pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<f32>) -> bool {
+    out.clear();
+    out.reserve(count);
     let mut decoder = XorDecoder::new(bytes);
-    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        out.push(decoder.next_value()?);
+        match decoder.next_value() {
+            Some(value) => out.push(value),
+            None => return false,
+        }
     }
-    Some(out)
+    true
 }
 
 /// Encodes a slice of values.

@@ -38,6 +38,16 @@ impl ModelType for Gorilla {
         mdb_encoding::xor::decode_all(params, count * n_series)
     }
 
+    fn grid_into(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        mdb_encoding::xor::decode_into(params, count * n_series, out)
+    }
+
     fn agg(
         &self,
         _params: &[u8],

@@ -106,6 +106,27 @@ pub trait ModelType: Send + Sync {
     /// of the `s`-th represented series at the `t`-th timestamp.
     fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>>;
 
+    /// [`ModelType::grid`] into a caller-owned buffer (cleared first), so a
+    /// hot path reconstructing segment after segment reuses one allocation.
+    /// Returns `false` where `grid` returns `None`; `out` is then
+    /// unspecified. The default forwards to `grid`; the built-in models
+    /// reconstruct in place.
+    fn grid_into(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        match self.grid(params, n_series, count) {
+            Some(grid) => {
+                *out = grid;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Constant-time aggregation over the timestamp indexes
     /// `range.0 ..= range.1` for the series at `series` position, if this
     /// model supports it. Returning `None` makes the query engine fall back

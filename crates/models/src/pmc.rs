@@ -34,8 +34,24 @@ impl ModelType for PmcMean {
     }
 
     fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>> {
-        let value = decode(params)?;
-        Some(vec![value; count * n_series])
+        let mut out = Vec::new();
+        self.grid_into(params, n_series, count, &mut out)
+            .then_some(out)
+    }
+
+    fn grid_into(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let Some(value) = decode(params) else {
+            return false;
+        };
+        out.clear();
+        out.resize(count * n_series, value);
+        true
     }
 
     fn agg(

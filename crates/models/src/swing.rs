@@ -41,15 +41,30 @@ impl ModelType for Swing {
     }
 
     fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>> {
-        let (first, last) = decode(params)?;
-        let mut out = Vec::with_capacity(count * n_series);
+        let mut out = Vec::new();
+        self.grid_into(params, n_series, count, &mut out)
+            .then_some(out)
+    }
+
+    fn grid_into(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let Some((first, last)) = decode(params) else {
+            return false;
+        };
+        out.clear();
+        out.reserve(count * n_series);
         for t in 0..count {
             let v = value_at(first, last, t, count);
             for _ in 0..n_series {
                 out.push(v);
             }
         }
-        Some(out)
+        true
     }
 
     fn agg(

@@ -174,18 +174,30 @@ impl<'a> SegmentCursor<'a> {
             }
         }
         let n = self.n_series;
-        let grid = self.grid(registry)?;
-        let mut sum = 0.0f64;
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for t in range.0..=range.1 {
-            let v = grid[t * n + series];
-            sum += f64::from(v);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        Some(SegmentAgg { sum, min, max })
+        Some(grid_aggregate(self.grid(registry)?, n, series, range))
     }
+}
+
+/// The fallback aggregate of models without a closed form: the sum and
+/// extremes of series `series` over the tick range `range` (inclusive) of a
+/// reconstructed timestamp-major `grid` of `n_series` series, accumulated in
+/// tick order.
+pub fn grid_aggregate(
+    grid: &[Value],
+    n_series: usize,
+    series: usize,
+    range: (usize, usize),
+) -> SegmentAgg {
+    let mut sum = 0.0f64;
+    let mut min = f32::INFINITY;
+    let mut max = f32::NEG_INFINITY;
+    for t in range.0..=range.1 {
+        let v = grid[t * n_series + series];
+        sum += f64::from(v);
+        min = min.min(v);
+        max = max.max(v);
+    }
+    SegmentAgg { sum, min, max }
 }
 
 #[cfg(test)]

@@ -29,10 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mdb_models::ModelRegistry;
-use mdb_storage::{
-    Catalog, RollupAcc, RollupDelta, RollupFeed, SegmentPredicate, SegmentRun, SegmentStore,
-    SketchFeedFn,
-};
+use mdb_storage::{Catalog, SegmentPredicate, SegmentRun, SegmentStore};
 use mdb_types::{
     time, BlockSketch, Gid, MdbError, Result, SegmentView, Tid, TimeLevel, Timestamp, ValueInterval,
 };
@@ -1096,105 +1093,6 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// Builds the ingest-time sketch feed for a store (the closure behind
-/// [`mdb_storage::SketchFeedFn`]): reconstructs every data point of a
-/// segment with exactly the arithmetic the Data Point View uses —
-/// `grid[idx × n_present + series_pos] / scaling` — and feeds the values
-/// into the quantile sketch, each present Tid into the distinct sketch, and
-/// each series' point count into the top-k sketch. Returns `false` (sketches
-/// fail open) when the segment references an unknown group or cannot be
-/// decoded.
-pub fn sketch_feed(catalog: &Arc<Catalog>, registry: &Arc<ModelRegistry>) -> SketchFeedFn {
-    let catalog = Arc::clone(catalog);
-    let registry = Arc::clone(registry);
-    Arc::new(move |segment, sketch| {
-        let Some(group) = catalog.group(segment.gid) else {
-            return false;
-        };
-        let group_size = group.size();
-        let n_present = segment.gaps.count_present(group_size);
-        if n_present == 0 {
-            return true;
-        }
-        let mut cursor = SegmentCursor::new(segment.view(), n_present);
-        let Some(grid) = cursor.grid(&registry) else {
-            return false;
-        };
-        let ticks = grid.len() / n_present;
-        for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
-            let tid = group.tids[member_pos];
-            let scaling = catalog.scaling_of(tid);
-            sketch.distinct.insert(u64::from(tid));
-            sketch.topk.add(tid, ticks as u64);
-            for idx in 0..ticks {
-                sketch
-                    .quantiles
-                    .insert(f64::from(grid[idx * n_present + series_pos]) / scaling);
-            }
-        }
-        true
-    })
-}
-
-/// Builds the ingest-time rollup feed for a store (the closure behind
-/// [`mdb_storage::RollupFeedFn`]): for every present series of a finalized
-/// segment and every configured time level, the segment's tick range is
-/// split at calendar boundaries ([`split_at_boundaries`]) and each
-/// sub-range is aggregated with **exactly** the arithmetic the Segment
-/// View's bucketed scan uses — a fresh [`Accumulator`] folded with
-/// [`Accumulator::add_segment_agg`] over the model's constant-time
-/// aggregate — so a cell built incrementally from these deltas is
-/// bit-identical to the per-(tid, bucket) partial a scan would produce.
-/// Returns `None` (poisoning the cells; queries fall back to scanning)
-/// when the segment references an unknown group or cannot be aggregated.
-pub fn rollup_feed(
-    catalog: &Arc<Catalog>,
-    registry: &Arc<ModelRegistry>,
-    levels: &[TimeLevel],
-) -> RollupFeed {
-    let catalog = Arc::clone(catalog);
-    let registry = Arc::clone(registry);
-    let feed_levels = levels.to_vec();
-    RollupFeed {
-        levels: levels.to_vec(),
-        feed: Arc::new(move |segment: &mdb_types::SegmentRecord| {
-            let group = catalog.group(segment.gid)?;
-            let group_size = group.size();
-            let n_present = segment.gaps.count_present(group_size);
-            if n_present == 0 {
-                return Some(Vec::new());
-            }
-            let mut cursor = SegmentCursor::new(segment.view(), n_present);
-            let last_tick = cursor.segment.len() - 1;
-            let mut deltas = Vec::new();
-            for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
-                let tid = group.tids[member_pos];
-                let scaling = catalog.scaling_of(tid);
-                for &level in &feed_levels {
-                    for (bucket, sub) in split_at_boundaries(segment.view(), (0, last_tick), level)
-                    {
-                        let agg = cursor.aggregate_with(&registry, series_pos, sub, true)?;
-                        let mut acc = Accumulator::new();
-                        acc.add_segment_agg(agg, (sub.1 - sub.0 + 1) as u64, scaling);
-                        deltas.push(RollupDelta {
-                            tid,
-                            level,
-                            bucket,
-                            acc: RollupAcc {
-                                count: acc.count,
-                                sum: acc.sum,
-                                min: acc.min,
-                                max: acc.max,
-                            },
-                        });
-                    }
-                }
-            }
-            Some(deltas)
-        }),
-    }
-}
-
 impl<'a> SegmentEvaluator<'a> {
     /// Evaluates one fold group — global scan indices `lo..hi` of the
     /// collected runs — into a fresh partial-aggregate map, the unit of
@@ -1805,22 +1703,51 @@ pub fn split_at_boundaries(
     range: (usize, usize),
     level: TimeLevel,
 ) -> Vec<(Timestamp, (usize, usize))> {
-    let si = segment.sampling_interval;
-    let start_ts = segment.start_time + range.0 as i64 * si;
-    let end_ts = segment.start_time + range.1 as i64 * si;
-    let mut out = Vec::new();
-    let mut current = start_ts;
-    while current <= end_ts {
-        let boundary = time::next_boundary(level, current);
-        let capped = end_ts.min(boundary - 1);
+    BoundarySplits::new(segment, range, level).collect()
+}
+
+/// [`split_at_boundaries`] as an iterator, for the ingest path, which walks
+/// the splits of every finalized segment and collects nothing.
+pub(crate) struct BoundarySplits {
+    level: TimeLevel,
+    start_time: Timestamp,
+    si: i64,
+    /// Timestamp of the next sub-range's first tick.
+    current: Timestamp,
+    /// Timestamp of the range's last tick.
+    end_ts: Timestamp,
+}
+
+impl BoundarySplits {
+    pub(crate) fn new(segment: SegmentView<'_>, range: (usize, usize), level: TimeLevel) -> Self {
+        let si = segment.sampling_interval;
+        Self {
+            level,
+            start_time: segment.start_time,
+            si,
+            current: segment.start_time + range.0 as i64 * si,
+            end_ts: segment.start_time + range.1 as i64 * si,
+        }
+    }
+}
+
+impl Iterator for BoundarySplits {
+    type Item = (Timestamp, (usize, usize));
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (current, si) = (self.current, self.si);
+        if current > self.end_ts {
+            return None;
+        }
+        let boundary = time::next_boundary(self.level, current);
+        let capped = self.end_ts.min(boundary - 1);
         // Last tick at or before `capped`.
         let sub_end = current + (capped - current) / si * si;
-        let idx_a = ((current - segment.start_time) / si) as usize;
-        let idx_b = ((sub_end - segment.start_time) / si) as usize;
-        out.push((time::truncate(level, current), (idx_a, idx_b)));
-        current = sub_end + si;
+        let idx_a = ((current - self.start_time) / si) as usize;
+        let idx_b = ((sub_end - self.start_time) / si) as usize;
+        self.current = sub_end + si;
+        Some((time::truncate(self.level, current), (idx_a, idx_b)))
     }
-    out
 }
 
 #[cfg(test)]
@@ -2273,13 +2200,9 @@ mod tests {
         // Rebuild the fixture's segments in a store that records value
         // bounds, then check the rewritten push-down skips them wholesale.
         let f = fixture();
-        let registry = f.registry.clone();
-        let group_sizes: std::collections::HashMap<_, _> =
-            f.catalog.groups.iter().map(|g| (g.gid, g.size())).collect();
-        let reg = Arc::new(registry.clone());
-        let mut store = MemoryStore::with_value_bounds(Arc::new(move |s: &SegmentRecord| {
-            mdb_models::segment_value_range(&reg, s, *group_sizes.get(&s.gid)?)
-        }));
+        let bounds =
+            crate::value_bounds_fn(&Arc::new(f.catalog.clone()), &Arc::new(f.registry.clone()));
+        let mut store = MemoryStore::with_feeds(Some(bounds), None, None);
         for segment in scan_to_vec(&f.store, &mdb_storage::SegmentPredicate::all()).unwrap() {
             store.insert(segment).unwrap();
         }

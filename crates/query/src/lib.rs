@@ -18,6 +18,7 @@
 pub mod aggregate;
 pub mod cell;
 pub mod datastore;
+pub mod digest;
 pub mod engine;
 pub mod options;
 pub mod sql;
@@ -25,9 +26,10 @@ pub mod sql;
 pub use aggregate::{Accumulator, AggFunc};
 pub use cell::{Cell, QueryResult};
 pub use datastore::{Datastore, DatastoreHealth};
+pub use digest::{rollup_feed, sketch_feed, value_bounds_fn};
 pub use engine::{
-    fold_group_size, merge_partials, pool_bypass_threshold, rollup_feed, scan_shape, sketch_feed,
-    PartialAggregates, QueryEngine, ScanPool, ScanShape,
+    fold_group_size, merge_partials, pool_bypass_threshold, scan_shape, PartialAggregates,
+    QueryEngine, ScanPool, ScanShape,
 };
 pub use options::{CommonOptions, CommonOptionsBuilder};
 pub use sql::{parse, Predicate, Query, SelectItem, SketchFunc, View};

@@ -36,6 +36,7 @@
 //! dense 2^12 + depth×width arrays the parameters suggest.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// Relative value error of [`QuantileSketch::quantile`]: the returned value
 /// `v` satisfies `|v − x| ≤ QUANTILE_RELATIVE_ERROR × |x|` where `x` is the
@@ -109,9 +110,76 @@ fn gamma() -> f64 {
     (1.0 + QUANTILE_RELATIVE_ERROR) / (1.0 - QUANTILE_RELATIVE_ERROR)
 }
 
+/// `ln γ`, computed once: the bucket index divides by it for every value.
+fn ln_gamma() -> f64 {
+    static LN_GAMMA: OnceLock<f64> = OnceLock::new();
+    *LN_GAMMA.get_or_init(|| gamma().ln())
+}
+
 /// Bucket index of a magnitude `a > QUANTILE_ZERO_THRESHOLD`.
-fn bucket_of(a: f64) -> i32 {
-    (a.ln() / gamma().ln()).ceil() as i32
+fn bucket_of(a: f64, ln_gamma: f64) -> i32 {
+    (a.ln() / ln_gamma).ceil() as i32
+}
+
+/// How many buckets [`QuantileSketch::insert_run`] counts densely around a
+/// run's first bucket: γ^64 ≈ 3.6, so a run whose magnitudes stay within
+/// ×/÷3.6 of its first value never touches the bucket map per value.
+const RUN_WINDOW: usize = 128;
+
+/// Dense per-run bucket counts for one sign, flushed into the bucket map
+/// once per occupied bucket.
+struct RunWindow {
+    /// Bucket index of `counts[0]`: the first counted bucket places the
+    /// window around itself.
+    base: Option<i32>,
+    counts: [u64; RUN_WINDOW],
+    /// The occupied counters lie in `occupied.0..=occupied.1`.
+    occupied: (usize, usize),
+}
+
+impl RunWindow {
+    fn new() -> Self {
+        Self {
+            base: None,
+            counts: [0; RUN_WINDOW],
+            occupied: (RUN_WINDOW, 0),
+        }
+    }
+
+    /// Counts one value in `bucket`; `false` when it lies outside the window.
+    fn count(&mut self, bucket: i32) -> bool {
+        let base = *self
+            .base
+            .get_or_insert(bucket.saturating_sub(RUN_WINDOW as i32 / 2));
+        // A bucket below the base wraps to a huge offset and misses too.
+        let offset = bucket.wrapping_sub(base) as u32 as usize;
+        let inside = offset < RUN_WINDOW;
+        if inside {
+            self.counts[offset] += 1;
+            self.occupied = (self.occupied.0.min(offset), self.occupied.1.max(offset));
+        }
+        inside
+    }
+
+    /// Adds the window's counts to `map`. Buckets the map already holds
+    /// are updated in one in-order walk over that key range — the steady
+    /// state once a sketch has seen a series' usual magnitudes — and only
+    /// new buckets pay a tree descent each.
+    fn flush_into(mut self, map: &mut BTreeMap<i32, u64>) {
+        let (lo, hi) = self.occupied;
+        let Some(base) = self.base else {
+            return;
+        };
+        let bucket_at = |offset: usize| base + offset as i32;
+        for (&bucket, count) in map.range_mut(bucket_at(lo)..=bucket_at(hi)) {
+            *count += std::mem::take(&mut self.counts[(bucket - base) as usize]);
+        }
+        for offset in lo..=hi {
+            if self.counts[offset] > 0 {
+                map.insert(bucket_at(offset), self.counts[offset]);
+            }
+        }
+    }
 }
 
 /// Representative value of bucket `i`: the γ-midpoint of `(γ^(i−1), γ^i]`.
@@ -136,10 +204,60 @@ impl QuantileSketch {
         if magnitude <= QUANTILE_ZERO_THRESHOLD {
             self.zero += 1;
         } else if value > 0.0 {
-            *self.pos.entry(bucket_of(magnitude)).or_insert(0) += 1;
+            *self
+                .pos
+                .entry(bucket_of(magnitude, ln_gamma()))
+                .or_insert(0) += 1;
         } else {
-            *self.neg.entry(bucket_of(magnitude)).or_insert(0) += 1;
+            *self
+                .neg
+                .entry(bucket_of(magnitude, ln_gamma()))
+                .or_insert(0) += 1;
         }
+    }
+
+    /// Records a run of values — one series' reconstructed points, say —
+    /// leaving the sketch exactly as [`QuantileSketch::insert`] on each
+    /// value would. The bucket index is the same function of the value; the
+    /// run only changes the bookkeeping: a value equal to its predecessor
+    /// reuses that bucket without another logarithm, counts accumulate in a
+    /// dense window around the run's first bucket, and the bucket map is
+    /// touched once per occupied bucket instead of once per value. Buckets
+    /// outside the window (a run spanning more than ×/÷3.6) fall back to the
+    /// map per value.
+    pub fn insert_run(&mut self, values: impl IntoIterator<Item = f64>) {
+        let ln_gamma = ln_gamma();
+        // Positive values count in the first window, negative in the second.
+        let mut windows = [RunWindow::new(), RunWindow::new()];
+        // The previous value's magnitude bits and bucket (a magnitude of 0.0
+        // lands in the zero bucket above, so the initial entry never hits).
+        let mut previous = (0u64, 0i32);
+        for value in values {
+            if !value.is_finite() {
+                continue;
+            }
+            let magnitude = value.abs();
+            if magnitude <= QUANTILE_ZERO_THRESHOLD {
+                self.zero += 1;
+                continue;
+            }
+            if magnitude.to_bits() != previous.0 {
+                previous = (magnitude.to_bits(), bucket_of(magnitude, ln_gamma));
+            }
+            let bucket = previous.1;
+            let negative = value < 0.0;
+            if !windows[usize::from(negative)].count(bucket) {
+                let map = if negative {
+                    &mut self.neg
+                } else {
+                    &mut self.pos
+                };
+                *map.entry(bucket).or_insert(0) += 1;
+            }
+        }
+        let [pos, neg] = windows;
+        pos.flush_into(&mut self.pos);
+        neg.flush_into(&mut self.neg);
     }
 
     /// Total recorded values.
@@ -708,6 +826,48 @@ mod tests {
                 acc
             };
             prop_assert_eq!(merged.to_bytes(), reference);
+        }
+
+        // The run insert is bookkeeping only: whatever mix of signs,
+        // near-zero, non-finite and repeated values a run holds, and
+        // however far it strays from the dense window around its first
+        // bucket, the sketch equals the one built value by value.
+        #[test]
+        fn insert_run_equals_repeated_insert(
+            runs in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..8, -1.0f64..1.0, -30i32..30, proptest::bool::ANY),
+                    0..120,
+                ),
+                1..4,
+            ),
+        ) {
+            let mut by_run = QuantileSketch::new();
+            let mut by_value = QuantileSketch::new();
+            for run in &runs {
+                let mut previous = 0.0;
+                let values: Vec<f64> = run
+                    .iter()
+                    .map(|&(kind, unit, exponent, repeat)| {
+                        let value = match kind {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY * unit.signum(),
+                            2 => unit * QUANTILE_ZERO_THRESHOLD,
+                            // Up to 60 decades apart: far outside the window.
+                            3 => unit * 10f64.powi(exponent),
+                            // Within a few buckets of 20, either sign.
+                            _ => (20.0 + unit) * if exponent < 0 { -1.0 } else { 1.0 },
+                        };
+                        previous = if repeat { previous } else { value };
+                        previous
+                    })
+                    .collect();
+                by_run.insert_run(values.iter().copied());
+                for &value in &values {
+                    by_value.insert(value);
+                }
+            }
+            prop_assert_eq!(by_run, by_value);
         }
 
         #[test]

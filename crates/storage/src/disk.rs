@@ -66,9 +66,10 @@ use mdb_types::{
 
 use crate::cache::{BlockCache, CacheStats, CachedBlock};
 use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
+use crate::digest::{Absorber, DigestStats, OpenSketches, SketchFeed, ValueBounds};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
-use crate::sidecar::{self, Sidecar};
-use crate::zone::{SketchFeedFn, ValueBoundsFn, ZoneMap};
+use crate::sidecar::{self, Sidecar, SidecarRef};
+use crate::zone::{ValueBoundsFn, ZoneMap};
 use crate::{SegmentPredicate, SegmentRun, SegmentStore};
 
 const BLOCK_MAGIC: u32 = 0x4D44_4253; // "MDBS" — v1 varint payload
@@ -101,13 +102,14 @@ pub struct DiskStoreOptions {
     /// resident (the pre-out-of-core behaviour), `Some(0)` caches nothing.
     pub memory_budget_bytes: Option<u64>,
     /// Stored-value range provider for the zone map and block statistics
-    /// (typically `mdb_models::segment_value_range` closed over the
-    /// registry); without it only time statistics prune.
-    pub value_bounds: Option<ValueBoundsFn>,
+    /// (typically `mdb_query::value_bounds_fn`); without it only time
+    /// statistics prune. The three providers are run together, once per
+    /// inserted segment (see [`crate::digest`]).
+    pub value_bounds: Option<ValueBounds>,
     /// Sketch provider for per-block mergeable sketches (typically
     /// `mdb_query::sketch_feed`); without it sketch queries are
     /// unanswerable from this store.
-    pub sketch_feed: Option<SketchFeedFn>,
+    pub sketch_feed: Option<SketchFeed>,
     /// Continuous-aggregate feed (typically `mdb_query::rollup_feed`):
     /// materialized rollup cells are maintained on insert, persisted in the
     /// sidecar, and rebuilt by the streaming rescan. Without it rollup
@@ -304,13 +306,15 @@ pub struct DiskStore {
     /// block — sustained ingestion stays O(blocks), and a crash between a
     /// block append and the next flush is covered by the suffix scan.
     sidecar_dirty: bool,
-    value_bounds: Option<ValueBoundsFn>,
-    sketch_feed: Option<SketchFeedFn>,
-    /// Continuous-aggregate feed; `None` disables rollup maintenance.
-    rollup_feed: Option<RollupFeed>,
-    /// The materialized cell map, present exactly when a feed is configured.
-    /// Fed on every insert, so cells always cover the write buffer too —
-    /// the same coverage a scan has.
+    /// The configured statistic providers and the one pass that runs them
+    /// on every inserted segment.
+    absorber: Absorber,
+    /// Per-gid sketches of the write buffer's segments, accumulated at
+    /// insert and moved into the block's [`BlockMeta`] when it is written.
+    open_sketches: OpenSketches,
+    /// The materialized cell map, present exactly when a rollup feed is
+    /// configured. Fed on every insert, so cells always cover the write
+    /// buffer too — the same coverage a scan has.
     rollups: Option<RollupCells>,
     pruning: bool,
 }
@@ -341,7 +345,7 @@ impl DiskStore {
             dir,
             DiskStoreOptions {
                 bulk_write_size,
-                value_bounds,
+                value_bounds: value_bounds.map(Into::into),
                 ..DiskStoreOptions::default()
             },
         )
@@ -358,13 +362,12 @@ impl DiskStore {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("segments.log");
         let sidecar_path = dir.join("segments.idx");
-        let recovered = recover(
-            &path,
-            &sidecar_path,
-            options.value_bounds.as_ref(),
-            options.sketch_feed.as_ref(),
-            options.rollup_feed.as_ref(),
-        )?;
+        let mut absorber = Absorber::new(
+            options.value_bounds,
+            options.sketch_feed,
+            options.rollup_feed,
+        );
+        let recovered = recover(&path, &sidecar_path, &mut absorber)?;
         // Not truncated on open: recovery decided how much of the log
         // survives.
         let file = OpenOptions::new()
@@ -406,9 +409,8 @@ impl DiskStore {
             buffer_peak: 0,
             sidecar_dirty: false,
             bulk_write_size: options.bulk_write_size.max(1),
-            value_bounds: options.value_bounds,
-            sketch_feed: options.sketch_feed,
-            rollup_feed: options.rollup_feed,
+            absorber,
+            open_sketches: OpenSketches::default(),
             rollups: recovered.rollups,
             pruning: true,
         };
@@ -520,7 +522,7 @@ impl DiskStore {
             self.write_format,
             &self.write_buffer,
             &self.buffer_ranges,
-            self.sketch_feed.as_ref(),
+            self.absorber.cut_block(&mut self.open_sketches),
         );
         let mut header = Vec::with_capacity(HEADER_BYTES);
         header.extend_from_slice(&magic_of(self.write_format).to_le_bytes());
@@ -545,13 +547,13 @@ impl DiskStore {
     fn write_sidecar(&self) -> Result<()> {
         sidecar::write(
             &self.sidecar_path,
-            &Sidecar {
+            SidecarRef {
                 log_len: self.persistent_bytes,
-                value_bounded: self.value_bounds.is_some(),
-                sketched: self.sketch_feed.is_some(),
-                blocks: self.blocks.clone(),
-                zones: self.zones.clone(),
-                rollups: self.rollups.clone(),
+                value_bounded: self.absorber.bounds_values(),
+                sketched: self.absorber.sketches(),
+                blocks: &self.blocks,
+                zones: &self.zones,
+                rollups: self.rollups.as_ref(),
             },
         )
     }
@@ -610,10 +612,11 @@ fn emit_view_runs(
     }
 }
 
-/// Builds one block's summary from its segments and their (possibly
-/// unknown) stored-value ranges — the single source of truth for both the
-/// write path and the streaming rescan, so sidecar-persisted and
-/// rescan-rebuilt metadata cannot diverge.
+/// Builds one block's summary from its segments, their (possibly unknown)
+/// stored-value ranges and the sketches accumulated while they were
+/// absorbed — the single source of truth for both the write path and the
+/// streaming rescan, so sidecar-persisted and rescan-rebuilt metadata
+/// cannot diverge.
 fn summarize_block(
     offset: u64,
     payload_len: u32,
@@ -621,7 +624,7 @@ fn summarize_block(
     format: BlockFormat,
     segments: &[SegmentRecord],
     ranges: &[Option<ValueInterval>],
-    sketch_feed: Option<&SketchFeedFn>,
+    sketches: Option<Arc<BlockSketches>>,
 ) -> BlockMeta {
     debug_assert_eq!(segments.len(), ranges.len());
     let mut meta = BlockMeta {
@@ -638,7 +641,7 @@ fn summarize_block(
         min_end: i64::MAX,
         max_end: i64::MIN,
         values: Some(ValueInterval::EMPTY),
-        sketches: sketch_feed.and_then(|feed| sketch_block(segments, feed)),
+        sketches,
     };
     for (segment, range) in segments.iter().zip(ranges) {
         meta.min_gid = meta.min_gid.min(segment.gid);
@@ -653,23 +656,6 @@ fn summarize_block(
         };
     }
     meta
-}
-
-/// Runs the sketch feed over a batch of segments, grouped by gid (cluster
-/// primary-gid scoping needs per-group granularity). Shared by the write
-/// path, the streaming rescan, and the write-buffer contribution at query
-/// time, so persisted and recomputed sketches cannot diverge. `None` when
-/// any segment fails to decode — the block's sketches fail open.
-fn sketch_block(segments: &[SegmentRecord], feed: &SketchFeedFn) -> Option<Arc<BlockSketches>> {
-    let mut per_gid: std::collections::BTreeMap<Gid, BlockSketch> =
-        std::collections::BTreeMap::new();
-    for segment in segments {
-        let sketch = per_gid.entry(segment.gid).or_default();
-        if !feed(segment, sketch) {
-            return None;
-        }
-    }
-    Some(Arc::new(per_gid.into_iter().collect()))
 }
 
 /// The payload checksum of a block format: v1 keeps the byte-wise FNV the
@@ -737,14 +723,9 @@ struct Recovered {
 /// Recovers the store's metadata: from the sidecar when it is valid for a
 /// prefix of the log (then only the suffix is scanned), from a full
 /// streaming scan otherwise.
-fn recover(
-    path: &Path,
-    sidecar_path: &Path,
-    value_bounds: Option<&ValueBoundsFn>,
-    sketch_feed: Option<&SketchFeedFn>,
-    rollup_feed: Option<&RollupFeed>,
-) -> Result<Recovered> {
-    let mut rollups = rollup_feed.map(|feed| RollupCells::new(feed.levels.clone()));
+fn recover(path: &Path, sidecar_path: &Path, absorber: &mut Absorber) -> Result<Recovered> {
+    let rollup_levels = absorber.rollup_feed().map(|feed| feed.levels.clone());
+    let mut rollups = rollup_levels.clone().map(RollupCells::new);
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -769,24 +750,24 @@ fn recover(
         // boundless value statistics; adopting it when this open *has*
         // bounds would permanently disable value pruning a rescan can
         // restore (the other direction is fine — see [`Sidecar`]).
-        let bounds_compatible = sc.value_bounded || value_bounds.is_none();
+        let bounds_compatible = sc.value_bounded || !absorber.bounds_values();
         // Same rule for sketches: a sidecar written without a sketch feed
         // (including any sidecar predating the sketch section) has no
         // sketches to adopt, and adopting it when this open *has* a feed
         // would leave sketch queries permanently unanswerable when a
         // rescan can regenerate them from the blocks.
-        let sketch_compatible = sc.sketched || sketch_feed.is_none();
+        let sketch_compatible = sc.sketched || !absorber.sketches();
         // And for rollups: a store opened *with* a feed only adopts a
         // sidecar whose cells were maintained at the same levels (a
         // poisoned map is adopted as-is — staying unsound is correct; a
         // level mismatch or a rollup-less sidecar forces the rescan that
         // rebuilds the cells).
-        let rollup_compatible = match rollup_feed {
+        let rollup_compatible = match &rollup_levels {
             None => true,
-            Some(feed) => sc
+            Some(levels) => sc
                 .rollups
                 .as_ref()
-                .is_some_and(|cells| cells.levels() == feed.levels.as_slice()),
+                .is_some_and(|cells| cells.levels() == levels.as_slice()),
         };
         if bounds_compatible
             && sketch_compatible
@@ -798,7 +779,7 @@ fn recover(
             sidecar_covered = sc.log_len;
             blocks = sc.blocks;
             zones = sc.zones;
-            if rollup_feed.is_some() {
+            if rollup_levels.is_some() {
                 rollups = sc.rollups;
             }
         }
@@ -810,9 +791,7 @@ fn recover(
         &mut file,
         actual_len,
         scan_from,
-        value_bounds,
-        sketch_feed,
-        rollup_feed,
+        absorber,
         &mut rollups,
         &mut blocks,
         &mut zones,
@@ -864,14 +843,11 @@ fn last_block_intact(file: &mut File, sc: &Sidecar) -> bool {
 /// (never the whole log at once), appending recovered block summaries and
 /// zone statistics. Returns the byte offset of the end of the last valid
 /// block; a torn or corrupt tail block simply stops the scan.
-#[allow(clippy::too_many_arguments)]
 fn scan_blocks_from(
     file: &mut File,
     actual_len: u64,
     mut offset: u64,
-    value_bounds: Option<&ValueBoundsFn>,
-    sketch_feed: Option<&SketchFeedFn>,
-    rollup_feed: Option<&RollupFeed>,
+    absorber: &mut Absorber,
     rollups: &mut Option<RollupCells>,
     blocks: &mut Vec<BlockMeta>,
     zones: &mut ZoneMap,
@@ -909,20 +885,14 @@ fn scan_blocks_from(
                 })?
                 .to_records(),
         };
+        // Absorbed in log order — the order the insert path absorbed them
+        // in originally — so zones, rollup cells (rebuilt, or extended on a
+        // suffix scan) and block sketches come out as they were written.
+        let mut open_sketches = OpenSketches::default();
         let ranges: Vec<Option<ValueInterval>> = segments
             .iter()
-            .map(|segment| value_bounds.and_then(|f| f(segment)))
+            .map(|segment| absorber.absorb(segment, zones, rollups.as_mut(), &mut open_sketches))
             .collect();
-        for (segment, range) in segments.iter().zip(&ranges) {
-            zones.insert(segment, *range);
-        }
-        // Rebuild (or extend, on a suffix scan) the rollup cells in log
-        // order — the same order the insert path fed them in originally.
-        if let (Some(feed), Some(cells)) = (rollup_feed, rollups.as_mut()) {
-            for segment in &segments {
-                cells.feed_segment(&feed.feed, segment);
-            }
-        }
         blocks.push(summarize_block(
             offset,
             payload_len,
@@ -930,7 +900,7 @@ fn scan_blocks_from(
             format,
             &segments,
             &ranges,
-            sketch_feed,
+            absorber.cut_block(&mut open_sketches),
         ));
         offset = body_start + u64::from(payload_len);
     }
@@ -939,11 +909,12 @@ fn scan_blocks_from(
 
 impl SegmentStore for DiskStore {
     fn insert(&mut self, segment: SegmentRecord) -> Result<()> {
-        let range = self.value_bounds.as_ref().and_then(|f| f(&segment));
-        self.zones.insert(&segment, range);
-        if let (Some(feed), Some(cells)) = (self.rollup_feed.as_ref(), self.rollups.as_mut()) {
-            cells.feed_segment(&feed.feed, &segment);
-        }
+        let range = self.absorber.absorb(
+            &segment,
+            &mut self.zones,
+            self.rollups.as_mut(),
+            &mut self.open_sketches,
+        );
         self.logical_bytes += segment.storage_bytes() as u64;
         self.n_segments += 1;
         self.write_buffer.push(segment);
@@ -1084,11 +1055,12 @@ impl SegmentStore for DiskStore {
     /// Answered from block *metadata* alone: no block body is fetched and
     /// the cache counters do not move — the whole point of carrying
     /// sketches in [`BlockMeta`]. The write buffer's (not yet summarized)
-    /// segments are sketched on the fly through the same shared helper.
+    /// segments contribute the open block's sketches, accumulated when
+    /// they were inserted; nothing is decoded here.
     fn merge_sketches(&self, scope: Option<&[Gid]>) -> Result<Option<BlockSketch>> {
-        let Some(feed) = self.sketch_feed.as_ref() else {
+        if !self.absorber.sketches() {
             return Ok(None);
-        };
+        }
         let sorted_scope: Option<Vec<Gid>> = scope.map(|gids| {
             let mut sorted = gids.to_vec();
             sorted.sort_unstable();
@@ -1101,32 +1073,28 @@ impl SegmentStore for DiskStore {
                 .is_none_or(|s| s.binary_search(&gid).is_ok())
         };
         let mut merged = BlockSketch::new();
-        let mut merge_set = |sketches: &BlockSketches| {
-            for (gid, sketch) in sketches {
-                if in_scope(*gid) {
-                    merged.merge(sketch);
-                }
-            }
-        };
         for meta in &self.blocks {
             if let Some(gids) = sorted_scope.as_deref() {
                 if meta.excludes_gids(gids) {
                     continue;
                 }
             }
-            match meta.sketches.as_ref() {
-                Some(sketches) => merge_set(sketches),
-                // A block without sketches (a segment failed to decode at
-                // write time) makes the merged answer unsound: report the
-                // store as sketch-less rather than answer wrong.
-                None => return Ok(None),
+            // A block without sketches (a segment failed to decode at
+            // write time) makes the merged answer unsound: report the
+            // store as sketch-less rather than answer wrong.
+            let Some(sketches) = meta.sketches.as_ref() else {
+                return Ok(None);
+            };
+            for (gid, sketch) in sketches.iter() {
+                if in_scope(*gid) {
+                    merged.merge(sketch);
+                }
             }
         }
-        match sketch_block(&self.write_buffer, feed) {
-            Some(sketches) => merge_set(&sketches),
-            None => return Ok(None),
-        }
-        Ok(Some(merged))
+        Ok(self
+            .open_sketches
+            .merge_into(in_scope, &mut merged)
+            .then_some(merged))
     }
 
     /// Answered from the materialized cell map alone: no block body is
@@ -1168,6 +1136,10 @@ impl SegmentStore for DiskStore {
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    fn digest_stats(&self) -> DigestStats {
+        self.absorber.stats()
     }
 
     fn resident_segments(&self) -> usize {
@@ -1646,6 +1618,7 @@ mod tests {
                     },
                 }])
             }),
+            fused: None,
         }
     }
 

@@ -23,10 +23,14 @@
 //!   stored-value statistics over runs of segments, maintained on write by
 //!   both stores and consulted by [`SegmentStore::scan`] to skip runs that
 //!   cannot match a query's push-down predicate.
+//! * [`digest`] — the one insert-time pass both stores (and recovery) derive
+//!   zone statistics, rollup cells and block sketches through, with one
+//!   reconstruction per finalized segment.
 
 pub mod cache;
 pub mod catalog;
 pub mod codec;
+pub mod digest;
 pub mod disk;
 pub mod memory;
 pub mod rollup;
@@ -42,6 +46,7 @@ use mdb_types::{
 pub use cache::{BlockCache, CacheStats, CachedBlock};
 pub use catalog::Catalog;
 pub use codec::{checksum, checksum_v2};
+pub use digest::{Digest, DigestBuf, DigestStats, Feed, SegmentDigester, SketchFeed, ValueBounds};
 pub use disk::{DiskStore, DiskStoreOptions};
 pub use memory::MemoryStore;
 pub use rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn};
@@ -320,6 +325,12 @@ pub trait SegmentStore: Send + Sync {
     /// without a block cache — the in-memory store — report all zeros.
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
+    }
+
+    /// Counters of the insert-time statistics pass: segments digested,
+    /// model reconstructions, points sketched.
+    fn digest_stats(&self) -> DigestStats {
+        DigestStats::default()
     }
 }
 

@@ -7,8 +7,9 @@ use std::collections::BTreeMap;
 
 use mdb_types::{BlockSketch, Gid, Result, SegmentRecord, Tid, TimeLevel, Timestamp};
 
+use crate::digest::{Absorber, DigestStats, OpenSketches, SketchFeed, ValueBounds};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
-use crate::zone::{SketchFeedFn, ValueBoundsFn, ZoneMap};
+use crate::zone::ZoneMap;
 use crate::{SegmentPredicate, SegmentStore};
 
 /// Heap-backed store, ordered by `(gid, end_time, gaps)` like the
@@ -18,22 +19,19 @@ pub struct MemoryStore {
     segments: BTreeMap<(Gid, i64, u64), SegmentRecord>,
     logical_bytes: u64,
     zones: ZoneMap,
-    /// Computes stored-value ranges for the zone map; without it, runs are
-    /// unbounded and only time statistics prune.
-    value_bounds: Option<ValueBoundsFn>,
-    /// Feeds inserted segments into the per-group sketches; without it
-    /// sketch queries are unanswerable from this store.
-    sketch_feed: Option<SketchFeedFn>,
+    /// The configured statistic providers and the one pass that runs them
+    /// on every inserted segment. Without a value-bounds provider, runs
+    /// are unbounded and only time statistics prune; without a sketch
+    /// provider, sketch queries are unanswerable from this store; without a
+    /// rollup feed, no cells are maintained.
+    absorber: Absorber,
     /// Per-group sketches over every inserted segment (the in-memory
-    /// analogue of the disk store's per-block sketches — one "block").
-    sketches: BTreeMap<Gid, BlockSketch>,
-    /// Cleared when a segment could not be fed (sketches then fail open),
-    /// mirroring a disk block with `sketches: None`. A rare duplicate-key
-    /// overwrite also clears it: sketch counts are not subtractable, and
+    /// analogue of the disk store's per-block sketches — one "block" that
+    /// is never cut). They fail open when a segment could not be fed,
+    /// mirroring a disk block with `sketches: None`, and on a rare
+    /// duplicate-key overwrite: sketch counts are not subtractable, and
     /// the compression pipeline never produces duplicates.
-    sketches_sound: bool,
-    /// Continuous-aggregate feed; `None` disables rollup maintenance.
-    rollup_feed: Option<RollupFeed>,
+    sketches: OpenSketches,
     /// Materialized rollup cells, present exactly when a feed is configured.
     /// Unlike the disk store (whose scan order *is* insert order), this
     /// store scans in `(gid, end_time, gaps)` key order — so the cells stay
@@ -71,42 +69,34 @@ impl MemoryStore {
             segments: BTreeMap::new(),
             logical_bytes: 0,
             zones: ZoneMap::new(),
-            value_bounds: None,
-            sketch_feed: None,
-            sketches: BTreeMap::new(),
-            sketches_sound: true,
-            rollup_feed: None,
+            absorber: Absorber::new(None, None, None),
+            sketches: OpenSketches::default(),
             rollups: None,
             rollup_max_key: BTreeMap::new(),
             pruning: true,
         }
     }
 
-    /// An empty store whose zone map also records stored-value ranges
-    /// computed by `value_bounds` (typically `mdb_models::segment_value_range`
-    /// closed over the registry and group sizes).
-    pub fn with_value_bounds(value_bounds: ValueBoundsFn) -> Self {
+    /// An empty store maintaining the statistics the given providers
+    /// derive, all in one pass per inserted segment (see [`crate::digest`]):
+    /// stored-value ranges in the zone map (`value_bounds`, typically
+    /// `mdb_query::value_bounds_fn`), per-group sketches enabling
+    /// [`SegmentStore::merge_sketches`] (`sketch_feed`, typically
+    /// `mdb_query::sketch_feed`), and materialized rollup cells enabling
+    /// [`SegmentStore::rollup_cells`] (`rollup_feed`, typically
+    /// `mdb_query::rollup_feed`).
+    pub fn with_feeds(
+        value_bounds: Option<ValueBounds>,
+        sketch_feed: Option<SketchFeed>,
+        rollup_feed: Option<RollupFeed>,
+    ) -> Self {
         Self {
-            value_bounds: Some(value_bounds),
+            rollups: rollup_feed
+                .as_ref()
+                .map(|feed| RollupCells::new(feed.levels.clone())),
+            absorber: Absorber::new(value_bounds, sketch_feed, rollup_feed),
             ..Self::new()
         }
-    }
-
-    /// Builder: additionally maintain per-group sketches on insert, fed by
-    /// `sketch_feed` (typically `mdb_query::sketch_feed`), enabling
-    /// [`SegmentStore::merge_sketches`].
-    pub fn with_sketch_feed(mut self, sketch_feed: SketchFeedFn) -> Self {
-        self.sketch_feed = Some(sketch_feed);
-        self
-    }
-
-    /// Builder: additionally maintain materialized rollup cells on insert,
-    /// fed by `rollup_feed` (typically `mdb_query::rollup_feed`), enabling
-    /// [`SegmentStore::rollup_cells`].
-    pub fn with_rollup_feed(mut self, rollup_feed: RollupFeed) -> Self {
-        self.rollups = Some(RollupCells::new(rollup_feed.levels.clone()));
-        self.rollup_feed = Some(rollup_feed);
-        self
     }
 
     /// Enables or disables zone-map pruning in [`SegmentStore::scan`] (the
@@ -119,16 +109,8 @@ impl MemoryStore {
 
 impl SegmentStore for MemoryStore {
     fn insert(&mut self, segment: SegmentRecord) -> Result<()> {
-        let range = self.value_bounds.as_ref().and_then(|f| f(&segment));
-        self.zones.insert(&segment, range);
         self.logical_bytes += segment.storage_bytes() as u64;
-        if let Some(feed) = self.sketch_feed.as_ref() {
-            let sketch = self.sketches.entry(segment.gid).or_default();
-            if !feed(&segment, sketch) {
-                self.sketches_sound = false;
-            }
-        }
-        if let (Some(feed), Some(cells)) = (self.rollup_feed.as_ref(), self.rollups.as_mut()) {
+        if let Some(cells) = self.rollups.as_mut() {
             // Cells fold contributions in insert order, but this store scans
             // in key order: a non-ascending key within a gid (out-of-order
             // insert or duplicate overwrite) breaks the order equivalence,
@@ -146,14 +128,19 @@ impl SegmentStore for MemoryStore {
                     slot.insert(key);
                 }
             }
-            cells.feed_segment(&feed.feed, &segment);
         }
+        self.absorber.absorb(
+            &segment,
+            &mut self.zones,
+            self.rollups.as_mut(),
+            &mut self.sketches,
+        );
         let key = (segment.gid, segment.end_time, segment.gaps.0);
         if let Some(old) = self.segments.insert(key, segment) {
             self.logical_bytes -= old.storage_bytes() as u64;
             // The duplicate's first insertion was already sketched and
             // cannot be subtracted back out.
-            self.sketches_sound = false;
+            self.sketches.poison();
         }
         Ok(())
     }
@@ -232,16 +219,15 @@ impl SegmentStore for MemoryStore {
     }
 
     fn merge_sketches(&self, scope: Option<&[Gid]>) -> Result<Option<BlockSketch>> {
-        if self.sketch_feed.is_none() || !self.sketches_sound {
+        if !self.absorber.sketches() {
             return Ok(None);
         }
         let mut merged = BlockSketch::new();
-        for (gid, sketch) in &self.sketches {
-            if scope.is_none_or(|s| s.contains(gid)) {
-                merged.merge(sketch);
-            }
-        }
-        Ok(Some(merged))
+        let in_scope = |gid: Gid| scope.is_none_or(|s| s.contains(&gid));
+        Ok(self
+            .sketches
+            .merge_into(in_scope, &mut merged)
+            .then_some(merged))
     }
 
     fn rollup_cells(
@@ -274,6 +260,10 @@ impl SegmentStore for MemoryStore {
 
     fn persistent_bytes(&self) -> u64 {
         0
+    }
+
+    fn digest_stats(&self) -> DigestStats {
+        self.absorber.stats()
     }
 }
 
@@ -370,8 +360,9 @@ mod tests {
                     },
                 }])
             }),
+            fused: None,
         };
-        let mut store = MemoryStore::new().with_rollup_feed(feed);
+        let mut store = MemoryStore::with_feeds(None, None, Some(feed));
         store.insert(seg(1, 0, 900, 0)).unwrap();
         store.insert(seg(1, 1000, 1900, 0)).unwrap();
         let mut seen = Vec::new();

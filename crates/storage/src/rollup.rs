@@ -4,12 +4,13 @@
 //! A *cell* is one `(gid, level, tid, bucket_start)` accumulator holding the
 //! SUM/COUNT/MIN/MAX of every data point the store has absorbed for that time
 //! series inside that calendar bucket (AVG derives as SUM/COUNT at
-//! finalization, exactly like the scan path). Cells are maintained on the
-//! same append path that feeds [`mdb_types::BlockMeta`] statistics and the
-//! block sketches: a caller-provided [`RollupFeedFn`] (typically
-//! `mdb_query::rollup_feed` closed over the catalog and model registry)
-//! decodes each finalized segment once and returns its per-bucket deltas,
-//! which are folded into the cell map in segment order. Because the fold
+//! finalization, exactly like the scan path). Cells are maintained by the
+//! same insert-time pass ([`crate::digest`]) that feeds the
+//! [`mdb_types::BlockMeta`] statistics and the block sketches: a
+//! caller-provided [`RollupFeed`] (typically `mdb_query::rollup_feed` closed
+//! over the catalog and model registry) turns each finalized segment into
+//! its per-bucket deltas, which are folded into the cell map in segment
+//! order. Because the fold
 //! applies *the same floating-point operations in the same order* as the
 //! query engine's bucketed scan, a cell-served aggregate is bit-identical to
 //! the re-aggregating scan — the invariant `tests/rollup_equivalence.rs`
@@ -27,6 +28,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mdb_types::{Gid, SegmentRecord, Tid, TimeLevel, Timestamp};
+
+use crate::digest::SegmentDigester;
 
 /// Stable one-byte tag for a [`TimeLevel`], ordered coarse → fine, used as
 /// the level component of cell keys and in the sidecar encoding.
@@ -116,8 +119,12 @@ pub type RollupFeedFn = Arc<dyn Fn(&SegmentRecord) -> Option<Vec<RollupDelta>> +
 pub struct RollupFeed {
     /// The hierarchy levels the feed produces deltas for.
     pub levels: Vec<TimeLevel>,
-    /// The per-segment delta function.
+    /// The per-segment delta function — used when `fused` is `None`, and
+    /// the reference `fused` is tested against.
     pub feed: RollupFeedFn,
+    /// The one-pass digester producing the same deltas (see
+    /// [`crate::digest`]); `None` for hand-written feeds.
+    pub fused: Option<Arc<dyn SegmentDigester>>,
 }
 
 impl std::fmt::Debug for RollupFeed {

@@ -36,6 +36,8 @@ const SIDECAR_MAGIC: u32 = 0x4D44_4249; // "MDBI"
                                         // back to the streaming rescan — which recognizes both block formats — and
                                         // rewrites a current sidecar, so old stores upgrade on first open.
 const SIDECAR_VERSION: u32 = 2;
+/// Magic, version, body checksum, body length.
+const FILE_HEADER_BYTES: usize = 16;
 
 /// Everything `DiskStore::open` needs that is not the segment bodies.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -67,13 +69,48 @@ pub struct Sidecar {
     pub rollups: Option<RollupCells>,
 }
 
+/// A [`Sidecar`] borrowed from the state it describes — what [`write()`]
+/// serializes, so a store flushes without cloning its block summaries, zone
+/// map and rollup cells first.
+#[derive(Debug, Clone, Copy)]
+pub struct SidecarRef<'a> {
+    /// See [`Sidecar::log_len`].
+    pub log_len: u64,
+    /// See [`Sidecar::value_bounded`].
+    pub value_bounded: bool,
+    /// See [`Sidecar::sketched`].
+    pub sketched: bool,
+    /// See [`Sidecar::blocks`].
+    pub blocks: &'a [BlockMeta],
+    /// See [`Sidecar::zones`].
+    pub zones: &'a ZoneMap,
+    /// See [`Sidecar::rollups`].
+    pub rollups: Option<&'a RollupCells>,
+}
+
+impl Sidecar {
+    /// The borrowed form [`write()`] takes.
+    pub fn borrowed(&self) -> SidecarRef<'_> {
+        SidecarRef {
+            log_len: self.log_len,
+            value_bounded: self.value_bounded,
+            sketched: self.sketched,
+            blocks: &self.blocks,
+            zones: &self.zones,
+            rollups: self.rollups.as_ref(),
+        }
+    }
+}
+
 /// Serializes and writes the sidecar atomically (temp file + rename).
-pub fn write(path: &Path, sidecar: &Sidecar) -> Result<()> {
-    let mut body = Vec::new();
+pub fn write(path: &Path, sidecar: SidecarRef<'_>) -> Result<()> {
+    // The body is built behind room for the 16-byte file header, which is
+    // filled in once the body's length and checksum are known.
+    let mut body = vec![0u8; FILE_HEADER_BYTES];
     put_u64(&mut body, sidecar.log_len);
     body.push(u8::from(sidecar.value_bounded));
     put_u32(&mut body, sidecar.blocks.len() as u32);
-    for block in &sidecar.blocks {
+    for block in sidecar.blocks {
         put_u64(&mut body, block.offset);
         put_u64(&mut body, block.stored_bytes);
         put_u32(&mut body, block.payload_len);
@@ -117,7 +154,7 @@ pub fn write(path: &Path, sidecar: &Sidecar) -> Result<()> {
     // the whole section, so truncation or corruption rejects the sidecar
     // and the store falls back to the streaming rescan.
     body.push(u8::from(sidecar.sketched));
-    for block in &sidecar.blocks {
+    for block in sidecar.blocks {
         match &block.sketches {
             None => body.push(0),
             Some(sketches) => {
@@ -139,7 +176,7 @@ pub fn write(path: &Path, sidecar: &Sidecar) -> Result<()> {
     // poisoned (levels only; adopters must treat the map as unsound). The
     // body checksum covers the section, so truncation mid-cells rejects the
     // whole sidecar and the store falls back to the streaming rescan.
-    match &sidecar.rollups {
+    match sidecar.rollups {
         None => body.push(0),
         Some(cells) => {
             body.push(if cells.is_sound() { 1 } else { 2 });
@@ -162,12 +199,14 @@ pub fn write(path: &Path, sidecar: &Sidecar) -> Result<()> {
             }
         }
     }
-    let mut file_bytes = Vec::with_capacity(16 + body.len());
-    put_u32(&mut file_bytes, SIDECAR_MAGIC);
-    put_u32(&mut file_bytes, SIDECAR_VERSION);
-    put_u32(&mut file_bytes, checksum(&body));
-    put_u32(&mut file_bytes, body.len() as u32);
-    file_bytes.extend_from_slice(&body);
+    let mut file_bytes = body;
+    let body = &file_bytes[FILE_HEADER_BYTES..];
+    let mut header = Vec::with_capacity(FILE_HEADER_BYTES);
+    put_u32(&mut header, SIDECAR_MAGIC);
+    put_u32(&mut header, SIDECAR_VERSION);
+    put_u32(&mut header, checksum(body));
+    put_u32(&mut header, body.len() as u32);
+    file_bytes[..FILE_HEADER_BYTES].copy_from_slice(&header);
 
     let tmp = path.with_extension("idx.tmp");
     {
@@ -562,7 +601,7 @@ mod tests {
     fn round_trips_bit_exactly() {
         let (_dir, path) = temp("roundtrip");
         let sidecar = sample();
-        write(&path, &sidecar).unwrap();
+        write(&path, sidecar.borrowed()).unwrap();
         let back = load(&path).unwrap().expect("valid sidecar");
         assert_eq!(back, sidecar);
     }
@@ -576,7 +615,7 @@ mod tests {
     #[test]
     fn corruption_anywhere_is_detected() {
         let (_dir, path) = temp("corrupt");
-        write(&path, &sample()).unwrap();
+        write(&path, sample().borrowed()).unwrap();
         let good = std::fs::read(&path).unwrap();
         // Flip one byte at a spread of offsets: every mutation must be
         // rejected (magic, version, checksum, or trailing-bytes check).
@@ -597,7 +636,7 @@ mod tests {
     fn empty_store_sidecar_round_trips() {
         let (_dir, path) = temp("empty");
         let sidecar = Sidecar::default();
-        write(&path, &sidecar).unwrap();
+        write(&path, sidecar.borrowed()).unwrap();
         assert_eq!(load(&path).unwrap(), Some(sidecar));
     }
 
@@ -613,7 +652,7 @@ mod tests {
             block.sketches = None;
         }
         sidecar.rollups = None;
-        write(&path, &sidecar).unwrap();
+        write(&path, sidecar.borrowed()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // With no sketches and no rollups the trailing sections are exactly
         // the `sketched` flag, one presence byte per block, and the rollup
@@ -631,7 +670,7 @@ mod tests {
 
         // A *truncated* sketch section, by contrast, is rejected outright
         // (the checksum no longer matches), forcing the rescan fallback.
-        write(&path, &sample()).unwrap();
+        write(&path, sample().borrowed()).unwrap();
         let full = std::fs::read(&path).unwrap();
         for cut in 1..section + 20 {
             std::fs::write(&path, &full[..full.len() - cut]).unwrap();
@@ -646,7 +685,7 @@ mod tests {
     fn rollup_section_round_trips_sound_and_poisoned() {
         let (_dir, path) = temp("rollups");
         let sidecar = sample();
-        write(&path, &sidecar).unwrap();
+        write(&path, sidecar.borrowed()).unwrap();
         let back = load(&path).unwrap().expect("valid sidecar");
         let cells = back.rollups.as_ref().expect("rollups present");
         assert!(cells.is_sound());
@@ -663,7 +702,7 @@ mod tests {
 
         let mut poisoned = sample();
         poisoned.rollups = Some(sample_rollups(false));
-        write(&path, &poisoned).unwrap();
+        write(&path, poisoned.borrowed()).unwrap();
         let back = load(&path).unwrap().expect("valid sidecar");
         let cells = back.rollups.as_ref().expect("rollups present");
         assert!(!cells.is_sound());

@@ -82,8 +82,8 @@ fn options(with_bounds: bool, with_feed: bool) -> DiskStoreOptions {
         // Larger than any case writes: blocks are cut by explicit flushes.
         bulk_write_size: 1 << 20,
         memory_budget_bytes: None,
-        value_bounds: with_bounds.then(bounds),
-        sketch_feed: with_feed.then(feed),
+        value_bounds: with_bounds.then(|| bounds().into()),
+        sketch_feed: with_feed.then(|| feed().into()),
         ..Default::default()
     }
 }
@@ -352,6 +352,7 @@ fn rollup() -> RollupFeed {
                 },
             }])
         }),
+        fused: None,
     }
 }
 
