@@ -63,6 +63,8 @@ pub struct SegmentGenerator {
     /// How many buffer ticks the current fitter has consumed (== its len).
     fitted: usize,
     candidates: Vec<Candidate>,
+    /// Reconstruction buffer for [`Self::verify`], reused across segments.
+    grid: Vec<Value>,
     /// Segments emitted by this generator since it was created (drives the
     /// join-candidacy bookkeeping of Section 4.2).
     pub(crate) segments_emitted: u64,
@@ -109,6 +111,7 @@ impl SegmentGenerator {
             fitter,
             fitted: 0,
             candidates: Vec::new(),
+            grid: Vec::new(),
             segments_emitted: 0,
             join_threshold: 1,
         })
@@ -277,7 +280,7 @@ impl SegmentGenerator {
         Ok(segment)
     }
 
-    fn build_segment(&self, candidate: Candidate) -> Result<SegmentRecord> {
+    fn build_segment(&mut self, candidate: Candidate) -> Result<SegmentRecord> {
         let len = candidate.len;
         debug_assert!(len >= 1 && len <= self.buffer.len());
         let start_time = self.buffer[0].timestamp;
@@ -304,20 +307,22 @@ impl SegmentGenerator {
         })
     }
 
-    /// Reconstructs the candidate and checks every value against the bound.
-    fn verify(&self, mid: u8, params: &[u8], len: usize) -> bool {
+    /// Reconstructs the candidate into the generator's reusable buffer and
+    /// checks every value against the bound.
+    fn verify(&mut self, mid: u8, params: &[u8], len: usize) -> bool {
         let model = match self.registry.get(mid) {
             Some(m) => m,
             None => return false,
         };
         let n = self.positions.len();
-        let grid = match model.grid(params, n, len) {
-            Some(g) => g,
-            None => return false,
-        };
-        for (t, tick) in self.buffer.iter().take(len).enumerate() {
-            for (s, &orig) in tick.values.iter().enumerate() {
-                if !self.bound.within(grid[t * n + s], orig) {
+        // A short grid (a user model's bug) must fail, not skip values.
+        if !model.grid_into(params, n, len, &mut self.grid) || self.grid.len() < len * n {
+            return false;
+        }
+        let rows = self.grid.chunks_exact(n);
+        for (tick, row) in self.buffer.iter().take(len).zip(rows) {
+            for (&orig, &value) in tick.values.iter().zip(row) {
+                if !self.bound.within(value, orig) {
                     return false;
                 }
             }
@@ -325,10 +330,11 @@ impl SegmentGenerator {
         true
     }
 
-    fn lossless_fallback(&self, len: usize) -> Result<(u8, Vec<u8>)> {
+    fn lossless_fallback(&mut self, len: usize) -> Result<(u8, Vec<u8>)> {
         // Find a model that accepts everything under a lossless bound: fit
         // the exact ticks and demand full acceptance.
-        for (mid, model) in self.registry.iter() {
+        let registry = Arc::clone(&self.registry);
+        for (mid, model) in registry.iter() {
             let mut fitter = model.fitter(ErrorBound::Lossless, self.positions.len(), len.max(1));
             let mut ok = true;
             for tick in self.buffer.iter().take(len) {
@@ -337,8 +343,11 @@ impl SegmentGenerator {
                     break;
                 }
             }
-            if ok && fitter.len() == len && self.verify(mid, &fitter.params(), len) {
-                return Ok((mid, fitter.params()));
+            if ok && fitter.len() == len {
+                let params = fitter.params();
+                if self.verify(mid, &params, len) {
+                    return Ok((mid, params));
+                }
             }
         }
         Err(MdbError::Ingestion(format!(
@@ -438,6 +447,53 @@ mod tests {
         }
         segments.extend(g.flush().unwrap());
         assert!(segments.iter().any(|s| s.mid == MID_GORILLA));
+    }
+
+    #[test]
+    fn per_series_gorilla_segments_decode_to_their_ticks() {
+        // Section 5.1's adapter fits one Gorilla stream per series, each
+        // recording its own length; the emitted segments must still decode
+        // bit-exactly to the ticks they cover.
+        let reg = Arc::new(ModelRegistry::per_series_baseline());
+        let bound = ErrorBound::absolute(0.0001);
+        let config = CompressionConfig {
+            error_bound: bound,
+            ..CompressionConfig::default()
+        };
+        let mut g = SegmentGenerator::new(1, 100, vec![0, 1, 2], 3, reg.clone(), config).unwrap();
+        let mut x = 987654321u32;
+        let rows: Vec<Vec<Value>> = (0..230)
+            .map(|t| {
+                let mut next = || {
+                    x = x.wrapping_mul(1103515245).wrapping_add(12345);
+                    (x >> 8) as f32 / 1024.0
+                };
+                vec![if t % 90 < 40 { 7.5 } else { next() }, next(), next()]
+            })
+            .collect();
+        let mut segments = Vec::new();
+        for (t, row) in rows.iter().enumerate() {
+            segments.extend(g.push(t as i64 * 100, row).unwrap());
+        }
+        segments.extend(g.flush().unwrap());
+        assert_eq!(segments.iter().map(|s| s.len()).sum::<usize>(), rows.len());
+        assert!(segments.iter().any(|s| s.mid == MID_GORILLA));
+        let mut first_row = 0;
+        for s in &segments {
+            let grid = reg.get(s.mid).unwrap().grid(&s.params, 3, s.len()).unwrap();
+            assert_eq!(grid.len(), s.len() * 3);
+            for (t, row) in rows[first_row..first_row + s.len()].iter().enumerate() {
+                for (col, &orig) in row.iter().enumerate() {
+                    let value = grid[t * 3 + col];
+                    if s.mid == MID_GORILLA {
+                        assert_eq!(value.to_bits(), orig.to_bits(), "t={t} col={col}");
+                    } else {
+                        assert!(bound.within(value, orig), "t={t} col={col}");
+                    }
+                }
+            }
+            first_row += s.len();
+        }
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! byte, matching the layout in the Gorilla paper.
 
 /// Appends bits to a growable byte buffer, most significant bit first.
+///
+/// Bits collect in a 64-bit accumulator and leave it a whole byte at a
+/// time, so one [`write_bits`](Self::write_bits) call costs one shift-in
+/// plus one store per completed byte, whatever its bit offset.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Number of valid bits in `current`.
+    /// Pending bits in the low `used` bits; the bits above them were
+    /// already drained to `bytes` and are ignored.
+    acc: u64,
+    /// Number of pending bits in `acc`, always < 8 between calls.
     used: u8,
-    current: u8,
 }
 
 impl BitWriter {
@@ -20,25 +26,20 @@ impl BitWriter {
         Self::default()
     }
 
-    /// A writer that re-fills an existing buffer's allocation.
+    /// A new, empty writer whose buffer holds `bytes` bytes before it
+    /// first reallocates.
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
             bytes: Vec::with_capacity(bytes),
+            acc: 0,
             used: 0,
-            current: 0,
         }
     }
 
     /// Writes a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.current = (self.current << 1) | u8::from(bit);
-        self.used += 1;
-        if self.used == 8 {
-            self.bytes.push(self.current);
-            self.current = 0;
-            self.used = 0;
-        }
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Writes the `count` least significant bits of `value`,
@@ -46,22 +47,18 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u8) {
         debug_assert!(count <= 64);
-        let mut remaining = count;
-        while remaining > 0 {
-            // take ≤ 8, so the shift below fits in u16 arithmetic.
-            let take = (8 - self.used).min(remaining);
-            let shift = remaining - take;
-            let chunk = ((value >> shift) as u8) & (((1u16 << take) - 1) as u8);
-            // u16 arithmetic: take can be 8, which would overflow `u8 << 8`
-            // (current is always 0 in that case, but the shift still panics).
-            self.current = (((u16::from(self.current)) << take) as u8) | chunk;
-            self.used += take;
-            if self.used == 8 {
-                self.bytes.push(self.current);
-                self.current = 0;
-                self.used = 0;
-            }
-            remaining -= take;
+        // Up to 7 bits are pending, so 56 more always fit the accumulator.
+        if count > 56 {
+            self.write_bits(value >> 32, count - 32);
+            self.write_bits(value, 32);
+            return;
+        }
+        let mask = (1u64 << count).wrapping_sub(1);
+        self.acc = (self.acc << count) | (value & mask);
+        self.used += count;
+        while self.used >= 8 {
+            self.used -= 8;
+            self.bytes.push((self.acc >> self.used) as u8);
         }
     }
 
@@ -70,12 +67,25 @@ impl BitWriter {
         self.bytes.len() * 8 + self.used as usize
     }
 
+    /// The pending bits as a zero-padded final byte, if there are any.
+    fn padded_tail(&self) -> Option<u8> {
+        (self.used > 0).then(|| (self.acc << (8 - self.used)) as u8)
+    }
+
+    /// The bytes [`finish`](Self::finish) would return, without consuming
+    /// the writer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.bytes.len() + 1);
+        out.extend_from_slice(&self.bytes);
+        out.extend(self.padded_tail());
+        out
+    }
+
     /// Finishes the stream, zero-padding the final byte, and returns the
     /// bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.current <<= 8 - self.used;
-            self.bytes.push(self.current);
+        if let Some(tail) = self.padded_tail() {
+            self.bytes.push(tail);
         }
         self.bytes
     }
@@ -142,6 +152,55 @@ impl<'a> BitReader<'a> {
     /// Remaining unread bits (including any zero padding in the final byte).
     pub fn remaining_bits(&self) -> usize {
         self.bytes.len() * 8 - self.pos
+    }
+}
+
+/// The byte-at-a-time writer [`BitWriter`] replaced, kept as the reference
+/// its output must match bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    #[derive(Debug, Default)]
+    pub(crate) struct ByteWriter {
+        bytes: Vec<u8>,
+        used: u8,
+        current: u8,
+    }
+
+    impl ByteWriter {
+        pub(crate) fn write_bit(&mut self, bit: bool) {
+            self.current = (self.current << 1) | u8::from(bit);
+            self.used += 1;
+            if self.used == 8 {
+                self.bytes.push(self.current);
+                self.current = 0;
+                self.used = 0;
+            }
+        }
+
+        pub(crate) fn write_bits(&mut self, value: u64, count: u8) {
+            let mut remaining = count;
+            while remaining > 0 {
+                let take = (8 - self.used).min(remaining);
+                let shift = remaining - take;
+                let chunk = ((value >> shift) as u8) & (((1u16 << take) - 1) as u8);
+                self.current = (((u16::from(self.current)) << take) as u8) | chunk;
+                self.used += take;
+                if self.used == 8 {
+                    self.bytes.push(self.current);
+                    self.current = 0;
+                    self.used = 0;
+                }
+                remaining -= take;
+            }
+        }
+
+        pub(crate) fn finish(mut self) -> Vec<u8> {
+            if self.used > 0 {
+                self.current <<= 8 - self.used;
+                self.bytes.push(self.current);
+            }
+            self.bytes
+        }
     }
 }
 
@@ -233,6 +292,39 @@ mod tests {
                 let masked = if c == 64 { v } else { v & ((1u64 << c) - 1) };
                 proptest::prop_assert_eq!(r.read_bits(c), Some(masked));
             }
+        }
+
+        // The accumulator writer emits exactly the reference's bytes, and
+        // `to_bytes` equals `finish` after every prefix. `op` ≤ 64 is a
+        // `write_bits` count; above that it is a `write_bit` or one of the
+        // counts at the edges of the 56-bit split. The unmasked high bits
+        // of `value` must be ignored.
+        #[test]
+        fn writer_matches_the_byte_at_a_time_reference(
+            ops in proptest::collection::vec((0u64..=u64::MAX, 0u8..=84), 0..120)
+        ) {
+            const EDGE_COUNTS: [u8; 10] = [0, 1, 7, 8, 9, 55, 56, 57, 63, 64];
+            let mut w = BitWriter::new();
+            let mut reference = reference::ByteWriter::default();
+            let mut bits = 0usize;
+            for &(value, op) in &ops {
+                match op {
+                    65..=74 => {
+                        w.write_bit(value & 1 == 1);
+                        reference.write_bit(value & 1 == 1);
+                        bits += 1;
+                    }
+                    _ => {
+                        let count = if op <= 64 { op } else { EDGE_COUNTS[usize::from(op - 75)] };
+                        w.write_bits(value, count);
+                        reference.write_bits(value, count);
+                        bits += usize::from(count);
+                    }
+                }
+                proptest::prop_assert_eq!(w.bit_len(), bits);
+                proptest::prop_assert_eq!(w.to_bytes(), w.clone().finish());
+            }
+            proptest::prop_assert_eq!(w.finish(), reference.finish());
         }
     }
 }

@@ -41,7 +41,8 @@ impl XorEncoder {
         }
     }
 
-    /// Appends one value to the stream.
+    /// Appends one value to the stream with a single
+    /// [`BitWriter::write_bits`] call: at most 44 bits (new window).
     pub fn push(&mut self, value: f32) {
         let bits = value.to_bits();
         if self.count == 0 {
@@ -52,26 +53,24 @@ impl XorEncoder {
         }
         let xor = bits ^ self.prev;
         if xor == 0 {
-            self.writer.write_bit(false);
+            self.writer.write_bits(0, 1);
         } else {
-            self.writer.write_bit(true);
             let leading = (xor.leading_zeros() as u8).min(31);
             let trailing = xor.trailing_zeros() as u8;
             if self.leading != u8::MAX && leading >= self.leading && trailing >= self.trailing {
-                // Fits in the previous window: control bit 0 + meaningful bits.
-                self.writer.write_bit(false);
+                // Fits in the previous window: `10` + meaningful bits.
                 let significant = 32 - self.leading - self.trailing;
-                self.writer
-                    .write_bits(u64::from(xor >> self.trailing), significant);
+                let code = (0b10 << significant) | u64::from(xor >> self.trailing);
+                self.writer.write_bits(code, 2 + significant);
             } else {
-                // New window: control bit 1 + leading count + length + bits.
-                self.writer.write_bit(true);
+                // New window: `11` + leading count + length + bits.
                 let significant = 32 - leading - trailing;
-                self.writer.write_bits(u64::from(leading), LEADING_BITS);
+                let header = (0b11 << (LEADING_BITS + LENGTH_BITS))
+                    | (u64::from(leading) << LENGTH_BITS)
+                    | u64::from(significant - 1);
+                let code = (header << significant) | u64::from(xor >> trailing);
                 self.writer
-                    .write_bits(u64::from(significant - 1), LENGTH_BITS);
-                self.writer
-                    .write_bits(u64::from(xor >> trailing), significant);
+                    .write_bits(code, 2 + LEADING_BITS + LENGTH_BITS + significant);
                 self.leading = leading;
                 self.trailing = trailing;
             }
@@ -93,6 +92,12 @@ impl XorEncoder {
     /// The size of the stream so far, rounded up to whole bytes.
     pub fn byte_len(&self) -> usize {
         self.writer.bit_len().div_ceil(8)
+    }
+
+    /// The bytes [`finish`](Self::finish) would return, without consuming
+    /// the encoder; its length is [`byte_len`](Self::byte_len).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.writer.to_bytes()
     }
 
     /// Finishes the stream and returns its bytes.
@@ -138,6 +143,10 @@ impl<'a> XorDecoder<'a> {
             if self.reader.read_bit()? {
                 let leading = self.reader.read_bits(LEADING_BITS)? as u8;
                 let significant = self.reader.read_bits(LENGTH_BITS)? as u8 + 1;
+                if leading + significant > 32 {
+                    // No encoder writes this window: the stream is damaged.
+                    return None;
+                }
                 self.leading = leading;
                 self.trailing = 32 - leading - significant;
                 let xor = (self.reader.read_bits(significant)? as u32) << self.trailing;
@@ -165,7 +174,9 @@ pub fn decode_all(bytes: &[u8], count: usize) -> Option<Vec<f32>> {
 /// early; `out` then holds the values decoded so far.
 pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<f32>) -> bool {
     out.clear();
-    out.reserve(count);
+    // Every value costs at least one bit, so a damaged `count` cannot make
+    // this reserve more than the stream could ever hold.
+    out.reserve(count.min(bytes.len() * 8));
     let mut decoder = XorDecoder::new(bytes);
     for _ in 0..count {
         match decoder.next_value() {
@@ -188,6 +199,83 @@ pub fn encode_all(values: &[f32]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::reference::ByteWriter;
+
+    /// The encoder [`XorEncoder`] replaced: up to five writer calls per
+    /// value on the byte-at-a-time reference writer.
+    #[derive(Default)]
+    struct ReferenceEncoder {
+        writer: ByteWriter,
+        prev: u32,
+        window: Option<(u8, u8)>,
+        count: usize,
+    }
+
+    impl ReferenceEncoder {
+        fn push(&mut self, value: f32) {
+            let bits = value.to_bits();
+            if self.count == 0 {
+                self.writer.write_bits(u64::from(bits), 32);
+            } else if bits == self.prev {
+                self.writer.write_bit(false);
+            } else {
+                let xor = bits ^ self.prev;
+                self.writer.write_bit(true);
+                let leading = (xor.leading_zeros() as u8).min(31);
+                let trailing = xor.trailing_zeros() as u8;
+                match self.window {
+                    Some((l, t)) if leading >= l && trailing >= t => {
+                        self.writer.write_bit(false);
+                        self.writer.write_bits(u64::from(xor >> t), 32 - l - t);
+                    }
+                    _ => {
+                        self.writer.write_bit(true);
+                        let significant = 32 - leading - trailing;
+                        self.writer.write_bits(u64::from(leading), LEADING_BITS);
+                        self.writer
+                            .write_bits(u64::from(significant - 1), LENGTH_BITS);
+                        self.writer
+                            .write_bits(u64::from(xor >> trailing), significant);
+                        self.window = Some((leading, trailing));
+                    }
+                }
+            }
+            self.prev = bits;
+            self.count += 1;
+        }
+    }
+
+    /// Builds an `f32` stream from random draws that hits every encoder
+    /// branch: special values (NaN payloads, ±0, ±inf, subnormals), repeats
+    /// (zero XOR), small perturbations of the previous value (reused
+    /// windows) and arbitrary bit patterns (new windows).
+    fn float_stream(draws: &[(u32, u8)]) -> Vec<f32> {
+        const SPECIAL: [u32; 10] = [
+            0x7FC0_0000, // quiet NaN
+            0x7FC0_0001, // NaN with a payload
+            0x7F80_0001, // signalling NaN
+            0xFFC0_0000, // negative NaN
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x0000_0001, // smallest subnormal
+            0x7F7F_FFFF, // f32::MAX
+        ];
+        let mut prev = 0u32;
+        draws
+            .iter()
+            .map(|&(random, pick)| {
+                prev = match pick {
+                    0..=9 => SPECIAL[usize::from(pick)],
+                    10..=29 => prev,
+                    30..=129 => prev ^ (random >> (pick % 32)),
+                    _ => random,
+                };
+                f32::from_bits(prev)
+            })
+            .collect()
+    }
 
     fn round_trip(values: &[f32]) {
         let bytes = encode_all(values);
@@ -277,13 +365,62 @@ mod tests {
         round_trip(&interleaved);
     }
 
+    #[test]
+    fn window_wider_than_a_value_is_rejected() {
+        // [first value][11][leading = 31][length - 1 = 31][32 bits]: the
+        // window claims 31 + 32 bits of a 32-bit value.
+        let mut w = BitWriter::new();
+        w.write_bits(u64::from(10.0f32.to_bits()), 32);
+        w.write_bits(0b11, 2);
+        w.write_bits(31, LEADING_BITS);
+        w.write_bits(31, LENGTH_BITS);
+        w.write_bits(0xBEEF_CAFE, 32);
+        let bytes = w.finish();
+        assert_eq!(decode_all(&bytes, 2), None);
+        let mut decoder = XorDecoder::new(&bytes);
+        assert_eq!(decoder.next_value(), Some(10.0));
+        assert_eq!(decoder.next_value(), None);
+    }
+
     proptest::proptest! {
         #[test]
-        fn arbitrary_floats_round_trip(values in proptest::collection::vec(proptest::num::f32::ANY, 0..200)) {
+        fn arbitrary_floats_round_trip(draws in proptest::collection::vec((0u32..=u32::MAX, 0u8..=255), 0..200)) {
+            let values = float_stream(&draws);
             let bytes = encode_all(&values);
             let decoded = decode_all(&bytes, values.len()).unwrap();
             for (a, b) in values.iter().zip(&decoded) {
                 proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        // One `write_bits` per value emits exactly the bytes of the
+        // five-call reference, and `to_bytes` equals `finish` (with
+        // `byte_len` its length) after every prefix.
+        #[test]
+        fn encoder_matches_the_five_call_reference(draws in proptest::collection::vec((0u32..=u32::MAX, 0u8..=255), 0..200)) {
+            let mut encoder = XorEncoder::new();
+            let mut reference = ReferenceEncoder::default();
+            for value in float_stream(&draws) {
+                encoder.push(value);
+                reference.push(value);
+                let bytes = encoder.to_bytes();
+                proptest::prop_assert_eq!(bytes.len(), encoder.byte_len());
+                proptest::prop_assert_eq!(&bytes, &encoder.clone().finish());
+            }
+            proptest::prop_assert_eq!(encoder.finish(), reference.writer.finish());
+        }
+
+        // Decoding damaged or arbitrary input ends in `None` or a value
+        // list, never a panic — whatever count the caller claims.
+        #[test]
+        fn arbitrary_bytes_and_counts_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            count in 0usize..600,
+            huge in proptest::bool::ANY,
+        ) {
+            let count = if huge { usize::MAX - count } else { count };
+            if let Some(values) = decode_all(&bytes, count) {
+                proptest::prop_assert_eq!(values.len(), count);
             }
         }
     }

@@ -5,7 +5,9 @@
 //! in blocks. As the time series in a group are correlated, n − 1 values in
 //! each block will have only a small delta compared to the first value and
 //! only require a few bits to encode" (Figure 10). The fitter therefore
-//! pushes the group's values timestamp-major into one XOR stream.
+//! pushes the group's values timestamp-major into one XOR stream, encoding
+//! each value exactly once; that stream is both its size estimate and its
+//! parameters, and no raw copy of the values is kept.
 //!
 //! Gorilla accepts any values (it is lossless), so it is the fallback model
 //! that guarantees ingestion always progresses; the Model Length Limit of
@@ -28,7 +30,6 @@ impl ModelType for Gorilla {
         Box::new(GorillaFitter {
             n_series,
             length_limit,
-            values: Vec::new(),
             encoder: mdb_encoding::xor::XorEncoder::new(),
             len: 0,
         })
@@ -61,14 +62,18 @@ impl ModelType for Gorilla {
     }
 }
 
+/// Fits by streaming every accepted value into one XOR encoder.
+///
+/// The multi-model adapter of Section 5.1 truncates a model to the
+/// timestamps it accepted ("the leftover parameters should be deleted",
+/// Figure 9 case III). Here there is never anything to delete: `append`
+/// rejects a timestamp whole, before pushing any of its values, so the
+/// stream always holds exactly `len * n_series` values and `params()` is
+/// the stream as it stands.
 struct GorillaFitter {
     n_series: usize,
     length_limit: usize,
-    /// Raw values, timestamp-major, kept so `params()` can re-encode a
-    /// prefix; the multi-model adapter of Section 5.1 relies on truncation
-    /// ("the leftover parameters should be deleted", Figure 9 case III).
-    values: Vec<Value>,
-    /// Streaming encoder mirroring `values`, for O(1) `byte_size`.
+    /// The accepted values, timestamp-major — the model's only state.
     encoder: mdb_encoding::xor::XorEncoder,
     len: usize,
 }
@@ -80,7 +85,6 @@ impl Fitter for GorillaFitter {
             return false;
         }
         for &v in values {
-            self.values.push(v);
             self.encoder.push(v);
         }
         self.len += 1;
@@ -92,7 +96,7 @@ impl Fitter for GorillaFitter {
     }
 
     fn params(&self) -> Vec<u8> {
-        mdb_encoding::xor::encode_all(&self.values[..self.len * self.n_series])
+        self.encoder.to_bytes()
     }
 
     fn byte_size(&self) -> usize {
@@ -140,7 +144,7 @@ mod tests {
         let s1 = f.byte_size();
         assert!(f.append(100, &[500.0, -500.0]));
         assert!(f.byte_size() > s1);
-        // Estimate matches the serialized prefix when nothing is truncated.
+        // The size is exact: the parameters are the stream itself.
         assert_eq!(f.byte_size(), f.params().len());
     }
 
@@ -183,6 +187,33 @@ mod tests {
                 for (s, &v) in row.iter().enumerate() {
                     proptest::prop_assert_eq!(grid[t * 3 + s].to_bits(), v.to_bits());
                 }
+            }
+        }
+
+        // After every append, accepted or rejected at the length limit,
+        // the parameters are the XOR encoding of exactly the accepted rows
+        // and `byte_size` is their length. Values are arbitrary bit
+        // patterns, NaN payloads included.
+        #[test]
+        fn params_encode_exactly_the_accepted_rows(
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..=u32::MAX, 3), 2..40),
+            limit_draw in 0usize..40,
+        ) {
+            // Below the row count, so at least the last append is rejected.
+            let length_limit = 1 + limit_draw % (rows.len() - 1);
+            let mut f = Gorilla.fitter(ErrorBound::Lossless, 3, length_limit);
+            let mut accepted: Vec<Value> = Vec::new();
+            for (t, row) in rows.iter().enumerate() {
+                let row: Vec<Value> = row.iter().map(|&bits| f32::from_bits(bits)).collect();
+                let ok = f.append(t as i64, &row);
+                proptest::prop_assert_eq!(ok, t < length_limit);
+                if ok {
+                    accepted.extend_from_slice(&row);
+                }
+                proptest::prop_assert_eq!(f.len(), accepted.len() / 3);
+                let params = f.params();
+                proptest::prop_assert_eq!(&params, &mdb_encoding::xor::encode_all(&accepted));
+                proptest::prop_assert_eq!(f.byte_size(), params.len());
             }
         }
     }

@@ -10,8 +10,9 @@
 //! of any model's reconstruction is still within bound), and the adapter
 //! records each sub-model's own fitted length so decoding can cut the grid
 //! back to the segment's length. For models whose parameter count grows with
-//! the data points, e.g. Gorilla, the leftover parameters are deleted because
-//! serialization happens from the fitted prefix.
+//! the data points, e.g. Gorilla, the leftover parameters stay in the
+//! child's parameters and are deleted on decode: the grid keeps only the
+//! segment's prefix of each child's reconstruction.
 //!
 //! As the paper notes, this reduces duplicated metadata from `n` segments to
 //! one but does not share parameters across series — Section 5.2's native
@@ -221,7 +222,7 @@ mod tests {
     #[test]
     fn gorilla_children_delete_leftover_parameters() {
         // Figure 9 case III for parameter-per-point models: child 0 absorbs
-        // the extra value, but serialization only covers the prefix.
+        // the extra value, but decoding only covers the prefix.
         let ps = adapter(Arc::new(Gorilla));
         let mut f = ps.fitter(ErrorBound::Lossless, 2, 2);
         assert!(f.append(0, &[1.0, 2.0]));

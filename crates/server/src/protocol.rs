@@ -342,24 +342,34 @@ impl<'a> Reader<'a> {
                 "batch claims {n_series} series (limit {MAX_BATCH_SERIES})"
             )));
         }
-        let mut timestamps = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            timestamps.push(self.i64()?);
-        }
+        let timestamps = self.take(n_rows * 8)?;
         let cells = n_rows * n_series;
-        let bitmap = self.take(cells.div_ceil(8))?.to_vec();
+        let bitmap = self.take(cells.div_ceil(8))?;
+        // Padding bits past the last cell carry no value.
+        let padding_mask = 0xffu8 >> ((8 - cells % 8) % 8);
+        let present: usize = match bitmap.split_last() {
+            Some((last, full)) => {
+                full.iter().map(|b| b.count_ones() as usize).sum::<usize>()
+                    + (last & padding_mask).count_ones() as usize
+            }
+            None => 0,
+        };
+        let mut values = self
+            .take(present * 4)?
+            .chunks_exact(4)
+            .map(|v| f32::from_le_bytes(v.try_into().expect("a 4-byte chunk")));
         let mut batch = RowBatch::with_capacity(n_series, n_rows);
-        let mut row_values: Vec<Option<Value>> = vec![None; n_series];
-        for (row, timestamp) in timestamps.into_iter().enumerate() {
-            for (series, slot) in row_values.iter_mut().enumerate() {
-                let bit = row * n_series + series;
-                *slot = if bitmap[bit / 8] >> (bit % 8) & 1 == 1 {
-                    Some(self.f32()?)
+        for (row, timestamp) in timestamps.chunks_exact(8).enumerate() {
+            let timestamp = i64::from_le_bytes(timestamp.try_into().expect("an 8-byte chunk"));
+            let first_bit = row * n_series;
+            batch.push_row_with(timestamp, |series| {
+                let bit = first_bit + series;
+                if bitmap[bit / 8] >> (bit % 8) & 1 == 1 {
+                    values.next()
                 } else {
                     None
-                };
-            }
-            batch.push_row(timestamp, &row_values);
+                }
+            });
         }
         Ok(batch)
     }
@@ -762,6 +772,36 @@ mod tests {
             );
         }
         assert!(Response::decode(&[0x83, 99, 0, 0, 0, 0]).is_err()); // unknown error code
+    }
+
+    #[test]
+    fn bitmap_claiming_more_values_than_the_payload_holds_is_malformed() {
+        let mut batch = RowBatch::new(3);
+        batch.push_row(0, &[Some(1.0), None, Some(3.0)]);
+        batch.push_row(100, &[None, Some(5.0), None]);
+        let frame = Request::IngestBatch(batch).encode();
+        // kind + n_series + n_rows + 2 timestamps, then the 1-byte bitmap.
+        let bitmap_at = 1 + 4 + 4 + 2 * 8;
+        assert_eq!(frame[bitmap_at], 0b0001_0101);
+        // Claim all six cells present: 12 more bytes than the 3 values sent.
+        let mut claims_more = frame.clone();
+        claims_more[bitmap_at] = 0b0011_1111;
+        assert!(matches!(
+            Request::decode(&claims_more),
+            Err(FrameError::Malformed(_))
+        ));
+        // One value short of what the honest bitmap claims.
+        assert!(matches!(
+            Request::decode(&frame[..frame.len() - 1]),
+            Err(FrameError::Malformed(_))
+        ));
+        // Set padding bits past the last cell carry nothing and are ignored.
+        let mut padded = frame.clone();
+        padded[bitmap_at] |= 0b1100_0000;
+        assert_eq!(
+            Request::decode(&padded).unwrap(),
+            Request::decode(&frame).unwrap()
+        );
     }
 
     #[test]
