@@ -809,11 +809,14 @@ impl<'a> QueryEngine<'a> {
         let mut partial = PartialAggregates::default();
         let mut cell_error: Option<MdbError> = None;
         // Cells arrive grouped by tid, so the group columns (catalog
-        // lookups) are resolved once per tid, not once per cell.
+        // lookups) are resolved once per tid, not once per cell. The store
+        // visits only buckets starting inside the TS range — a superset of
+        // the covered ones; `bucket_covered` drops the trailing partial one.
         let mut prefix: Option<(Tid, Vec<KeyCell>)> = None;
         let served = self.store.rollup_cells(
             level,
             rw.pushdown.gids.as_deref(),
+            (rw.ts_from, rw.ts_to),
             &mut |_gid, tid, bucket, acc| {
                 if cell_error.is_some()
                     || !Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
@@ -1666,9 +1669,15 @@ impl<'a> QueryEngine<'a> {
 
 /// Merges one partial-aggregate map into another: Algorithm 5's
 /// `mergeResults`, shared by the master's worker merge and the engine's
-/// in-order fold of per-segment partials.
+/// in-order fold of per-segment partials. Merging into an empty map moves
+/// `from` in whole: the same accumulators under the same keys, without
+/// re-hashing them.
 pub fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
     use std::collections::hash_map::Entry;
+    if into.is_empty() {
+        *into = from;
+        return;
+    }
     for (key, accs) in from {
         match into.entry(key) {
             Entry::Occupied(mut entry) => {
@@ -2259,5 +2268,206 @@ mod tests {
         for w in parts.windows(2) {
             assert_eq!(w[1].1 .0, w[0].1 .1 + 1);
         }
+    }
+
+    fn partial(entries: &[(i64, f64)]) -> PartialAggregates {
+        entries
+            .iter()
+            .map(|&(k, x)| {
+                let acc = Accumulator {
+                    count: 1,
+                    sum: x,
+                    min: x,
+                    max: x,
+                };
+                (vec![KeyCell::Int(k)], vec![acc])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_partials_moves_into_empty_and_folds_in_order() {
+        let a = partial(&[(1, 0.1), (2, 5.0)]);
+        let b = partial(&[(1, 0.2), (3, 7.0)]);
+        let c = partial(&[(1, 0.3)]);
+
+        // Into an empty map: exactly the entry-by-entry result.
+        let mut moved = PartialAggregates::default();
+        merge_partials(&mut moved, a.clone());
+        let mut inserted = PartialAggregates::default();
+        for (key, accs) in a {
+            inserted.insert(key, accs);
+        }
+        assert_eq!(moved, inserted);
+
+        // Into a non-empty map: keys union, shared keys fold left to right,
+        // so the float association is ((0.1 + 0.2) + 0.3).
+        merge_partials(&mut moved, b);
+        merge_partials(&mut moved, c);
+        assert_eq!(moved.len(), 3);
+        let shared = &moved[&vec![KeyCell::Int(1)]][0];
+        assert_eq!(shared.count, 3);
+        assert_eq!(shared.sum.to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
+        assert_ne!(shared.sum.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
+        assert_eq!(moved[&vec![KeyCell::Int(2)]][0].sum, 5.0);
+        assert_eq!(moved[&vec![KeyCell::Int(3)]][0].sum, 7.0);
+    }
+
+    /// A read-only store wrapper counting the cells `rollup_cells` hands to
+    /// the engine.
+    struct CellCounter<'s> {
+        inner: &'s MemoryStore,
+        visits: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SegmentStore for CellCounter<'_> {
+        fn insert(&mut self, _segment: SegmentRecord) -> Result<()> {
+            unreachable!("the wrapper is read-only")
+        }
+
+        fn flush(&mut self) -> Result<()> {
+            Ok(())
+        }
+
+        fn scan(
+            &self,
+            predicate: &SegmentPredicate,
+            f: &mut dyn FnMut(&SegmentRecord),
+        ) -> Result<()> {
+            self.inner.scan(predicate, f)
+        }
+
+        fn rollup_cells(
+            &self,
+            level: TimeLevel,
+            scope: Option<&[Gid]>,
+            range: (Timestamp, Timestamp),
+            f: &mut dyn FnMut(Gid, Tid, Timestamp, &mdb_storage::RollupAcc),
+        ) -> Result<bool> {
+            self.inner
+                .rollup_cells(level, scope, range, &mut |g, t, b, a| {
+                    self.visits
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    f(g, t, b, a)
+                })
+        }
+
+        fn zones(&self) -> Option<&mdb_storage::ZoneMap> {
+            self.inner.zones()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn logical_bytes(&self) -> u64 {
+            self.inner.logical_bytes()
+        }
+
+        fn persistent_bytes(&self) -> u64 {
+            self.inner.persistent_bytes()
+        }
+    }
+
+    #[test]
+    fn served_narrow_query_visits_only_the_cells_in_its_range() {
+        // The fixture's series and groups at SI = 10 minutes over 31 days,
+        // with Day and Hour cells maintained.
+        let si = 600_000i64;
+        let Fixture {
+            mut catalog,
+            registry,
+            ..
+        } = fixture();
+        for series in &mut catalog.series {
+            series.sampling_interval = si;
+        }
+        for group in &mut catalog.groups {
+            group.sampling_interval = si;
+        }
+        let levels = [TimeLevel::Day, TimeLevel::Hour];
+        let feed = crate::rollup_feed(
+            &Arc::new(catalog.clone()),
+            &Arc::new(registry.clone()),
+            &levels,
+        );
+        let mut store = MemoryStore::with_feeds(None, None, Some(feed));
+        let t0 = 1_622_505_600_000i64; // 2021-06-01 00:00:00 UTC.
+        let config = CompressionConfig {
+            error_bound: ErrorBound::Lossless,
+            ..Default::default()
+        };
+        let mut ingestors: Vec<GroupIngestor> = catalog
+            .groups
+            .iter()
+            .map(|group| {
+                let scalings = group.tids.iter().map(|&t| catalog.scaling_of(t)).collect();
+                GroupIngestor::new(
+                    group.clone(),
+                    scalings,
+                    Arc::new(registry.clone()),
+                    config.clone(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let hours = 31 * 24;
+        let ticks = hours * 6;
+        for i in 0..ticks {
+            let ts = t0 + i * si;
+            for ingestor in &mut ingestors {
+                let row: Vec<Option<Value>> = (0..ingestor.group().tids.len())
+                    .map(|m| Some(((i * 7 + m as i64) % 23) as Value))
+                    .collect();
+                for s in ingestor.push_row(ts, &row).unwrap() {
+                    store.insert(s).unwrap();
+                }
+            }
+        }
+        for ingestor in &mut ingestors {
+            for s in ingestor.flush().unwrap() {
+                store.insert(s).unwrap();
+            }
+        }
+
+        // An unaligned 3-hour window ten days in.
+        let hour = 3_600_000i64;
+        let from = t0 + 240 * hour + 25 * 60_000;
+        let to = from + 3 * hour - 1;
+        let covered = (0..hours)
+            .map(|i| t0 + i * hour)
+            .filter(|&b| b >= from && b + hour - 1 <= to)
+            .count();
+        assert_eq!(covered, 2, "two whole hours between the partial edges");
+        let series = catalog.series.len();
+        let sql = format!(
+            "SELECT Tid, SUM_S(*) FROM Segment WHERE TS >= {from} AND TS <= {to} \
+             GROUP BY Tid ORDER BY Tid"
+        );
+        let counter = CellCounter {
+            inner: &store,
+            visits: Default::default(),
+        };
+        let answer = |serve: bool| {
+            QueryEngine::new(&catalog, &registry, &counter)
+                .with_rollups(&levels, serve)
+                .sql(&sql)
+                .unwrap()
+        };
+        let served = answer(true);
+        let visits = counter.visits.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            (covered * series..=(covered + 2) * series).contains(&visits),
+            "visited {visits} cells for {covered} covered hours × {series} series"
+        );
+        let scanned = answer(false);
+        assert_eq!(served.rows.len(), series);
+        let bits = |r: &QueryResult| -> Vec<Vec<Option<u64>>> {
+            r.rows
+                .iter()
+                .map(|row| row.iter().map(|c| c.as_f64().map(f64::to_bits)).collect())
+                .collect()
+        };
+        assert_eq!(bits(&served), bits(&scanned));
     }
 }

@@ -1106,6 +1106,7 @@ impl SegmentStore for DiskStore {
         &self,
         level: TimeLevel,
         scope: Option<&[Gid]>,
+        range: (Timestamp, Timestamp),
         f: &mut dyn FnMut(Gid, Tid, Timestamp, &RollupAcc),
     ) -> Result<bool> {
         let Some(cells) = self.rollups.as_ref() else {
@@ -1114,7 +1115,7 @@ impl SegmentStore for DiskStore {
         if !cells.is_sound() || !cells.levels().contains(&level) {
             return Ok(false);
         }
-        cells.for_each(level, scope, f);
+        cells.for_each(level, scope, range, f);
         Ok(true)
     }
 
@@ -1627,9 +1628,12 @@ mod tests {
     fn collect_cells(store: &DiskStore) -> Option<Vec<FlatCell>> {
         let mut cells = Vec::new();
         store
-            .rollup_cells(TimeLevel::Hour, None, &mut |g, t, b, a| {
-                cells.push((g, t, b, a.count, a.sum.to_bits()))
-            })
+            .rollup_cells(
+                TimeLevel::Hour,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |g, t, b, a| cells.push((g, t, b, a.count, a.sum.to_bits())),
+            )
             .unwrap()
             .then_some(cells)
     }
@@ -1725,7 +1729,12 @@ mod tests {
         .unwrap();
         let mut n = 0;
         assert!(store
-            .rollup_cells(mdb_types::TimeLevel::Day, None, &mut |_, _, _, _| n += 1)
+            .rollup_cells(
+                mdb_types::TimeLevel::Day,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |_, _, _, _| n += 1
+            )
             .unwrap());
         assert_eq!(n, 1, "all 8 segments fold into the single day bucket");
     }

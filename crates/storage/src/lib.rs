@@ -271,18 +271,24 @@ pub trait SegmentStore: Send + Sync {
         Ok(None)
     }
 
-    /// Visits every materialized rollup cell of `level` (optionally
-    /// restricted to `scope` groups) in `(gid, tid, bucket)` key order,
-    /// **without touching segment bodies** — for the disk store this never
-    /// reads the `BlockCache`. Returns `Ok(false)` when cells cannot serve
-    /// here: no rollup feed is configured, `level` is not maintained, or the
-    /// cell map was poisoned (rollups fail open like sketches); the caller
-    /// then falls back to the scan path. `Ok(true)` means every stored
-    /// segment's contribution at `level` was visited.
+    /// Visits the materialized rollup cells of `level` whose bucket *start*
+    /// lies in `range` = `[from, to]` (optionally restricted to `scope`
+    /// groups) in `(gid, tid, bucket)` key order, **without touching segment
+    /// bodies** — for the disk store this never reads the `BlockCache`.
+    /// Buckets outside the range are not visited at all; a bucket that
+    /// starts inside the range but runs past `to` still is, so callers
+    /// filter partially covered edge buckets themselves. Pass
+    /// `(Timestamp::MIN, Timestamp::MAX)` for every cell. Returns
+    /// `Ok(false)` when cells cannot serve here: no rollup feed is
+    /// configured, `level` is not maintained, or the cell map was poisoned
+    /// (rollups fail open like sketches); the caller then falls back to the
+    /// scan path. `Ok(true)` means every stored segment's contribution at
+    /// `level` inside the range was visited.
     fn rollup_cells(
         &self,
         _level: TimeLevel,
         _scope: Option<&[Gid]>,
+        _range: (Timestamp, Timestamp),
         _f: &mut dyn FnMut(Gid, Tid, Timestamp, &rollup::RollupAcc),
     ) -> Result<bool> {
         Ok(false)

@@ -234,6 +234,7 @@ impl SegmentStore for MemoryStore {
         &self,
         level: TimeLevel,
         scope: Option<&[Gid]>,
+        range: (Timestamp, Timestamp),
         f: &mut dyn FnMut(Gid, Tid, Timestamp, &RollupAcc),
     ) -> Result<bool> {
         let Some(cells) = self.rollups.as_ref() else {
@@ -242,7 +243,7 @@ impl SegmentStore for MemoryStore {
         if !cells.is_sound() || !cells.levels().contains(&level) {
             return Ok(false);
         }
-        cells.for_each(level, scope, f);
+        cells.for_each(level, scope, range, f);
         Ok(true)
     }
 
@@ -367,14 +368,22 @@ mod tests {
         store.insert(seg(1, 1000, 1900, 0)).unwrap();
         let mut seen = Vec::new();
         assert!(store
-            .rollup_cells(TimeLevel::Hour, None, &mut |g, t, b, a| {
-                seen.push((g, t, b, a.count, a.sum))
-            })
+            .rollup_cells(
+                TimeLevel::Hour,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |g, t, b, a| { seen.push((g, t, b, a.count, a.sum)) }
+            )
             .unwrap());
         assert_eq!(seen, vec![(1, 10, 0, 2, 2800.0)]);
         assert!(
             !store
-                .rollup_cells(TimeLevel::Day, None, &mut |_, _, _, _| {})
+                .rollup_cells(
+                    TimeLevel::Day,
+                    None,
+                    (Timestamp::MIN, Timestamp::MAX),
+                    &mut |_, _, _, _| {}
+                )
                 .unwrap(),
             "unmaintained level is not served"
         );
@@ -382,7 +391,12 @@ mod tests {
         // scan-order equivalence: the map poisons.
         store.insert(seg(1, 500, 950, 0)).unwrap();
         assert!(!store
-            .rollup_cells(TimeLevel::Hour, None, &mut |_, _, _, _| {})
+            .rollup_cells(
+                TimeLevel::Hour,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |_, _, _, _| {}
+            )
             .unwrap());
     }
 
@@ -391,7 +405,12 @@ mod tests {
         let mut store = MemoryStore::new();
         store.insert(seg(1, 0, 900, 0)).unwrap();
         assert!(!store
-            .rollup_cells(TimeLevel::Hour, None, &mut |_, _, _, _| {})
+            .rollup_cells(
+                TimeLevel::Hour,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |_, _, _, _| {}
+            )
             .unwrap());
     }
 

@@ -219,36 +219,80 @@ impl RollupCells {
         }
     }
 
-    /// Visits every cell of `level` (optionally restricted to `scope`
-    /// groups, deduplicated) in `(gid, tid, bucket)` key order. Does not
-    /// check soundness — callers gate on [`RollupCells::is_sound`].
+    /// Visits every cell of `level` whose bucket start lies in
+    /// `[range.0, range.1]` (optionally restricted to `scope` groups,
+    /// deduplicated) in `(gid, tid, bucket)` key order; pass
+    /// `(Timestamp::MIN, Timestamp::MAX)` for all time. Time is the
+    /// innermost key component, so the walk skip-seeks: one seek to each
+    /// series' first cell at or after `range.0`, its cells up to `range.1`,
+    /// then a jump to the next series — about two seeks per series plus the
+    /// cells visited, never the buckets outside the range or the cells of
+    /// other levels. Does not check soundness — callers gate on
+    /// [`RollupCells::is_sound`].
     pub fn for_each(
         &self,
         level: TimeLevel,
         scope: Option<&[Gid]>,
+        (from, to): (Timestamp, Timestamp),
         f: &mut dyn FnMut(Gid, Tid, Timestamp, &RollupAcc),
     ) {
+        if from > to {
+            return;
+        }
         let tag = level_tag(level);
-        match scope {
-            Some(gids) => {
-                let mut gids = gids.to_vec();
-                gids.sort_unstable();
-                gids.dedup();
-                for gid in gids {
-                    let range =
-                        (gid, tag, Tid::MIN, Timestamp::MIN)..=(gid, tag, Tid::MAX, Timestamp::MAX);
-                    for (&(g, _, tid, bucket), acc) in self.cells.range(range) {
-                        f(g, tid, bucket, acc);
+        let mut scoped = scope.map(|gids| {
+            let mut gids = gids.to_vec();
+            gids.sort_unstable();
+            gids.dedup();
+            gids.into_iter()
+        });
+        let mut gid = match &mut scoped {
+            Some(gids) => gids.next(),
+            None => Some(Gid::MIN),
+        };
+        while let Some(g) = gid {
+            // Walk the series of `g` at `tag`. The loop ends with the first
+            // gid after `g` that can still hold cells at `tag` (the unscoped
+            // walk's next candidate), or `None` when no key lies past the
+            // last seek.
+            let mut tid = Tid::MIN;
+            let past = loop {
+                let Some((&key, _)) = self.cells.range((g, tag, tid, from)..).next() else {
+                    break None;
+                };
+                let (kg, kt, ktid, kb) = key;
+                if (kg, kt) != (g, tag) {
+                    break if kg > g && kt <= tag {
+                        Some(kg)
+                    } else {
+                        kg.checked_add(1)
+                    };
+                }
+                if ktid != tid && kb < from {
+                    // A later series whose cells start before the range:
+                    // seek to its first cell at or after `from`.
+                    tid = ktid;
+                    continue;
+                }
+                if kb <= to {
+                    for (&(_, _, t, b), acc) in self.cells.range(key..=(g, tag, ktid, to)) {
+                        f(g, t, b, acc);
                     }
                 }
-            }
-            None => {
-                for (&(g, t, tid, bucket), acc) in &self.cells {
-                    if t == tag {
-                        f(g, tid, bucket, acc);
-                    }
+                match ktid.checked_add(1) {
+                    Some(next) => tid = next,
+                    None => break g.checked_add(1),
                 }
-            }
+            };
+            // Scoped gids ascend too, so nothing past the last seek ends
+            // either walk.
+            let Some(past) = past else {
+                return;
+            };
+            gid = match &mut scoped {
+                Some(gids) => gids.next(),
+                None => Some(past),
+            };
         }
     }
 
@@ -261,6 +305,8 @@ impl RollupCells {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL_TIME: (Timestamp, Timestamp) = (Timestamp::MIN, Timestamp::MAX);
 
     fn acc(count: u64, sum: f64, min: f64, max: f64) -> RollupAcc {
         RollupAcc {
@@ -306,7 +352,7 @@ mod tests {
         cells.apply(1, &[d(0, 4.0)]);
         assert_eq!(cells.len(), 2);
         let mut seen = Vec::new();
-        cells.for_each(TimeLevel::Hour, None, &mut |g, tid, bucket, a| {
+        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |g, tid, bucket, a| {
             seen.push((g, tid, bucket, *a))
         });
         assert_eq!(seen[0], (1, 7, 0, acc(4, 5.5, 1.5, 4.0)));
@@ -325,14 +371,112 @@ mod tests {
         cells.apply(1, std::slice::from_ref(&d));
         cells.apply(2, std::slice::from_ref(&d));
         let mut n = 0;
-        cells.for_each(TimeLevel::Day, Some(&[2, 2, 2]), &mut |g, _, _, _| {
-            assert_eq!(g, 2);
-            n += 1;
-        });
+        cells.for_each(
+            TimeLevel::Day,
+            Some(&[2, 2, 2]),
+            ALL_TIME,
+            &mut |g, _, _, _| {
+                assert_eq!(g, 2);
+                n += 1;
+            },
+        );
         assert_eq!(n, 1);
         let mut m = 0;
-        cells.for_each(TimeLevel::Hour, None, &mut |_, _, _, _| m += 1);
+        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |_, _, _, _| m += 1);
         assert_eq!(m, 0, "unmaintained level yields no cells");
+    }
+
+    /// Key components the range-walk property draws from: both ends of each
+    /// integer domain (the seek cursor's increments must not overflow) and
+    /// a few ordinary values. Scopes may also name gids no cell has.
+    const GIDS: [Gid; 6] = [0, 1, 2, 9, Gid::MAX - 1, Gid::MAX];
+    const SCOPE_GIDS: [Gid; 8] = [0, 1, 2, 3, 5, 9, Gid::MAX - 1, Gid::MAX];
+    const TIDS: [Tid; 6] = [0, 1, 2, 7, Tid::MAX - 1, Tid::MAX];
+    const BUCKETS: [Timestamp; 9] = [
+        i64::MIN,
+        i64::MIN + 1,
+        -3_600_000,
+        0,
+        1,
+        3_600_000,
+        7_200_000,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    /// Range ends: every bucket plus values between buckets.
+    const ENDS: [Timestamp; 12] = [
+        i64::MIN,
+        i64::MIN + 1,
+        -3_600_000,
+        -1,
+        0,
+        1,
+        3_599_999,
+        3_600_000,
+        5_000_000,
+        7_200_000,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    /// Stored levels are Month/Day/Hour; Year, Minute and Second are queried
+    /// but never maintained, on both sides of the stored tags.
+    const STORED: [TimeLevel; 3] = [TimeLevel::Month, TimeLevel::Day, TimeLevel::Hour];
+    const QUERIED: [TimeLevel; 6] = [
+        TimeLevel::Year,
+        TimeLevel::Month,
+        TimeLevel::Day,
+        TimeLevel::Hour,
+        TimeLevel::Minute,
+        TimeLevel::Second,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6000))]
+
+        // The skip-seeking walk visits exactly what a brute-force filter of
+        // the whole map keeps, in the same key order.
+        #[test]
+        fn ranged_walk_matches_a_filtered_full_scan(
+            keys in proptest::collection::vec((0usize..6, 0usize..3, 0usize..6, 0usize..9), 0..48),
+            level in 0usize..6,
+            scoped in proptest::bool::ANY,
+            scope in proptest::collection::vec(0usize..8, 0..6),
+            from in 0usize..12,
+            to in 0usize..12,
+        ) {
+            let mut cells = RollupCells::new(STORED.to_vec());
+            for (i, &(g, l, t, b)) in keys.iter().enumerate() {
+                let x = i as f64;
+                cells.apply(
+                    GIDS[g],
+                    &[RollupDelta {
+                        tid: TIDS[t],
+                        level: STORED[l],
+                        bucket: BUCKETS[b],
+                        acc: acc(1, x, x, x),
+                    }],
+                );
+            }
+            let level = QUERIED[level];
+            let scope: Option<Vec<Gid>> = scoped.then(|| scope.iter().map(|&i| SCOPE_GIDS[i]).collect());
+            let range = (ENDS[from], ENDS[to]);
+
+            let expected: Vec<(Gid, Tid, Timestamp, RollupAcc)> = cells
+                .iter()
+                .filter(|(&(g, tag, _, b), _)| {
+                    tag == level_tag(level)
+                        && scope.as_ref().is_none_or(|s| s.contains(&g))
+                        && range.0 <= b
+                        && b <= range.1
+                })
+                .map(|(&(g, _, t, b), a)| (g, t, b, *a))
+                .collect();
+            let mut walked = Vec::new();
+            cells.for_each(level, scope.as_deref(), range, &mut |g, t, b, a| {
+                walked.push((g, t, b, *a))
+            });
+            proptest::prop_assert_eq!(walked, expected);
+        }
     }
 
     #[test]

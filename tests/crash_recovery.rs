@@ -368,17 +368,22 @@ fn expected_cells(segments: &[SegmentRecord]) -> Vec<FlatCell> {
         cells.feed_segment(&feed.feed, s);
     }
     let mut flat = Vec::new();
-    cells.for_each(TimeLevel::Hour, None, &mut |g, t, b, a| {
-        flat.push((
-            g,
-            t,
-            b,
-            a.count,
-            a.sum.to_bits(),
-            a.min.to_bits(),
-            a.max.to_bits(),
-        ));
-    });
+    cells.for_each(
+        TimeLevel::Hour,
+        None,
+        (Timestamp::MIN, Timestamp::MAX),
+        &mut |g, t, b, a| {
+            flat.push((
+                g,
+                t,
+                b,
+                a.count,
+                a.sum.to_bits(),
+                a.min.to_bits(),
+                a.max.to_bits(),
+            ));
+        },
+    );
     flat
 }
 
@@ -386,17 +391,22 @@ fn collect_cells(store: &DiskStore) -> Vec<FlatCell> {
     let mut flat = Vec::new();
     assert!(
         store
-            .rollup_cells(TimeLevel::Hour, None, &mut |g, t, b, a| {
-                flat.push((
-                    g,
-                    t,
-                    b,
-                    a.count,
-                    a.sum.to_bits(),
-                    a.min.to_bits(),
-                    a.max.to_bits(),
-                ));
-            })
+            .rollup_cells(
+                TimeLevel::Hour,
+                None,
+                (Timestamp::MIN, Timestamp::MAX),
+                &mut |g, t, b, a| {
+                    flat.push((
+                        g,
+                        t,
+                        b,
+                        a.count,
+                        a.sum.to_bits(),
+                        a.min.to_bits(),
+                        a.max.to_bits(),
+                    ));
+                }
+            )
             .unwrap(),
         "the feed-ful store must serve its cells"
     );

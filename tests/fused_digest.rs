@@ -315,18 +315,23 @@ fn answers(store: &DiskStore) -> Answers {
     };
     let mut cells = Vec::new();
     for level in LEVELS {
-        let served = store.rollup_cells(level, None, &mut |gid, tid, bucket, acc| {
-            cells.push((
-                level,
-                gid,
-                tid,
-                bucket,
-                acc.count,
-                acc.sum.to_bits(),
-                acc.min.to_bits(),
-                acc.max.to_bits(),
-            ));
-        });
+        let served = store.rollup_cells(
+            level,
+            None,
+            (Timestamp::MIN, Timestamp::MAX),
+            &mut |gid, tid, bucket, acc| {
+                cells.push((
+                    level,
+                    gid,
+                    tid,
+                    bucket,
+                    acc.count,
+                    acc.sum.to_bits(),
+                    acc.min.to_bits(),
+                    acc.max.to_bits(),
+                ));
+            },
+        );
         assert!(served.unwrap(), "{level:?} cells are maintained");
     }
     Answers {
