@@ -25,8 +25,9 @@
 //! [`Cluster::remove_worker`]) drain and ship whole groups between workers
 //! with an atomic routing flip.
 //!
-//! Workers are OS threads connected by **bounded** channels; each owns the
-//! full single-node stack (group ingestors → segment store → query engine).
+//! Workers are OS threads connected by **bounded** channels; each owns a
+//! [`Shard`] over the groups it hosts — the same group ingestors → segment
+//! store → scan pool core the embedded engine runs — behind its channel.
 //! Ingestion is batch-oriented end-to-end: the master splits a columnar
 //! [`RowBatch`] into per-group batches and ships whole batches, and a worker
 //! that falls [`ClusterConfig::ingest_queue_depth`](mdb_query::CommonOptions::ingest_queue_depth)
@@ -46,18 +47,16 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
-use mdb_compression::{CompressionConfig, CompressionStats, GroupIngestor};
+use mdb_compression::{CompressionConfig, CompressionStats};
 use mdb_models::ModelRegistry;
 use mdb_partitioner::assign_replicas;
 use mdb_query::engine::PartialAggregates;
 use mdb_query::{
-    merge_partials, CommonOptions, Query, QueryEngine, QueryResult, ScanPool, SelectItem,
+    merge_partials, CommonOptions, Query, QueryEngine, QueryResult, SelectItem, Shard,
 };
-use mdb_storage::{
-    Catalog, DiskStore, DiskStoreOptions, MemoryStore, SegmentPredicate, SegmentStore,
-};
+use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{
-    BlockSketch, Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, TimeLevel, Timestamp, Value,
+    BlockFormat, BlockSketch, Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value,
 };
 
 /// Cluster runtime configuration.
@@ -68,10 +67,12 @@ use mdb_types::{
 /// `config.ingest_queue_depth`, …) keep working unchanged. Cluster-specific
 /// readings of the shared knobs:
 ///
-/// * `common.query_parallelism` — scan workers *per cluster worker*; the
-///   cluster default is `1` (sequential per worker) because the workers
-///   already scan concurrently during scatter/gather. Results are
-///   bit-identical at every setting.
+/// * `common.query_parallelism` — scan workers *per cluster worker*,
+///   resolved by the engine's rule: `0` means the machine's available
+///   parallelism, and a worker starts a scan pool only when the setting
+///   resolves to more than 1. The cluster default is `1` (inline scans per
+///   worker) because the workers already scan concurrently during
+///   scatter/gather. Results are bit-identical at every setting.
 /// * `common.storage_dir` — when set, every worker persists its segments in
 ///   an out-of-core [`mdb_storage::DiskStore`] under `<dir>/worker-<i>`,
 ///   and the master persists its placement in `<dir>/cluster.meta` so a
@@ -545,6 +546,23 @@ impl Cluster {
             .collect()
     }
 
+    /// Every active worker with its sender and the gids it is primary of,
+    /// snapshotted under the read lock so the blocking round-trips that
+    /// follow run without it.
+    fn primary_targets(&self) -> Vec<(usize, Sender<Command>, GidScope)> {
+        let topo = self.topo_read();
+        topo.active()
+            .into_iter()
+            .map(|i| {
+                let sender = topo.workers[i]
+                    .sender
+                    .clone()
+                    .expect("an active worker has a sender");
+                (i, sender, Arc::new(topo.primary_gids(i)))
+            })
+            .collect()
+    }
+
     /// Declares `index` dead (if it was active), promotes replicas by
     /// stripping it from every holder list, and persists the new placement.
     fn declare_dead(&self, index: usize, reason: &str) {
@@ -817,21 +835,7 @@ impl Cluster {
             .items
             .iter()
             .any(|i| matches!(i, SelectItem::Agg { .. }));
-        // Snapshot the targets under the lock; do the blocking gather
-        // without it.
-        let targets: Vec<(usize, Sender<Command>, GidScope)> = {
-            let topo = self.topo_read();
-            topo.active()
-                .into_iter()
-                .map(|i| {
-                    (
-                        i,
-                        topo.workers[i].sender.clone().unwrap(),
-                        Arc::new(topo.primary_gids(i)),
-                    )
-                })
-                .collect()
-        };
+        let targets = self.primary_targets();
         if targets.is_empty() {
             return Err(MdbError::Query(
                 "no active workers; see Cluster::health()".into(),
@@ -970,19 +974,7 @@ impl Cluster {
     /// independent of how many other nodes exist.
     pub fn worker_times_isolated(&self, text: &str) -> Result<Vec<Duration>> {
         let query = Arc::new(mdb_query::parse(text)?);
-        let targets: Vec<(usize, Sender<Command>, GidScope)> = {
-            let topo = self.topo_read();
-            topo.active()
-                .into_iter()
-                .map(|i| {
-                    (
-                        i,
-                        topo.workers[i].sender.clone().unwrap(),
-                        Arc::new(topo.primary_gids(i)),
-                    )
-                })
-                .collect()
-        };
+        let targets = self.primary_targets();
         let mut times = Vec::with_capacity(targets.len());
         for (index, sender, scope) in targets {
             let (tx, rx) = bounded(1);
@@ -1010,19 +1002,7 @@ impl Cluster {
     /// never double counted; at replication factor 1 this equals the
     /// embedded engine's accounting exactly.
     pub fn stats(&self) -> Result<(CompressionStats, u64, usize)> {
-        let targets: Vec<(usize, Sender<Command>, GidScope)> = {
-            let topo = self.topo_read();
-            topo.active()
-                .into_iter()
-                .map(|i| {
-                    (
-                        i,
-                        topo.workers[i].sender.clone().unwrap(),
-                        Arc::new(topo.primary_gids(i)),
-                    )
-                })
-                .collect()
-        };
+        let targets = self.primary_targets();
         let mut merged = CompressionStats::default();
         let mut bytes = 0;
         let mut segments = 0;
@@ -1251,10 +1231,10 @@ impl mdb_query::Datastore for Cluster {
     }
 }
 
-/// Spawns one worker slot: builds its store (disk recovery errors surface
-/// here, in the master, instead of killing a thread silently), its shared
-/// status block, and the supervised thread whose panics are caught and
-/// recorded rather than lost.
+/// Spawns one worker slot: opens its shard (disk recovery and ingestor
+/// errors surface here, in the master, instead of killing a thread
+/// silently), its shared status block, and the supervised thread whose
+/// panics are caught and recorded rather than lost.
 fn spawn_worker(
     index: usize,
     hosted: Vec<Gid>,
@@ -1264,52 +1244,29 @@ fn spawn_worker(
     budget_share: Option<u64>,
 ) -> Result<Worker> {
     let (sender, receiver) = bounded::<Command>(config.ingest_queue_depth);
-    let value_bounds = mdb_query::value_bounds_fn(catalog, registry);
-    let sketch_feed = mdb_query::sketch_feed(catalog, registry);
-    let rollup_feed = (!config.rollup_levels.is_empty())
-        .then(|| mdb_query::rollup_feed(catalog, registry, &config.rollup_levels));
-    let store: Box<dyn SegmentStore> = match &config.storage_dir {
-        Some(dir) => Box::new(DiskStore::open_with(
-            &dir.join(format!("worker-{index}")),
-            DiskStoreOptions {
-                bulk_write_size: config.bulk_write_size,
-                memory_budget_bytes: budget_share,
-                value_bounds: Some(value_bounds),
-                sketch_feed: Some(sketch_feed),
-                rollup_feed,
-                prefetch_depth: config.prefetch_depth,
-                ..Default::default()
-            },
-        )?),
-        None => Box::new(MemoryStore::with_feeds(
-            Some(value_bounds),
-            Some(sketch_feed),
-            rollup_feed,
-        )),
+    let options = CommonOptions {
+        memory_budget_bytes: budget_share,
+        ..config.common.clone()
     };
+    let dir = config
+        .storage_dir
+        .as_ref()
+        .map(|dir| dir.join(format!("worker-{index}")));
+    let shard = Shard::open(
+        Arc::clone(catalog),
+        Arc::clone(registry),
+        &options,
+        dir.as_deref(),
+        BlockFormat::V2,
+        true,
+        &hosted,
+    )?;
     let shared = Arc::new(WorkerShared::default());
     let thread_shared = Arc::clone(&shared);
-    let catalog_ref = Arc::clone(catalog);
-    let registry_ref = Arc::clone(registry);
-    let compression = config.compression.clone();
-    let query_parallelism = config.query_parallelism;
-    let rollup_levels = config.rollup_levels.clone();
-    let rollup_serve = config.rollup_serve;
     let handle = std::thread::spawn(move || {
         let panic_shared = Arc::clone(&thread_shared);
         let result = catch_unwind(AssertUnwindSafe(move || {
-            worker_loop(
-                receiver,
-                catalog_ref,
-                registry_ref,
-                compression,
-                query_parallelism,
-                rollup_levels,
-                rollup_serve,
-                hosted,
-                store,
-                thread_shared,
-            );
+            worker_loop(receiver, shard, thread_shared);
         }));
         if let Err(payload) = result {
             let message = panic_payload(&payload);
@@ -1344,54 +1301,13 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds the ingestor for one group (used at spawn time and when a
-/// handoff or replica batch brings a new group to this worker).
-fn make_ingestor(
-    gid: Gid,
-    catalog: &Catalog,
-    registry: &Arc<ModelRegistry>,
-    config: &CompressionConfig,
-) -> GroupIngestor {
-    let group = catalog.group(gid).expect("routed gid must exist").clone();
-    let scaling: Vec<f64> = group.tids.iter().map(|t| catalog.scaling_of(*t)).collect();
-    GroupIngestor::new(group, scaling, Arc::clone(registry), config.clone()).expect("valid group")
-}
-
-/// One worker: the per-node stack of Figure 4. The local store (built by
-/// `start_with`: memory-resident, or out-of-core disk with a share of the
-/// cluster's memory budget) maintains a value-bounded zone map, so every
-/// worker prunes its own segment runs — and, on disk, skips whole blocks
-/// before fetching them — before computing partials; the scatter/gather
-/// path reuses exactly the single-node pruned scan, once per scoped group.
-///
-/// Ingestors live in a `BTreeMap` so drains walk groups in ascending gid
-/// order — deterministic, and identical on every holder of a group.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    receiver: Receiver<Command>,
-    catalog: Arc<Catalog>,
-    registry: Arc<ModelRegistry>,
-    config: CompressionConfig,
-    query_parallelism: usize,
-    rollup_levels: Vec<TimeLevel>,
-    rollup_serve: bool,
-    hosted: Vec<Gid>,
-    mut store: Box<dyn SegmentStore>,
-    shared: Arc<WorkerShared>,
-) {
-    // Per-worker persistent scan pool (opt-in: one worker per node is the
-    // default because nodes already scan concurrently during scatter/gather).
-    let scan_pool = (query_parallelism != 1).then(|| {
-        ScanPool::new(
-            Arc::clone(&catalog),
-            Arc::clone(&registry),
-            query_parallelism,
-        )
-    });
-    let mut ingestors: BTreeMap<Gid, GroupIngestor> = hosted
-        .into_iter()
-        .map(|gid| (gid, make_ingestor(gid, &catalog, &registry, &config)))
-        .collect();
+/// One worker: the per-node stack of Figure 4, a [`Shard`] over the hosted
+/// groups behind the command channel. The shard's store maintains a
+/// value-bounded zone map, so every worker prunes its own segment runs —
+/// and, on disk, skips whole blocks before fetching them — before computing
+/// partials; the scatter/gather path reuses exactly the single-node pruned
+/// scan, once per scoped group.
+fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<WorkerShared>) {
     // Compression counters adopted with handed-off groups: the fresh local
     // ingestor starts at zero, so the source's counters ride along here.
     let mut carried_stats: BTreeMap<Gid, CompressionStats> = BTreeMap::new();
@@ -1406,18 +1322,8 @@ fn worker_loop(
             Command::Ingest(batches) => {
                 let mut ingested = 0;
                 for group_batch in batches {
-                    let ingestor = ingestors.entry(group_batch.gid).or_insert_with(|| {
-                        make_ingestor(group_batch.gid, &catalog, &registry, &config)
-                    });
-                    match ingestor.push_batch(group_batch.batch.view()) {
-                        Ok(segments) => {
-                            for segment in segments {
-                                if let Err(e) = store.insert(segment) {
-                                    shared.record_error(e.to_string());
-                                }
-                            }
-                        }
-                        Err(e) => shared.record_error(e.to_string()),
+                    if let Err(e) = shard.ingest(group_batch.gid, group_batch.batch.view()) {
+                        shared.record_error(e.to_string());
                     }
                     ingested += 1;
                 }
@@ -1425,7 +1331,7 @@ fn worker_loop(
                 status.batches_ingested += ingested;
             }
             Command::Flush(reply) => {
-                let drain = drain_all(&mut ingestors, store.as_mut());
+                let drain = shard.drain();
                 // Deferred ingestion errors pre-date anything this flush
                 // hit, so they are reported first; reporting clears them.
                 // The variant records whether this drain itself succeeded.
@@ -1448,13 +1354,7 @@ fn worker_loop(
                 let run = || -> Result<Vec<(Gid, PartialAggregates)>> {
                     let mut out = Vec::with_capacity(scope.len());
                     for gid in scope.iter() {
-                        let mut engine = QueryEngine::new(&catalog, &registry, store.as_ref())
-                            .with_parallelism(query_parallelism)
-                            .with_rollups(&rollup_levels, rollup_serve)
-                            .with_gid_scope(std::slice::from_ref(gid));
-                        if let Some(pool) = &scan_pool {
-                            engine = engine.with_scan_pool(pool);
-                        }
+                        let engine = shard.engine(Some(std::slice::from_ref(gid)));
                         out.push((*gid, engine.aggregate_partial(&query)?));
                     }
                     Ok(out)
@@ -1463,25 +1363,19 @@ fn worker_loop(
             }
             Command::QuerySketch(query, scope, reply) => {
                 let start = Instant::now();
-                let run = || -> Result<BlockSketch> {
-                    QueryEngine::new(&catalog, &registry, store.as_ref())
-                        .with_gid_scope(&scope)
-                        .sketch_partial(&query)
-                };
-                let _ = reply.send(run().map(|sketch| (sketch, start.elapsed())));
+                let sketch = shard.engine(Some(&scope)).sketch_partial(&query);
+                let _ = reply.send(sketch.map(|sketch| (sketch, start.elapsed())));
             }
             Command::QueryRows(query, scope, reply) => {
                 let start = Instant::now();
                 let run = || -> Result<(QueryResult, Vec<(Gid, QueryResult)>)> {
                     // A scan scoped to no groups yields the column shape
                     // without touching segments.
-                    let shape = QueryEngine::new(&catalog, &registry, store.as_ref())
-                        .with_gid_scope(&[])
-                        .listing(&query)?;
+                    let shape = shard.engine(Some(&[])).listing(&query)?;
                     let mut per_gid = Vec::new();
                     for gid in scope.iter() {
-                        let rows = QueryEngine::new(&catalog, &registry, store.as_ref())
-                            .with_gid_scope(std::slice::from_ref(gid))
+                        let rows = shard
+                            .engine(Some(std::slice::from_ref(gid)))
                             .listing(&query)?;
                         if !rows.rows.is_empty() {
                             per_gid.push((*gid, rows));
@@ -1497,17 +1391,22 @@ fn worker_loop(
                     if let Some(adopted) = carried_stats.get(gid) {
                         stats.merge(adopted);
                     }
-                    if let Some(ingestor) = ingestors.get(gid) {
+                    if let Some(ingestor) = shard.ingestor(*gid) {
                         stats.merge(ingestor.stats());
                     }
                 }
+                // Views, not records: the byte count needs no parameter
+                // copies.
                 let mut bytes = 0u64;
                 let mut count = 0usize;
                 let predicate = SegmentPredicate::for_gids(scope.to_vec());
-                let result = store
-                    .scan(&predicate, &mut |segment| {
-                        bytes += segment.storage_bytes() as u64;
-                        count += 1;
+                let result = shard
+                    .store()
+                    .scan_runs(&predicate, &mut |run| {
+                        for segment in run.segments() {
+                            bytes += segment.storage_bytes() as u64;
+                            count += 1;
+                        }
                     })
                     .map(|_| (stats, bytes, count));
                 let _ = reply.send(result);
@@ -1516,31 +1415,24 @@ fn worker_loop(
                 let _ = reply.send(());
             }
             Command::Export(gids, reply) => {
-                let _ = reply.send(export_groups(
-                    &gids,
-                    &mut ingestors,
-                    &mut carried_stats,
-                    store.as_mut(),
-                ));
+                let _ = reply.send(export_groups(&gids, &mut shard, &mut carried_stats));
             }
             Command::Import(groups, reply) => {
                 let run = || -> Result<()> {
                     for (gid, runs, stats) in groups {
-                        ingestors
-                            .entry(gid)
-                            .or_insert_with(|| make_ingestor(gid, &catalog, &registry, &config));
+                        shard.adopt(gid)?;
                         carried_stats.entry(gid).or_default().merge(&stats);
                         for run in runs {
-                            store.import_run(run)?;
+                            shard.store_mut().import_run(run)?;
                         }
                     }
-                    store.flush()
+                    shard.store_mut().flush()
                 };
                 let _ = reply.send(run());
             }
             Command::Die => break,
             Command::Shutdown(reply) => {
-                let mut result = drain_all(&mut ingestors, store.as_mut());
+                let mut result = shard.drain();
                 if result.is_ok() {
                     if let Some((message, extra)) = shared.take_error() {
                         result = Err(MdbError::Ingestion(deferred_message(message, extra)));
@@ -1556,38 +1448,6 @@ fn worker_loop(
     }
 }
 
-/// Drains every ingestor into the store (ascending gid order) and flushes
-/// the store, keeping the *first* error and completing the rest of the
-/// drain regardless — one bad group must not hold other groups' data
-/// hostage.
-fn drain_all(
-    ingestors: &mut BTreeMap<Gid, GroupIngestor>,
-    store: &mut dyn SegmentStore,
-) -> Result<()> {
-    let mut result = Ok(());
-    let record = |e: MdbError, result: &mut Result<()>| {
-        if result.is_ok() {
-            *result = Err(e);
-        }
-    };
-    for ingestor in ingestors.values_mut() {
-        match ingestor.flush() {
-            Ok(segments) => {
-                for segment in segments {
-                    if let Err(e) = store.insert(segment) {
-                        record(e, &mut result);
-                    }
-                }
-            }
-            Err(e) => record(e, &mut result),
-        }
-    }
-    if let Err(e) = store.flush() {
-        record(e, &mut result);
-    }
-    result
-}
-
 /// The worker-side sending half of a handoff: drain each group's ingestor
 /// into the store, make everything durable, and export the group's segment
 /// runs in deterministic per-group scan order, together with the
@@ -1596,23 +1456,21 @@ fn drain_all(
 /// master's primary-scoped queries and statistics never look at them again.
 fn export_groups(
     gids: &[Gid],
-    ingestors: &mut BTreeMap<Gid, GroupIngestor>,
+    shard: &mut Shard,
     carried_stats: &mut BTreeMap<Gid, CompressionStats>,
-    store: &mut dyn SegmentStore,
 ) -> Result<Vec<GroupRuns>> {
     let mut shipped_stats: Vec<CompressionStats> = Vec::with_capacity(gids.len());
     for gid in gids {
         let mut stats = carried_stats.remove(gid).unwrap_or_default();
-        if let Some(mut ingestor) = ingestors.remove(gid) {
-            for segment in ingestor.flush()? {
-                store.insert(segment)?;
-            }
-            // After the flush, so the counters include its final segments.
+        if let Some(ingestor) = shard.release(*gid)? {
+            // After the release's flush, so the counters include its final
+            // segments.
             stats.merge(ingestor.stats());
         }
         shipped_stats.push(stats);
     }
-    store.flush()?;
+    shard.store_mut().flush()?;
+    let store = shard.store();
     let mut out = Vec::with_capacity(gids.len());
     for (gid, stats) in gids.iter().zip(shipped_stats) {
         out.push((*gid, store.export_runs(std::slice::from_ref(gid))?, stats));

@@ -2,16 +2,14 @@
 //! SQL, the "ModelarDB+ Core as a portable library" deployment of
 //! Section 3.1 (the cluster deployment lives in `mdb-cluster`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mdb_compression::{CompressionStats, GroupIngestor};
+use mdb_compression::CompressionStats;
 use mdb_models::ModelRegistry;
-use mdb_query::{QueryEngine, QueryResult, ScanPool};
-use mdb_storage::{
-    Catalog, DiskStore, DiskStoreOptions, MemoryStore, SegmentPredicate, SegmentStore, ZoneMap,
-};
+use mdb_query::{QueryResult, Shard};
+use mdb_storage::{Catalog, SegmentPredicate, ZoneMap};
 use mdb_types::{Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value};
 
 use crate::Config;
@@ -25,34 +23,21 @@ pub enum StorageSpec {
     Disk(PathBuf),
 }
 
-/// An embedded ModelarDB+ instance.
+/// An embedded ModelarDB+ instance: a [`Shard`] over every group, plus the
+/// slicing of full-width batches into per-group column views and the
+/// assembly of loose points into rows.
 pub struct ModelarDb {
-    catalog: Arc<Catalog>,
-    registry: Arc<ModelRegistry>,
     config: Config,
-    store: Box<dyn SegmentStore>,
-    ingestors: Vec<(Gid, GroupIngestor)>,
-    /// Per ingestor: the row indexes of its group's member series.
-    row_indices: Vec<Vec<usize>>,
-    /// gid → index into `ingestors`/`row_indices`, so hot-path group lookups
-    /// are O(1) instead of a linear scan.
-    gid_index: HashMap<Gid, usize>,
+    shard: Shard,
+    /// Per group in catalog (gid) order: its gid and the row indexes of its
+    /// member series.
+    row_indices: Vec<(Gid, Vec<usize>)>,
     /// Out-of-band point ingestion: per group, rows being assembled per
     /// timestamp until every (non-gapped) member has reported.
     pending: BTreeMap<Gid, BTreeMap<Timestamp, Vec<Option<Value>>>>,
     /// Single-row batch backing [`ModelarDb::ingest_row`] (a batch of one on
     /// the [`ModelarDb::ingest_batch`] path), reused across calls.
     scratch_row: RowBatch,
-    /// Persistent scan workers for parallel aggregate queries; `None` when
-    /// [`Config::query_parallelism`](mdb_query::CommonOptions::query_parallelism)
-    /// resolves to a single worker.
-    scan_pool: Option<ScanPool>,
-    /// Whether whole-bucket aggregates are answered from rollup cells
-    /// (initialized from [`Config::rollup_serve`]
-    /// (mdb_query::CommonOptions::rollup_serve); toggleable at runtime so
-    /// benchmarks can measure the served and scanned paths on one engine —
-    /// the two are bit-identical by construction).
-    rollup_serve: bool,
 }
 
 impl ModelarDb {
@@ -62,93 +47,41 @@ impl ModelarDb {
         registry: Arc<ModelRegistry>,
         config: Config,
     ) -> Result<Self> {
-        // Both stores maintain a zone map fed by the models' closed-form
-        // value ranges, so scans can prune segment runs before decoding,
-        // plus per-group sketches so P50_S/COUNT_DISTINCT/TOP_K_S queries
-        // resolve from metadata alone, plus rollup cells — all derived in
-        // one pass over one reconstruction of each finalized segment.
-        let bounds = mdb_query::value_bounds_fn(&catalog, &registry);
-        let sketch_feed = mdb_query::sketch_feed(&catalog, &registry);
-        let rollup_feed = (!config.rollup_levels.is_empty())
-            .then(|| mdb_query::rollup_feed(&catalog, &registry, &config.rollup_levels));
-        let store: Box<dyn SegmentStore> = match &config.storage {
-            StorageSpec::Memory => {
-                let mut store =
-                    MemoryStore::with_feeds(Some(bounds), Some(sketch_feed), rollup_feed);
-                store.set_pruning(config.zone_pruning);
-                Box::new(store)
-            }
+        let dir = match &config.storage {
+            StorageSpec::Memory => None,
             StorageSpec::Disk(dir) => {
                 catalog.save(dir)?;
-                let mut store = DiskStore::open_with(
-                    dir,
-                    DiskStoreOptions {
-                        bulk_write_size: config.bulk_write_size,
-                        memory_budget_bytes: config.memory_budget_bytes,
-                        value_bounds: Some(bounds),
-                        sketch_feed: Some(sketch_feed),
-                        rollup_feed,
-                        prefetch_depth: config.prefetch_depth,
-                        write_format: config.block_format,
-                    },
-                )?;
-                store.set_pruning(config.zone_pruning);
-                Box::new(store)
+                Some(dir.as_path())
             }
         };
-        let mut ingestors = Vec::new();
+        let gids: Vec<Gid> = catalog.groups.iter().map(|g| g.gid).collect();
+        let shard = Shard::open(
+            Arc::clone(&catalog),
+            registry,
+            &config.common,
+            dir,
+            config.block_format,
+            config.zone_pruning,
+            &gids,
+        )?;
         let tid_to_row: std::collections::HashMap<Tid, usize> = catalog
             .series
             .iter()
             .enumerate()
             .map(|(i, m)| (m.tid, i))
             .collect();
-        let mut row_indices = Vec::new();
-        for group in &catalog.groups {
-            let scaling: Vec<f64> = group.tids.iter().map(|t| catalog.scaling_of(*t)).collect();
-            ingestors.push((
-                group.gid,
-                GroupIngestor::new(
-                    group.clone(),
-                    scaling,
-                    Arc::clone(&registry),
-                    config.compression.clone(),
-                )?,
-            ));
-            row_indices.push(group.tids.iter().map(|t| tid_to_row[t]).collect());
-        }
-        let gid_index = ingestors
+        let row_indices = catalog
+            .groups
             .iter()
-            .enumerate()
-            .map(|(i, (g, _))| (*g, i))
+            .map(|g| (g.gid, g.tids.iter().map(|t| tid_to_row[t]).collect()))
             .collect();
         let scratch_row = RowBatch::with_capacity(catalog.series.len(), 1);
-        let resolved_workers = match config.query_parallelism {
-            0 => std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1),
-            n => n,
-        };
-        let scan_pool = (resolved_workers > 1).then(|| {
-            ScanPool::new(
-                Arc::clone(&catalog),
-                Arc::clone(&registry),
-                resolved_workers,
-            )
-        });
-        let rollup_serve = config.rollup_serve;
         Ok(Self {
-            catalog,
-            registry,
             config,
-            store,
-            ingestors,
+            shard,
             row_indices,
-            gid_index,
             pending: BTreeMap::new(),
             scratch_row,
-            scan_pool,
-            rollup_serve,
         })
     }
 
@@ -170,12 +103,12 @@ impl ModelarDb {
 
     /// The metadata catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.shard.catalog()
     }
 
     /// The model registry.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.registry
+        self.shard.registry()
     }
 
     /// Ingests one full tick: `row[i]` belongs to `catalog.series[i]`
@@ -184,11 +117,11 @@ impl ModelarDb {
     /// This is a batch of one on the [`ModelarDb::ingest_batch`] path; bulk
     /// ingestion should build a [`RowBatch`] and call that directly.
     pub fn ingest_row(&mut self, timestamp: Timestamp, row: &[Option<Value>]) -> Result<()> {
-        if row.len() != self.catalog.series.len() {
+        if row.len() != self.catalog().series.len() {
             return Err(MdbError::Ingestion(format!(
                 "row has {} values for {} series",
                 row.len(),
-                self.catalog.series.len()
+                self.catalog().series.len()
             )));
         }
         let mut batch = std::mem::take(&mut self.scratch_row);
@@ -204,17 +137,15 @@ impl ModelarDb {
     /// gaps. Each group receives a borrowed column view of the batch — the
     /// per-group slicing allocates nothing per tick.
     pub fn ingest_batch(&mut self, batch: &RowBatch) -> Result<()> {
-        if batch.n_series() != self.catalog.series.len() {
+        if batch.n_series() != self.catalog().series.len() {
             return Err(MdbError::Ingestion(format!(
                 "batch has {} columns for {} series",
                 batch.n_series(),
-                self.catalog.series.len()
+                self.catalog().series.len()
             )));
         }
-        for ((_, ingestor), indices) in self.ingestors.iter_mut().zip(&self.row_indices) {
-            for segment in ingestor.push_batch(batch.select(indices))? {
-                self.store.insert(segment)?;
-            }
+        for (gid, indices) in &self.row_indices {
+            self.shard.ingest(*gid, batch.select(indices))?;
         }
         Ok(())
     }
@@ -223,11 +154,13 @@ impl ModelarDb {
     /// members have reported a timestamp (or a newer timestamp arrives, at
     /// which point missing members are treated as gaps).
     pub fn ingest_point(&mut self, tid: Tid, timestamp: Timestamp, value: Value) -> Result<()> {
-        let gid = self
-            .catalog
+        let catalog = self.shard.catalog();
+        let gid = catalog
             .gid_of(tid)
             .ok_or_else(|| MdbError::NotFound(format!("time series {tid}")))?;
-        let group = self.catalog.group(gid).unwrap();
+        let group = catalog
+            .group(gid)
+            .expect("a series' group is in the catalog");
         let position = group.position(tid).unwrap();
         let size = group.size();
         let pending = self.pending.entry(gid).or_default();
@@ -255,34 +188,23 @@ impl ModelarDb {
         if rows.is_empty() {
             return Ok(());
         }
-        let idx = *self
-            .gid_index
-            .get(&gid)
-            .ok_or_else(|| MdbError::NotFound(format!("group {gid}")))?;
         let mut batch = RowBatch::with_capacity(size, rows.len());
         for (ts, row) in rows {
             batch.push_row(ts, &row);
         }
-        let (_, ingestor) = &mut self.ingestors[idx];
-        for segment in ingestor.push_batch(batch.view())? {
-            self.store.insert(segment)?;
-        }
-        Ok(())
+        self.shard.ingest(gid, batch.view())
     }
 
-    /// Drains all buffers: pending point-rows, group ingestors, and the
-    /// store's write buffer.
+    /// Drains all buffers: pending point-rows, then the group ingestors and
+    /// the store's write buffer ([`Shard::drain`]: a failing group does not
+    /// keep the others' segments out of the store; the first error is
+    /// returned).
     pub fn flush(&mut self) -> Result<()> {
         for (gid, rows) in std::mem::take(&mut self.pending) {
             let size = rows.values().next().map(Vec::len).unwrap_or(0);
             self.push_group_rows(gid, size, rows)?;
         }
-        for (_, ingestor) in &mut self.ingestors {
-            for segment in ingestor.flush()? {
-                self.store.insert(segment)?;
-            }
-        }
-        self.store.flush()
+        self.shard.drain()
     }
 
     /// Executes a SQL query (Section 6's Segment View and Data Point View).
@@ -291,13 +213,7 @@ impl ModelarDb {
     /// workers over the zone-map-pruned
     /// segment list; results are bit-identical to a sequential scan.
     pub fn sql(&self, text: &str) -> Result<QueryResult> {
-        let mut engine = QueryEngine::new(&self.catalog, &self.registry, self.store.as_ref())
-            .with_parallelism(self.config.query_parallelism)
-            .with_rollups(&self.config.rollup_levels, self.rollup_serve);
-        if let Some(pool) = &self.scan_pool {
-            engine = engine.with_scan_pool(pool);
-        }
-        engine.sql(text)
+        self.shard.engine(None).sql(text)
     }
 
     /// Enables or disables answering whole-bucket aggregates from the
@@ -305,13 +221,13 @@ impl ModelarDb {
     /// (scanning keeps the bucketed association); the toggle exists so the
     /// `repro rollup` benchmark can time both paths on the same engine.
     pub fn set_rollup_serve(&mut self, serve: bool) {
-        self.rollup_serve = serve;
+        self.shard.set_rollup_serve(serve);
     }
 
     /// Merged compression statistics across all groups.
     pub fn stats(&self) -> CompressionStats {
         let mut stats = CompressionStats::default();
-        for (_, ingestor) in &self.ingestors {
+        for ingestor in self.shard.ingestors() {
             stats.merge(ingestor.stats());
         }
         stats
@@ -319,31 +235,31 @@ impl ModelarDb {
 
     /// Logical stored bytes (the Figures 14–15 metric).
     pub fn storage_bytes(&self) -> u64 {
-        self.store.logical_bytes()
+        self.shard.store().logical_bytes()
     }
 
     /// Stored segment count.
     pub fn segment_count(&self) -> usize {
-        self.store.len()
+        self.shard.store().len()
     }
 
     /// All stored segments in the store's deterministic scan order (key
     /// order for memory storage, log order for disk storage) — the raw
     /// material for equivalence tests and offline analysis.
     pub fn segments(&self) -> Result<Vec<SegmentRecord>> {
-        mdb_storage::scan_to_vec(self.store.as_ref(), &SegmentPredicate::all())
+        mdb_storage::scan_to_vec(self.shard.store(), &SegmentPredicate::all())
     }
 
     /// The store's zone map (both built-in stores maintain one) — compared
     /// across restarts by the restart-equivalence suite.
     pub fn zones(&self) -> Option<&ZoneMap> {
-        self.store.zones()
+        self.shard.store().zones()
     }
 
     /// Segments currently resident in memory (see
-    /// [`SegmentStore::resident_segments`]).
+    /// [`SegmentStore::resident_segments`](mdb_storage::SegmentStore::resident_segments)).
     pub fn resident_segments(&self) -> usize {
-        self.store.resident_segments()
+        self.shard.store().resident_segments()
     }
 
     /// High-water mark of resident segments — the `repro storage` metric
@@ -352,20 +268,20 @@ impl ModelarDb {
     ///
     /// [`CommonOptions`]: mdb_query::CommonOptions
     pub fn resident_segment_peak(&self) -> usize {
-        self.store.resident_segment_peak()
+        self.shard.store().resident_segment_peak()
     }
 
     /// Block-cache counters of the underlying store (all zeros for the
     /// in-memory store) — bytes read, prefetches issued and hit, decode
     /// validations, and owned decodes on the scan path.
     pub fn cache_stats(&self) -> mdb_storage::CacheStats {
-        self.store.cache_stats()
+        self.shard.store().cache_stats()
     }
 
     /// Counters of the store's insert-time statistics pass: segments
     /// digested, model reconstructions, points sketched.
     pub fn digest_stats(&self) -> mdb_storage::DigestStats {
-        self.store.digest_stats()
+        self.shard.store().digest_stats()
     }
 
     /// The active configuration.
@@ -405,7 +321,7 @@ impl mdb_query::Datastore for ModelarDb {
             lost_gids: Vec::new(),
             detail: format!(
                 "{} groups, {} segments stored",
-                self.catalog.groups.len(),
+                self.catalog().groups.len(),
                 self.segment_count()
             ),
         })

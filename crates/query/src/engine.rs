@@ -145,15 +145,23 @@ pub fn pool_bypass_threshold(workers: usize) -> usize {
     (4096 / workers.max(1)).max(256)
 }
 
+/// Resolves a scan-worker setting: `0` means the machine's available
+/// parallelism, any other value is taken as is.
+pub(crate) fn resolve_workers(setting: usize) -> usize {
+    match setting {
+        0 => std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1),
+        n => n,
+    }
+}
+
 /// The query engine for one node's store.
 pub struct QueryEngine<'a> {
     catalog: &'a Catalog,
     registry: &'a ModelRegistry,
     store: &'a dyn SegmentStore,
-    /// Worker threads for the scoped (per-query) parallel scan; 1 or 0 =
-    /// sequential unless a [`ScanPool`] is attached.
-    parallelism: usize,
-    /// A persistent scan pool; preferred over scoped threads when attached.
+    /// A persistent scan pool; without one every fold group runs inline.
     pool: Option<&'a ScanPool>,
     /// Pruned-segment count from which an attached pool engages; `None`
     /// derives it from the pool's worker count ([`pool_bypass_threshold`]).
@@ -269,12 +277,11 @@ struct PoolJob {
 
 /// A persistent pool of scan workers for the partial-aggregation phase.
 ///
-/// Created once (per embedded engine or per cluster worker) over the same
-/// catalog and registry queries will use; each query ships its pruned
-/// segment list to the workers in fixed-size jobs over crossbeam
-/// channels, so the query path pays a channel hop instead of thread
-/// start-up. Dropping the pool closes the job channel and joins the
-/// workers.
+/// Created once per [`Shard`](crate::Shard) over the same catalog and
+/// registry queries will use; each query ships its pruned segment list to
+/// the workers in fixed-size jobs over crossbeam channels, so the query
+/// path pays a channel hop instead of thread start-up. Dropping the pool
+/// closes the job channel and joins the workers.
 pub struct ScanPool {
     jobs: Option<crossbeam_channel::Sender<PoolJob>>,
     workers: usize,
@@ -311,12 +318,7 @@ impl ScanPool {
     /// parallelism) sharing `catalog` and `registry` — they must be the
     /// same ones the querying engine is built over.
     pub fn new(catalog: Arc<Catalog>, registry: Arc<ModelRegistry>, workers: usize) -> Self {
-        let workers = match workers {
-            0 => std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1),
-            n => n,
-        };
+        let workers = resolve_workers(workers);
         let (jobs, job_rx) = crossbeam_channel::unbounded::<PoolJob>();
         let handles = (0..workers)
             .map(|_| {
@@ -417,8 +419,7 @@ struct Rewritten {
 
 impl<'a> QueryEngine<'a> {
     /// An engine over `catalog`, `registry`, and `store` (sequential scans;
-    /// see [`QueryEngine::with_scan_pool`] and
-    /// [`QueryEngine::with_parallelism`]).
+    /// see [`QueryEngine::with_scan_pool`]).
     pub fn new(
         catalog: &'a Catalog,
         registry: &'a ModelRegistry,
@@ -428,7 +429,6 @@ impl<'a> QueryEngine<'a> {
             catalog,
             registry,
             store,
-            parallelism: 1,
             pool: None,
             pool_threshold: None,
             gid_scope: None,
@@ -462,9 +462,9 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Attaches a persistent [`ScanPool`] (built over the *same* catalog and
-    /// registry): the partial-aggregation scan is chunked onto its workers
-    /// instead of spawning threads per query. Results are bit-identical to
-    /// a sequential scan.
+    /// registry): a scan whose survivor count reaches the bypass threshold
+    /// is chunked onto its workers instead of folding inline. Results are
+    /// bit-identical to a sequential scan.
     pub fn with_scan_pool(mut self, pool: &'a ScanPool) -> Self {
         self.pool = Some(pool);
         self
@@ -477,16 +477,6 @@ impl<'a> QueryEngine<'a> {
     /// need to force the pool path on small stores.
     pub fn with_pool_threshold(mut self, segments: usize) -> Self {
         self.pool_threshold = Some(segments);
-        self
-    }
-
-    /// Sets the number of *scoped* (per-query) scan workers used when no
-    /// [`ScanPool`] is attached. `0` or `1` scans sequentially; `n ≥ 2`
-    /// spawns that many scoped threads — mainly for tests, since per-query
-    /// thread start-up is what the pool exists to avoid. Results are
-    /// bit-identical at every setting.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -907,8 +897,8 @@ impl<'a> QueryEngine<'a> {
 
     /// Evaluates each fold group into its own fresh [`PartialAggregates`],
     /// in input order — on the attached [`ScanPool`] when one is present
-    /// and the work warrants it, on scoped threads under an explicit
-    /// parallelism setting, sequentially otherwise.
+    /// and the survivor count reaches its bypass threshold, inline
+    /// otherwise.
     ///
     /// Fold groups are [`fold_group_size`] segments, except under a `Value`
     /// filter where each segment folds alone: value pruning removes
@@ -930,7 +920,7 @@ impl<'a> QueryEngine<'a> {
             let threshold = self
                 .pool_threshold
                 .unwrap_or_else(|| pool_bypass_threshold(pool.workers()));
-            if pool.workers() > 1 && n_segments >= threshold {
+            if n_segments >= threshold {
                 return pool.execute(ScanContext {
                     query: query.clone(),
                     rw: rw.clone(),
@@ -943,62 +933,13 @@ impl<'a> QueryEngine<'a> {
             }
         }
         let evaluator = self.evaluator();
-        let one =
-            |lo: usize, hi: usize| evaluator.group_partial(query, rw, aggs, cube, &runs, lo, hi);
-        let n_chunks = n_segments.div_ceil(fold_size);
-        // With a pool attached, a scan below its bypass threshold is
-        // cheapest inline — never worth per-query scoped thread start-up.
-        let workers = match self.parallelism {
-            _ if self.pool.is_some() => 1,
-            0 | 1 => 1,
-            n => n.min(n_chunks),
-        };
-        if workers <= 1 {
-            return (0..n_chunks)
-                .map(|chunk| {
-                    let lo = chunk * fold_size;
-                    one(lo, (lo + fold_size).min(n_segments))
-                })
-                .collect();
-        }
-
-        let (job_tx, job_rx) = crossbeam_channel::unbounded::<usize>();
-        for chunk in 0..n_chunks {
-            let _ = job_tx.send(chunk);
-        }
-        drop(job_tx);
-        let (result_tx, result_rx) =
-            crossbeam_channel::unbounded::<(usize, Result<PartialAggregates>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let one = &one;
-                scope.spawn(move || {
-                    while let Ok(chunk) = job_rx.recv() {
-                        let lo = chunk * fold_size;
-                        let hi = (lo + fold_size).min(n_segments);
-                        let partial = one(lo, hi);
-                        if result_tx.send((chunk, partial)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        drop(result_tx);
-        let mut by_chunk: Vec<Option<Result<PartialAggregates>>> =
-            (0..n_chunks).map(|_| None).collect();
-        while let Ok((chunk, partial)) = result_rx.recv() {
-            by_chunk[chunk] = Some(partial);
-        }
-        let mut out = Vec::with_capacity(n_chunks);
-        for partial in by_chunk {
-            let partial = partial
-                .ok_or_else(|| MdbError::Query("scan worker died without a result".into()))?;
-            out.push(partial?);
-        }
-        Ok(out)
+        (0..n_segments)
+            .step_by(fold_size)
+            .map(|lo| {
+                let hi = (lo + fold_size).min(n_segments);
+                evaluator.group_partial(query, rw, aggs, cube, &runs, lo, hi)
+            })
+            .collect()
     }
 
     // ------------------------------------------------ sketch functions --
@@ -1099,7 +1040,7 @@ impl<'a> QueryEngine<'a> {
 impl<'a> SegmentEvaluator<'a> {
     /// Evaluates one fold group — global scan indices `lo..hi` of the
     /// collected runs — into a fresh partial-aggregate map, the unit of
-    /// work a scan worker (pooled, scoped, or inline) executes. Within the
+    /// work a scan worker (pooled or inline) executes. Within the
     /// group, segments accumulate in order into the same map, exactly like
     /// a sequential scan over the group.
     #[allow(clippy::too_many_arguments)]
@@ -2153,20 +2094,27 @@ mod tests {
 
     #[test]
     fn parallel_scan_is_bit_identical_to_sequential() {
+        // Every pool size — including 0, which resolves to the machine's
+        // parallelism — folds to exactly the sequential result.
         let f = fixture();
+        let catalog = Arc::new(f.catalog.clone());
+        let registry = Arc::new(f.registry.clone());
         let queries = [
             "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
             "SELECT Park, AVG_S(*) FROM Segment GROUP BY Park ORDER BY Park",
             "SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment WHERE Tid IN (1, 3) GROUP BY Tid",
             "SELECT COUNT_S(*), MIN_S(*), MAX_S(*) FROM Segment WHERE Value >= 3.5",
         ];
-        for q in queries {
-            let sequential = QueryEngine::new(&f.catalog, &f.registry, &f.store)
-                .sql(q)
-                .unwrap();
-            for threads in [2, 4, 0] {
+        for threads in [2, 4, 0] {
+            let pool = ScanPool::new(Arc::clone(&catalog), Arc::clone(&registry), threads);
+            assert_eq!(pool.workers(), resolve_workers(threads));
+            for q in queries {
+                let sequential = QueryEngine::new(&f.catalog, &f.registry, &f.store)
+                    .sql(q)
+                    .unwrap();
                 let parallel = QueryEngine::new(&f.catalog, &f.registry, &f.store)
-                    .with_parallelism(threads)
+                    .with_scan_pool(&pool)
+                    .with_pool_threshold(1)
                     .sql(q)
                     .unwrap();
                 assert_eq!(sequential.rows, parallel.rows, "{q} with {threads} workers");

@@ -21,6 +21,7 @@ pub mod datastore;
 pub mod digest;
 pub mod engine;
 pub mod options;
+pub mod shard;
 pub mod sql;
 
 pub use aggregate::{Accumulator, AggFunc};
@@ -32,4 +33,5 @@ pub use engine::{
     QueryEngine, ScanPool, ScanShape,
 };
 pub use options::{CommonOptions, CommonOptionsBuilder};
+pub use shard::Shard;
 pub use sql::{parse, Predicate, Query, SelectItem, SketchFunc, View};

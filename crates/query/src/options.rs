@@ -35,11 +35,13 @@ pub struct CommonOptions {
     /// ahead of the scan (`0` disables prefetching). Ignored by in-memory
     /// deployments.
     pub prefetch_depth: usize,
-    /// Scan workers for the partial-aggregation phase: `0` (auto) uses the
-    /// machine's available parallelism; `1` scans sequentially. A cluster
-    /// applies this *per worker* (its default stays 1 because the workers
-    /// already scan concurrently). Results are bit-identical at every
-    /// setting.
+    /// Scan workers for the partial-aggregation phase, resolved by one rule
+    /// in every deployment: `0` (auto) means the machine's available
+    /// parallelism, and a persistent scan pool is started only when the
+    /// setting resolves to more than 1; otherwise every fold group runs
+    /// inline. A cluster applies this *per worker* (its default stays 1
+    /// because the workers already scan concurrently). Results are
+    /// bit-identical at every setting.
     pub query_parallelism: usize,
     /// Where segments are persisted: `None` keeps them in memory, `Some`
     /// persists under this directory (the engine's block log + catalog, or

@@ -191,8 +191,9 @@ impl SegmentRun {
 /// provides a uniform interface with predicate push-down for the persistent
 /// segment group store").
 ///
-/// Stores are `Sync` so the query engine can share one store reference
-/// across its scoped scan workers; mutation stays `&mut self`.
+/// Stores are `Send + Sync` so a shard can move into a cluster worker's
+/// thread and concurrent readers can share one store; mutation stays
+/// `&mut self`.
 pub trait SegmentStore: Send + Sync {
     /// Appends one segment (buffered; durability on [`SegmentStore::flush`]).
     fn insert(&mut self, segment: SegmentRecord) -> Result<()>;

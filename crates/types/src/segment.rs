@@ -145,12 +145,11 @@ impl SegmentRecord {
         self.len() * self.gaps.count_present(group_size)
     }
 
-    /// The on-disk footprint in bytes under the Cassandra-style layout of
-    /// Section 3.3: gid (4) + end time (8) + gaps (8) + size-in-points (4) +
-    /// mid (1) + the model parameters. Used for compression-ratio accounting
-    /// and model selection.
+    /// The on-disk footprint in bytes (see [`SegmentView::storage_bytes`]).
+    ///
+    /// [`SegmentView::storage_bytes`]: crate::SegmentView::storage_bytes
     pub fn storage_bytes(&self) -> usize {
-        4 + 8 + 8 + 4 + 1 + self.params.len()
+        self.view().storage_bytes()
     }
 
     /// Whether the segment's interval intersects `[from, to]` (inclusive).

@@ -73,6 +73,14 @@ impl<'a> SegmentView<'a> {
         !self.gaps.contains(position)
     }
 
+    /// The on-disk footprint in bytes under the Cassandra-style layout of
+    /// Section 3.3: gid (4) + end time (8) + gaps (8) + size-in-points (4) +
+    /// mid (1) + the model parameters. Used for compression-ratio accounting
+    /// and model selection.
+    pub fn storage_bytes(&self) -> usize {
+        4 + 8 + 8 + 4 + 1 + self.params.len()
+    }
+
     /// Materializes an owned record (listing/export paths only — the
     /// aggregate scan path never calls this).
     pub fn to_record(&self) -> SegmentRecord {
@@ -451,5 +459,87 @@ mod tests {
     fn record_view_round_trip() {
         let r = seg(4);
         assert_eq!(r.view().to_record(), r);
+        assert_eq!(r.view().storage_bytes(), r.storage_bytes());
+    }
+
+    /// Parses `data` and, when it is accepted, reads every accessor the
+    /// scan and recovery paths use.
+    fn parse_and_read(data: Vec<u8>, count: u32) {
+        if let Some(view) = BlockView::parse(data, count) {
+            assert_eq!(view.len(), count as usize);
+            for i in 0..view.len() {
+                let segment = view.segment(i);
+                let span = (segment.len() as i64 - 1) * segment.sampling_interval;
+                assert_eq!(segment.start_time + span, segment.end_time);
+                assert!(segment.storage_bytes() >= segment.params.len());
+            }
+            assert_eq!(view.to_records().len(), view.len());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256),
+            count in proptest::num::u32::ANY,
+            small_count in 0u32..8,
+            v2_header in proptest::bool::weighted(0.5),
+        ) {
+            parse_and_read(bytes.clone(), count);
+            // A v2 tag and a plausible count get past the first checks.
+            let mut tagged = bytes;
+            if v2_header && tagged.len() >= 8 {
+                tagged[..4].copy_from_slice(&BLOCK_LAYOUT_V2.to_le_bytes());
+                tagged[4..8].copy_from_slice(&small_count.to_le_bytes());
+            }
+            parse_and_read(tagged, small_count);
+        }
+
+        #[test]
+        fn parse_never_panics_on_damaged_blocks(
+            shapes in proptest::collection::vec(
+                ((1u32..6, -1_000_000i64..1_000_000), 1i64..1_000, 1u32..60, 0u8..3, 0usize..24, proptest::num::u64::ANY),
+                0..10,
+            ),
+            damage in 0usize..3,
+            edits in proptest::collection::vec((proptest::num::usize::ANY, proptest::num::u8::ANY), 1..8),
+            count_delta in 0u32..3,
+        ) {
+            let segments: Vec<SegmentRecord> = shapes
+                .iter()
+                .map(|&((gid, end_time), si, size, mid, params, gaps)| SegmentRecord {
+                    gid,
+                    start_time: end_time - i64::from(size - 1) * si,
+                    end_time,
+                    sampling_interval: si,
+                    mid,
+                    params: Bytes::from(vec![mid; params]),
+                    gaps: GapsMask(gaps),
+                })
+                .collect();
+            let mut payload = encode_block_v2(&segments);
+            let count = segments.len() as u32;
+            let (at, byte) = edits[0];
+            match damage {
+                // Byte flips anywhere in the payload.
+                0 => {
+                    for &(at, byte) in &edits {
+                        let len = payload.len();
+                        payload[at % len] ^= byte.max(1);
+                    }
+                }
+                // Truncation at any length.
+                1 => payload.truncate(at % (payload.len() + 1)),
+                // Extension by a few bytes.
+                _ => payload.extend(edits.iter().map(|&(_, b)| b).chain([byte])),
+            }
+            // The count from the block header, or one off in either direction.
+            let count = match count_delta {
+                0 => count,
+                1 => count + 1,
+                _ => count.saturating_sub(1),
+            };
+            parse_and_read(payload, count);
+        }
     }
 }
