@@ -569,7 +569,7 @@ fn scan_rates(scale: Scale, scale_name: &str) {
         // Parity and counter checks on a dedicated cold pair of opens: the
         // formats must be indistinguishable in results, and the v2 counters
         // must prove the zero-copy claims the timings rest on.
-        let v1_db = build_disk_engine_with(
+        let mut v1_db = build_disk_engine_with(
             &ds,
             &v1_dir,
             10.0,
@@ -578,7 +578,7 @@ fn scan_rates(scale: Scale, scale_name: &str) {
             0,
             modelardb::BlockFormat::V1,
         );
-        let v2_db = build_disk_engine_with(
+        let mut v2_db = build_disk_engine_with(
             &ds,
             &v2_dir,
             10.0,
@@ -587,6 +587,10 @@ fn scan_rates(scale: Scale, scale_name: &str) {
             PREFETCH,
             modelardb::BlockFormat::V2,
         );
+        // Whole-store aggregates are otherwise answered from rollup cells
+        // without reading a block; the counters below are about the scan.
+        v1_db.set_rollup_serve(false);
+        v2_db.set_rollup_serve(false);
         for probe in &probes {
             assert_eq!(
                 v1_db.sql(probe).unwrap(),
@@ -653,8 +657,12 @@ fn scan_rates(scale: Scale, scale_name: &str) {
             let store = open_store(&v1_dir, 0);
             timed(|| {
                 let mut acc = empty;
-                modelardb::SegmentStore::scan(&store, &pred, &mut |s| fold(&mut acc, &s.view()))
-                    .expect("scan");
+                modelardb::SegmentStore::scan_runs(&store, &pred, &mut |run| {
+                    for v in run.segments() {
+                        fold(&mut acc, &v);
+                    }
+                })
+                .expect("scan");
                 acc
             })
         };
@@ -755,12 +763,7 @@ fn scan_rates(scale: Scale, scale_name: &str) {
 
 /// Collects every stored segment of a store in scan order.
 fn store_segments(store: &modelardb::DiskStore) -> Vec<modelardb::SegmentRecord> {
-    let mut out = Vec::new();
-    modelardb::SegmentStore::scan(store, &modelardb::SegmentPredicate::all(), &mut |s| {
-        out.push(s.clone())
-    })
-    .expect("scan");
-    out
+    modelardb::scan_to_vec(store, &modelardb::SegmentPredicate::all()).expect("scan")
 }
 
 /// `sketch`: the metadata-only sketch path vs exact full scans, on a

@@ -1625,10 +1625,9 @@ mod tests {
             "SELECT COUNT_S(*) FROM Segment",
             "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
         ];
-        // Memory and disk stores scan each group in different (each
-        // deterministic) orders, so float sums may differ in association:
-        // compare tolerantly across store kinds. Bit-identity is guaranteed
-        // — and asserted below — only between runs of the *same* store.
+        // The two clusters differ in backend, bulk write size and cache
+        // budget: compare tolerantly across configurations. Bit-identity is
+        // asserted below only between runs of the *same* store.
         let assert_close = |a: &QueryResult, b: &QueryResult, label: &str| {
             assert_eq!(a.rows.len(), b.rows.len(), "{label}");
             for (x, y) in a.rows.iter().flatten().zip(b.rows.iter().flatten()) {

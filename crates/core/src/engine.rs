@@ -17,7 +17,8 @@ use crate::Config;
 /// Where segments live.
 #[derive(Debug, Clone)]
 pub enum StorageSpec {
-    /// Volatile, heap-backed (tests, benchmarks).
+    /// Volatile: the same block-log store with its log and sidecar in RAM
+    /// (tests, benchmarks); nothing survives the process.
     Memory,
     /// Persistent block log + catalog under this directory.
     Disk(PathBuf),
@@ -243,14 +244,14 @@ impl ModelarDb {
         self.shard.store().len()
     }
 
-    /// All stored segments in the store's deterministic scan order (key
-    /// order for memory storage, log order for disk storage) — the raw
-    /// material for equivalence tests and offline analysis.
+    /// All stored segments in the store's deterministic scan order (log
+    /// order, buffered segments last) — the raw material for equivalence
+    /// tests and offline analysis.
     pub fn segments(&self) -> Result<Vec<SegmentRecord>> {
         mdb_storage::scan_to_vec(self.shard.store(), &SegmentPredicate::all())
     }
 
-    /// The store's zone map (both built-in stores maintain one) — compared
+    /// The store's zone map — compared
     /// across restarts by the restart-equivalence suite.
     pub fn zones(&self) -> Option<&ZoneMap> {
         self.shard.store().zones()
@@ -271,9 +272,9 @@ impl ModelarDb {
         self.shard.store().resident_segment_peak()
     }
 
-    /// Block-cache counters of the underlying store (all zeros for the
-    /// in-memory store) — bytes read, prefetches issued and hit, decode
-    /// validations, and owned decodes on the scan path.
+    /// Block-cache counters of the underlying store, on disk or in memory
+    /// alike — bytes read, prefetches issued and hit, decode validations,
+    /// and owned decodes on the scan path.
     pub fn cache_stats(&self) -> mdb_storage::CacheStats {
         self.shard.store().cache_stats()
     }

@@ -65,7 +65,7 @@ pub use mdb_query::{
 pub use mdb_server::{Client, Server, ServerOptions, SharedDatastore};
 pub use mdb_storage::{
     checksum_v2, scan_to_vec, CacheStats, Catalog, Digest, DigestBuf, DigestStats, DiskStore,
-    DiskStoreOptions, MemoryStore, RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn,
+    DiskStoreOptions, RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn,
     SegmentDigester, SegmentPredicate, SegmentStore, SketchFeed, SketchFeedFn, ValueBounds,
     ValueBoundsFn, ZoneMap,
 };

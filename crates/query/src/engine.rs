@@ -1705,7 +1705,7 @@ mod tests {
     use super::*;
     use mdb_compression::{CompressionConfig, GroupIngestor};
     use mdb_models::ModelRegistry;
-    use mdb_storage::{MemoryStore, SegmentStore};
+    use mdb_storage::{DiskStore, DiskStoreOptions, SegmentRun, SegmentStore};
     use mdb_types::{DimensionSchema, ErrorBound, GroupMeta, SegmentRecord, TimeSeriesMeta, Value};
     use std::sync::Arc;
 
@@ -1715,7 +1715,7 @@ mod tests {
     struct Fixture {
         catalog: Catalog,
         registry: ModelRegistry,
-        store: MemoryStore,
+        store: DiskStore,
     }
 
     fn fixture() -> Fixture {
@@ -1774,7 +1774,7 @@ mod tests {
         let registry = ModelRegistry::standard();
         catalog.model_names = registry.names().iter().map(|s| s.to_string()).collect();
 
-        let mut store = MemoryStore::new();
+        let mut store = DiskStore::in_memory(DiskStoreOptions::default()).unwrap();
         let config = CompressionConfig {
             error_bound: ErrorBound::Lossless,
             ..Default::default()
@@ -2159,7 +2159,11 @@ mod tests {
         let f = fixture();
         let bounds =
             crate::value_bounds_fn(&Arc::new(f.catalog.clone()), &Arc::new(f.registry.clone()));
-        let mut store = MemoryStore::with_feeds(Some(bounds), None, None);
+        let mut store = DiskStore::in_memory(DiskStoreOptions {
+            value_bounds: Some(bounds),
+            ..DiskStoreOptions::default()
+        })
+        .unwrap();
         for segment in scan_to_vec(&f.store, &mdb_storage::SegmentPredicate::all()).unwrap() {
             store.insert(segment).unwrap();
         }
@@ -2264,7 +2268,7 @@ mod tests {
     /// A read-only store wrapper counting the cells `rollup_cells` hands to
     /// the engine.
     struct CellCounter<'s> {
-        inner: &'s MemoryStore,
+        inner: &'s DiskStore,
         visits: std::sync::atomic::AtomicUsize,
     }
 
@@ -2277,12 +2281,12 @@ mod tests {
             Ok(())
         }
 
-        fn scan(
+        fn scan_runs(
             &self,
             predicate: &SegmentPredicate,
-            f: &mut dyn FnMut(&SegmentRecord),
+            f: &mut dyn FnMut(SegmentRun),
         ) -> Result<()> {
-            self.inner.scan(predicate, f)
+            self.inner.scan_runs(predicate, f)
         }
 
         fn rollup_cells(
@@ -2339,7 +2343,11 @@ mod tests {
             &Arc::new(registry.clone()),
             &levels,
         );
-        let mut store = MemoryStore::with_feeds(None, None, Some(feed));
+        let mut store = DiskStore::in_memory(DiskStoreOptions {
+            rollup_feed: Some(feed),
+            ..DiskStoreOptions::default()
+        })
+        .unwrap();
         let t0 = 1_622_505_600_000i64; // 2021-06-01 00:00:00 UTC.
         let config = CompressionConfig {
             error_bound: ErrorBound::Lossless,

@@ -22,18 +22,18 @@ pub struct CommonOptions {
     /// Compression settings (error bound, model length limit 50, dynamic
     /// split fraction 10, …).
     pub compression: CompressionConfig,
-    /// Segments buffered before a bulk write (Table 1: 50,000). Ignored by
-    /// purely in-memory deployments.
+    /// Segments buffered before a block is appended to the store's log
+    /// (Table 1's Bulk Write Size: 50,000), on disk or in memory alike.
     pub bulk_write_size: usize,
-    /// Byte budget for the disk store's block cache — the bound on segment
-    /// bodies kept resident. `None` (the default) keeps every fetched block
-    /// in memory; `Some(0)` caches nothing and re-reads blocks on demand.
-    /// A cluster splits the budget evenly over its workers. Ignored by
-    /// in-memory deployments, which are resident by definition.
+    /// Byte budget for the store's block cache — the bound on decoded
+    /// segment bodies kept resident. `None` (the default) keeps every
+    /// fetched block; `Some(0)` caches nothing and re-reads blocks from the
+    /// log on demand. A cluster splits the budget evenly over its workers.
+    /// The same rule holds whether the log is on disk or in memory.
     pub memory_budget_bytes: Option<u64>,
-    /// How many zone-map-surviving blocks the disk store's prefetcher reads
-    /// ahead of the scan (`0` disables prefetching). Ignored by in-memory
-    /// deployments.
+    /// How many zone-map-surviving blocks the store's prefetcher reads
+    /// ahead of the scan (`0` disables prefetching), on disk or in memory
+    /// alike.
     pub prefetch_depth: usize,
     /// Scan workers for the partial-aggregation phase, resolved by one rule
     /// in every deployment: `0` (auto) means the machine's available
@@ -43,8 +43,8 @@ pub struct CommonOptions {
     /// because the workers already scan concurrently). Results are
     /// bit-identical at every setting.
     pub query_parallelism: usize,
-    /// Where segments are persisted: `None` keeps them in memory, `Some`
-    /// persists under this directory (the engine's block log + catalog, or
+    /// Where segments are persisted: `None` keeps the store's log in
+    /// memory, `Some` persists it under this directory (the engine's block log + catalog, or
     /// one `worker-<i>` subdirectory per cluster worker plus the
     /// `cluster.meta` manifest).
     pub storage_dir: Option<PathBuf>,

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use mdb_compression::{CompressionConfig, GroupIngestor};
 use mdb_models::ModelRegistry;
-use mdb_storage::{Catalog, DiskStore, DiskStoreOptions, MemoryStore, SegmentStore};
+use mdb_storage::{Catalog, DiskStore, DiskStoreOptions, SegmentStore};
 use mdb_types::{BatchView, BlockFormat, Gid, MdbError, Result, SegmentRecord, TimeLevel};
 
 use crate::engine::resolve_workers;
@@ -39,8 +39,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Opens the store — a [`DiskStore`] under `dir`, a [`MemoryStore`]
-    /// otherwise, maintaining value bounds, sketches and the rollup cells of
+    /// Opens the store — a [`DiskStore`] under `dir`, or the same store over
+    /// RAM when `dir` is `None`, built from the same options either way and
+    /// maintaining value bounds, sketches and the rollup cells of
     /// `options.rollup_levels` as segments finalize — and creates an
     /// ingestor for each of `gids`. A scan pool is started only when
     /// `options.query_parallelism` (`0` = the machine's available
@@ -63,30 +64,20 @@ impl Shard {
         let sketch_feed = crate::sketch_feed(&catalog, &registry);
         let rollup_feed = (!options.rollup_levels.is_empty())
             .then(|| crate::rollup_feed(&catalog, &registry, &options.rollup_levels));
-        let store: Box<dyn SegmentStore> = match dir {
-            Some(dir) => {
-                let mut store = DiskStore::open_with(
-                    dir,
-                    DiskStoreOptions {
-                        bulk_write_size: options.bulk_write_size,
-                        memory_budget_bytes: options.memory_budget_bytes,
-                        value_bounds: Some(value_bounds),
-                        sketch_feed: Some(sketch_feed),
-                        rollup_feed,
-                        prefetch_depth: options.prefetch_depth,
-                        write_format: block_format,
-                    },
-                )?;
-                store.set_pruning(zone_pruning);
-                Box::new(store)
-            }
-            None => {
-                let mut store =
-                    MemoryStore::with_feeds(Some(value_bounds), Some(sketch_feed), rollup_feed);
-                store.set_pruning(zone_pruning);
-                Box::new(store)
-            }
+        let store_options = DiskStoreOptions {
+            bulk_write_size: options.bulk_write_size,
+            memory_budget_bytes: options.memory_budget_bytes,
+            value_bounds: Some(value_bounds),
+            sketch_feed: Some(sketch_feed),
+            rollup_feed,
+            prefetch_depth: options.prefetch_depth,
+            write_format: block_format,
         };
+        let mut store = match dir {
+            Some(dir) => DiskStore::open_with(dir, store_options)?,
+            None => DiskStore::in_memory(store_options)?,
+        };
+        store.set_pruning(zone_pruning);
         let workers = resolve_workers(options.query_parallelism);
         let scan_pool = (workers > 1)
             .then(|| ScanPool::new(Arc::clone(&catalog), Arc::clone(&registry), workers));
@@ -94,7 +85,7 @@ impl Shard {
             catalog,
             registry,
             compression: options.compression.clone(),
-            store,
+            store: Box::new(store),
             ingestors: BTreeMap::new(),
             scan_pool,
             rollup_levels: options.rollup_levels.clone(),
@@ -235,7 +226,7 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    use mdb_storage::SegmentPredicate;
+    use mdb_storage::{SegmentPredicate, SegmentRun};
     use mdb_types::{GroupMeta, RowBatch, TimeSeriesMeta};
 
     /// Three single-series groups, gids 1..=3.
@@ -303,7 +294,7 @@ mod tests {
             Ok(())
         }
 
-        fn scan(&self, _: &SegmentPredicate, _: &mut dyn FnMut(&SegmentRecord)) -> Result<()> {
+        fn scan_runs(&self, _: &SegmentPredicate, _: &mut dyn FnMut(SegmentRun)) -> Result<()> {
             Ok(())
         }
 

@@ -3,7 +3,7 @@
 //! deltas (continuous aggregates) and its share of the open block's
 //! per-group sketch.
 //!
-//! Both stores, the handoff import and the recovery rescan go through one
+//! Inserts, the handoff import and the recovery rescan go through one
 //! function (`Absorber::absorb`), so statistics persisted at write time and
 //! statistics rebuilt from the log cannot diverge. The store knows nothing
 //! about models: the providers it is configured with decode segments for
@@ -126,8 +126,8 @@ pub struct DigestStats {
 }
 
 /// Per-group sketches accumulating for segments not yet summarized in a
-/// [`BlockMeta`](mdb_types::BlockMeta): the disk store's open block, a
-/// block being rescanned, or — never cut — the whole in-memory store.
+/// [`BlockMeta`](mdb_types::BlockMeta): the store's open block or a block
+/// being rescanned.
 #[derive(Debug, Default)]
 pub(crate) struct OpenSketches {
     per_gid: BTreeMap<Gid, BlockSketch>,
@@ -137,11 +137,6 @@ pub(crate) struct OpenSketches {
 }
 
 impl OpenSketches {
-    /// Marks the sketches unanswerable (until the next [`Self::cut`]).
-    pub(crate) fn poison(&mut self) {
-        self.unsound = true;
-    }
-
     /// Ends the block: its sketches in gid order, or `None` if a segment
     /// failed to feed. Leaves `self` empty and sound for the next block.
     fn cut(&mut self) -> Option<Arc<BlockSketches>> {

@@ -8,8 +8,8 @@
 //!   (recomputed as `StartTime = EndTime − (Size − 1) × SI`).
 //! * [`catalog`] — the Time Series table, Model table, group membership and
 //!   denormalized dimensions; the in-memory metadata cache of Figure 4.
-//! * [`memory`] — a heap-backed store for tests and benchmarks.
-//! * [`disk`] — the persistent, *out-of-core* block-log store: per-block
+//! * [`disk`] — the one segment store, an *out-of-core* block log whose
+//!   bytes live in files or, for in-memory deployments, in RAM: per-block
 //!   [`mdb_types::BlockMeta`] statistics for skipping blocks before they are
 //!   fetched, bulk-buffered writes (Table 1's Bulk Write Size), checksums,
 //!   crash-tolerant recovery that truncates a torn tail block, a persistent
@@ -20,19 +20,19 @@
 //!   log (block statistics + zone map) that makes fast reopen possible.
 //! * [`cache`] — the sharded LRU [`BlockCache`] of decoded blocks.
 //! * [`zone`] — the segment-pruning zone map: per-group min/max time and
-//!   stored-value statistics over runs of segments, maintained on write by
-//!   both stores and consulted by [`SegmentStore::scan`] to skip runs that
-//!   cannot match a query's push-down predicate.
-//! * [`digest`] — the one insert-time pass both stores (and recovery) derive
-//!   zone statistics, rollup cells and block sketches through, with one
-//!   reconstruction per finalized segment.
+//!   stored-value statistics over runs of segments, maintained on write and
+//!   consulted by [`SegmentStore::scan_runs`] to skip runs that cannot
+//!   match a query's push-down predicate.
+//! * [`digest`] — the one insert-time pass inserts, imports and recovery
+//!   derive zone statistics, rollup cells and block sketches through, with
+//!   one reconstruction per finalized segment.
 
+mod backend;
 pub mod cache;
 pub mod catalog;
 pub mod codec;
 pub mod digest;
 pub mod disk;
-pub mod memory;
 pub mod rollup;
 pub mod sidecar;
 pub mod zone;
@@ -48,7 +48,6 @@ pub use catalog::Catalog;
 pub use codec::{checksum, checksum_v2};
 pub use digest::{Digest, DigestBuf, DigestStats, Feed, SegmentDigester, SketchFeed, ValueBounds};
 pub use disk::{DiskStore, DiskStoreOptions};
-pub use memory::MemoryStore;
 pub use rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn};
 pub use zone::{GidZone, SketchFeedFn, ValueBoundsFn, ZoneMap, ZoneRun, ZoneValues};
 
@@ -139,8 +138,7 @@ impl SegmentPredicate {
 /// One contiguous run of matching segments as [`SegmentStore::scan_runs`]
 /// yields it: either a slice `[lo, hi)` of a cached block — shared, so the
 /// consumer holds the block alive and reads segments as borrowed views with
-/// no per-segment allocation — or a small owned batch (write buffers, the
-/// in-memory store's default adaptation).
+/// no per-segment allocation — or a small owned batch (the write buffer).
 #[derive(Debug)]
 pub enum SegmentRun {
     /// Segments `lo..hi` of a cached on-disk block.
@@ -152,7 +150,7 @@ pub enum SegmentRun {
         /// One past the last matching segment index.
         hi: usize,
     },
-    /// An owned batch of segments (already resident, not block-backed).
+    /// An owned batch of buffered segments (not yet in a block).
     Inline(Vec<SegmentRecord>),
 }
 
@@ -201,49 +199,27 @@ pub trait SegmentStore: Send + Sync {
     /// Makes all buffered segments durable and queryable.
     fn flush(&mut self) -> Result<()>;
 
-    /// Streams all segments matching `predicate` in a store-defined
-    /// **deterministic** order: [`MemoryStore`] yields `(gid, end_time)` key
-    /// order; [`DiskStore`] yields log (insertion) order. Scanning the same
-    /// store state twice always yields the same sequence — the invariant
-    /// the bit-identical query guarantees are built on. Stores that
-    /// maintain a [`ZoneMap`] (or per-block statistics) use it here to skip
-    /// whole groups, segment runs, or on-disk blocks whose statistics
-    /// cannot match.
-    fn scan(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(&SegmentRecord)) -> Result<()>;
-
-    /// Like [`SegmentStore::scan`], but yields contiguous *runs* of matching
-    /// segments instead of one segment at a time — the scan shape of the
-    /// out-of-core store, where a run borrows a cached block and the query
-    /// engine extends its collect buffer per block instead of per segment.
-    /// The default adapts [`SegmentStore::scan`] with single-segment runs;
-    /// the concatenation of runs is identical to the `scan` sequence.
-    fn scan_batches(
-        &self,
-        predicate: &SegmentPredicate,
-        f: &mut dyn FnMut(&[SegmentRecord]),
-    ) -> Result<()> {
-        self.scan(predicate, &mut |segment| f(std::slice::from_ref(segment)))
-    }
-
-    /// Like [`SegmentStore::scan_batches`], but yields [`SegmentRun`]s whose
-    /// segments are read as borrowed [`SegmentView`]s — for the out-of-core
-    /// store a run shares the cached block itself, so the aggregate scan
-    /// path materializes no owned records at all. The concatenation of the
-    /// runs' segments is identical to the `scan` sequence. The default
-    /// adapts [`SegmentStore::scan_batches`] with owned runs.
-    fn scan_runs(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(SegmentRun)) -> Result<()> {
-        self.scan_batches(predicate, &mut |run| f(SegmentRun::Inline(run.to_vec())))
-    }
+    /// Streams every segment matching `predicate` as contiguous
+    /// [`SegmentRun`]s, in a **deterministic** order — [`DiskStore`] yields
+    /// log (insertion) order, write buffer last. Scanning the same store
+    /// state twice always yields the same sequence — the invariant the
+    /// bit-identical query guarantees are built on. A run's segments are
+    /// read as borrowed [`SegmentView`]s: a block-backed run shares the
+    /// cached block itself, so the aggregate scan path materializes no owned
+    /// records at all. Stores that maintain a [`ZoneMap`] (or per-block
+    /// statistics) use it here to skip whole groups, segment runs, or blocks
+    /// whose statistics cannot match.
+    fn scan_runs(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(SegmentRun)) -> Result<()>;
 
     /// Collects every segment of the given groups, preserving the store's
     /// deterministic scan order and its run boundaries — the unit a cluster
-    /// group handoff ships to the receiving worker. For the disk store the
+    /// group handoff ships to the receiving worker. For [`DiskStore`] the
     /// runs follow block boundaries, so re-importing with
     /// [`SegmentStore::import_run`] reproduces the source's block structure.
     fn export_runs(&self, gids: &[Gid]) -> Result<Vec<Vec<SegmentRecord>>> {
         let mut runs = Vec::new();
-        self.scan_batches(&SegmentPredicate::for_gids(gids.to_vec()), &mut |run| {
-            runs.push(run.to_vec())
+        self.scan_runs(&SegmentPredicate::for_gids(gids.to_vec()), &mut |run| {
+            runs.push(run.segments().map(|view| view.to_record()).collect())
         })?;
         Ok(runs)
     }
@@ -295,7 +271,7 @@ pub trait SegmentStore: Send + Sync {
         Ok(false)
     }
 
-    /// The store's zone map, if it maintains one (both built-in stores do).
+    /// The store's zone map, if it maintains one ([`DiskStore`] does).
     fn zones(&self) -> Option<&ZoneMap> {
         None
     }
@@ -312,11 +288,12 @@ pub trait SegmentStore: Send + Sync {
     /// across systems in Figures 14–15).
     fn logical_bytes(&self) -> u64;
 
-    /// Bytes on persistent media (0 for the in-memory store).
+    /// Bytes of the store's log — on disk, or in RAM for an in-memory
+    /// [`DiskStore`]; the same count either way.
     fn persistent_bytes(&self) -> u64;
 
-    /// Segments currently resident in memory: everything for the in-memory
-    /// store, cache plus write buffer for the out-of-core store.
+    /// Segments currently resident as decoded blocks or buffered records:
+    /// for [`DiskStore`] the block cache plus the write buffer.
     fn resident_segments(&self) -> usize {
         self.len()
     }
@@ -329,7 +306,8 @@ pub trait SegmentStore: Send + Sync {
     }
 
     /// Block-cache counters (reads, prefetches, decode validations). Stores
-    /// without a block cache — the in-memory store — report all zeros.
+    /// without a block cache report all zeros; [`DiskStore`] reports its
+    /// cache on either backend.
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }
@@ -341,13 +319,15 @@ pub trait SegmentStore: Send + Sync {
     }
 }
 
-/// Collects a scan into a vector (convenience for tests and query code).
+/// Collects a scan into owned records (convenience for tests and listing).
 pub fn scan_to_vec(
     store: &dyn SegmentStore,
     predicate: &SegmentPredicate,
 ) -> Result<Vec<SegmentRecord>> {
     let mut out = Vec::new();
-    store.scan(predicate, &mut |s| out.push(s.clone()))?;
+    store.scan_runs(predicate, &mut |run| {
+        out.extend(run.segments().map(|view| view.to_record()))
+    })?;
     Ok(out)
 }
 

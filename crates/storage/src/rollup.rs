@@ -17,10 +17,10 @@
 //! pins.
 //!
 //! Like every other derived statistic in this store, rollups fail open: a
-//! segment the feed cannot decode, or an ingestion order the store cannot
-//! guarantee matches its scan order, poisons the cell map
+//! segment the feed cannot decode poisons the cell map
 //! ([`RollupCells::poison`]) and queries transparently fall back to the scan
-//! path. Soundness (not freshness) is the contract — cells either serve the
+//! path. The store scans in insertion order, the order cells are fed in, so
+//! no ingestion order can break the equivalence. Soundness (not freshness) is the contract — cells either serve the
 //! exact scan answer or do not serve at all.
 
 use std::collections::btree_map::Entry;

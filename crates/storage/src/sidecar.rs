@@ -15,16 +15,15 @@
 //! while a sidecar describing *less* (blocks were appended after the last
 //! sidecar write, e.g. a crash between block append and sidecar rename)
 //! stays valid for its prefix and the store scans only the remainder.
-//! Writes go through a temp file and an atomic rename, so a crash mid-write
-//! leaves the previous sidecar (or none), never a torn one.
+//!
+//! This module only encodes and parses bytes; the store's backend keeps
+//! them and replaces them atomically, so a crash mid-write leaves the
+//! previous sidecar (or none), never a torn one.
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::Path;
-
 use std::sync::Arc;
 
-use mdb_types::{BlockFormat, BlockMeta, BlockSketch, BlockSketches, Result, ValueInterval};
+use mdb_types::{BlockFormat, BlockMeta, BlockSketch, BlockSketches, ValueInterval};
 
 use crate::codec::checksum;
 use crate::rollup::{self, RollupAcc, RollupCells};
@@ -69,7 +68,7 @@ pub struct Sidecar {
     pub rollups: Option<RollupCells>,
 }
 
-/// A [`Sidecar`] borrowed from the state it describes — what [`write()`]
+/// A [`Sidecar`] borrowed from the state it describes — what [`encode()`]
 /// serializes, so a store flushes without cloning its block summaries, zone
 /// map and rollup cells first.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +88,7 @@ pub struct SidecarRef<'a> {
 }
 
 impl Sidecar {
-    /// The borrowed form [`write()`] takes.
+    /// The borrowed form [`encode()`] takes.
     pub fn borrowed(&self) -> SidecarRef<'_> {
         SidecarRef {
             log_len: self.log_len,
@@ -102,8 +101,8 @@ impl Sidecar {
     }
 }
 
-/// Serializes and writes the sidecar atomically (temp file + rename).
-pub fn write(path: &Path, sidecar: SidecarRef<'_>) -> Result<()> {
+/// Serializes a sidecar into the bytes [`parse`] reads back.
+pub fn encode(sidecar: SidecarRef<'_>) -> Vec<u8> {
     // The body is built behind room for the 16-byte file header, which is
     // filled in once the body's length and checksum are known.
     let mut body = vec![0u8; FILE_HEADER_BYTES];
@@ -207,30 +206,13 @@ pub fn write(path: &Path, sidecar: SidecarRef<'_>) -> Result<()> {
     put_u32(&mut header, checksum(body));
     put_u32(&mut header, body.len() as u32);
     file_bytes[..FILE_HEADER_BYTES].copy_from_slice(&header);
-
-    let tmp = path.with_extension("idx.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&file_bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    file_bytes
 }
 
-/// Loads and validates a sidecar. `Ok(None)` means "no usable sidecar"
-/// (missing, truncated, corrupt, or from another version) — never an error,
-/// because the log can always be rescanned.
-pub fn load(path: &Path) -> Result<Option<Sidecar>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    Ok(parse(&bytes))
-}
-
-fn parse(bytes: &[u8]) -> Option<Sidecar> {
+/// Validates and decodes sidecar bytes. `None` means "no usable sidecar"
+/// (truncated, corrupt, or from another version) — never an error, because
+/// the log can always be rescanned. Arbitrary bytes never panic.
+pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.u32()? != SIDECAR_MAGIC || cur.u32()? != SIDECAR_VERSION {
         return None;
@@ -252,7 +234,7 @@ fn parse(bytes: &[u8]) -> Option<Sidecar> {
         _ => return None,
     };
     let n_blocks = cur.u32()? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20));
+    let mut blocks = Vec::with_capacity(cur.bounded(n_blocks, 70));
     for _ in 0..n_blocks {
         blocks.push(BlockMeta {
             offset: cur.u64()?,
@@ -285,7 +267,7 @@ fn parse(bytes: &[u8]) -> Option<Sidecar> {
         let values = cur.values()?;
         let segments = cur.u64()?;
         let n_runs = cur.u32()? as usize;
-        let mut runs = Vec::with_capacity(n_runs.min(1 << 20));
+        let mut runs = Vec::with_capacity(cur.bounded(n_runs, 29));
         for _ in 0..n_runs {
             runs.push(ZoneRun {
                 min_start: cur.i64()?,
@@ -321,7 +303,7 @@ fn parse(bytes: &[u8]) -> Option<Sidecar> {
                 0 => {}
                 1 => {
                     let n = cur.u32()? as usize;
-                    let mut sketches: BlockSketches = Vec::with_capacity(n.min(1 << 16));
+                    let mut sketches: BlockSketches = Vec::with_capacity(cur.bounded(n, 9));
                     let mut prev: Option<u32> = None;
                     for _ in 0..n {
                         let gid = cur.u32()?;
@@ -442,6 +424,13 @@ impl<'a> Cursor<'a> {
         self.pos == self.bytes.len()
     }
 
+    /// `n` records read from the input, capped by how many records of at
+    /// least `min_bytes` the rest of it can hold: a corrupt count cannot
+    /// preallocate more than the input justifies.
+    fn bounded(&self, n: usize, min_bytes: usize) -> usize {
+        n.min((self.bytes.len() - self.pos) / min_bytes)
+    }
+
     fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
@@ -487,15 +476,12 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, FileBackend, MemoryBackend};
+    use crate::{DiskStore, DiskStoreOptions, RollupDelta, RollupFeed, SegmentStore};
+    use crate::{SketchFeedFn, ValueBoundsFn};
     use bytes::Bytes;
-    use mdb_types::{GapsMask, SegmentRecord};
-    use std::path::PathBuf;
-
-    fn temp(tag: &str) -> (mdb_testutil::TempDir, PathBuf) {
-        let dir = mdb_testutil::TempDir::new(&format!("sidecar-{tag}"));
-        let path = dir.join("segments.idx");
-        (dir, path)
-    }
+    use mdb_types::{GapsMask, SegmentRecord, TimeLevel};
+    use std::sync::OnceLock;
 
     fn sample() -> Sidecar {
         let mut zones = ZoneMap::new();
@@ -597,47 +583,118 @@ mod tests {
         RollupCells::from_parts(vec![TimeLevel::Hour, TimeLevel::Day], sound, cells)
     }
 
+    /// The sidecar a store maintaining value bounds, sketches and rollup
+    /// cells writes at its flush.
+    fn store_sidecar() -> &'static [u8] {
+        static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+        BYTES.get_or_init(|| {
+            let bounds: ValueBoundsFn =
+                Arc::new(|s| Some(ValueInterval::new(s.start_time as f64, s.end_time as f64)));
+            let sketch: SketchFeedFn = Arc::new(|s, sketch| {
+                sketch.quantiles.insert(s.end_time as f64 * 0.5);
+                sketch.distinct.insert(u64::from(s.gid));
+                sketch.topk.add(s.gid, 1);
+                true
+            });
+            let rollups = RollupFeed {
+                levels: vec![TimeLevel::Hour, TimeLevel::Day],
+                feed: Arc::new(|s: &SegmentRecord| {
+                    Some(vec![RollupDelta {
+                        tid: s.gid * 10,
+                        level: TimeLevel::Hour,
+                        bucket: s.start_time.div_euclid(3_600_000) * 3_600_000,
+                        acc: RollupAcc {
+                            count: 1,
+                            sum: s.end_time as f64,
+                            min: -1.0,
+                            max: 1.0,
+                        },
+                    }])
+                }),
+                fused: None,
+            };
+            let backend = MemoryBackend::default();
+            let mut store = DiskStore::open_on(
+                Arc::new(backend.clone()),
+                DiskStoreOptions {
+                    bulk_write_size: 7,
+                    value_bounds: Some(bounds.into()),
+                    sketch_feed: Some(sketch.into()),
+                    rollup_feed: Some(rollups),
+                    ..DiskStoreOptions::default()
+                },
+            )
+            .unwrap();
+            for i in 0..40i64 {
+                store
+                    .insert(SegmentRecord {
+                        gid: 1 + (i % 3) as u32,
+                        start_time: i * 1_000_000,
+                        end_time: i * 1_000_000 + 900,
+                        sampling_interval: 100,
+                        mid: 1,
+                        params: Bytes::from(vec![i as u8; 6]),
+                        gaps: GapsMask::EMPTY,
+                    })
+                    .unwrap();
+            }
+            store.flush().unwrap();
+            backend
+                .read_sidecar()
+                .unwrap()
+                .expect("flush writes a sidecar")
+        })
+    }
+
+    /// `bytes` with its file header rewritten to describe `body`: the
+    /// damage then gets past the checksum gate into the field decoders.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(FILE_HEADER_BYTES + body.len());
+        put_u32(&mut bytes, SIDECAR_MAGIC);
+        put_u32(&mut bytes, SIDECAR_VERSION);
+        put_u32(&mut bytes, checksum(body));
+        put_u32(&mut bytes, body.len() as u32);
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
     #[test]
     fn round_trips_bit_exactly() {
-        let (_dir, path) = temp("roundtrip");
         let sidecar = sample();
-        write(&path, sidecar.borrowed()).unwrap();
-        let back = load(&path).unwrap().expect("valid sidecar");
-        assert_eq!(back, sidecar);
+        assert_eq!(parse(&encode(sidecar.borrowed())), Some(sidecar));
+        let from_store = parse(store_sidecar()).expect("a store's sidecar parses");
+        assert!(from_store.sketched && from_store.value_bounded);
+        assert!(from_store.rollups.is_some_and(|cells| !cells.is_empty()));
     }
 
     #[test]
     fn missing_file_is_none() {
-        let (_dir, path) = temp("missing");
-        assert_eq!(load(&path).unwrap(), None);
+        let dir = mdb_testutil::TempDir::new("sidecar-missing");
+        let backend = FileBackend::open(dir.path()).unwrap();
+        assert_eq!(backend.read_sidecar().unwrap(), None);
+        assert_eq!(parse(&[]), None);
     }
 
     #[test]
     fn corruption_anywhere_is_detected() {
-        let (_dir, path) = temp("corrupt");
-        write(&path, sample().borrowed()).unwrap();
-        let good = std::fs::read(&path).unwrap();
+        let good = encode(sample().borrowed());
         // Flip one byte at a spread of offsets: every mutation must be
         // rejected (magic, version, checksum, or trailing-bytes check).
         for pos in (0..good.len()).step_by(13) {
             let mut bad = good.clone();
             bad[pos] ^= 0x40;
-            std::fs::write(&path, &bad).unwrap();
-            assert_eq!(load(&path).unwrap(), None, "byte {pos} undetected");
+            assert_eq!(parse(&bad), None, "byte {pos} undetected");
         }
         // Truncations are rejected too.
         for cut in [0, 3, 16, good.len() - 1] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert_eq!(load(&path).unwrap(), None, "truncation at {cut}");
+            assert_eq!(parse(&good[..cut]), None, "truncation at {cut}");
         }
     }
 
     #[test]
     fn empty_store_sidecar_round_trips() {
-        let (_dir, path) = temp("empty");
         let sidecar = Sidecar::default();
-        write(&path, sidecar.borrowed()).unwrap();
-        assert_eq!(load(&path).unwrap(), Some(sidecar));
+        assert_eq!(parse(&encode(sidecar.borrowed())), Some(sidecar));
     }
 
     /// A sidecar written before the sketch section existed — its body ends
@@ -645,36 +702,30 @@ mod tests {
     /// per-block sketches (the store then rescans if it wants sketches).
     #[test]
     fn pre_sketch_sidecar_still_loads() {
-        let (_dir, path) = temp("legacy");
         let mut sidecar = sample();
         sidecar.sketched = false;
         for block in &mut sidecar.blocks {
             block.sketches = None;
         }
         sidecar.rollups = None;
-        write(&path, sidecar.borrowed()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let bytes = encode(sidecar.borrowed());
         // With no sketches and no rollups the trailing sections are exactly
         // the `sketched` flag, one presence byte per block, and the rollup
-        // flag; chopping them (and fixing the header's body length and
+        // flag; chopping them (and resealing the header's body length and
         // checksum) reproduces the pre-sketch layout.
         let section = 1 + sidecar.blocks.len() + 1;
-        bytes.truncate(bytes.len() - section);
-        let body_len = (bytes.len() - 16) as u32;
-        bytes[12..16].copy_from_slice(&body_len.to_le_bytes());
-        let body_checksum = checksum(&bytes[16..]);
-        bytes[8..12].copy_from_slice(&body_checksum.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let back = load(&path).unwrap().expect("legacy sidecar loads");
-        assert_eq!(back, sidecar);
+        let legacy = sealed(&bytes[FILE_HEADER_BYTES..bytes.len() - section]);
+        assert_eq!(parse(&legacy).expect("legacy sidecar loads"), sidecar);
 
         // A *truncated* sketch section, by contrast, is rejected outright
         // (the checksum no longer matches), forcing the rescan fallback.
-        write(&path, sample().borrowed()).unwrap();
-        let full = std::fs::read(&path).unwrap();
+        let full = encode(sample().borrowed());
         for cut in 1..section + 20 {
-            std::fs::write(&path, &full[..full.len() - cut]).unwrap();
-            assert_eq!(load(&path).unwrap(), None, "cut {cut} undetected");
+            assert_eq!(
+                parse(&full[..full.len() - cut]),
+                None,
+                "cut {cut} undetected"
+            );
         }
     }
 
@@ -683,10 +734,8 @@ mod tests {
     /// with levels only.
     #[test]
     fn rollup_section_round_trips_sound_and_poisoned() {
-        let (_dir, path) = temp("rollups");
         let sidecar = sample();
-        write(&path, sidecar.borrowed()).unwrap();
-        let back = load(&path).unwrap().expect("valid sidecar");
+        let back = parse(&encode(sidecar.borrowed())).expect("valid sidecar");
         let cells = back.rollups.as_ref().expect("rollups present");
         assert!(cells.is_sound());
         assert_eq!(cells.len(), 21);
@@ -702,14 +751,52 @@ mod tests {
 
         let mut poisoned = sample();
         poisoned.rollups = Some(sample_rollups(false));
-        write(&path, poisoned.borrowed()).unwrap();
-        let back = load(&path).unwrap().expect("valid sidecar");
+        let back = parse(&encode(poisoned.borrowed())).expect("valid sidecar");
         let cells = back.rollups.as_ref().expect("rollups present");
         assert!(!cells.is_sound());
         assert!(cells.is_empty());
-        assert_eq!(
-            cells.levels(),
-            &[mdb_types::TimeLevel::Hour, mdb_types::TimeLevel::Day]
-        );
+        assert_eq!(cells.levels(), &[TimeLevel::Hour, TimeLevel::Day]);
+    }
+
+    proptest::proptest! {
+        // Damage to a real body, resealed so the field decoders see it:
+        // `parse` returns `None` or a value, and never panics.
+        #[test]
+        fn parse_never_panics_on_resealed_damage(
+            from_store in proptest::bool::weighted(0.5),
+            damage in 0usize..3,
+            edits in proptest::collection::vec((proptest::num::usize::ANY, proptest::num::u8::ANY), 1..8),
+        ) {
+            let bytes = if from_store {
+                store_sidecar().to_vec()
+            } else {
+                encode(sample().borrowed())
+            };
+            let mut body = bytes[FILE_HEADER_BYTES..].to_vec();
+            let (at, byte) = edits[0];
+            match damage {
+                // Byte flips anywhere in the body.
+                0 => {
+                    for &(at, byte) in &edits {
+                        let len = body.len();
+                        body[at % len] ^= byte.max(1);
+                    }
+                }
+                // Truncation at any length.
+                1 => body.truncate(at % (body.len() + 1)),
+                // Extension by a few bytes.
+                _ => body.extend(edits.iter().map(|&(_, b)| b).chain([byte])),
+            }
+            let _ = parse(&sealed(&body));
+        }
+
+        // Arbitrary bytes, raw and behind a valid file header.
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..512),
+        ) {
+            let _ = parse(&bytes);
+            let _ = parse(&sealed(&bytes));
+        }
     }
 }

@@ -123,7 +123,7 @@ proptest! {
                 store.flush().unwrap();
                 block_segments.push(block);
                 block_ends.push(store.persistent_bytes());
-                sidecar_snapshots.push(std::fs::read(store.sidecar_path()).unwrap());
+                sidecar_snapshots.push(std::fs::read(dir.join("segments.idx")).unwrap());
             }
         }
         let log_path = dir.join("segments.log");

@@ -265,7 +265,7 @@ fn invalid_sketch_queries_and_sketchless_stores_error() {
     // A store built without a sketch feed cannot answer sketch queries.
     let catalog = catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap();
     let registry = Arc::new(ModelRegistry::standard());
-    let store = modelardb::MemoryStore::new();
+    let store = DiskStore::in_memory(DiskStoreOptions::default()).unwrap();
     let engine = QueryEngine::new(&catalog, &registry, &store);
     let err = engine.sql("SELECT P50_S(*) FROM Segment").unwrap_err();
     assert!(err.to_string().contains("sketch"), "unhelpful error: {err}");
