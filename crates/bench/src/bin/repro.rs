@@ -771,7 +771,8 @@ fn store_segments(store: &modelardb::DiskStore) -> Vec<modelardb::SegmentRecord>
 /// same four questions — the 50th and 99th percentile of every stored
 /// value, the distinct series count, and the five heaviest series. The
 /// sketch path runs `P50_S`/`P99_S`/`COUNT_DISTINCT`/`TOP_K_S` SQL, which
-/// resolves from per-block sketches without fetching a single segment body;
+/// resolves from per-group running sketches without fetching a single
+/// segment body;
 /// the exact path reconstructs every data point through the Data Point View
 /// and computes nearest-rank percentiles and per-series counts from the
 /// rows. The two paths are interleaved (fastest repetition wins) and the
@@ -864,7 +865,7 @@ fn sketch_rates(scale: Scale, scale_name: &str) {
         std::fs::remove_dir_all(&dir).ok();
     }
     print_figure(
-        "Sketch functions: block-metadata sketches vs exact full scans",
+        "Sketch functions: metadata-only sketches vs exact full scans",
         &[
             "Data set",
             "Segments",

@@ -195,8 +195,8 @@ enum Command {
     QueryPartial(Arc<Query>, GidScope, Sender<Result<PartialReply>>),
     /// Run a listing query per group in the scope.
     QueryRows(Arc<Query>, GidScope, Sender<Result<RowsReply>>),
-    /// Merge the store's sketches over the scoped groups — block metadata
-    /// only, no segment bodies.
+    /// Merge the store's running sketches over the scoped groups —
+    /// metadata only, no segment bodies.
     QuerySketch(Arc<Query>, GidScope, Sender<Result<SketchReply>>),
     /// Compression/storage statistics restricted to the scope, so replicas
     /// and handed-off leftovers are never double counted.
@@ -843,7 +843,7 @@ impl Cluster {
         }
         if is_sketch {
             // Sketch scatter/gather: each worker merges its primary groups'
-            // sketches from block metadata; the master merges the worker
+            // running sketches, no segment body; the master merges the worker
             // partials (order-independent) and finalizes. Results are
             // identical at every worker count and replication factor.
             let mut replies = Vec::new();

@@ -37,7 +37,9 @@ pub fn encode(values: &[i64]) -> Vec<u8> {
 /// Decodes a buffer produced by [`encode`]; `None` on malformed input.
 pub fn decode(input: &mut impl Buf) -> Option<Vec<i64>> {
     let count = varint::read_u64(input)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    // Every value costs at least one byte, so a damaged count cannot
+    // reserve more than the input could fill.
+    let mut out = Vec::with_capacity(count.min(input.remaining()));
     if count == 0 {
         return Some(out);
     }

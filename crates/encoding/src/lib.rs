@@ -11,7 +11,8 @@
 //! * [`delta`] — delta and delta-of-delta timestamp compression as used by
 //!   the Gorilla/InfluxDB storage engines.
 //! * [`xor`] — XOR float compression (the value half of Gorilla), reused by
-//!   both the MMGC Gorilla model and the InfluxDB-like baseline.
+//!   both the MMGC Gorilla model and the InfluxDB-like baseline, with a
+//!   64-bit twin for the storage engine's `f64` rollup columns.
 //! * [`rle`] — run-length encoding with literal runs (ORC RLE-style).
 //! * [`bitpack`] — fixed-width bit-packing (Parquet-style).
 //! * [`lzss`] — an LZ77/LZSS general-purpose byte compressor with hash-chain

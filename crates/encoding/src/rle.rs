@@ -48,7 +48,17 @@ fn flush_literals(out: &mut Vec<u8>, literals: &[i64]) {
 
 /// Decodes a buffer produced by [`encode`]; `None` on malformed input.
 pub fn decode(input: &mut impl Buf) -> Option<Vec<i64>> {
+    decode_at_most(input, usize::MAX)
+}
+
+/// [`decode`] for untrusted input whose value count the caller knows an
+/// upper bound of: a buffer claiming more than `max` values is malformed,
+/// so a damaged run length cannot allocate past the bound.
+pub fn decode_at_most(input: &mut impl Buf, max: usize) -> Option<Vec<i64>> {
     let total = varint::read_u64(input)? as usize;
+    if total > max {
+        return None;
+    }
     let mut out = Vec::with_capacity(total.min(1 << 20));
     while out.len() < total {
         let header = varint::read_u64(input)?;
@@ -119,6 +129,16 @@ mod tests {
         varint::write_u64(&mut buf, (5 << 1) | 1); // run of 5
         varint::write_i64(&mut buf, 1);
         assert!(decode(&mut buf.as_slice()).is_none());
+    }
+
+    #[test]
+    fn decode_at_most_rejects_counts_past_the_bound() {
+        let buf = encode(&[7; 1000]);
+        assert_eq!(
+            decode_at_most(&mut buf.as_slice(), 1000),
+            Some(vec![7; 1000])
+        );
+        assert_eq!(decode_at_most(&mut buf.as_slice(), 999), None);
     }
 
     proptest::proptest! {

@@ -1,4 +1,4 @@
-//! Gorilla-style XOR compression for 32-bit floats.
+//! Gorilla-style XOR compression for 32-bit floats, and a 64-bit twin.
 //!
 //! This is the value codec of Facebook's Gorilla TSDB (reference \[28\] of
 //! the paper) adapted to the `f32` values of the storage schema: each value
@@ -196,6 +196,141 @@ pub fn encode_all(values: &[f32]) -> Vec<u8> {
     enc.finish()
 }
 
+/// Leading-zero count of the 64-bit twin's window header, in [0, 63].
+const LEADING_BITS_64: u8 = 6;
+/// Stores (significant_bits - 1) ∈ [0, 63] of the 64-bit twin's window.
+const LENGTH_BITS_64: u8 = 6;
+
+/// The 64-bit twin of [`XorEncoder`]: the same stream grammar over `f64`
+/// bit patterns, with six-bit leading and length fields because a 64-bit
+/// window needs them. Lossless for every bit pattern (NaN payloads, −0.0,
+/// infinities), so a reload is bit-exact.
+#[derive(Debug, Clone, Default)]
+pub struct Xor64Encoder {
+    writer: BitWriter,
+    prev: u64,
+    /// `None` until the first non-zero XOR opens a window.
+    window: Option<(u8, u8)>,
+    count: usize,
+}
+
+impl Xor64Encoder {
+    /// A new encoder; the first pushed value is stored verbatim.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one value to the stream.
+    pub fn push(&mut self, value: f64) {
+        let bits = value.to_bits();
+        let xor = bits ^ self.prev;
+        if self.count == 0 {
+            self.writer.write_bits(bits, 64);
+        } else if xor == 0 {
+            self.writer.write_bits(0, 1);
+        } else {
+            let leading = xor.leading_zeros() as u8;
+            let trailing = xor.trailing_zeros() as u8;
+            match self.window {
+                Some((l, t)) if leading >= l && trailing >= t => {
+                    // Fits in the previous window: `10` + meaningful bits.
+                    self.writer.write_bits(0b10, 2);
+                    self.writer.write_bits(xor >> t, 64 - l - t);
+                }
+                _ => {
+                    // New window: `11` + leading count + length + bits.
+                    let significant = 64 - leading - trailing;
+                    let header = (0b11 << (LEADING_BITS_64 + LENGTH_BITS_64))
+                        | (u64::from(leading) << LENGTH_BITS_64)
+                        | u64::from(significant - 1);
+                    self.writer
+                        .write_bits(header, 2 + LEADING_BITS_64 + LENGTH_BITS_64);
+                    self.writer.write_bits(xor >> trailing, significant);
+                    self.window = Some((leading, trailing));
+                }
+            }
+        }
+        self.prev = bits;
+        self.count += 1;
+    }
+
+    /// Finishes the stream and returns its bytes.
+    pub fn finish(self) -> Vec<u8> {
+        self.writer.finish()
+    }
+}
+
+/// Streaming decoder of [`Xor64Encoder`] streams; like [`XorDecoder`], the
+/// caller supplies the value count.
+#[derive(Debug, Clone)]
+pub struct Xor64Decoder<'a> {
+    reader: BitReader<'a>,
+    prev: u64,
+    leading: u8,
+    trailing: u8,
+    emitted: usize,
+}
+
+impl<'a> Xor64Decoder<'a> {
+    /// A decoder over an encoded stream.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            reader: BitReader::new(bytes),
+            prev: 0,
+            leading: 0,
+            trailing: 0,
+            emitted: 0,
+        }
+    }
+
+    /// Decodes the next value; `None` on malformed or exhausted input.
+    pub fn next_value(&mut self) -> Option<f64> {
+        let bits = if self.emitted == 0 {
+            self.reader.read_bits(64)?
+        } else if !self.reader.read_bit()? {
+            self.prev
+        } else {
+            if self.reader.read_bit()? {
+                let leading = self.reader.read_bits(LEADING_BITS_64)? as u8;
+                let significant = self.reader.read_bits(LENGTH_BITS_64)? as u8 + 1;
+                if leading + significant > 64 {
+                    // No encoder writes this window: the stream is damaged.
+                    return None;
+                }
+                self.leading = leading;
+                self.trailing = 64 - leading - significant;
+            }
+            let significant = 64 - self.leading - self.trailing;
+            self.prev ^ (self.reader.read_bits(significant)? << self.trailing)
+        };
+        self.prev = bits;
+        self.emitted += 1;
+        Some(f64::from_bits(bits))
+    }
+}
+
+/// Encodes a slice of `f64` values with [`Xor64Encoder`].
+pub fn encode_all_f64(values: &[f64]) -> Vec<u8> {
+    let mut enc = Xor64Encoder::new();
+    for &v in values {
+        enc.push(v);
+    }
+    enc.finish()
+}
+
+/// Decodes exactly `count` `f64` values; `None` when the stream is damaged
+/// or ends early.
+pub fn decode_all_f64(bytes: &[u8], count: usize) -> Option<Vec<f64>> {
+    // Every value costs at least one bit, so a damaged `count` cannot make
+    // this reserve more than the stream could ever hold.
+    let mut out = Vec::with_capacity(count.min(bytes.len() * 8));
+    let mut decoder = Xor64Decoder::new(bytes);
+    for _ in 0..count {
+        out.push(decoder.next_value()?);
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,7 +517,123 @@ mod tests {
         assert_eq!(decoder.next_value(), None);
     }
 
+    /// Builds an `f64` stream the way [`float_stream`] builds an `f32` one:
+    /// special bit patterns, repeats, perturbations and arbitrary patterns.
+    fn double_stream(draws: &[(u64, u8)]) -> Vec<f64> {
+        const SPECIAL: [u64; 10] = [
+            0x7FF8_0000_0000_0000, // quiet NaN
+            0x7FF8_0000_0000_0001, // NaN with a payload
+            0x7FF0_0000_0000_0001, // signalling NaN
+            0xFFF8_0000_0000_0000, // negative NaN
+            0x0000_0000_0000_0000, // +0
+            0x8000_0000_0000_0000, // -0
+            0x7FF0_0000_0000_0000, // +inf
+            0xFFF0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x7FEF_FFFF_FFFF_FFFF, // f64::MAX
+        ];
+        let mut prev = 0u64;
+        draws
+            .iter()
+            .map(|&(random, pick)| {
+                prev = match pick {
+                    0..=9 => SPECIAL[usize::from(pick)],
+                    10..=29 => prev,
+                    30..=129 => prev ^ (random >> (pick % 64)),
+                    _ => random,
+                };
+                f64::from_bits(prev)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn f64_special_values_round_trip_bit_exactly() {
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::MIN,
+            f64::MAX,
+            f64::from_bits(1),
+            // One bit apart at each end: windows of width 1 at both edges.
+            f64::from_bits(0x8000_0000_0000_0001),
+            f64::from_bits(0x0000_0000_0000_0001),
+        ];
+        let decoded = decode_all_f64(&encode_all_f64(&values), values.len()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded), bits(&values));
+        assert_eq!(decode_all_f64(&encode_all_f64(&[]), 0), Some(Vec::new()));
+    }
+
+    #[test]
+    fn f64_widened_f32_values_cost_less_than_raw() {
+        // Values reconstructed from `f32` models leave 29 zero mantissa
+        // bits in every XOR: the windows must exploit them.
+        let values: Vec<f64> = (0..1000)
+            .map(|i| f64::from(20.0f32 + (i % 17) as f32 * 0.25))
+            .collect();
+        let bytes = encode_all_f64(&values);
+        assert!(bytes.len() * 4 < values.len() * 8, "got {}", bytes.len());
+        assert_eq!(decode_all_f64(&bytes, values.len()).unwrap(), values);
+    }
+
+    #[test]
+    fn f64_window_wider_than_a_value_is_rejected() {
+        // [first value][11][leading = 63][length - 1 = 63][64 bits]: the
+        // window claims 63 + 64 bits of a 64-bit value.
+        let mut w = BitWriter::new();
+        w.write_bits(10.0f64.to_bits(), 64);
+        w.write_bits(0b11, 2);
+        w.write_bits(63, LEADING_BITS_64);
+        w.write_bits(63, LENGTH_BITS_64);
+        w.write_bits(u64::MAX, 64);
+        let bytes = w.finish();
+        assert_eq!(decode_all_f64(&bytes, 2), None);
+        let mut decoder = Xor64Decoder::new(&bytes);
+        assert_eq!(decoder.next_value(), Some(10.0));
+        assert_eq!(decoder.next_value(), None);
+        // The widest legal window (leading 0, all 64 bits) still decodes.
+        let mut w = BitWriter::new();
+        w.write_bits(0, 64);
+        w.write_bits(0b11, 2);
+        w.write_bits(0, LEADING_BITS_64);
+        w.write_bits(63, LENGTH_BITS_64);
+        w.write_bits(u64::MAX, 64);
+        let decoded = decode_all_f64(&w.finish(), 2).unwrap();
+        assert_eq!(decoded[1].to_bits(), u64::MAX);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn arbitrary_f64_bit_patterns_round_trip(draws in proptest::collection::vec((proptest::num::u64::ANY, 0u8..=255), 0..200)) {
+            let values = double_stream(&draws);
+            let decoded = decode_all_f64(&encode_all_f64(&values), values.len()).unwrap();
+            proptest::prop_assert_eq!(decoded.len(), values.len());
+            for (a, b) in values.iter().zip(&decoded) {
+                proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        // The 64-bit decoder on damaged or arbitrary input: `None` or
+        // exactly `count` values, never a panic, and never a reservation
+        // larger than the input could fill (one bit per value).
+        #[test]
+        fn f64_arbitrary_bytes_and_counts_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            count in 0usize..900,
+            huge in proptest::bool::ANY,
+        ) {
+            let count = if huge { usize::MAX - count } else { count };
+            if let Some(values) = decode_all_f64(&bytes, count) {
+                proptest::prop_assert_eq!(values.len(), count);
+                proptest::prop_assert!(values.capacity() <= bytes.len() * 8);
+            }
+        }
+
         #[test]
         fn arbitrary_floats_round_trip(draws in proptest::collection::vec((0u32..=u32::MAX, 0u8..=255), 0..200)) {
             let values = float_stream(&draws);

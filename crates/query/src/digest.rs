@@ -1,5 +1,5 @@
 //! The ingest-time statistic providers a segment store is configured with —
-//! stored-value ranges ([`value_bounds_fn`]), per-block sketches
+//! stored-value ranges ([`value_bounds_fn`]), per-group sketches
 //! ([`sketch_feed`]) and continuous-aggregate deltas ([`rollup_feed`]) — and
 //! the fused pass ([`mdb_storage::SegmentDigester`]) that derives all three
 //! from **one** reconstruction of each finalized segment.

@@ -53,7 +53,7 @@ pub enum SelectItem {
         func: AggFunc,
         cube: Option<TimeLevel>,
     },
-    /// A sketch-answered function, resolved from block metadata alone
+    /// A sketch-answered function, resolved from the store's sketches alone
     /// (never fetching segment bodies); see `mdb_sketch` for the error
     /// bounds.
     Sketch(SketchFunc),

@@ -1,8 +1,11 @@
-//! Mergeable sketches carried in block metadata (ROADMAP Open item 2).
+//! Mergeable per-group sketches kept beside the block log (ROADMAP Open
+//! item 2).
 //!
 //! Three sketches answer the query classes zone maps cannot — quantiles,
-//! distinct counts, and heavy hitters — from per-block statistics alone, so
-//! a sketch query never fetches a segment body:
+//! distinct counts, and heavy hitters — from statistics alone, so a sketch
+//! query never fetches a segment body. A store keeps one running sketch per
+//! group: each written block's sketches merge into it, and the sidecar
+//! persists it.
 //!
 //! * [`QuantileSketch`] — a DDSketch-style fixed-γ logarithmic histogram
 //!   (the non-collapsing core of UDDSketch) with relative value error
@@ -31,8 +34,7 @@
 //! time, so `Eq` is exact and serialized bytes are canonical.
 //!
 //! Memory: state is sparse (`BTreeMap`/`BTreeSet`), so a sketch over one
-//! group's values in one block costs O(occupied quantile buckets + distinct
-//! keys) — typically a few hundred entries, a few KiB serialized — not the
+//! group's values costs O(occupied quantile buckets + distinct keys) — typically a few hundred entries, a few KiB serialized — not the
 //! dense 2^12 + depth×width arrays the parameters suggest.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -451,7 +453,8 @@ impl TopKSketch {
 /// Serialization format version of [`BlockSketch::to_bytes`].
 pub const SKETCH_FORMAT_VERSION: u8 = 1;
 
-/// The sketch triple one block (or one group within a block) carries:
+/// The sketch triple one group carries (over one block, or running over
+/// the whole log):
 /// quantiles over reconstructed values, distinct keys, and per-key weights.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockSketch {

@@ -1,7 +1,8 @@
 //! Insert-time maintenance of everything a store derives from a finalized
 //! segment: its stored-value range (zone map and block summary), its rollup
 //! deltas (continuous aggregates) and its share of the open block's
-//! per-group sketch.
+//! per-group sketch, which the block's cut merges into the store's running
+//! per-group sketches ([`GroupSketches`]).
 //!
 //! Inserts, the handoff import and the recovery rescan go through one
 //! function (`Absorber::absorb`), so statistics persisted at write time and
@@ -15,12 +16,11 @@
 //! the definition of each statistic — the fused pass must equal them bit
 //! for bit — and the only path for hand-written providers.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mdb_types::{
-    BlockSketch, BlockSketches, Gid, SegmentRecord, TimeLevel, Timestamp, Value, ValueInterval,
-};
+use mdb_types::{BlockSketch, Gid, SegmentRecord, TimeLevel, Timestamp, Value, ValueInterval};
 
 use crate::rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed};
 use crate::zone::ZoneMap;
@@ -125,38 +125,58 @@ pub struct DigestStats {
     pub points_sketched: u64,
 }
 
-/// Per-group sketches accumulating for segments not yet summarized in a
-/// [`BlockMeta`](mdb_types::BlockMeta): the store's open block or a block
-/// being rescanned.
-#[derive(Debug, Default)]
-pub(crate) struct OpenSketches {
-    per_gid: BTreeMap<Gid, BlockSketch>,
-    /// Set when a segment could not be sketched: the sketches then fail
-    /// open, like a block with `sketches: None`.
-    unsound: bool,
-}
+/// Per-group sketches: those of the open block (segments not yet in a
+/// written block), or the store's running sketches over every written
+/// block. A group a segment of which could not be sketched maps to `None`:
+/// its sketches fail open — and so does every query whose scope contains
+/// it — while the other groups keep answering.
+///
+/// Sketch merges are bit-identical under any partition of the updates (see
+/// the `mdb_sketch` crate docs), so merging each written block into one
+/// running sketch per group answers exactly what merging every block's
+/// sketches at query time would.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GroupSketches(pub(crate) BTreeMap<Gid, Option<BlockSketch>>);
 
-impl OpenSketches {
-    /// Ends the block: its sketches in gid order, or `None` if a segment
-    /// failed to feed. Leaves `self` empty and sound for the next block.
-    fn cut(&mut self) -> Option<Arc<BlockSketches>> {
-        let open = std::mem::take(self);
-        (!open.unsound).then(|| Arc::new(open.per_gid.into_iter().collect()))
+impl GroupSketches {
+    /// Every group's sketch in gid order; `None` marks a poisoned group.
+    pub fn iter(&self) -> impl Iterator<Item = (Gid, Option<&BlockSketch>)> + '_ {
+        self.0.iter().map(|(gid, sketch)| (*gid, sketch.as_ref()))
+    }
+
+    /// Merges an ended block's sketches into these running ones, leaving
+    /// `block` empty for the next block. A group poisoned on either side
+    /// stays poisoned.
+    pub(crate) fn merge_block(&mut self, block: &mut GroupSketches) {
+        for (gid, sketch) in std::mem::take(&mut block.0) {
+            match self.0.entry(gid) {
+                Entry::Vacant(vacant) => {
+                    vacant.insert(sketch);
+                }
+                Entry::Occupied(mut running) => match (running.get_mut(), sketch) {
+                    (Some(running), Some(sketch)) => running.merge(&sketch),
+                    (running, _) => *running = None,
+                },
+            }
+        }
     }
 
     /// Merges the sketches of the groups `in_scope` accepts into `merged`;
-    /// `false` when they are unsound.
+    /// `false` when one of them is poisoned.
     pub(crate) fn merge_into(
         &self,
         in_scope: impl Fn(Gid) -> bool,
         merged: &mut BlockSketch,
     ) -> bool {
-        for (gid, sketch) in &self.per_gid {
+        for (gid, sketch) in &self.0 {
             if in_scope(*gid) {
-                merged.merge(sketch);
+                match sketch {
+                    Some(sketch) => merged.merge(sketch),
+                    None => return false,
+                }
             }
         }
-        !self.unsound
+        true
     }
 }
 
@@ -210,24 +230,29 @@ impl Absorber {
 
     /// Derives and records every configured statistic of one finalized
     /// segment — its zone-map entry, its rollup cells, its share of the
-    /// `open` sketches — and returns its stored-value range for the block
-    /// summary. Statistics that already failed open (poisoned `rollups`,
-    /// unsound `open`) are not computed.
+    /// `open` block's sketches — and returns its stored-value range for the
+    /// block summary. Statistics that already failed open (poisoned
+    /// `rollups`, the segment's poisoned group in `open`) are not computed.
     pub(crate) fn absorb(
         &mut self,
         segment: &SegmentRecord,
         zones: &mut ZoneMap,
         rollups: Option<&mut RollupCells>,
-        open: &mut OpenSketches,
+        open: &mut GroupSketches,
     ) -> Option<ValueInterval> {
         self.stats.digests += 1;
         let bounds = self.value_bounds.as_ref();
-        let sketch_feed = self.sketch_feed.as_ref().filter(|_| !open.unsound);
+        let mut sketch = self.sketch_feed.as_ref().and_then(|_| {
+            open.0
+                .entry(segment.gid)
+                .or_insert_with(|| Some(BlockSketch::new()))
+                .as_mut()
+        });
+        let sketch_feed = self.sketch_feed.as_ref().filter(|_| sketch.is_some());
         let rollup = self
             .rollup_feed
             .as_ref()
             .zip(rollups.filter(|cells| cells.is_sound()));
-        let mut sketch = sketch_feed.map(|_| open.per_gid.entry(segment.gid).or_default());
 
         let fused_range = bounds.is_some_and(|f| f.fused.is_some());
         let fused_sketch = sketch_feed.is_some_and(|f| f.fused.is_some());
@@ -264,7 +289,7 @@ impl Absorber {
                 (feed.feed)(segment, sketch)
             };
             if !fed {
-                open.unsound = true;
+                open.0.insert(segment.gid, None);
             }
         }
         if let Some((feed, cells)) = rollup {
@@ -277,13 +302,5 @@ impl Absorber {
             }
         }
         range
-    }
-
-    /// Ends a block: the sketches its [`BlockMeta`](mdb_types::BlockMeta)
-    /// carries — `None` without a sketch provider or when a segment failed
-    /// to feed. `open` starts over for the next block.
-    pub(crate) fn cut_block(&self, open: &mut OpenSketches) -> Option<Arc<BlockSketches>> {
-        let sketches = open.cut();
-        sketches.filter(|_| self.sketches())
     }
 }

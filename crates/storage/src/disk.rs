@@ -63,14 +63,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use mdb_types::{
-    encode_block_v2, BlockFormat, BlockMeta, BlockSketch, BlockSketches, BlockView, Gid, MdbError,
-    Result, SegmentRecord, Tid, TimeLevel, Timestamp, ValueInterval,
+    encode_block_v2, BlockFormat, BlockMeta, BlockSketch, BlockView, Gid, MdbError, Result,
+    SegmentRecord, Tid, TimeLevel, Timestamp, ValueInterval,
 };
 
 use crate::backend::{Backend, FileBackend, MemoryBackend};
 use crate::cache::{BlockCache, CacheStats, CachedBlock};
 use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
-use crate::digest::{Absorber, DigestStats, OpenSketches, SketchFeed, ValueBounds};
+use crate::digest::{Absorber, DigestStats, GroupSketches, SketchFeed, ValueBounds};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
 use crate::sidecar::{self, Sidecar, SidecarRef};
 use crate::zone::ZoneMap;
@@ -110,7 +110,7 @@ pub struct DiskStoreOptions {
     /// statistics prune. The three providers are run together, once per
     /// inserted segment (see [`crate::digest`]).
     pub value_bounds: Option<ValueBounds>,
-    /// Sketch provider for per-block mergeable sketches (typically
+    /// Sketch provider for the per-group running sketches (typically
     /// `mdb_query::sketch_feed`); without it sketch queries are
     /// unanswerable from this store.
     pub sketch_feed: Option<SketchFeed>,
@@ -306,8 +306,11 @@ pub struct DiskStore {
     /// on every inserted segment.
     absorber: Absorber,
     /// Per-gid sketches of the write buffer's segments, accumulated at
-    /// insert and moved into the block's [`BlockMeta`] when it is written.
-    open_sketches: OpenSketches,
+    /// insert and merged into `sketches` when their block is written.
+    open_sketches: GroupSketches,
+    /// Per-gid running sketches over every written block — exactly the log
+    /// prefix the sidecar describes, which persists them.
+    sketches: GroupSketches,
     /// The materialized cell map, present exactly when a rollup feed is
     /// configured. Fed on every insert, so cells always cover the write
     /// buffer too — the same coverage a scan has.
@@ -372,7 +375,8 @@ impl DiskStore {
             sidecar_dirty: false,
             bulk_write_size: options.bulk_write_size.max(1),
             absorber,
-            open_sketches: OpenSketches::default(),
+            open_sketches: GroupSketches::default(),
+            sketches: recovered.sketches,
             rollups: recovered.rollups,
             pruning: true,
         };
@@ -469,14 +473,13 @@ impl DiskStore {
             BlockFormat::V2 => bytes.extend_from_slice(&encode_block_v2(&self.write_buffer)),
         }
         let payload = &bytes[HEADER_BYTES..];
-        let mut meta = summarize_block(
+        let meta = summarize_block(
             self.persistent_bytes,
             payload.len() as u32,
             payload_checksum(self.write_format, payload),
             self.write_format,
             &self.write_buffer,
             &self.buffer_ranges,
-            None,
         );
         let mut header = Vec::with_capacity(HEADER_BYTES);
         header.extend_from_slice(&magic_of(self.write_format).to_le_bytes());
@@ -489,7 +492,7 @@ impl DiskStore {
         header.extend_from_slice(&meta.max_end.to_le_bytes());
         bytes[..HEADER_BYTES].copy_from_slice(&header);
         self.backend.write_at(meta.offset, &bytes)?;
-        meta.sketches = self.absorber.cut_block(&mut self.open_sketches);
+        self.sketches.merge_block(&mut self.open_sketches);
         self.persistent_bytes += meta.stored_bytes;
         self.blocks.push(meta);
         self.write_buffer.clear();
@@ -505,6 +508,7 @@ impl DiskStore {
             sketched: self.absorber.sketches(),
             blocks: &self.blocks,
             zones: &self.zones,
+            sketches: &self.sketches,
             rollups: self.rollups.as_ref(),
         });
         Ok(self.backend.replace_sidecar(&bytes)?)
@@ -564,11 +568,10 @@ fn emit_view_runs(
     }
 }
 
-/// Builds one block's summary from its segments, their (possibly unknown)
-/// stored-value ranges and the sketches accumulated while they were
-/// absorbed — the single source of truth for both the write path and the
-/// streaming rescan, so sidecar-persisted and rescan-rebuilt metadata
-/// cannot diverge.
+/// Builds one block's summary from its segments and their (possibly
+/// unknown) stored-value ranges — the single source of truth for both the
+/// write path and the streaming rescan, so sidecar-persisted and
+/// rescan-rebuilt metadata cannot diverge.
 fn summarize_block(
     offset: u64,
     payload_len: u32,
@@ -576,7 +579,6 @@ fn summarize_block(
     format: BlockFormat,
     segments: &[SegmentRecord],
     ranges: &[Option<ValueInterval>],
-    sketches: Option<Arc<BlockSketches>>,
 ) -> BlockMeta {
     debug_assert_eq!(segments.len(), ranges.len());
     let mut meta = BlockMeta {
@@ -593,7 +595,6 @@ fn summarize_block(
         min_end: i64::MAX,
         max_end: i64::MIN,
         values: Some(ValueInterval::EMPTY),
-        sketches,
     };
     for (segment, range) in segments.iter().zip(ranges) {
         meta.min_gid = meta.min_gid.min(segment.gid);
@@ -664,6 +665,9 @@ fn decode_block(payload: &[u8], count: usize, offset: u64) -> Result<Vec<Segment
 struct Recovered {
     blocks: Vec<BlockMeta>,
     zones: ZoneMap,
+    /// Running per-gid sketches adopted from the sidecar and/or fed by the
+    /// scan; empty without a sketch feed.
+    sketches: GroupSketches,
     /// Rollup cells adopted from the sidecar and/or rebuilt by the scan;
     /// present exactly when a rollup feed was configured.
     rollups: Option<RollupCells>,
@@ -677,11 +681,15 @@ struct Recovered {
 /// streaming scan otherwise.
 fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> {
     let rollup_levels = absorber.rollup_feed().map(|feed| feed.levels.clone());
-    let mut rollups = rollup_levels.clone().map(RollupCells::new);
     let actual_len = backend.len()?;
-    let mut blocks = Vec::new();
-    let mut zones = ZoneMap::new();
-    let mut scan_from = 0u64;
+    let mut recovered = Recovered {
+        blocks: Vec::new(),
+        zones: ZoneMap::new(),
+        sketches: GroupSketches::default(),
+        rollups: rollup_levels.clone().map(RollupCells::new),
+        valid_len: 0,
+        sidecar_fresh: false,
+    };
     let mut sidecar_covered = 0u64;
     if let Some(sc) = backend
         .read_sidecar()?
@@ -693,9 +701,8 @@ fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> 
         // restore (the other direction is fine — see [`Sidecar`]).
         let bounds_compatible = sc.value_bounded || !absorber.bounds_values();
         // Same rule for sketches: a sidecar written without a sketch feed
-        // (including any sidecar predating the sketch section) has no
-        // sketches to adopt, and adopting it when this open *has* a feed
-        // would leave sketch queries permanently unanswerable when a
+        // has no sketches to adopt, and adopting it when this open *has* a
+        // feed would leave sketch queries permanently unanswerable when a
         // rescan can regenerate them from the blocks.
         let sketch_compatible = sc.sketched || !absorber.sketches();
         // And for rollups: a store opened *with* a feed only adopts a
@@ -716,34 +723,24 @@ fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> 
             && sc.log_len <= actual_len
             && last_block_intact(backend, &sc)
         {
-            scan_from = sc.log_len;
+            recovered.valid_len = sc.log_len;
             sidecar_covered = sc.log_len;
-            blocks = sc.blocks;
-            zones = sc.zones;
+            recovered.blocks = sc.blocks;
+            recovered.zones = sc.zones;
+            if absorber.sketches() {
+                recovered.sketches = sc.sketches;
+            }
             if rollup_levels.is_some() {
-                rollups = sc.rollups;
+                recovered.rollups = sc.rollups;
             }
         }
         // A sidecar describing more log than exists (the log lost a tail)
         // or whose last block fails validation cannot be trusted at all:
         // fall through to the full streaming scan.
     }
-    let valid_len = scan_blocks_from(
-        backend,
-        actual_len,
-        scan_from,
-        absorber,
-        &mut rollups,
-        &mut blocks,
-        &mut zones,
-    )?;
-    Ok(Recovered {
-        blocks,
-        zones,
-        rollups,
-        valid_len,
-        sidecar_fresh: valid_len == sidecar_covered,
-    })
+    scan_blocks_from(backend, actual_len, absorber, &mut recovered)?;
+    recovered.sidecar_fresh = recovered.valid_len == sidecar_covered;
+    Ok(recovered)
 }
 
 /// Validates the last block a sidecar describes against the log: the header
@@ -779,19 +776,18 @@ fn last_block_intact(backend: &dyn Backend, sc: &Sidecar) -> bool {
     check().unwrap_or(false)
 }
 
-/// Streams the log from `offset`, one block at a time with a bounded buffer
-/// (never the whole log at once), appending recovered block summaries and
-/// zone statistics. Returns the byte offset of the end of the last valid
+/// Streams the log from `recovered.valid_len`, one block at a time with a
+/// bounded buffer (never the whole log at once), appending recovered block
+/// summaries and feeding zone statistics, rollup cells and running
+/// sketches. Leaves `recovered.valid_len` at the end of the last valid
 /// block; a torn or corrupt tail block simply stops the scan.
 fn scan_blocks_from(
     backend: &dyn Backend,
     actual_len: u64,
-    mut offset: u64,
     absorber: &mut Absorber,
-    rollups: &mut Option<RollupCells>,
-    blocks: &mut Vec<BlockMeta>,
-    zones: &mut ZoneMap,
-) -> Result<u64> {
+    recovered: &mut Recovered,
+) -> Result<()> {
+    let mut offset = recovered.valid_len;
     let mut header = [0u8; HEADER_BYTES];
     let mut payload = Vec::new();
     while offset + (HEADER_BYTES as u64) <= actual_len {
@@ -826,24 +822,33 @@ fn scan_blocks_from(
         };
         // Absorbed in log order — the order the insert path absorbed them
         // in originally — so zones, rollup cells (rebuilt, or extended on a
-        // suffix scan) and block sketches come out as they were written.
-        let mut open_sketches = OpenSketches::default();
+        // suffix scan) and the running sketches come out as they were
+        // written.
+        let mut open_sketches = GroupSketches::default();
         let ranges: Vec<Option<ValueInterval>> = segments
             .iter()
-            .map(|segment| absorber.absorb(segment, zones, rollups.as_mut(), &mut open_sketches))
+            .map(|segment| {
+                absorber.absorb(
+                    segment,
+                    &mut recovered.zones,
+                    recovered.rollups.as_mut(),
+                    &mut open_sketches,
+                )
+            })
             .collect();
-        blocks.push(summarize_block(
+        recovered.blocks.push(summarize_block(
             offset,
             payload_len,
             expected,
             format,
             &segments,
             &ranges,
-            absorber.cut_block(&mut open_sketches),
         ));
+        recovered.sketches.merge_block(&mut open_sketches);
         offset = body_start + u64::from(payload_len);
+        recovered.valid_len = offset;
     }
-    Ok(offset)
+    Ok(())
 }
 
 impl SegmentStore for DiskStore {
@@ -960,11 +965,12 @@ impl SegmentStore for DiskStore {
         Ok(())
     }
 
-    /// Answered from block *metadata* alone: no block body is fetched and
-    /// the cache counters do not move — the whole point of carrying
-    /// sketches in [`BlockMeta`]. The write buffer's (not yet summarized)
+    /// Answered from the per-gid running sketches alone: no block body is
+    /// fetched and the cache counters do not move. The write buffer's
     /// segments contribute the open block's sketches, accumulated when
-    /// they were inserted; nothing is decoded here.
+    /// they were inserted; nothing is decoded here. A poisoned gid in
+    /// scope (one of its segments could not be fed) makes the answer
+    /// unsound, so the store reports itself sketch-less for that scope.
     fn merge_sketches(&self, scope: Option<&[Gid]>) -> Result<Option<BlockSketch>> {
         if !self.absorber.sketches() {
             return Ok(None);
@@ -981,28 +987,9 @@ impl SegmentStore for DiskStore {
                 .is_none_or(|s| s.binary_search(&gid).is_ok())
         };
         let mut merged = BlockSketch::new();
-        for meta in &self.blocks {
-            if let Some(gids) = sorted_scope.as_deref() {
-                if meta.excludes_gids(gids) {
-                    continue;
-                }
-            }
-            // A block without sketches (a segment failed to decode at
-            // write time) makes the merged answer unsound: report the
-            // store as sketch-less rather than answer wrong.
-            let Some(sketches) = meta.sketches.as_ref() else {
-                return Ok(None);
-            };
-            for (gid, sketch) in sketches.iter() {
-                if in_scope(*gid) {
-                    merged.merge(sketch);
-                }
-            }
-        }
-        Ok(self
-            .open_sketches
-            .merge_into(in_scope, &mut merged)
-            .then_some(merged))
+        let sound = self.sketches.merge_into(in_scope, &mut merged)
+            && self.open_sketches.merge_into(in_scope, &mut merged);
+        Ok(sound.then_some(merged))
     }
 
     /// Answered from the materialized cell map alone: no block body is
@@ -1405,6 +1392,66 @@ mod tests {
         assert_eq!(reopen(), segments);
         bytes.replace_sidecar(&[]).unwrap();
         assert_eq!(reopen(), segments);
+    }
+
+    /// A segment the sketch feed cannot take poisons its own gid only —
+    /// while its block is open, after the block is cut into the running
+    /// sketches, and through a sidecar reopen — so scopes without that gid
+    /// keep answering exactly what a store without it would.
+    #[test]
+    fn an_unfeedable_segment_poisons_only_its_gid() {
+        // Segment 4 (gid 2) cannot be fed.
+        let sketch: crate::SketchFeedFn = Arc::new(|s, sketch| {
+            sketch.quantiles.insert(s.end_time as f64);
+            s.start_time != 4000
+        });
+        let options = || DiskStoreOptions {
+            sketch_feed: Some(sketch.clone().into()),
+            ..with_bulk(4)
+        };
+        let backend = MemoryBackend::default();
+        let mut store = DiskStore::open_on(Arc::new(backend.clone()), options()).unwrap();
+        let answers = |store: &DiskStore| {
+            let answer = |scope: Option<&[Gid]>| {
+                let merged = store.merge_sketches(scope).unwrap();
+                merged.map(|m| m.quantiles.count())
+            };
+            [
+                answer(None),
+                answer(Some(&[1, 3])),
+                answer(Some(&[2])),
+                answer(Some(&[3, 2])),
+            ]
+        };
+        // Segment j belongs to gid j % 3 + 1; blocks are cut after 4 and 8
+        // segments, so the poison sits in the open block, then in the
+        // running sketches.
+        let count = |n: usize, gids: &[Gid]| {
+            (0..n)
+                .filter(|j| gids.contains(&(*j as Gid % 3 + 1)))
+                .count() as u64
+        };
+        for n in 1..=9 {
+            let i = n as i64 - 1;
+            store
+                .insert(seg(i as Gid % 3 + 1, i * 1000, i * 1000 + 900))
+                .unwrap();
+            let want = if n <= 4 {
+                [
+                    Some(n as u64),
+                    Some(count(n, &[1, 3])),
+                    Some(count(n, &[2])),
+                    Some(count(n, &[2, 3])),
+                ]
+            } else {
+                [None, Some(count(n, &[1, 3])), None, None]
+            };
+            assert_eq!(answers(&store), want, "after {n} segments");
+        }
+        store.flush().unwrap();
+        let reopened = DiskStore::open_on(Arc::new(backend.clone()), options()).unwrap();
+        assert_eq!(reopened.digest_stats().digests, 0, "the sidecar is adopted");
+        assert_eq!(answers(&reopened), [None, Some(6), None, None]);
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //!   memory-budgeted [`cache`] so resident memory is O(cache capacity)
 //!   instead of O(total segments).
 //! * [`sidecar`] — the checksummed, versioned `segments.idx` summary of the
-//!   log (block statistics + zone map) that makes fast reopen possible.
+//!   log (block statistics, zone map, per-group running sketches, rollup
+//!   cells as compressed per-series columns) that makes fast reopen
+//!   possible.
 //! * [`cache`] — the sharded LRU [`BlockCache`] of decoded blocks.
 //! * [`zone`] — the segment-pruning zone map: per-group min/max time and
 //!   stored-value statistics over runs of segments, maintained on write and
 //!   consulted by [`SegmentStore::scan_runs`] to skip runs that cannot
 //!   match a query's push-down predicate.
 //! * [`digest`] — the one insert-time pass inserts, imports and recovery
-//!   derive zone statistics, rollup cells and block sketches through, with
+//!   derive zone statistics, rollup cells and per-group sketches through, with
 //!   one reconstruction per finalized segment.
 
 mod backend;
@@ -238,11 +240,11 @@ pub trait SegmentStore: Send + Sync {
 
     /// Merges the per-group sketches covering every stored segment
     /// (optionally restricted to the groups in `scope`) **without touching
-    /// segment bodies** — for the disk store this reads block metadata
-    /// only, never the `BlockCache`. `Ok(None)` means sketch queries are
-    /// unanswerable here: the store has no sketch feed configured, or some
-    /// segment could not be fed (sketches fail open like every other
-    /// statistic). `Ok(Some)` with an empty sketch means "maintained, but
+    /// segment bodies** — for the disk store this reads its per-group
+    /// running sketches only, never the `BlockCache`. `Ok(None)` means
+    /// sketch queries are unanswerable here: the store has no sketch feed
+    /// configured, or some segment of a group in scope could not be fed
+    /// (sketches fail open like every other statistic). `Ok(Some)` with an empty sketch means "maintained, but
     /// nothing stored in scope".
     fn merge_sketches(&self, _scope: Option<&[Gid]>) -> Result<Option<BlockSketch>> {
         Ok(None)

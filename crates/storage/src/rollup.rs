@@ -6,7 +6,7 @@
 //! series inside that calendar bucket (AVG derives as SUM/COUNT at
 //! finalization, exactly like the scan path). Cells are maintained by the
 //! same insert-time pass ([`crate::digest`]) that feeds the
-//! [`mdb_types::BlockMeta`] statistics and the block sketches: a
+//! [`mdb_types::BlockMeta`] statistics and the group sketches: a
 //! caller-provided [`RollupFeed`] (typically `mdb_query::rollup_feed` closed
 //! over the catalog and model registry) turns each finalized segment into
 //! its per-bucket deltas, which are folded into the cell map in segment
@@ -22,8 +22,15 @@
 //! path. The store scans in insertion order, the order cells are fed in, so
 //! no ingestion order can break the equivalence. Soundness (not freshness) is the contract — cells either serve the
 //! exact scan answer or do not serve at all.
+//!
+//! Cells live in one bucket-sorted column per `(gid, level, tid)` series:
+//! in-order ingestion appends to (or merges into) a column's last cell, and
+//! a ranged walk is one binary search plus a contiguous run per series. The
+//! sidecar stores each column compressed — bucket starts delta-of-delta
+//! coded, counts run-length coded, sum/min/max as 64-bit XOR streams — so
+//! a cell costs less on disk than the data points it summarizes (see
+//! [`crate::sidecar`]).
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -135,35 +142,42 @@ impl std::fmt::Debug for RollupFeed {
     }
 }
 
-/// The materialized cell map of one store: every cell for every maintained
-/// level, keyed `(gid, level_tag, tid, bucket_start)`, plus a soundness flag.
+/// A cell's full key, `(gid, level_tag, tid, bucket_start)`.
+pub type CellKey = (Gid, u8, Tid, Timestamp);
+
+/// One series' cells — every cell of one `(gid, level_tag, tid)` —
+/// bucket-ascending. Each cell keeps its whole key, so [`RollupCells::iter`]
+/// hands out borrowed keys.
+pub type SeriesColumn = Vec<(CellKey, RollupAcc)>;
+
+/// The materialized cell map of one store: one bucket-sorted column per
+/// `(gid, level_tag, tid)` series, for every maintained level, plus a
+/// soundness flag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollupCells {
     levels: Vec<TimeLevel>,
     sound: bool,
-    cells: BTreeMap<(Gid, u8, Tid, Timestamp), RollupAcc>,
+    series: BTreeMap<(Gid, u8, Tid), SeriesColumn>,
 }
 
 impl RollupCells {
     /// An empty, sound cell map maintaining `levels`.
     pub fn new(levels: Vec<TimeLevel>) -> Self {
-        Self {
-            levels,
-            sound: true,
-            cells: BTreeMap::new(),
-        }
+        Self::from_parts(levels, true, BTreeMap::new())
     }
 
     /// Rebuilds a cell map from previously serialized parts (sidecar load).
+    /// Each column must be non-empty, bucket-ascending without duplicates,
+    /// and keyed by its series.
     pub fn from_parts(
         levels: Vec<TimeLevel>,
         sound: bool,
-        cells: BTreeMap<(Gid, u8, Tid, Timestamp), RollupAcc>,
+        series: BTreeMap<(Gid, u8, Tid), SeriesColumn>,
     ) -> Self {
         Self {
             levels,
             sound,
-            cells,
+            series,
         }
     }
 
@@ -185,24 +199,31 @@ impl RollupCells {
 
     /// Number of materialized cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.series.values().map(Vec::len).sum()
     }
 
     /// True when no cell is materialized.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.series.is_empty()
     }
 
     /// Folds one segment's deltas into the map, in delta order — the same
     /// left-fold the scan path performs when it merges per-segment partials
-    /// in scan order.
+    /// in scan order. A delta for the series' last bucket merges, one past
+    /// it appends (the in-order case); an earlier bucket is binary-searched.
     pub fn apply(&mut self, gid: Gid, deltas: &[RollupDelta]) {
         for d in deltas {
-            match self.cells.entry((gid, level_tag(d.level), d.tid, d.bucket)) {
-                Entry::Vacant(v) => {
-                    v.insert(d.acc);
+            let key = (gid, level_tag(d.level), d.tid, d.bucket);
+            let column = self.series.entry((key.0, key.1, key.2)).or_default();
+            match column.last_mut() {
+                Some((last, acc)) if last.3 == d.bucket => acc.merge(&d.acc),
+                Some((last, _)) if last.3 > d.bucket => {
+                    match column.binary_search_by_key(&d.bucket, |(k, _)| k.3) {
+                        Ok(i) => column[i].1.merge(&d.acc),
+                        Err(i) => column.insert(i, (key, d.acc)),
+                    }
                 }
-                Entry::Occupied(mut o) => o.get_mut().merge(&d.acc),
+                _ => column.push((key, d.acc)),
             }
         }
     }
@@ -222,13 +243,11 @@ impl RollupCells {
     /// Visits every cell of `level` whose bucket start lies in
     /// `[range.0, range.1]` (optionally restricted to `scope` groups,
     /// deduplicated) in `(gid, tid, bucket)` key order; pass
-    /// `(Timestamp::MIN, Timestamp::MAX)` for all time. Time is the
-    /// innermost key component, so the walk skip-seeks: one seek to each
-    /// series' first cell at or after `range.0`, its cells up to `range.1`,
-    /// then a jump to the next series — about two seeks per series plus the
-    /// cells visited, never the buckets outside the range or the cells of
-    /// other levels. Does not check soundness — callers gate on
-    /// [`RollupCells::is_sound`].
+    /// `(Timestamp::MIN, Timestamp::MAX)` for all time. Each visited series
+    /// costs one binary search for its first cell at or after `range.0`,
+    /// then its cells up to `range.1` in one contiguous run; buckets outside
+    /// the range are never visited. Does not check soundness — callers gate
+    /// on [`RollupCells::is_sound`].
     pub fn for_each(
         &self,
         level: TimeLevel,
@@ -240,65 +259,39 @@ impl RollupCells {
             return;
         }
         let tag = level_tag(level);
-        let mut scoped = scope.map(|gids| {
-            let mut gids = gids.to_vec();
-            gids.sort_unstable();
-            gids.dedup();
-            gids.into_iter()
-        });
-        let mut gid = match &mut scoped {
-            Some(gids) => gids.next(),
-            None => Some(Gid::MIN),
+        let mut visit = |column: &SeriesColumn| {
+            let lo = column.partition_point(|(k, _)| k.3 < from);
+            for ((g, _, t, b), acc) in column[lo..].iter().take_while(|(k, _)| k.3 <= to) {
+                f(*g, *t, *b, acc);
+            }
         };
-        while let Some(g) = gid {
-            // Walk the series of `g` at `tag`. The loop ends with the first
-            // gid after `g` that can still hold cells at `tag` (the unscoped
-            // walk's next candidate), or `None` when no key lies past the
-            // last seek.
-            let mut tid = Tid::MIN;
-            let past = loop {
-                let Some((&key, _)) = self.cells.range((g, tag, tid, from)..).next() else {
-                    break None;
-                };
-                let (kg, kt, ktid, kb) = key;
-                if (kg, kt) != (g, tag) {
-                    break if kg > g && kt <= tag {
-                        Some(kg)
-                    } else {
-                        kg.checked_add(1)
-                    };
+        match scope {
+            None => self
+                .series
+                .iter()
+                .filter(|((_, t, _), _)| *t == tag)
+                .for_each(|(_, column)| visit(column)),
+            Some(gids) => {
+                let mut gids = gids.to_vec();
+                gids.sort_unstable();
+                gids.dedup();
+                for g in gids {
+                    self.series
+                        .range((g, tag, Tid::MIN)..=(g, tag, Tid::MAX))
+                        .for_each(|(_, column)| visit(column));
                 }
-                if ktid != tid && kb < from {
-                    // A later series whose cells start before the range:
-                    // seek to its first cell at or after `from`.
-                    tid = ktid;
-                    continue;
-                }
-                if kb <= to {
-                    for (&(_, _, t, b), acc) in self.cells.range(key..=(g, tag, ktid, to)) {
-                        f(g, t, b, acc);
-                    }
-                }
-                match ktid.checked_add(1) {
-                    Some(next) => tid = next,
-                    None => break g.checked_add(1),
-                }
-            };
-            // Scoped gids ascend too, so nothing past the last seek ends
-            // either walk.
-            let Some(past) = past else {
-                return;
-            };
-            gid = match &mut scoped {
-                Some(gids) => gids.next(),
-                None => Some(past),
-            };
+            }
         }
     }
 
-    /// Iterates every cell in key order (sidecar serialization).
-    pub fn iter(&self) -> impl Iterator<Item = (&(Gid, u8, Tid, Timestamp), &RollupAcc)> + '_ {
-        self.cells.iter()
+    /// Iterates every cell in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&CellKey, &RollupAcc)> + '_ {
+        self.series.values().flatten().map(|(key, acc)| (key, acc))
+    }
+
+    /// Iterates the series columns in key order (sidecar serialization).
+    pub fn series(&self) -> impl Iterator<Item = (&(Gid, u8, Tid), &SeriesColumn)> + '_ {
+        self.series.iter()
     }
 }
 

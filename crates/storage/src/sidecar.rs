@@ -2,7 +2,9 @@
 //!
 //! The append-only block log (`segments.log`) is the durable truth; the
 //! sidecar is a checksummed, versioned summary of it — per-block
-//! [`BlockMeta`] statistics plus the store's full zone map — rewritten at
+//! [`BlockMeta`] statistics, the store's full zone map, its per-group
+//! running sketches and its rollup cells (compressed per-series columns,
+//! so the cells cost less than the data they summarize) — rewritten at
 //! every flush (not per appended block, keeping sustained ingestion
 //! O(blocks)). Opening a store with a fresh sidecar loads
 //! block summaries in one small read instead of scanning and decoding the
@@ -21,20 +23,23 @@
 //! previous sidecar (or none), never a torn one.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use mdb_types::{BlockFormat, BlockMeta, BlockSketch, BlockSketches, ValueInterval};
+use mdb_encoding::{delta, rle, varint, xor};
+use mdb_types::{BlockFormat, BlockMeta, BlockSketch, ValueInterval};
 
 use crate::codec::checksum;
-use crate::rollup::{self, RollupAcc, RollupCells};
+use crate::digest::GroupSketches;
+use crate::rollup::{self, RollupAcc, RollupCells, SeriesColumn};
 use crate::zone::{GidZone, ZoneMap, ZoneRun, ZoneValues};
 
 const SIDECAR_MAGIC: u32 = 0x4D44_4249; // "MDBI"
-                                        // Version 2 added the per-block payload-format tag (v1 varint vs v2
-                                        // columnar blocks). A version-1 sidecar no longer parses; the store falls
-                                        // back to the streaming rescan — which recognizes both block formats — and
-                                        // rewrites a current sidecar, so old stores upgrade on first open.
-const SIDECAR_VERSION: u32 = 2;
+/// Version 3 stores one running sketch per group instead of per-block
+/// sketches, and rollup cells as compressed per-series columns. Every
+/// section is required; a file of another version does not parse, and the
+/// store falls back to the streaming rescan — which reads every block
+/// format — and rewrites a current sidecar, so old stores upgrade on first
+/// open.
+const SIDECAR_VERSION: u32 = 3;
 /// Magic, version, body checksum, body length.
 const FILE_HEADER_BYTES: usize = 16;
 
@@ -52,19 +57,21 @@ pub struct Sidecar {
     pub value_bounded: bool,
     /// Whether the statistics were computed with a sketch feed. Same
     /// adoption rule as `value_bounded`: a store opened *with* a feed must
-    /// not adopt a sketch-less sidecar (including any written before the
-    /// sketch section existed) — a rescan regenerates the sketches.
+    /// not adopt a sketch-less sidecar — a rescan regenerates the sketches.
     pub sketched: bool,
     /// One summary per block, in log order.
     pub blocks: Vec<BlockMeta>,
     /// The zone map over every segment in those blocks.
     pub zones: ZoneMap,
+    /// The per-group running sketches over every segment in those blocks
+    /// (empty unless `sketched`).
+    pub sketches: GroupSketches,
     /// The materialized rollup cells covering those blocks, when the store
     /// maintains them. `None` means rollups were not maintained when the
-    /// sidecar was written (including every pre-rollup file) — a store
-    /// opened *with* a rollup feed must not adopt such a sidecar; the rescan
-    /// rebuilds the cells. A present-but-poisoned map (its levels recorded,
-    /// its cells dropped) is adopted as unsound.
+    /// sidecar was written — a store opened *with* a rollup feed must not
+    /// adopt such a sidecar; the rescan rebuilds the cells. A
+    /// present-but-poisoned map (its levels recorded, its cells dropped) is
+    /// adopted as unsound.
     pub rollups: Option<RollupCells>,
 }
 
@@ -83,6 +90,8 @@ pub struct SidecarRef<'a> {
     pub blocks: &'a [BlockMeta],
     /// See [`Sidecar::zones`].
     pub zones: &'a ZoneMap,
+    /// See [`Sidecar::sketches`].
+    pub sketches: &'a GroupSketches,
     /// See [`Sidecar::rollups`].
     pub rollups: Option<&'a RollupCells>,
 }
@@ -96,6 +105,7 @@ impl Sidecar {
             sketched: self.sketched,
             blocks: &self.blocks,
             zones: &self.zones,
+            sketches: &self.sketches,
             rollups: self.rollups.as_ref(),
         }
     }
@@ -144,37 +154,30 @@ pub fn encode(sidecar: SidecarRef<'_>) -> Vec<u8> {
             put_u32(&mut body, run.segments);
         }
     }
-    // Sketch section (this trails the original layout so a pre-sketch
-    // parser's notion of the body simply ended here; a pre-sketch *file*
-    // conversely parses as `sketched: false` with no per-block sketches).
-    // Per block: a presence flag, then gid-tagged length-prefixed sketch
-    // bytes in gid order. The sketch bytes carry their own format version
-    // (`mdb_sketch::SKETCH_FORMAT_VERSION`), and the body checksum covers
-    // the whole section, so truncation or corruption rejects the sidecar
-    // and the store falls back to the streaming rescan.
+    // Sketch section: the `sketched` flag, then each group's running
+    // sketch in gid order — a presence byte (0 = poisoned) and, when
+    // present, length-prefixed sketch bytes, which carry their own format
+    // version (`mdb_sketch::SKETCH_FORMAT_VERSION`).
     body.push(u8::from(sidecar.sketched));
-    for block in sidecar.blocks {
-        match &block.sketches {
+    put_u32(&mut body, sidecar.sketches.iter().count() as u32);
+    for (gid, sketch) in sidecar.sketches.iter() {
+        put_u32(&mut body, gid);
+        match sketch {
             None => body.push(0),
-            Some(sketches) => {
+            Some(sketch) => {
                 body.push(1);
-                put_u32(&mut body, sketches.len() as u32);
-                for (gid, sketch) in sketches.iter() {
-                    put_u32(&mut body, *gid);
-                    let bytes = sketch.to_bytes();
-                    put_u32(&mut body, bytes.len() as u32);
-                    body.extend_from_slice(&bytes);
-                }
+                put_column(&mut body, &sketch.to_bytes());
             }
         }
     }
-    // Rollup section (trails the sketch section; absent in older files,
-    // which parse as "rollups not maintained"). Flag: 0 = not maintained,
-    // 1 = sound cells follow (levels, then the cell map flat in key order,
-    // f64 fields as raw bits so reload is bit-exact), 2 = maintained but
-    // poisoned (levels only; adopters must treat the map as unsound). The
-    // body checksum covers the section, so truncation mid-cells rejects the
-    // whole sidecar and the store falls back to the streaming rescan.
+    // Rollup section. Flag: 0 = not maintained, 1 = sound cells follow,
+    // 2 = maintained but poisoned (levels only; adopters must treat the
+    // map as unsound). A sound map is a list of series in key order, each
+    // a `(gid, level tag, tid)` header (gid and tid as varints) and five
+    // varint-length-prefixed columns: bucket starts delta-of-delta coded,
+    // counts run-length coded, and sum, min and max as 64-bit XOR streams
+    // over the `f64` bit patterns, so reload is bit-exact (NaN payloads,
+    // -0.0 and infinities survive).
     match sidecar.rollups {
         None => body.push(0),
         Some(cells) => {
@@ -184,16 +187,12 @@ pub fn encode(sidecar: SidecarRef<'_>) -> Vec<u8> {
                 body.push(rollup::level_tag(*level));
             }
             if cells.is_sound() {
-                put_u64(&mut body, cells.len() as u64);
-                for (&(gid, tag, tid, bucket), acc) in cells.iter() {
-                    put_u32(&mut body, gid);
+                put_u32(&mut body, cells.series().count() as u32);
+                for (&(gid, tag, tid), column) in cells.series() {
+                    varint::write_u64(&mut body, u64::from(gid));
                     body.push(tag);
-                    put_u32(&mut body, tid);
-                    put_i64(&mut body, bucket);
-                    put_u64(&mut body, acc.count);
-                    put_u64(&mut body, acc.sum.to_bits());
-                    put_u64(&mut body, acc.min.to_bits());
-                    put_u64(&mut body, acc.max.to_bits());
+                    varint::write_u64(&mut body, u64::from(tid));
+                    put_series(&mut body, column);
                 }
             }
         }
@@ -228,11 +227,7 @@ pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
         pos: 0,
     };
     let log_len = cur.u64()?;
-    let value_bounded = match cur.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
+    let value_bounded = cur.flag()?;
     let n_blocks = cur.u32()? as usize;
     let mut blocks = Vec::with_capacity(cur.bounded(n_blocks, 70));
     for _ in 0..n_blocks {
@@ -254,8 +249,6 @@ pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
                 2 => BlockFormat::V2,
                 _ => return None,
             },
-            // Filled in by the trailing sketch section, when present.
-            sketches: None,
         });
     }
     let mut zones = ZoneMap::new();
@@ -288,81 +281,52 @@ pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
             },
         );
     }
-    // Optional sketch section: absent in pre-sketch sidecars (the body
-    // ended at the zones), present — even if only as flags — in everything
-    // written since.
-    let mut sketched = false;
-    if !cur.at_end() {
-        sketched = match cur.u8()? {
-            0 => false,
-            1 => true,
+    let sketched = cur.flag()?;
+    let mut sketches = GroupSketches::default();
+    let n_sketches = cur.u32()?;
+    for _ in 0..n_sketches {
+        let gid = cur.u32()?;
+        let sketch = match cur.u8()? {
+            0 => None,
+            1 => Some(BlockSketch::from_bytes(cur.column()?)?),
             _ => return None,
         };
-        for block in &mut blocks {
-            match cur.u8()? {
-                0 => {}
-                1 => {
-                    let n = cur.u32()? as usize;
-                    let mut sketches: BlockSketches = Vec::with_capacity(cur.bounded(n, 9));
-                    let mut prev: Option<u32> = None;
-                    for _ in 0..n {
-                        let gid = cur.u32()?;
-                        if prev.is_some_and(|p| p >= gid) {
-                            return None; // not in canonical gid order
-                        }
-                        prev = Some(gid);
-                        let len = cur.u32()? as usize;
-                        sketches.push((gid, BlockSketch::from_bytes(cur.take(len)?)?));
-                    }
-                    block.sketches = Some(Arc::new(sketches));
-                }
-                _ => return None,
-            }
+        if sketches.0.last_key_value().is_some_and(|(&p, _)| p >= gid) {
+            return None; // not in canonical gid order
         }
+        sketches.0.insert(gid, sketch);
     }
-    // Optional rollup section: absent in pre-rollup sidecars (the body
-    // ended at the sketches).
-    let mut rollups = None;
-    if !cur.at_end() {
-        match cur.u8()? {
-            0 => {}
-            flag @ (1 | 2) => {
-                let n_levels = cur.u8()? as usize;
-                let mut levels = Vec::with_capacity(n_levels.min(8));
-                for _ in 0..n_levels {
-                    levels.push(rollup::level_from_tag(cur.u8()?)?);
-                }
-                let mut cells = BTreeMap::new();
-                if flag == 1 {
-                    let n = cur.u64()? as usize;
-                    for _ in 0..n {
-                        let gid = cur.u32()?;
-                        let tag = cur.u8()?;
-                        rollup::level_from_tag(tag)?;
-                        let tid = cur.u32()?;
-                        let bucket = cur.i64()?;
-                        let acc = RollupAcc {
-                            count: cur.u64()?,
-                            sum: f64::from_bits(cur.u64()?),
-                            min: f64::from_bits(cur.u64()?),
-                            max: f64::from_bits(cur.u64()?),
-                        };
-                        if cells.insert((gid, tag, tid, bucket), acc).is_some() {
-                            return None; // duplicate cell key
-                        }
-                    }
-                }
-                rollups = Some(RollupCells::from_parts(levels, flag == 1, cells));
+    let rollups = match cur.u8()? {
+        0 => None,
+        flag @ (1 | 2) => {
+            let n_levels = cur.u8()?;
+            let mut levels = Vec::with_capacity(cur.bounded(usize::from(n_levels), 1));
+            for _ in 0..n_levels {
+                levels.push(rollup::level_from_tag(cur.u8()?)?);
             }
-            _ => return None,
+            let mut series = BTreeMap::new();
+            if flag == 1 {
+                let n_series = cur.u32()?;
+                for _ in 0..n_series {
+                    let key = (cur.varint_u32()?, cur.u8()?, cur.varint_u32()?);
+                    rollup::level_from_tag(key.1)?;
+                    if series.last_key_value().is_some_and(|(&p, _)| p >= key) {
+                        return None; // not in canonical key order
+                    }
+                    series.insert(key, cur.series(key)?);
+                }
+            }
+            Some(RollupCells::from_parts(levels, flag == 1, series))
         }
-    }
+        _ => return None,
+    };
     cur.at_end().then_some(Sidecar {
         log_len,
         value_bounded,
         sketched,
         blocks,
         zones,
+        sketches,
         rollups,
     })
 }
@@ -379,6 +343,29 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Varint-length-prefixed bytes.
+fn put_column(out: &mut Vec<u8>, bytes: &[u8]) {
+    varint::write_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// One series' cells as five columns (see the rollup section of
+/// [`encode()`]).
+fn put_series(out: &mut Vec<u8>, column: &SeriesColumn) {
+    let buckets: Vec<i64> = column.iter().map(|(key, _)| key.3).collect();
+    put_column(out, &delta::encode(&buckets));
+    let counts: Vec<i64> = column.iter().map(|(_, acc)| acc.count as i64).collect();
+    put_column(out, &rle::encode(&counts));
+    let fields: [fn(&RollupAcc) -> f64; 3] = [|a| a.sum, |a| a.min, |a| a.max];
+    for field in fields {
+        let mut values = xor::Xor64Encoder::new();
+        for (_, acc) in column {
+            values.push(field(acc));
+        }
+        put_column(out, &values.finish());
+    }
 }
 
 fn put_opt_interval(out: &mut Vec<u8>, v: &Option<ValueInterval>) {
@@ -447,6 +434,69 @@ impl<'a> Cursor<'a> {
         Some(self.take(1)?[0])
     }
 
+    fn flag(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut rest = &self.bytes[self.pos..];
+        let value = varint::read_u64(&mut rest)?;
+        self.pos = self.bytes.len() - rest.len();
+        Some(value)
+    }
+
+    fn varint_u32(&mut self) -> Option<u32> {
+        self.varint()?.try_into().ok()
+    }
+
+    /// Varint-length-prefixed bytes ([`put_column`]).
+    fn column(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.varint()?).ok()?;
+        self.take(len)
+    }
+
+    /// The five columns of series `key` ([`put_series`]). The bucket
+    /// column fixes the cell count — it spends at least a byte per cell, so
+    /// it bounds every allocation below — and must be non-empty and
+    /// strictly ascending; every other column must hold exactly as many
+    /// values.
+    fn series(&mut self, (gid, tag, tid): (u32, u8, u32)) -> Option<SeriesColumn> {
+        let mut bytes = self.column()?;
+        let buckets = delta::decode(&mut bytes)?;
+        let n = buckets.len();
+        if !bytes.is_empty() || n == 0 || buckets.windows(2).any(|w| w[0] >= w[1]) {
+            return None;
+        }
+        let mut bytes = self.column()?;
+        let counts = rle::decode_at_most(&mut bytes, n)?;
+        if !bytes.is_empty() || counts.len() != n {
+            return None;
+        }
+        let sums = xor::decode_all_f64(self.column()?, n)?;
+        let mins = xor::decode_all_f64(self.column()?, n)?;
+        let maxs = xor::decode_all_f64(self.column()?, n)?;
+        let accs = counts.into_iter().zip(sums).zip(mins).zip(maxs);
+        Some(
+            buckets
+                .into_iter()
+                .zip(accs)
+                .map(|(bucket, (((count, sum), min), max))| {
+                    let acc = RollupAcc {
+                        count: count as u64,
+                        sum,
+                        min,
+                        max,
+                    };
+                    ((gid, tag, tid, bucket), acc)
+                })
+                .collect(),
+        )
+    }
+
     fn opt_interval(&mut self) -> Option<Option<ValueInterval>> {
         match self.u8()? {
             0 => Some(None),
@@ -481,7 +531,7 @@ mod tests {
     use crate::{SketchFeedFn, ValueBoundsFn};
     use bytes::Bytes;
     use mdb_types::{GapsMask, SegmentRecord, TimeLevel};
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     fn sample() -> Sidecar {
         let mut zones = ZoneMap::new();
@@ -526,7 +576,6 @@ mod tests {
                     min_end: 900,
                     max_end: 49_900,
                     values: Some(ValueInterval::new(f64::NEG_INFINITY, 3.5)),
-                    sketches: Some(Arc::new(vec![(1, sketch_a), (3, sketch_b)])),
                 },
                 BlockMeta {
                     offset: 6000,
@@ -542,45 +591,108 @@ mod tests {
                     min_end: 50_900,
                     max_end: 99_900,
                     values: None,
-                    sketches: None,
                 },
             ],
             zones,
+            // Sound groups around a poisoned one.
+            sketches: GroupSketches(BTreeMap::from([
+                (1, Some(sketch_a)),
+                (2, None),
+                (3, Some(sketch_b)),
+            ])),
             rollups: Some(sample_rollups(true)),
         }
     }
 
+    /// Bucket starts of the `rollup.rs` ranged-walk property: both ends of
+    /// the timestamp domain and a few ordinary values.
+    const BUCKETS: [i64; 9] = [
+        i64::MIN,
+        i64::MIN + 1,
+        -3_600_000,
+        0,
+        1,
+        3_600_000,
+        7_200_000,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+
+    /// Multi-cell series with holes (every other hour missing), a series
+    /// over the extreme buckets, `Gid::MAX`/`Tid::MAX` keys, and the `f64`
+    /// and count values a raw copy would keep bit-exact: NaN payloads,
+    /// -0.0, infinities, `u64::MAX`.
     fn sample_rollups(sound: bool) -> RollupCells {
-        use mdb_types::TimeLevel;
-        let mut cells = BTreeMap::new();
-        if sound {
-            for i in 0..20u32 {
-                cells.insert(
-                    (
-                        1 + i % 3,
-                        rollup::level_tag(TimeLevel::Hour),
-                        10 + i,
-                        i64::from(i) * 3_600_000,
-                    ),
-                    RollupAcc {
-                        count: u64::from(i) + 1,
-                        sum: f64::from(i) * 0.125 - 1.0,
-                        min: -f64::from(i),
-                        max: f64::from(i),
-                    },
-                );
-            }
-            cells.insert(
-                (2, rollup::level_tag(TimeLevel::Day), 11, -86_400_000),
-                RollupAcc {
-                    count: 3,
-                    sum: -0.0,
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                },
+        let delta = |tid, level, bucket, count, sum: f64, min: f64, max: f64| RollupDelta {
+            tid,
+            level,
+            bucket,
+            acc: RollupAcc {
+                count,
+                sum,
+                min,
+                max,
+            },
+        };
+        let mut cells = RollupCells::new(vec![TimeLevel::Hour, TimeLevel::Day]);
+        for i in 0..20u32 {
+            let x = f64::from(i);
+            cells.apply(
+                1 + i % 3,
+                &[delta(
+                    10 + i % 4,
+                    TimeLevel::Hour,
+                    i64::from(i) * 7_200_000,
+                    u64::from(i) + 1,
+                    x * 0.125 - 1.0,
+                    -x,
+                    x,
+                )],
             );
         }
-        RollupCells::from_parts(vec![TimeLevel::Hour, TimeLevel::Day], sound, cells)
+        for (i, &bucket) in BUCKETS.iter().enumerate() {
+            let x = i as f64;
+            cells.apply(
+                u32::MAX,
+                &[delta(
+                    u32::MAX,
+                    TimeLevel::Day,
+                    bucket,
+                    60,
+                    x * 1e300,
+                    -x,
+                    x,
+                )],
+            );
+        }
+        cells.apply(
+            2,
+            &[delta(
+                11,
+                TimeLevel::Day,
+                -86_400_000,
+                u64::MAX,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            )],
+        );
+        cells.apply(
+            2,
+            &[delta(
+                11,
+                TimeLevel::Day,
+                0,
+                3,
+                f64::from_bits(0x7FF8_0000_0000_0001),
+                f64::NAN,
+                f64::from_bits(0xFFF0_0000_0000_0001),
+            )],
+        );
+        if !sound {
+            return RollupCells::from_parts(cells.levels().to_vec(), false, BTreeMap::new());
+        }
+        cells
     }
 
     /// The sidecar a store maintaining value bounds, sketches and rollup
@@ -660,8 +772,22 @@ mod tests {
 
     #[test]
     fn round_trips_bit_exactly() {
+        // The sample's NaN cells defeat `PartialEq`, so the rollups compare
+        // as re-encoded bytes and everything else as values.
         let sidecar = sample();
-        assert_eq!(parse(&encode(sidecar.borrowed())), Some(sidecar));
+        let bytes = encode(sidecar.borrowed());
+        let back = parse(&bytes).expect("valid sidecar");
+        assert_eq!(encode(back.borrowed()), bytes);
+        assert_eq!(
+            Sidecar {
+                rollups: None,
+                ..back
+            },
+            Sidecar {
+                rollups: None,
+                ..sidecar
+            }
+        );
         let from_store = parse(store_sidecar()).expect("a store's sidecar parses");
         assert!(from_store.sketched && from_store.value_bounded);
         assert!(from_store.rollups.is_some_and(|cells| !cells.is_empty()));
@@ -697,48 +823,16 @@ mod tests {
         assert_eq!(parse(&encode(sidecar.borrowed())), Some(sidecar));
     }
 
-    /// A sidecar written before the sketch section existed — its body ends
-    /// at the zone map — must still load, as `sketched: false` with no
-    /// per-block sketches (the store then rescans if it wants sketches).
-    #[test]
-    fn pre_sketch_sidecar_still_loads() {
-        let mut sidecar = sample();
-        sidecar.sketched = false;
-        for block in &mut sidecar.blocks {
-            block.sketches = None;
-        }
-        sidecar.rollups = None;
-        let bytes = encode(sidecar.borrowed());
-        // With no sketches and no rollups the trailing sections are exactly
-        // the `sketched` flag, one presence byte per block, and the rollup
-        // flag; chopping them (and resealing the header's body length and
-        // checksum) reproduces the pre-sketch layout.
-        let section = 1 + sidecar.blocks.len() + 1;
-        let legacy = sealed(&bytes[FILE_HEADER_BYTES..bytes.len() - section]);
-        assert_eq!(parse(&legacy).expect("legacy sidecar loads"), sidecar);
-
-        // A *truncated* sketch section, by contrast, is rejected outright
-        // (the checksum no longer matches), forcing the rescan fallback.
-        let full = encode(sample().borrowed());
-        for cut in 1..section + 20 {
-            assert_eq!(
-                parse(&full[..full.len() - cut]),
-                None,
-                "cut {cut} undetected"
-            );
-        }
-    }
-
     /// The rollup section round-trips both states: sound with cells
-    /// (f64 fields bit-exact, including `-0.0` and infinities) and poisoned
-    /// with levels only.
+    /// (f64 fields bit-exact, including NaN payloads, `-0.0` and
+    /// infinities) and poisoned with levels only.
     #[test]
     fn rollup_section_round_trips_sound_and_poisoned() {
         let sidecar = sample();
         let back = parse(&encode(sidecar.borrowed())).expect("valid sidecar");
         let cells = back.rollups.as_ref().expect("rollups present");
         assert!(cells.is_sound());
-        assert_eq!(cells.len(), 21);
+        assert_eq!(cells.len(), 31);
         let mut mine = cells.iter();
         for (key, acc) in sidecar.rollups.as_ref().unwrap().iter() {
             let (bkey, bacc) = mine.next().unwrap();
@@ -748,6 +842,7 @@ mod tests {
             assert_eq!(bacc.min.to_bits(), acc.min.to_bits());
             assert_eq!(bacc.max.to_bits(), acc.max.to_bits());
         }
+        assert!(mine.next().is_none());
 
         let mut poisoned = sample();
         poisoned.rollups = Some(sample_rollups(false));
@@ -758,19 +853,93 @@ mod tests {
         assert_eq!(cells.levels(), &[TimeLevel::Hour, TimeLevel::Day]);
     }
 
+    /// Running sketches round-trip per group, a poisoned group included.
+    #[test]
+    fn running_sketches_round_trip_sound_and_poisoned() {
+        let back = parse(&encode(sample().borrowed())).expect("valid sidecar");
+        let groups: Vec<(u32, bool)> = back
+            .sketches
+            .iter()
+            .map(|(gid, sketch)| (gid, sketch.is_some()))
+            .collect();
+        assert_eq!(groups, [(1, true), (2, false), (3, true)]);
+    }
+
+    /// A compressed hour cell costs a fraction of the 49 raw bytes a cell
+    /// took before the columns: the same EP-like series (an hour of
+    /// 1-minute points per cell) in both layouts.
+    #[test]
+    fn compressed_cells_cost_a_fraction_of_raw_ones() {
+        let mut cells = RollupCells::new(vec![TimeLevel::Hour]);
+        for h in 0..1_000i64 {
+            let level = f64::from((h % 24) as f32 * 0.5 + 20.0);
+            cells.apply(
+                1,
+                &[RollupDelta {
+                    tid: 1,
+                    level: TimeLevel::Hour,
+                    bucket: h * 3_600_000,
+                    acc: RollupAcc {
+                        count: 60,
+                        sum: level * 60.0 + (h % 7) as f64 * 0.1,
+                        min: level - 1.5,
+                        max: level + 2.0,
+                    },
+                }],
+            );
+        }
+        let empty = Sidecar {
+            rollups: Some(RollupCells::new(vec![TimeLevel::Hour])),
+            ..Sidecar::default()
+        };
+        let with_cells = Sidecar {
+            rollups: Some(cells),
+            ..Sidecar::default()
+        };
+        let bytes = encode(with_cells.borrowed()).len() - encode(empty.borrowed()).len();
+        assert!(bytes * 4 < 1_000 * 49, "{bytes} B for 1000 cells");
+        assert_eq!(parse(&encode(with_cells.borrowed())), Some(with_cells));
+    }
+
+    /// The body up to where the sketch section starts, and up to where
+    /// the first series' columns start in a sound one-series rollup
+    /// section: arbitrary bytes appended there reach those decoders.
+    fn body_prefixes() -> (Vec<u8>, Vec<u8>) {
+        let bare = Sidecar {
+            sketched: false,
+            sketches: GroupSketches::default(),
+            rollups: None,
+            ..sample()
+        };
+        let body = encode(bare.borrowed())[FILE_HEADER_BYTES..].to_vec();
+        // Trailing: the `sketched` flag, a zero group count, rollup flag 0.
+        let sketches = body[..body.len() - 6].to_vec();
+        let mut series = body[..body.len() - 1].to_vec();
+        series.extend([1, 1, rollup::level_tag(TimeLevel::Hour)]);
+        put_u32(&mut series, 1);
+        series.extend([7, rollup::level_tag(TimeLevel::Hour), 9]);
+        (sketches, series)
+    }
     proptest::proptest! {
         // Damage to a real body, resealed so the field decoders see it:
-        // `parse` returns `None` or a value, and never panics.
+        // `parse` returns `None` or a value, and never panics. The bodies
+        // are a store's, and the samples with sound and poisoned rollups —
+        // multi-cell series with holes, extreme buckets, sound and
+        // poisoned running sketches.
         #[test]
         fn parse_never_panics_on_resealed_damage(
-            from_store in proptest::bool::weighted(0.5),
+            source in 0usize..3,
             damage in 0usize..3,
             edits in proptest::collection::vec((proptest::num::usize::ANY, proptest::num::u8::ANY), 1..8),
         ) {
-            let bytes = if from_store {
-                store_sidecar().to_vec()
-            } else {
-                encode(sample().borrowed())
+            let bytes = match source {
+                0 => store_sidecar().to_vec(),
+                1 => encode(sample().borrowed()),
+                _ => {
+                    let mut poisoned = sample();
+                    poisoned.rollups = Some(sample_rollups(false));
+                    encode(poisoned.borrowed())
+                }
             };
             let mut body = bytes[FILE_HEADER_BYTES..].to_vec();
             let (at, byte) = edits[0];
@@ -790,13 +959,28 @@ mod tests {
             let _ = parse(&sealed(&body));
         }
 
-        // Arbitrary bytes, raw and behind a valid file header.
+        // Arbitrary bytes: raw, behind a valid file header, as the sketch
+        // section after a valid prefix, and as one series' five columns
+        // (split at arbitrary points and length-prefixed, so the column
+        // decoders see them).
         #[test]
         fn parse_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..512),
+            cuts in proptest::collection::vec(proptest::num::usize::ANY, 4),
         ) {
             let _ = parse(&bytes);
             let _ = parse(&sealed(&bytes));
+            let (sketches, series) = body_prefixes();
+            let _ = parse(&sealed(&[sketches.as_slice(), &bytes].concat()));
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut body = series;
+            let mut start = 0;
+            for end in cuts.into_iter().chain([bytes.len()]) {
+                put_column(&mut body, &bytes[start..end]);
+                start = end;
+            }
+            let _ = parse(&sealed(&body));
         }
     }
 }

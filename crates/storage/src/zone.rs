@@ -31,10 +31,10 @@ use crate::SegmentPredicate;
 pub type ValueBoundsFn = Arc<dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync>;
 
 /// Feeds one segment — its member time series ids and every reconstructed
-/// data-point value — into a block sketch on the write path (typically
+/// data-point value — into its group's sketch on the write path (typically
 /// `mdb_query::sketch_feed` closed over the catalog and model registry).
-/// Returns `false` when the segment cannot be decoded; the enclosing
-/// block's sketches then fail open to `None`, like every other statistic.
+/// Returns `false` when the segment cannot be decoded; its group's sketch
+/// then fails open to `None`, like every other statistic.
 pub type SketchFeedFn = Arc<dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync>;
 
 /// How many segments a run covers before a new one is started. Small enough

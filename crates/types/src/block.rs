@@ -8,18 +8,9 @@
 //! contains no matching segment, while a fetched block may still contain
 //! non-matching segments that the per-segment predicate filters out.
 
-use std::sync::Arc;
-
 use crate::datapoint::Timestamp;
 use crate::interval::ValueInterval;
 use crate::meta::Gid;
-
-/// Per-group mergeable sketches over one block's segments, sorted by group
-/// id. The per-group granularity is what lets the cluster's primary-gid
-/// scoping pick exactly the non-replicated contributions out of a replica's
-/// blocks; merging the selected entries across blocks (in any order — see
-/// [`mdb_sketch`]) answers sketch queries without fetching a single body.
-pub type BlockSketches = Vec<(Gid, mdb_sketch::BlockSketch)>;
 
 /// On-disk encoding of one block's payload. The log is heterogeneous: a
 /// store reopened over v1 blocks keeps them as-is and appends new blocks in
@@ -37,9 +28,12 @@ pub enum BlockFormat {
 /// Per-block statistics over the segments stored in one log block.
 ///
 /// `offset` and `stored_bytes` locate the block inside the append-only log;
-/// the remaining fields summarize its payload. The summary is exactly what
-/// the persistent sidecar index (`segments.idx`) serializes, so a store can
-/// open without scanning or decoding the log itself.
+/// the remaining fields summarize its payload. Together with the zone map,
+/// the rollup cells and the store's per-group running sketches, the
+/// summaries are what the persistent sidecar index (`segments.idx`)
+/// serializes, so a store can open without scanning or decoding the log
+/// itself. Sketches are kept per group, not per block: no query needs a
+/// finer grain, and a running per-group sketch does not grow with the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     /// Byte offset of the block header in the log file.
@@ -73,13 +67,6 @@ pub struct BlockMeta {
     /// one segment's range is unknown (value pruning then cannot skip the
     /// block, which is sound: statistics fail open).
     pub values: Option<ValueInterval>,
-    /// Per-group mergeable sketches over the block's reconstructed values,
-    /// or `None` when the store has no sketch feed (or a segment could not
-    /// be decoded — sketches, like every block statistic, fail open).
-    /// Shared behind an `Arc` because block summaries are cloned freely
-    /// (sidecar writes, recovery) while sketches are the one non-trivial
-    /// field.
-    pub sketches: Option<Arc<BlockSketches>>,
 }
 
 impl BlockMeta {
@@ -130,7 +117,6 @@ mod tests {
             min_end: 1_900,
             max_end: 5_900,
             values: Some(ValueInterval::new(-2.0, 9.0)),
-            sketches: None,
         }
     }
 

@@ -35,7 +35,7 @@ pub mod time;
 pub mod view;
 
 pub use batch::{BatchView, RowBatch};
-pub use block::{BlockFormat, BlockMeta, BlockSketches};
+pub use block::{BlockFormat, BlockMeta};
 pub use bound::ErrorBound;
 pub use datapoint::{DataPoint, Tid, Timestamp, Value};
 pub use dimensions::{DimensionSchema, Dimensions, MemberId, LEVEL_TOP};

@@ -484,6 +484,75 @@ fn damaged_rollup_section_rebuilds_cells_without_losing_sketches() {
     }
 }
 
+/// A sidecar of an older layout version — here a current file whose header
+/// claims version 2 (the version is outside the body checksum, so the body
+/// stays sealed) — must not parse: the store falls back to the streaming
+/// rescan, which restores exactly the segments, rollup cells and sketches
+/// the store held, and rewrites a current sidecar that the next open
+/// adopts without rescanning.
+#[test]
+fn older_sidecar_version_rescans_and_rewrites_a_current_one() {
+    let case = case_dir();
+    let dir = case.path();
+    let with_rollups = || DiskStoreOptions {
+        rollup_feed: Some(rollup()),
+        ..options(true, true)
+    };
+    let scope: [Gid; 2] = [2, 4];
+    let mut all = Vec::new();
+    let (cells, sketch, scoped) = {
+        let mut store = DiskStore::open_with(dir, with_rollups()).unwrap();
+        for i in 0..30 {
+            let s = seg(i);
+            store.insert(s.clone()).unwrap();
+            all.push(s);
+            if i % 8 == 7 {
+                store.flush().unwrap();
+            }
+        }
+        store.flush().unwrap();
+        (
+            collect_cells(&store),
+            store.merge_sketches(None).unwrap(),
+            store.merge_sketches(Some(&scope)).unwrap(),
+        )
+    };
+    assert_eq!(cells, expected_cells(&all));
+    assert_eq!(sketch.as_ref(), Some(&expected_sketch(&all)));
+
+    let sidecar_path = dir.join("segments.idx");
+    let current = std::fs::read(&sidecar_path).unwrap();
+    let version = |bytes: &[u8]| u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let mut older = current.clone();
+    older[4..8].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&sidecar_path, &older).unwrap();
+
+    let store = DiskStore::open_with(dir, with_rollups()).unwrap();
+    assert_eq!(
+        store.digest_stats().digests,
+        all.len() as u64,
+        "the older sidecar is rejected and every segment rescanned"
+    );
+    assert_eq!(scan_to_vec(&store, &SegmentPredicate::all()).unwrap(), all);
+    assert_eq!(collect_cells(&store), cells);
+    assert_eq!(store.merge_sketches(None).unwrap(), sketch);
+    assert_eq!(store.merge_sketches(Some(&scope)).unwrap(), scoped);
+    drop(store);
+    let rewritten = std::fs::read(&sidecar_path).unwrap();
+    assert_eq!(version(&rewritten), version(&current));
+    assert_eq!(rewritten, current, "the rescan rewrites the same sidecar");
+
+    let adopted = DiskStore::open_with(dir, with_rollups()).unwrap();
+    assert_eq!(adopted.digest_stats().digests, 0, "the rewrite is adopted");
+    assert_eq!(
+        scan_to_vec(&adopted, &SegmentPredicate::all()).unwrap(),
+        all
+    );
+    assert_eq!(collect_cells(&adopted), cells);
+    assert_eq!(adopted.merge_sketches(None).unwrap(), sketch);
+    assert_eq!(adopted.merge_sketches(Some(&scope)).unwrap(), scoped);
+}
+
 /// v2 structural damage: payloads whose *outer checksum is valid* (patched
 /// with `checksum_v2` after the corruption) but whose columnar layout fails
 /// `BlockView` validation — a truncated parameter heap, a misaligned section
