@@ -53,8 +53,8 @@ pub fn build_engine(ds: &Dataset, correlated: bool, error_pct: f64) -> ModelarDb
 
 /// Like [`build_engine`], but with the query-path knobs exposed: the scan
 /// `parallelism` (0 = auto, 1 = sequential) and whether zone-map `pruning`
-/// is enabled. `(1, false)` is the plain sequential scan the `repro query`
-/// experiment baselines against.
+/// is enabled. `(1, false)` is the plain sequential scan the `query_latency`
+/// bench baselines against.
 pub fn build_engine_with(
     ds: &Dataset,
     correlated: bool,
@@ -78,9 +78,9 @@ pub fn build_engine_with(
 
 /// Builds an embedded engine persisting to an out-of-core
 /// [`modelardb::DiskStore`] under `dir` (correlated grouping, the data
-/// set's evaluation hints):
-/// `bulk_write_size` segments per log block and `memory_budget_bytes` for
-/// the block cache — the knobs the `repro storage` experiment sweeps.
+/// set's evaluation hints): `bulk_write_size` segments per log block and
+/// `memory_budget_bytes` for the block cache; every other option keeps its
+/// default.
 pub fn build_disk_engine(
     ds: &Dataset,
     dir: &std::path::Path,
@@ -88,43 +88,18 @@ pub fn build_disk_engine(
     bulk_write_size: usize,
     memory_budget_bytes: Option<u64>,
 ) -> ModelarDb {
-    build_disk_engine_with(
-        ds,
-        dir,
-        error_pct,
-        bulk_write_size,
-        memory_budget_bytes,
-        Config::default().prefetch_depth,
-        Config::default().block_format,
-    )
-}
-
-/// Like [`build_disk_engine`], but with the scan-path knobs the
-/// `repro scan` experiment sweeps: the prefetch depth (`0` = off) and the
-/// on-disk block layout for newly written blocks.
-pub fn build_disk_engine_with(
-    ds: &Dataset,
-    dir: &std::path::Path,
-    error_pct: f64,
-    bulk_write_size: usize,
-    memory_budget_bytes: Option<u64>,
-    prefetch_depth: usize,
-    block_format: modelardb::BlockFormat,
-) -> ModelarDb {
     let catalog = catalog_from_dataset(ds, &ds.correlation_spec()).expect("catalog");
     let mut config = Config::default();
     config.compression.error_bound = ErrorBound::relative(error_pct);
     config.storage = StorageSpec::Disk(dir.to_path_buf());
     config.bulk_write_size = bulk_write_size;
     config.memory_budget_bytes = memory_budget_bytes;
-    config.prefetch_depth = prefetch_depth;
-    config.block_format = block_format;
     ModelarDb::from_catalog(catalog, Arc::new(ModelRegistry::standard()), config).expect("engine")
 }
 
 /// Deterministic time-ranged S-AGG queries: `func` over a sliding window of
-/// about 1/32 of the ingested span, grouped by Tid — the query class whose
-/// latency `BENCH_query.json` tracks (segments outside the window should be
+/// about 1/32 of the ingested span, grouped by Tid — the narrow query class
+/// that zone-map pruning serves (segments outside the window should be
 /// pruned, not scanned).
 pub fn time_ranged_queries(ds: &Dataset, ticks: u64, func: &str, n: usize) -> Vec<String> {
     let window = (ticks / 32).max(1);

@@ -220,7 +220,8 @@ impl ModelarDb {
     /// Enables or disables answering whole-bucket aggregates from the
     /// materialized rollup cells. Results are bit-identical either way
     /// (scanning keeps the bucketed association); the toggle exists so the
-    /// `repro rollup` benchmark can time both paths on the same engine.
+    /// rollup-equivalence suite can check served answers against scans on
+    /// the same engine.
     pub fn set_rollup_serve(&mut self, serve: bool) {
         self.shard.set_rollup_serve(serve);
     }
@@ -261,15 +262,6 @@ impl ModelarDb {
     /// [`SegmentStore::resident_segments`](mdb_storage::SegmentStore::resident_segments)).
     pub fn resident_segments(&self) -> usize {
         self.shard.store().resident_segments()
-    }
-
-    /// High-water mark of resident segments — the `repro storage` metric
-    /// that shows a bounded `memory_budget_bytes` (reachable as
-    /// `config.memory_budget_bytes` through [`CommonOptions`]) holds.
-    ///
-    /// [`CommonOptions`]: mdb_query::CommonOptions
-    pub fn resident_segment_peak(&self) -> usize {
-        self.shard.store().resident_segment_peak()
     }
 
     /// Block-cache counters of the underlying store, on disk or in memory

@@ -58,9 +58,8 @@ pub use mdb_partitioner::{
     CorrelationPrimitive, CorrelationSpec, Partitioning, ScalingHint,
 };
 pub use mdb_query::{
-    parse, rollup_feed, scan_shape, sketch_feed, value_bounds_fn, Cell, CommonOptions,
-    CommonOptionsBuilder, Datastore, DatastoreHealth, Query, QueryEngine, QueryResult, ScanShape,
-    SketchFunc,
+    parse, rollup_feed, sketch_feed, value_bounds_fn, Cell, CommonOptions, CommonOptionsBuilder,
+    Datastore, DatastoreHealth, Query, QueryEngine, QueryResult, SketchFunc,
 };
 pub use mdb_server::{Client, Server, ServerOptions, SharedDatastore};
 pub use mdb_storage::{
@@ -96,7 +95,7 @@ pub struct Config {
     pub storage: StorageSpec,
     /// Whether scans consult the store's zone map to skip segment runs
     /// outside a query's time range or value predicate. Disabling yields
-    /// the plain sequential scan (the `repro query` baseline).
+    /// the plain sequential scan (the query-equivalence reference path).
     pub zone_pruning: bool,
     /// On-disk layout for newly written blocks: the zero-copy columnar v2
     /// layout by default; v1 for writing logs older builds can read.

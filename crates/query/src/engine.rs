@@ -93,28 +93,6 @@ impl std::hash::BuildHasher for FnvBuildHasher {
 /// aggregate item in the SELECT list.
 pub type PartialAggregates = HashMap<Vec<KeyCell>, Vec<Accumulator>, FnvBuildHasher>;
 
-/// The shape of one query's parallel scan, derived from the pruned
-/// (surviving) segment count and the worker parallelism — see
-/// [`scan_shape`]. Benchmarks record it so a run's parallel structure is
-/// visible next to its timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanShape {
-    /// Segments per fold group (see [`fold_group_size`]).
-    pub fold_size: usize,
-    /// Pruned-segment count from which an attached pool engages (see
-    /// [`pool_bypass_threshold`]).
-    pub bypass_threshold: usize,
-}
-
-/// Derives the scan shape a query with `survivors` pruned segments and
-/// `workers` pool workers will use.
-pub fn scan_shape(survivors: usize, value_filtered: bool, workers: usize) -> ScanShape {
-    ScanShape {
-        fold_size: fold_group_size(survivors, value_filtered),
-        bypass_threshold: pool_bypass_threshold(workers),
-    }
-}
-
 /// Segments per *fold group*: consecutive segments (by global scan index)
 /// accumulate into one partial map, and the master folds the group partials
 /// in index order. The size scales with the surviving-segment count —

@@ -884,4 +884,72 @@ mod tests {
             ));
         }
     }
+
+    /// Queries shaped like a dashboard's panels: narrow, cube, sketch,
+    /// broad, value-filter and point queries.
+    const DASHBOARD: [&str; 8] = [
+        "SELECT Tid, SUM_S(*) FROM Segment WHERE TS >= 1000 AND TS <= 2000 GROUP BY Tid ORDER BY Tid",
+        "SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment WHERE Entity = 'entity1' AND TS >= 0 AND TS <= 3599999 GROUP BY Tid ORDER BY Tid",
+        "SELECT Entity, CUBE_AVG_DAY(*) FROM Segment WHERE Park = 'park0' GROUP BY Entity ORDER BY Entity",
+        "SELECT COUNT_DISTINCT(Tid) FROM Segment",
+        "SELECT PCTL_S(73) FROM Segment",
+        "SELECT Park, AVG_S(*) FROM Segment WHERE EndTime <= 86400000 GROUP BY Park ORDER BY Park",
+        "SELECT Tid, COUNT_S(*), AVG_S(*) FROM Segment WHERE Value > 101.5 AND TS <= 9000 GROUP BY Tid ORDER BY Tid",
+        "SELECT Tid, TS, Value FROM DataPoint WHERE Tid IN (1, 2) AND TS >= 60000 AND TS <= 72000",
+    ];
+
+    /// Fragments spliced into mutated queries, each a token the grammar
+    /// gives meaning to or a boundary it must reject cleanly.
+    const FRAGMENTS: [&str; 16] = [
+        "(", ")", "'", ",", "*", "-", ".", " ", "IN", "AND", "GROUP BY", "ORDER BY", "WHERE",
+        "1e999", "9999999", "CUBE_",
+    ];
+
+    proptest::proptest! {
+        // Arbitrary bytes, read as lossy UTF-8 and mapped onto the
+        // grammar's own characters: `parse` returns a query or an error,
+        // and never panics.
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..160),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            const ALPHABET: &[u8] = b"SELECT FROM WHERE GROUP BY ORDER IN AND Tid TS Value \
+                Segment DataPoint SUM_S(*) CUBE_AVG_DAY PCTL_S COUNT_DISTINCT \
+                0123456789.,-'()<>=*";
+            let mapped: String = bytes
+                .iter()
+                .map(|&b| char::from(ALPHABET[usize::from(b) % ALPHABET.len()]))
+                .collect();
+            let _ = parse(&mapped);
+        }
+
+        // Dashboard-shaped queries with bytes flipped, truncated at any
+        // length, extended, or with a fragment spliced in: still a query
+        // or an error, never a panic.
+        #[test]
+        fn parse_never_panics_on_mutated_dashboard_queries(
+            query in proptest::num::usize::ANY,
+            damage in 0usize..4,
+            edits in proptest::collection::vec((proptest::num::usize::ANY, proptest::num::u8::ANY), 1..6),
+        ) {
+            let mut bytes = DASHBOARD[query % DASHBOARD.len()].as_bytes().to_vec();
+            for &(at, byte) in &edits {
+                let at = at % (bytes.len() + 1);
+                match damage {
+                    0 => {
+                        let len = bytes.len();
+                        bytes[at % len] ^= byte.max(1);
+                    }
+                    1 => bytes.truncate(at),
+                    2 => bytes.push(byte),
+                    _ => {
+                        let fragment = FRAGMENTS[usize::from(byte) % FRAGMENTS.len()];
+                        bytes.splice(at..at, fragment.bytes());
+                    }
+                }
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -271,24 +271,33 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// The next `N` bytes as an array, without a fallible conversion.
+    fn take_array<const N: usize>(&mut self) -> Decoded<[u8; N]> {
+        let mut array = [0u8; N];
+        for (to, from) in array.iter_mut().zip(self.take(N)?) {
+            *to = *from;
+        }
+        Ok(array)
+    }
+
     fn u8(&mut self) -> Decoded<u8> {
         Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Decoded<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     fn u32(&mut self) -> Decoded<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     fn u64(&mut self) -> Decoded<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     fn i64(&mut self) -> Decoded<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     fn f32(&mut self) -> Decoded<f32> {
@@ -356,11 +365,13 @@ impl<'a> Reader<'a> {
         };
         let mut values = self
             .take(present * 4)?
-            .chunks_exact(4)
-            .map(|v| f32::from_le_bytes(v.try_into().expect("a 4-byte chunk")));
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|&v| f32::from_le_bytes(v));
         let mut batch = RowBatch::with_capacity(n_series, n_rows);
-        for (row, timestamp) in timestamps.chunks_exact(8).enumerate() {
-            let timestamp = i64::from_le_bytes(timestamp.try_into().expect("an 8-byte chunk"));
+        for (row, &timestamp) in timestamps.as_chunks::<8>().0.iter().enumerate() {
+            let timestamp = i64::from_le_bytes(timestamp);
             let first_bit = row * n_series;
             batch.push_row_with(timestamp, |series| {
                 let bit = first_bit + series;
@@ -904,6 +915,109 @@ mod tests {
             // i/o-ish codes, which all surface as Io).
             let back = code.into_error("m".to_string());
             assert_eq!(ErrorCode::of(&back), code);
+        }
+    }
+
+    /// One valid payload of every request and response kind, the damage
+    /// proptests' starting points.
+    fn valid_frames() -> Vec<Vec<u8>> {
+        let mut batch = RowBatch::new(3);
+        batch.push_row(0, &[Some(1.0), None, Some(3.0)]);
+        batch.push_row(100, &[None, None, None]);
+        batch.push_row(200, &[Some(-0.0), Some(f32::MAX), None]);
+        let requests = [
+            Request::Hello { version: 1 },
+            Request::Sql {
+                text: "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid".to_string(),
+            },
+            Request::Prepare {
+                name: "dash".to_string(),
+                sql: "SELECT Tid FROM Segment".to_string(),
+            },
+            Request::ExecPrepared {
+                name: "dash".to_string(),
+            },
+            Request::IngestBatch(batch),
+            Request::IngestPoints(vec![(1, 0, 1.5), (2, 100, -2.5)]),
+            Request::Flush,
+            Request::Health,
+            Request::SetOption {
+                key: "errors".to_string(),
+                value: "deferred".to_string(),
+            },
+            Request::Bye,
+        ];
+        let responses = [
+            Response::Hello {
+                version: PROTOCOL_VERSION,
+                session: 42,
+            },
+            Response::Ok {
+                info: "flushed".to_string(),
+            },
+            Response::Error {
+                code: ErrorCode::Query,
+                message: "no such column".to_string(),
+            },
+            Response::ResultHeader {
+                columns: vec!["Tid".to_string(), "SUM_S".to_string()],
+            },
+            Response::ResultRows {
+                rows: vec![
+                    vec![Cell::Int(1), Cell::Float(0.5)],
+                    vec![Cell::Timestamp(1_609_459_200_000), Cell::Null],
+                    vec![Cell::Str("Aalborg".to_string()), Cell::Float(-0.0)],
+                ],
+            },
+            Response::ResultEnd { rows: 3 },
+            Response::Health(DatastoreHealth {
+                backend: "cluster".to_string(),
+                degraded: true,
+                lost_gids: vec![3, 9],
+                detail: "1/3 workers active".to_string(),
+            }),
+        ];
+        requests
+            .iter()
+            .map(Request::encode)
+            .chain(responses.iter().map(Response::encode))
+            .collect()
+    }
+
+    proptest::proptest! {
+        // Arbitrary bytes: each decoder returns a value or an error, and
+        // never panics.
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256),
+        ) {
+            let _ = Request::decode(&bytes);
+            let _ = Response::decode(&bytes);
+        }
+
+        // Valid frames of every kind with bytes flipped, truncated at any
+        // length, or extended: still a value or an error, never a panic.
+        #[test]
+        fn decoders_never_panic_on_damaged_frames(
+            frame in proptest::num::usize::ANY,
+            damage in 0usize..3,
+            edits in proptest::collection::vec((proptest::num::usize::ANY, proptest::num::u8::ANY), 1..8),
+        ) {
+            let mut frames = valid_frames();
+            let mut bytes = frames.swap_remove(frame % frames.len());
+            let (at, byte) = edits[0];
+            match damage {
+                0 => {
+                    for &(at, byte) in &edits {
+                        let len = bytes.len();
+                        bytes[at % len] ^= byte.max(1);
+                    }
+                }
+                1 => bytes.truncate(at % (bytes.len() + 1)),
+                _ => bytes.extend(edits.iter().map(|&(_, b)| b).chain([byte])),
+            }
+            let _ = Request::decode(&bytes);
+            let _ = Response::decode(&bytes);
         }
     }
 }

@@ -33,8 +33,8 @@ use mdb_types::{BlockView, Result, SegmentRecord, SegmentView};
 const SHARDS: usize = 8;
 
 /// Observable cache behaviour: hit ratio and I/O volume for diagnostics,
-/// resident/peak segment counts for the memory-budget benchmark
-/// (`repro storage`), and decode counters that make the zero-copy claim
+/// resident/peak segment counts that show a memory budget holds, and
+/// decode counters that make the zero-copy claim
 /// checkable — a pure-v2 scan shows `owned_decodes == 0` and exactly one
 /// validation per block read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

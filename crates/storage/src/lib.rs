@@ -302,7 +302,7 @@ pub trait SegmentStore: Send + Sync {
 
     /// High-water mark of [`SegmentStore::resident_segments`] over the
     /// store's lifetime (an upper bound for stores that track cache and
-    /// buffer peaks independently) — the `repro storage` benchmark metric.
+    /// buffer peaks independently) — what shows a memory budget holds.
     fn resident_segment_peak(&self) -> usize {
         self.resident_segments()
     }

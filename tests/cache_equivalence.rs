@@ -7,13 +7,16 @@
 //! **bit-identical** SQL aggregates and DataPoint listings for arbitrary
 //! time ranges and value predicates, over data with per-series gaps,
 //! whole-group gap ticks, and dynamic split/join episodes (the same ingest
-//! pattern as `tests/query_equivalence.rs`).
+//! pattern as `tests/query_equivalence.rs`). Two fixed cases pin the full
+//! scan itself: both block formats answer the full-span probes identically,
+//! and a cold prefetching scan reads every block exactly once.
 
 use mdb_testutil::TempDir;
 use proptest::prelude::*;
 
 use modelardb::{
-    BlockFormat, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, SeriesSpec, StorageSpec,
+    BlockFormat, DimensionSchema, DiskStore, DiskStoreOptions, ErrorBound, ModelarDb,
+    ModelarDbBuilder, SegmentStore, SeriesSpec, StorageSpec,
 };
 
 /// Ticks ingested by [`engines`] (timestamps `t * 100`).
@@ -185,4 +188,88 @@ proptest! {
         }
         drop(engines);
     }
+}
+
+/// Full-span probes that scan every block: all five whole-store aggregates,
+/// and a per-series sum.
+const SCAN_PROBES: [&str; 2] = [
+    "SELECT COUNT_S(*), SUM_S(*), AVG_S(*), MIN_S(*), MAX_S(*) FROM Segment",
+    "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
+];
+
+/// A v1 and a v2 store over the same ingest answer the scan probes
+/// bit-identically, served from rollup cells and scanned alike; the scan
+/// decodes every v1 block into owned records and no v2 block.
+#[test]
+fn v1_and_v2_stores_answer_the_scan_probes_identically() {
+    let (v1_dir, v2_dir) = (TempDir::new("cache-eq-v1"), TempDir::new("cache-eq-v2"));
+    let mut v1 = build(&v1_dir, None, 0, BlockFormat::V1);
+    let mut v2 = build(&v2_dir, None, 0, BlockFormat::V2);
+    ingest(&mut v1);
+    ingest(&mut v2);
+    for serve in [true, false] {
+        v1.set_rollup_serve(serve);
+        v2.set_rollup_serve(serve);
+        for probe in SCAN_PROBES {
+            assert_eq!(v1.sql(probe).unwrap(), v2.sql(probe).unwrap(), "{probe}");
+        }
+    }
+    let blocks = |dir: &TempDir| {
+        DiskStore::open_with(
+            dir.path(),
+            DiskStoreOptions {
+                bulk_write_size: BULK_WRITE,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .block_count() as u64
+    };
+    assert_eq!(v1.cache_stats().owned_decodes, blocks(&v1_dir));
+    assert_eq!(v2.cache_stats().owned_decodes, 0);
+}
+
+/// A cold full scan with the prefetcher on brings every block in exactly
+/// once, through a prefetch or a demand miss, and reads exactly the log's
+/// persistent bytes; no block is decoded into owned records.
+#[test]
+fn cold_prefetching_scan_reads_every_block_once() {
+    let dir = TempDir::new("cache-eq-cold");
+    {
+        // A flush every 50 ticks cuts a block each time, so the prefetcher
+        // has many blocks to read ahead of the scan.
+        let mut db = build(&dir, None, 0, BlockFormat::V2);
+        let mut x = 99u32;
+        for t in 0..SJ_TICKS {
+            db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
+            if t % 50 == 49 {
+                db.flush().unwrap();
+            }
+        }
+        db.flush().unwrap();
+    }
+    let store = DiskStore::open_with(
+        dir.path(),
+        DiskStoreOptions {
+            bulk_write_size: BULK_WRITE,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (blocks, persistent) = (store.block_count() as u64, store.persistent_bytes());
+    drop(store);
+    assert!(
+        blocks >= 8,
+        "the fixture must span many blocks, got {blocks}"
+    );
+
+    let mut db = build(&dir, None, 256, BlockFormat::V2);
+    db.set_rollup_serve(false);
+    for probe in SCAN_PROBES {
+        db.sql(probe).unwrap();
+    }
+    let stats = db.cache_stats();
+    assert_eq!(stats.prefetch_issued + stats.misses, blocks);
+    assert_eq!(stats.bytes_read, persistent);
+    assert_eq!(stats.owned_decodes, 0);
 }

@@ -426,9 +426,16 @@ fn damaged_rollup_section_rebuilds_cells_without_losing_sketches() {
         rollup_feed: Some(rollup()),
         ..options(true, true)
     };
-    let mut all = Vec::new();
-    {
-        let mut store = DiskStore::open_with(dir, with_rollups()).unwrap();
+    // Writes the same 20 segments with the same flush cadence, with or
+    // without a rollup feed, returning the segments and the sidecar bytes.
+    let write = |dir: &std::path::Path, rollups: bool| {
+        let mut all = Vec::new();
+        let store_options = if rollups {
+            with_rollups()
+        } else {
+            options(true, true)
+        };
+        let mut store = DiskStore::open_with(dir, store_options).unwrap();
         for i in 0..20 {
             let s = seg(i);
             store.insert(s.clone()).unwrap();
@@ -438,27 +445,42 @@ fn damaged_rollup_section_rebuilds_cells_without_losing_sketches() {
             }
         }
         store.flush().unwrap();
-        assert_eq!(collect_cells(&store), expected_cells(&all));
-    }
+        if rollups {
+            assert_eq!(collect_cells(&store), expected_cells(&all));
+        }
+        drop(store);
+        (all, std::fs::read(dir.join("segments.idx")).unwrap())
+    };
+    let (all, pristine) = write(dir, true);
     let sidecar_path = dir.join("segments.idx");
-    let pristine = std::fs::read(&sidecar_path).unwrap();
-    // The rollup section's size, from its layout: a flag byte, a level
-    // count, one tag per level, a u64 cell count, then 49 bytes per cell.
-    let section = 3 + 8 + 49 * expected_cells(&all).len();
+    // The rollup section trails the file. A store without a rollup feed
+    // writes the same body up to that section and then only its flag byte,
+    // so the section spans the file from `start` to its end, flag included.
+    let plain_case = case_dir();
+    let (_, plain) = write(plain_case.path(), false);
+    let start = plain.len() - 1;
+    assert_eq!(plain[start], 0, "a store without rollups writes flag 0");
+    const HEADER: usize = 16; // magic, version, body checksum, body length
+    assert_eq!(
+        pristine[HEADER..start],
+        plain[HEADER..start],
+        "the sidecars differ only in the rollup section"
+    );
+    let section = pristine.len() - start;
     assert!(pristine.len() > section + 16, "the section trails the file");
 
     let damaged: Vec<Vec<u8>> = vec![
-        // Truncated one byte into the last cell.
+        // Truncated one byte into the last series' columns.
         pristine[..pristine.len() - 1].to_vec(),
         // Truncated mid-section: only the flag byte survives.
         pristine[..pristine.len() - (section - 1)].to_vec(),
-        // A flipped byte in the last cell's accumulator.
+        // A flipped byte in the last series' max column.
         {
             let mut b = pristine.clone();
             *b.last_mut().unwrap() ^= 0xFF;
             b
         },
-        // A flipped byte around the middle of the cell list.
+        // A flipped byte around the middle of the series list.
         {
             let mut b = pristine.clone();
             let at = b.len() - section / 2;
@@ -467,6 +489,15 @@ fn damaged_rollup_section_rebuilds_cells_without_losing_sketches() {
         },
     ];
     for bytes in damaged {
+        // Each case damages the rollup section alone: its first changed or
+        // missing byte lies after the flag byte, and the rest is intact.
+        let first_damage = (0..pristine.len())
+            .find(|&at| bytes.get(at) != pristine.get(at))
+            .expect("every case damages the file");
+        assert!(
+            (start + 1..pristine.len()).contains(&first_damage),
+            "damage at {first_damage} is outside the rollup section {start}.."
+        );
         std::fs::write(&sidecar_path, &bytes).unwrap();
         let store = DiskStore::open_with(dir, with_rollups()).unwrap();
         assert_eq!(scan_to_vec(&store, &SegmentPredicate::all()).unwrap(), all);

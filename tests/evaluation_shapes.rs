@@ -1,7 +1,7 @@
 //! Integration checks for the *shapes* of the paper's evaluation (Section
 //! 7): who wins and in which regime, on the synthetic EP/EH data sets. The
-//! exact factors live in EXPERIMENTS.md; these tests pin the qualitative
-//! claims so regressions in any crate show up as failures here.
+//! `repro` binary prints the measured factors; these tests pin the
+//! qualitative claims so regressions in any crate show up as failures here.
 
 use mdb_bench::{baseline_stores, build_engine, ingest_baseline, ingest_engine};
 use mdb_datagen::{eh, ep, Scale};
