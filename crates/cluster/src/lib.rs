@@ -50,9 +50,8 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 use mdb_compression::{CompressionConfig, CompressionStats};
 use mdb_models::ModelRegistry;
 use mdb_partitioner::assign_replicas;
-use mdb_query::engine::PartialAggregates;
 use mdb_query::{
-    merge_partials, CommonOptions, Query, QueryEngine, QueryResult, SelectItem, Shard,
+    CommonOptions, PartialAggregates, Query, QueryEngine, QueryResult, SelectItem, Shard,
 };
 use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{
@@ -905,19 +904,13 @@ impl Cluster {
                     }
                 }
             }
-            // Merge in global group order: the fold inside each group is
-            // deterministic per holder, and this order is independent of
-            // placement — together, bit-identical results everywhere.
+            // Merge slot by slot in global group order: the fold inside each
+            // group is deterministic per holder, and this order is
+            // independent of placement — together, bit-identical results
+            // everywhere.
             pairs.sort_by_key(|(gid, _)| *gid);
-            let mut merged: Option<PartialAggregates> = None;
-            for (_, partial) in pairs {
-                match &mut merged {
-                    None => merged = Some(partial),
-                    Some(m) => merge_partials(m, partial),
-                }
-            }
-            let mut result =
-                QueryEngine::finalize_aggregates(query, vec![merged.unwrap_or_default()])?;
+            let partials = pairs.into_iter().map(|(_, partial)| partial).collect();
+            let mut result = QueryEngine::finalize_aggregates(query, partials)?;
             QueryEngine::apply_order_limit(&mut result, query)?;
             Ok(Some((result, times)))
         } else {
@@ -1351,13 +1344,17 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
             }
             Command::QueryPartial(query, scope, reply) => {
                 let start = Instant::now();
+                // One plan for every hosted group; each group still folds on
+                // its own, which keeps results placement-independent.
                 let run = || -> Result<Vec<(Gid, PartialAggregates)>> {
-                    let mut out = Vec::with_capacity(scope.len());
-                    for gid in scope.iter() {
-                        let engine = shard.engine(Some(std::slice::from_ref(gid)));
-                        out.push((*gid, engine.aggregate_partial(&query)?));
-                    }
-                    Ok(out)
+                    let plan = shard.engine(None).compile(&query)?;
+                    scope
+                        .iter()
+                        .map(|gid| {
+                            let engine = shard.engine(Some(std::slice::from_ref(gid)));
+                            Ok((*gid, engine.plan_partial(&plan)?))
+                        })
+                        .collect()
                 };
                 let _ = reply.send(run().map(|p| (p, start.elapsed())));
             }

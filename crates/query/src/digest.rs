@@ -20,7 +20,7 @@ use mdb_storage::{
 use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value};
 
 use crate::aggregate::{grid_aggregate, Accumulator, SegmentCursor};
-use crate::engine::{split_at_boundaries, BoundarySplits};
+use crate::engine::BoundarySplits;
 
 /// The zone map's stored-value statistic provider: the models' constant-time
 /// aggregate over a segment's full range, closed over the registry and the
@@ -81,7 +81,7 @@ pub fn sketch_feed(catalog: &Arc<Catalog>, registry: &Arc<ModelRegistry>) -> Ske
 
 /// Builds the ingest-time rollup feed for a store: for every present series
 /// of a finalized segment and every configured time level, the segment's
-/// tick range is split at calendar boundaries ([`split_at_boundaries`]) and
+/// tick range is split at calendar boundaries (Algorithm 6) and
 /// each sub-range is aggregated with **exactly** the arithmetic the Segment
 /// View's bucketed scan uses — a fresh [`Accumulator`] folded with
 /// [`Accumulator::add_segment_agg`] over the model's constant-time
@@ -113,7 +113,7 @@ pub fn rollup_feed(
                 let tid = group.tids[member_pos];
                 let scaling = closure_catalog.scaling_of(tid);
                 for &level in &feed_levels {
-                    for (bucket, sub) in split_at_boundaries(segment.view(), (0, last_tick), level)
+                    for (bucket, sub) in BoundarySplits::new(segment.view(), (0, last_tick), level)
                     {
                         let agg =
                             cursor.aggregate_with(&closure_registry, series_pos, sub, true)?;

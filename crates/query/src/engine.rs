@@ -2,10 +2,12 @@
 //! Algorithm 6 (aggregation in the time dimension), and the listing paths of
 //! both views (the point/range workload).
 //!
-//! The engine is deliberately split into *rewrite → partial → merge/finalize*
-//! phases so the cluster runtime can run the partial phase on every worker
-//! and merge at the master, exactly as the pseudo-code annotates ("executed
-//! on workers with the result sent to the master").
+//! The engine is deliberately split into *compile → partial →
+//! merge/finalize* phases so the cluster runtime can run the partial phase
+//! on every worker and merge at the master, exactly as the pseudo-code
+//! annotates ("executed on workers with the result sent to the master").
+//! Compiling ([`QueryEngine::compile`]) extends Algorithm 5's rewrite step:
+//! it also resolves every tid's group key to a dense slot once per query.
 //!
 //! The partial phase is itself parallel: the rewritten push-down predicate
 //! (including the zone-map value/time pruning of `mdb_storage::zone`) first
@@ -14,8 +16,8 @@
 //! [`SegmentView`]s with **no per-segment allocation** — then fold groups
 //! of consecutive segments (addressed by global scan index, so boundaries
 //! never depend on block shapes or worker counts) are evaluated on a worker
-//! pool fed over crossbeam channels. Each fold group produces its own fresh
-//! [`PartialAggregates`] and the groups are folded back **in scan order**,
+//! pool fed over crossbeam channels. Each fold group accumulates into fresh
+//! slot accumulators and the groups are folded back **in scan order**,
 //! so the result is bit-identical to the sequential scan no matter how many
 //! workers ran — float accumulation happens in exactly the same order
 //! either way.
@@ -25,7 +27,8 @@
 //! cells instead of a scan — see [`QueryEngine::with_rollups`] — with
 //! segment scans only for the partial buckets at the edges of a time range.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mdb_models::ModelRegistry;
@@ -38,9 +41,9 @@ use crate::aggregate::{Accumulator, AggFunc, SegmentCursor};
 use crate::cell::{Cell, QueryResult};
 use crate::sql::{CmpOp, Predicate, Query, SelectItem, SketchFunc, TimeColumn, View};
 
-/// A hashable group-by key component (group keys are never floats).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KeyCell {
+/// A group-by key component (group keys are never floats).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum KeyCell {
     Int(i64),
     Str(String),
 }
@@ -54,50 +57,127 @@ impl KeyCell {
     }
 }
 
-/// FNV-1a, the hasher behind [`PartialAggregates`]. Group keys are short
-/// cell vectors derived from the catalog (tids and dimension members), not
-/// from untrusted input, so SipHash's per-hash setup cost buys no HashDoS
-/// protection worth having — and it dominates bucketed scans and rollup
-/// serving, where a query hashes tens of thousands of per-(tid, bucket)
-/// keys.
-#[derive(Debug, Clone, Copy)]
-pub struct FnvHasher(u64);
+/// A query's group keys, resolved once per query: each tid the query keeps
+/// maps to the dense slot of its key (slots in ascending key order) and to
+/// its scaling. Independent of any gid scope, so every cluster worker
+/// numbers the slots alike.
+#[derive(Debug, Default)]
+struct KeyPlan {
+    /// Indexed by tid: `(slot, scaling)`, or `None` for a tid the query skips.
+    by_tid: Vec<Option<(u32, f64)>>,
+    /// Each slot's key row: the GROUP BY columns in order.
+    rows: Vec<Vec<KeyCell>>,
+}
 
-impl std::hash::Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+impl KeyPlan {
+    /// The slot and scaling of `tid`, or `None` when the query skips it.
+    fn lookup(&self, tid: Tid) -> Option<(usize, f64)> {
+        let (slot, scaling) = (*self.by_tid.get(tid as usize)?)?;
+        Some((slot as usize, scaling))
+    }
+}
+
+/// The representation a compiled aggregate query is answered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Representation {
+    /// The store's merged per-group sketches; no segment body is read.
+    Sketch,
+    /// Whole buckets from rollup cells, edge buckets scanned; falls back to
+    /// the bit-identical bucketed scan when the store cannot serve.
+    Rollup { level: TimeLevel },
+    /// A segment scan, bucketed (CUBE, or rollup-eligible) or not.
+    Scan { bucket: Option<TimeLevel> },
+}
+
+/// An aggregate query compiled once ([`QueryEngine::compile`]).
+#[derive(Debug)]
+pub struct Plan {
+    representation: Representation,
+    rw: Rewritten,
+    keys: Arc<KeyPlan>,
+    /// Only the Segment View may aggregate on the models directly.
+    use_models: bool,
+}
+
+/// Worker-local partial aggregation state of one [`Plan`]: one
+/// [`Accumulator`] per group key, from which every aggregate function
+/// finalizes. Bucketed plans instead keep one accumulator per segment or
+/// rollup cell that touched a `(tid, bucket)`, in fold order, for
+/// [`QueryEngine::finalize_aggregates`] to fold (every group column is a
+/// function of the tid).
+#[derive(Debug, Clone, Default)]
+pub struct PartialAggregates {
+    keys: Arc<KeyPlan>,
+    /// Indexed by slot; `None` until a fold group touches the slot.
+    slots: Vec<Option<Accumulator>>,
+    /// `(tid, bucket start, accumulator)` in fold order.
+    buckets: Vec<(Tid, Timestamp, Accumulator)>,
+}
+
+impl PartialAggregates {
+    /// An untouched partial over `keys`' slots.
+    fn new(keys: &Arc<KeyPlan>) -> Self {
+        Self {
+            keys: Arc::clone(keys),
+            slots: vec![None; keys.rows.len()],
+            buckets: Vec::new(),
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// Folds one fold group in, after every earlier one.
+    fn absorb(&mut self, group: GroupFold) {
+        for (slot, acc) in group.slots {
+            merge_slot(&mut self.slots[slot as usize], acc);
+        }
+        self.buckets.extend(group.buckets);
     }
 }
 
-/// Builds [`FnvHasher`]s seeded with the FNV offset basis; the hasher
-/// state of [`PartialAggregates`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FnvBuildHasher;
-
-impl std::hash::BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+/// Algorithm 5's `mergeResults` for one key.
+fn merge_slot(mine: &mut Option<Accumulator>, theirs: Accumulator) {
+    match mine {
+        Some(mine) => mine.merge(&theirs),
+        None => *mine = Some(theirs),
     }
 }
 
-/// Worker-local partial aggregation state: group key → one accumulator per
-/// aggregate item in the SELECT list.
-pub type PartialAggregates = HashMap<Vec<KeyCell>, Vec<Accumulator>, FnvBuildHasher>;
+/// One fold group's touched slots and bucket entries.
+struct GroupFold {
+    slots: Vec<(u32, Accumulator)>,
+    buckets: Vec<(Tid, Timestamp, Accumulator)>,
+}
+
+/// The slot accumulators of the fold group being evaluated, with the
+/// touched slots listed so draining costs only what the group touched.
+struct SlotScratch {
+    accs: Vec<Option<Accumulator>>,
+    touched: Vec<u32>,
+}
+
+impl SlotScratch {
+    /// Merges `acc` into the group accumulator of `slot`.
+    fn merge(&mut self, slot: usize, acc: Accumulator) {
+        if self.accs[slot].is_none() {
+            self.touched.push(slot as u32);
+        }
+        merge_slot(&mut self.accs[slot], acc);
+    }
+
+    /// Takes the touched accumulators, leaving every slot untouched.
+    fn drain(&mut self) -> Vec<(u32, Accumulator)> {
+        let accs = &mut self.accs;
+        self.touched
+            .drain(..)
+            .map(|slot| (slot, accs[slot as usize].take().expect("touched")))
+            .collect()
+    }
+}
 
 /// Segments per *fold group*: consecutive segments (by global scan index)
-/// accumulate into one partial map, and the master folds the group partials
-/// in index order. The size scales with the surviving-segment count —
-/// roughly one group per 256 survivors, clamped to `[16, 256]` — so broad
-/// scans amortize per-group overhead while narrow ones still split into
+/// accumulate into one set of slot accumulators, and the groups fold into
+/// the partial in index order. The size scales with the surviving-segment
+/// count — roughly one group per 256 survivors, clamped to `[16, 256]` — so
+/// broad scans amortize per-group overhead while narrow ones still split into
 /// enough groups to parallelize. Group boundaries depend only on the scan
 /// order and the survivor count — never on the worker count or block
 /// shapes — which is what makes results bit-identical at every parallelism
@@ -231,13 +311,15 @@ impl RunSet {
     }
 }
 
-/// One query's owned scan state, shipped to [`ScanPool`] workers: the
-/// parsed query, the rewritten predicates, and the pruned runs.
+/// One scan's owned state, shipped to [`ScanPool`] workers: the rewritten
+/// filters (with the `TS` bounds of the window being scanned), the key plan,
+/// the bucketing level, and the pruned runs.
 struct ScanContext {
-    query: Query,
     rw: Rewritten,
-    aggs: Vec<(AggFunc, Option<TimeLevel>)>,
-    cube: Option<TimeLevel>,
+    keys: Arc<KeyPlan>,
+    bucket: Option<TimeLevel>,
+    /// Only the Segment View may aggregate on the models directly.
+    use_models: bool,
     runs: RunSet,
     /// Segments per fold group ([`fold_group_size`]).
     fold_size: usize,
@@ -246,11 +328,34 @@ struct ScanContext {
     chunk_size: usize,
 }
 
+impl ScanContext {
+    /// Evaluates the fold groups of global scan indices `lo..hi` in order;
+    /// `lo` must start a fold group.
+    fn folds(
+        &self,
+        evaluator: &SegmentEvaluator<'_>,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Vec<GroupFold>> {
+        let mut scratch = SlotScratch {
+            accs: vec![None; self.keys.rows.len()],
+            touched: Vec::new(),
+        };
+        (lo..hi)
+            .step_by(self.fold_size)
+            .map(|group_lo| {
+                let group_hi = (group_lo + self.fold_size).min(hi);
+                evaluator.fold_group(self, group_lo, group_hi, &mut scratch)
+            })
+            .collect()
+    }
+}
+
 /// A job for one chunk of a [`ScanContext`]'s segments.
 struct PoolJob {
     context: Arc<ScanContext>,
     chunk: usize,
-    results: crossbeam_channel::Sender<(usize, Result<Vec<PartialAggregates>>)>,
+    results: crossbeam_channel::Sender<(usize, Result<Vec<GroupFold>>)>,
 }
 
 /// A persistent pool of scan workers for the partial-aggregation phase.
@@ -273,22 +378,9 @@ fn run_pool_job(evaluator: &SegmentEvaluator<'_>, job: &PoolJob) {
     let hi = (lo + context.chunk_size).min(context.runs.len());
     // chunk_size is a multiple of fold_size, so the fold groups line up
     // across transport chunks.
-    let partials = (lo..hi)
-        .step_by(context.fold_size)
-        .map(|group_lo| {
-            let group_hi = (group_lo + context.fold_size).min(hi);
-            evaluator.group_partial(
-                &context.query,
-                &context.rw,
-                &context.aggs,
-                context.cube,
-                &context.runs,
-                group_lo,
-                group_hi,
-            )
-        })
-        .collect();
-    let _ = job.results.send((job.chunk, partials));
+    let _ = job
+        .results
+        .send((job.chunk, context.folds(evaluator, lo, hi)));
 }
 
 impl ScanPool {
@@ -326,10 +418,10 @@ impl ScanPool {
         self.workers
     }
 
-    /// Runs one query's scan on the pool, returning per-segment partials in
-    /// input order (chunks are reassembled by index, so the later fold is
+    /// Runs one scan on the pool, returning the fold groups' contributions
+    /// in scan order (chunks are reassembled by index, so the later fold is
     /// bit-identical to a sequential scan).
-    fn execute(&self, mut context: ScanContext) -> Result<Vec<PartialAggregates>> {
+    fn execute(&self, mut context: ScanContext) -> Result<Vec<GroupFold>> {
         let n_segments = context.runs.len();
         // A few chunks per runner: enough slack to balance uneven segments,
         // few enough that channel hops stay negligible. Rounded to a
@@ -349,17 +441,17 @@ impl ScanPool {
             .map_err(|_| MdbError::Query("scan pool shut down".into()))?;
         }
         drop(results);
-        let mut by_chunk: Vec<Option<Result<Vec<PartialAggregates>>>> =
+        let mut by_chunk: Vec<Option<Result<Vec<GroupFold>>>> =
             (0..n_chunks).map(|_| None).collect();
         for _ in 0..n_chunks {
-            let (chunk, partials) = result_rx
+            let (chunk, folds) = result_rx
                 .recv()
                 .map_err(|_| MdbError::Query("scan worker died without a result".into()))?;
-            by_chunk[chunk] = Some(partials);
+            by_chunk[chunk] = Some(folds);
         }
-        let mut out = Vec::with_capacity(n_segments);
-        for partials in by_chunk {
-            out.extend(partials.expect("every chunk was received")?);
+        let mut out = Vec::with_capacity(n_segments.div_ceil(context.fold_size));
+        for folds in by_chunk {
+            out.extend(folds.expect("every chunk was received")?);
         }
         Ok(out)
     }
@@ -374,14 +466,21 @@ impl Drop for ScanPool {
     }
 }
 
+/// Intersects a tid restriction with `keep`, in the restriction's order.
+fn narrow(tids: Option<Vec<Tid>>, keep: &[Tid]) -> Vec<Tid> {
+    match tids {
+        None => keep.to_vec(),
+        Some(prev) => prev.into_iter().filter(|t| keep.contains(t)).collect(),
+    }
+}
+
 /// Resolved WHERE clause: per-row filters plus the predicate pushed to the
 /// segment store (Section 6.2's rewriting).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Rewritten {
-    /// `None` = no Tid restriction.
+    /// The tids the Tid and member predicates keep (members through the
+    /// inverted index); `None` = no restriction.
     tids: Option<Vec<Tid>>,
-    /// Member predicates resolved to `(dim, level, member_id)`.
-    members: Vec<(usize, usize, mdb_types::MemberId)>,
     /// Time bounds on data points (from TS comparisons).
     ts_from: Timestamp,
     ts_to: Timestamp,
@@ -393,6 +492,45 @@ struct Rewritten {
     pushdown: SegmentPredicate,
     /// True when the rewrite proved the result empty (e.g. unknown member).
     empty: bool,
+}
+
+impl Rewritten {
+    /// Whether the Tid and member predicates keep `tid`.
+    fn keeps(&self, tid: Tid) -> bool {
+        self.tids.as_ref().is_none_or(|tids| tids.contains(&tid))
+    }
+
+    /// Whether the raw value `v` passes every `Value` comparison.
+    fn value_matches(&self, v: f64) -> bool {
+        self.value_cmps
+            .iter()
+            .all(|(op, bound)| op.holds(v, *bound))
+    }
+
+    /// Whether `segment` passes every `StartTime`/`EndTime` comparison.
+    fn segment_time_matches(&self, segment: &SegmentView<'_>) -> bool {
+        self.segment_time.iter().all(|(column, op, value)| {
+            let field = match column {
+                TimeColumn::StartTime => segment.start_time,
+                _ => segment.end_time,
+            };
+            op.holds(field, *value)
+        })
+    }
+
+    /// The tick-index range of `segment` inside the `TS` bounds, or `None`
+    /// when no tick is.
+    fn tick_range(&self, segment: &SegmentView<'_>) -> Option<(usize, usize)> {
+        let si = segment.sampling_interval;
+        let lo_ts = self.ts_from.max(segment.start_time);
+        let hi_ts = self.ts_to.min(segment.end_time);
+        if lo_ts > hi_ts {
+            return None;
+        }
+        let idx_lo = ((lo_ts - segment.start_time) + si - 1) / si;
+        let idx_hi = (hi_ts - segment.start_time) / si;
+        (idx_lo <= idx_hi).then_some((idx_lo as usize, idx_hi as usize))
+    }
 }
 
 impl<'a> QueryEngine<'a> {
@@ -458,13 +596,6 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    fn evaluator(&self) -> SegmentEvaluator<'a> {
-        SegmentEvaluator {
-            catalog: self.catalog,
-            registry: self.registry,
-        }
-    }
-
     /// Parses and executes a SQL string.
     pub fn sql(&self, text: &str) -> Result<QueryResult> {
         let query = crate::sql::parse(text)?;
@@ -473,40 +604,44 @@ impl<'a> QueryEngine<'a> {
 
     /// Executes a parsed query.
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
-        if query
+        let aggregates = query
             .items
             .iter()
-            .any(|i| matches!(i, SelectItem::Sketch(_)))
-        {
-            let partial = self.sketch_partial(query)?;
-            let mut result = Self::finalize_sketches(query, vec![partial])?;
-            Self::apply_order_limit(&mut result, query)?;
-            return Ok(result);
-        }
-        if query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg { .. }))
-        {
-            let partial = self.aggregate_partial(query)?;
-            let mut result = Self::finalize_aggregates(query, vec![partial])?;
-            Self::apply_order_limit(&mut result, query)?;
-            Ok(result)
+            .any(|i| matches!(i, SelectItem::Agg { .. } | SelectItem::Sketch(_)));
+        let mut result = if aggregates {
+            let plan = self.compile(query)?;
+            if plan.representation == Representation::Sketch {
+                Self::finalize_sketches(query, vec![self.sketch_partial(query)?])?
+            } else {
+                Self::finalize_aggregates(query, vec![self.plan_partial(&plan)?])?
+            }
         } else {
-            let mut result = self.listing(query)?;
-            Self::apply_order_limit(&mut result, query)?;
-            Ok(result)
-        }
+            self.listing(query)?
+        };
+        Self::apply_order_limit(&mut result, query)?;
+        Ok(result)
     }
 
     // ------------------------------------------------------- rewriting --
 
+    /// Intersects this engine's gid scope into a rewrite's push-down, so
+    /// out-of-scope segments are pruned like any other non-match (a
+    /// `Some(vec![])` push-down matches nothing).
+    fn apply_scope(&self, rw: &mut Rewritten) {
+        if let Some(scope) = self.gid_scope {
+            rw.pushdown.gids = Some(match rw.pushdown.gids.take() {
+                Some(list) => list.into_iter().filter(|g| scope.contains(g)).collect(),
+                None => scope.to_vec(),
+            });
+        }
+    }
+
     /// The `rewriteQuery` step of Algorithms 5 and 6: Tids and members
     /// become Gids for push-down; per-row filters are kept for the iterate
     /// step because a group may mix series that match and series that don't.
+    /// The push-down ignores the engine's gid scope ([`Self::apply_scope`]).
     fn rewrite(&self, query: &Query) -> Result<Rewritten> {
         let mut tids: Option<Vec<Tid>> = None;
-        let mut members = Vec::new();
         let mut ts_from = i64::MIN;
         let mut ts_to = i64::MAX;
         let mut segment_time = Vec::new();
@@ -515,37 +650,24 @@ impl<'a> QueryEngine<'a> {
         for predicate in &query.predicates {
             match predicate {
                 Predicate::TidIn(list) => {
-                    let set: Vec<Tid> = match &tids {
-                        None => list.clone(),
-                        Some(prev) => prev.iter().copied().filter(|t| list.contains(t)).collect(),
-                    };
+                    let set = narrow(tids.take(), list);
                     empty |= set.is_empty();
                     tids = Some(set);
                 }
                 Predicate::MemberEq { column, value } => {
-                    let Some((dim, level)) = self.catalog.dimensions.resolve_level(column) else {
+                    let dimensions = &self.catalog.dimensions;
+                    let Some((dim, level)) = dimensions.resolve_level(column) else {
                         return Err(MdbError::Query(format!("unknown column {column}")));
                     };
-                    match self.catalog.dimensions.member_id(value) {
-                        Some(m) => {
-                            members.push((dim, level, m));
-                            // Narrow the tid set through the inverted index.
-                            let with: Vec<Tid> = self
-                                .catalog
-                                .dimensions
-                                .tids_with_member(dim, level, m)
-                                .to_vec();
-                            let set: Vec<Tid> = match &tids {
-                                None => with,
-                                Some(prev) => {
-                                    prev.iter().copied().filter(|t| with.contains(t)).collect()
-                                }
-                            };
-                            empty |= set.is_empty();
-                            tids = Some(set);
-                        }
-                        None => empty = true,
-                    }
+                    // Narrow the tid set through the inverted index; an
+                    // unknown member keeps nothing.
+                    let with = match dimensions.member_id(value) {
+                        Some(m) => dimensions.tids_with_member(dim, level, m),
+                        None => &[],
+                    };
+                    let set = narrow(tids.take(), with);
+                    empty |= set.is_empty();
+                    tids = Some(set);
                 }
                 Predicate::Time { column, op, value } => match column {
                     TimeColumn::Ts => match op {
@@ -579,26 +701,12 @@ impl<'a> QueryEngine<'a> {
         }
         empty |= value_range.is_empty();
 
-        let mut gids = tids.as_ref().map(|list| self.catalog.gids_for_tids(list));
-        // An engine scoped to a gid subset intersects the scope into the
-        // push-down, so out-of-scope segments are pruned like any other
-        // non-match (a `Some(vec![])` push-down matches nothing).
-        if let Some(scope) = self.gid_scope {
-            gids = Some(match gids {
-                Some(list) => list.into_iter().filter(|g| scope.contains(g)).collect(),
-                None => scope.to_vec(),
-            });
-        }
         let mut pushdown = SegmentPredicate {
-            gids,
+            gids: tids.as_ref().map(|list| self.catalog.gids_for_tids(list)),
+            from: (ts_from != i64::MIN).then_some(ts_from),
+            to: (ts_to != i64::MAX).then_some(ts_to),
             ..SegmentPredicate::default()
         };
-        if ts_from != i64::MIN {
-            pushdown.from = Some(ts_from);
-        }
-        if ts_to != i64::MAX {
-            pushdown.to = Some(ts_to);
-        }
         // Map the raw-value interval into the *stored* (scaled) domain for
         // the zone-map push-down: a segment run can only match if its stored
         // range intersects the union of the candidate series' scaled images.
@@ -608,19 +716,13 @@ impl<'a> QueryEngine<'a> {
         // boundary, and pruning must never exclude a point the filter would
         // accept.
         if !value_cmps.is_empty() && !empty && value_range != ValueInterval::ALL {
-            let mut stored = ValueInterval::EMPTY;
-            match &tids {
-                Some(list) => {
-                    for tid in list {
-                        stored = stored.union(&value_range.scaled(self.catalog.scaling_of(*tid)));
-                    }
-                }
-                None => {
-                    for meta in &self.catalog.series {
-                        stored = stored.union(&value_range.scaled(meta.scaling));
-                    }
-                }
-            }
+            let scalings: Vec<f64> = match &tids {
+                Some(list) => list.iter().map(|t| self.catalog.scaling_of(*t)).collect(),
+                None => self.catalog.series.iter().map(|m| m.scaling).collect(),
+            };
+            let stored = scalings.iter().fold(ValueInterval::EMPTY, |stored, k| {
+                stored.union(&value_range.scaled(*k))
+            });
             pushdown.values = Some(stored.widened());
         }
         // Sound push-down from segment-time comparisons.
@@ -637,7 +739,6 @@ impl<'a> QueryEngine<'a> {
         }
         Ok(Rewritten {
             tids,
-            members,
             ts_from,
             ts_to,
             segment_time,
@@ -649,29 +750,41 @@ impl<'a> QueryEngine<'a> {
 
     // ------------------------------------------------ aggregate (Alg 5) --
 
-    /// The worker half of Algorithms 5 and 6: initialize + iterate over the
-    /// local store, producing partial accumulators per group key.
-    pub fn aggregate_partial(&self, query: &Query) -> Result<PartialAggregates> {
-        let aggs: Vec<(AggFunc, Option<TimeLevel>)> = query
+    /// Compiles an aggregate or sketch query once: validates it, rewrites
+    /// its WHERE clause, chooses the representation that answers it —
+    /// sketches, rollup cells, or a bucketed or plain scan — and resolves
+    /// every tid it keeps to a group-key slot (so an unknown GROUP BY column
+    /// is an error whatever the data). The gid scope is applied later, by
+    /// [`QueryEngine::plan_partial`].
+    pub fn compile(&self, query: &Query) -> Result<Plan> {
+        if query
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Sketch(_)))
+        {
+            Self::sketch_items(query)?;
+            return Ok(Plan {
+                representation: Representation::Sketch,
+                rw: self.rewrite(query)?,
+                keys: Arc::default(),
+                use_models: true,
+            });
+        }
+        let cubes: Vec<Option<TimeLevel>> = query
             .items
             .iter()
             .filter_map(|i| match i {
-                SelectItem::Agg { func, cube } => Some((*func, *cube)),
+                SelectItem::Agg { cube, .. } => Some(*cube),
                 _ => None,
             })
             .collect();
-        let cube_levels: Vec<TimeLevel> = {
-            let mut ls: Vec<TimeLevel> = aggs.iter().filter_map(|(_, c)| *c).collect();
-            ls.dedup();
-            ls
-        };
-        if cube_levels.len() > 1 {
+        let cube = cubes.iter().copied().flatten().next();
+        if cubes.iter().any(|c| c.is_some() && *c != cube) {
             return Err(MdbError::Query(
                 "only one CUBE time level per query is supported".into(),
             ));
         }
-        let cube = cube_levels.first().copied();
-        if cube.is_some() && aggs.iter().any(|(_, c)| c.is_none()) {
+        if cube.is_some() && cubes.contains(&None) {
             return Err(MdbError::Query(
                 "cannot mix CUBE_* and plain aggregates".into(),
             ));
@@ -688,63 +801,103 @@ impl<'a> QueryEngine<'a> {
         }
 
         let rw = self.rewrite(query)?;
-        if rw.empty {
-            return Ok(PartialAggregates::default());
-        }
-
-        // The time level this query buckets at: an explicit CUBE level, or
-        // the finest configured rollup level for an eligible plain
-        // aggregate. Bucketing fixes the float association to a per-(tid,
-        // bucket) left fold in scan order — the association the incremental
-        // rollup cells are maintained with — so the materialized and
-        // scanned paths are bit-identical and toggling serving never
-        // changes an output.
-        let bucket = cube.or_else(|| self.plain_bucket_level(query, &rw));
-        if let Some(level) = bucket {
-            if self.rollup_serve
-                && query.view == View::Segment
-                && rw.value_cmps.is_empty()
-                && rw.segment_time.is_empty()
-                && self.rollup_levels.contains(&level)
-            {
-                if let Some(partial) = self.serve_from_rollups(query, &rw, &aggs, level)? {
-                    return Ok(partial);
-                }
+        let keys = Arc::new(self.key_plan(query, &rw)?);
+        // Rollup cells fold the Segment View's model aggregates; a per-point
+        // `Value` filter or a `StartTime`/`EndTime` comparison (which keeps or
+        // drops whole segments) cannot be answered from them. An eligible
+        // plain aggregate buckets at the finest rollup level anyway, so the
+        // served and scanned paths share one float association — a
+        // per-(tid, bucket) left fold in scan order — and toggling serving
+        // never changes an output.
+        let cellular =
+            query.view == View::Segment && rw.value_cmps.is_empty() && rw.segment_time.is_empty();
+        let bucket = cube.or(if cellular {
+            mdb_storage::rollup::finest_level(self.rollup_levels)
+        } else {
+            None
+        });
+        let representation = match bucket {
+            Some(level) if cellular && self.rollup_serve && self.rollup_levels.contains(&level) => {
+                Representation::Rollup { level }
             }
-        }
-
-        // Collect the surviving runs once — the store's zone map (and, for
-        // the out-of-core store, its per-block statistics) has already
-        // skipped runs or whole on-disk blocks outside the time range or
-        // value predicate — then evaluate fold groups (possibly in
-        // parallel) and fold the group partials back in scan order. A
-        // block-backed run shares its cached block, so the collect costs
-        // one `Arc` clone per surviving block and segments are evaluated
-        // as borrowed views — no per-segment allocation anywhere on this
-        // path. Group boundaries and the fold order depend only on the
-        // scan order and survivor count, so every parallelism setting
-        // performs the same float operations in the same order.
-        let runs = RunSet::collect(self.store, &rw.pushdown)?;
-        let per_group = self.group_partials(query, &rw, &aggs, bucket, runs)?;
-        let mut partial = PartialAggregates::default();
-        for group_partial in per_group {
-            merge_partials(&mut partial, group_partial);
-        }
-        Ok(partial)
+            bucket => Representation::Scan { bucket },
+        };
+        Ok(Plan {
+            representation,
+            rw,
+            keys,
+            use_models: query.view == View::Segment,
+        })
     }
 
-    /// The bucketing level for a plain (non-CUBE) aggregate, or `None` to
-    /// scan unbucketed. Only whole-store-association-free queries are
-    /// eligible: Segment View (model-based aggregation, the association the
-    /// rollup feed uses), no per-point `Value` filter, and no raw
-    /// segment-time comparisons (a `StartTime`/`EndTime` predicate keeps or
-    /// drops *whole segments*, which cells cannot express). `TS` range
-    /// bounds stay eligible — partial edge buckets are scanned.
-    fn plain_bucket_level(&self, query: &Query, rw: &Rewritten) -> Option<TimeLevel> {
-        if query.view != View::Segment || !rw.value_cmps.is_empty() || !rw.segment_time.is_empty() {
-            return None;
+    /// Resolves the GROUP BY columns, then every tid the rewrite keeps to
+    /// its key row, numbering the distinct rows in ascending order.
+    fn key_plan(&self, query: &Query, rw: &Rewritten) -> Result<KeyPlan> {
+        let dimensions = &self.catalog.dimensions;
+        // `None` is the Tid column.
+        let columns = query
+            .group_by
+            .iter()
+            .map(|column| {
+                if column.eq_ignore_ascii_case("tid") {
+                    return Ok(None);
+                }
+                dimensions
+                    .resolve_level(column)
+                    .map(Some)
+                    .ok_or_else(|| MdbError::Query(format!("unknown GROUP BY column {column}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let key_row = |tid: Tid| -> Vec<KeyCell> {
+            let cell = |&(dim, level)| {
+                let member = dimensions.member(tid, dim, level);
+                KeyCell::Str(member.map_or_else(String::new, |m| dimensions.member_name(m).into()))
+            };
+            columns
+                .iter()
+                .map(|c| c.as_ref().map_or(KeyCell::Int(i64::from(tid)), cell))
+                .collect()
+        };
+        let tids = self.catalog.groups.iter().flat_map(|g| &g.tids);
+        let kept = tids.filter(|&&tid| !rw.empty && rw.keeps(tid));
+        let mut keyed: Vec<(Vec<KeyCell>, Tid)> = kept.map(|&tid| (key_row(tid), tid)).collect();
+        keyed.sort();
+        let max_tid = keyed.iter().map(|&(_, tid)| tid as usize + 1).max();
+        let mut plan = KeyPlan {
+            by_tid: vec![None; max_tid.unwrap_or(0)],
+            rows: Vec::new(),
+        };
+        for (row, tid) in keyed {
+            if plan.rows.last() != Some(&row) {
+                plan.rows.push(row);
+            }
+            let slot = (plan.rows.len() - 1) as u32;
+            plan.by_tid[tid as usize] = Some((slot, self.catalog.scaling_of(tid)));
         }
-        mdb_storage::rollup::finest_level(self.rollup_levels)
+        Ok(plan)
+    }
+
+    /// The worker half of Algorithms 5 and 6: initialize + iterate over the
+    /// local store within this engine's gid scope.
+    pub fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
+        let mut rw = plan.rw.clone();
+        self.apply_scope(&mut rw);
+        let mut partial = PartialAggregates::new(&plan.keys);
+        let bucket = match plan.representation {
+            Representation::Sketch => {
+                return Err(MdbError::Query(
+                    "sketch queries merge sketches, not aggregate partials".into(),
+                ))
+            }
+            _ if rw.empty => return Ok(partial),
+            Representation::Rollup { level } => match self.serve_from_rollups(plan, &rw, level)? {
+                Some(served) => return Ok(served),
+                None => Some(level),
+            },
+            Representation::Scan { bucket } => bucket,
+        };
+        self.scan(plan, rw, bucket, &mut partial)?;
+        Ok(partial)
     }
 
     /// Whether the bucket starting at `b` lies entirely inside the query's
@@ -758,7 +911,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Answers a bucketed aggregate from the store's materialized rollup
-    /// cells: covered buckets become per-(tid, bucket) partials straight
+    /// cells: covered buckets become per-(tid, bucket) entries straight
     /// from the cells (no segment bodies are read), and the at-most-two
     /// partial buckets at the range edges are scanned through the ordinary
     /// bucketed path with the `TS` bounds narrowed to the partial windows.
@@ -768,80 +921,46 @@ impl<'a> QueryEngine<'a> {
     /// partials.
     fn serve_from_rollups(
         &self,
-        query: &Query,
+        plan: &Plan,
         rw: &Rewritten,
-        aggs: &[(AggFunc, Option<TimeLevel>)],
         level: TimeLevel,
     ) -> Result<Option<PartialAggregates>> {
-        let evaluator = self.evaluator();
-        let mut partial = PartialAggregates::default();
-        let mut cell_error: Option<MdbError> = None;
-        // Cells arrive grouped by tid, so the group columns (catalog
-        // lookups) are resolved once per tid, not once per cell. The store
-        // visits only buckets starting inside the TS range — a superset of
-        // the covered ones; `bucket_covered` drops the trailing partial one.
-        let mut prefix: Option<(Tid, Vec<KeyCell>)> = None;
+        let mut partial = PartialAggregates::new(&plan.keys);
+        // The store visits only buckets starting inside the TS range — a
+        // superset of the covered ones; `bucket_covered` drops the trailing
+        // partial one.
         let served = self.store.rollup_cells(
             level,
             rw.pushdown.gids.as_deref(),
             (rw.ts_from, rw.ts_to),
             &mut |_gid, tid, bucket, acc| {
-                if cell_error.is_some()
-                    || !Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
-                    || !evaluator.tid_matches(rw, tid)
+                if Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
+                    && plan.keys.lookup(tid).is_some()
                 {
-                    return;
+                    let acc = Accumulator {
+                        count: acc.count,
+                        sum: acc.sum,
+                        min: acc.min,
+                        max: acc.max,
+                    };
+                    partial.buckets.push((tid, bucket, acc));
                 }
-                match &prefix {
-                    Some((t, _)) if *t == tid => {}
-                    _ => {
-                        let mut cells = Vec::with_capacity(query.group_by.len());
-                        for column in &query.group_by {
-                            match evaluator.key_cell(column, tid) {
-                                Ok(cell) => cells.push(cell),
-                                Err(e) => {
-                                    cell_error = Some(e);
-                                    return;
-                                }
-                            }
-                        }
-                        prefix = Some((tid, cells));
-                    }
-                }
-                let (_, cells) = prefix.as_ref().expect("the prefix was just filled");
-                let mut key: Vec<KeyCell> = Vec::with_capacity(cells.len() + 2);
-                key.extend_from_slice(cells);
-                key.push(KeyCell::Int(i64::from(tid)));
-                key.push(KeyCell::Int(bucket));
-                let acc = Accumulator {
-                    count: acc.count,
-                    sum: acc.sum,
-                    min: acc.min,
-                    max: acc.max,
-                };
-                partial.insert(key, vec![acc; aggs.len()]);
             },
         )?;
-        if let Some(e) = cell_error {
-            return Err(e);
-        }
         if !served {
             return Ok(None);
         }
         // Scan the partial buckets at the edges of the TS range (at most a
         // leading and a trailing window; one window when both edges fall in
-        // the same bucket). Their keys are disjoint from every served cell,
-        // so the merge order cannot affect any accumulator.
+        // the same bucket). Their buckets are disjoint from every served
+        // cell, so the merge order cannot affect any accumulator.
         for (lo, hi) in Self::edge_windows(level, rw.ts_from, rw.ts_to) {
             let mut rw_edge = rw.clone();
             rw_edge.ts_from = lo;
             rw_edge.ts_to = hi;
             rw_edge.pushdown.from = Some(lo);
             rw_edge.pushdown.to = Some(hi);
-            let runs = RunSet::collect(self.store, &rw_edge.pushdown)?;
-            for group_partial in self.group_partials(query, &rw_edge, aggs, Some(level), runs)? {
-                merge_partials(&mut partial, group_partial);
-            }
+            self.scan(plan, rw_edge, Some(level), &mut partial)?;
         }
         Ok(Some(partial))
     }
@@ -873,10 +992,19 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Evaluates each fold group into its own fresh [`PartialAggregates`],
-    /// in input order — on the attached [`ScanPool`] when one is present
-    /// and the survivor count reaches its bypass threshold, inline
-    /// otherwise.
+    /// Collects the runs `rw` selects and folds them into `partial`, fold
+    /// group by fold group in scan order — on the attached [`ScanPool`] when
+    /// one is present and the survivor count reaches its bypass threshold,
+    /// inline otherwise.
+    ///
+    /// The store's zone map (and, for the out-of-core store, its per-block
+    /// statistics) has already skipped runs or whole on-disk blocks outside
+    /// the time range or value predicate. A block-backed run shares its
+    /// cached block, so the collect costs one `Arc` clone per surviving
+    /// block and segments are evaluated as borrowed views. Group boundaries
+    /// and the fold order depend only on the scan order and survivor count,
+    /// so every parallelism setting performs the same float operations in
+    /// the same order.
     ///
     /// Fold groups are [`fold_group_size`] segments, except under a `Value`
     /// filter where each segment folds alone: value pruning removes
@@ -884,40 +1012,43 @@ impl<'a> QueryEngine<'a> {
     /// nothing), and per-segment folding makes such no-op segments
     /// irrelevant to the float association — so pruned and unpruned
     /// value-filtered scans stay exactly equal, not just approximately.
-    fn group_partials(
+    fn scan(
         &self,
-        query: &Query,
-        rw: &Rewritten,
-        aggs: &[(AggFunc, Option<TimeLevel>)],
-        cube: Option<TimeLevel>,
-        runs: RunSet,
-    ) -> Result<Vec<PartialAggregates>> {
+        plan: &Plan,
+        rw: Rewritten,
+        bucket: Option<TimeLevel>,
+        partial: &mut PartialAggregates,
+    ) -> Result<()> {
+        let runs = RunSet::collect(self.store, &rw.pushdown)?;
         let n_segments = runs.len();
-        let fold_size = fold_group_size(n_segments, !rw.value_cmps.is_empty() || cube.is_some());
-        if let Some(pool) = self.pool {
-            let threshold = self
-                .pool_threshold
-                .unwrap_or_else(|| pool_bypass_threshold(pool.workers()));
-            if n_segments >= threshold {
-                return pool.execute(ScanContext {
-                    query: query.clone(),
-                    rw: rw.clone(),
-                    aggs: aggs.to_vec(),
-                    cube,
-                    runs,
-                    fold_size,
-                    chunk_size: fold_size, // recomputed by execute()
-                });
+        let fold_size = fold_group_size(n_segments, !rw.value_cmps.is_empty() || bucket.is_some());
+        let context = ScanContext {
+            rw,
+            keys: Arc::clone(&plan.keys),
+            bucket,
+            use_models: plan.use_models,
+            runs,
+            fold_size,
+            chunk_size: fold_size, // recomputed by ScanPool::execute
+        };
+        let engaged = |pool: &&ScanPool| {
+            let threshold = self.pool_threshold;
+            n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
+        };
+        let folds = match self.pool.filter(engaged) {
+            Some(pool) => pool.execute(context)?,
+            None => {
+                let evaluator = SegmentEvaluator {
+                    catalog: self.catalog,
+                    registry: self.registry,
+                };
+                context.folds(&evaluator, 0, n_segments)?
             }
+        };
+        for fold in folds {
+            partial.absorb(fold);
         }
-        let evaluator = self.evaluator();
-        (0..n_segments)
-            .step_by(fold_size)
-            .map(|lo| {
-                let hi = (lo + fold_size).min(n_segments);
-                evaluator.group_partial(query, rw, aggs, cube, &runs, lo, hi)
-            })
-            .collect()
+        Ok(())
     }
 
     // ------------------------------------------------ sketch functions --
@@ -1017,95 +1148,38 @@ impl<'a> QueryEngine<'a> {
 
 impl<'a> SegmentEvaluator<'a> {
     /// Evaluates one fold group — global scan indices `lo..hi` of the
-    /// collected runs — into a fresh partial-aggregate map, the unit of
-    /// work a scan worker (pooled or inline) executes. Within the
-    /// group, segments accumulate in order into the same map, exactly like
-    /// a sequential scan over the group.
-    #[allow(clippy::too_many_arguments)]
-    fn group_partial(
+    /// collected runs — the unit of work a scan worker (pooled or inline)
+    /// executes. Within the group, segments accumulate in order into the
+    /// group's slot accumulators, exactly like a sequential scan over the
+    /// group; `scratch` is left untouched for the next group.
+    fn fold_group(
         &self,
-        query: &Query,
-        rw: &Rewritten,
-        aggs: &[(AggFunc, Option<TimeLevel>)],
-        cube: Option<TimeLevel>,
-        runs: &RunSet,
+        scan: &ScanContext,
         lo: usize,
         hi: usize,
-    ) -> Result<PartialAggregates> {
-        let mut partial = PartialAggregates::default();
-        runs.for_each_in(lo, hi, &mut |segment| {
-            self.iterate_segment(query, rw, aggs, cube, segment, &mut partial)
+        scratch: &mut SlotScratch,
+    ) -> Result<GroupFold> {
+        let mut buckets = Vec::new();
+        scan.runs.for_each_in(lo, hi, &mut |segment| {
+            self.iterate_segment(scan, segment, scratch, &mut buckets)
         })?;
-        Ok(partial)
-    }
-
-    /// Whether the raw value `v` passes every `Value` comparison.
-    fn value_matches(rw: &Rewritten, v: f64) -> bool {
-        rw.value_cmps.iter().all(|(op, bound)| match op {
-            CmpOp::Eq => v == *bound,
-            CmpOp::Lt => v < *bound,
-            CmpOp::Le => v <= *bound,
-            CmpOp::Gt => v > *bound,
-            CmpOp::Ge => v >= *bound,
+        Ok(GroupFold {
+            slots: scratch.drain(),
+            buckets,
         })
-    }
-
-    fn segment_time_matches(rw: &Rewritten, segment: &SegmentView<'_>) -> bool {
-        rw.segment_time.iter().all(|(column, op, value)| {
-            let field = match column {
-                TimeColumn::StartTime => segment.start_time,
-                TimeColumn::EndTime => segment.end_time,
-                TimeColumn::Ts => unreachable!("TS handled as data point bound"),
-            };
-            match op {
-                CmpOp::Eq => field == *value,
-                CmpOp::Lt => field < *value,
-                CmpOp::Le => field <= *value,
-                CmpOp::Gt => field > *value,
-                CmpOp::Ge => field >= *value,
-            }
-        })
-    }
-
-    fn tid_matches(&self, rw: &Rewritten, tid: Tid) -> bool {
-        if let Some(tids) = &rw.tids {
-            if !tids.contains(&tid) {
-                return false;
-            }
-        }
-        rw.members.iter().all(|(dim, level, member)| {
-            self.catalog.dimensions.member(tid, *dim, *level) == Some(*member)
-        })
-    }
-
-    /// Resolves a group-by column for `tid` into a key cell.
-    fn key_cell(&self, column: &str, tid: Tid) -> Result<KeyCell> {
-        if column.eq_ignore_ascii_case("tid") {
-            return Ok(KeyCell::Int(i64::from(tid)));
-        }
-        let Some((dim, level)) = self.catalog.dimensions.resolve_level(column) else {
-            return Err(MdbError::Query(format!("unknown GROUP BY column {column}")));
-        };
-        match self.catalog.dimensions.member(tid, dim, level) {
-            Some(m) => Ok(KeyCell::Str(
-                self.catalog.dimensions.member_name(m).to_string(),
-            )),
-            None => Ok(KeyCell::Str(String::new())),
-        }
     }
 
     /// The `iterate` step over one segment (a borrowed view — block-backed
     /// segments are evaluated straight out of the cached buffer).
     fn iterate_segment(
         &self,
-        query: &Query,
-        rw: &Rewritten,
-        aggs: &[(AggFunc, Option<TimeLevel>)],
-        cube: Option<TimeLevel>,
+        scan: &ScanContext,
         segment: SegmentView<'_>,
-        partial: &mut PartialAggregates,
+        scratch: &mut SlotScratch,
+        buckets: &mut Vec<(Tid, Timestamp, Accumulator)>,
     ) -> Result<()> {
-        if !Self::segment_time_matches(rw, &segment) {
+        let rw = &scan.rw;
+        if !rw.segment_time_matches(&segment) {
             return Ok(());
         }
         let group = self.catalog.group(segment.gid).ok_or_else(|| {
@@ -1114,108 +1188,32 @@ impl<'a> SegmentEvaluator<'a> {
         let group_size = group.size();
         let n_present = segment.gaps.count_present(group_size);
         let mut cursor = SegmentCursor::new(segment, n_present);
-        // Tick index range selected by the TS bounds.
-        let si = segment.sampling_interval;
-        let lo_ts = rw.ts_from.max(segment.start_time);
-        let hi_ts = rw.ts_to.min(segment.end_time);
-        if lo_ts > hi_ts {
+        let Some(range) = rw.tick_range(&segment) else {
             return Ok(());
-        }
-        let idx_lo = ((lo_ts - segment.start_time) + si - 1) / si;
-        let idx_hi = (hi_ts - segment.start_time) / si;
-        if idx_lo > idx_hi {
-            return Ok(());
-        }
-        let range = (idx_lo as usize, idx_hi as usize);
+        };
 
         for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
             let tid = group.tids[member_pos];
-            if !self.tid_matches(rw, tid) {
+            let Some((slot, scaling)) = scan.keys.lookup(tid) else {
                 continue;
-            }
-            let scaling = self.catalog.scaling_of(tid);
-            let mut key: Vec<KeyCell> = Vec::with_capacity(query.group_by.len() + 1);
-            for column in &query.group_by {
-                key.push(self.key_cell(column, tid)?);
-            }
-            // Aggregates on the Data Point View run over reconstructed
-            // values; only the Segment View may use the models directly.
-            // A Value predicate forces per-point evaluation on either view:
-            // constant-time model aggregates cannot apply a point filter.
-            let use_models = query.view == View::Segment;
-            let filtered = !rw.value_cmps.is_empty();
-            match cube {
-                None if filtered => {
-                    let scratch = Self::filtered_accumulator(
-                        self.registry,
-                        rw,
-                        &mut cursor,
-                        series_pos,
-                        range,
-                        scaling,
-                    )?;
-                    if scratch.count > 0 {
-                        let accs = partial
-                            .entry(key)
-                            .or_insert_with(|| vec![Accumulator::new(); aggs.len()]);
-                        for acc in accs.iter_mut() {
-                            acc.merge(&scratch);
-                        }
-                    }
-                }
+            };
+            match scan.bucket {
                 None => {
-                    let agg = cursor
-                        .aggregate_with(self.registry, series_pos, range, use_models)
-                        .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?;
-                    let accs = partial
-                        .entry(key)
-                        .or_insert_with(|| vec![Accumulator::new(); aggs.len()]);
-                    let count = (range.1 - range.0 + 1) as u64;
-                    for acc in accs.iter_mut() {
-                        acc.add_segment_agg(agg, count, scaling);
+                    let acc =
+                        self.range_accumulator(scan, &mut cursor, series_pos, range, scaling)?;
+                    if acc.count > 0 {
+                        scratch.merge(slot, acc);
                     }
                 }
+                // Algorithm 6: split the tick range at calendar boundaries;
+                // each sub-interval lands in its own (tid, bucket-start)
+                // entry — the granularity rollup cells are materialized at.
                 Some(level) => {
-                    // Algorithm 6: split the tick range at calendar
-                    // boundaries; each sub-interval lands in its own bucket.
-                    // Partial keys carry a (tid, bucket-start) suffix — the
-                    // same granularity rollup cells are materialized at —
-                    // which `finalize_aggregates` folds away in sorted key
-                    // order, so the served and scanned paths (and every
-                    // cluster layout) combine the exact same accumulators
-                    // in the exact same order.
-                    for (bucket_start, sub) in split_at_boundaries(segment, range, level) {
-                        let mut bucket_key = key.clone();
-                        bucket_key.push(KeyCell::Int(i64::from(tid)));
-                        bucket_key.push(KeyCell::Int(bucket_start));
-                        if filtered {
-                            let scratch = Self::filtered_accumulator(
-                                self.registry,
-                                rw,
-                                &mut cursor,
-                                series_pos,
-                                sub,
-                                scaling,
-                            )?;
-                            if scratch.count > 0 {
-                                let accs = partial
-                                    .entry(bucket_key)
-                                    .or_insert_with(|| vec![Accumulator::new(); aggs.len()]);
-                                for acc in accs.iter_mut() {
-                                    acc.merge(&scratch);
-                                }
-                            }
-                            continue;
-                        }
-                        let agg = cursor
-                            .aggregate_with(self.registry, series_pos, sub, use_models)
-                            .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?;
-                        let accs = partial
-                            .entry(bucket_key)
-                            .or_insert_with(|| vec![Accumulator::new(); aggs.len()]);
-                        let count = (sub.1 - sub.0 + 1) as u64;
-                        for acc in accs.iter_mut() {
-                            acc.add_segment_agg(agg, count, scaling);
+                    for (bucket, sub) in BoundarySplits::new(segment, range, level) {
+                        let acc =
+                            self.range_accumulator(scan, &mut cursor, series_pos, sub, scaling)?;
+                        if acc.count > 0 {
+                            buckets.push((tid, bucket, acc));
                         }
                     }
                 }
@@ -1224,24 +1222,33 @@ impl<'a> SegmentEvaluator<'a> {
         Ok(())
     }
 
-    /// Accumulates the points of one series over a tick range that pass the
-    /// rewrite's `Value` comparisons, reconstructing values from the grid.
-    fn filtered_accumulator(
-        registry: &ModelRegistry,
-        rw: &Rewritten,
+    /// A fresh accumulator of the series at `series_pos` over the tick
+    /// `range`: its model aggregate, or under a `Value` filter the points
+    /// that pass, reconstructed from the grid (possibly none). Its sum
+    /// starts at `+0.0`, so it is never `-0.0` and merging it equals adding
+    /// its terms directly, bit for bit.
+    fn range_accumulator(
+        &self,
+        scan: &ScanContext,
         cursor: &mut SegmentCursor<'_>,
         series_pos: usize,
         range: (usize, usize),
         scaling: f64,
     ) -> Result<Accumulator> {
-        let stride = cursor.n_series;
-        let grid = cursor
-            .grid(registry)
-            .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?;
+        let undecodable = || MdbError::Corrupt("undecodable segment".into());
         let mut acc = Accumulator::new();
+        if scan.rw.value_cmps.is_empty() {
+            let agg = cursor
+                .aggregate_with(self.registry, series_pos, range, scan.use_models)
+                .ok_or_else(undecodable)?;
+            acc.add_segment_agg(agg, (range.1 - range.0 + 1) as u64, scaling);
+            return Ok(acc);
+        }
+        let stride = cursor.n_series;
+        let grid = cursor.grid(self.registry).ok_or_else(undecodable)?;
         for idx in range.0..=range.1 {
             let stored = grid[idx * stride + series_pos];
-            if Self::value_matches(rw, f64::from(stored) / scaling) {
+            if scan.rw.value_matches(f64::from(stored) / scaling) {
                 acc.add_value(stored, scaling);
             }
         }
@@ -1256,66 +1263,48 @@ impl<'a> QueryEngine<'a> {
         query: &Query,
         partials: Vec<PartialAggregates>,
     ) -> Result<QueryResult> {
-        let aggs: Vec<(AggFunc, Option<TimeLevel>)> = query
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                SelectItem::Agg { func, cube } => Some((*func, *cube)),
-                _ => None,
-            })
-            .collect();
-        let cube = aggs.iter().find_map(|(_, c)| *c);
-
+        let cube = query.items.iter().find_map(|i| match i {
+            SelectItem::Agg { cube, .. } => *cube,
+            _ => None,
+        });
         let mut merged = PartialAggregates::default();
         for partial in partials {
             merge_partials(&mut merged, partial);
         }
+        let PartialAggregates {
+            keys,
+            slots,
+            mut buckets,
+        } = merged;
 
-        // Bucketed partials (CUBE queries and rollup-eligible plain
-        // aggregates) carry a (tid, bucket-start) key suffix. Fold it away
-        // in ascending (tid, bucket) order: every path that can produce
-        // these partials — materialized cells, bucketed scan, any cluster
-        // layout — arrives at identical per-(tid, bucket) accumulators, so
-        // folding them in one deterministic order makes the final rows
-        // bit-identical everywhere. The integer suffix alone determines the
-        // whole key (every group column is a function of the tid), so it is
-        // a total order over the partials — and far cheaper to sort by than
-        // the full heterogeneous keys; with tens of thousands of buckets
-        // the sort is on the served path's critical path. For CUBE queries
-        // the bucket start becomes the display date-part; for plain
-        // aggregates the suffix folds away entirely.
-        let suffix_len = query.group_by.len() + 2;
-        if merged.keys().next().is_some_and(|k| k.len() == suffix_len) {
-            let mut items: Vec<(i64, i64, Vec<KeyCell>, Vec<Accumulator>)> = merged
-                .drain()
-                .map(|(key, accs)| {
-                    let [.., KeyCell::Int(tid), KeyCell::Int(bucket)] = key.as_slice() else {
-                        unreachable!("the key suffix is always a pair of Int cells")
-                    };
-                    (*tid, *bucket, key, accs)
-                })
-                .collect();
-            items.sort_unstable_by_key(|&(tid, bucket, ..)| (tid, bucket));
-            let mut folded = PartialAggregates::default();
-            let mut scratch: Vec<KeyCell> = Vec::new();
-            for (_, bucket, key, accs) in items {
-                scratch.clear();
-                scratch.extend_from_slice(&key[..query.group_by.len()]);
-                if let Some(level) = cube {
-                    scratch.push(KeyCell::Int(time::part(level, bucket)));
-                }
-                match folded.get_mut(scratch.as_slice()) {
-                    Some(mine) => {
-                        for (mine, theirs) in mine.iter_mut().zip(&accs) {
-                            mine.merge(theirs);
-                        }
-                    }
-                    None => {
-                        folded.insert(scratch.clone(), accs);
-                    }
+        // `(slot, time part)` → accumulator, in output order (slots are
+        // numbered in key order; the part is 0 without CUBE).
+        let mut folded: BTreeMap<(usize, i64), Accumulator> = BTreeMap::new();
+        for (slot, acc) in slots.into_iter().enumerate() {
+            if let Some(acc) = acc {
+                folded.insert((slot, 0), acc);
+            }
+        }
+        // Bucket entries fold per (tid, bucket) in fold order (the sort is
+        // stable), then in ascending (tid, bucket) order — the same on every
+        // path that produces them (cells, scans, any cluster layout). The
+        // bucket start becomes the CUBE date-part, or folds away.
+        buckets.sort_by_key(|&(tid, bucket, _)| (tid, bucket));
+        let mut entries = buckets.into_iter().peekable();
+        while let Some((tid, bucket, mut acc)) = entries.next() {
+            while let Some((_, _, next)) = entries.next_if(|e| (e.0, e.1) == (tid, bucket)) {
+                acc.merge(&next);
+            }
+            let (slot, _) = keys
+                .lookup(tid)
+                .expect("bucket entries hold only tids the key plan keeps");
+            let part = cube.map_or(0, |level| time::part(level, bucket));
+            match folded.entry((slot, part)) {
+                Entry::Occupied(mut mine) => mine.get_mut().merge(&acc),
+                Entry::Vacant(vacant) => {
+                    vacant.insert(acc);
                 }
             }
-            merged = folded;
         }
 
         // Column layout: SELECT order, with the implicit time-part column
@@ -1352,14 +1341,11 @@ impl<'a> QueryEngine<'a> {
         }
         let mut result = QueryResult::new(columns);
 
-        // Deterministic output order: sort keys.
-        let mut keys: Vec<Vec<KeyCell>> = merged.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let accs = &merged[&key];
+        for ((slot, part), acc) in folded {
+            let key = &keys.rows[slot];
             let mut row = Vec::new();
-            let mut agg_idx = 0;
             let mut key_idx = 0;
+            let mut first_agg = true;
             for item in &query.items {
                 match item {
                     SelectItem::Column(_) => {
@@ -1367,16 +1353,15 @@ impl<'a> QueryEngine<'a> {
                         key_idx += 1;
                     }
                     SelectItem::Agg { func, .. } => {
-                        if cube.is_some() && agg_idx == 0 {
-                            // The time-part key is the last key component.
-                            row.push(key.last().unwrap().to_cell());
+                        if cube.is_some() && first_agg {
+                            row.push(Cell::Int(part));
                         }
-                        match accs[agg_idx].finalize(*func) {
+                        first_agg = false;
+                        match acc.finalize(*func) {
                             Some(v) if *func == AggFunc::Count => row.push(Cell::Int(v as i64)),
                             Some(v) => row.push(Cell::Float(v)),
                             None => row.push(Cell::Null),
                         }
-                        agg_idx += 1;
                     }
                     SelectItem::AllColumns | SelectItem::Sketch(_) => {
                         unreachable!("rejected while laying out columns")
@@ -1393,7 +1378,8 @@ impl<'a> QueryEngine<'a> {
     /// The non-aggregate path: Segment View listing or Data Point View
     /// reconstruction (the P/R workload).
     pub fn listing(&self, query: &Query) -> Result<QueryResult> {
-        let rw = self.rewrite(query)?;
+        let mut rw = self.rewrite(query)?;
+        self.apply_scope(&mut rw);
         if query.view == View::Segment && !rw.value_cmps.is_empty() {
             return Err(MdbError::Query(
                 "Value predicates require the Data Point View or aggregates".into(),
@@ -1473,7 +1459,7 @@ impl<'a> QueryEngine<'a> {
         segment: SegmentView<'_>,
         result: &mut QueryResult,
     ) -> Result<()> {
-        if !SegmentEvaluator::segment_time_matches(rw, &segment) {
+        if !rw.segment_time_matches(&segment) {
             return Ok(());
         }
         let group = self.catalog.group(segment.gid).ok_or_else(|| {
@@ -1484,7 +1470,7 @@ impl<'a> QueryEngine<'a> {
         let mut cursor = SegmentCursor::new(segment, n_present);
         for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
             let tid = group.tids[member_pos];
-            if !self.evaluator().tid_matches(rw, tid) {
+            if !rw.keeps(tid) {
                 continue;
             }
             let scaling = self.catalog.scaling_of(tid);
@@ -1497,17 +1483,10 @@ impl<'a> QueryEngine<'a> {
                     result.rows.push(row);
                 }
                 View::DataPoint => {
+                    let Some((idx_lo, idx_hi)) = rw.tick_range(&segment) else {
+                        continue;
+                    };
                     let si = segment.sampling_interval;
-                    let lo_ts = rw.ts_from.max(segment.start_time);
-                    let hi_ts = rw.ts_to.min(segment.end_time);
-                    if lo_ts > hi_ts {
-                        continue;
-                    }
-                    let idx_lo = (((lo_ts - segment.start_time) + si - 1) / si) as usize;
-                    let idx_hi = ((hi_ts - segment.start_time) / si) as usize;
-                    if idx_lo > idx_hi {
-                        continue;
-                    }
                     let grid = cursor
                         .grid(self.registry)
                         .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?
@@ -1515,7 +1494,7 @@ impl<'a> QueryEngine<'a> {
                     for idx in idx_lo..=idx_hi {
                         let ts = segment.start_time + idx as i64 * si;
                         let value = f64::from(grid[idx * n_present + series_pos]) / scaling;
-                        if !SegmentEvaluator::value_matches(rw, value) {
+                        if !rw.value_matches(value) {
                             continue;
                         }
                         let row = columns
@@ -1586,29 +1565,20 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// Merges one partial-aggregate map into another: Algorithm 5's
-/// `mergeResults`, shared by the master's worker merge and the engine's
-/// in-order fold of per-segment partials. Merging into an empty map moves
-/// `from` in whole: the same accumulators under the same keys, without
-/// re-hashing them.
-pub fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
-    use std::collections::hash_map::Entry;
-    if into.is_empty() {
+/// Merges `from` after `into` (Algorithm 5's `mergeResults`): into an empty
+/// partial it moves in whole, otherwise slot by slot, with its bucket
+/// entries following `into`'s. Both must come from the same query's plans.
+fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
+    if into.slots.is_empty() && into.buckets.is_empty() {
         *into = from;
         return;
     }
-    for (key, accs) in from {
-        match into.entry(key) {
-            Entry::Occupied(mut entry) => {
-                for (mine, theirs) in entry.get_mut().iter_mut().zip(&accs) {
-                    mine.merge(theirs);
-                }
-            }
-            Entry::Vacant(entry) => {
-                entry.insert(accs);
-            }
+    for (mine, theirs) in into.slots.iter_mut().zip(from.slots) {
+        if let Some(theirs) = theirs {
+            merge_slot(mine, theirs);
         }
     }
+    into.buckets.extend(from.buckets);
 }
 
 fn compare_cells(a: &Cell, b: &Cell) -> std::cmp::Ordering {
@@ -1626,16 +1596,6 @@ fn compare_cells(a: &Cell, b: &Cell) -> std::cmp::Ordering {
 /// the segment's inclusive end time, matching Figure 12 ("the last value is
 /// computed with an inclusive end time as ModelarDB does not store
 /// connected segments").
-pub fn split_at_boundaries(
-    segment: SegmentView<'_>,
-    range: (usize, usize),
-    level: TimeLevel,
-) -> Vec<(Timestamp, (usize, usize))> {
-    BoundarySplits::new(segment, range, level).collect()
-}
-
-/// [`split_at_boundaries`] as an iterator, for the ingest path, which walks
-/// the splits of every finalized segment and collects nothing.
 pub(crate) struct BoundarySplits {
     level: TimeLevel,
     start_time: Timestamp,
@@ -2182,7 +2142,7 @@ mod tests {
             params: Bytes::new(),
             gaps: Default::default(),
         };
-        let parts = split_at_boundaries(seg.view(), (0, 155), TimeLevel::Hour);
+        let parts: Vec<_> = BoundarySplits::new(seg.view(), (0, 155), TimeLevel::Hour).collect();
         assert_eq!(parts.len(), 3);
         // Buckets are keyed by absolute start timestamp (midnight-anchored
         // hours here), not by display date-part.
@@ -2200,47 +2160,52 @@ mod tests {
         }
     }
 
-    fn partial(entries: &[(i64, f64)]) -> PartialAggregates {
-        entries
-            .iter()
-            .map(|&(k, x)| {
-                let acc = Accumulator {
-                    count: 1,
-                    sum: x,
-                    min: x,
-                    max: x,
-                };
-                (vec![KeyCell::Int(k)], vec![acc])
-            })
-            .collect()
+    /// A partial over three slots (keys 1, 2, 3) with one point per entry,
+    /// and one bucket entry per entry for tid 1.
+    fn partial(entries: &[(usize, f64)]) -> PartialAggregates {
+        let keys = Arc::new(KeyPlan {
+            by_tid: vec![None, Some((0, 1.0))],
+            rows: (1..=3).map(|k| vec![KeyCell::Int(k)]).collect(),
+        });
+        let mut p = PartialAggregates::new(&keys);
+        for &(slot, x) in entries {
+            let acc = Accumulator {
+                count: 1,
+                sum: x,
+                min: x,
+                max: x,
+            };
+            p.slots[slot] = Some(acc);
+            p.buckets.push((1, slot as i64, acc));
+        }
+        p
     }
 
     #[test]
     fn merge_partials_moves_into_empty_and_folds_in_order() {
-        let a = partial(&[(1, 0.1), (2, 5.0)]);
-        let b = partial(&[(1, 0.2), (3, 7.0)]);
-        let c = partial(&[(1, 0.3)]);
+        let a = partial(&[(0, 0.1), (1, 5.0)]);
+        let b = partial(&[(0, 0.2), (2, 7.0)]);
+        let c = partial(&[(0, 0.3)]);
 
-        // Into an empty map: exactly the entry-by-entry result.
+        // Into an empty partial: exactly `a`.
         let mut moved = PartialAggregates::default();
         merge_partials(&mut moved, a.clone());
-        let mut inserted = PartialAggregates::default();
-        for (key, accs) in a {
-            inserted.insert(key, accs);
-        }
-        assert_eq!(moved, inserted);
+        assert_eq!(moved.slots, a.slots);
+        assert_eq!(moved.buckets, a.buckets);
 
-        // Into a non-empty map: keys union, shared keys fold left to right,
-        // so the float association is ((0.1 + 0.2) + 0.3).
+        // Into a non-empty partial: touched slots union, shared slots fold
+        // left to right, so the float association is ((0.1 + 0.2) + 0.3);
+        // bucket entries follow in merge order.
         merge_partials(&mut moved, b);
         merge_partials(&mut moved, c);
-        assert_eq!(moved.len(), 3);
-        let shared = &moved[&vec![KeyCell::Int(1)]][0];
+        let shared = moved.slots[0].unwrap();
         assert_eq!(shared.count, 3);
         assert_eq!(shared.sum.to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
         assert_ne!(shared.sum.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
-        assert_eq!(moved[&vec![KeyCell::Int(2)]][0].sum, 5.0);
-        assert_eq!(moved[&vec![KeyCell::Int(3)]][0].sum, 7.0);
+        assert_eq!(moved.slots[1].unwrap().sum, 5.0);
+        assert_eq!(moved.slots[2].unwrap().sum, 7.0);
+        let order: Vec<i64> = moved.buckets.iter().map(|&(_, b, _)| b).collect();
+        assert_eq!(order, [0, 1, 0, 2, 0]);
     }
 
     /// A read-only store wrapper counting the cells `rollup_cells` hands to

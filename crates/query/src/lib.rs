@@ -29,8 +29,7 @@ pub use cell::{Cell, QueryResult};
 pub use datastore::{Datastore, DatastoreHealth};
 pub use digest::{rollup_feed, sketch_feed, value_bounds_fn};
 pub use engine::{
-    fold_group_size, merge_partials, pool_bypass_threshold, PartialAggregates, QueryEngine,
-    ScanPool,
+    fold_group_size, pool_bypass_threshold, PartialAggregates, Plan, QueryEngine, ScanPool,
 };
 pub use options::{CommonOptions, CommonOptionsBuilder};
 pub use shard::Shard;

@@ -97,6 +97,19 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether `a <op> b` holds.
+    pub(crate) fn holds<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+        }
+    }
+}
+
 /// Time columns usable in WHERE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeColumn {

@@ -18,9 +18,11 @@ const VERSION: u8 = 1;
 /// All metadata of a ModelarDB+ instance.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    /// The Time Series table, in tid order.
+    /// The Time Series table, in strictly ascending tid order (lookups
+    /// binary-search it).
     pub series: Vec<TimeSeriesMeta>,
-    /// Group membership, in gid order.
+    /// Group membership, in strictly ascending gid order (lookups
+    /// binary-search it).
     pub groups: Vec<GroupMeta>,
     /// The Model table: Mid → name.
     pub model_names: Vec<String>,
@@ -39,12 +41,14 @@ impl Catalog {
 
     /// Metadata for `tid`.
     pub fn series_meta(&self, tid: Tid) -> Option<&TimeSeriesMeta> {
-        self.series.iter().find(|m| m.tid == tid)
+        let i = self.series.binary_search_by_key(&tid, |m| m.tid).ok()?;
+        Some(&self.series[i])
     }
 
     /// The group `gid`.
     pub fn group(&self, gid: Gid) -> Option<&GroupMeta> {
-        self.groups.iter().find(|g| g.gid == gid)
+        let i = self.groups.binary_search_by_key(&gid, |g| g.gid).ok()?;
+        Some(&self.groups[i])
     }
 
     /// The gid of `tid` (the Gid→Tid mapping of Algorithm 5's query
@@ -238,6 +242,14 @@ impl Catalog {
                 catalog.dimensions.set_members(tid, d, &refs)?;
             }
         }
+        // Lookups binary-search both tables, so an out-of-order table would
+        // silently hide entries.
+        if !catalog.series.windows(2).all(|w| w[0].tid < w[1].tid) {
+            return Err(MdbError::Corrupt("catalog series out of tid order".into()));
+        }
+        if !catalog.groups.windows(2).all(|w| w[0].gid < w[1].gid) {
+            return Err(MdbError::Corrupt("catalog groups out of gid order".into()));
+        }
         Ok(catalog)
     }
 
@@ -327,6 +339,57 @@ mod tests {
         assert_eq!(c.scaling_of(9), 1.0);
         assert_eq!(c.group(2).unwrap().tids, vec![3]);
         assert_eq!(c.tids(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn lookups_find_every_entry_of_a_large_catalog() {
+        // 200 series in 50 groups of four, with gaps in both id spaces.
+        let mut c = Catalog::new();
+        for g in 0..50u32 {
+            let gid = 3 * g + 1;
+            let tids: Vec<Tid> = (0..4).map(|m| 10 * g + 2 * m + 5).collect();
+            for &tid in &tids {
+                c.series.push(TimeSeriesMeta {
+                    tid,
+                    sampling_interval: 100,
+                    scaling: f64::from(tid),
+                    gid,
+                });
+            }
+            c.groups.push(GroupMeta {
+                gid,
+                tids,
+                sampling_interval: 100,
+            });
+        }
+        for meta in &c.series {
+            assert_eq!(c.series_meta(meta.tid), Some(meta));
+            assert_eq!(c.gid_of(meta.tid), Some(meta.gid));
+            assert_eq!(c.scaling_of(meta.tid), meta.scaling);
+            assert!(c.series_meta(meta.tid + 1).is_none());
+        }
+        for group in &c.groups {
+            assert_eq!(c.group(group.gid), Some(group));
+            assert!(c.group(group.gid + 1).is_none());
+        }
+        assert!(c.series_meta(0).is_none() && c.series_meta(Tid::MAX).is_none());
+        assert!(c.group(0).is_none() && c.group(Gid::MAX).is_none());
+    }
+
+    #[test]
+    fn out_of_order_tables_are_rejected_as_corrupt() {
+        let mut series_swapped = sample();
+        series_swapped.series.swap(0, 2);
+        let mut groups_swapped = sample();
+        groups_swapped.groups.swap(0, 1);
+        let mut duplicate_tid = sample();
+        duplicate_tid.series[1].tid = 1;
+        for c in [series_swapped, groups_swapped, duplicate_tid] {
+            assert!(matches!(
+                Catalog::from_bytes(&c.to_bytes()),
+                Err(MdbError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,0 +1,210 @@
+//! Golden answer bits: a fixed panel of aggregate queries over two fixed
+//! data sets, pinned to a digest of every output bit. The equivalence
+//! suites compare one execution path with another; this test compares every
+//! path with a recorded answer, so a change to the float association of the
+//! fold (which accumulators meet in which order) fails here even when every
+//! path changes the same way.
+//!
+//! Each panel runs three ways over byte-identical segments: the embedded
+//! engine scanning sequentially, a query engine over a rebuilt store without
+//! a scan pool, and the same engine with a two-worker pool forced on for
+//! every scan. All three must produce the recorded digest.
+
+use std::sync::Arc;
+
+use mdb_bench::{build_engine_with, ingest_engine};
+use mdb_datagen::{eh, ep, Dataset, Scale};
+use mdb_query::Shard;
+use modelardb::{BlockFormat, Cell, Config, Gid, QueryResult};
+
+/// The query panel: the dashboard's broad shapes (dimension group-bys with a
+/// segment-time bound, and the ungrouped total), `Value` filters grouped by
+/// series and by dimension, a narrow unaligned `TS` range, and explicit
+/// `CUBE_*` roll-ups, one with ragged edges.
+fn panel(ds: &Dataset) -> Vec<String> {
+    let ticks = ds.scale.ticks;
+    let last = ds.timestamp(ticks - 1);
+    let from = ds.timestamp(ticks / 3) + 7;
+    let to = ds.timestamp(ticks / 2) + 13;
+    // A threshold inside the data: the mean of tid 1's first 64 values.
+    let values: Vec<f64> = (0..64)
+        .filter_map(|t| ds.value(1, t))
+        .map(f64::from)
+        .collect();
+    let mid = values.iter().sum::<f64>() / values.len() as f64;
+    vec![
+        format!(
+            "SELECT Entity, SUM_S(*) FROM Segment WHERE EndTime <= {last} \
+             GROUP BY Entity ORDER BY Entity"
+        ),
+        format!(
+            "SELECT Category, AVG_S(*) FROM Segment WHERE EndTime <= {last} \
+             GROUP BY Category ORDER BY Category"
+        ),
+        format!(
+            "SELECT Concrete, SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment \
+             WHERE EndTime <= {last} GROUP BY Concrete ORDER BY Concrete"
+        ),
+        format!("SELECT SUM_S(*), AVG_S(*), COUNT_S(*) FROM Segment WHERE EndTime <= {last}"),
+        "SELECT SUM_S(*), AVG_S(*) FROM Segment".into(),
+        format!(
+            "SELECT Tid, COUNT_S(*), SUM_S(*) FROM Segment WHERE Value > {mid:.1} \
+             AND TS <= {last} GROUP BY Tid ORDER BY Tid"
+        ),
+        format!(
+            "SELECT Entity, AVG_S(*), MAX_S(*) FROM Segment WHERE Value < {mid:.1} \
+             GROUP BY Entity ORDER BY Entity"
+        ),
+        format!(
+            "SELECT Tid, AVG_S(*) FROM Segment WHERE TS >= {from} AND TS <= {to} \
+             GROUP BY Tid ORDER BY Tid"
+        ),
+        "SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment WHERE Entity = 'entity0' \
+         GROUP BY Tid ORDER BY Tid"
+            .into(),
+        "SELECT Entity, CUBE_AVG_DAY(*) FROM Segment GROUP BY Entity ORDER BY Entity".into(),
+        format!(
+            "SELECT Category, CUBE_SUM_HOUR(*) FROM Segment WHERE TS >= {from} AND TS <= {to} \
+             GROUP BY Category"
+        ),
+    ]
+}
+
+/// FNV-1a over the result's column names and every cell, floats by their
+/// exact bits.
+fn digest(result: &QueryResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for column in &result.columns {
+        eat(column.as_bytes());
+        eat(&[0xff]);
+    }
+    for row in &result.rows {
+        for cell in row {
+            match cell {
+                Cell::Int(v) => {
+                    eat(b"i");
+                    eat(&v.to_le_bytes());
+                }
+                Cell::Float(v) => {
+                    eat(b"f");
+                    eat(&v.to_bits().to_le_bytes());
+                }
+                Cell::Str(s) => {
+                    eat(b"s");
+                    eat(s.as_bytes());
+                    eat(&[0xff]);
+                }
+                Cell::Timestamp(v) => {
+                    eat(b"t");
+                    eat(&v.to_le_bytes());
+                }
+                Cell::Null => eat(b"n"),
+            }
+        }
+        eat(b"\n");
+    }
+    h
+}
+
+/// Runs the panel on `ds` all three ways and checks each answer's row count
+/// and digest against `expected`.
+fn check(ds: &Dataset, expected: &[(usize, u64)]) {
+    let mut db = build_engine_with(ds, true, 5.0, 1, true);
+    ingest_engine(&mut db, ds, ds.scale.ticks);
+
+    // The same segments in a shard with a two-worker scan pool.
+    let mut options = Config::default().common;
+    options.query_parallelism = 2;
+    let catalog = Arc::new(db.catalog().clone());
+    let registry = Arc::new(db.registry().clone());
+    let no_groups: [Gid; 0] = [];
+    let mut shard = Shard::open(
+        catalog,
+        registry,
+        &options,
+        None,
+        BlockFormat::V2,
+        true,
+        &no_groups,
+    )
+    .unwrap();
+    for segment in db.segments().unwrap() {
+        shard.store_mut().insert(segment).unwrap();
+    }
+    shard.store_mut().flush().unwrap();
+
+    let panel = panel(ds);
+    let mut got = Vec::new();
+    for sql in &panel {
+        let embedded = db.sql(sql).unwrap();
+        let inline = shard
+            .engine(None)
+            .with_pool_threshold(usize::MAX)
+            .sql(sql)
+            .unwrap();
+        let pooled = shard.engine(None).with_pool_threshold(0).sql(sql).unwrap();
+        got.push((embedded.rows.len(), digest(&embedded)));
+        assert_eq!(
+            digest(&inline),
+            digest(&embedded),
+            "inline vs embedded: {sql}"
+        );
+        assert_eq!(
+            digest(&pooled),
+            digest(&embedded),
+            "pooled vs embedded: {sql}"
+        );
+    }
+    assert_eq!(
+        got.as_slice(),
+        expected,
+        "{}: (rows, digest) per query of {panel:#?}",
+        ds.name
+    );
+}
+
+/// `(rows, digest)` per panel query on `ep(3, Scale::small())`.
+const EP_SMALL: [(usize, u64); 11] = [
+    (8, 0xa2032e87260d3815),
+    (1, 0x311c6eb5c6375e61),
+    (4, 0xbf1f8f95a3161877),
+    (1, 0xd88d3a4e7dcd1640),
+    (1, 0x0e94d2c404f74c9a),
+    (32, 0xbaa20fbf604a277c),
+    (8, 0xe05fb15c5f3db2e8),
+    (32, 0x61cc3519c435cd43),
+    (96, 0x3c566d076ae4b27f),
+    (32, 0x8c9f8e10dc316c17),
+    (15, 0x09057e9944341f63),
+];
+
+/// `(rows, digest)` per panel query on `eh(3, Scale::tiny())`.
+const EH_TINY: [(usize, u64); 11] = [
+    (2, 0x9bc4f673857b6008),
+    (1, 0xcf1c73537ffa6d87),
+    (3, 0x0ac64634d67ee481),
+    (1, 0x64cc43dec3daab17),
+    (1, 0xaa0fd26370e99cba),
+    (6, 0xafdd36dea61ccb5d),
+    (1, 0xfcd094d34cc12502),
+    (6, 0xf1cbee8a749c8fa3),
+    (3, 0x6e086ea01782a4a0),
+    (2, 0x34c2347008a2670e),
+    (1, 0x0e638eef1289e5f5),
+];
+
+#[test]
+fn ep_small_answers_are_pinned() {
+    check(&ep(3, Scale::small()).unwrap(), &EP_SMALL);
+}
+
+#[test]
+fn eh_tiny_answers_are_pinned() {
+    check(&eh(3, Scale::tiny()).unwrap(), &EH_TINY);
+}

@@ -104,3 +104,51 @@ fn cluster_storage_equals_embedded_storage() {
     assert_eq!(stats.data_points, embedded.stats().data_points);
     cluster.shutdown().unwrap();
 }
+
+#[test]
+fn unknown_group_by_column_errors_whatever_the_data() {
+    // The error must not depend on whether any segment survives pruning,
+    // nor on whether the rewrite proves the answer empty.
+    let ds = mdb_datagen::ep(13, mdb_datagen::Scale::tiny()).unwrap();
+    let mut embedded = build_engine(&ds, true, 5.0);
+    ingest_engine(&mut embedded, &ds, TICKS);
+    let catalog = catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap();
+    let cluster = Cluster::start(
+        catalog,
+        Arc::new(ModelRegistry::standard()),
+        CompressionConfig {
+            error_bound: ErrorBound::relative(5.0),
+            ..Default::default()
+        },
+        2,
+    )
+    .unwrap();
+    for tick in 0..TICKS {
+        cluster
+            .ingest_row(ds.timestamp(tick), &ds.row(tick))
+            .unwrap();
+    }
+    cluster.flush().unwrap();
+
+    for filter in [
+        "EndTime <= 9999999999999",
+        "EndTime <= 0",
+        "TS <= 0",
+        "Tid = 99",
+    ] {
+        let sql = format!("SELECT Nope, SUM_S(*) FROM Segment WHERE {filter} GROUP BY Nope");
+        for (deployment, answer) in [
+            ("engine", embedded.sql(&sql)),
+            ("cluster", cluster.sql(&sql)),
+        ] {
+            let error = answer
+                .expect_err(&format!("{deployment}: {sql}"))
+                .to_string();
+            assert!(
+                error.contains("unknown GROUP BY column Nope"),
+                "{deployment}: {sql}: {error}"
+            );
+        }
+    }
+    cluster.shutdown().unwrap();
+}

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 
 use mdb_bench::{build_engine, ingest_engine};
 use mdb_datagen::{ep, Scale};
-use modelardb::{DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, SeriesSpec};
+use modelardb::{
+    Cell, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, QueryResult, SeriesSpec,
+};
 
 const TICKS: u64 = 300;
 
@@ -75,6 +77,23 @@ fn sequential_and_parallel() -> (ModelarDb, ModelarDb) {
 
 /// Ticks ingested by [`sequential_and_parallel`] (timestamps `t * 100`).
 const SJ_TICKS: i64 = 900;
+
+/// Each row with floats as their exact bits, so `-0.0` vs `0.0` or a
+/// last-ulp drift fails a comparison that `==` on `f64` would forgive.
+fn bits(result: &QueryResult) -> Vec<Vec<String>> {
+    result
+        .rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|cell| match cell {
+                    Cell::Float(v) => format!("{:016x}", v.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -190,6 +209,33 @@ proptest! {
         let a = sequential.sql(&sql).unwrap();
         let b = parallel.sql(&sql).unwrap();
         prop_assert_eq!(a.rows, b.rows, "{}", sql);
+    }
+
+    #[test]
+    fn pruned_parallel_dimension_groups_are_bit_identical(
+        func_idx in 0usize..5,
+        bound in -20.0f64..520.0,
+        end in 1i64..900,
+    ) {
+        // Several tids per group key: `Park` folds both series into one
+        // key, `Turbine` keeps one per key — each under a segment-time bound
+        // (model aggregates, shared fold groups) and under a Value filter
+        // (per-point filtering, per-segment fold groups).
+        let (sequential, parallel) = sequential_and_parallel();
+        let func = ["COUNT", "MIN", "MAX", "SUM", "AVG"][func_idx];
+        let end = end * 100;
+        for column in ["Park", "Turbine"] {
+            for filter in [format!("EndTime <= {end}"), format!("Value >= {bound:.3}")] {
+                let sql = format!(
+                    "SELECT {column}, {func}_S(*) FROM Segment WHERE {filter} \
+                     GROUP BY {column} ORDER BY {column}"
+                );
+                let a = sequential.sql(&sql).unwrap();
+                let b = parallel.sql(&sql).unwrap();
+                prop_assert_eq!(&a.columns, &b.columns);
+                prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
+            }
+        }
     }
 
     #[test]
