@@ -108,58 +108,108 @@ impl XorEncoder {
 
 /// Streaming XOR decoder. The number of encoded values is not part of the
 /// stream and must be supplied by the caller (segments know their length).
+///
+/// Each value is decoded from one 64-bit big-endian peek at the stream: a
+/// value's code is at most 44 bits (`11`, five leading-zero bits, five
+/// length bits, up to 32 significant bits) and a peek holds at least 57
+/// bits of input, or all that is left of it, zero-padded.
 #[derive(Debug, Clone)]
 pub struct XorDecoder<'a> {
-    reader: BitReader<'a>,
+    bytes: &'a [u8],
+    /// The stream's length in bits.
+    bit_len: usize,
+    /// Bit cursor: the start of the next value's code.
+    pos: usize,
     prev: u32,
-    leading: u8,
-    trailing: u8,
-    emitted: usize,
+    /// The current window: its significant bits and trailing zeros.
+    significant: u32,
+    trailing: u32,
+    started: bool,
 }
 
 impl<'a> XorDecoder<'a> {
     /// A decoder over an encoded stream.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self {
-            reader: BitReader::new(bytes),
+            bytes,
+            bit_len: bytes.len() * 8,
+            pos: 0,
             prev: 0,
-            leading: 0,
+            significant: 32,
             trailing: 0,
-            emitted: 0,
+            started: false,
         }
     }
 
-    /// Decodes the next value; `None` on malformed or exhausted input.
-    pub fn next_value(&mut self) -> Option<f32> {
-        if self.emitted == 0 {
-            let bits = self.reader.read_bits(32)? as u32;
-            self.prev = bits;
-            self.emitted = 1;
-            return Some(f32::from_bits(bits));
-        }
-        let bits = if !self.reader.read_bit()? {
-            self.prev
-        } else {
-            if self.reader.read_bit()? {
-                let leading = self.reader.read_bits(LEADING_BITS)? as u8;
-                let significant = self.reader.read_bits(LENGTH_BITS)? as u8 + 1;
-                if leading + significant > 32 {
-                    // No encoder writes this window: the stream is damaged.
-                    return None;
-                }
-                self.leading = leading;
-                self.trailing = 32 - leading - significant;
-                let xor = (self.reader.read_bits(significant)? as u32) << self.trailing;
-                self.prev ^ xor
-            } else {
-                let significant = 32 - self.leading - self.trailing;
-                let xor = (self.reader.read_bits(significant)? as u32) << self.trailing;
-                self.prev ^ xor
+    /// The 64 stream bits from the cursor on, most significant first, with
+    /// zeros past the end of the input.
+    #[inline]
+    fn peek(&self) -> u64 {
+        let byte = self.pos / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("an 8-byte slice")),
+            None => {
+                let tail = self.bytes.get(byte..).unwrap_or_default();
+                let mut padded = [0u8; 8];
+                padded[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(padded)
             }
         };
+        word << (self.pos % 8)
+    }
+
+    /// Moves the cursor past a code of `width` bits, unless that runs past
+    /// the end of the input (zero padding never counts as code).
+    #[inline]
+    fn consume(&mut self, width: u32) -> Option<()> {
+        let end = self.pos + width as usize;
+        if end > self.bit_len {
+            return None;
+        }
+        self.pos = end;
+        Some(())
+    }
+
+    /// Decodes the next value; `None` on malformed or exhausted input, which
+    /// leaves the decoder where it was.
+    #[inline]
+    pub fn next_value(&mut self) -> Option<f32> {
+        if self.started {
+            return self.step();
+        }
+        let bits = (self.peek() >> 32) as u32;
+        self.consume(32)?;
         self.prev = bits;
-        self.emitted += 1;
+        self.started = true;
         Some(f32::from_bits(bits))
+    }
+
+    /// Decodes a value after the first from one peek: `0` repeats the
+    /// previous value, `10` reuses the window, `11` opens a new one.
+    #[inline]
+    fn step(&mut self) -> Option<f32> {
+        let word = self.peek();
+        if word >> 63 == 0 {
+            self.consume(1)?;
+        } else if word >> 62 == 0b11 {
+            // `11`, five leading-zero bits, five bits of (length - 1).
+            let leading = (word >> 57) as u32 & 0x1F;
+            let significant = ((word >> 52) as u32 & 0x1F) + 1;
+            if leading + significant > 32 {
+                // No encoder writes this window: the stream is damaged.
+                return None;
+            }
+            self.consume(12 + significant)?;
+            let trailing = 32 - leading - significant;
+            let xor = ((word << 12) >> (64 - significant)) as u32;
+            self.prev ^= xor << trailing;
+            (self.significant, self.trailing) = (significant, trailing);
+        } else {
+            self.consume(2 + self.significant)?;
+            let xor = ((word << 2) >> (64 - self.significant)) as u32;
+            self.prev ^= xor << self.trailing;
+        }
+        Some(f32::from_bits(self.prev))
     }
 }
 
@@ -171,7 +221,7 @@ pub fn decode_all(bytes: &[u8], count: usize) -> Option<Vec<f32>> {
 
 /// Decodes exactly `count` values into `out` (cleared first), so a caller
 /// decoding many streams reuses one buffer. `false` when the stream ends
-/// early; `out` then holds the values decoded so far.
+/// early or is damaged; `out` then holds the values decoded so far.
 pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<f32>) -> bool {
     out.clear();
     // Every value costs at least one bit, so a damaged `count` cannot make
@@ -378,6 +428,70 @@ mod tests {
             self.prev = bits;
             self.count += 1;
         }
+    }
+
+    /// The decoder [`XorDecoder`] replaced: three to five bounds-checked
+    /// reader calls per value, kept as the reference the word-at-a-time
+    /// decoder must match.
+    struct ReferenceDecoder<'a> {
+        reader: BitReader<'a>,
+        prev: u32,
+        leading: u8,
+        trailing: u8,
+        emitted: usize,
+    }
+
+    impl<'a> ReferenceDecoder<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Self {
+                reader: BitReader::new(bytes),
+                prev: 0,
+                leading: 0,
+                trailing: 0,
+                emitted: 0,
+            }
+        }
+
+        fn next_value(&mut self) -> Option<f32> {
+            if self.emitted == 0 {
+                let bits = self.reader.read_bits(32)? as u32;
+                self.prev = bits;
+                self.emitted = 1;
+                return Some(f32::from_bits(bits));
+            }
+            let bits = if !self.reader.read_bit()? {
+                self.prev
+            } else {
+                if self.reader.read_bit()? {
+                    let leading = self.reader.read_bits(LEADING_BITS)? as u8;
+                    let significant = self.reader.read_bits(LENGTH_BITS)? as u8 + 1;
+                    if leading + significant > 32 {
+                        return None;
+                    }
+                    self.leading = leading;
+                    self.trailing = 32 - leading - significant;
+                }
+                let significant = 32 - self.leading - self.trailing;
+                let xor = (self.reader.read_bits(significant)? as u32) << self.trailing;
+                self.prev ^ xor
+            };
+            self.prev = bits;
+            self.emitted += 1;
+            Some(f32::from_bits(bits))
+        }
+    }
+
+    /// Decodes up to `count` values with `next`, stopping at the first
+    /// `None`: whether all `count` came out, and the bits of those that did.
+    fn decode_prefix(count: usize, mut next: impl FnMut() -> Option<f32>) -> (bool, Vec<u32>) {
+        let mut out = Vec::new();
+        for _ in 0..count {
+            match next() {
+                Some(value) => out.push(value.to_bits()),
+                None => return (false, out),
+            }
+        }
+        (true, out)
     }
 
     /// Builds an `f32` stream from random draws that hits every encoder
@@ -659,6 +773,44 @@ mod tests {
                 proptest::prop_assert_eq!(&bytes, &encoder.clone().finish());
             }
             proptest::prop_assert_eq!(encoder.finish(), reference.writer.finish());
+        }
+
+        // On arbitrary bytes, and on valid streams cut short or with one
+        // bit flipped, `decode_into` and `XorDecoder` return what the
+        // bit-at-a-time reference returns: the same result and the same
+        // decoded prefix.
+        #[test]
+        fn decoder_matches_the_bit_at_a_time_reference(
+            noise in proptest::collection::vec(0u8..=255, 0..64),
+            draws in proptest::collection::vec((0u32..=u32::MAX, 0u8..=255), 0..120),
+            valid in proptest::bool::ANY,
+            cut in 0usize..4,
+            flip in 0usize..9600,
+            extra in 0usize..3,
+            count in 0usize..600,
+        ) {
+            let (bytes, count) = if valid {
+                let mut bytes = encode_all(&float_stream(&draws));
+                bytes.truncate(bytes.len().saturating_sub(cut));
+                if flip < bytes.len() * 8 {
+                    bytes[flip / 8] ^= 0x80 >> (flip % 8);
+                }
+                (bytes, draws.len() + extra)
+            } else {
+                (noise, count)
+            };
+            let mut reference = ReferenceDecoder::new(&bytes);
+            let expected = decode_prefix(count, || reference.next_value());
+            let mut out = Vec::new();
+            let complete = decode_into(&bytes, count, &mut out);
+            let decoded = out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(&(complete, decoded), &expected);
+            let mut decoder = XorDecoder::new(&bytes);
+            proptest::prop_assert_eq!(&decode_prefix(count, || decoder.next_value()), &expected);
+            // A failed step leaves the decoder where it was.
+            if !expected.0 {
+                proptest::prop_assert_eq!(decoder.next_value(), None);
+            }
         }
 
         // Decoding damaged or arbitrary input ends in `None` or a value

@@ -131,6 +131,15 @@ pub trait ModelType: Send + Sync {
     /// `range.0 ..= range.1` for the series at `series` position, if this
     /// model supports it. Returning `None` makes the query engine fall back
     /// to [`ModelType::grid`].
+    ///
+    /// **Contract:** `min` and `max` must bound every value
+    /// [`ModelType::grid`] reconstructs for that series over that range,
+    /// exactly (`min <= v <= max`, no tolerance). The zone map
+    /// ([`segment_value_range`]) and the query engine's value-filtered scan
+    /// both skip a series whose `[min, max]` misses a `Value` predicate
+    /// without reconstructing it, so extremes that miss a value drop points.
+    /// `sum` may differ from the reconstructed sum by the reconstruction's
+    /// rounding.
     fn agg(
         &self,
         params: &[u8],
@@ -254,6 +263,94 @@ mod tests {
         let three = compression_ratio(50, 3, 29);
         assert!((three / one - 3.0).abs() < 1e-9);
         assert_eq!(compression_ratio(10, 1, 0), 0.0);
+    }
+
+    /// Asserts [`ModelType::agg`]'s contract for every series of a segment
+    /// over `range`: `min <= v <= max` for each value `grid` reconstructs.
+    fn check_agg_bounds_grid(
+        model: &dyn ModelType,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        range: (usize, usize),
+    ) -> Result<(), proptest::TestCaseError> {
+        let grid = model.grid(params, n_series, count).unwrap();
+        for series in 0..n_series {
+            let agg = model.agg(params, n_series, count, range, series).unwrap();
+            for t in range.0..=range.1 {
+                let v = grid[t * n_series + series];
+                proptest::prop_assert!(
+                    agg.min <= v && v <= agg.max,
+                    "{}: {} outside [{}, {}] at t={} of {:?}",
+                    model.name(),
+                    v,
+                    agg.min,
+                    agg.max,
+                    t,
+                    range
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A sub-range of `0..count` from two draws.
+    fn sub_range(count: usize, a: usize, b: usize) -> (usize, usize) {
+        let lo = a % count;
+        (lo, lo + b % (count - lo))
+    }
+
+    proptest::proptest! {
+        // The closed-form extremes of the models with one, fitted from
+        // drifting, noisy groups: exact bounds of the reconstruction.
+        #[test]
+        fn closed_form_extremes_bound_every_reconstructed_value(
+            model_idx in 0usize..4,
+            n_series in 1usize..4,
+            base in -1000.0f32..1000.0,
+            slope in -5.0f32..5.0,
+            noise in proptest::collection::vec(-1.0f32..1.0, 1..120),
+            pct in 0.5f64..20.0,
+            a in 0usize..1000,
+            b in 0usize..1000,
+        ) {
+            use std::sync::Arc;
+            let model: Arc<dyn ModelType> = match model_idx {
+                0 => Arc::new(pmc::PmcMean),
+                1 => Arc::new(swing::Swing),
+                2 => Arc::new(multi::PerSeries::new(Arc::new(pmc::PmcMean))),
+                _ => Arc::new(multi::PerSeries::new(Arc::new(swing::Swing))),
+            };
+            let mut fitter = model.fitter(ErrorBound::relative(pct), n_series, 200);
+            for (t, n) in noise.iter().enumerate() {
+                let row: Vec<Value> = (0..n_series)
+                    .map(|s| base + slope * t as f32 + n * (s + 1) as f32 * 0.1)
+                    .collect();
+                if !fitter.append(t as i64 * 100, &row) {
+                    break;
+                }
+            }
+            let count = fitter.len();
+            if count > 0 {
+                let range = sub_range(count, a, b);
+                check_agg_bounds_grid(&*model, &fitter.params(), n_series, count, range)?;
+            }
+        }
+
+        // Swing over arbitrary stored endpoints, wherever the line's
+        // rounding falls.
+        #[test]
+        fn swing_extremes_bound_arbitrary_lines(
+            first in -1.0e6f32..1.0e6,
+            last in -1.0e6f32..1.0e6,
+            count in 1usize..600,
+            a in 0usize..1000,
+            b in 0usize..1000,
+        ) {
+            let mut params = first.to_le_bytes().to_vec();
+            params.extend_from_slice(&last.to_le_bytes());
+            check_agg_bounds_grid(&swing::Swing, &params, 2, count, sub_range(count, a, b))?;
+        }
     }
 
     #[test]

@@ -75,9 +75,9 @@ impl Accumulator {
         self.max = self.max.max(hi);
     }
 
-    /// Folds one reconstructed value in.
-    pub fn add_value(&mut self, value: Value, scaling: f64) {
-        let v = f64::from(value) / scaling;
+    /// Folds one reconstructed value in, already divided by its series'
+    /// scaling constant.
+    pub fn add_raw(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -111,30 +111,56 @@ impl Accumulator {
 /// every (tid, interval) evaluation that needs the fallback path. Holds a
 /// borrowed [`SegmentView`] by value, so segments read straight out of a
 /// cached block buffer are evaluated without ever materializing an owned
-/// record.
-pub struct SegmentCursor<'a> {
+/// record, and decodes into a caller-owned buffer, so a scan reconstructing
+/// segment after segment reuses one allocation.
+pub struct SegmentCursor<'a, 'g> {
     pub segment: SegmentView<'a>,
     pub n_series: usize,
-    grid: Option<Vec<Value>>,
+    grid: &'g mut Vec<Value>,
+    /// Whether the grid decoded, once it was asked for.
+    decoded: Option<bool>,
 }
 
-impl<'a> SegmentCursor<'a> {
-    /// A cursor over `segment`, which represents `n_series` series.
-    pub fn new(segment: SegmentView<'a>, n_series: usize) -> Self {
+impl<'a, 'g> SegmentCursor<'a, 'g> {
+    /// A cursor over `segment`, which represents `n_series` series,
+    /// reconstructing into `grid` when it has to.
+    pub fn new(segment: SegmentView<'a>, n_series: usize, grid: &'g mut Vec<Value>) -> Self {
         Self {
             segment,
             n_series,
-            grid: None,
+            grid,
+            decoded: None,
         }
     }
 
-    /// The reconstructed values (timestamp-major), decoded on first use.
+    /// The reconstructed values (timestamp-major), decoded on first use;
+    /// `None` when the segment cannot be decoded.
     pub fn grid(&mut self, registry: &ModelRegistry) -> Option<&[Value]> {
-        if self.grid.is_none() {
-            let model = registry.get(self.segment.mid)?;
-            self.grid = model.grid(self.segment.params, self.n_series, self.segment.len());
+        let decoded = *self.decoded.get_or_insert_with(|| {
+            let len = self.segment.len();
+            registry.get(self.segment.mid).is_some_and(|model| {
+                model.grid_into(self.segment.params, self.n_series, len, self.grid)
+                    && self.grid.len() >= len * self.n_series
+            })
+        });
+        decoded.then_some(&self.grid[..])
+    }
+
+    /// The model's constant-time aggregate of the series at `series` over
+    /// the tick range `range`, or `None` when the model has no closed form
+    /// (or the range is out of bounds).
+    pub fn model_agg(
+        &self,
+        registry: &ModelRegistry,
+        series: usize,
+        range: (usize, usize),
+    ) -> Option<SegmentAgg> {
+        let count = self.segment.len();
+        if range.0 > range.1 || range.1 >= count {
+            return None;
         }
-        self.grid.as_deref()
+        let model = registry.get(self.segment.mid)?;
+        model.agg(self.segment.params, self.n_series, count, range, series)
     }
 
     /// Aggregates the series at position-in-segment `series` over the tick
@@ -160,17 +186,12 @@ impl<'a> SegmentCursor<'a> {
         range: (usize, usize),
         use_models: bool,
     ) -> Option<SegmentAgg> {
-        let count = self.segment.len();
-        if range.0 > range.1 || range.1 >= count {
+        if range.0 > range.1 || range.1 >= self.segment.len() {
             return None;
         }
         if use_models {
-            if let Some(model) = registry.get(self.segment.mid) {
-                if let Some(agg) =
-                    model.agg(self.segment.params, self.n_series, count, range, series)
-                {
-                    return Some(agg);
-                }
+            if let Some(agg) = self.model_agg(registry, series, range) {
+                return Some(agg);
             }
         }
         let n = self.n_series;
@@ -210,7 +231,7 @@ mod tests {
     fn accumulator_finalizes_every_function() {
         let mut acc = Accumulator::new();
         for v in [1.0f32, 2.0, 3.0, 4.0] {
-            acc.add_value(v, 1.0);
+            acc.add_raw(f64::from(v));
         }
         assert_eq!(acc.finalize(AggFunc::Count), Some(4.0));
         assert_eq!(acc.finalize(AggFunc::Sum), Some(10.0));
@@ -240,15 +261,15 @@ mod tests {
         let values = [5.0f32, -2.0, 7.5, 0.0, 3.25, 9.0];
         let mut whole = Accumulator::new();
         for &v in &values {
-            whole.add_value(v, 1.0);
+            whole.add_raw(f64::from(v));
         }
         let mut left = Accumulator::new();
         let mut right = Accumulator::new();
         for &v in &values[..3] {
-            left.add_value(v, 1.0);
+            left.add_raw(f64::from(v));
         }
         for &v in &values[3..] {
-            right.add_value(v, 1.0);
+            right.add_raw(f64::from(v));
         }
         left.merge(&right);
         assert_eq!(left, whole);
@@ -258,9 +279,6 @@ mod tests {
     fn scaling_is_divided_out_in_iterate() {
         // Stored value 9.5 with scaling 4.75 is raw value 2.0 (Figure 6's
         // Scaling column).
-        let mut acc = Accumulator::new();
-        acc.add_value(9.5, 4.75);
-        assert_eq!(acc.finalize(AggFunc::Sum), Some(2.0));
         let mut acc = Accumulator::new();
         acc.add_segment_agg(
             SegmentAgg {
@@ -314,11 +332,12 @@ mod tests {
     fn cursor_uses_model_agg_for_pmc() {
         let registry = ModelRegistry::standard();
         let seg = pmc_segment(2.5, 10);
-        let mut cursor = SegmentCursor::new(seg.view(), 3);
+        let mut grid = Vec::new();
+        let mut cursor = SegmentCursor::new(seg.view(), 3, &mut grid);
         let agg = cursor.aggregate(&registry, 1, (0, 9)).unwrap();
         assert_eq!(agg.sum, 25.0);
         // The constant-time path never materialized the grid.
-        assert!(cursor.grid.is_none());
+        assert!(cursor.decoded.is_none());
         // Sub-range.
         let agg = cursor.aggregate(&registry, 0, (2, 4)).unwrap();
         assert_eq!(agg.sum, 7.5);
@@ -340,7 +359,8 @@ mod tests {
             params: Bytes::from(params),
             gaps: GapsMask::EMPTY,
         };
-        let mut cursor = SegmentCursor::new(seg.view(), 2);
+        let mut grid = Vec::new();
+        let mut cursor = SegmentCursor::new(seg.view(), 2, &mut grid);
         // Series 0 values: 1, 3, 5. Series 1 values: 2, 4, 6.
         let agg = cursor.aggregate(&registry, 0, (0, 2)).unwrap();
         assert_eq!(agg.sum, 9.0);
@@ -348,7 +368,7 @@ mod tests {
         assert_eq!(agg.max, 5.0);
         let agg = cursor.aggregate(&registry, 1, (1, 2)).unwrap();
         assert_eq!(agg.sum, 10.0);
-        assert!(cursor.grid.is_some(), "gorilla needs the grid");
+        assert_eq!(cursor.decoded, Some(true), "gorilla needs the grid");
     }
 
     /// Minimal stand-in for the encoding dependency in tests: fits the same

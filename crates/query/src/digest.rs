@@ -57,7 +57,8 @@ pub fn sketch_feed(catalog: &Arc<Catalog>, registry: &Arc<ModelRegistry>) -> Ske
             if n_present == 0 {
                 return true;
             }
-            let mut cursor = SegmentCursor::new(segment.view(), n_present);
+            let mut buffer = Vec::new();
+            let mut cursor = SegmentCursor::new(segment.view(), n_present, &mut buffer);
             let Some(grid) = cursor.grid(&closure_registry) else {
                 return false;
             };
@@ -106,7 +107,8 @@ pub fn rollup_feed(
             if n_present == 0 {
                 return Some(Vec::new());
             }
-            let mut cursor = SegmentCursor::new(segment.view(), n_present);
+            let mut grid = Vec::new();
+            let mut cursor = SegmentCursor::new(segment.view(), n_present, &mut grid);
             let last_tick = cursor.segment.len() - 1;
             let mut deltas = Vec::new();
             for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {

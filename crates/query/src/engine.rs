@@ -31,10 +31,11 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mdb_models::ModelRegistry;
+use mdb_models::{ModelRegistry, SegmentAgg};
 use mdb_storage::{Catalog, SegmentPredicate, SegmentRun, SegmentStore};
 use mdb_types::{
-    time, BlockSketch, Gid, MdbError, Result, SegmentView, Tid, TimeLevel, Timestamp, ValueInterval,
+    time, BlockSketch, Gid, MdbError, Result, SegmentView, Tid, TimeLevel, Timestamp, Value,
+    ValueInterval,
 };
 
 use crate::aggregate::{Accumulator, AggFunc, SegmentCursor};
@@ -141,20 +142,23 @@ fn merge_slot(mine: &mut Option<Accumulator>, theirs: Accumulator) {
     }
 }
 
-/// One fold group's touched slots and bucket entries.
+/// One fold group's contributions: slot accumulators in the order
+/// [`PartialAggregates::absorb`] merges them, and bucket entries.
 struct GroupFold {
+    /// The group's touched slots, or under a `Value` filter each segment's
+    /// touched slots in scan order.
     slots: Vec<(u32, Accumulator)>,
     buckets: Vec<(Tid, Timestamp, Accumulator)>,
 }
 
 /// The slot accumulators of the fold group being evaluated, with the
 /// touched slots listed so draining costs only what the group touched.
-struct SlotScratch {
+struct SlotAccs {
     accs: Vec<Option<Accumulator>>,
     touched: Vec<u32>,
 }
 
-impl SlotScratch {
+impl SlotAccs {
     /// Merges `acc` into the group accumulator of `slot`.
     fn merge(&mut self, slot: usize, acc: Accumulator) {
         if self.accs[slot].is_none() {
@@ -163,14 +167,24 @@ impl SlotScratch {
         merge_slot(&mut self.accs[slot], acc);
     }
 
-    /// Takes the touched accumulators, leaving every slot untouched.
-    fn drain(&mut self) -> Vec<(u32, Accumulator)> {
+    /// Moves the touched accumulators to `out`, leaving every slot
+    /// untouched.
+    fn drain_into(&mut self, out: &mut Vec<(u32, Accumulator)>) {
         let accs = &mut self.accs;
-        self.touched
-            .drain(..)
-            .map(|slot| (slot, accs[slot as usize].take().expect("touched")))
-            .collect()
+        out.extend(
+            self.touched
+                .drain(..)
+                .map(|slot| (slot, accs[slot as usize].take().expect("touched"))),
+        );
     }
+}
+
+/// A scan worker's memory, reused from segment to segment: the fold
+/// group's slot accumulators and the reconstructed grid of the segment
+/// being evaluated.
+struct Scratch {
+    slots: SlotAccs,
+    grid: Vec<Value>,
 }
 
 /// Segments per *fold group*: consecutive segments (by global scan index)
@@ -181,15 +195,10 @@ impl SlotScratch {
 /// enough groups to parallelize. Group boundaries depend only on the scan
 /// order and the survivor count — never on the worker count or block
 /// shapes — which is what makes results bit-identical at every parallelism
-/// setting. With `per_segment` every segment folds alone: under a `Value`
-/// filter the per-point filter makes a segment's contribution depend on
-/// reconstructed values, and for time-bucketed aggregates the per-key left
-/// fold must visit segments strictly in scan order so it reproduces exactly
-/// the float association the incremental rollup cells were built with.
-pub fn fold_group_size(survivors: usize, per_segment: bool) -> usize {
-    if per_segment {
-        return 1;
-    }
+/// setting. Scans whose fold must follow single segments keep per-segment
+/// entries inside the group instead: a `Value`-filtered segment's slot
+/// accumulators, and a bucketed scan's `(tid, bucket)` entries.
+pub fn fold_group_size(survivors: usize) -> usize {
     (survivors / 256).clamp(16, 256)
 }
 
@@ -337,9 +346,12 @@ impl ScanContext {
         lo: usize,
         hi: usize,
     ) -> Result<Vec<GroupFold>> {
-        let mut scratch = SlotScratch {
-            accs: vec![None; self.keys.rows.len()],
-            touched: Vec::new(),
+        let mut scratch = Scratch {
+            slots: SlotAccs {
+                accs: vec![None; self.keys.rows.len()],
+                touched: Vec::new(),
+            },
+            grid: Vec::new(),
         };
         (lo..hi)
             .step_by(self.fold_size)
@@ -474,6 +486,34 @@ fn narrow(tids: Option<Vec<Tid>>, keep: &[Tid]) -> Vec<Tid> {
     }
 }
 
+/// The raw values `v <op> x` admits, as an exact closed interval: floats
+/// are discrete, so `v > x` is `v >= x.next_up()` and `v < x` is
+/// `v <= x.next_down()` for every value. `NaN` lies in no interval, and
+/// passes no comparison.
+fn admitted(op: CmpOp, x: f64) -> ValueInterval {
+    match op {
+        _ if x.is_nan() => ValueInterval::EMPTY,
+        CmpOp::Eq => ValueInterval::point(x),
+        CmpOp::Ge => ValueInterval::new(x, f64::INFINITY),
+        CmpOp::Le => ValueInterval::new(f64::NEG_INFINITY, x),
+        CmpOp::Gt if x == f64::INFINITY => ValueInterval::EMPTY,
+        CmpOp::Gt => ValueInterval::new(x.next_up(), f64::INFINITY),
+        CmpOp::Lt if x == f64::NEG_INFINITY => ValueInterval::EMPTY,
+        CmpOp::Lt => ValueInterval::new(f64::NEG_INFINITY, x.next_down()),
+    }
+}
+
+/// Whether the closed form proves that no point of a series passes
+/// `filter`: its stored extremes bound every reconstructed value (the
+/// [`mdb_models::ModelType::agg`] contract), dividing by the scaling keeps
+/// their order (or reverses it), and the interval they span misses the
+/// filter. A `NaN` extreme proves nothing.
+fn excludes(filter: &ValueInterval, agg: SegmentAgg, scaling: f64) -> bool {
+    let (a, b) = (f64::from(agg.min) / scaling, f64::from(agg.max) / scaling);
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    !filter.intersects(&ValueInterval::new(lo, hi))
+}
+
 /// Resolved WHERE clause: per-row filters plus the predicate pushed to the
 /// segment store (Section 6.2's rewriting).
 #[derive(Debug, Clone)]
@@ -486,8 +526,9 @@ struct Rewritten {
     ts_to: Timestamp,
     /// Raw segment-column comparisons (StartTime / EndTime).
     segment_time: Vec<(TimeColumn, CmpOp, Timestamp)>,
-    /// Exact per-point comparisons on the raw value (from Value predicates).
-    value_cmps: Vec<(CmpOp, f64)>,
+    /// The raw values every `Value` comparison admits (exact, see
+    /// [`admitted`]); `None` without any.
+    values: Option<ValueInterval>,
     /// The push-down predicate for the store.
     pushdown: SegmentPredicate,
     /// True when the rewrite proved the result empty (e.g. unknown member).
@@ -498,13 +539,6 @@ impl Rewritten {
     /// Whether the Tid and member predicates keep `tid`.
     fn keeps(&self, tid: Tid) -> bool {
         self.tids.as_ref().is_none_or(|tids| tids.contains(&tid))
-    }
-
-    /// Whether the raw value `v` passes every `Value` comparison.
-    fn value_matches(&self, v: f64) -> bool {
-        self.value_cmps
-            .iter()
-            .all(|(op, bound)| op.holds(v, *bound))
     }
 
     /// Whether `segment` passes every `StartTime`/`EndTime` comparison.
@@ -645,7 +679,7 @@ impl<'a> QueryEngine<'a> {
         let mut ts_from = i64::MIN;
         let mut ts_to = i64::MAX;
         let mut segment_time = Vec::new();
-        let mut value_cmps: Vec<(CmpOp, f64)> = Vec::new();
+        let mut values: Option<ValueInterval> = None;
         let mut empty = false;
         for predicate in &query.predicates {
             match predicate {
@@ -676,30 +710,28 @@ impl<'a> QueryEngine<'a> {
                             ts_to = ts_to.min(*value);
                         }
                         CmpOp::Ge => ts_from = ts_from.max(*value),
-                        CmpOp::Gt => ts_from = ts_from.max(value + 1),
                         CmpOp::Le => ts_to = ts_to.min(*value),
-                        CmpOp::Lt => ts_to = ts_to.min(value - 1),
+                        // No timestamp lies past `i64::MAX` or before
+                        // `i64::MIN`: such a bound keeps nothing.
+                        CmpOp::Gt => match value.checked_add(1) {
+                            Some(from) => ts_from = ts_from.max(from),
+                            None => empty = true,
+                        },
+                        CmpOp::Lt => match value.checked_sub(1) {
+                            Some(to) => ts_to = ts_to.min(to),
+                            None => empty = true,
+                        },
                     },
                     _ => segment_time.push((*column, *op, *value)),
                 },
-                Predicate::Value { op, value } => value_cmps.push((*op, *value)),
+                Predicate::Value { op, value } => {
+                    let range = values.unwrap_or(ValueInterval::ALL);
+                    values = Some(range.intersection(&admitted(*op, *value)));
+                }
             }
         }
         empty |= ts_from > ts_to;
-
-        // Fold the value comparisons into one raw-domain interval. Strict
-        // comparisons are widened to closed bounds — pruning needs only an
-        // over-approximation; the exact ops re-run per data point.
-        let mut value_range = ValueInterval::ALL;
-        for (op, v) in &value_cmps {
-            let bound = match op {
-                CmpOp::Eq => ValueInterval::point(*v),
-                CmpOp::Lt | CmpOp::Le => ValueInterval::new(f64::NEG_INFINITY, *v),
-                CmpOp::Gt | CmpOp::Ge => ValueInterval::new(*v, f64::INFINITY),
-            };
-            value_range = value_range.intersection(&bound);
-        }
-        empty |= value_range.is_empty();
+        empty |= values.is_some_and(|range| range.is_empty());
 
         let mut pushdown = SegmentPredicate {
             gids: tids.as_ref().map(|list| self.catalog.gids_for_tids(list)),
@@ -715,7 +747,8 @@ impl<'a> QueryEngine<'a> {
         // filter divides by it — the two roundings may disagree at the
         // boundary, and pruning must never exclude a point the filter would
         // accept.
-        if !value_cmps.is_empty() && !empty && value_range != ValueInterval::ALL {
+        let value_range = values.unwrap_or(ValueInterval::ALL);
+        if !empty && value_range != ValueInterval::ALL {
             let scalings: Vec<f64> = match &tids {
                 Some(list) => list.iter().map(|t| self.catalog.scaling_of(*t)).collect(),
                 None => self.catalog.series.iter().map(|m| m.scaling).collect(),
@@ -742,7 +775,7 @@ impl<'a> QueryEngine<'a> {
             ts_from,
             ts_to,
             segment_time,
-            value_cmps,
+            values,
             pushdown,
             empty,
         })
@@ -810,7 +843,7 @@ impl<'a> QueryEngine<'a> {
         // per-(tid, bucket) left fold in scan order — and toggling serving
         // never changes an output.
         let cellular =
-            query.view == View::Segment && rw.value_cmps.is_empty() && rw.segment_time.is_empty();
+            query.view == View::Segment && rw.values.is_none() && rw.segment_time.is_empty();
         let bucket = cube.or(if cellular {
             mdb_storage::rollup::finest_level(self.rollup_levels)
         } else {
@@ -1006,12 +1039,13 @@ impl<'a> QueryEngine<'a> {
     /// so every parallelism setting performs the same float operations in
     /// the same order.
     ///
-    /// Fold groups are [`fold_group_size`] segments, except under a `Value`
-    /// filter where each segment folds alone: value pruning removes
-    /// segments that an unpruned scan would visit (and find contributing
-    /// nothing), and per-segment folding makes such no-op segments
-    /// irrelevant to the float association — so pruned and unpruned
-    /// value-filtered scans stay exactly equal, not just approximately.
+    /// Under a `Value` filter a fold group keeps each segment's slot
+    /// accumulators as entries of their own, merged into the partial in
+    /// scan order: value pruning removes segments that an unpruned scan
+    /// would visit (and find contributing nothing), and per-segment entries
+    /// make such no-op segments irrelevant to the float association — so
+    /// pruned and unpruned value-filtered scans stay exactly equal, not
+    /// just approximately.
     fn scan(
         &self,
         plan: &Plan,
@@ -1021,7 +1055,7 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<()> {
         let runs = RunSet::collect(self.store, &rw.pushdown)?;
         let n_segments = runs.len();
-        let fold_size = fold_group_size(n_segments, !rw.value_cmps.is_empty() || bucket.is_some());
+        let fold_size = fold_group_size(n_segments);
         let context = ScanContext {
             rw,
             keys: Arc::clone(&plan.keys),
@@ -1151,22 +1185,28 @@ impl<'a> SegmentEvaluator<'a> {
     /// collected runs — the unit of work a scan worker (pooled or inline)
     /// executes. Within the group, segments accumulate in order into the
     /// group's slot accumulators, exactly like a sequential scan over the
-    /// group; `scratch` is left untouched for the next group.
+    /// group — under a `Value` filter segment by segment, so each segment's
+    /// accumulators become entries of their own; `scratch` is left
+    /// untouched for the next group.
     fn fold_group(
         &self,
         scan: &ScanContext,
         lo: usize,
         hi: usize,
-        scratch: &mut SlotScratch,
+        scratch: &mut Scratch,
     ) -> Result<GroupFold> {
+        let mut slots = Vec::new();
         let mut buckets = Vec::new();
+        let per_segment = scan.rw.values.is_some();
         scan.runs.for_each_in(lo, hi, &mut |segment| {
-            self.iterate_segment(scan, segment, scratch, &mut buckets)
+            self.iterate_segment(scan, segment, scratch, &mut buckets)?;
+            if per_segment {
+                scratch.slots.drain_into(&mut slots);
+            }
+            Ok(())
         })?;
-        Ok(GroupFold {
-            slots: scratch.drain(),
-            buckets,
-        })
+        scratch.slots.drain_into(&mut slots);
+        Ok(GroupFold { slots, buckets })
     }
 
     /// The `iterate` step over one segment (a borrowed view — block-backed
@@ -1175,7 +1215,7 @@ impl<'a> SegmentEvaluator<'a> {
         &self,
         scan: &ScanContext,
         segment: SegmentView<'_>,
-        scratch: &mut SlotScratch,
+        scratch: &mut Scratch,
         buckets: &mut Vec<(Tid, Timestamp, Accumulator)>,
     ) -> Result<()> {
         let rw = &scan.rw;
@@ -1187,7 +1227,7 @@ impl<'a> SegmentEvaluator<'a> {
         })?;
         let group_size = group.size();
         let n_present = segment.gaps.count_present(group_size);
-        let mut cursor = SegmentCursor::new(segment, n_present);
+        let mut cursor = SegmentCursor::new(segment, n_present, &mut scratch.grid);
         let Some(range) = rw.tick_range(&segment) else {
             return Ok(());
         };
@@ -1197,12 +1237,24 @@ impl<'a> SegmentEvaluator<'a> {
             let Some((slot, scaling)) = scan.keys.lookup(tid) else {
                 continue;
             };
+            // Under a `Value` filter, a series whose closed form misses the
+            // filter has no point that passes: it is never reconstructed
+            // (on the Segment View, which may use the models).
+            if let Some(filter) = &rw.values {
+                let excluded = scan.use_models
+                    && cursor
+                        .model_agg(self.registry, series_pos, range)
+                        .is_some_and(|agg| excludes(filter, agg, scaling));
+                if excluded {
+                    continue;
+                }
+            }
             match scan.bucket {
                 None => {
                     let acc =
                         self.range_accumulator(scan, &mut cursor, series_pos, range, scaling)?;
                     if acc.count > 0 {
-                        scratch.merge(slot, acc);
+                        scratch.slots.merge(slot, acc);
                     }
                 }
                 // Algorithm 6: split the tick range at calendar boundaries;
@@ -1230,26 +1282,28 @@ impl<'a> SegmentEvaluator<'a> {
     fn range_accumulator(
         &self,
         scan: &ScanContext,
-        cursor: &mut SegmentCursor<'_>,
+        cursor: &mut SegmentCursor<'_, '_>,
         series_pos: usize,
         range: (usize, usize),
         scaling: f64,
     ) -> Result<Accumulator> {
         let undecodable = || MdbError::Corrupt("undecodable segment".into());
-        let mut acc = Accumulator::new();
-        if scan.rw.value_cmps.is_empty() {
+        let Some(filter) = &scan.rw.values else {
             let agg = cursor
                 .aggregate_with(self.registry, series_pos, range, scan.use_models)
                 .ok_or_else(undecodable)?;
+            let mut acc = Accumulator::new();
             acc.add_segment_agg(agg, (range.1 - range.0 + 1) as u64, scaling);
             return Ok(acc);
-        }
+        };
         let stride = cursor.n_series;
         let grid = cursor.grid(self.registry).ok_or_else(undecodable)?;
-        for idx in range.0..=range.1 {
-            let stored = grid[idx * stride + series_pos];
-            if scan.rw.value_matches(f64::from(stored) / scaling) {
-                acc.add_value(stored, scaling);
+        let rows = &grid[range.0 * stride..(range.1 + 1) * stride];
+        let mut acc = Accumulator::new();
+        for &stored in rows.iter().skip(series_pos).step_by(stride) {
+            let v = f64::from(stored) / scaling;
+            if filter.contains(v) {
+                acc.add_raw(v);
             }
         }
         Ok(acc)
@@ -1380,7 +1434,7 @@ impl<'a> QueryEngine<'a> {
     pub fn listing(&self, query: &Query) -> Result<QueryResult> {
         let mut rw = self.rewrite(query)?;
         self.apply_scope(&mut rw);
-        if query.view == View::Segment && !rw.value_cmps.is_empty() {
+        if query.view == View::Segment && rw.values.is_some() {
             return Err(MdbError::Query(
                 "Value predicates require the Data Point View or aggregates".into(),
             ));
@@ -1391,12 +1445,15 @@ impl<'a> QueryEngine<'a> {
             return Ok(result);
         }
         let mut scan_error = None;
+        let mut grid = Vec::new();
         self.store.scan_runs(&rw.pushdown, &mut |run| {
             if scan_error.is_some() {
                 return;
             }
             for segment in run.segments() {
-                if let Err(e) = self.list_segment(query, &rw, &columns, segment, &mut result) {
+                let listed =
+                    self.list_segment(query, &rw, &columns, segment, &mut grid, &mut result);
+                if let Err(e) = listed {
                     scan_error = Some(e);
                     break;
                 }
@@ -1451,12 +1508,14 @@ impl<'a> QueryEngine<'a> {
         Ok(out)
     }
 
+    /// Lists one segment's rows, reconstructing into `grid`.
     fn list_segment(
         &self,
         query: &Query,
         rw: &Rewritten,
         columns: &[String],
         segment: SegmentView<'_>,
+        grid: &mut Vec<Value>,
         result: &mut QueryResult,
     ) -> Result<()> {
         if !rw.segment_time_matches(&segment) {
@@ -1467,7 +1526,7 @@ impl<'a> QueryEngine<'a> {
         })?;
         let group_size = group.size();
         let n_present = segment.gaps.count_present(group_size);
-        let mut cursor = SegmentCursor::new(segment, n_present);
+        let mut cursor = SegmentCursor::new(segment, n_present, grid);
         for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
             let tid = group.tids[member_pos];
             if !rw.keeps(tid) {
@@ -1489,12 +1548,11 @@ impl<'a> QueryEngine<'a> {
                     let si = segment.sampling_interval;
                     let grid = cursor
                         .grid(self.registry)
-                        .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?
-                        .to_vec();
+                        .ok_or_else(|| MdbError::Corrupt("undecodable segment".into()))?;
                     for idx in idx_lo..=idx_hi {
                         let ts = segment.start_time + idx as i64 * si;
                         let value = f64::from(grid[idx * n_present + series_pos]) / scaling;
-                        if !rw.value_matches(value) {
+                        if rw.values.is_some_and(|filter| !filter.contains(value)) {
                             continue;
                         }
                         let row = columns

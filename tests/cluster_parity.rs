@@ -75,6 +75,64 @@ fn cluster_agrees_with_embedded_engine() {
 }
 
 #[test]
+fn ts_bounds_at_the_i64_limits_keep_nothing() {
+    // `TS > i64::MAX` and `TS < i64::MIN` admit no timestamp: the rewrite
+    // must not wrap `value ± 1` around to an unbounded range.
+    let ds = mdb_datagen::ep(3, mdb_datagen::Scale::tiny()).unwrap();
+    let mut embedded = build_engine(&ds, true, 5.0);
+    ingest_engine(&mut embedded, &ds, TICKS);
+    let catalog = catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap();
+    let cluster = Cluster::start(
+        catalog,
+        Arc::new(ModelRegistry::standard()),
+        CompressionConfig {
+            error_bound: ErrorBound::relative(5.0),
+            ..Default::default()
+        },
+        2,
+    )
+    .unwrap();
+    for tick in 0..TICKS {
+        cluster
+            .ingest_row(ds.timestamp(tick), &ds.row(tick))
+            .unwrap();
+    }
+    cluster.flush().unwrap();
+
+    let total = embedded.sql("SELECT COUNT_S(*) FROM Segment").unwrap();
+    let total = total.rows[0][0].as_i64().unwrap();
+    assert!(total > 0);
+    let (max, min) = (i64::MAX, i64::MIN);
+    for empty in [format!("TS > {max}"), format!("TS < {min}")] {
+        for sql in [
+            format!("SELECT COUNT_S(*) FROM Segment WHERE {empty}"),
+            format!("SELECT Tid, TS, Value FROM DataPoint WHERE {empty}"),
+        ] {
+            let local = embedded.sql(&sql).unwrap();
+            let remote = cluster.sql(&sql).unwrap();
+            assert!(local.rows.is_empty(), "{sql}: {:?}", local.rows);
+            assert_eq!(remote.columns, local.columns, "{sql}");
+            assert!(remote.rows.is_empty(), "{sql}: {:?}", remote.rows);
+        }
+    }
+    // The inclusive bounds at the same limits keep every point.
+    for full in [format!("TS <= {max}"), format!("TS >= {min}")] {
+        let count = format!("SELECT COUNT_S(*) FROM Segment WHERE {full}");
+        let listing = format!("SELECT Tid, TS, Value FROM DataPoint WHERE {full}");
+        for db in [embedded.sql(&count).unwrap(), cluster.sql(&count).unwrap()] {
+            assert_eq!(db.rows[0][0].as_i64(), Some(total), "{count}");
+        }
+        for db in [
+            embedded.sql(&listing).unwrap(),
+            cluster.sql(&listing).unwrap(),
+        ] {
+            assert_eq!(db.rows.len() as i64, total, "{listing}");
+        }
+    }
+    cluster.shutdown().unwrap();
+}
+
+#[test]
 fn cluster_storage_equals_embedded_storage() {
     // The same groups produce the same segments regardless of placement.
     let ds = mdb_datagen::ep(13, mdb_datagen::Scale::tiny()).unwrap();

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use mdb_bench::{build_engine, ingest_engine};
 use mdb_datagen::{ep, Scale};
+use mdb_models::{MID_PMC_MEAN, MID_SWING};
 use modelardb::{
     Cell, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, QueryResult, SeriesSpec,
 };
@@ -95,8 +96,107 @@ fn bits(result: &QueryResult) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// The values [`sequential_and_parallel`] stores with a closed form: every
+/// PMC-Mean constant and Swing endpoint, as raw values (both series have
+/// scaling 1), sorted and deduplicated — where a value filter's boundary
+/// decides whether a whole segment is skipped or reconstructed.
+fn closed_form_values(db: &ModelarDb) -> Vec<f64> {
+    let mut values: Vec<f64> = db
+        .segments()
+        .unwrap()
+        .iter()
+        .flat_map(|segment| {
+            let stored = match segment.mid {
+                MID_PMC_MEAN | MID_SWING => &segment.params[..],
+                _ => &[],
+            };
+            stored
+                .chunks_exact(4)
+                .map(|b| f64::from(f32::from_le_bytes(b.try_into().unwrap())))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    values.sort_by(f64::total_cmp);
+    values.dedup();
+    values
+}
+
+/// `x` as an SQL float literal that parses back to exactly `x`.
+fn literal(x: f64) -> String {
+    let text = x.to_string();
+    if text.contains('.') {
+        text
+    } else {
+        format!("{text}.0")
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn value_filter_boundaries_are_exact(
+        pick in 0usize..100_000,
+        other in 0usize..100_000,
+        nudge in 0usize..3,
+        op_idx in 0usize..6,
+    ) {
+        // Thresholds drawn from the stored values themselves, exactly and
+        // one ulp either side, so a filter's edge lands on a closed-form
+        // extreme: the skip must never drop a point the per-point filter
+        // keeps, and pruned-parallel must equal the unpruned sequential
+        // scan bit for bit.
+        let (sequential, parallel) = sequential_and_parallel();
+        let values = closed_form_values(&sequential);
+        prop_assert!(values.len() > 2, "fixture must store PMC and Swing segments");
+        let nudged = |i: usize| {
+            let x = values[i % values.len()];
+            [x, x.next_down(), x.next_up()][nudge]
+        };
+        let (x, y) = (nudged(pick), nudged(other));
+        let filter = match op_idx {
+            0 => format!("Value > {}", literal(x)),
+            1 => format!("Value >= {}", literal(x)),
+            2 => format!("Value < {}", literal(x)),
+            3 => format!("Value <= {}", literal(x)),
+            4 => format!("Value = {}", literal(x)),
+            _ => format!("Value > {} AND Value <= {}", literal(x.min(y)), literal(x.max(y))),
+        };
+        let per_tid = format!(
+            "SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment \
+             WHERE {filter} GROUP BY Tid ORDER BY Tid"
+        );
+        for sql in [
+            per_tid.clone(),
+            format!("SELECT Park, AVG_S(*), COUNT_S(*) FROM Segment WHERE {filter} GROUP BY Park"),
+            format!(
+                "SELECT Turbine, SUM_S(*), MAX_S(*) FROM Segment WHERE {filter} \
+                 GROUP BY Turbine ORDER BY Turbine"
+            ),
+            format!("SELECT Tid, CUBE_SUM_MINUTE(*) FROM Segment WHERE {filter} GROUP BY Tid"),
+        ] {
+            let a = sequential.sql(&sql).unwrap();
+            let b = parallel.sql(&sql).unwrap();
+            prop_assert_eq!(&a.columns, &b.columns);
+            prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
+        }
+        // Every tid's COUNT_S is the number of points the Data Point View
+        // lists under the same filter (the listing never skips).
+        let counts = sequential.sql(&per_tid).unwrap();
+        let listing = sequential
+            .sql(&format!("SELECT Tid, TS FROM DataPoint WHERE {filter}"))
+            .unwrap();
+        for tid in 1..=2i64 {
+            let count = counts
+                .rows
+                .iter()
+                .find(|row| row[0].as_i64() == Some(tid))
+                .and_then(|row| row[1].as_i64())
+                .unwrap_or(0);
+            let listed = listing.rows.iter().filter(|row| row[0].as_i64() == Some(tid)).count();
+            prop_assert_eq!(count as usize, listed, "tid {} under {}", tid, filter);
+        }
+    }
 
     #[test]
     fn aggregates_agree_between_views(
