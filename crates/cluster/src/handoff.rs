@@ -21,10 +21,10 @@
 //! operations draw targets from outside that set, and [`Cluster::move_group`]
 //! rejects past holders outright.
 
-use crossbeam_channel::bounded;
+use crossbeam_channel::Sender;
 use mdb_types::{Gid, MdbError, Result};
 
-use crate::{Cluster, Command, Topology};
+use crate::{round_trip, Cluster, Command, Reply, Topology};
 
 impl Cluster {
     /// Moves one copy of `gid` from worker `from` to worker `to`, flipping
@@ -81,49 +81,11 @@ impl Cluster {
             .ok_or_else(|| MdbError::Config(format!("worker {to} is not active")))?;
         // Drain + export on the source. A death here aborts the handoff
         // with the group still routed to its surviving holders.
-        let (tx, rx) = bounded(1);
-        if source.send(Command::Export(vec![gid], tx)).is_err() {
-            topo.mark_dead(from, "died during handoff export");
-            return Err(MdbError::Ingestion(format!(
-                "worker {from} died during handoff export of group {gid}"
-            )));
-        }
-        let shipped = match rx.recv() {
-            Ok(Ok(shipped)) => shipped,
-            Ok(Err(e)) => {
-                return Err(MdbError::Ingestion(format!(
-                    "worker {from} failed to export group {gid}: {e}"
-                )))
-            }
-            Err(_) => {
-                topo.mark_dead(from, "died during handoff export");
-                return Err(MdbError::Ingestion(format!(
-                    "worker {from} died during handoff export of group {gid}"
-                )));
-            }
-        };
+        let shipped = handoff_step(topo, from, source, (), gid, "export", |(), reply| {
+            Command::Export(vec![gid], reply)
+        })?;
         // Import on the target; the routing flip waits for its durability.
-        let (tx, rx) = bounded(1);
-        if target.send(Command::Import(shipped, tx)).is_err() {
-            topo.mark_dead(to, "died during handoff import");
-            return Err(MdbError::Ingestion(format!(
-                "worker {to} died during handoff import of group {gid}"
-            )));
-        }
-        match rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                return Err(MdbError::Ingestion(format!(
-                    "worker {to} failed to import group {gid}: {e}"
-                )))
-            }
-            Err(_) => {
-                topo.mark_dead(to, "died during handoff import");
-                return Err(MdbError::Ingestion(format!(
-                    "worker {to} died during handoff import of group {gid}"
-                )));
-            }
-        }
+        handoff_step(topo, to, target, shipped, gid, "import", Command::Import)?;
         // Committed: flip the copy to its new holder, same position. The
         // target joins the group's ever-held set, so no later handoff can
         // route the group back onto the donor's leftover segments — and the
@@ -131,5 +93,38 @@ impl Cluster {
         topo.holders.get_mut(&gid).expect("checked above")[position] = to;
         topo.ever_held[to].insert(gid);
         Ok(())
+    }
+}
+
+/// One half of a handoff on worker `index`: its answer, or an error naming
+/// the worker, the step and the group. A worker whose channel is gone is
+/// declared dead in place — the caller holds the topology write lock.
+fn handoff_step<P, T>(
+    topo: &mut Topology,
+    index: usize,
+    sender: Sender<Command>,
+    payload: P,
+    gid: Gid,
+    step: &str,
+    request: impl FnMut(P, Sender<Result<T>>) -> Command,
+) -> Result<T> {
+    let what = format!("handoff {step}");
+    let replies = round_trip(
+        vec![(index, sender, payload)],
+        &what,
+        None,
+        request,
+        |index, why| {
+            topo.mark_dead(index, why);
+        },
+    );
+    match replies.into_iter().next() {
+        Some((_, Reply::Answer(Ok(answer)))) => Ok(answer),
+        Some((_, Reply::Answer(Err(e)))) => Err(MdbError::Ingestion(format!(
+            "worker {index} failed to {step} group {gid}: {e}"
+        ))),
+        _ => Err(MdbError::Ingestion(format!(
+            "worker {index} died during {what} of group {gid}"
+        ))),
     }
 }

@@ -46,12 +46,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mdb_compression::{CompressionConfig, CompressionStats};
 use mdb_models::ModelRegistry;
 use mdb_partitioner::assign_replicas;
 use mdb_query::{
-    CommonOptions, PartialAggregates, Query, QueryEngine, QueryResult, SelectItem, Shard,
+    CommonOptions, PartialAggregates, PointAssembler, Query, QueryEngine, QueryResult, SelectItem,
+    Shard,
 };
 use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{
@@ -166,19 +167,12 @@ struct GroupBatch {
 /// The groups a scatter command covers, shared across the reply round-trip.
 type GidScope = Arc<Vec<Gid>>;
 
-/// A partial-aggregation reply: per-group partials plus the worker-local
-/// wall time (used by the scale-out simulation).
-type PartialReply = (Vec<(Gid, PartialAggregates)>, Duration);
+/// A partial-aggregation reply: per-group partials.
+type PartialReply = Vec<(Gid, PartialAggregates)>;
 
-/// A listing reply: a row-less shape result (for the column names), the
-/// per-group rows, and the wall time.
-type RowsReply = (QueryResult, Vec<(Gid, QueryResult)>, Duration);
-
-/// A sketch reply: the worker's per-group sketches merged over its primary
-/// scope, plus the wall time. One merged sketch suffices — sketch merging
-/// is commutative and associative, so the master needs no per-gid ordering
-/// to stay deterministic.
-type SketchReply = (BlockSketch, Duration);
+/// A listing reply: a row-less shape result (for the column names) and the
+/// per-group rows.
+type RowsReply = (QueryResult, Vec<(Gid, QueryResult)>);
 
 /// Exported state of one group: its segment runs in the source store's
 /// deterministic per-group scan order (run/block boundaries preserved) and
@@ -195,8 +189,10 @@ enum Command {
     /// Run a listing query per group in the scope.
     QueryRows(Arc<Query>, GidScope, Sender<Result<RowsReply>>),
     /// Merge the store's running sketches over the scoped groups —
-    /// metadata only, no segment bodies.
-    QuerySketch(Arc<Query>, GidScope, Sender<Result<SketchReply>>),
+    /// metadata only, no segment bodies. One merged sketch suffices:
+    /// sketch merging is commutative and associative, so the master needs
+    /// no per-gid ordering to stay deterministic.
+    QuerySketch(Arc<Query>, GidScope, Sender<Result<BlockSketch>>),
     /// Compression/storage statistics restricted to the scope, so replicas
     /// and handed-off leftovers are never double counted.
     Stats(GidScope, Sender<Result<(CompressionStats, u64, usize)>>),
@@ -302,40 +298,31 @@ struct Topology {
 }
 
 impl Topology {
-    /// The gids worker `index` is primary of, sorted.
-    fn primary_gids(&self, index: usize) -> Vec<Gid> {
+    /// The gids whose holder list satisfies `keep`, sorted.
+    fn gids_where(&self, keep: impl Fn(&[usize]) -> bool) -> Vec<Gid> {
         let mut gids: Vec<Gid> = self
             .holders
             .iter()
-            .filter(|(_, holders)| holders.first() == Some(&index))
+            .filter(|(_, holders)| keep(holders))
             .map(|(&gid, _)| gid)
             .collect();
         gids.sort_unstable();
         gids
+    }
+
+    /// The gids worker `index` is primary of, sorted.
+    fn primary_gids(&self, index: usize) -> Vec<Gid> {
+        self.gids_where(|holders| holders.first() == Some(&index))
     }
 
     /// The gids worker `index` holds any copy of, sorted.
     fn hosted_gids(&self, index: usize) -> Vec<Gid> {
-        let mut gids: Vec<Gid> = self
-            .holders
-            .iter()
-            .filter(|(_, holders)| holders.contains(&index))
-            .map(|(&gid, _)| gid)
-            .collect();
-        gids.sort_unstable();
-        gids
+        self.gids_where(|holders| holders.contains(&index))
     }
 
     /// Groups with no surviving holder, sorted.
     fn lost_gids(&self) -> Vec<Gid> {
-        let mut gids: Vec<Gid> = self
-            .holders
-            .iter()
-            .filter(|(_, holders)| holders.is_empty())
-            .map(|(&gid, _)| gid)
-            .collect();
-        gids.sort_unstable();
-        gids
+        self.gids_where(<[usize]>::is_empty)
     }
 
     /// Active worker indices.
@@ -379,12 +366,77 @@ pub struct Cluster {
     /// the [`Cluster::ingest_batch`] path), reused across calls so the
     /// compatibility path does not allocate a fresh column set per tick.
     scratch_row: Mutex<RowBatch>,
+    /// Loose points of [`mdb_query::Datastore::ingest_points`] being
+    /// assembled into group rows — the embedded engine's assembler.
+    points: Mutex<PointAssembler>,
 }
 
-/// An error naming the worker it was observed on (every path that talks to
-/// a worker reports the slot index, so operators know where to look).
-fn worker_error(index: usize, what: &str) -> MdbError {
-    MdbError::Ingestion(format!("worker {index} {what}"))
+/// A worker to ask, its command sender, and what goes into its request.
+type Target<P> = (usize, Sender<Command>, P);
+
+/// How one worker answered a [`round_trip`].
+enum Reply<T> {
+    Answer(T),
+    /// Still connected, but silent past the timeout: slow, not dead.
+    Late,
+    /// Its channel is gone, at the send or the receive: the worker thread
+    /// is provably dead, and it was declared so.
+    Gone,
+}
+
+/// The master's one way to ask workers something. Sends `request(payload,
+/// reply_to)` to every target before waiting on any, so the workers answer
+/// concurrently, then gathers the replies in target order, waiting at most
+/// `timeout` for each. A worker whose channel is gone is handed to
+/// `declare` with the reason `died during {what}`.
+fn round_trip<P, T>(
+    targets: Vec<Target<P>>,
+    what: &str,
+    timeout: Option<Duration>,
+    mut request: impl FnMut(P, Sender<T>) -> Command,
+    mut declare: impl FnMut(usize, &str),
+) -> Vec<(usize, Reply<T>)> {
+    let sent: Vec<(usize, Option<Receiver<T>>)> = targets
+        .into_iter()
+        .map(|(index, sender, payload)| {
+            let (tx, rx) = bounded(1);
+            let sent = sender.send(request(payload, tx)).is_ok();
+            (index, sent.then_some(rx))
+        })
+        .collect();
+    sent.into_iter()
+        .map(|(index, rx)| {
+            let reply = match (rx, timeout) {
+                (None, _) => Reply::Gone,
+                (Some(rx), None) => rx.recv().map_or(Reply::Gone, Reply::Answer),
+                (Some(rx), Some(timeout)) => match rx.recv_timeout(timeout) {
+                    Ok(answer) => Reply::Answer(answer),
+                    Err(RecvTimeoutError::Timeout) => Reply::Late,
+                    Err(RecvTimeoutError::Disconnected) => Reply::Gone,
+                },
+            };
+            if matches!(reply, Reply::Gone) {
+                declare(index, &format!("died during {what}"));
+            }
+            (index, reply)
+        })
+        .collect()
+}
+
+/// The answers to a fallible request in target order, or the first worker
+/// error or death, naming the worker.
+fn answers<X>(replies: Vec<(usize, Reply<Result<X>>)>, what: &str) -> Result<Vec<X>> {
+    replies
+        .into_iter()
+        .map(|(index, reply)| match reply {
+            Reply::Answer(answer) => {
+                answer.map_err(|e| MdbError::Query(format!("worker {index}: {e}")))
+            }
+            _ => Err(MdbError::Query(format!(
+                "worker {index} died during {what}"
+            ))),
+        })
+        .collect()
 }
 
 impl Cluster {
@@ -467,32 +519,25 @@ impl Cluster {
         let budget_share = config
             .memory_budget_bytes
             .map(|total| total / n_workers as u64);
-        let mut workers = Vec::with_capacity(n_workers);
+        let mut topology = Topology {
+            workers: Vec::with_capacity(n_workers),
+            holders,
+            ever_held,
+        };
         for index in 0..n_workers {
-            if removed.contains(&index) {
-                workers.push(Worker {
+            let worker = if removed.contains(&index) {
+                Worker {
                     sender: None,
                     handle: None,
                     shared: Arc::new(WorkerShared::default()),
                     state: WorkerState::Removed,
                     note: Some("removed before restart".into()),
-                });
-                continue;
-            }
-            let mut hosted: Vec<Gid> = holders
-                .iter()
-                .filter(|(_, hs)| hs.contains(&index))
-                .map(|(&gid, _)| gid)
-                .collect();
-            hosted.sort_unstable();
-            workers.push(spawn_worker(
-                index,
-                hosted,
-                &catalog,
-                &registry,
-                &config,
-                budget_share,
-            )?);
+                }
+            } else {
+                let hosted = topology.hosted_gids(index);
+                spawn_worker(index, hosted, &catalog, &registry, &config, budget_share)?
+            };
+            topology.workers.push(worker);
         }
         let tid_to_row: HashMap<_, _> = catalog
             .series
@@ -506,17 +551,15 @@ impl Cluster {
             .map(|g| g.tids.iter().map(|t| tid_to_row[t]).collect())
             .collect();
         let scratch_row = Mutex::new(RowBatch::with_capacity(catalog.series.len(), 1));
+        let points = Mutex::new(PointAssembler::new(Arc::clone(&catalog)));
         let cluster = Self {
             catalog,
             registry,
             config,
-            topology: RwLock::new(Topology {
-                workers,
-                holders,
-                ever_held,
-            }),
+            topology: RwLock::new(topology),
             group_row_indices,
             scratch_row,
+            points,
         };
         cluster.persist_manifest(&cluster.topo_read());
         Ok(cluster)
@@ -548,7 +591,7 @@ impl Cluster {
     /// Every active worker with its sender and the gids it is primary of,
     /// snapshotted under the read lock so the blocking round-trips that
     /// follow run without it.
-    fn primary_targets(&self) -> Vec<(usize, Sender<Command>, GidScope)> {
+    fn primary_targets(&self) -> Vec<Target<GidScope>> {
         let topo = self.topo_read();
         topo.active()
             .into_iter()
@@ -651,7 +694,7 @@ impl Cluster {
                 self.catalog.series.len()
             )));
         }
-        let mut group_batches: Vec<(Gid, Arc<RowBatch>)> = Vec::new();
+        let mut group_batches: Vec<(Gid, RowBatch)> = Vec::new();
         for (group, indices) in self.catalog.groups.iter().zip(&self.group_row_indices) {
             let view = batch.select(indices);
             let mut group_batch: Option<RowBatch> = None;
@@ -664,73 +707,69 @@ impl Cluster {
                     .push_row_with(view.timestamp(row), |s| view.get(row, s));
             }
             if let Some(group_batch) = group_batch {
-                group_batches.push((group.gid, Arc::new(group_batch)));
+                group_batches.push((group.gid, group_batch));
             }
         }
-        // Route under the read lock so a concurrent membership change
-        // cannot flip holders mid-batch; death declarations wait until the
-        // lock is dropped.
-        let mut failed_sends: Vec<usize> = Vec::new();
+        let involved = self.route(group_batches)?;
+        self.deferred_error(&involved)
+    }
+
+    /// Sends each group batch to every holder of its group and returns the
+    /// workers that were sent one. Holders whose channel died are declared
+    /// dead; groups no holder accepted are reported as dropped.
+    fn route(&self, group_batches: Vec<(Gid, RowBatch)>) -> Result<Vec<usize>> {
+        let mut dropped: Vec<Gid> = group_batches.iter().map(|(gid, _)| *gid).collect();
+        let mut accepted: HashSet<Gid> = HashSet::new();
         let mut involved: Vec<usize> = Vec::new();
-        let mut dropped_gids: Vec<Gid> = Vec::new();
+        let mut failed: Vec<usize> = Vec::new();
         {
+            // Route under the read lock so a concurrent membership change
+            // cannot flip holders mid-batch; death declarations wait until
+            // the lock is dropped.
             let topo = self.topo_read();
-            let mut per_worker: HashMap<usize, Vec<GroupBatch>> = HashMap::new();
-            for (gid, group_batch) in &group_batches {
-                let holders = topo.holders.get(gid).map(Vec::as_slice).unwrap_or(&[]);
-                if holders.is_empty() {
-                    dropped_gids.push(*gid);
-                }
-                for &holder in holders {
-                    per_worker.entry(holder).or_default().push(GroupBatch {
-                        gid: *gid,
-                        batch: Arc::clone(group_batch),
-                    });
+            let mut per_worker: BTreeMap<usize, Vec<GroupBatch>> = BTreeMap::new();
+            for (gid, batch) in group_batches {
+                let batch = Arc::new(batch);
+                for &holder in topo.holders.get(&gid).into_iter().flatten() {
+                    let batch = Arc::clone(&batch);
+                    per_worker
+                        .entry(holder)
+                        .or_default()
+                        .push(GroupBatch { gid, batch });
                 }
             }
-            let mut targets: Vec<usize> = per_worker.keys().copied().collect();
-            targets.sort_unstable();
-            for index in targets {
-                let batches = per_worker.remove(&index).unwrap();
+            for (index, batches) in per_worker {
                 let gids: Vec<Gid> = batches.iter().map(|b| b.gid).collect();
-                let Some(sender) = topo.workers[index].sender.as_ref() else {
-                    failed_sends.push(index);
-                    dropped_gids.extend(gids);
-                    continue;
-                };
-                involved.push(index);
-                if sender.send(Command::Ingest(batches)).is_err() {
-                    failed_sends.push(index);
-                    dropped_gids.extend(gids);
-                }
-            }
-            // A gid is only lost if *no* holder accepted its batch.
-            let failed = std::mem::take(&mut dropped_gids);
-            for gid in failed {
-                let holders = topo.holders.get(&gid).map(Vec::as_slice).unwrap_or(&[]);
-                let survived = holders
-                    .iter()
-                    .any(|h| !failed_sends.contains(h) && topo.workers[*h].sender.is_some());
-                if !survived && !dropped_gids.contains(&gid) {
-                    dropped_gids.push(gid);
+                match &topo.workers[index].sender {
+                    Some(sender) if sender.send(Command::Ingest(batches)).is_ok() => {
+                        involved.push(index);
+                        accepted.extend(gids);
+                    }
+                    _ => failed.push(index),
                 }
             }
         }
-        for index in &failed_sends {
-            self.declare_dead(*index, "died during ingest (channel disconnected)");
+        for &index in &failed {
+            self.declare_dead(index, "died during ingest (channel disconnected)");
         }
-        if !dropped_gids.is_empty() {
-            dropped_gids.sort_unstable();
-            dropped_gids.dedup();
+        // A group is only lost if *no* holder accepted its batch.
+        dropped.retain(|gid| !accepted.contains(gid));
+        if !dropped.is_empty() {
+            dropped.sort_unstable();
+            dropped.dedup();
             return Err(MdbError::Ingestion(format!(
-                "no surviving worker holds groups {dropped_gids:?}; their data was dropped — \
+                "no surviving worker holds groups {dropped:?}; their data was dropped — \
                  see Cluster::health() for dead workers and lost groups"
             )));
         }
-        // Surface ingestion errors workers deferred from earlier batches
-        // (kept pending — a flush reports and clears them).
+        Ok(involved)
+    }
+
+    /// Surfaces the ingestion errors the `involved` workers deferred from
+    /// earlier batches (kept pending — a flush reports and clears them).
+    fn deferred_error(&self, involved: &[usize]) -> Result<()> {
         let topo = self.topo_read();
-        for index in involved {
+        for &index in involved {
             if let Some((message, extra)) = topo.workers[index].shared.peek_error() {
                 return Err(MdbError::DeferredIngestion(format!(
                     "worker {index} deferred an ingestion error: {}",
@@ -741,66 +780,46 @@ impl Cluster {
         Ok(())
     }
 
-    /// Flushes every active worker's buffered ticks and stores. Reports
+    /// Routes every row the point assembler still holds, complete or not.
+    /// The assembler stays locked while routing, so rows of one group
+    /// reach its holders in timestamp order.
+    fn route_pending_points(&self) -> Result<()> {
+        let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
+        self.route(points.drain()).map(drop)
+    }
+
+    /// Flushes every active worker's buffered ticks and stores, after
+    /// routing the rows still waiting in the point assembler. Reports
     /// ingestion errors workers deferred since the last flush (first error
     /// verbatim plus an overflow count; clears them), names the worker in
     /// every error, and declares workers whose channel died. A
     /// [`MdbError::DeferredIngestion`] means the flush itself succeeded and
     /// only pre-existing deferred errors are being surfaced.
     pub fn flush(&self) -> Result<()> {
-        let mut replies = Vec::new();
-        let mut failed: Vec<usize> = Vec::new();
-        {
-            let topo = self.topo_read();
-            for index in topo.active() {
-                let sender = topo.workers[index].sender.as_ref().unwrap();
-                let (tx, rx) = bounded(1);
-                if sender.send(Command::Flush(tx)).is_err() {
-                    failed.push(index);
-                } else {
-                    replies.push((index, rx));
-                }
+        let routed = self.route_pending_points();
+        let replies = round_trip(
+            self.primary_targets(),
+            "flush",
+            None,
+            |_, reply| Command::Flush(reply),
+            |index, why| self.declare_dead(index, why),
+        );
+        if let Some((index, _)) = replies.iter().find(|(_, r)| matches!(r, Reply::Gone)) {
+            let died = MdbError::Ingestion(format!("worker {index} died during flush"));
+            return routed.and(Err(died));
+        }
+        let flushed = replies.into_iter().find_map(|(index, reply)| match reply {
+            Reply::Answer(Err(MdbError::DeferredIngestion(m))) => {
+                Some(MdbError::DeferredIngestion(format!("worker {index}: {m}")))
             }
-        }
-        let mut first_error: Option<MdbError> = None;
-        for (index, rx) in replies {
-            match rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(match e {
-                            MdbError::DeferredIngestion(m) => {
-                                MdbError::DeferredIngestion(format!("worker {index}: {m}"))
-                            }
-                            e => MdbError::Ingestion(format!("worker {index}: {e}")),
-                        });
-                    }
-                }
-                Err(_) => failed.push(index),
-            }
-        }
-        for index in &failed {
-            self.declare_dead(*index, "died during flush");
-        }
-        if let Some(&index) = failed.first() {
-            return Err(worker_error(index, "died during flush"));
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            Reply::Answer(Err(e)) => Some(MdbError::Ingestion(format!("worker {index}: {e}"))),
+            _ => None,
+        });
+        routed.and(flushed.map_or(Ok(()), Err))
     }
 
     /// Executes a SQL query: scatter to all primaries, gather, merge in
     /// global group order, finalize.
-    pub fn sql(&self, text: &str) -> Result<QueryResult> {
-        self.sql_timed(text).map(|(r, _)| r)
-    }
-
-    /// Like [`Cluster::sql`], but also reports each worker's local execution
-    /// time. The slowest worker plus the merge is the cluster latency — the
-    /// quantity the scale-out experiment of Figure 20 tracks (no shuffling
-    /// means per-worker times are independent of the cluster size).
     ///
     /// Each worker computes per-group results for the groups it is primary
     /// of; the master merges them in global gid order, so the result is
@@ -809,7 +828,7 @@ impl Cluster {
     /// query retried against the promoted placement; groups with no
     /// surviving holder are omitted (degraded but correct — see
     /// [`Cluster::health`]).
-    pub fn sql_timed(&self, text: &str) -> Result<(QueryResult, Vec<Duration>)> {
+    pub fn sql(&self, text: &str) -> Result<QueryResult> {
         let query = Arc::new(mdb_query::parse(text)?);
         let attempts = self.n_workers() + 1;
         for _ in 0..attempts {
@@ -825,7 +844,7 @@ impl Cluster {
 
     /// One scatter/gather attempt. `Ok(None)` means a worker died and was
     /// declared dead — the caller should retry against the new placement.
-    fn try_sql(&self, query: &Arc<Query>) -> Result<Option<(QueryResult, Vec<Duration>)>> {
+    fn try_sql(&self, query: &Arc<Query>) -> Result<Option<QueryResult>> {
         let is_sketch = query
             .items
             .iter()
@@ -840,153 +859,102 @@ impl Cluster {
                 "no active workers; see Cluster::health()".into(),
             ));
         }
-        if is_sketch {
+        let mut result = if is_sketch {
             // Sketch scatter/gather: each worker merges its primary groups'
             // running sketches, no segment body; the master merges the worker
             // partials (order-independent) and finalizes. Results are
             // identical at every worker count and replication factor.
-            let mut replies = Vec::new();
-            for (index, sender, scope) in targets {
-                let (tx, rx) = bounded(1);
-                if sender
-                    .send(Command::QuerySketch(Arc::clone(query), scope, tx))
-                    .is_err()
-                {
-                    self.declare_dead(index, "died during query");
-                    return Ok(None);
-                }
-                replies.push((index, rx));
-            }
-            let mut partials = Vec::new();
-            let mut times = Vec::new();
-            for (index, rx) in replies {
-                match rx.recv() {
-                    Ok(Ok((sketch, elapsed))) => {
-                        partials.push(sketch);
-                        times.push(elapsed);
-                    }
-                    Ok(Err(e)) => return Err(MdbError::Query(format!("worker {index}: {e}"))),
-                    Err(_) => {
-                        self.declare_dead(index, "died during query");
-                        return Ok(None);
-                    }
-                }
-            }
-            let mut result = QueryEngine::finalize_sketches(query, partials)?;
-            QueryEngine::apply_order_limit(&mut result, query)?;
-            return Ok(Some((result, times)));
-        }
-        if is_aggregate {
-            let mut replies = Vec::new();
-            for (index, sender, scope) in targets {
-                let (tx, rx) = bounded(1);
-                if sender
-                    .send(Command::QueryPartial(Arc::clone(query), scope, tx))
-                    .is_err()
-                {
-                    self.declare_dead(index, "died during query");
-                    return Ok(None);
-                }
-                replies.push((index, rx));
-            }
-            let mut pairs: Vec<(Gid, PartialAggregates)> = Vec::new();
-            let mut times = Vec::new();
-            for (index, rx) in replies {
-                match rx.recv() {
-                    Ok(Ok((partials, elapsed))) => {
-                        pairs.extend(partials);
-                        times.push(elapsed);
-                    }
-                    Ok(Err(e)) => return Err(MdbError::Query(format!("worker {index}: {e}"))),
-                    Err(_) => {
-                        self.declare_dead(index, "died during query");
-                        return Ok(None);
-                    }
-                }
-            }
+            let Some(partials) = self.scatter(targets, |scope, reply| {
+                Command::QuerySketch(Arc::clone(query), scope, reply)
+            })?
+            else {
+                return Ok(None);
+            };
+            QueryEngine::finalize_sketches(query, partials)?
+        } else if is_aggregate {
+            let Some(partials) = self.scatter(targets, |scope, reply| {
+                Command::QueryPartial(Arc::clone(query), scope, reply)
+            })?
+            else {
+                return Ok(None);
+            };
             // Merge slot by slot in global group order: the fold inside each
             // group is deterministic per holder, and this order is
             // independent of placement — together, bit-identical results
             // everywhere.
+            let mut pairs: Vec<(Gid, PartialAggregates)> = partials.into_iter().flatten().collect();
             pairs.sort_by_key(|(gid, _)| *gid);
             let partials = pairs.into_iter().map(|(_, partial)| partial).collect();
-            let mut result = QueryEngine::finalize_aggregates(query, partials)?;
-            QueryEngine::apply_order_limit(&mut result, query)?;
-            Ok(Some((result, times)))
+            QueryEngine::finalize_aggregates(query, partials)?
         } else {
             // Listing: run without ORDER/LIMIT on workers, apply at master.
             let mut local = (**query).clone();
             local.order_by = None;
             local.limit = None;
             let local = Arc::new(local);
-            let mut replies = Vec::new();
-            for (index, sender, scope) in targets {
-                let (tx, rx) = bounded(1);
-                if sender
-                    .send(Command::QueryRows(Arc::clone(&local), scope, tx))
-                    .is_err()
-                {
-                    self.declare_dead(index, "died during query");
-                    return Ok(None);
-                }
-                replies.push((index, rx));
-            }
+            let Some(replies) = self.scatter(targets, |scope, reply| {
+                Command::QueryRows(Arc::clone(&local), scope, reply)
+            })?
+            else {
+                return Ok(None);
+            };
             let mut shape: Option<QueryResult> = None;
             let mut pairs: Vec<(Gid, QueryResult)> = Vec::new();
-            let mut times = Vec::new();
-            for (index, rx) in replies {
-                match rx.recv() {
-                    Ok(Ok((columns, rows, elapsed))) => {
-                        shape.get_or_insert(columns);
-                        pairs.extend(rows);
-                        times.push(elapsed);
-                    }
-                    Ok(Err(e)) => return Err(MdbError::Query(format!("worker {index}: {e}"))),
-                    Err(_) => {
-                        self.declare_dead(index, "died during query");
-                        return Ok(None);
-                    }
-                }
+            for (columns, rows) in replies {
+                shape.get_or_insert(columns);
+                pairs.extend(rows);
             }
             pairs.sort_by_key(|(gid, _)| *gid);
             let mut result = shape.unwrap_or_default();
             for (_, rows) in pairs {
                 result.rows.extend(rows.rows);
             }
-            QueryEngine::apply_order_limit(&mut result, query)?;
-            Ok(Some((result, times)))
-        }
+            result
+        };
+        QueryEngine::apply_order_limit(&mut result, query)?;
+        Ok(Some(result))
     }
 
-    /// Measures each worker's local execution time for an aggregate query
-    /// with the workers queried **one at a time**, so the measurements are
-    /// free of CPU contention between worker threads. This is the
+    /// One query round trip to every target. `Ok(None)` means a worker died
+    /// mid-query and was declared dead: the caller retries.
+    fn scatter<T>(
+        &self,
+        targets: Vec<Target<GidScope>>,
+        request: impl FnMut(GidScope, Sender<Result<T>>) -> Command,
+    ) -> Result<Option<Vec<T>>> {
+        let replies = round_trip(targets, "query", None, request, |index, why| {
+            self.declare_dead(index, why)
+        });
+        if replies.iter().any(|(_, r)| matches!(r, Reply::Gone)) {
+            return Ok(None);
+        }
+        answers(replies, "query").map(Some)
+    }
+
+    /// Measures each worker's execution time for an aggregate query with
+    /// the workers queried **one at a time**, so the measurements are free
+    /// of CPU contention between worker threads. The master times each
+    /// round trip, so a time includes one channel hop each way. This is the
     /// measurement behind the simulated scale-out of Figure 20: because
     /// groups never span nodes and queries never shuffle, a real cluster's
     /// latency is `max(worker times) + merge`, and per-worker times are
     /// independent of how many other nodes exist.
     pub fn worker_times_isolated(&self, text: &str) -> Result<Vec<Duration>> {
         let query = Arc::new(mdb_query::parse(text)?);
-        let targets = self.primary_targets();
-        let mut times = Vec::with_capacity(targets.len());
-        for (index, sender, scope) in targets {
-            let (tx, rx) = bounded(1);
-            sender
-                .send(Command::QueryPartial(Arc::clone(&query), scope, tx))
-                .map_err(|_| {
-                    self.declare_dead(index, "died during query");
-                    MdbError::Query(format!("worker {index} died during query"))
-                })?;
-            match rx.recv() {
-                Ok(Ok((_, elapsed))) => times.push(elapsed),
-                Ok(Err(e)) => return Err(MdbError::Query(format!("worker {index}: {e}"))),
-                Err(_) => {
-                    self.declare_dead(index, "died during query");
-                    return Err(MdbError::Query(format!("worker {index} died during query")));
-                }
-            }
-        }
-        Ok(times)
+        self.primary_targets()
+            .into_iter()
+            .map(|target| {
+                let start = Instant::now();
+                let replies = round_trip(
+                    vec![target],
+                    "query",
+                    None,
+                    |scope, reply| Command::QueryPartial(Arc::clone(&query), scope, reply),
+                    |index, why| self.declare_dead(index, why),
+                );
+                answers(replies, "query").map(|_| start.elapsed())
+            })
+            .collect()
     }
 
     /// Merged compression statistics, total logical bytes, and segment count
@@ -995,28 +963,20 @@ impl Cluster {
     /// never double counted; at replication factor 1 this equals the
     /// embedded engine's accounting exactly.
     pub fn stats(&self) -> Result<(CompressionStats, u64, usize)> {
-        let targets = self.primary_targets();
+        let replies = round_trip(
+            self.primary_targets(),
+            "stats",
+            None,
+            Command::Stats,
+            |index, why| self.declare_dead(index, why),
+        );
         let mut merged = CompressionStats::default();
         let mut bytes = 0;
         let mut segments = 0;
-        for (index, sender, scope) in targets {
-            let (tx, rx) = bounded(1);
-            sender.send(Command::Stats(scope, tx)).map_err(|_| {
-                self.declare_dead(index, "died during stats");
-                MdbError::Query(format!("worker {index} died during stats"))
-            })?;
-            match rx.recv() {
-                Ok(Ok((stats, b, s))) => {
-                    merged.merge(&stats);
-                    bytes += b;
-                    segments += s;
-                }
-                Ok(Err(e)) => return Err(MdbError::Query(format!("worker {index}: {e}"))),
-                Err(_) => {
-                    self.declare_dead(index, "died during stats");
-                    return Err(MdbError::Query(format!("worker {index} died during stats")));
-                }
-            }
+        for (stats, b, s) in answers(replies, "stats")? {
+            merged.merge(&stats);
+            bytes += b;
+            segments += s;
         }
         Ok((merged, bytes, segments))
     }
@@ -1040,31 +1000,20 @@ impl Cluster {
 
     /// [`Cluster::health`] with an explicit probe timeout for this call.
     pub fn health_with_timeout(&self, timeout: Duration) -> ClusterHealth {
-        let targets: Vec<(usize, Sender<Command>)> = {
-            let topo = self.topo_read();
-            topo.active()
-                .into_iter()
-                .map(|i| (i, topo.workers[i].sender.clone().unwrap()))
-                .collect()
-        };
-        let mut timed_out: Vec<usize> = Vec::new();
-        for (index, sender) in targets {
-            let (tx, rx) = bounded(1);
-            if sender.send(Command::Health(tx)).is_err() {
-                self.declare_dead(index, "health probe found channel disconnected");
-                continue;
-            }
-            match rx.recv_timeout(timeout) {
-                Ok(()) => {}
-                // Slow is not dead: the worker is still connected, its
-                // queue is just long. Killing it here would turn a lagging
-                // worker into (at replication factor 1) reported data loss.
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => timed_out.push(index),
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    self.declare_dead(index, "health probe found channel disconnected");
-                }
-            }
-        }
+        // Slow is not dead: a late worker is still connected, its queue is
+        // just long. Killing it here would turn a lagging worker into (at
+        // replication factor 1) reported data loss.
+        let timed_out: Vec<usize> = round_trip(
+            self.primary_targets(),
+            "health probe",
+            Some(timeout),
+            |_, reply| Command::Health(reply),
+            |index, why| self.declare_dead(index, why),
+        )
+        .into_iter()
+        .filter(|(_, reply)| matches!(reply, Reply::Late))
+        .map(|(index, _)| index)
+        .collect();
         let topo = self.topo_read();
         let workers = topo
             .workers
@@ -1102,50 +1051,49 @@ impl Cluster {
         }
     }
 
-    /// Stops all workers, draining their ingestors and stores. Returns the
-    /// first drain failure (with the worker named and further failures
-    /// counted) — a disk-backed worker whose final flush failed would
-    /// otherwise lose its tail silently.
+    /// Stops all workers after routing the rows still waiting in the point
+    /// assembler, draining their ingestors and stores. Returns the first
+    /// failure (with the worker named and further drain failures counted) —
+    /// a disk-backed worker whose final flush failed would otherwise lose
+    /// its tail silently.
     pub fn shutdown(mut self) -> Result<()> {
         self.shutdown_inner()
     }
 
     fn shutdown_inner(&mut self) -> Result<()> {
+        let routed = self.route_pending_points();
         let topo = self.topology.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut replies = Vec::new();
-        for (index, worker) in topo.workers.iter_mut().enumerate() {
-            if let Some(sender) = worker.sender.take() {
-                let (tx, rx) = bounded(1);
-                if sender.send(Command::Shutdown(tx)).is_ok() {
-                    replies.push((index, rx));
-                }
-            }
-        }
-        let mut first_error: Option<String> = None;
-        let mut extra = 0u64;
-        for (index, rx) in replies {
-            let failure = match rx.recv() {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(format!("worker {index} shutdown drain failed: {e}")),
-                Err(_) => Some(format!("worker {index} died during shutdown")),
-            };
-            if let Some(failure) = failure {
-                if first_error.is_none() {
-                    first_error = Some(failure);
-                } else {
-                    extra += 1;
-                }
-            }
-        }
+        let targets: Vec<Target<()>> = topo
+            .workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, worker)| Some((index, worker.sender.take()?, ())))
+            .collect();
+        // Every worker is stopping anyway, so none is declared dead.
+        let mut failures = round_trip(
+            targets,
+            "shutdown",
+            None,
+            |(), reply| Command::Shutdown(reply),
+            |_, _| {},
+        )
+        .into_iter()
+        .filter_map(|(index, reply)| match reply {
+            Reply::Answer(Ok(())) => None,
+            Reply::Answer(Err(e)) => Some(format!("worker {index} shutdown drain failed: {e}")),
+            _ => Some(format!("worker {index} died during shutdown")),
+        });
+        let first_error = failures.next();
+        let extra = failures.count() as u64;
         for worker in &mut topo.workers {
             if let Some(handle) = worker.handle.take() {
                 let _ = handle.join();
             }
         }
-        match first_error {
+        routed.and(match first_error {
             Some(message) => Err(MdbError::Ingestion(deferred_message(message, extra))),
             None => Ok(()),
-        }
+        })
     }
 }
 
@@ -1165,34 +1113,19 @@ impl mdb_query::Datastore for Cluster {
     }
 
     fn ingest_points(&mut self, points: &[(Tid, Timestamp, Value)]) -> Result<()> {
-        // The cluster's ingest surface is full-width batches; assemble the
-        // loose points into rows (timestamp order, absent series = gaps)
-        // and route them through the batch path. Rows a whole group missed
-        // are dropped before routing, so point streams covering disjoint
-        // groups interleave without disturbing each other.
-        if points.is_empty() {
-            return Ok(());
-        }
-        let tid_to_row: HashMap<Tid, usize> = self
-            .catalog
-            .series
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.tid, i))
-            .collect();
-        let width = self.catalog.series.len();
-        let mut rows: BTreeMap<Timestamp, Vec<Option<Value>>> = BTreeMap::new();
-        for &(tid, timestamp, value) in points {
-            let index = *tid_to_row
-                .get(&tid)
-                .ok_or_else(|| MdbError::NotFound(format!("time series {tid}")))?;
-            rows.entry(timestamp).or_insert_with(|| vec![None; width])[index] = Some(value);
-        }
-        let mut batch = RowBatch::with_capacity(width, rows.len());
-        for (timestamp, row) in rows {
-            batch.push_row(timestamp, &row);
-        }
-        Cluster::ingest_batch(self, &batch)
+        // The engine's assembly, shared: rows a group completed are routed
+        // like the per-group batches of `ingest_batch`, while the
+        // assembler stays locked so they reach the holders in order.
+        let mut assembler = self.points.lock().unwrap_or_else(|e| e.into_inner());
+        let mut released = Vec::new();
+        let pushed: Result<()> = points.iter().try_for_each(|&(tid, timestamp, value)| {
+            released.extend(assembler.push(tid, timestamp, value)?);
+            Ok(())
+        });
+        let involved = self.route(released)?;
+        drop(assembler);
+        pushed?;
+        self.deferred_error(&involved)
     }
 
     fn sql(&self, query: &str) -> Result<QueryResult> {
@@ -1343,7 +1276,6 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                 let _ = reply.send(result);
             }
             Command::QueryPartial(query, scope, reply) => {
-                let start = Instant::now();
                 // One plan for every hosted group; each group still folds on
                 // its own, which keeps results placement-independent.
                 let run = || -> Result<Vec<(Gid, PartialAggregates)>> {
@@ -1356,16 +1288,13 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                         })
                         .collect()
                 };
-                let _ = reply.send(run().map(|p| (p, start.elapsed())));
+                let _ = reply.send(run());
             }
             Command::QuerySketch(query, scope, reply) => {
-                let start = Instant::now();
-                let sketch = shard.engine(Some(&scope)).sketch_partial(&query);
-                let _ = reply.send(sketch.map(|sketch| (sketch, start.elapsed())));
+                let _ = reply.send(shard.engine(Some(&scope)).sketch_partial(&query));
             }
             Command::QueryRows(query, scope, reply) => {
-                let start = Instant::now();
-                let run = || -> Result<(QueryResult, Vec<(Gid, QueryResult)>)> {
+                let run = || -> Result<RowsReply> {
                     // A scan scoped to no groups yields the column shape
                     // without touching segments.
                     let shape = shard.engine(Some(&[])).listing(&query)?;
@@ -1380,7 +1309,7 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                     }
                     Ok((shape, per_gid))
                 };
-                let _ = reply.send(run().map(|(shape, rows)| (shape, rows, start.elapsed())));
+                let _ = reply.send(run());
             }
             Command::Stats(scope, reply) => {
                 let mut stats = CompressionStats::default();
@@ -1966,8 +1895,13 @@ mod tests {
     fn timed_queries_report_per_worker_latency() {
         let (_, cluster, ds) = build(2);
         ingest_all(&cluster, &ds, 200);
-        let (_, times) = cluster.sql_timed("SELECT COUNT_S(*) FROM Segment").unwrap();
+        let sql = "SELECT COUNT_S(*) FROM Segment";
+        // One master-timed round trip per active primary.
+        let times = cluster.worker_times_isolated(sql).unwrap();
         assert_eq!(times.len(), 2);
+        assert!(times.iter().all(|t| !t.is_zero()), "{times:?}");
+        assert!(cluster.kill_worker(1));
+        assert_eq!(cluster.worker_times_isolated(sql).unwrap().len(), 1);
         cluster.shutdown().unwrap();
     }
 

@@ -17,7 +17,7 @@ use mdb_partitioner::group_load;
 use mdb_storage::Catalog;
 use mdb_types::{Gid, MdbError, Result};
 
-use crate::{Cluster, ClusterConfig, Topology, WorkerState};
+use crate::{round_trip, Cluster, ClusterConfig, Command, Reply, Topology, WorkerState};
 
 /// File name of the placement manifest inside
 /// [`ClusterConfig::storage_dir`](mdb_query::CommonOptions::storage_dir).
@@ -401,18 +401,19 @@ impl Cluster {
             self.move_copy(&mut topo, gid, index, target)?;
         }
         // Drain and stop the now-empty worker, keeping its slot reserved.
-        let worker = &mut topo.workers[index];
-        if let Some(sender) = worker.sender.take() {
-            let (tx, rx) = crossbeam_channel::bounded(1);
-            if sender.send(crate::Command::Shutdown(tx)).is_ok() {
-                match rx.recv() {
-                    Ok(Ok(())) | Err(_) => {}
-                    Ok(Err(e)) => {
-                        // Its groups were already shipped; a failed final
-                        // drain only concerns leftover (exported) state.
-                        worker.note = Some(format!("drain on removal failed: {e}"));
-                    }
-                }
+        // Its groups were already shipped, so a failed final drain only
+        // concerns leftover (exported) state, and a worker that already
+        // died needs no declaration.
+        if let Some(sender) = topo.workers[index].sender.take() {
+            let replies = round_trip(
+                vec![(index, sender, ())],
+                "removal",
+                None,
+                |(), reply| Command::Shutdown(reply),
+                |_, _| {},
+            );
+            if let Some((_, Reply::Answer(Err(e)))) = replies.into_iter().next() {
+                topo.workers[index].note = Some(format!("drain on removal failed: {e}"));
             }
         }
         let worker = &mut topo.workers[index];

@@ -2,13 +2,12 @@
 //! SQL, the "ModelarDB+ Core as a portable library" deployment of
 //! Section 3.1 (the cluster deployment lives in `mdb-cluster`).
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use mdb_compression::CompressionStats;
 use mdb_models::ModelRegistry;
-use mdb_query::{QueryResult, Shard};
+use mdb_query::{PointAssembler, QueryResult, Shard};
 use mdb_storage::{Catalog, SegmentPredicate, ZoneMap};
 use mdb_types::{Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value};
 
@@ -33,9 +32,8 @@ pub struct ModelarDb {
     /// Per group in catalog (gid) order: its gid and the row indexes of its
     /// member series.
     row_indices: Vec<(Gid, Vec<usize>)>,
-    /// Out-of-band point ingestion: per group, rows being assembled per
-    /// timestamp until every (non-gapped) member has reported.
-    pending: BTreeMap<Gid, BTreeMap<Timestamp, Vec<Option<Value>>>>,
+    /// Out-of-band point ingestion: loose points assembled into group rows.
+    points: PointAssembler,
     /// Single-row batch backing [`ModelarDb::ingest_row`] (a batch of one on
     /// the [`ModelarDb::ingest_batch`] path), reused across calls.
     scratch_row: RowBatch,
@@ -56,6 +54,7 @@ impl ModelarDb {
             }
         };
         let gids: Vec<Gid> = catalog.groups.iter().map(|g| g.gid).collect();
+        let points = PointAssembler::new(Arc::clone(&catalog));
         let shard = Shard::open(
             Arc::clone(&catalog),
             registry,
@@ -81,7 +80,7 @@ impl ModelarDb {
             config,
             shard,
             row_indices,
-            pending: BTreeMap::new(),
+            points,
             scratch_row,
         })
     }
@@ -153,59 +152,25 @@ impl ModelarDb {
 
     /// Ingests a single data point. Points are buffered per group until all
     /// members have reported a timestamp (or a newer timestamp arrives, at
-    /// which point missing members are treated as gaps).
+    /// which point missing members are treated as gaps); see
+    /// [`PointAssembler`].
     pub fn ingest_point(&mut self, tid: Tid, timestamp: Timestamp, value: Value) -> Result<()> {
-        let catalog = self.shard.catalog();
-        let gid = catalog
-            .gid_of(tid)
-            .ok_or_else(|| MdbError::NotFound(format!("time series {tid}")))?;
-        let group = catalog
-            .group(gid)
-            .expect("a series' group is in the catalog");
-        let position = group.position(tid).unwrap();
-        let size = group.size();
-        let pending = self.pending.entry(gid).or_default();
-        let row = pending.entry(timestamp).or_insert_with(|| vec![None; size]);
-        row[position] = Some(value);
-        let complete = row.iter().all(Option::is_some);
-        if complete {
-            // Flush every assembled row up to and including this timestamp;
-            // older incomplete rows become rows with gaps.
-            let rest = pending.split_off(&(timestamp + 1));
-            let ready = std::mem::replace(pending, rest);
-            self.push_group_rows(gid, size, ready)?;
+        match self.points.push(tid, timestamp, value)? {
+            Some((gid, rows)) => self.shard.ingest(gid, rows.view()),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Assembles drained pending point-rows into one group-width batch and
-    /// ingests it through the batch path.
-    fn push_group_rows(
-        &mut self,
-        gid: Gid,
-        size: usize,
-        rows: BTreeMap<Timestamp, Vec<Option<Value>>>,
-    ) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let mut batch = RowBatch::with_capacity(size, rows.len());
-        for (ts, row) in rows {
-            batch.push_row(ts, &row);
-        }
-        self.shard.ingest(gid, batch.view())
-    }
-
-    /// Drains all buffers: pending point-rows, then the group ingestors and
-    /// the store's write buffer ([`Shard::drain`]: a failing group does not
-    /// keep the others' segments out of the store; the first error is
-    /// returned).
+    /// Drains all buffers: every group's pending point-rows, then the group
+    /// ingestors and the store's write buffer ([`Shard::drain`]). A failing
+    /// group does not keep the others' rows or segments out of the store;
+    /// the first error is returned.
     pub fn flush(&mut self) -> Result<()> {
-        for (gid, rows) in std::mem::take(&mut self.pending) {
-            let size = rows.values().next().map(Vec::len).unwrap_or(0);
-            self.push_group_rows(gid, size, rows)?;
+        let mut result = Ok(());
+        for (gid, rows) in self.points.drain() {
+            result = result.and(self.shard.ingest(gid, rows.view()));
         }
-        self.shard.drain()
+        result.and(self.shard.drain())
     }
 
     /// Executes a SQL query (Section 6's Segment View and Data Point View).
@@ -380,6 +345,42 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows[0][1].as_i64(), Some(12)); // tid 1: ticks 0..=11
         assert_eq!(r.rows[1][1].as_i64(), Some(11)); // tid 2: missing tick 10
+    }
+
+    #[test]
+    fn a_stale_point_does_not_lose_another_groups_pending_point() {
+        // Two groups of two series: one per park.
+        let mut b = ModelarDbBuilder::new();
+        b.add_dimension(
+            DimensionSchema::from_leaf_up("Location", vec!["Turbine".into(), "Park".into()])
+                .unwrap(),
+        );
+        for (name, park, turbine) in [
+            ("t1", "Aalborg", "1"),
+            ("t2", "Aalborg", "2"),
+            ("t3", "Aarhus", "3"),
+            ("t4", "Aarhus", "4"),
+        ] {
+            b.add_series(SeriesSpec::new(name, 100).with_members("Location", &[park, turbine]));
+        }
+        b.correlate("Location 1");
+        let mut db = b.build().unwrap();
+        assert_eq!(db.catalog().groups.len(), 2);
+        for t in 0..10i64 {
+            db.ingest_row(t * 100, &[Some(1.0), Some(2.0), Some(3.0), Some(4.0)])
+                .unwrap();
+        }
+        // Group 1 waits on a stale point, group 2 on a fresh one; neither
+        // row is complete, so both are still pending.
+        db.ingest_point(1, 0, 1.0).unwrap();
+        db.ingest_point(3, 1_000, 3.0).unwrap();
+        assert!(db.flush().is_err(), "the stale row must be reported");
+        db.flush().unwrap();
+        let r = db
+            .sql("SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid ORDER BY Tid")
+            .unwrap();
+        let counts: Vec<Option<i64>> = r.rows.iter().map(|row| row[1].as_i64()).collect();
+        assert_eq!(counts, [Some(10), Some(10), Some(11), Some(10)]);
     }
 
     #[test]

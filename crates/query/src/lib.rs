@@ -26,7 +26,7 @@ pub mod sql;
 
 pub use aggregate::{Accumulator, AggFunc};
 pub use cell::{Cell, QueryResult};
-pub use datastore::{Datastore, DatastoreHealth};
+pub use datastore::{Datastore, DatastoreHealth, PointAssembler};
 pub use digest::{rollup_feed, sketch_feed, value_bounds_fn};
 pub use engine::{
     fold_group_size, pool_bypass_threshold, PartialAggregates, Plan, QueryEngine, ScanPool,

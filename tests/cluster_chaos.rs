@@ -223,3 +223,41 @@ fn membership_changes_preserve_results_across_restarts() {
     assert_eq!(results(&again), want, "second restart changed results");
     again.shutdown().unwrap();
 }
+
+/// A worker that dies between two queries is found by the next query
+/// itself: the scatter sees the closed channel, declares the worker dead
+/// and retries against the promoted replicas. Every query kind — an
+/// aggregate, a sketch, a Data Point View listing — must then answer
+/// exactly as if nothing had failed.
+#[test]
+fn a_worker_dying_right_before_a_query_is_retried_around() {
+    let kinds = [
+        "SELECT Entity, AVG_S(*) FROM Segment GROUP BY Entity ORDER BY Entity",
+        "SELECT COUNT_DISTINCT(Tid) FROM Segment",
+        "SELECT Tid, TS, Value FROM DataPoint WHERE Tid IN (1, 2, 5)",
+    ];
+    let (ds, catalog) = dataset();
+    let baseline = start(&catalog, 3, 2, None);
+    ingest_range(&baseline, &ds, 0..TICKS);
+    baseline.flush().unwrap();
+    let want: Vec<QueryResult> = kinds.iter().map(|q| baseline.sql(q).unwrap()).collect();
+    baseline.shutdown().unwrap();
+    assert!(!want[2].rows.is_empty());
+
+    for (q, want) in kinds.iter().zip(&want) {
+        for victim in 0..3 {
+            let cluster = start(&catalog, 3, 2, None);
+            ingest_range(&cluster, &ds, 0..TICKS);
+            cluster.flush().unwrap();
+            assert!(cluster.crash_worker(victim));
+            let got = cluster.sql(q).unwrap();
+            assert_eq!(&got, want, "{q} diverged after worker {victim} died");
+            // The query, not a later probe, declared the death.
+            assert!(cluster.assignment()[victim].is_empty(), "{q}: {victim}");
+            let health = cluster.health();
+            assert_eq!(health.workers[victim].state, WorkerState::Dead);
+            assert!(health.lost_gids.is_empty());
+            cluster.shutdown().unwrap();
+        }
+    }
+}

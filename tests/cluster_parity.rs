@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use mdb_bench::{build_engine, catalog_from_dataset, ingest_engine};
-use modelardb::{Cluster, CompressionConfig, ErrorBound, ModelRegistry};
+use modelardb::{Cluster, CompressionConfig, Datastore, ErrorBound, ModelRegistry};
 
 const TICKS: u64 = 400;
 
@@ -209,4 +209,64 @@ fn unknown_group_by_column_errors_whatever_the_data() {
         }
     }
     cluster.shutdown().unwrap();
+}
+
+#[test]
+fn points_streamed_one_per_call_store_the_same_rows_everywhere() {
+    // `ingest_points` assembles rows across calls on every deployment: a
+    // point stream cut into one call per point stores what the engine
+    // stores, gaps included.
+    let ds = mdb_datagen::ep(13, mdb_datagen::Scale::tiny()).unwrap();
+    let ticks = 60;
+    let stream = |store: &mut dyn Datastore| {
+        for tick in 0..ticks {
+            for (i, value) in ds.row(tick).into_iter().enumerate() {
+                if let Some(value) = value {
+                    let point = (i as u32 + 1, ds.timestamp(tick), value);
+                    store.ingest_points(&[point]).unwrap();
+                }
+            }
+        }
+        store.flush().unwrap();
+    };
+    let per_tid = |store: &dyn Datastore| {
+        store
+            .sql("SELECT Tid, COUNT_S(*), SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid")
+            .unwrap()
+    };
+    let mut engine = build_engine(&ds, true, 5.0);
+    stream(&mut engine);
+    let expected = per_tid(&engine);
+    assert_eq!(expected.rows.len(), ds.n_series());
+    for n_workers in [1usize, 2] {
+        let catalog = catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap();
+        let mut cluster = Cluster::start(
+            catalog,
+            Arc::new(ModelRegistry::standard()),
+            CompressionConfig {
+                error_bound: ErrorBound::relative(5.0),
+                ..Default::default()
+            },
+            n_workers,
+        )
+        .unwrap();
+        stream(&mut cluster);
+        let got = per_tid(&cluster);
+        assert_eq!(got.rows.len(), expected.rows.len(), "{n_workers} workers");
+        for (a, b) in got.rows.iter().zip(&expected.rows) {
+            assert_eq!(a[0], b[0], "{n_workers} workers");
+            assert_eq!(
+                a[1], b[1],
+                "COUNT_S of tid {:?} ({n_workers} workers)",
+                b[0]
+            );
+            let (x, y) = (a[2].as_f64().unwrap(), b[2].as_f64().unwrap());
+            assert!(
+                (x - y).abs() <= 1e-6 * y.abs().max(1.0),
+                "SUM_S of tid {:?} ({n_workers} workers): {x} vs {y}",
+                b[0]
+            );
+        }
+        cluster.shutdown().unwrap();
+    }
 }
