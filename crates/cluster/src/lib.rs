@@ -9,13 +9,13 @@
 //! of Figure 20.
 //!
 //! Queries follow Algorithm 5's annotations with one refinement for
-//! elasticity: every worker computes partial aggregates **per group** (its
-//! engine scoped to one gid at a time) and the master merges the collected
-//! `(gid, partial)` pairs in global gid order. Because a group's segments
-//! are identical on every holder (same batches, same deterministic
-//! compression) and the merge order depends only on gids, query results
-//! are bit-identical regardless of which holder serves a group — across
-//! failovers, group handoffs, and cluster sizes.
+//! elasticity: every worker computes partial aggregates **per group** (one
+//! walk of its store per query, each group folded on its own) and the
+//! master merges the collected `(gid, partial)` pairs in global gid order.
+//! Because a group's segments are identical on every holder (same batches,
+//! same deterministic compression) and the merge order depends only on
+//! gids, query results are bit-identical regardless of which holder serves
+//! a group — across failovers, group handoffs, and cluster sizes.
 //!
 //! The master supervises workers rather than trusting them: each worker is
 //! an OS thread whose panics are caught and recorded, every channel
@@ -51,8 +51,8 @@ use mdb_compression::{CompressionConfig, CompressionStats};
 use mdb_models::ModelRegistry;
 use mdb_partitioner::assign_replicas;
 use mdb_query::{
-    CommonOptions, PartialAggregates, PointAssembler, Query, QueryEngine, QueryResult, SelectItem,
-    Shard,
+    CommonOptions, GidRows, PartialAggregates, PointAssembler, Query, QueryEngine, QueryResult,
+    SelectItem, Shard,
 };
 use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{
@@ -106,9 +106,12 @@ pub struct ClusterConfig {
     /// replicas, placed on distinct workers by
     /// [`mdb_partitioner::assign_replicas`]. Every holder ingests the same
     /// per-group batches (so its copy is bit-identical), but only the
-    /// primary serves queries. At the default of 1 a worker failure loses
-    /// its groups (reported by [`Cluster::health`]); at 2+ the master
-    /// promotes a replica and ingestion and queries continue unchanged.
+    /// primary serves queries. Primaries are spread by query load, so every
+    /// worker answers its share of each query, at `replication_factor ==
+    /// n_workers` too. At the default of 1 a worker failure loses its groups
+    /// (reported by [`Cluster::health`]); at 2+ the master promotes a
+    /// replica and ingestion and queries continue unchanged. A restart
+    /// keeps the persisted holder order, primaries included.
     pub replication_factor: usize,
 }
 
@@ -172,7 +175,7 @@ type PartialReply = Vec<(Gid, PartialAggregates)>;
 
 /// A listing reply: a row-less shape result (for the column names) and the
 /// per-group rows.
-type RowsReply = (QueryResult, Vec<(Gid, QueryResult)>);
+type RowsReply = (QueryResult, GidRows);
 
 /// Exported state of one group: its segment runs in the source store's
 /// deterministic per-group scan order (run/block boundaries preserved) and
@@ -183,10 +186,11 @@ type GroupRuns = (Gid, Vec<Vec<SegmentRecord>>, CompressionStats);
 enum Command {
     Ingest(Vec<GroupBatch>),
     Flush(Sender<Result<()>>),
-    /// Run the partial-aggregation phase for each group in the scope,
-    /// one engine pass per gid.
+    /// Run the partial-aggregation phase over the scope in one store walk,
+    /// folding each group into a partial of its own.
     QueryPartial(Arc<Query>, GidScope, Sender<Result<PartialReply>>),
-    /// Run a listing query per group in the scope.
+    /// Run a listing query over the scope in one store walk, routing each
+    /// row to its group.
     QueryRows(Arc<Query>, GidScope, Sender<Result<RowsReply>>),
     /// Merge the store's running sketches over the scoped groups —
     /// metadata only, no segment bodies. One merged sketch suffices:
@@ -899,7 +903,7 @@ impl Cluster {
                 return Ok(None);
             };
             let mut shape: Option<QueryResult> = None;
-            let mut pairs: Vec<(Gid, QueryResult)> = Vec::new();
+            let mut pairs: GidRows = Vec::new();
             for (columns, rows) in replies {
                 shape.get_or_insert(columns);
                 pairs.extend(rows);
@@ -907,7 +911,7 @@ impl Cluster {
             pairs.sort_by_key(|(gid, _)| *gid);
             let mut result = shape.unwrap_or_default();
             for (_, rows) in pairs {
-                result.rows.extend(rows.rows);
+                result.rows.extend(rows);
             }
             result
         };
@@ -1232,7 +1236,8 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// value-bounded zone map, so every worker prunes its own segment runs —
 /// and, on disk, skips whole blocks before fetching them — before computing
 /// partials; the scatter/gather path reuses exactly the single-node pruned
-/// scan, once per scoped group.
+/// scan, one store walk per query over every scoped group, with each group
+/// folded on its own.
 fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<WorkerShared>) {
     // Compression counters adopted with handed-off groups: the fresh local
     // ingestor starts at zero, so the source's counters ride along here.
@@ -1276,40 +1281,18 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                 let _ = reply.send(result);
             }
             Command::QueryPartial(query, scope, reply) => {
-                // One plan for every hosted group; each group still folds on
-                // its own, which keeps results placement-independent.
-                let run = || -> Result<Vec<(Gid, PartialAggregates)>> {
-                    let plan = shard.engine(None).compile(&query)?;
-                    scope
-                        .iter()
-                        .map(|gid| {
-                            let engine = shard.engine(Some(std::slice::from_ref(gid)));
-                            Ok((*gid, engine.plan_partial(&plan)?))
-                        })
-                        .collect()
-                };
+                // One plan and one store walk for every primary group; each
+                // group still folds on its own, which keeps results
+                // placement-independent.
+                let engine = shard.engine(Some(&scope));
+                let run = || engine.plan_partial_per_gid(&engine.compile(&query)?);
                 let _ = reply.send(run());
             }
             Command::QuerySketch(query, scope, reply) => {
                 let _ = reply.send(shard.engine(Some(&scope)).sketch_partial(&query));
             }
             Command::QueryRows(query, scope, reply) => {
-                let run = || -> Result<RowsReply> {
-                    // A scan scoped to no groups yields the column shape
-                    // without touching segments.
-                    let shape = shard.engine(Some(&[])).listing(&query)?;
-                    let mut per_gid = Vec::new();
-                    for gid in scope.iter() {
-                        let rows = shard
-                            .engine(Some(std::slice::from_ref(gid)))
-                            .listing(&query)?;
-                        if !rows.rows.is_empty() {
-                            per_gid.push((*gid, rows));
-                        }
-                    }
-                    Ok((shape, per_gid))
-                };
-                let _ = reply.send(run());
+                let _ = reply.send(shard.engine(Some(&scope)).listing_per_gid(&query));
             }
             Command::Stats(scope, reply) => {
                 let mut stats = CompressionStats::default();
@@ -1476,11 +1459,21 @@ mod tests {
         cluster.flush().unwrap();
     }
 
-    const QUERIES: [&str; 4] = [
+    /// The data starts at 2021-01-01T00:00:00Z (1609459200000) with one
+    /// tick a minute. `Concrete` spans both groups.
+    const QUERIES: [&str; 8] = [
         "SELECT COUNT_S(*) FROM Segment",
         "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
         "SELECT Entity, AVG_S(*) FROM Segment GROUP BY Entity ORDER BY Entity",
         "SELECT Tid, CUBE_SUM_DAY(*) FROM Segment WHERE Tid IN (1, 2) GROUP BY Tid",
+        // Whole hours from rollup cells, ragged edges scanned.
+        "SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment \
+         WHERE TS >= 1609461420007 AND TS <= 1609470793013 GROUP BY Tid",
+        "SELECT Concrete, COUNT_S(*), SUM_S(*) FROM Segment \
+         WHERE EndTime <= 1609468200000 GROUP BY Concrete",
+        "SELECT Concrete, COUNT_S(*), SUM_S(*), MAX_S(*) FROM Segment \
+         WHERE Value > 120.5 GROUP BY Concrete",
+        "SELECT * FROM DataPoint WHERE TS >= 1609462800000 AND TS <= 1609463700000",
     ];
 
     #[test]
@@ -1643,18 +1636,32 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_cluster_sizes() {
-        let (_, one, ds) = build(1);
+        let (catalog, one, ds) = build(1);
         ingest_all(&one, &ds, 300);
         let baseline: Vec<QueryResult> = QUERIES.iter().map(|q| one.sql(q).unwrap()).collect();
         one.shutdown().unwrap();
-        for n in [2, 3] {
-            let (_, cluster, ds) = build(n);
+        // At rf = n every worker holds every group, and primaries spread by
+        // query load, so each size folds a different number of groups per
+        // store walk.
+        for (n, rf) in [(2, 1), (3, 1), (2, 2), (3, 3)] {
+            let cluster = start_replicated(&catalog, n, rf);
             ingest_all(&cluster, &ds, 300);
             for (q, expected) in QUERIES.iter().zip(&baseline) {
                 // Per-group partials merged in global gid order: the result
                 // is bit-identical regardless of the cluster size.
-                assert_eq!(&cluster.sql(q).unwrap(), expected, "{q} with {n} workers");
+                let got = cluster.sql(q).unwrap();
+                assert_eq!(&got, expected, "{q} with {n} workers at rf {rf}");
             }
+            // The groups weigh the same, so primary counts differ by at
+            // most one.
+            let health = cluster.health();
+            let primaries: Vec<usize> = health
+                .workers
+                .iter()
+                .map(|w| w.primary_gids.len())
+                .collect();
+            let spread = primaries.iter().max().unwrap() - primaries.iter().min().unwrap();
+            assert!(spread <= 1, "{primaries:?} with {n} workers at rf {rf}");
             cluster.shutdown().unwrap();
         }
     }

@@ -27,12 +27,19 @@ pub fn assign_workers(groups: &[GroupMeta], n_workers: usize) -> Vec<usize> {
 /// Assigns each group to `replication` distinct workers in `0..n_workers`;
 /// `result[i]` lists the holders of `groups[i]`, primary first.
 ///
-/// Placement is the same LPT greedy as [`assign_workers`], generalized:
-/// groups are placed heaviest first (deterministic gid tie-break), and each
-/// takes the `replication` least-loaded workers — the least-loaded of those
-/// becomes the primary. Every holder ingests the group's full stream, so
-/// each charges the group's full load; queries read primaries only, so
-/// replicas cost memory and ingest CPU, never query latency.
+/// Placement is the same LPT greedy as [`assign_workers`], generalized to
+/// two loads: groups are placed heaviest first (deterministic gid
+/// tie-break). Only the primary serves a group's queries, so the primary is
+/// the worker with the least *primary* load; every holder ingests the
+/// group's full stream, so the replicas are the `replication - 1` other
+/// workers with the least *ingest* load, and each holder charges the
+/// group's full load to its ingest load. Ties go to the lowest index. Ingest
+/// load alone cannot pick the primary: at `replication == n_workers` every
+/// worker holds every group, all ingest loads tie, and one worker would
+/// answer every query. Because primaries are placed by plain LPT on query
+/// load, the spread of per-worker primary loads never exceeds the heaviest
+/// group's load, at every replication factor. At a replication factor of 1
+/// both loads are the same and this is the classic placement.
 pub fn assign_replicas(
     groups: &[GroupMeta],
     n_workers: usize,
@@ -43,6 +50,11 @@ pub fn assign_replicas(
         (1..=n_workers).contains(&replication),
         "replication factor {replication} must be in 1..={n_workers}"
     );
+    let by = |loads: &[f64], a: usize, b: usize| {
+        loads[a]
+            .partial_cmp(&loads[b])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
     let mut order: Vec<usize> = (0..groups.len()).collect();
     order.sort_by(|&a, &b| {
         group_load(&groups[b])
@@ -51,20 +63,24 @@ pub fn assign_replicas(
             .then(groups[a].gid.cmp(&groups[b].gid))
     });
     let mut worker_load = vec![0.0f64; n_workers];
+    let mut primary_load = vec![0.0f64; n_workers];
     let mut assignment = vec![Vec::new(); groups.len()];
     for idx in order {
-        // The `replication` least-loaded workers, ties broken by index (the
-        // sort is stable, so equal loads keep ascending worker order).
-        let mut by_load: Vec<usize> = (0..n_workers).collect();
-        by_load.sort_by(|&a, &b| {
-            worker_load[a]
-                .partial_cmp(&worker_load[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let holders: Vec<usize> = by_load.into_iter().take(replication).collect();
+        let load = group_load(&groups[idx]);
+        // `min_by` keeps the first of equal minima and the sort is stable,
+        // so ties go to the lowest index.
+        let primary = (0..n_workers)
+            .min_by(|&a, &b| by(&primary_load, a, b))
+            .expect("at least one worker");
+        let mut replicas: Vec<usize> = (0..n_workers).filter(|&w| w != primary).collect();
+        replicas.sort_by(|&a, &b| by(&worker_load, a, b));
+        let holders: Vec<usize> = std::iter::once(primary)
+            .chain(replicas.into_iter().take(replication - 1))
+            .collect();
         for &w in &holders {
-            worker_load[w] += group_load(&groups[idx]);
+            worker_load[w] += load;
         }
+        primary_load[primary] += load;
         assignment[idx] = holders;
     }
     assignment
@@ -194,6 +210,42 @@ mod tests {
             let min = per_worker.iter().min().unwrap();
             // All groups weigh the same, so imbalance ≤ two copies.
             proptest::prop_assert!(max - min <= 4, "{:?}", per_worker);
+        }
+
+        #[test]
+        fn primary_loads_are_balanced_at_every_replication_factor(
+            shapes in proptest::collection::vec((1u32..=8, 0usize..5), 1..30),
+            n_workers in 2usize..6,
+        ) {
+            // Power-of-two sampling intervals keep every load, and every sum
+            // of loads, exact in binary.
+            let mut next_tid = 1;
+            let groups: Vec<GroupMeta> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(size, si))| {
+                    let tids = next_tid..=next_tid + size - 1;
+                    next_tid += size;
+                    group(i as u32 + 1, tids, 250 << si)
+                })
+                .collect();
+            let heaviest = groups.iter().map(group_load).fold(0.0, f64::max);
+            for rf in 1..=n_workers {
+                let a = assign_replicas(&groups, n_workers, rf);
+                let mut per_worker = vec![0.0f64; n_workers];
+                for (g, holders) in groups.iter().zip(&a) {
+                    per_worker[holders[0]] += group_load(g);
+                }
+                let max = per_worker.iter().copied().fold(f64::MIN, f64::max);
+                let min = per_worker.iter().copied().fold(f64::MAX, f64::min);
+                proptest::prop_assert!(
+                    max - min <= heaviest,
+                    "rf {}: primary loads {:?}, heaviest group {}",
+                    rf,
+                    per_worker,
+                    heaviest
+                );
+            }
         }
 
         #[test]

@@ -100,6 +100,10 @@ pub struct Plan {
     use_models: bool,
 }
 
+/// Listing rows per group, in ascending gid order
+/// ([`QueryEngine::listing_per_gid`]).
+pub type GidRows = Vec<(Gid, Vec<Vec<Cell>>)>;
+
 /// Worker-local partial aggregation state of one [`Plan`]: one
 /// [`Accumulator`] per group key, from which every aggregate function
 /// finalizes. Bucketed plans instead keep one accumulator per segment or
@@ -267,25 +271,64 @@ struct RunSet {
     starts: Vec<usize>,
 }
 
+impl Default for RunSet {
+    fn default() -> Self {
+        Self {
+            runs: Vec::new(),
+            starts: vec![0],
+        }
+    }
+}
+
 impl RunSet {
     /// Collects every run matching `predicate`, in the store's
     /// deterministic scan order.
     fn collect(store: &dyn SegmentStore, predicate: &SegmentPredicate) -> Result<RunSet> {
-        let mut runs = Vec::new();
-        let mut starts = vec![0usize];
+        let mut set = RunSet::default();
         store.scan_runs(predicate, &mut |run| {
-            if run.is_empty() {
-                return;
+            if !run.is_empty() {
+                set.push(run);
             }
-            starts.push(starts.last().unwrap() + run.len());
-            runs.push(run);
         })?;
-        Ok(RunSet { runs, starts })
+        Ok(set)
+    }
+
+    /// Appends a non-empty run after every earlier one.
+    fn push(&mut self, run: SegmentRun) {
+        self.starts.push(self.len() + run.len());
+        self.runs.push(run);
     }
 
     /// Total segments across all runs.
     fn len(&self) -> usize {
         *self.starts.last().unwrap()
+    }
+
+    /// Splits the runs into one set per unit ([`unit_of`]), each in scan
+    /// order: a run that mixes gids is cut into stretches of one gid that
+    /// share its block. Whether the store keeps a segment does not depend
+    /// on which other gids the predicate names, so a unit's set holds
+    /// exactly the segments a scan scoped to its gid alone collects, in the
+    /// same order.
+    fn split(self, units: Option<&[Gid]>) -> Vec<RunSet> {
+        let Some(gids) = units else {
+            return vec![self];
+        };
+        let mut sets: Vec<RunSet> = gids.iter().map(|_| RunSet::default()).collect();
+        for run in self.runs {
+            let mut lo = 0;
+            while lo < run.len() {
+                let gid = run.segment(lo).gid;
+                let hi = (lo + 1..run.len())
+                    .find(|&i| run.segment(i).gid != gid)
+                    .unwrap_or(run.len());
+                if let Some(unit) = unit_of(units, gid) {
+                    sets[unit].push(run.slice(lo, hi));
+                }
+                lo = hi;
+            }
+        }
+        sets
     }
 
     /// Calls `f` for every segment with global index in `lo..hi`, in scan
@@ -484,6 +527,19 @@ fn narrow(tids: Option<Vec<Tid>>, keep: &[Tid]) -> Vec<Tid> {
         None => keep.to_vec(),
         Some(prev) => prev.into_iter().filter(|t| keep.contains(t)).collect(),
     }
+}
+
+/// The unit a segment or cell of `gid` folds into: the only one when
+/// `units` is `None` (one partial for the whole scope), otherwise the index
+/// of `gid` in the sorted `units` (one partial per gid), or `None` when the
+/// gid is not among them.
+fn unit_of(units: Option<&[Gid]>, gid: Gid) -> Option<usize> {
+    units.map_or(Some(0), |gids| gids.binary_search(&gid).ok())
+}
+
+/// How many units `units` describes ([`unit_of`]).
+fn unit_count(units: Option<&[Gid]>) -> usize {
+    units.map_or(1, <[Gid]>::len)
 }
 
 /// The raw values `v <op> x` admits, as an exact closed interval: floats
@@ -911,26 +967,60 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The worker half of Algorithms 5 and 6: initialize + iterate over the
-    /// local store within this engine's gid scope.
+    /// local store within this engine's gid scope, folding every segment
+    /// into one partial.
     pub fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
+        let mut partials = self.partials(plan, None)?;
+        Ok(partials.pop().expect("one unit, one partial"))
+    }
+
+    /// [`QueryEngine::plan_partial`] for each group of the engine's gid
+    /// scope (every catalog group when unscoped), in ascending gid order,
+    /// from one walk of the store. Each group folds on its own, exactly as
+    /// an engine scoped to that group alone would, so a group's partial is
+    /// bit-identical wherever it is computed and with whichever groups
+    /// beside it — what a cluster worker needs to keep answers independent
+    /// of placement.
+    pub fn plan_partial_per_gid(&self, plan: &Plan) -> Result<Vec<(Gid, PartialAggregates)>> {
+        let gids = self.scope_gids();
+        let partials = self.partials(plan, Some(&gids))?;
+        Ok(gids.into_iter().zip(partials).collect())
+    }
+
+    /// The engine's gid scope, sorted and deduplicated; every catalog group
+    /// when unscoped.
+    fn scope_gids(&self) -> Vec<Gid> {
+        let mut gids: Vec<Gid> = match self.gid_scope {
+            Some(scope) => scope.to_vec(),
+            None => self.catalog.groups.iter().map(|g| g.gid).collect(),
+        };
+        gids.sort_unstable();
+        gids.dedup();
+        gids
+    }
+
+    /// One partial per unit ([`unit_of`]) of the segments in scope.
+    fn partials(&self, plan: &Plan, units: Option<&[Gid]>) -> Result<Vec<PartialAggregates>> {
         let mut rw = plan.rw.clone();
         self.apply_scope(&mut rw);
-        let mut partial = PartialAggregates::new(&plan.keys);
+        let mut partials = vec![PartialAggregates::new(&plan.keys); unit_count(units)];
         let bucket = match plan.representation {
             Representation::Sketch => {
                 return Err(MdbError::Query(
                     "sketch queries merge sketches, not aggregate partials".into(),
                 ))
             }
-            _ if rw.empty => return Ok(partial),
-            Representation::Rollup { level } => match self.serve_from_rollups(plan, &rw, level)? {
-                Some(served) => return Ok(served),
-                None => Some(level),
-            },
+            _ if rw.empty => return Ok(partials),
+            Representation::Rollup { level } => {
+                match self.serve_from_rollups(plan, &rw, level, units)? {
+                    Some(served) => return Ok(served),
+                    None => Some(level),
+                }
+            }
             Representation::Scan { bucket } => bucket,
         };
-        self.scan(plan, rw, bucket, &mut partial)?;
-        Ok(partial)
+        self.scan(plan, rw, bucket, units, &mut partials)?;
+        Ok(partials)
     }
 
     /// Whether the bucket starting at `b` lies entirely inside the query's
@@ -957,16 +1047,21 @@ impl<'a> QueryEngine<'a> {
         plan: &Plan,
         rw: &Rewritten,
         level: TimeLevel,
-    ) -> Result<Option<PartialAggregates>> {
-        let mut partial = PartialAggregates::new(&plan.keys);
+        units: Option<&[Gid]>,
+    ) -> Result<Option<Vec<PartialAggregates>>> {
+        let mut partials = vec![PartialAggregates::new(&plan.keys); unit_count(units)];
         // The store visits only buckets starting inside the TS range — a
         // superset of the covered ones; `bucket_covered` drops the trailing
-        // partial one.
+        // partial one. Cells come in gid order, so each unit sees its own
+        // cells in the order a scope of its gid alone would.
         let served = self.store.rollup_cells(
             level,
             rw.pushdown.gids.as_deref(),
             (rw.ts_from, rw.ts_to),
-            &mut |_gid, tid, bucket, acc| {
+            &mut |gid, tid, bucket, acc| {
+                let Some(unit) = unit_of(units, gid) else {
+                    return;
+                };
                 if Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
                     && plan.keys.lookup(tid).is_some()
                 {
@@ -976,7 +1071,7 @@ impl<'a> QueryEngine<'a> {
                         min: acc.min,
                         max: acc.max,
                     };
-                    partial.buckets.push((tid, bucket, acc));
+                    partials[unit].buckets.push((tid, bucket, acc));
                 }
             },
         )?;
@@ -993,9 +1088,9 @@ impl<'a> QueryEngine<'a> {
             rw_edge.ts_to = hi;
             rw_edge.pushdown.from = Some(lo);
             rw_edge.pushdown.to = Some(hi);
-            self.scan(plan, rw_edge, Some(level), &mut partial)?;
+            self.scan(plan, rw_edge, Some(level), units, &mut partials)?;
         }
-        Ok(Some(partial))
+        Ok(Some(partials))
     }
 
     /// The sub-ranges of `[from, to]` that lie in partially-covered
@@ -1025,10 +1120,11 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Collects the runs `rw` selects and folds them into `partial`, fold
+    /// Collects the runs `rw` selects once, splits them by unit
+    /// ([`unit_of`]), and folds each unit's runs into its partial, fold
     /// group by fold group in scan order — on the attached [`ScanPool`] when
-    /// one is present and the survivor count reaches its bypass threshold,
-    /// inline otherwise.
+    /// one is present and the unit's survivor count reaches its bypass
+    /// threshold, inline otherwise.
     ///
     /// The store's zone map (and, for the out-of-core store, its per-block
     /// statistics) has already skipped runs or whole on-disk blocks outside
@@ -1051,36 +1147,42 @@ impl<'a> QueryEngine<'a> {
         plan: &Plan,
         rw: Rewritten,
         bucket: Option<TimeLevel>,
-        partial: &mut PartialAggregates,
+        units: Option<&[Gid]>,
+        partials: &mut [PartialAggregates],
     ) -> Result<()> {
-        let runs = RunSet::collect(self.store, &rw.pushdown)?;
-        let n_segments = runs.len();
-        let fold_size = fold_group_size(n_segments);
-        let context = ScanContext {
-            rw,
-            keys: Arc::clone(&plan.keys),
-            bucket,
-            use_models: plan.use_models,
-            runs,
-            fold_size,
-            chunk_size: fold_size, // recomputed by ScanPool::execute
-        };
-        let engaged = |pool: &&ScanPool| {
-            let threshold = self.pool_threshold;
-            n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
-        };
-        let folds = match self.pool.filter(engaged) {
-            Some(pool) => pool.execute(context)?,
-            None => {
-                let evaluator = SegmentEvaluator {
-                    catalog: self.catalog,
-                    registry: self.registry,
-                };
-                context.folds(&evaluator, 0, n_segments)?
+        let sets = RunSet::collect(self.store, &rw.pushdown)?.split(units);
+        for (runs, partial) in sets.into_iter().zip(partials) {
+            let n_segments = runs.len();
+            if n_segments == 0 {
+                continue;
             }
-        };
-        for fold in folds {
-            partial.absorb(fold);
+            let fold_size = fold_group_size(n_segments);
+            let context = ScanContext {
+                rw: rw.clone(),
+                keys: Arc::clone(&plan.keys),
+                bucket,
+                use_models: plan.use_models,
+                runs,
+                fold_size,
+                chunk_size: fold_size, // recomputed by ScanPool::execute
+            };
+            let engaged = |pool: &&ScanPool| {
+                let threshold = self.pool_threshold;
+                n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
+            };
+            let folds = match self.pool.filter(engaged) {
+                Some(pool) => pool.execute(context)?,
+                None => {
+                    let evaluator = SegmentEvaluator {
+                        catalog: self.catalog,
+                        registry: self.registry,
+                    };
+                    context.folds(&evaluator, 0, n_segments)?
+                }
+            };
+            for fold in folds {
+                partial.absorb(fold);
+            }
         }
         Ok(())
     }
@@ -1432,6 +1534,32 @@ impl<'a> QueryEngine<'a> {
     /// The non-aggregate path: Segment View listing or Data Point View
     /// reconstruction (the P/R workload).
     pub fn listing(&self, query: &Query) -> Result<QueryResult> {
+        let (mut result, mut rows) = self.list(query, None)?;
+        result.rows = rows.pop().expect("one unit, one row set");
+        Ok(result)
+    }
+
+    /// [`QueryEngine::listing`] for each group of the engine's gid scope
+    /// (every catalog group when unscoped), from one walk of the store: the
+    /// result's column shape with no rows, and each group's rows in scan
+    /// order, in ascending gid order — exactly the rows an engine scoped to
+    /// that group alone would list. Groups without a row are left out.
+    pub fn listing_per_gid(&self, query: &Query) -> Result<(QueryResult, GidRows)> {
+        let gids = self.scope_gids();
+        let (shape, rows) = self.list(query, Some(&gids))?;
+        let per_gid = gids.into_iter().zip(rows);
+        Ok((
+            shape,
+            per_gid.filter(|(_, rows)| !rows.is_empty()).collect(),
+        ))
+    }
+
+    /// The column shape of a listing and its rows per unit ([`unit_of`]).
+    fn list(
+        &self,
+        query: &Query,
+        units: Option<&[Gid]>,
+    ) -> Result<(QueryResult, Vec<Vec<Vec<Cell>>>)> {
         let mut rw = self.rewrite(query)?;
         self.apply_scope(&mut rw);
         if query.view == View::Segment && rw.values.is_some() {
@@ -1440,9 +1568,9 @@ impl<'a> QueryEngine<'a> {
             ));
         }
         let columns = self.listing_columns(query)?;
-        let mut result = QueryResult::new(columns.clone());
+        let mut rows = vec![Vec::new(); unit_count(units)];
         if rw.empty {
-            return Ok(result);
+            return Ok((QueryResult::new(columns), rows));
         }
         let mut scan_error = None;
         let mut grid = Vec::new();
@@ -1451,8 +1579,11 @@ impl<'a> QueryEngine<'a> {
                 return;
             }
             for segment in run.segments() {
-                let listed =
-                    self.list_segment(query, &rw, &columns, segment, &mut grid, &mut result);
+                let Some(unit) = unit_of(units, segment.gid) else {
+                    continue;
+                };
+                let rows = &mut rows[unit];
+                let listed = self.list_segment(query, &rw, &columns, segment, &mut grid, rows);
                 if let Err(e) = listed {
                     scan_error = Some(e);
                     break;
@@ -1462,7 +1593,7 @@ impl<'a> QueryEngine<'a> {
         if let Some(e) = scan_error {
             return Err(e);
         }
-        Ok(result)
+        Ok((QueryResult::new(columns), rows))
     }
 
     fn listing_columns(&self, query: &Query) -> Result<Vec<String>> {
@@ -1516,7 +1647,7 @@ impl<'a> QueryEngine<'a> {
         columns: &[String],
         segment: SegmentView<'_>,
         grid: &mut Vec<Value>,
-        result: &mut QueryResult,
+        rows: &mut Vec<Vec<Cell>>,
     ) -> Result<()> {
         if !rw.segment_time_matches(&segment) {
             return Ok(());
@@ -1539,7 +1670,7 @@ impl<'a> QueryEngine<'a> {
                         .iter()
                         .map(|c| self.segment_cell(c, tid, &segment))
                         .collect::<Result<Vec<Cell>>>()?;
-                    result.rows.push(row);
+                    rows.push(row);
                 }
                 View::DataPoint => {
                     let Some((idx_lo, idx_hi)) = rw.tick_range(&segment) else {
@@ -1559,7 +1690,7 @@ impl<'a> QueryEngine<'a> {
                             .iter()
                             .map(|c| self.data_point_cell(c, tid, ts, value))
                             .collect::<Result<Vec<Cell>>>()?;
-                        result.rows.push(row);
+                        rows.push(row);
                     }
                 }
             }

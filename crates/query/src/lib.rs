@@ -29,7 +29,7 @@ pub use cell::{Cell, QueryResult};
 pub use datastore::{Datastore, DatastoreHealth, PointAssembler};
 pub use digest::{rollup_feed, sketch_feed, value_bounds_fn};
 pub use engine::{
-    fold_group_size, pool_bypass_threshold, PartialAggregates, Plan, QueryEngine, ScanPool,
+    fold_group_size, pool_bypass_threshold, GidRows, PartialAggregates, Plan, QueryEngine, ScanPool,
 };
 pub use options::{CommonOptions, CommonOptionsBuilder};
 pub use shard::Shard;
