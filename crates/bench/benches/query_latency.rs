@@ -1,7 +1,7 @@
 //! Query-path microbenchmark: time-ranged S-AGG and full-span L-AGG on the
-//! Segment View, comparing the plain sequential scan (no zone-map pruning,
-//! one worker) against the pruned-parallel path (zone-map run skipping plus
-//! the persistent scan pool).
+//! Segment View, comparing the plain sequential scan (no block pruning, one
+//! worker) against the pruned-parallel path (block skipping plus the
+//! persistent scan pool).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mdb_bench::{build_engine_with, ingest_engine_batched, run_queries, time_ranged_queries};

@@ -220,15 +220,16 @@ fn chaos(scale: Scale) {
             catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap(),
             Arc::new(ModelRegistry::standard()),
             ClusterConfig {
-                common: CommonOptions::builder()
-                    .compression(CompressionConfig {
+                common: CommonOptions {
+                    compression: CompressionConfig {
                         error_bound: ErrorBound::relative(10.0),
                         ..Default::default()
-                    })
-                    .storage_dir(Some(dir.to_path_buf()))
-                    .bulk_write_size(64)
-                    .query_parallelism(1)
-                    .build(),
+                    },
+                    storage_dir: Some(dir.to_path_buf()),
+                    bulk_write_size: 64,
+                    query_parallelism: 1,
+                    ..CommonOptions::default()
+                },
                 replication_factor: 2,
                 ..ClusterConfig::default()
             },

@@ -52,7 +52,7 @@ pub fn build_engine(ds: &Dataset, correlated: bool, error_pct: f64) -> ModelarDb
 }
 
 /// Like [`build_engine`], but with the query-path knobs exposed: the scan
-/// `parallelism` (0 = auto, 1 = sequential) and whether zone-map `pruning`
+/// `parallelism` (0 = auto, 1 = sequential) and whether block `pruning`
 /// is enabled. `(1, false)` is the plain sequential scan the `query_latency`
 /// bench baselines against.
 pub fn build_engine_with(
@@ -99,8 +99,8 @@ pub fn build_disk_engine(
 
 /// Deterministic time-ranged S-AGG queries: `func` over a sliding window of
 /// about 1/32 of the ingested span, grouped by Tid — the narrow query class
-/// that zone-map pruning serves (segments outside the window should be
-/// pruned, not scanned).
+/// that block pruning serves (blocks outside the window should be pruned,
+/// not fetched).
 pub fn time_ranged_queries(ds: &Dataset, ticks: u64, func: &str, n: usize) -> Vec<String> {
     let window = (ticks / 32).max(1);
     let span = ticks.saturating_sub(window).max(1);

@@ -118,7 +118,10 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            common: CommonOptions::builder().query_parallelism(1).build(),
+            common: CommonOptions {
+                query_parallelism: 1,
+                ..CommonOptions::default()
+            },
             health_probe_timeout: Duration::from_secs(30),
             replication_factor: 1,
         }
@@ -1232,12 +1235,11 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One worker: the per-node stack of Figure 4, a [`Shard`] over the hosted
-/// groups behind the command channel. The shard's store maintains a
-/// value-bounded zone map, so every worker prunes its own segment runs —
-/// and, on disk, skips whole blocks before fetching them — before computing
-/// partials; the scatter/gather path reuses exactly the single-node pruned
-/// scan, one store walk per query over every scoped group, with each group
-/// folded on its own.
+/// groups behind the command channel. The shard's store keeps value-bounded
+/// per-block statistics, so every worker skips whole blocks before fetching
+/// them, before computing partials; the scatter/gather path reuses exactly
+/// the single-node pruned scan, one store walk per query over every scoped
+/// group, with each group folded on its own.
 fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<WorkerShared>) {
     // Compression counters adopted with handed-off groups: the fresh local
     // ingestor starts at zero, so the source's counters ride along here.
@@ -1602,8 +1604,10 @@ mod tests {
     fn zero_queue_depth_rejected() {
         let catalog = Arc::new(Catalog::new());
         let registry = Arc::new(ModelRegistry::standard());
-        let config =
-            ClusterConfig::from_common(CommonOptions::builder().ingest_queue_depth(0).build());
+        let config = ClusterConfig::from_common(CommonOptions {
+            ingest_queue_depth: 0,
+            ..CommonOptions::default()
+        });
         assert!(Cluster::start_with(catalog, registry, config, 1).is_err());
     }
 

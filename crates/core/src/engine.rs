@@ -8,7 +8,7 @@ use std::sync::Arc;
 use mdb_compression::CompressionStats;
 use mdb_models::ModelRegistry;
 use mdb_query::{PointAssembler, QueryResult, Shard};
-use mdb_storage::{Catalog, SegmentPredicate, ZoneMap};
+use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value};
 
 use crate::Config;
@@ -176,8 +176,8 @@ impl ModelarDb {
     /// Executes a SQL query (Section 6's Segment View and Data Point View).
     /// Aggregate scans run on the engine's persistent pool of
     /// [`Config::query_parallelism`](mdb_query::CommonOptions::query_parallelism)
-    /// workers over the zone-map-pruned
-    /// segment list; results are bit-identical to a sequential scan.
+    /// workers over the blocks the store's block statistics do not prune;
+    /// results are bit-identical to a sequential scan.
     pub fn sql(&self, text: &str) -> Result<QueryResult> {
         self.shard.engine(None).sql(text)
     }
@@ -215,12 +215,6 @@ impl ModelarDb {
     /// tests and offline analysis.
     pub fn segments(&self) -> Result<Vec<SegmentRecord>> {
         mdb_storage::scan_to_vec(self.shard.store(), &SegmentPredicate::all())
-    }
-
-    /// The store's zone map — compared
-    /// across restarts by the restart-equivalence suite.
-    pub fn zones(&self) -> Option<&ZoneMap> {
-        self.shard.store().zones()
     }
 
     /// Segments currently resident in memory (see

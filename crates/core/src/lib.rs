@@ -58,15 +58,15 @@ pub use mdb_partitioner::{
     CorrelationPrimitive, CorrelationSpec, Partitioning, ScalingHint,
 };
 pub use mdb_query::{
-    parse, rollup_feed, sketch_feed, value_bounds_fn, Cell, CommonOptions, CommonOptionsBuilder,
-    Datastore, DatastoreHealth, Query, QueryEngine, QueryResult, SketchFunc,
+    parse, rollup_feed, sketch_feed, value_bounds_fn, Cell, CommonOptions, Datastore,
+    DatastoreHealth, Query, QueryEngine, QueryResult, SketchFunc,
 };
 pub use mdb_server::{Client, Server, ServerOptions, SharedDatastore};
 pub use mdb_storage::{
     checksum_v2, scan_to_vec, CacheStats, Catalog, Digest, DigestBuf, DigestStats, DiskStore,
     DiskStoreOptions, RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn,
     SegmentDigester, SegmentPredicate, SegmentStore, SketchFeed, SketchFeedFn, ValueBounds,
-    ValueBoundsFn, ZoneMap,
+    ValueBoundsFn,
 };
 pub use mdb_types::{
     BatchView, BlockFormat, BlockMeta, BlockSketch, DataPoint, DimensionSchema, Dimensions,
@@ -93,9 +93,10 @@ pub struct Config {
     pub common: CommonOptions,
     /// Where segments are persisted.
     pub storage: StorageSpec,
-    /// Whether scans consult the store's zone map to skip segment runs
-    /// outside a query's time range or value predicate. Disabling yields
-    /// the plain sequential scan (the query-equivalence reference path).
+    /// Whether scans consult the store's per-block statistics to skip,
+    /// before fetching them, blocks outside a query's groups, time range or
+    /// value predicate. Disabling yields the plain fetch-every-block scan
+    /// (the query-equivalence reference path).
     pub zone_pruning: bool,
     /// On-disk layout for newly written blocks: the zero-copy columnar v2
     /// layout by default; v1 for writing logs older builds can read.

@@ -134,7 +134,7 @@ pub trait ModelType: Send + Sync {
     ///
     /// **Contract:** `min` and `max` must bound every value
     /// [`ModelType::grid`] reconstructs for that series over that range,
-    /// exactly (`min <= v <= max`, no tolerance). The zone map
+    /// exactly (`min <= v <= max`, no tolerance). Block value ranges
     /// ([`segment_value_range`]) and the query engine's value-filtered scan
     /// both skip a series whose `[min, max]` misses a `Value` predicate
     /// without reconstructing it, so extremes that miss a value drop points.
@@ -181,12 +181,13 @@ pub fn allowed_interval(bound: &ErrorBound, values: &[Value]) -> Option<(f64, f6
 
 /// The stored-value range a segment is known to cover, computed in constant
 /// time from the model's closed-form aggregate over the full timestamp range
-/// — the statistic the storage layer's zone map records per segment run.
+/// — the statistic the storage layer unions into each block's value range.
 ///
 /// Returns `None` when the model has no closed form (e.g. Gorilla, whose
 /// values would have to be reconstructed — too expensive on the write path)
-/// or when the parameters cannot be evaluated; zone maps treat `None` as
-/// "unbounded" and never prune such runs, so the statistic is always sound.
+/// or when the parameters cannot be evaluated; a block holding such a
+/// segment has an unknown value range and is never pruned by value, so the
+/// statistic is always sound.
 pub fn segment_value_range(
     registry: &ModelRegistry,
     segment: &SegmentRecord,

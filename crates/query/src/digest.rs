@@ -22,10 +22,11 @@ use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value};
 use crate::aggregate::{grid_aggregate, Accumulator, SegmentCursor};
 use crate::engine::BoundarySplits;
 
-/// The zone map's stored-value statistic provider: the models' constant-time
-/// aggregate over a segment's full range, closed over the registry and the
-/// catalog's group sizes. `None` for models without a closed form (Gorilla),
-/// whose runs the zone map then treats as unbounded.
+/// The stored-value range provider behind the store's block statistics: the
+/// models' constant-time aggregate over a segment's full range, closed over
+/// the registry and the catalog's group sizes. `None` for models without a
+/// closed form (Gorilla), whose blocks then have an unknown value range and
+/// are never pruned by value.
 pub fn value_bounds_fn(catalog: &Arc<Catalog>, registry: &Arc<ModelRegistry>) -> ValueBounds {
     let sizes: HashMap<Gid, usize> = catalog.groups.iter().map(|g| (g.gid, g.size())).collect();
     let closure_registry = Arc::clone(registry);

@@ -10,8 +10,8 @@
 //! it also resolves every tid's group key to a dense slot once per query.
 //!
 //! The partial phase is itself parallel: the rewritten push-down predicate
-//! (including the zone-map value/time pruning of `mdb_storage::zone`) first
-//! shrinks the scan to the surviving [`SegmentRun`]s — block-backed runs
+//! (checked against the store's per-block gid, time and value statistics)
+//! first shrinks the scan to the surviving [`SegmentRun`]s — block-backed runs
 //! share the cached block buffer, so segments are evaluated as borrowed
 //! [`SegmentView`]s with **no per-segment allocation** — then fold groups
 //! of consecutive segments (addressed by global scan index, so boundaries
@@ -207,7 +207,7 @@ pub fn fold_group_size(survivors: usize) -> usize {
 }
 
 /// Pruned-segment count below which an attached [`ScanPool`] is bypassed:
-/// when the zone map has already cut a query down this far, evaluating
+/// when block pruning has already cut a query down this far, evaluating
 /// inline is faster than a channel round-trip per chunk. More workers lower
 /// the bar (each chunk costs the same hop but buys more parallel work);
 /// the floor keeps tiny scans inline regardless. Narrow time-ranged
@@ -796,7 +796,7 @@ impl<'a> QueryEngine<'a> {
             ..SegmentPredicate::default()
         };
         // Map the raw-value interval into the *stored* (scaled) domain for
-        // the zone-map push-down: a segment run can only match if its stored
+        // the block-statistics push-down: a block can only match if its stored
         // range intersects the union of the candidate series' scaled images.
         // The union is widened by a couple of ulps because this mapping
         // multiplies by the scaling constant while the exact per-point
@@ -1126,14 +1126,13 @@ impl<'a> QueryEngine<'a> {
     /// one is present and the unit's survivor count reaches its bypass
     /// threshold, inline otherwise.
     ///
-    /// The store's zone map (and, for the out-of-core store, its per-block
-    /// statistics) has already skipped runs or whole on-disk blocks outside
-    /// the time range or value predicate. A block-backed run shares its
-    /// cached block, so the collect costs one `Arc` clone per surviving
-    /// block and segments are evaluated as borrowed views. Group boundaries
-    /// and the fold order depend only on the scan order and survivor count,
-    /// so every parallelism setting performs the same float operations in
-    /// the same order.
+    /// The store's per-block statistics have already skipped whole blocks
+    /// outside the scope, time range or value predicate. A block-backed run
+    /// shares its cached block, so the collect costs one `Arc` clone per
+    /// surviving block and segments are evaluated as borrowed views. Group
+    /// boundaries and the fold order depend only on the scan order and
+    /// survivor count, so every parallelism setting performs the same float
+    /// operations in the same order.
     ///
     /// Under a `Value` filter a fold group keeps each segment's slot
     /// accumulators as entries of their own, merged into the partial in
@@ -2434,10 +2433,6 @@ mod tests {
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     f(g, t, b, a)
                 })
-        }
-
-        fn zones(&self) -> Option<&mdb_storage::ZoneMap> {
-            self.inner.zones()
         }
 
         fn len(&self) -> usize {

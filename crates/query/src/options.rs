@@ -31,9 +31,9 @@ pub struct CommonOptions {
     /// log on demand. A cluster splits the budget evenly over its workers.
     /// The same rule holds whether the log is on disk or in memory.
     pub memory_budget_bytes: Option<u64>,
-    /// How many zone-map-surviving blocks the store's prefetcher reads
-    /// ahead of the scan (`0` disables prefetching), on disk or in memory
-    /// alike.
+    /// How many blocks that survive block pruning the store's prefetcher
+    /// reads ahead of the scan (`0` disables prefetching), on disk or in
+    /// memory alike.
     pub prefetch_depth: usize,
     /// Scan workers for the partial-aggregation phase, resolved by one rule
     /// in every deployment: `0` (auto) means the machine's available
@@ -81,93 +81,6 @@ impl Default for CommonOptions {
     }
 }
 
-impl CommonOptions {
-    /// Starts a builder from the defaults.
-    pub fn builder() -> CommonOptionsBuilder {
-        CommonOptionsBuilder {
-            options: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`CommonOptions`]; every setter has the field's name.
-///
-/// ```
-/// use mdb_query::CommonOptions;
-///
-/// let options = CommonOptions::builder()
-///     .bulk_write_size(1_000)
-///     .memory_budget_bytes(Some(8 << 20))
-///     .prefetch_depth(4)
-///     .build();
-/// assert_eq!(options.bulk_write_size, 1_000);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CommonOptionsBuilder {
-    options: CommonOptions,
-}
-
-impl CommonOptionsBuilder {
-    /// Replaces the compression settings wholesale.
-    pub fn compression(mut self, compression: CompressionConfig) -> Self {
-        self.options.compression = compression;
-        self
-    }
-
-    /// Segments buffered before a bulk write.
-    pub fn bulk_write_size(mut self, size: usize) -> Self {
-        self.options.bulk_write_size = size;
-        self
-    }
-
-    /// Block-cache byte budget (`None` = unbounded).
-    pub fn memory_budget_bytes(mut self, budget: Option<u64>) -> Self {
-        self.options.memory_budget_bytes = budget;
-        self
-    }
-
-    /// Blocks read ahead of a scan (`0` = off).
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.options.prefetch_depth = depth;
-        self
-    }
-
-    /// Scan workers for partial aggregation (`0` = auto).
-    pub fn query_parallelism(mut self, workers: usize) -> Self {
-        self.options.query_parallelism = workers;
-        self
-    }
-
-    /// Persistence root (`None` = in-memory).
-    pub fn storage_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.options.storage_dir = dir;
-        self
-    }
-
-    /// Bound on batches buffered per ingest queue.
-    pub fn ingest_queue_depth(mut self, depth: usize) -> Self {
-        self.options.ingest_queue_depth = depth;
-        self
-    }
-
-    /// Time levels to materialize continuous aggregates at (empty = off).
-    pub fn rollup_levels(mut self, levels: Vec<TimeLevel>) -> Self {
-        self.options.rollup_levels = levels;
-        self
-    }
-
-    /// Whether whole-bucket aggregates are served from rollup cells.
-    pub fn rollup_serve(mut self, serve: bool) -> Self {
-        self.options.rollup_serve = serve;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> CommonOptions {
-        self.options
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,31 +100,5 @@ mod tests {
             vec![TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month]
         );
         assert!(o.rollup_serve);
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let o = CommonOptions::builder()
-            .compression(CompressionConfig::default())
-            .bulk_write_size(7)
-            .memory_budget_bytes(Some(1))
-            .prefetch_depth(9)
-            .query_parallelism(3)
-            .storage_dir(Some(PathBuf::from("/tmp/x")))
-            .ingest_queue_depth(2)
-            .rollup_levels(vec![TimeLevel::Day])
-            .rollup_serve(false)
-            .build();
-        assert_eq!(o.bulk_write_size, 7);
-        assert_eq!(o.memory_budget_bytes, Some(1));
-        assert_eq!(o.prefetch_depth, 9);
-        assert_eq!(o.query_parallelism, 3);
-        assert_eq!(
-            o.storage_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/x"))
-        );
-        assert_eq!(o.ingest_queue_depth, 2);
-        assert_eq!(o.rollup_levels, vec![TimeLevel::Day]);
-        assert!(!o.rollup_serve);
     }
 }

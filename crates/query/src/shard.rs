@@ -1,9 +1,9 @@
 //! One node's ingest-store-query core — the "ModelarDB+ Core" of
 //! Section 3.1, which runs embedded and inside every cluster worker.
 //!
-//! A [`Shard`] owns a segment store (fed by the zone-map, sketch and rollup
-//! providers), one [`GroupIngestor`] per group it hosts in ascending gid
-//! order, and the optional persistent [`ScanPool`]. The embedded engine
+//! A [`Shard`] owns a segment store (fed by the value-range, sketch and
+//! rollup providers), one [`GroupIngestor`] per group it hosts in ascending
+//! gid order, and the optional persistent [`ScanPool`]. The embedded engine
 //! holds a shard over every group; a cluster worker holds one over its
 //! hosted groups behind its command channel. Both deployments therefore
 //! build stores, ingestors and the pool by the same rules, drain with the
@@ -46,7 +46,7 @@ impl Shard {
     /// ingestor for each of `gids`. A scan pool is started only when
     /// `options.query_parallelism` (`0` = the machine's available
     /// parallelism) resolves to more than one worker. `block_format` and
-    /// `zone_pruning` are the store's write layout and pruning switch.
+    /// `zone_pruning` are the store's write layout and block-pruning switch.
     /// `options.storage_dir` is not read: the engine and a cluster worker
     /// each choose `dir` themselves.
     pub fn open(

@@ -26,8 +26,8 @@
 //!
 //! `Value` predicates filter reconstructed data points (Data Point View
 //! listings and aggregates on either view); their rewritten form also feeds
-//! the zone-map push-down so segment runs that cannot contain a matching
-//! value are pruned before any model is decoded.
+//! the block-statistics push-down so blocks that cannot contain a matching
+//! value are pruned before they are fetched or any model is decoded.
 
 use mdb_types::{MdbError, Result, Tid, TimeLevel, Timestamp};
 

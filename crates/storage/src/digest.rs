@@ -1,5 +1,5 @@
 //! Insert-time maintenance of everything a store derives from a finalized
-//! segment: its stored-value range (zone map and block summary), its rollup
+//! segment: its stored-value range (for the block summary), its rollup
 //! deltas (continuous aggregates) and its share of the open block's
 //! per-group sketch, which the block's cut merges into the store's running
 //! per-group sketches ([`GroupSketches`]).
@@ -8,13 +8,13 @@
 //! function (`Absorber::absorb`), so statistics persisted at write time and
 //! statistics rebuilt from the log cannot diverge. The store knows nothing
 //! about models: the providers it is configured with decode segments for
-//! it. A provider is a plain closure ([`ValueBoundsFn`](crate::ValueBoundsFn),
-//! [`SketchFeedFn`](crate::SketchFeedFn), [`RollupFeedFn`](crate::RollupFeedFn)),
-//! and the ones `mdb_query` builds also carry a [`SegmentDigester`] that
-//! derives all three statistics in **one pass over one reconstruction** of
-//! the segment, into buffers the store owns and reuses. The closures remain
-//! the definition of each statistic — the fused pass must equal them bit
-//! for bit — and the only path for hand-written providers.
+//! it. A provider is a plain closure ([`ValueBoundsFn`], [`SketchFeedFn`],
+//! [`RollupFeedFn`](crate::RollupFeedFn)), and the ones `mdb_query` builds
+//! also carry a [`SegmentDigester`] that derives all three statistics in
+//! **one pass over one reconstruction** of the segment, into buffers the
+//! store owns and reuses. The closures remain the definition of each
+//! statistic — the fused pass must equal them bit for bit — and the only
+//! path for hand-written providers.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -23,7 +23,6 @@ use std::sync::Arc;
 use mdb_types::{BlockSketch, Gid, SegmentRecord, TimeLevel, Timestamp, Value, ValueInterval};
 
 use crate::rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed};
-use crate::zone::ZoneMap;
 
 /// Derives every statistic a store keeps per segment in one pass (see the
 /// module docs). Implemented by `mdb_query` over the catalog and the model
@@ -105,11 +104,22 @@ impl<F: ?Sized> From<Arc<F>> for Feed<F> {
     }
 }
 
-/// The stored-value range provider of a store (see
-/// [`ValueBoundsFn`](crate::ValueBoundsFn)).
+/// Computes the stored-value range of a segment on the write path, or `None`
+/// when it cannot be known cheaply (its block's value range then becomes
+/// unknown, and value predicates never prune that block).
+pub type ValueBoundsFn = Arc<dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync>;
+
+/// Feeds one segment — its member time series ids and every reconstructed
+/// data-point value — into its group's sketch on the write path (typically
+/// `mdb_query::sketch_feed` closed over the catalog and model registry).
+/// Returns `false` when the segment cannot be decoded; its group's sketch
+/// then fails open to `None`, like every other statistic.
+pub type SketchFeedFn = Arc<dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync>;
+
+/// The stored-value range provider of a store (see [`ValueBoundsFn`]).
 pub type ValueBounds = Feed<dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync>;
 
-/// The sketch provider of a store (see [`SketchFeedFn`](crate::SketchFeedFn)).
+/// The sketch provider of a store (see [`SketchFeedFn`]).
 pub type SketchFeed = Feed<dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync>;
 
 /// Counters of the insert-time pass, next to [`CacheStats`](crate::CacheStats)
@@ -229,14 +239,13 @@ impl Absorber {
     }
 
     /// Derives and records every configured statistic of one finalized
-    /// segment — its zone-map entry, its rollup cells, its share of the
-    /// `open` block's sketches — and returns its stored-value range for the
-    /// block summary. Statistics that already failed open (poisoned
-    /// `rollups`, the segment's poisoned group in `open`) are not computed.
+    /// segment — its rollup cells and its share of the `open` block's
+    /// sketches — and returns its stored-value range for the block summary.
+    /// Statistics that already failed open (poisoned `rollups`, the
+    /// segment's poisoned group in `open`) are not computed.
     pub(crate) fn absorb(
         &mut self,
         segment: &SegmentRecord,
-        zones: &mut ZoneMap,
         rollups: Option<&mut RollupCells>,
         open: &mut GroupSketches,
     ) -> Option<ValueInterval> {
@@ -281,7 +290,6 @@ impl Absorber {
             Some(bounds) => (bounds.feed)(segment),
             None => None,
         };
-        zones.insert(segment, range);
         if let (Some(feed), Some(sketch)) = (sketch_feed, sketch) {
             let fed = if fused_sketch {
                 digest.sketched

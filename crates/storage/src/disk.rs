@@ -29,8 +29,7 @@
 //! Writes are buffered until `bulk_write_size` segments accumulate (Table 1:
 //! Bulk Write Size 50,000) or `flush` is called; each flush appends one
 //! block and rewrites the sidecar index (`segments.idx`, see
-//! [`crate::sidecar`]) holding per-block [`BlockMeta`] statistics plus the
-//! zone map.
+//! [`crate::sidecar`]) holding per-block [`BlockMeta`] statistics.
 //!
 //! Unlike the original store, segment bodies are **not** resident: `open`
 //! loads the block summaries from the sidecar (falling back to a streaming
@@ -38,9 +37,10 @@
 //! or stale), so restart cost is O(blocks) instead of O(log), and scans pull
 //! blocks through a sharded LRU [`BlockCache`] bounded by the engine's
 //! memory budget, so resident memory is O(cache capacity + write buffer)
-//! instead of O(total segments). Zone-map and per-block statistics skip
-//! blocks *before* they are fetched from disk — the push-down of
-//! Section 3.3/6.2 now saves I/O, not just decoding.
+//! instead of O(total segments). The per-block statistics — gid, time and
+//! stored-value ranges, the store's only pruning statistics — skip blocks
+//! *before* they are fetched from disk, so the push-down of Section 3.3/6.2
+//! saves I/O, not just decoding.
 //!
 //! A torn tail block (crash during write) fails its checksum and the log is
 //! truncated to the last valid block, mirroring a write-ahead-log recovery;
@@ -73,7 +73,6 @@ use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
 use crate::digest::{Absorber, DigestStats, GroupSketches, SketchFeed, ValueBounds};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
 use crate::sidecar::{self, Sidecar, SidecarRef};
-use crate::zone::ZoneMap;
 use crate::{SegmentPredicate, SegmentRun, SegmentStore};
 
 const BLOCK_MAGIC: u32 = 0x4D44_4253; // "MDBS" — v1 varint payload
@@ -105,8 +104,8 @@ pub struct DiskStoreOptions {
     /// Byte budget for the block cache: `None` keeps every fetched block
     /// resident (the pre-out-of-core behaviour), `Some(0)` caches nothing.
     pub memory_budget_bytes: Option<u64>,
-    /// Stored-value range provider for the zone map and block statistics
-    /// (typically `mdb_query::value_bounds_fn`); without it only time
+    /// Stored-value range provider for the block statistics (typically
+    /// `mdb_query::value_bounds_fn`); without it only gid and time
     /// statistics prune. The three providers are run together, once per
     /// inserted segment (see [`crate::digest`]).
     pub value_bounds: Option<ValueBounds>,
@@ -119,9 +118,9 @@ pub struct DiskStoreOptions {
     /// sidecar, and rebuilt by the streaming rescan. Without it rollup
     /// queries fall back to the scan path.
     pub rollup_feed: Option<RollupFeed>,
-    /// How many zone-map-surviving blocks the background prefetcher reads
-    /// ahead of the scan (0 disables prefetching and spawns no thread).
-    /// Engines pass `Config::prefetch_depth` (default 2).
+    /// How many blocks that survive block pruning the background
+    /// prefetcher reads ahead of the scan (0 disables prefetching and
+    /// spawns no thread). Engines pass `Config::prefetch_depth` (default 2).
     pub prefetch_depth: usize,
     /// Payload format for newly appended blocks. Existing blocks keep
     /// their on-disk format and are dispatched on per fetch.
@@ -279,7 +278,6 @@ pub struct DiskStore {
     backend: Arc<dyn Backend>,
     /// Per-block summaries — the only per-segment-body state kept resident.
     blocks: Vec<BlockMeta>,
-    zones: ZoneMap,
     /// Shared with the prefetcher thread (when one is running).
     cache: Arc<BlockCache>,
     /// The background read-ahead worker; `None` when `prefetch_depth` is 0
@@ -289,7 +287,7 @@ pub struct DiskStore {
     write_format: BlockFormat,
     write_buffer: Vec<SegmentRecord>,
     /// Stored-value range per buffered segment (parallel to `write_buffer`),
-    /// computed once at insert for both the zone map and the block summary.
+    /// computed once at insert for the block summary.
     buffer_ranges: Vec<Option<ValueInterval>>,
     /// High-water mark of the write buffer, for resident-memory accounting.
     buffer_peak: usize,
@@ -365,7 +363,6 @@ impl DiskStore {
             logical_bytes: recovered.blocks.iter().map(|b| b.logical_bytes).sum(),
             persistent_bytes: recovered.valid_len,
             blocks: recovered.blocks,
-            zones: recovered.zones,
             cache,
             prefetch,
             write_format: options.write_format,
@@ -397,7 +394,7 @@ impl DiskStore {
         self.write_format
     }
 
-    /// Enables or disables zone-map/block-statistics pruning in scans (the
+    /// Enables or disables block-statistics pruning in scans (the
     /// statistics are still maintained). Disabling yields the plain
     /// fetch-every-block scan — the benchmark baseline.
     pub fn set_pruning(&mut self, pruning: bool) {
@@ -507,7 +504,6 @@ impl DiskStore {
             value_bounded: self.absorber.bounds_values(),
             sketched: self.absorber.sketches(),
             blocks: &self.blocks,
-            zones: &self.zones,
             sketches: &self.sketches,
             rollups: self.rollups.as_ref(),
         });
@@ -664,7 +660,6 @@ fn decode_block(payload: &[u8], count: usize, offset: u64) -> Result<Vec<Segment
 /// What `open` recovered without keeping any segment bodies resident.
 struct Recovered {
     blocks: Vec<BlockMeta>,
-    zones: ZoneMap,
     /// Running per-gid sketches adopted from the sidecar and/or fed by the
     /// scan; empty without a sketch feed.
     sketches: GroupSketches,
@@ -684,7 +679,6 @@ fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> 
     let actual_len = backend.len()?;
     let mut recovered = Recovered {
         blocks: Vec::new(),
-        zones: ZoneMap::new(),
         sketches: GroupSketches::default(),
         rollups: rollup_levels.clone().map(RollupCells::new),
         valid_len: 0,
@@ -726,7 +720,6 @@ fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> 
             recovered.valid_len = sc.log_len;
             sidecar_covered = sc.log_len;
             recovered.blocks = sc.blocks;
-            recovered.zones = sc.zones;
             if absorber.sketches() {
                 recovered.sketches = sc.sketches;
             }
@@ -778,9 +771,10 @@ fn last_block_intact(backend: &dyn Backend, sc: &Sidecar) -> bool {
 
 /// Streams the log from `recovered.valid_len`, one block at a time with a
 /// bounded buffer (never the whole log at once), appending recovered block
-/// summaries and feeding zone statistics, rollup cells and running
-/// sketches. Leaves `recovered.valid_len` at the end of the last valid
-/// block; a torn or corrupt tail block simply stops the scan.
+/// summaries (with the segments' stored-value ranges) and feeding rollup
+/// cells and running sketches. Leaves `recovered.valid_len` at the end of
+/// the last valid block; a torn or corrupt tail block simply stops the
+/// scan.
 fn scan_blocks_from(
     backend: &dyn Backend,
     actual_len: u64,
@@ -809,7 +803,7 @@ fn scan_blocks_from(
             break; // corrupt tail block
         }
         // The one-time rescan materializes records whatever the format —
-        // zone statistics need every segment once.
+        // every statistic needs every segment once.
         let segments = match format {
             BlockFormat::V1 => decode_block(&payload, count, offset)?,
             BlockFormat::V2 => BlockView::parse(payload.clone(), count as u32)
@@ -821,20 +815,13 @@ fn scan_blocks_from(
                 .to_records(),
         };
         // Absorbed in log order — the order the insert path absorbed them
-        // in originally — so zones, rollup cells (rebuilt, or extended on a
-        // suffix scan) and the running sketches come out as they were
-        // written.
+        // in originally — so block value ranges, rollup cells (rebuilt, or
+        // extended on a suffix scan) and the running sketches come out as
+        // they were written.
         let mut open_sketches = GroupSketches::default();
         let ranges: Vec<Option<ValueInterval>> = segments
             .iter()
-            .map(|segment| {
-                absorber.absorb(
-                    segment,
-                    &mut recovered.zones,
-                    recovered.rollups.as_mut(),
-                    &mut open_sketches,
-                )
-            })
+            .map(|segment| absorber.absorb(segment, recovered.rollups.as_mut(), &mut open_sketches))
             .collect();
         recovered.blocks.push(summarize_block(
             offset,
@@ -853,12 +840,9 @@ fn scan_blocks_from(
 
 impl SegmentStore for DiskStore {
     fn insert(&mut self, segment: SegmentRecord) -> Result<()> {
-        let range = self.absorber.absorb(
-            &segment,
-            &mut self.zones,
-            self.rollups.as_mut(),
-            &mut self.open_sketches,
-        );
+        let range = self
+            .absorber
+            .absorb(&segment, self.rollups.as_mut(), &mut self.open_sketches);
         self.logical_bytes += segment.storage_bytes() as u64;
         self.n_segments += 1;
         self.write_buffer.push(segment);
@@ -1012,10 +996,6 @@ impl SegmentStore for DiskStore {
         }
         cells.for_each(level, scope, range, f);
         Ok(true)
-    }
-
-    fn zones(&self) -> Option<&ZoneMap> {
-        Some(&self.zones)
     }
 
     fn len(&self) -> usize {
@@ -1581,13 +1561,13 @@ mod tests {
         }
         let with_sidecar = open(dir.path(), 7);
         let via_sidecar = scan_to_vec(&with_sidecar, &SegmentPredicate::all()).unwrap();
-        let zones_via_sidecar = with_sidecar.zones().unwrap().clone();
+        let blocks_via_sidecar = with_sidecar.blocks.clone();
         drop(with_sidecar);
         std::fs::remove_file(dir.join("segments.idx")).unwrap();
         let rebuilt = open(dir.path(), 7);
         let via_scan = scan_to_vec(&rebuilt, &SegmentPredicate::all()).unwrap();
         assert_eq!(via_sidecar, via_scan);
-        assert_eq!(&zones_via_sidecar, rebuilt.zones().unwrap());
+        assert_eq!(blocks_via_sidecar, rebuilt.blocks);
         assert!(
             dir.join("segments.idx").exists(),
             "rescan rebuilds the sidecar"
@@ -1621,18 +1601,27 @@ mod tests {
             )
             .unwrap()
         };
-        let store = open_with_bounds();
-        let zone = store.zones().unwrap().gid(1).unwrap();
-        assert!(
-            matches!(zone.values, crate::zone::ZoneValues::Bounded(_)),
-            "rescan must restore value statistics, got {:?}",
-            zone.values
-        );
+        // Every stored value lies in [0, 7900]: a value predicate above
+        // that range prunes every block, so the scan fetches none.
+        let prunes_every_block = |store: &DiskStore, label: &str| {
+            let above = SegmentPredicate::all().with_values(ValueInterval::new(1e6, 2e6));
+            assert!(scan_to_vec(store, &above).unwrap().is_empty(), "{label}");
+            assert_eq!(
+                store.cache_stats().misses,
+                0,
+                "{label}: a block was fetched"
+            );
+            // The counter does move when blocks are fetched.
+            assert_eq!(
+                scan_to_vec(store, &SegmentPredicate::all()).unwrap().len(),
+                8
+            );
+            assert_eq!(store.cache_stats().misses, 2, "{label}");
+        };
+        prunes_every_block(&open_with_bounds(), "rescan restores value statistics");
         // And the rescan rewrote a bounds-aware sidecar: the next open
-        // trusts it directly and sees the same statistics.
-        let store = open_with_bounds();
-        let zone = store.zones().unwrap().gid(1).unwrap();
-        assert!(matches!(zone.values, crate::zone::ZoneValues::Bounded(_)));
+        // trusts it directly and prunes the same way.
+        prunes_every_block(&open_with_bounds(), "reopen adopts the rewritten sidecar");
     }
 
     #[test]

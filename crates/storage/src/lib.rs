@@ -10,24 +10,20 @@
 //!   denormalized dimensions; the in-memory metadata cache of Figure 4.
 //! * [`disk`] — the one segment store, an *out-of-core* block log whose
 //!   bytes live in files or, for in-memory deployments, in RAM: per-block
-//!   [`mdb_types::BlockMeta`] statistics for skipping blocks before they are
-//!   fetched, bulk-buffered writes (Table 1's Bulk Write Size), checksums,
-//!   crash-tolerant recovery that truncates a torn tail block, a persistent
+//!   [`mdb_types::BlockMeta`] statistics (gid, time and stored-value
+//!   ranges) — the store's only pruning statistics — for skipping blocks
+//!   before they are fetched, bulk-buffered writes (Table 1's Bulk Write
+//!   Size), checksums, crash-tolerant recovery that truncates a torn tail block, a persistent
 //!   [`sidecar`] index so reopening is O(blocks) instead of O(log), and a
 //!   memory-budgeted [`cache`] so resident memory is O(cache capacity)
 //!   instead of O(total segments).
 //! * [`sidecar`] — the checksummed, versioned `segments.idx` summary of the
-//!   log (block statistics, zone map, per-group running sketches, rollup
-//!   cells as compressed per-series columns) that makes fast reopen
-//!   possible.
+//!   log (block statistics, per-group running sketches, rollup cells as
+//!   compressed per-series columns) that makes fast reopen possible.
 //! * [`cache`] — the sharded LRU [`BlockCache`] of decoded blocks.
-//! * [`zone`] — the segment-pruning zone map: per-group min/max time and
-//!   stored-value statistics over runs of segments, maintained on write and
-//!   consulted by [`SegmentStore::scan_runs`] to skip runs that cannot
-//!   match a query's push-down predicate.
 //! * [`digest`] — the one insert-time pass inserts, imports and recovery
-//!   derive zone statistics, rollup cells and per-group sketches through, with
-//!   one reconstruction per finalized segment.
+//!   derive stored-value ranges, rollup cells and per-group sketches
+//!   through, with one reconstruction per finalized segment.
 
 mod backend;
 pub mod cache;
@@ -37,7 +33,6 @@ pub mod digest;
 pub mod disk;
 pub mod rollup;
 pub mod sidecar;
-pub mod zone;
 
 use std::sync::Arc;
 
@@ -48,10 +43,12 @@ use mdb_types::{
 pub use cache::{BlockCache, CacheStats, CachedBlock};
 pub use catalog::Catalog;
 pub use codec::{checksum, checksum_v2};
-pub use digest::{Digest, DigestBuf, DigestStats, Feed, SegmentDigester, SketchFeed, ValueBounds};
+pub use digest::{
+    Digest, DigestBuf, DigestStats, Feed, SegmentDigester, SketchFeed, SketchFeedFn, ValueBounds,
+    ValueBoundsFn,
+};
 pub use disk::{DiskStore, DiskStoreOptions};
 pub use rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn};
-pub use zone::{GidZone, SketchFeedFn, ValueBoundsFn, ZoneMap, ZoneRun, ZoneValues};
 
 /// Predicates pushed down to the segment store (Section 6.2: the store only
 /// needs to index one id per segment — the Gid — plus the time interval).
@@ -63,11 +60,11 @@ pub struct SegmentPredicate {
     pub from: Option<Timestamp>,
     /// Only segments whose interval starts at or before this time.
     pub to: Option<Timestamp>,
-    /// Only segment runs whose *stored* (scaled) value range intersects this
-    /// interval, checked against the store's zone map at run granularity —
-    /// the store cannot evaluate individual values without decoding models,
-    /// so per-point filtering stays in the query engine. `None` disables
-    /// value pruning.
+    /// Only blocks whose *stored* (scaled) value range intersects this
+    /// interval, checked against each block's [`mdb_types::BlockMeta`]
+    /// statistics — the store cannot evaluate individual values without
+    /// decoding models, so per-segment and per-point filtering stays in the
+    /// query engine. `None` disables value pruning.
     pub values: Option<ValueInterval>,
 }
 
@@ -92,24 +89,24 @@ impl SegmentPredicate {
         self
     }
 
-    /// Further restrict to segment runs whose stored-value range intersects
-    /// `values` (run-granular zone-map pruning; see [`SegmentPredicate::values`]).
+    /// Further restrict to blocks whose stored-value range intersects
+    /// `values` (block-granular pruning; see [`SegmentPredicate::values`]).
     pub fn with_values(mut self, values: ValueInterval) -> Self {
         self.values = Some(values);
         self
     }
 
     /// True when the per-segment clauses (gid, time) restrict nothing, so
-    /// every segment of a surviving run matches — the full-span fast path:
+    /// every segment of a surviving block matches — the full-span fast path:
     /// scans emit whole blocks as single runs without evaluating a view per
-    /// segment. The run-granular `values` clause is irrelevant here; it
-    /// prunes blocks and runs, never individual segments.
+    /// segment. The block-granular `values` clause is irrelevant here; it
+    /// prunes blocks, never individual segments.
     pub fn matches_every_segment(&self) -> bool {
         self.gids.is_none() && self.from.is_none() && self.to.is_none()
     }
 
     /// Whether `segment` satisfies the gid and time parts of the predicate.
-    /// The `values` part is run-granular: it cannot be decided per segment
+    /// The `values` part is block-granular: it cannot be decided per segment
     /// without decoding the model, so it is intentionally not checked here.
     pub fn matches(&self, segment: &SegmentRecord) -> bool {
         self.matches_view(&segment.view())
@@ -224,9 +221,9 @@ pub trait SegmentStore: Send + Sync {
     /// bit-identical query guarantees are built on. A run's segments are
     /// read as borrowed [`SegmentView`]s: a block-backed run shares the
     /// cached block itself, so the aggregate scan path materializes no owned
-    /// records at all. Stores that maintain a [`ZoneMap`] (or per-block
-    /// statistics) use it here to skip whole groups, segment runs, or blocks
-    /// whose statistics cannot match.
+    /// records at all. [`DiskStore`] checks each block's
+    /// [`mdb_types::BlockMeta`] statistics here and skips, before fetching
+    /// it, every block whose gid, time or stored-value range cannot match.
     fn scan_runs(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(SegmentRun)) -> Result<()>;
 
     /// Collects every segment of the given groups, preserving the store's
@@ -287,11 +284,6 @@ pub trait SegmentStore: Send + Sync {
         _f: &mut dyn FnMut(Gid, Tid, Timestamp, &rollup::RollupAcc),
     ) -> Result<bool> {
         Ok(false)
-    }
-
-    /// The store's zone map, if it maintains one ([`DiskStore`] does).
-    fn zones(&self) -> Option<&ZoneMap> {
-        None
     }
 
     /// Number of stored segments (including buffered ones).

@@ -2,15 +2,15 @@
 //!
 //! The append-only block log (`segments.log`) is the durable truth; the
 //! sidecar is a checksummed, versioned summary of it — per-block
-//! [`BlockMeta`] statistics, the store's full zone map, its per-group
-//! running sketches and its rollup cells (compressed per-series columns,
-//! so the cells cost less than the data they summarize) — rewritten at
-//! every flush (not per appended block, keeping sustained ingestion
-//! O(blocks)). Opening a store with a fresh sidecar loads
-//! block summaries in one small read instead of scanning and decoding the
-//! whole log; a missing, corrupt, version-mismatched, or stale sidecar is
-//! simply ignored and the store falls back to a streaming block-by-block
-//! rebuild (which then rewrites the sidecar).
+//! [`BlockMeta`] statistics, the store's per-group running sketches and its
+//! rollup cells (compressed per-series columns, so the cells cost less than
+//! the data they summarize) — rewritten at every flush (not per appended
+//! block, keeping sustained ingestion O(blocks)). Opening a store with a
+//! fresh sidecar loads block summaries in one small read instead of
+//! scanning and decoding the whole log; a missing, corrupt,
+//! version-mismatched, or stale sidecar is simply ignored and the store
+//! falls back to a streaming block-by-block rebuild (which then rewrites
+//! the sidecar).
 //!
 //! Staleness is decided by the recorded log length: a sidecar describing
 //! *more* log than exists (the log lost a tail) cannot be trusted at all,
@@ -30,16 +30,13 @@ use mdb_types::{BlockFormat, BlockMeta, BlockSketch, ValueInterval};
 use crate::codec::checksum;
 use crate::digest::GroupSketches;
 use crate::rollup::{self, RollupAcc, RollupCells, SeriesColumn};
-use crate::zone::{GidZone, ZoneMap, ZoneRun, ZoneValues};
 
 const SIDECAR_MAGIC: u32 = 0x4D44_4249; // "MDBI"
-/// Version 3 stores one running sketch per group instead of per-block
-/// sketches, and rollup cells as compressed per-series columns. Every
-/// section is required; a file of another version does not parse, and the
-/// store falls back to the streaming rescan — which reads every block
-/// format — and rewrites a current sidecar, so old stores upgrade on first
-/// open.
-const SIDECAR_VERSION: u32 = 3;
+/// Every section is required; a file of another version (version 3 also
+/// held a per-group zone map) does not parse, and the store falls back to
+/// the streaming rescan — which reads every block format — and rewrites a
+/// current sidecar, so old stores upgrade on first open.
+const SIDECAR_VERSION: u32 = 4;
 /// Magic, version, body checksum, body length.
 const FILE_HEADER_BYTES: usize = 16;
 
@@ -61,8 +58,6 @@ pub struct Sidecar {
     pub sketched: bool,
     /// One summary per block, in log order.
     pub blocks: Vec<BlockMeta>,
-    /// The zone map over every segment in those blocks.
-    pub zones: ZoneMap,
     /// The per-group running sketches over every segment in those blocks
     /// (empty unless `sketched`).
     pub sketches: GroupSketches,
@@ -76,8 +71,8 @@ pub struct Sidecar {
 }
 
 /// A [`Sidecar`] borrowed from the state it describes — what [`encode()`]
-/// serializes, so a store flushes without cloning its block summaries, zone
-/// map and rollup cells first.
+/// serializes, so a store flushes without cloning its block summaries and
+/// rollup cells first.
 #[derive(Debug, Clone, Copy)]
 pub struct SidecarRef<'a> {
     /// See [`Sidecar::log_len`].
@@ -88,8 +83,6 @@ pub struct SidecarRef<'a> {
     pub sketched: bool,
     /// See [`Sidecar::blocks`].
     pub blocks: &'a [BlockMeta],
-    /// See [`Sidecar::zones`].
-    pub zones: &'a ZoneMap,
     /// See [`Sidecar::sketches`].
     pub sketches: &'a GroupSketches,
     /// See [`Sidecar::rollups`].
@@ -104,7 +97,6 @@ impl Sidecar {
             value_bounded: self.value_bounded,
             sketched: self.sketched,
             blocks: &self.blocks,
-            zones: &self.zones,
             sketches: &self.sketches,
             rollups: self.rollups.as_ref(),
         }
@@ -136,23 +128,6 @@ pub fn encode(sidecar: SidecarRef<'_>) -> Vec<u8> {
             BlockFormat::V1 => 1,
             BlockFormat::V2 => 2,
         });
-    }
-    let n_gids = sidecar.zones.gids().count() as u32;
-    put_u32(&mut body, n_gids);
-    for (gid, zone) in sidecar.zones.iter() {
-        put_u32(&mut body, gid);
-        put_i64(&mut body, zone.min_start);
-        put_i64(&mut body, zone.max_end);
-        put_values(&mut body, &zone.values);
-        put_u64(&mut body, zone.segments);
-        put_u32(&mut body, zone.runs.len() as u32);
-        for run in &zone.runs {
-            put_i64(&mut body, run.min_start);
-            put_i64(&mut body, run.min_end);
-            put_i64(&mut body, run.max_end);
-            put_values(&mut body, &run.values);
-            put_u32(&mut body, run.segments);
-        }
     }
     // Sketch section: the `sketched` flag, then each group's running
     // sketch in gid order — a presence byte (0 = poisoned) and, when
@@ -251,36 +226,6 @@ pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
             },
         });
     }
-    let mut zones = ZoneMap::new();
-    let n_gids = cur.u32()? as usize;
-    for _ in 0..n_gids {
-        let gid = cur.u32()?;
-        let min_start = cur.i64()?;
-        let max_end = cur.i64()?;
-        let values = cur.values()?;
-        let segments = cur.u64()?;
-        let n_runs = cur.u32()? as usize;
-        let mut runs = Vec::with_capacity(cur.bounded(n_runs, 29));
-        for _ in 0..n_runs {
-            runs.push(ZoneRun {
-                min_start: cur.i64()?,
-                min_end: cur.i64()?,
-                max_end: cur.i64()?,
-                values: cur.values()?,
-                segments: cur.u32()?,
-            });
-        }
-        zones.set_zone(
-            gid,
-            GidZone {
-                min_start,
-                max_end,
-                values,
-                segments,
-                runs,
-            },
-        );
-    }
     let sketched = cur.flag()?;
     let mut sketches = GroupSketches::default();
     let n_sketches = cur.u32()?;
@@ -325,7 +270,6 @@ pub fn parse(bytes: &[u8]) -> Option<Sidecar> {
         value_bounded,
         sketched,
         blocks,
-        zones,
         sketches,
         rollups,
     })
@@ -376,18 +320,6 @@ fn put_opt_interval(out: &mut Vec<u8>, v: &Option<ValueInterval>) {
             put_u64(out, i.lo.to_bits());
             put_u64(out, i.hi.to_bits());
         }
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, v: &ZoneValues) {
-    match v {
-        ZoneValues::Empty => out.push(0),
-        ZoneValues::Bounded(i) => {
-            out.push(1);
-            put_u64(out, i.lo.to_bits());
-            put_u64(out, i.hi.to_bits());
-        }
-        ZoneValues::Unbounded => out.push(2),
     }
 }
 
@@ -508,19 +440,6 @@ impl<'a> Cursor<'a> {
             _ => None,
         }
     }
-
-    fn values(&mut self) -> Option<ZoneValues> {
-        match self.u8()? {
-            0 => Some(ZoneValues::Empty),
-            1 => {
-                let lo = f64::from_bits(self.u64()?);
-                let hi = f64::from_bits(self.u64()?);
-                Some(ZoneValues::Bounded(ValueInterval { lo, hi }))
-            }
-            2 => Some(ZoneValues::Unbounded),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -534,21 +453,6 @@ mod tests {
     use std::sync::{Arc, OnceLock};
 
     fn sample() -> Sidecar {
-        let mut zones = ZoneMap::new();
-        for i in 0..100i64 {
-            zones.insert(
-                &SegmentRecord {
-                    gid: 1 + (i % 3) as u32,
-                    start_time: i * 1000,
-                    end_time: i * 1000 + 900,
-                    sampling_interval: 100,
-                    mid: 1,
-                    params: Bytes::new(),
-                    gaps: GapsMask::EMPTY,
-                },
-                (i % 7 != 0).then(|| ValueInterval::new(-1.0 - i as f64, i as f64)),
-            );
-        }
         let mut sketch_a = BlockSketch::new();
         let mut sketch_b = BlockSketch::new();
         for i in 0..40u32 {
@@ -593,7 +497,6 @@ mod tests {
                     values: None,
                 },
             ],
-            zones,
             // Sound groups around a poisoned one.
             sketches: GroupSketches(BTreeMap::from([
                 (1, Some(sketch_a)),

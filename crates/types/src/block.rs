@@ -2,11 +2,12 @@
 //! on-disk block so a scan can decide whether a block can possibly match a
 //! predicate *before* the block is fetched from disk and decoded.
 //!
-//! This is the block-granular analogue of the zone-map run statistics
-//! (Section 3.3's block statistics push-down): every statistic is an
-//! over-approximation — unions only ever widen — so a skipped block provably
-//! contains no matching segment, while a fetched block may still contain
-//! non-matching segments that the per-segment predicate filters out.
+//! These are the store's only pruning statistics (Section 3.3's push-down
+//! of a gid and a time interval, plus stored-value ranges): every statistic
+//! is an over-approximation — unions only ever widen — so a skipped block
+//! provably contains no matching segment, while a fetched block may still
+//! contain non-matching segments that the per-segment predicate filters
+//! out.
 
 use crate::datapoint::Timestamp;
 use crate::interval::ValueInterval;
@@ -28,12 +29,12 @@ pub enum BlockFormat {
 /// Per-block statistics over the segments stored in one log block.
 ///
 /// `offset` and `stored_bytes` locate the block inside the append-only log;
-/// the remaining fields summarize its payload. Together with the zone map,
-/// the rollup cells and the store's per-group running sketches, the
-/// summaries are what the persistent sidecar index (`segments.idx`)
-/// serializes, so a store can open without scanning or decoding the log
-/// itself. Sketches are kept per group, not per block: no query needs a
-/// finer grain, and a running per-group sketch does not grow with the log.
+/// the remaining fields summarize its payload. Together with the rollup
+/// cells and the store's per-group running sketches, the summaries are what
+/// the persistent sidecar index (`segments.idx`) serializes, so a store can
+/// open without scanning or decoding the log itself. Sketches are kept per
+/// group, not per block: no query needs a finer grain, and a running
+/// per-group sketch does not grow with the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     /// Byte offset of the block header in the log file.

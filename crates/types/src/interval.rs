@@ -1,11 +1,12 @@
-//! Closed value intervals, the bound type behind zone-map pruning.
+//! Closed value intervals, the bound type behind value pruning.
 //!
 //! A [`ValueInterval`] describes the range a set of stored values is known to
-//! lie in (per segment run in the zone map) or the range a query predicate
-//! accepts (after rewriting `Value` comparisons). Pruning is sound because
-//! intervals only ever *over*-approximate: a segment run whose interval does
-//! not intersect the predicate interval cannot contain a matching value, so
-//! it can be skipped before any model is decoded.
+//! lie in (per segment, and per block in the store's block statistics) or
+//! the range a query predicate accepts (after rewriting `Value`
+//! comparisons). Pruning is sound because intervals only ever
+//! *over*-approximate: a block or segment whose interval does not intersect
+//! the predicate interval cannot contain a matching value, so it can be
+//! skipped before any model is decoded.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `lo > hi` encodes the empty interval; [`ValueInterval::ALL`] is the full
 /// line. Operations treat `NaN` endpoints as "unknown" by widening to
-/// [`ValueInterval::ALL`], so zone statistics fail open, never closed.
+/// [`ValueInterval::ALL`], so value statistics fail open, never closed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ValueInterval {
     /// Inclusive lower endpoint.
@@ -70,8 +71,8 @@ impl ValueInterval {
         other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
     }
 
-    /// The smallest interval containing both (zone statistics widen on every
-    /// insert).
+    /// The smallest interval containing both (block statistics widen on
+    /// every insert).
     pub fn union(&self, other: &ValueInterval) -> ValueInterval {
         if self.is_empty() {
             return *other;

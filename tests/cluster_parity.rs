@@ -1,7 +1,7 @@
-//! Integration: the cluster runtime must agree with the embedded engine on
-//! every query class, at any worker count — the distributed execution of
-//! Algorithms 5 and 6 (scatter partials, merge at the master) is an
-//! implementation detail, never a semantic one.
+//! Integration: the cluster runtime must agree with the embedded engine, bit
+//! for bit, on every query class, at any worker count — the distributed
+//! execution of Algorithms 5 and 6 (scatter partials, merge at the master)
+//! is an implementation detail, never a semantic one.
 
 use std::sync::Arc;
 
@@ -61,8 +61,9 @@ fn cluster_agrees_with_embedded_engine() {
             for (a, b) in got.rows.iter().zip(&expected.rows) {
                 for (x, y) in a.iter().zip(b) {
                     match (x.as_f64(), y.as_f64()) {
-                        (Some(x), Some(y)) => assert!(
-                            (x - y).abs() <= 1e-6 * y.abs().max(1.0),
+                        (Some(x), Some(y)) => assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
                             "{q} ({n_workers} workers): {x} vs {y}"
                         ),
                         _ => assert_eq!(x, y, "{q} ({n_workers} workers)"),
@@ -261,8 +262,9 @@ fn points_streamed_one_per_call_store_the_same_rows_everywhere() {
                 b[0]
             );
             let (x, y) = (a[2].as_f64().unwrap(), b[2].as_f64().unwrap());
-            assert!(
-                (x - y).abs() <= 1e-6 * y.abs().max(1.0),
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
                 "SUM_S of tid {:?} ({n_workers} workers): {x} vs {y}",
                 b[0]
             );

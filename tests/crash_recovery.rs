@@ -4,9 +4,9 @@
 //! is in (fresh, deleted, stale from an earlier flush, or replaced by
 //! garbage), reopening the store must recover **exactly** the segments of
 //! the surviving valid blocks — never an error, never a partial block, never
-//! a resurrected one — rebuild the same zone map those segments imply, and
-//! leave behind a fresh sidecar describing the recovered state. When the
-//! store maintains sketches, recovery must also regenerate them: a sidecar
+//! a resurrected one — and leave behind a fresh sidecar describing the
+//! recovered state, with the block value ranges those segments imply. When
+//! the store maintains sketches, recovery must also regenerate them: a sidecar
 //! that predates the sketch section (or whose sketch bytes are damaged) is
 //! rejected in favour of a streaming rescan that rebuilds the sketches from
 //! the surviving blocks.
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use modelardb::{
     checksum_v2, scan_to_vec, BlockFormat, BlockSketch, DiskStore, DiskStoreOptions, GapsMask, Gid,
     RollupAcc, RollupCells, RollupDelta, RollupFeed, SegmentPredicate, SegmentRecord, SegmentStore,
-    SketchFeedFn, Tid, TimeLevel, Timestamp, ValueBoundsFn, ValueInterval, ZoneMap,
+    SketchFeedFn, Tid, TimeLevel, Timestamp, ValueBoundsFn, ValueInterval,
 };
 
 /// Size of a block header in `segments.log`: six u32 fields (magic,
@@ -47,7 +47,7 @@ fn seg(i: usize) -> SegmentRecord {
 }
 
 /// A value-bounds provider with deliberate holes (gid 3 is unknown), so the
-/// rebuilt zone map exercises Bounded *and* Unbounded statistics.
+/// rebuilt block statistics exercise known *and* unknown value ranges.
 fn bounds() -> ValueBoundsFn {
     Arc::new(|s: &SegmentRecord| {
         (s.gid != 3).then(|| ValueInterval::new(s.start_time as f64, s.end_time as f64))
@@ -192,14 +192,27 @@ proptest! {
             );
         }
 
-        // The zone map equals the one those segments imply.
-        let mut expected_zones = ZoneMap::new();
+        // The sidecar describing a non-empty recovered log records, per
+        // surviving block, the union of its segments' value ranges (unknown
+        // when one of them is). An empty log may keep an unusable sidecar.
         let value_bounds = with_bounds.then(bounds);
-        for s in &expected {
-            let range = value_bounds.as_ref().and_then(|f| f(s));
-            expected_zones.insert(s, range);
+        let expected_values: Vec<Option<ValueInterval>> = block_segments[..surviving]
+            .iter()
+            .map(|block| {
+                block.iter().try_fold(ValueInterval::EMPTY, |acc, s| {
+                    Some(acc.union(&value_bounds.as_ref()?(s)?))
+                })
+            })
+            .collect();
+        let sidecar_values = || -> Vec<Option<ValueInterval>> {
+            std::fs::read(&sidecar_path)
+                .ok()
+                .and_then(|bytes| mdb_storage::sidecar::parse(&bytes))
+                .map_or_else(Vec::new, |sc| sc.blocks.iter().map(|b| b.values).collect())
+        };
+        if surviving > 0 {
+            prop_assert_eq!(sidecar_values(), expected_values.clone());
         }
-        prop_assert_eq!(store.zones(), Some(&expected_zones));
 
         // The log was truncated to the last valid block and the sidecar was
         // rebuilt to describe exactly the recovered state: a second reopen
@@ -212,7 +225,9 @@ proptest! {
         }
         let store = DiskStore::open_with(dir, options(with_bounds, with_feed)).unwrap();
         prop_assert_eq!(&scan_to_vec(&store, &SegmentPredicate::all()).unwrap(), &expected);
-        prop_assert_eq!(store.zones(), Some(&expected_zones));
+        if surviving > 0 {
+            prop_assert_eq!(sidecar_values(), expected_values);
+        }
         if with_feed {
             // The rebuilt sidecar persisted the sketches; the adopted copy
             // answers identically to the rescan that produced it.

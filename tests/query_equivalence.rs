@@ -25,7 +25,7 @@ fn database() -> ModelarDb {
 }
 
 /// Two engines over byte-identical segments: the plain sequential scan
-/// (pruning off, one worker) and the pruned-parallel path (zone-map pruning
+/// (pruning off, one worker) and the pruned-parallel path (block pruning
 /// on, four scan workers). The ingest pattern mixes per-series gaps,
 /// whole-group gap ticks, and a decorrelation phase noisy enough to force
 /// dynamic split and join episodes (asserted below).

@@ -1,8 +1,8 @@
 //! Restart equivalence: `ModelarDb::reopen` over a flushed disk directory
 //! must be indistinguishable from the engine that wrote it — identical
-//! segment sequence, identical zone map, and bit-identical SQL results —
-//! whether the reopen goes through the sidecar index or (sidecar deleted)
-//! through the streaming log rebuild.
+//! segment sequence, block statistics that still prune, and bit-identical
+//! SQL results — whether the reopen goes through the sidecar index or
+//! (sidecar deleted) through the streaming log rebuild.
 
 use std::sync::Arc;
 
@@ -24,6 +24,13 @@ const QUERIES: [&str; 6] = [
     "SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment GROUP BY Tid ORDER BY Tid",
     "SELECT Tid, TS, Value FROM DataPoint WHERE TS >= 30000 AND TS <= 42000",
 ];
+
+/// Reads no block of the fixture: the time clause skips the blocks holding
+/// the decorrelation episode, whose Gorilla segments have no value range,
+/// and every later block stores values near 5 only, so its value range
+/// excludes the value clause.
+const MISSES_EVERY_BLOCK: &str =
+    "SELECT COUNT_S(*) FROM Segment WHERE TS >= 60000 AND Value >= 1000";
 
 /// A scoped case directory, removed on drop — on failure too, so a broken
 /// run never poisons the next (see `mdb_testutil::TempDir`).
@@ -80,11 +87,19 @@ fn assert_equivalent(before: &ModelarDb, after: &ModelarDb, label: &str) {
         after.segments().unwrap(),
         "{label}: segment sequence"
     );
-    assert_eq!(
-        before.zones().unwrap(),
-        after.zones().unwrap(),
-        "{label}: zone map"
-    );
+    for db in [before, after] {
+        let fetched = || {
+            let stats = db.cache_stats();
+            stats.hits + stats.misses
+        };
+        let start = fetched();
+        db.sql(MISSES_EVERY_BLOCK).unwrap();
+        assert_eq!(
+            fetched(),
+            start,
+            "{label}: a value-pruned query read a block"
+        );
+    }
     for q in QUERIES {
         let a = before.sql(q).unwrap();
         let b = after.sql(q).unwrap();
