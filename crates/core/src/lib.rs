@@ -64,9 +64,8 @@ pub use mdb_query::{
 pub use mdb_server::{Client, Server, ServerOptions, SharedDatastore};
 pub use mdb_storage::{
     checksum_v2, scan_to_vec, CacheStats, Catalog, Digest, DigestBuf, DigestStats, DiskStore,
-    DiskStoreOptions, RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn,
-    SegmentDigester, SegmentPredicate, SegmentStore, SketchFeed, SketchFeedFn, ValueBounds,
-    ValueBoundsFn,
+    DiskStoreOptions, RollupAcc, RollupCells, RollupDelta, RollupFeed, SegmentDigester,
+    SegmentPredicate, SegmentStore,
 };
 pub use mdb_types::{
     BatchView, BlockFormat, BlockMeta, BlockSketch, DataPoint, DimensionSchema, Dimensions,

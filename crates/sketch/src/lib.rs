@@ -4,8 +4,8 @@
 //! Three sketches answer the query classes block statistics cannot —
 //! quantiles, distinct counts, and heavy hitters — from statistics alone, so
 //! a sketch query never fetches a segment body. A store keeps one running
-//! sketch per group: each written block's sketches merge into it, and the
-//! sidecar persists it.
+//! sketch per group: every inserted segment's points go straight into it,
+//! and the sidecar persists it.
 //!
 //! * [`QuantileSketch`] — a DDSketch-style fixed-γ logarithmic histogram
 //!   (the non-collapsing core of UDDSketch) with relative value error

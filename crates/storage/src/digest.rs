@@ -1,22 +1,23 @@
 //! Insert-time maintenance of everything a store derives from a finalized
 //! segment: its stored-value range (for the block summary), its rollup
-//! deltas (continuous aggregates) and its share of the open block's
-//! per-group sketch, which the block's cut merges into the store's running
-//! per-group sketches ([`GroupSketches`]).
+//! deltas (continuous aggregates) and its data points in its group's running
+//! sketch ([`GroupSketches`]).
 //!
 //! Inserts, the handoff import and the recovery rescan go through one
 //! function (`Absorber::absorb`), so statistics persisted at write time and
 //! statistics rebuilt from the log cannot diverge. The store knows nothing
-//! about models: the providers it is configured with decode segments for
-//! it. A provider is a plain closure ([`ValueBoundsFn`], [`SketchFeedFn`],
-//! [`RollupFeedFn`](crate::RollupFeedFn)), and the ones `mdb_query` builds
-//! also carry a [`SegmentDigester`] that derives all three statistics in
-//! **one pass over one reconstruction** of the segment, into buffers the
-//! store owns and reuses. The closures remain the definition of each
-//! statistic — the fused pass must equal them bit for bit — and the only
-//! path for hand-written providers.
+//! about models: it runs one [`SegmentDigester`] — in every deployment the
+//! one `mdb_query` builds over the catalog and the model registry — which
+//! derives every configured statistic in **one pass over one
+//! reconstruction** of the segment, into buffers the store owns and reuses.
+//! The store decides which statistics are kept; the digester alone decides
+//! what each one is.
+//!
+//! A segment's sketch updates go straight into its group's running sketch,
+//! whether the segment sits in the write buffer or in a written block: sketch
+//! merges are bit-identical under any partition of the updates (see the
+//! `mdb_sketch` crate docs), so no per-block sketch set is needed.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -25,12 +26,13 @@ use mdb_types::{BlockSketch, Gid, SegmentRecord, TimeLevel, Timestamp, Value, Va
 use crate::rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed};
 
 /// Derives every statistic a store keeps per segment in one pass (see the
-/// module docs). Implemented by `mdb_query` over the catalog and the model
-/// registry.
+/// module docs) — the store's only statistics interface. Implemented by
+/// `mdb_query` over the catalog and the model registry.
 pub trait SegmentDigester: Send + Sync {
     /// Digests `segment`: its stored-value range when `range` is set, its
-    /// rollup deltas at `levels` (left in `buf.deltas`, in the rollup
-    /// feed's order), and its data points into `sketch` when one is given.
+    /// rollup deltas at `levels` (left in `buf.deltas`, in the order the
+    /// query engine's bucketed scan visits them), and its data points into
+    /// `sketch` when one is given.
     /// The segment is reconstructed at most once, into `buf.grid`.
     fn digest(
         &self,
@@ -43,7 +45,7 @@ pub trait SegmentDigester: Send + Sync {
 }
 
 /// What one [`SegmentDigester::digest`] call produced. Each statistic fails
-/// open on its own, exactly as its closure would.
+/// open on its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Digest {
     /// The stored-value range; `None` when not asked for or unknown.
@@ -76,75 +78,29 @@ pub struct DigestBuf {
     pub accs: Vec<RollupAcc>,
 }
 
-/// A statistic provider as a store is configured with it: the closure that
-/// defines the statistic and, for providers built by `mdb_query`, the fused
-/// digester computing the same thing. A bare closure converts with `into()`.
-/// All fused providers given to one store must be built over the same
-/// catalog and registry (the store runs one of their digesters for all).
-pub struct Feed<F: ?Sized> {
-    /// The per-segment closure — used when `fused` is `None`, and the
-    /// reference `fused` is tested against.
-    pub feed: Arc<F>,
-    /// The one-pass digester, if the provider has one.
-    pub fused: Option<Arc<dyn SegmentDigester>>,
-}
-
-impl<F: ?Sized> Clone for Feed<F> {
-    fn clone(&self) -> Self {
-        Self {
-            feed: Arc::clone(&self.feed),
-            fused: self.fused.clone(),
-        }
-    }
-}
-
-impl<F: ?Sized> From<Arc<F>> for Feed<F> {
-    fn from(feed: Arc<F>) -> Self {
-        Self { feed, fused: None }
-    }
-}
-
-/// Computes the stored-value range of a segment on the write path, or `None`
-/// when it cannot be known cheaply (its block's value range then becomes
-/// unknown, and value predicates never prune that block).
-pub type ValueBoundsFn = Arc<dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync>;
-
-/// Feeds one segment — its member time series ids and every reconstructed
-/// data-point value — into its group's sketch on the write path (typically
-/// `mdb_query::sketch_feed` closed over the catalog and model registry).
-/// Returns `false` when the segment cannot be decoded; its group's sketch
-/// then fails open to `None`, like every other statistic.
-pub type SketchFeedFn = Arc<dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync>;
-
-/// The stored-value range provider of a store (see [`ValueBoundsFn`]).
-pub type ValueBounds = Feed<dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync>;
-
-/// The sketch provider of a store (see [`SketchFeedFn`]).
-pub type SketchFeed = Feed<dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync>;
-
 /// Counters of the insert-time pass, next to [`CacheStats`](crate::CacheStats)
 /// on the read side. Plain counts, no timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DigestStats {
     /// Segments absorbed (inserts, imports and recovery rescans).
     pub digests: u64,
-    /// Model reconstructions by the fused pass — at most one per digest.
-    /// Closures reconstruct out of the store's sight and are not counted.
+    /// Model reconstructions the digester reported — at most one per
+    /// digest.
     pub reconstructions: u64,
-    /// Data points the fused pass fed to quantile sketches.
+    /// Data points the digester fed to quantile sketches.
     pub points_sketched: u64,
 }
 
-/// Per-group sketches: those of the open block (segments not yet in a
-/// written block), or the store's running sketches over every written
-/// block. A group a segment of which could not be sketched maps to `None`:
-/// its sketches fail open — and so does every query whose scope contains
-/// it — while the other groups keep answering.
+/// The store's running per-group sketches over every segment it holds, in
+/// written blocks and in the write buffer alike. A group a segment of which
+/// could not be sketched maps to `None`: its sketch fails open — and so does
+/// every query whose scope contains it — while the other groups keep
+/// answering.
 ///
 /// Sketch merges are bit-identical under any partition of the updates (see
-/// the `mdb_sketch` crate docs), so merging each written block into one
-/// running sketch per group answers exactly what merging every block's
-/// sketches at query time would.
+/// the `mdb_sketch` crate docs), so feeding every segment into one running
+/// sketch per group answers exactly what merging per-block sketches at query
+/// time would.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupSketches(pub(crate) BTreeMap<Gid, Option<BlockSketch>>);
 
@@ -152,23 +108,6 @@ impl GroupSketches {
     /// Every group's sketch in gid order; `None` marks a poisoned group.
     pub fn iter(&self) -> impl Iterator<Item = (Gid, Option<&BlockSketch>)> + '_ {
         self.0.iter().map(|(gid, sketch)| (*gid, sketch.as_ref()))
-    }
-
-    /// Merges an ended block's sketches into these running ones, leaving
-    /// `block` empty for the next block. A group poisoned on either side
-    /// stays poisoned.
-    pub(crate) fn merge_block(&mut self, block: &mut GroupSketches) {
-        for (gid, sketch) in std::mem::take(&mut block.0) {
-            match self.0.entry(gid) {
-                Entry::Vacant(vacant) => {
-                    vacant.insert(sketch);
-                }
-                Entry::Occupied(mut running) => match (running.get_mut(), sketch) {
-                    (Some(running), Some(sketch)) => running.merge(&sketch),
-                    (running, _) => *running = None,
-                },
-            }
-        }
     }
 
     /// Merges the sketches of the groups `in_scope` accepts into `merged`;
@@ -190,48 +129,51 @@ impl GroupSketches {
     }
 }
 
-/// A store's configured providers plus the buffers and counters of the pass
-/// that runs them (see the module docs).
+/// A store's one digester, the statistics it is configured to keep, and the
+/// buffers and counters of the pass that runs it (see the module docs).
 pub(crate) struct Absorber {
-    value_bounds: Option<ValueBounds>,
-    sketch_feed: Option<SketchFeed>,
-    rollup_feed: Option<RollupFeed>,
-    /// The digester run for every provider that has one.
     digester: Option<Arc<dyn SegmentDigester>>,
+    /// Whether stored-value ranges are kept.
+    bounds_values: bool,
+    /// Whether per-group sketches are kept.
+    sketches: bool,
+    /// The maintained rollup levels, when rollup cells are kept.
+    rollup_levels: Option<Vec<TimeLevel>>,
     buf: DigestBuf,
     stats: DigestStats,
 }
 
 impl Absorber {
+    /// Keeps each statistic a provider is given for and runs one of the
+    /// providers' digesters for all of them. All providers given to one
+    /// store must be built over the same catalog and registry.
     pub(crate) fn new(
-        value_bounds: Option<ValueBounds>,
-        sketch_feed: Option<SketchFeed>,
+        value_bounds: Option<Arc<dyn SegmentDigester>>,
+        sketch_feed: Option<Arc<dyn SegmentDigester>>,
         rollup_feed: Option<RollupFeed>,
     ) -> Self {
-        let digester = None
-            .or(sketch_feed.as_ref().and_then(|f| f.fused.clone()))
-            .or(rollup_feed.as_ref().and_then(|f| f.fused.clone()))
-            .or(value_bounds.as_ref().and_then(|f| f.fused.clone()));
         Self {
-            value_bounds,
-            sketch_feed,
-            rollup_feed,
-            digester,
+            bounds_values: value_bounds.is_some(),
+            sketches: sketch_feed.is_some(),
+            rollup_levels: rollup_feed.as_ref().map(|feed| feed.levels.clone()),
+            digester: sketch_feed
+                .or(rollup_feed.map(|feed| feed.digester))
+                .or(value_bounds),
             buf: DigestBuf::default(),
             stats: DigestStats::default(),
         }
     }
 
     pub(crate) fn bounds_values(&self) -> bool {
-        self.value_bounds.is_some()
+        self.bounds_values
     }
 
     pub(crate) fn sketches(&self) -> bool {
-        self.sketch_feed.is_some()
+        self.sketches
     }
 
-    pub(crate) fn rollup_feed(&self) -> Option<&RollupFeed> {
-        self.rollup_feed.as_ref()
+    pub(crate) fn rollup_levels(&self) -> Option<&[TimeLevel]> {
+        self.rollup_levels.as_deref()
     }
 
     pub(crate) fn stats(&self) -> DigestStats {
@@ -239,76 +181,143 @@ impl Absorber {
     }
 
     /// Derives and records every configured statistic of one finalized
-    /// segment — its rollup cells and its share of the `open` block's
-    /// sketches — and returns its stored-value range for the block summary.
+    /// segment — its rollup cells and its points in its group's running
+    /// sketch — and returns its stored-value range for the block summary.
     /// Statistics that already failed open (poisoned `rollups`, the
-    /// segment's poisoned group in `open`) are not computed.
+    /// segment's poisoned group in `sketches`) are not computed.
     pub(crate) fn absorb(
         &mut self,
         segment: &SegmentRecord,
         rollups: Option<&mut RollupCells>,
-        open: &mut GroupSketches,
+        sketches: &mut GroupSketches,
     ) -> Option<ValueInterval> {
         self.stats.digests += 1;
-        let bounds = self.value_bounds.as_ref();
-        let mut sketch = self.sketch_feed.as_ref().and_then(|_| {
-            open.0
-                .entry(segment.gid)
-                .or_insert_with(|| Some(BlockSketch::new()))
-                .as_mut()
-        });
-        let sketch_feed = self.sketch_feed.as_ref().filter(|_| sketch.is_some());
-        let rollup = self
-            .rollup_feed
-            .as_ref()
-            .zip(rollups.filter(|cells| cells.is_sound()));
-
-        let fused_range = bounds.is_some_and(|f| f.fused.is_some());
-        let fused_sketch = sketch_feed.is_some_and(|f| f.fused.is_some());
-        let fused_levels = match &rollup {
-            Some((feed, _)) if feed.fused.is_some() => feed.levels.as_slice(),
+        let digester = self.digester.as_ref()?;
+        let sketch = if self.sketches {
+            let entry = sketches.0.entry(segment.gid);
+            entry.or_insert_with(|| Some(BlockSketch::new())).as_mut()
+        } else {
+            None
+        };
+        let sketching = sketch.is_some();
+        let rollups = rollups.filter(|cells| cells.is_sound());
+        let levels = match (&rollups, &self.rollup_levels) {
+            (Some(_), Some(levels)) => levels.as_slice(),
             _ => &[],
         };
-        let digest = match &self.digester {
-            Some(digester) if fused_range || fused_sketch || !fused_levels.is_empty() => {
-                let digest = digester.digest(
-                    segment,
-                    fused_range,
-                    fused_levels,
-                    sketch.as_deref_mut().filter(|_| fused_sketch),
-                    &mut self.buf,
-                );
-                self.stats.reconstructions += u64::from(digest.reconstructed);
-                self.stats.points_sketched += digest.points_sketched;
-                digest
-            }
-            _ => Digest::default(),
+        let digest = if self.bounds_values || sketching || !levels.is_empty() {
+            let digest =
+                digester.digest(segment, self.bounds_values, levels, sketch, &mut self.buf);
+            self.stats.reconstructions += u64::from(digest.reconstructed);
+            self.stats.points_sketched += digest.points_sketched;
+            digest
+        } else {
+            Digest::default()
         };
-
-        let range = match bounds {
-            Some(_) if fused_range => digest.range,
-            Some(bounds) => (bounds.feed)(segment),
-            None => None,
-        };
-        if let (Some(feed), Some(sketch)) = (sketch_feed, sketch) {
-            let fed = if fused_sketch {
-                digest.sketched
-            } else {
-                (feed.feed)(segment, sketch)
-            };
-            if !fed {
-                open.0.insert(segment.gid, None);
-            }
+        if sketching && !digest.sketched {
+            sketches.0.insert(segment.gid, None);
         }
-        if let Some((feed, cells)) = rollup {
-            if feed.fused.is_none() {
-                cells.feed_segment(&feed.feed, segment);
-            } else if digest.rolled_up {
+        if let Some(cells) = rollups {
+            if digest.rolled_up {
                 cells.apply(segment.gid, &self.buf.deltas);
             } else {
                 cells.poison();
             }
         }
-        range
+        digest.range
+    }
+}
+
+/// A digester over hand-written closures, for tests that need statistics
+/// without models.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::DiskStoreOptions;
+
+    type RangeFn = dyn Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync;
+    type SketchFn = dyn Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync;
+    type RollupFn = dyn Fn(&SegmentRecord) -> Option<Vec<RollupDelta>> + Send + Sync;
+
+    /// One closure per statistic; a statistic without one is not kept by
+    /// the store [`TestDigester::options`] configures.
+    #[derive(Default)]
+    pub(crate) struct TestDigester {
+        range: Option<Arc<RangeFn>>,
+        sketch: Option<Arc<SketchFn>>,
+        rollup: Option<(Vec<TimeLevel>, Arc<RollupFn>)>,
+    }
+
+    impl TestDigester {
+        /// The stored-value range of a segment, `None` when unknown.
+        pub(crate) fn range(
+            mut self,
+            f: impl Fn(&SegmentRecord) -> Option<ValueInterval> + Send + Sync + 'static,
+        ) -> Self {
+            self.range = Some(Arc::new(f));
+            self
+        }
+
+        /// Feeds a segment into its group's sketch; `false` poisons it.
+        pub(crate) fn sketch(
+            mut self,
+            f: impl Fn(&SegmentRecord, &mut BlockSketch) -> bool + Send + Sync + 'static,
+        ) -> Self {
+            self.sketch = Some(Arc::new(f));
+            self
+        }
+
+        /// A segment's rollup deltas at `levels`; `None` poisons the cells.
+        pub(crate) fn rollup(
+            mut self,
+            levels: Vec<TimeLevel>,
+            f: impl Fn(&SegmentRecord) -> Option<Vec<RollupDelta>> + Send + Sync + 'static,
+        ) -> Self {
+            self.rollup = Some((levels, Arc::new(f)));
+            self
+        }
+
+        /// Default store options keeping exactly the statistics defined.
+        pub(crate) fn options(self) -> DiskStoreOptions {
+            let levels = self.rollup.as_ref().map(|(levels, _)| levels.clone());
+            let (range, sketch) = (self.range.is_some(), self.sketch.is_some());
+            let digester: Arc<dyn SegmentDigester> = Arc::new(self);
+            DiskStoreOptions {
+                value_bounds: range.then(|| Arc::clone(&digester)),
+                sketch_feed: sketch.then(|| Arc::clone(&digester)),
+                rollup_feed: levels.map(|levels| RollupFeed { levels, digester }),
+                ..DiskStoreOptions::default()
+            }
+        }
+    }
+
+    impl SegmentDigester for TestDigester {
+        fn digest(
+            &self,
+            segment: &SegmentRecord,
+            range: bool,
+            levels: &[TimeLevel],
+            sketch: Option<&mut BlockSketch>,
+            buf: &mut DigestBuf,
+        ) -> Digest {
+            let mut digest = Digest {
+                rolled_up: true,
+                ..Digest::default()
+            };
+            if range {
+                digest.range = self.range.as_ref().and_then(|f| f(segment));
+            }
+            if let Some(sketch) = sketch {
+                digest.sketched = self.sketch.as_ref().is_some_and(|f| f(segment, sketch));
+            }
+            buf.deltas.clear();
+            if !levels.is_empty() {
+                match self.rollup.as_ref().and_then(|(_, f)| f(segment)) {
+                    Some(deltas) => buf.deltas = deltas,
+                    None => digest.rolled_up = false,
+                }
+            }
+            digest
+        }
     }
 }

@@ -70,7 +70,7 @@ use mdb_types::{
 use crate::backend::{Backend, FileBackend, MemoryBackend};
 use crate::cache::{BlockCache, CacheStats, CachedBlock};
 use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
-use crate::digest::{Absorber, DigestStats, GroupSketches, SketchFeed, ValueBounds};
+use crate::digest::{Absorber, DigestStats, GroupSketches, SegmentDigester};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
 use crate::sidecar::{self, Sidecar, SidecarRef};
 use crate::{SegmentPredicate, SegmentRun, SegmentStore};
@@ -78,6 +78,32 @@ use crate::{SegmentPredicate, SegmentRun, SegmentStore};
 const BLOCK_MAGIC: u32 = 0x4D44_4253; // "MDBS" — v1 varint payload
 const BLOCK_MAGIC_V2: u32 = 0x4D44_4232; // "MDB2" — v2 columnar payload
 const HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8;
+
+/// Encodes the header of the block `meta` describes (see the module docs).
+fn encode_header(meta: &BlockMeta) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    let words = [
+        magic_of(meta.format),
+        meta.payload_len,
+        meta.checksum,
+        meta.count,
+        meta.min_gid,
+        meta.max_gid,
+    ];
+    for (field, word) in header.chunks_exact_mut(4).zip(words) {
+        field.copy_from_slice(&word.to_le_bytes());
+    }
+    header[24..32].copy_from_slice(&meta.min_end.to_le_bytes());
+    header[32..].copy_from_slice(&meta.max_end.to_le_bytes());
+    header
+}
+
+/// Decodes a header's framing — `[magic, payload_len, checksum, count]` —
+/// which is all recovery reads back: the gid and end-time bounds after it
+/// are recomputed from the segments.
+fn decode_header(header: &[u8; HEADER_BYTES]) -> [u32; 4] {
+    std::array::from_fn(|i| u32::from_le_bytes(header[4 * i..4 * i + 4].try_into().unwrap()))
+}
 
 fn magic_of(format: BlockFormat) -> u32 {
     match format {
@@ -104,19 +130,21 @@ pub struct DiskStoreOptions {
     /// Byte budget for the block cache: `None` keeps every fetched block
     /// resident (the pre-out-of-core behaviour), `Some(0)` caches nothing.
     pub memory_budget_bytes: Option<u64>,
-    /// Stored-value range provider for the block statistics (typically
-    /// `mdb_query::value_bounds_fn`); without it only gid and time
-    /// statistics prune. The three providers are run together, once per
-    /// inserted segment (see [`crate::digest`]).
-    pub value_bounds: Option<ValueBounds>,
-    /// Sketch provider for the per-group running sketches (typically
-    /// `mdb_query::sketch_feed`); without it sketch queries are
+    /// Keeps stored-value ranges for the block statistics, derived by this
+    /// digester (typically `mdb_query::value_bounds_fn`); without it only
+    /// gid and time statistics prune. The store runs one digester for
+    /// every statistic it keeps, once per inserted segment (see
+    /// [`crate::digest`]), so all three providers must be built over the
+    /// same catalog and registry.
+    pub value_bounds: Option<Arc<dyn SegmentDigester>>,
+    /// Keeps the per-group running sketches, derived by this digester
+    /// (typically `mdb_query::sketch_feed`); without it sketch queries are
     /// unanswerable from this store.
-    pub sketch_feed: Option<SketchFeed>,
-    /// Continuous-aggregate feed (typically `mdb_query::rollup_feed`):
-    /// materialized rollup cells are maintained on insert, persisted in the
-    /// sidecar, and rebuilt by the streaming rescan. Without it rollup
-    /// queries fall back to the scan path.
+    pub sketch_feed: Option<Arc<dyn SegmentDigester>>,
+    /// Keeps continuous aggregates at the feed's levels (typically
+    /// `mdb_query::rollup_feed`): materialized rollup cells are maintained
+    /// on insert, persisted in the sidecar, and rebuilt by the streaming
+    /// rescan. Without it rollup queries fall back to the scan path.
     pub rollup_feed: Option<RollupFeed>,
     /// How many blocks that survive block pruning the background
     /// prefetcher reads ahead of the scan (0 disables prefetching and
@@ -300,14 +328,12 @@ pub struct DiskStore {
     /// block — sustained ingestion stays O(blocks), and a crash between a
     /// block append and the next flush is covered by the suffix scan.
     sidecar_dirty: bool,
-    /// The configured statistic providers and the one pass that runs them
-    /// on every inserted segment.
+    /// The configured statistics and the one digester pass that derives
+    /// them from every inserted segment.
     absorber: Absorber,
-    /// Per-gid sketches of the write buffer's segments, accumulated at
-    /// insert and merged into `sketches` when their block is written.
-    open_sketches: GroupSketches,
-    /// Per-gid running sketches over every written block — exactly the log
-    /// prefix the sidecar describes, which persists them.
+    /// Per-gid running sketches over every segment, fed at insert. The
+    /// sidecar persists them and is only written with an empty write
+    /// buffer, when they cover exactly the log it describes.
     sketches: GroupSketches,
     /// The materialized cell map, present exactly when a rollup feed is
     /// configured. Fed on every insert, so cells always cover the write
@@ -372,7 +398,6 @@ impl DiskStore {
             sidecar_dirty: false,
             bulk_write_size: options.bulk_write_size.max(1),
             absorber,
-            open_sketches: GroupSketches::default(),
             sketches: recovered.sketches,
             rollups: recovered.rollups,
             pruning: true,
@@ -453,7 +478,7 @@ impl DiskStore {
 
     /// Appends the write buffer as one block. The block is written in one
     /// positional write at the end of the valid log, and the store's state
-    /// (buffer, open sketches, log length) only advances once it succeeds:
+    /// (buffer, log length) only advances once it succeeds:
     /// after a failure the buffer is retried at the same offset, overwriting
     /// whatever part of the failed attempt reached the log.
     fn write_block(&mut self) -> Result<()> {
@@ -478,18 +503,8 @@ impl DiskStore {
             &self.write_buffer,
             &self.buffer_ranges,
         );
-        let mut header = Vec::with_capacity(HEADER_BYTES);
-        header.extend_from_slice(&magic_of(self.write_format).to_le_bytes());
-        header.extend_from_slice(&meta.payload_len.to_le_bytes());
-        header.extend_from_slice(&meta.checksum.to_le_bytes());
-        header.extend_from_slice(&meta.count.to_le_bytes());
-        header.extend_from_slice(&meta.min_gid.to_le_bytes());
-        header.extend_from_slice(&meta.max_gid.to_le_bytes());
-        header.extend_from_slice(&meta.min_end.to_le_bytes());
-        header.extend_from_slice(&meta.max_end.to_le_bytes());
-        bytes[..HEADER_BYTES].copy_from_slice(&header);
+        bytes[..HEADER_BYTES].copy_from_slice(&encode_header(&meta));
         self.backend.write_at(meta.offset, &bytes)?;
-        self.sketches.merge_block(&mut self.open_sketches);
         self.persistent_bytes += meta.stored_bytes;
         self.blocks.push(meta);
         self.write_buffer.clear();
@@ -498,7 +513,11 @@ impl DiskStore {
         Ok(())
     }
 
+    /// Rewrites the sidecar. Only called with an empty write buffer: the
+    /// running sketches and rollup cells then cover exactly the written
+    /// blocks.
     fn write_sidecar(&self) -> Result<()> {
+        debug_assert!(self.write_buffer.is_empty());
         let bytes = sidecar::encode(SidecarRef {
             log_len: self.persistent_bytes,
             value_bounded: self.absorber.bounds_values(),
@@ -675,7 +694,7 @@ struct Recovered {
 /// prefix of the log (then only the suffix is scanned), from a full
 /// streaming scan otherwise.
 fn recover(backend: &dyn Backend, absorber: &mut Absorber) -> Result<Recovered> {
-    let rollup_levels = absorber.rollup_feed().map(|feed| feed.levels.clone());
+    let rollup_levels = absorber.rollup_levels().map(<[TimeLevel]>::to_vec);
     let actual_len = backend.len()?;
     let mut recovered = Recovered {
         blocks: Vec::new(),
@@ -751,18 +770,10 @@ fn last_block_intact(backend: &dyn Backend, sc: &Sidecar) -> bool {
     let check = || -> std::io::Result<bool> {
         let mut header = [0u8; HEADER_BYTES];
         backend.read_at(meta.offset, &mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let expected = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let count = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        if magic != magic_of(meta.format)
-            || payload_len != meta.payload_len
-            || expected != meta.checksum
-            || count != meta.count
-        {
+        if decode_header(&header) != decode_header(&encode_header(meta)) {
             return Ok(false);
         }
-        let mut payload = vec![0u8; payload_len as usize];
+        let mut payload = vec![0u8; meta.payload_len as usize];
         backend.read_at(meta.offset + HEADER_BYTES as u64, &mut payload)?;
         Ok(payload_checksum(meta.format, &payload) == meta.checksum)
     };
@@ -786,13 +797,10 @@ fn scan_blocks_from(
     let mut payload = Vec::new();
     while offset + (HEADER_BYTES as u64) <= actual_len {
         backend.read_at(offset, &mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let [magic, payload_len, expected, count] = decode_header(&header);
         let Some(format) = format_of(magic) else {
             break;
         };
-        let payload_len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let expected = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let count = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
         let body_start = offset + HEADER_BYTES as u64;
         if body_start + u64::from(payload_len) > actual_len {
             break; // torn tail block
@@ -805,8 +813,8 @@ fn scan_blocks_from(
         // The one-time rescan materializes records whatever the format —
         // every statistic needs every segment once.
         let segments = match format {
-            BlockFormat::V1 => decode_block(&payload, count, offset)?,
-            BlockFormat::V2 => BlockView::parse(payload.clone(), count as u32)
+            BlockFormat::V1 => decode_block(&payload, count as usize, offset)?,
+            BlockFormat::V2 => BlockView::parse(payload.clone(), count)
                 .ok_or_else(|| {
                     MdbError::Corrupt(format!(
                         "v2 block at offset {offset} passed its checksum but failed layout validation"
@@ -818,10 +826,11 @@ fn scan_blocks_from(
         // in originally — so block value ranges, rollup cells (rebuilt, or
         // extended on a suffix scan) and the running sketches come out as
         // they were written.
-        let mut open_sketches = GroupSketches::default();
         let ranges: Vec<Option<ValueInterval>> = segments
             .iter()
-            .map(|segment| absorber.absorb(segment, recovered.rollups.as_mut(), &mut open_sketches))
+            .map(|segment| {
+                absorber.absorb(segment, recovered.rollups.as_mut(), &mut recovered.sketches)
+            })
             .collect();
         recovered.blocks.push(summarize_block(
             offset,
@@ -831,7 +840,6 @@ fn scan_blocks_from(
             &segments,
             &ranges,
         ));
-        recovered.sketches.merge_block(&mut open_sketches);
         offset = body_start + u64::from(payload_len);
         recovered.valid_len = offset;
     }
@@ -842,7 +850,7 @@ impl SegmentStore for DiskStore {
     fn insert(&mut self, segment: SegmentRecord) -> Result<()> {
         let range = self
             .absorber
-            .absorb(&segment, self.rollups.as_mut(), &mut self.open_sketches);
+            .absorb(&segment, self.rollups.as_mut(), &mut self.sketches);
         self.logical_bytes += segment.storage_bytes() as u64;
         self.n_segments += 1;
         self.write_buffer.push(segment);
@@ -950,11 +958,11 @@ impl SegmentStore for DiskStore {
     }
 
     /// Answered from the per-gid running sketches alone: no block body is
-    /// fetched and the cache counters do not move. The write buffer's
-    /// segments contribute the open block's sketches, accumulated when
-    /// they were inserted; nothing is decoded here. A poisoned gid in
-    /// scope (one of its segments could not be fed) makes the answer
-    /// unsound, so the store reports itself sketch-less for that scope.
+    /// fetched and the cache counters do not move. The running sketches
+    /// were fed every segment at insert, the write buffer's included, so
+    /// nothing is decoded here. A poisoned gid in scope (one of its
+    /// segments could not be fed) makes the answer unsound, so the store
+    /// reports itself sketch-less for that scope.
     fn merge_sketches(&self, scope: Option<&[Gid]>) -> Result<Option<BlockSketch>> {
         if !self.absorber.sketches() {
             return Ok(None);
@@ -971,8 +979,7 @@ impl SegmentStore for DiskStore {
                 .is_none_or(|s| s.binary_search(&gid).is_ok())
         };
         let mut merged = BlockSketch::new();
-        let sound = self.sketches.merge_into(in_scope, &mut merged)
-            && self.open_sketches.merge_into(in_scope, &mut merged);
+        let sound = self.sketches.merge_into(in_scope, &mut merged);
         Ok(sound.then_some(merged))
     }
 
@@ -1031,6 +1038,7 @@ impl SegmentStore for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::testing::TestDigester;
     use crate::scan_to_vec;
     use bytes::Bytes;
     use mdb_types::GapsMask;
@@ -1302,22 +1310,25 @@ mod tests {
             syncs: Default::default(),
         });
         // One sketched value per segment: a failed write must not lose the
-        // open block's sketches.
-        let sketch: crate::SketchFeedFn = Arc::new(|s, sketch| {
-            sketch.quantiles.insert(s.end_time as f64);
-            true
-        });
-        let options = DiskStoreOptions {
-            sketch_feed: Some(sketch.into()),
-            ..with_bulk(100)
+        // buffered segments' sketch updates, and the sidecar must never
+        // persist them before their block is durable.
+        let options = || DiskStoreOptions {
+            bulk_write_size: 100,
+            ..TestDigester::default()
+                .sketch(|s, sketch| {
+                    sketch.quantiles.insert(s.end_time as f64);
+                    true
+                })
+                .options()
         };
-        let mut store = DiskStore::open_on(faulty, options).unwrap();
+        let mut store = DiskStore::open_on(faulty, options()).unwrap();
         let segments: Vec<SegmentRecord> = (0..12)
             .map(|i| seg(i % 3 + 1, i as i64 * 1000, i as i64 * 1000 + 900))
             .collect();
         let all = SegmentPredicate::all();
         // Reopens over a copy of the bytes as they are now, so recovery's
-        // truncation does not touch the live store's log.
+        // truncation does not touch the live store's log; returns what
+        // scans back and how many values the running sketches hold.
         let reopen = || {
             let copy = MemoryBackend::default();
             let mut log = vec![0; bytes.len().unwrap() as usize];
@@ -1326,8 +1337,10 @@ mod tests {
             if let Some(sidecar) = bytes.read_sidecar().unwrap() {
                 copy.replace_sidecar(&sidecar).unwrap();
             }
-            let store = DiskStore::open_on(Arc::new(copy), with_bulk(100)).unwrap();
-            scan_to_vec(&store, &all).unwrap()
+            let store = DiskStore::open_on(Arc::new(copy), options()).unwrap();
+            let sketched = store.merge_sketches(None).unwrap();
+            let count = sketched.expect("sketches are sound").quantiles.count();
+            (scan_to_vec(&store, &all).unwrap(), count)
         };
 
         // Write 1 and sync 1 succeed.
@@ -1342,7 +1355,7 @@ mod tests {
         }
         assert!(matches!(store.flush(), Err(MdbError::Io(_))));
         assert!(bytes.len().unwrap() > store.persistent_bytes());
-        assert_eq!(reopen(), segments[..4]);
+        assert_eq!(reopen(), (segments[..4].to_vec(), 4));
         assert_eq!(
             scan_to_vec(&store, &all).unwrap(),
             segments[..8],
@@ -1369,25 +1382,26 @@ mod tests {
             .expect("sketches are sound");
         assert_eq!(sketched.quantiles.count(), segments.len() as u64);
         assert_eq!(bytes.len().unwrap(), store.persistent_bytes());
-        assert_eq!(reopen(), segments);
+        assert_eq!(reopen(), (segments.clone(), 12));
         bytes.replace_sidecar(&[]).unwrap();
-        assert_eq!(reopen(), segments);
+        assert_eq!(reopen(), (segments, 12));
     }
 
-    /// A segment the sketch feed cannot take poisons its own gid only —
-    /// while its block is open, after the block is cut into the running
-    /// sketches, and through a sidecar reopen — so scopes without that gid
-    /// keep answering exactly what a store without it would.
+    /// A segment the digester cannot sketch poisons its own gid only —
+    /// while it is buffered, after its block is written, and through a
+    /// sidecar reopen — so scopes without that gid keep answering exactly
+    /// what a store without it would.
     #[test]
     fn an_unfeedable_segment_poisons_only_its_gid() {
         // Segment 4 (gid 2) cannot be fed.
-        let sketch: crate::SketchFeedFn = Arc::new(|s, sketch| {
-            sketch.quantiles.insert(s.end_time as f64);
-            s.start_time != 4000
-        });
         let options = || DiskStoreOptions {
-            sketch_feed: Some(sketch.clone().into()),
-            ..with_bulk(4)
+            bulk_write_size: 4,
+            ..TestDigester::default()
+                .sketch(|s, sketch| {
+                    sketch.quantiles.insert(s.end_time as f64);
+                    s.start_time != 4000
+                })
+                .options()
         };
         let backend = MemoryBackend::default();
         let mut store = DiskStore::open_on(Arc::new(backend.clone()), options()).unwrap();
@@ -1404,8 +1418,8 @@ mod tests {
             ]
         };
         // Segment j belongs to gid j % 3 + 1; blocks are cut after 4 and 8
-        // segments, so the poison sits in the open block, then in the
-        // running sketches.
+        // segments, so the poisoned segment is first buffered, then
+        // written.
         let count = |n: usize, gids: &[Gid]| {
             (0..n)
                 .filter(|j| gids.contains(&(*j as Gid % 3 + 1)))
@@ -1589,14 +1603,13 @@ mod tests {
         // Reopening WITH bounds must not adopt those statistics — a rescan
         // recomputes them so value pruning works.
         let open_with_bounds = || {
-            let bounds: crate::ValueBoundsFn =
-                Arc::new(|s| Some(ValueInterval::new(s.start_time as f64, s.end_time as f64)));
+            let bounds = TestDigester::default()
+                .range(|s| Some(ValueInterval::new(s.start_time as f64, s.end_time as f64)));
             DiskStore::open_with(
                 dir.path(),
                 DiskStoreOptions {
                     bulk_write_size: 4,
-                    value_bounds: Some(bounds.into()),
-                    ..DiskStoreOptions::default()
+                    ..bounds.options()
                 },
             )
             .unwrap()
@@ -1832,25 +1845,27 @@ mod tests {
 
     /// A deterministic synthetic rollup feed: one delta per segment keyed by
     /// its start hour, so cells are exactly reconstructible from the log.
-    fn test_rollup_feed() -> crate::rollup::RollupFeed {
-        use crate::rollup::{RollupAcc, RollupDelta, RollupFeed};
-        use mdb_types::TimeLevel;
-        RollupFeed {
-            levels: vec![TimeLevel::Hour],
-            feed: Arc::new(|s: &SegmentRecord| {
-                Some(vec![RollupDelta {
-                    tid: s.gid * 100,
-                    level: TimeLevel::Hour,
-                    bucket: s.start_time.div_euclid(3_600_000) * 3_600_000,
-                    acc: RollupAcc {
-                        count: 1,
-                        sum: s.end_time as f64 * 0.5,
-                        min: s.start_time as f64,
-                        max: s.end_time as f64,
-                    },
-                }])
-            }),
-            fused: None,
+    fn hour_deltas(s: &SegmentRecord) -> Option<Vec<crate::RollupDelta>> {
+        Some(vec![crate::RollupDelta {
+            tid: s.gid * 100,
+            level: TimeLevel::Hour,
+            bucket: s.start_time.div_euclid(3_600_000) * 3_600_000,
+            acc: RollupAcc {
+                count: 1,
+                sum: s.end_time as f64 * 0.5,
+                min: s.start_time as f64,
+                max: s.end_time as f64,
+            },
+        }])
+    }
+
+    /// Store options maintaining [`hour_deltas`] cells.
+    fn with_hour_rollups(bulk_write_size: usize) -> DiskStoreOptions {
+        DiskStoreOptions {
+            bulk_write_size,
+            ..TestDigester::default()
+                .rollup(vec![TimeLevel::Hour], hour_deltas)
+                .options()
         }
     }
 
@@ -1872,17 +1887,7 @@ mod tests {
     #[test]
     fn rollup_cells_survive_sidecar_reopen_and_rescan_rebuild() {
         let dir = temp_dir("rollups");
-        let open = || {
-            DiskStore::open_with(
-                dir.path(),
-                DiskStoreOptions {
-                    bulk_write_size: 4,
-                    rollup_feed: Some(test_rollup_feed()),
-                    ..DiskStoreOptions::default()
-                },
-            )
-            .unwrap()
-        };
+        let open = || DiskStore::open_with(dir.path(), with_hour_rollups(4)).unwrap();
         let original = {
             let mut store = open();
             for i in 0..10 {
@@ -1916,15 +1921,7 @@ mod tests {
     fn rollup_level_mismatch_forces_a_rebuilding_rescan() {
         let dir = temp_dir("rollup-levels");
         {
-            let mut store = DiskStore::open_with(
-                dir.path(),
-                DiskStoreOptions {
-                    bulk_write_size: 4,
-                    rollup_feed: Some(test_rollup_feed()),
-                    ..DiskStoreOptions::default()
-                },
-            )
-            .unwrap();
+            let mut store = DiskStore::open_with(dir.path(), with_hour_rollups(4)).unwrap();
             for i in 0..8 {
                 store.insert(seg(1, i * 1000, i * 1000 + 900)).unwrap();
             }
@@ -1932,29 +1929,23 @@ mod tests {
         }
         // Reopen with a feed maintaining a different level set: the sidecar
         // cells are incompatible, so a rescan rebuilds at the new levels.
-        let mut feed = test_rollup_feed();
-        feed.levels = vec![mdb_types::TimeLevel::Day];
-        feed.feed = {
-            let inner = test_rollup_feed().feed;
-            Arc::new(move |s: &SegmentRecord| {
-                inner(s).map(|deltas| {
-                    deltas
-                        .into_iter()
-                        .map(|mut d| {
-                            d.level = mdb_types::TimeLevel::Day;
-                            d.bucket = 0;
-                            d
-                        })
-                        .collect()
-                })
+        let feed = TestDigester::default().rollup(vec![mdb_types::TimeLevel::Day], |s| {
+            hour_deltas(s).map(|deltas| {
+                deltas
+                    .into_iter()
+                    .map(|mut d| {
+                        d.level = mdb_types::TimeLevel::Day;
+                        d.bucket = 0;
+                        d
+                    })
+                    .collect()
             })
-        };
+        });
         let store = DiskStore::open_with(
             dir.path(),
             DiskStoreOptions {
                 bulk_write_size: 4,
-                rollup_feed: Some(feed),
-                ..DiskStoreOptions::default()
+                ..feed.options()
             },
         )
         .unwrap();

@@ -23,7 +23,8 @@
 //! * [`cache`] — the sharded LRU [`BlockCache`] of decoded blocks.
 //! * [`digest`] — the one insert-time pass inserts, imports and recovery
 //!   derive stored-value ranges, rollup cells and per-group sketches
-//!   through, with one reconstruction per finalized segment.
+//!   through: the store's one [`SegmentDigester`], with one reconstruction
+//!   per finalized segment.
 
 mod backend;
 pub mod cache;
@@ -43,12 +44,9 @@ use mdb_types::{
 pub use cache::{BlockCache, CacheStats, CachedBlock};
 pub use catalog::Catalog;
 pub use codec::{checksum, checksum_v2};
-pub use digest::{
-    Digest, DigestBuf, DigestStats, Feed, SegmentDigester, SketchFeed, SketchFeedFn, ValueBounds,
-    ValueBoundsFn,
-};
+pub use digest::{Digest, DigestBuf, DigestStats, SegmentDigester};
 pub use disk::{DiskStore, DiskStoreOptions};
-pub use rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed, RollupFeedFn};
+pub use rollup::{RollupAcc, RollupCells, RollupDelta, RollupFeed};
 
 /// Predicates pushed down to the segment store (Section 6.2: the store only
 /// needs to index one id per segment — the Gid — plus the time interval).

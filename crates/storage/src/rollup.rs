@@ -6,18 +6,18 @@
 //! series inside that calendar bucket (AVG derives as SUM/COUNT at
 //! finalization, exactly like the scan path). Cells are maintained by the
 //! same insert-time pass ([`crate::digest`]) that feeds the
-//! [`mdb_types::BlockMeta`] statistics and the group sketches: a
-//! caller-provided [`RollupFeed`] (typically `mdb_query::rollup_feed` closed
-//! over the catalog and model registry) turns each finalized segment into
-//! its per-bucket deltas, which are folded into the cell map in segment
-//! order. Because the fold
+//! [`mdb_types::BlockMeta`] statistics and the group sketches: the store's
+//! digester (configured through a [`RollupFeed`], typically
+//! `mdb_query::rollup_feed` over the catalog and model registry) turns each
+//! finalized segment into its per-bucket deltas, which are folded into the
+//! cell map in segment order. Because the fold
 //! applies *the same floating-point operations in the same order* as the
 //! query engine's bucketed scan, a cell-served aggregate is bit-identical to
 //! the re-aggregating scan — the invariant `tests/rollup_equivalence.rs`
 //! pins.
 //!
 //! Like every other derived statistic in this store, rollups fail open: a
-//! segment the feed cannot decode poisons the cell map
+//! segment the digester cannot decode poisons the cell map
 //! ([`RollupCells::poison`]) and queries transparently fall back to the scan
 //! path. The store scans in insertion order, the order cells are fed in, so
 //! no ingestion order can break the equivalence. Soundness (not freshness) is the contract — cells either serve the
@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mdb_types::{Gid, SegmentRecord, Tid, TimeLevel, Timestamp};
+use mdb_types::{Gid, Tid, TimeLevel, Timestamp};
 
 use crate::digest::SegmentDigester;
 
@@ -99,7 +99,7 @@ impl RollupAcc {
 }
 
 /// The contribution of one segment to one cell, as produced by a
-/// [`RollupFeedFn`]: the segment's data points falling in `bucket` at
+/// [`SegmentDigester`]: the segment's data points falling in `bucket` at
 /// `level`, pre-aggregated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollupDelta {
@@ -114,24 +114,14 @@ pub struct RollupDelta {
     pub acc: RollupAcc,
 }
 
-/// Decodes one finalized segment into its per-bucket deltas for every
-/// maintained level, in the same order the query engine's bucketed scan
-/// would visit them. `None` means the segment cannot be decoded; the cell
-/// map then poisons (fails open), like the sketch feed.
-pub type RollupFeedFn = Arc<dyn Fn(&SegmentRecord) -> Option<Vec<RollupDelta>> + Send + Sync>;
-
-/// A rollup feed bundled with the levels it materializes — what stores are
-/// configured with.
+/// The rollup levels a store materializes, with the digester that derives
+/// each segment's deltas at them — what stores are configured with.
 #[derive(Clone)]
 pub struct RollupFeed {
-    /// The hierarchy levels the feed produces deltas for.
+    /// The hierarchy levels cells are maintained at.
     pub levels: Vec<TimeLevel>,
-    /// The per-segment delta function — used when `fused` is `None`, and
-    /// the reference `fused` is tested against.
-    pub feed: RollupFeedFn,
-    /// The one-pass digester producing the same deltas (see
-    /// [`crate::digest`]); `None` for hand-written feeds.
-    pub fused: Option<Arc<dyn SegmentDigester>>,
+    /// The one-pass digester producing the deltas (see [`crate::digest`]).
+    pub digester: Arc<dyn SegmentDigester>,
 }
 
 impl std::fmt::Debug for RollupFeed {
@@ -225,18 +215,6 @@ impl RollupCells {
                 }
                 _ => column.push((key, d.acc)),
             }
-        }
-    }
-
-    /// Feeds one finalized segment through `feed`, poisoning on decode
-    /// failure. No-op once poisoned.
-    pub fn feed_segment(&mut self, feed: &RollupFeedFn, segment: &SegmentRecord) {
-        if !self.sound {
-            return;
-        }
-        match feed(segment) {
-            Some(deltas) => self.apply(segment.gid, &deltas),
-            None => self.sound = false,
         }
     }
 
@@ -474,8 +452,14 @@ mod tests {
 
     #[test]
     fn feed_failure_poisons() {
+        use crate::digest::testing::TestDigester;
+        use crate::digest::{Absorber, GroupSketches};
+        use mdb_types::SegmentRecord;
         let mut cells = RollupCells::new(vec![TimeLevel::Hour]);
-        let fail: RollupFeedFn = Arc::new(|_| None);
+        let fail = TestDigester::default()
+            .rollup(vec![TimeLevel::Hour], |_| None)
+            .options();
+        let mut absorber = Absorber::new(fail.value_bounds, fail.sketch_feed, fail.rollup_feed);
         let seg = SegmentRecord {
             gid: 1,
             start_time: 0,
@@ -486,7 +470,7 @@ mod tests {
             gaps: mdb_types::GapsMask::EMPTY,
         };
         assert!(cells.is_sound());
-        cells.feed_segment(&fail, &seg);
+        absorber.absorb(&seg, Some(&mut cells), &mut GroupSketches::default());
         assert!(!cells.is_sound());
     }
 }

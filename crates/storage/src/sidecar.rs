@@ -446,8 +446,8 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use crate::backend::{Backend, FileBackend, MemoryBackend};
-    use crate::{DiskStore, DiskStoreOptions, RollupDelta, RollupFeed, SegmentStore};
-    use crate::{SketchFeedFn, ValueBoundsFn};
+    use crate::digest::testing::TestDigester;
+    use crate::{DiskStore, DiskStoreOptions, RollupDelta, SegmentStore};
     use bytes::Bytes;
     use mdb_types::{GapsMask, SegmentRecord, TimeLevel};
     use std::sync::{Arc, OnceLock};
@@ -603,17 +603,15 @@ mod tests {
     fn store_sidecar() -> &'static [u8] {
         static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
         BYTES.get_or_init(|| {
-            let bounds: ValueBoundsFn =
-                Arc::new(|s| Some(ValueInterval::new(s.start_time as f64, s.end_time as f64)));
-            let sketch: SketchFeedFn = Arc::new(|s, sketch| {
-                sketch.quantiles.insert(s.end_time as f64 * 0.5);
-                sketch.distinct.insert(u64::from(s.gid));
-                sketch.topk.add(s.gid, 1);
-                true
-            });
-            let rollups = RollupFeed {
-                levels: vec![TimeLevel::Hour, TimeLevel::Day],
-                feed: Arc::new(|s: &SegmentRecord| {
+            let digester = TestDigester::default()
+                .range(|s| Some(ValueInterval::new(s.start_time as f64, s.end_time as f64)))
+                .sketch(|s, sketch| {
+                    sketch.quantiles.insert(s.end_time as f64 * 0.5);
+                    sketch.distinct.insert(u64::from(s.gid));
+                    sketch.topk.add(s.gid, 1);
+                    true
+                })
+                .rollup(vec![TimeLevel::Hour, TimeLevel::Day], |s| {
                     Some(vec![RollupDelta {
                         tid: s.gid * 10,
                         level: TimeLevel::Hour,
@@ -625,18 +623,13 @@ mod tests {
                             max: 1.0,
                         },
                     }])
-                }),
-                fused: None,
-            };
+                });
             let backend = MemoryBackend::default();
             let mut store = DiskStore::open_on(
                 Arc::new(backend.clone()),
                 DiskStoreOptions {
                     bulk_write_size: 7,
-                    value_bounds: Some(bounds.into()),
-                    sketch_feed: Some(sketch.into()),
-                    rollup_feed: Some(rollups),
-                    ..DiskStoreOptions::default()
+                    ..digester.options()
                 },
             )
             .unwrap();

@@ -17,9 +17,10 @@ use mdb_testutil::TempDir;
 use proptest::prelude::*;
 
 use modelardb::{
-    checksum_v2, scan_to_vec, BlockFormat, BlockSketch, DiskStore, DiskStoreOptions, GapsMask, Gid,
-    RollupAcc, RollupCells, RollupDelta, RollupFeed, SegmentPredicate, SegmentRecord, SegmentStore,
-    SketchFeedFn, Tid, TimeLevel, Timestamp, ValueBoundsFn, ValueInterval,
+    checksum_v2, scan_to_vec, BlockFormat, BlockSketch, Digest, DigestBuf, DiskStore,
+    DiskStoreOptions, GapsMask, Gid, RollupAcc, RollupCells, RollupDelta, RollupFeed,
+    SegmentDigester, SegmentPredicate, SegmentRecord, SegmentStore, Tid, TimeLevel, Timestamp,
+    ValueInterval,
 };
 
 /// Size of a block header in `segments.log`: six u32 fields (magic,
@@ -48,22 +49,20 @@ fn seg(i: usize) -> SegmentRecord {
 
 /// A value-bounds provider with deliberate holes (gid 3 is unknown), so the
 /// rebuilt block statistics exercise known *and* unknown value ranges.
-fn bounds() -> ValueBoundsFn {
-    Arc::new(|s: &SegmentRecord| {
-        (s.gid != 3).then(|| ValueInterval::new(s.start_time as f64, s.end_time as f64))
-    })
+fn bounds() -> impl Fn(&SegmentRecord) -> Option<ValueInterval> {
+    |s| (s.gid != 3).then(|| ValueInterval::new(s.start_time as f64, s.end_time as f64))
 }
 
 /// A synthetic sketch feed over the synthetic segments of this suite: the
 /// sketches derive from segment fields alone, so the sketch state a recovery
 /// must regenerate is computable directly from the expected segment list.
-fn feed() -> SketchFeedFn {
-    Arc::new(|s: &SegmentRecord, sketch: &mut BlockSketch| {
+fn feed() -> impl Fn(&SegmentRecord, &mut BlockSketch) -> bool {
+    |s, sketch| {
         sketch.quantiles.insert(s.start_time as f64);
         sketch.distinct.insert(u64::from(s.gid));
         sketch.topk.add(s.gid, 1);
         true
-    })
+    }
 }
 
 /// The sketch state any store holding exactly `segments` must report
@@ -77,13 +76,44 @@ fn expected_sketch(segments: &[SegmentRecord]) -> BlockSketch {
     sketch
 }
 
+/// Runs this suite's statistic definitions — [`bounds`], [`feed`] and
+/// [`rollup`] — as a store's one digester; the store's options choose which
+/// of the statistics it keeps.
+struct Fixtures;
+
+impl SegmentDigester for Fixtures {
+    fn digest(
+        &self,
+        s: &SegmentRecord,
+        range: bool,
+        levels: &[TimeLevel],
+        sketch: Option<&mut BlockSketch>,
+        buf: &mut DigestBuf,
+    ) -> Digest {
+        let deltas = if levels.is_empty() {
+            Some(Vec::new())
+        } else {
+            rollup()(s)
+        };
+        let rolled_up = deltas.is_some();
+        buf.deltas = deltas.unwrap_or_default();
+        Digest {
+            range: range.then(|| bounds()(s)).flatten(),
+            sketched: sketch.is_some_and(|sketch| feed()(s, sketch)),
+            rolled_up,
+            ..Digest::default()
+        }
+    }
+}
+
 fn options(with_bounds: bool, with_feed: bool) -> DiskStoreOptions {
+    let digester: Arc<dyn SegmentDigester> = Arc::new(Fixtures);
     DiskStoreOptions {
         // Larger than any case writes: blocks are cut by explicit flushes.
         bulk_write_size: 1 << 20,
         memory_budget_bytes: None,
-        value_bounds: with_bounds.then(|| bounds().into()),
-        sketch_feed: with_feed.then(|| feed().into()),
+        value_bounds: with_bounds.then(|| Arc::clone(&digester)),
+        sketch_feed: with_feed.then(|| Arc::clone(&digester)),
         ..Default::default()
     }
 }
@@ -351,23 +381,27 @@ fn corrupt_or_truncated_sketch_section_triggers_sketch_rebuilding_rescan() {
 /// delta per segment, bucketed coarsely enough that cells merge, so the
 /// cell state a recovery must regenerate is computable from the expected
 /// segment list alone.
-fn rollup() -> RollupFeed {
+fn rollup() -> impl Fn(&SegmentRecord) -> Option<Vec<RollupDelta>> {
+    |s| {
+        Some(vec![RollupDelta {
+            tid: s.gid * 10,
+            level: TimeLevel::Hour,
+            bucket: s.start_time.div_euclid(10_000) * 10_000,
+            acc: RollupAcc {
+                count: 1,
+                sum: s.end_time as f64 * 0.5,
+                min: s.start_time as f64,
+                max: s.end_time as f64,
+            },
+        }])
+    }
+}
+
+/// Keeps [`rollup`]'s cells, at the hour level.
+fn rollup_feed() -> RollupFeed {
     RollupFeed {
         levels: vec![TimeLevel::Hour],
-        feed: Arc::new(|s: &SegmentRecord| {
-            Some(vec![RollupDelta {
-                tid: s.gid * 10,
-                level: TimeLevel::Hour,
-                bucket: s.start_time.div_euclid(10_000) * 10_000,
-                acc: RollupAcc {
-                    count: 1,
-                    sum: s.end_time as f64 * 0.5,
-                    min: s.start_time as f64,
-                    max: s.end_time as f64,
-                },
-            }])
-        }),
-        fused: None,
+        digester: Arc::new(Fixtures),
     }
 }
 
@@ -378,9 +412,12 @@ type FlatCell = (Gid, Tid, Timestamp, u64, u64, u64, u64);
 /// The cells any store holding exactly `segments` must serve.
 fn expected_cells(segments: &[SegmentRecord]) -> Vec<FlatCell> {
     let feed = rollup();
-    let mut cells = RollupCells::new(feed.levels.clone());
+    let mut cells = RollupCells::new(rollup_feed().levels);
     for s in segments {
-        cells.feed_segment(&feed.feed, s);
+        match feed(s) {
+            Some(deltas) => cells.apply(s.gid, &deltas),
+            None => cells.poison(),
+        }
     }
     let mut flat = Vec::new();
     cells.for_each(
@@ -438,7 +475,7 @@ fn damaged_rollup_section_rebuilds_cells_without_losing_sketches() {
     let case = case_dir();
     let dir = case.path();
     let with_rollups = || DiskStoreOptions {
-        rollup_feed: Some(rollup()),
+        rollup_feed: Some(rollup_feed()),
         ..options(true, true)
     };
     // Writes the same 20 segments with the same flush cadence, with or
@@ -541,7 +578,7 @@ fn older_sidecar_version_rescans_and_rewrites_a_current_one() {
     let case = case_dir();
     let dir = case.path();
     let with_rollups = || DiskStoreOptions {
-        rollup_feed: Some(rollup()),
+        rollup_feed: Some(rollup_feed()),
         ..options(true, true)
     };
     let scope: [Gid; 2] = [2, 4];
