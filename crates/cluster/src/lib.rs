@@ -8,14 +8,15 @@
 //! queries shuffle data, which is what produces the near-linear scale-out
 //! of Figure 20.
 //!
-//! Queries follow Algorithm 5's annotations with one refinement for
-//! elasticity: every worker computes partial aggregates **per group** (one
-//! walk of its store per query, each group folded on its own) and the
-//! master merges the collected `(gid, partial)` pairs in global gid order.
-//! Because a group's segments are identical on every holder (same batches,
-//! same deterministic compression) and the merge order depends only on
-//! gids, query results are bit-identical regardless of which holder serves
-//! a group — across failovers, group handoffs, and cluster sizes.
+//! Queries follow Algorithm 5's annotations: every worker computes one
+//! partial aggregate over the groups it is primary of (one walk of its
+//! store per query) and the master merges the partials. A group's segments
+//! are identical on every holder (same batches, same deterministic
+//! compression), slot sums are exact so partials merge in any order, and a
+//! time bucket's entries all come from its group's one primary in scan
+//! order; so query results are bit-identical regardless of which holder
+//! serves a group — across failovers, group handoffs, and cluster sizes.
+//! Listing rows are gathered per group and ordered by gid.
 //!
 //! The master supervises workers rather than trusting them: each worker is
 //! an OS thread whose panics are caught and recorded, every channel
@@ -173,9 +174,6 @@ struct GroupBatch {
 /// The groups a scatter command covers, shared across the reply round-trip.
 type GidScope = Arc<Vec<Gid>>;
 
-/// A partial-aggregation reply: per-group partials.
-type PartialReply = Vec<(Gid, PartialAggregates)>;
-
 /// A listing reply: a row-less shape result (for the column names) and the
 /// per-group rows.
 type RowsReply = (QueryResult, GidRows);
@@ -189,9 +187,8 @@ type GroupRuns = (Gid, Vec<Vec<SegmentRecord>>, CompressionStats);
 enum Command {
     Ingest(Vec<GroupBatch>),
     Flush(Sender<Result<()>>),
-    /// Run the partial-aggregation phase over the scope in one store walk,
-    /// folding each group into a partial of its own.
-    QueryPartial(Arc<Query>, GidScope, Sender<Result<PartialReply>>),
+    /// Run the partial-aggregation phase over the scope in one store walk.
+    QueryPartial(Arc<Query>, GidScope, Sender<Result<PartialAggregates>>),
     /// Run a listing query over the scope in one store walk, routing each
     /// row to its group.
     QueryRows(Arc<Query>, GidScope, Sender<Result<RowsReply>>),
@@ -825,13 +822,13 @@ impl Cluster {
         routed.and(flushed.map_or(Ok(()), Err))
     }
 
-    /// Executes a SQL query: scatter to all primaries, gather, merge in
-    /// global group order, finalize.
+    /// Executes a SQL query: scatter to all primaries, gather, merge,
+    /// finalize.
     ///
-    /// Each worker computes per-group results for the groups it is primary
-    /// of; the master merges them in global gid order, so the result is
-    /// bit-identical no matter which workers served (failover and handoff
-    /// safe). If a worker dies mid-query it is declared dead and the whole
+    /// Each worker computes a partial for the groups it is primary of; the
+    /// master merges them (listing rows in global gid order), so the result
+    /// is bit-identical no matter which workers served (failover and
+    /// handoff safe). If a worker dies mid-query it is declared dead and the whole
     /// query retried against the promoted placement; groups with no
     /// surviving holder are omitted (degraded but correct — see
     /// [`Cluster::health`]).
@@ -885,13 +882,9 @@ impl Cluster {
             else {
                 return Ok(None);
             };
-            // Merge slot by slot in global group order: the fold inside each
-            // group is deterministic per holder, and this order is
-            // independent of placement — together, bit-identical results
-            // everywhere.
-            let mut pairs: Vec<(Gid, PartialAggregates)> = partials.into_iter().flatten().collect();
-            pairs.sort_by_key(|(gid, _)| *gid);
-            let partials = pairs.into_iter().map(|(_, partial)| partial).collect();
+            // Slot sums are exact, so the worker partials merge in any
+            // order to the bits one engine produces; a bucket entry comes
+            // from the one primary of its group, in that group's scan order.
             QueryEngine::finalize_aggregates(query, partials)?
         } else {
             // Listing: run without ORDER/LIMIT on workers, apply at master.
@@ -1283,11 +1276,9 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                 let _ = reply.send(result);
             }
             Command::QueryPartial(query, scope, reply) => {
-                // One plan and one store walk for every primary group; each
-                // group still folds on its own, which keeps results
-                // placement-independent.
+                // One plan and one store walk for every primary group.
                 let engine = shard.engine(Some(&scope));
-                let run = || engine.plan_partial_per_gid(&engine.compile(&query)?);
+                let run = || engine.plan_partial(&engine.compile(&query)?);
                 let _ = reply.send(run());
             }
             Command::QuerySketch(query, scope, reply) => {
@@ -1651,8 +1642,8 @@ mod tests {
             let cluster = start_replicated(&catalog, n, rf);
             ingest_all(&cluster, &ds, 300);
             for (q, expected) in QUERIES.iter().zip(&baseline) {
-                // Per-group partials merged in global gid order: the result
-                // is bit-identical regardless of the cluster size.
+                // Exact slot sums and per-group bucket order: the result is
+                // bit-identical regardless of the cluster size.
                 let got = cluster.sql(q).unwrap();
                 assert_eq!(&got, expected, "{q} with {n} workers at rf {rf}");
             }

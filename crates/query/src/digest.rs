@@ -14,12 +14,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mdb_models::{segment_value_range, ModelRegistry};
-use mdb_storage::{
-    Catalog, Digest, DigestBuf, RollupAcc, RollupDelta, RollupFeed, SegmentDigester,
-};
+use mdb_storage::{Catalog, Digest, DigestBuf, RollupDelta, RollupFeed, SegmentDigester};
 use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value};
 
-use crate::aggregate::{grid_aggregate, Accumulator};
+use crate::aggregate::{grid_aggregate, term};
 use crate::engine::BoundarySplits;
 
 /// Keeps a store's stored-value ranges, behind its block statistics: the
@@ -49,9 +47,9 @@ pub fn sketch_feed(
 /// Keeps a store's rollup cells at `levels`: for every present series of a
 /// finalized segment and every level, the segment's tick range is split at
 /// calendar boundaries (Algorithm 6) and each sub-range is aggregated with
-/// **exactly** the arithmetic the Segment View's bucketed scan uses — a
-/// fresh [`Accumulator`] folded with [`Accumulator::add_segment_agg`] over
-/// the model's constant-time aggregate — so a cell built incrementally from
+/// **exactly** the arithmetic the Segment View's bucketed scan uses — one
+/// [`term`] of the model's constant-time
+/// aggregate — so a cell built incrementally from
 /// these deltas is bit-identical to the per-(tid, bucket) partial a scan
 /// would produce. A segment of an unknown group, or one that cannot be
 /// aggregated, poisons the cells (queries fall back to scanning).
@@ -66,19 +64,6 @@ pub fn rollup_feed(
     }
 }
 
-/// One sub-range's aggregate as a rollup accumulator — the fold a bucketed
-/// scan starts a `(tid, bucket)` partial with.
-fn rollup_acc(agg: mdb_models::SegmentAgg, sub: (usize, usize), scaling: f64) -> RollupAcc {
-    let mut acc = Accumulator::new();
-    acc.add_segment_agg(agg, (sub.1 - sub.0 + 1) as u64, scaling);
-    RollupAcc {
-        count: acc.count,
-        sum: acc.sum,
-        min: acc.min,
-        max: acc.max,
-    }
-}
-
 /// The fused pass over the catalog's groups and the model registry. What it
 /// shares between the three statistics is the reconstruction: a segment's
 /// values are decoded at most once, into the store's buffer, for the sketch
@@ -87,14 +72,17 @@ fn rollup_acc(agg: mdb_models::SegmentAgg, sub: (usize, usize), scaling: f64) ->
 /// are computed once per segment, and a sub-range several levels share
 /// (a segment inside one hour is also inside one day and one month) is
 /// aggregated once.
-struct ModelDigester {
+pub(crate) struct ModelDigester {
     registry: Arc<ModelRegistry>,
     /// Per group, its member series in member order with their scaling.
     groups: HashMap<Gid, Vec<(Tid, f64)>>,
 }
 
 impl ModelDigester {
-    fn shared(catalog: &Catalog, registry: &Arc<ModelRegistry>) -> Arc<dyn SegmentDigester> {
+    pub(crate) fn shared(
+        catalog: &Catalog,
+        registry: &Arc<ModelRegistry>,
+    ) -> Arc<dyn SegmentDigester> {
         let mut groups = HashMap::new();
         for group in &catalog.groups {
             // First wins, as `Catalog::group` resolves a gid.
@@ -193,7 +181,8 @@ impl SegmentDigester for ModelDigester {
                             break;
                         }
                     };
-                    buf.accs.push(rollup_acc(agg, sub, scaling));
+                    buf.accs
+                        .push(term(agg, (sub.1 - sub.0 + 1) as u64, scaling));
                 }
             }
             if digest.rolled_up {
@@ -336,7 +325,7 @@ mod tests {
                             tid,
                             level,
                             bucket,
-                            acc: rollup_acc(agg, sub, scaling),
+                            acc: term(agg, (sub.1 - sub.0 + 1) as u64, scaling),
                         });
                     }
                 }

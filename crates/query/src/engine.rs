@@ -13,14 +13,14 @@
 //! (checked against the store's per-block gid, time and value statistics)
 //! first shrinks the scan to the surviving [`SegmentRun`]s — block-backed runs
 //! share the cached block buffer, so segments are evaluated as borrowed
-//! [`SegmentView`]s with **no per-segment allocation** — then fold groups
-//! of consecutive segments (addressed by global scan index, so boundaries
-//! never depend on block shapes or worker counts) are evaluated on a worker
-//! pool fed over crossbeam channels. Each fold group accumulates into fresh
-//! slot accumulators and the groups are folded back **in scan order**,
-//! so the result is bit-identical to the sequential scan no matter how many
-//! workers ran — float accumulation happens in exactly the same order
-//! either way.
+//! [`SegmentView`]s with **no per-segment allocation** — then chunks of
+//! consecutive segments are evaluated on a worker pool fed over crossbeam
+//! channels, each into a partial of its own. A group key's
+//! [`Accumulator`] sums its terms (one per segment and series) exactly and
+//! rounds once, so the partials merge in any order, and a scan split any
+//! way — over pool chunks, cluster workers or gid scopes — gives the bits
+//! of the sequential scan. Bucketed scans keep their `(tid, bucket)`
+//! entries in scan order instead, the order the rollup cells fold in.
 //!
 //! When the store maintains continuous aggregates ([`mdb_storage::rollup`]),
 //! whole-bucket time-hierarchy aggregates are answered from materialized
@@ -32,13 +32,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mdb_models::{ModelRegistry, SegmentAgg};
-use mdb_storage::{Catalog, SegmentPredicate, SegmentRun, SegmentStore};
+use mdb_storage::{Catalog, RollupAcc, SegmentPredicate, SegmentRun, SegmentStore};
 use mdb_types::{
     time, BlockSketch, Gid, MdbError, Result, SegmentView, Tid, TimeLevel, Timestamp, Value,
     ValueInterval,
 };
 
-use crate::aggregate::{Accumulator, AggFunc, SegmentCursor};
+use crate::aggregate::{term, Accumulator, AggFunc, SegmentCursor, EMPTY_TERM};
 use crate::cell::{Cell, QueryResult};
 use crate::sql::{CmpOp, Predicate, Query, SelectItem, SketchFunc, TimeColumn, View};
 
@@ -104,19 +104,18 @@ pub struct Plan {
 /// ([`QueryEngine::listing_per_gid`]).
 pub type GidRows = Vec<(Gid, Vec<Vec<Cell>>)>;
 
-/// Worker-local partial aggregation state of one [`Plan`]: one
-/// [`Accumulator`] per group key, from which every aggregate function
-/// finalizes. Bucketed plans instead keep one accumulator per segment or
-/// rollup cell that touched a `(tid, bucket)`, in fold order, for
-/// [`QueryEngine::finalize_aggregates`] to fold (every group column is a
-/// function of the tid).
+/// Worker-local partial aggregation state of one [`Plan`]: one exact
+/// [`Accumulator`] per group key, so partials merge in any order to the same
+/// bits. Bucketed plans instead keep one [`RollupAcc`] per segment or rollup
+/// cell that touched a `(tid, bucket)`, in scan order, for
+/// [`QueryEngine::finalize_aggregates`] to fold as the cells are folded.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAggregates {
     keys: Arc<KeyPlan>,
-    /// Indexed by slot; `None` until a fold group touches the slot.
+    /// Indexed by slot; `None` until a segment touches the slot.
     slots: Vec<Option<Accumulator>>,
-    /// `(tid, bucket start, accumulator)` in fold order.
-    buckets: Vec<(Tid, Timestamp, Accumulator)>,
+    /// `(tid, bucket start, term)` in scan order.
+    buckets: Vec<(Tid, Timestamp, RollupAcc)>,
 }
 
 impl PartialAggregates {
@@ -128,82 +127,6 @@ impl PartialAggregates {
             buckets: Vec::new(),
         }
     }
-
-    /// Folds one fold group in, after every earlier one.
-    fn absorb(&mut self, group: GroupFold) {
-        for (slot, acc) in group.slots {
-            merge_slot(&mut self.slots[slot as usize], acc);
-        }
-        self.buckets.extend(group.buckets);
-    }
-}
-
-/// Algorithm 5's `mergeResults` for one key.
-fn merge_slot(mine: &mut Option<Accumulator>, theirs: Accumulator) {
-    match mine {
-        Some(mine) => mine.merge(&theirs),
-        None => *mine = Some(theirs),
-    }
-}
-
-/// One fold group's contributions: slot accumulators in the order
-/// [`PartialAggregates::absorb`] merges them, and bucket entries.
-struct GroupFold {
-    /// The group's touched slots, or under a `Value` filter each segment's
-    /// touched slots in scan order.
-    slots: Vec<(u32, Accumulator)>,
-    buckets: Vec<(Tid, Timestamp, Accumulator)>,
-}
-
-/// The slot accumulators of the fold group being evaluated, with the
-/// touched slots listed so draining costs only what the group touched.
-struct SlotAccs {
-    accs: Vec<Option<Accumulator>>,
-    touched: Vec<u32>,
-}
-
-impl SlotAccs {
-    /// Merges `acc` into the group accumulator of `slot`.
-    fn merge(&mut self, slot: usize, acc: Accumulator) {
-        if self.accs[slot].is_none() {
-            self.touched.push(slot as u32);
-        }
-        merge_slot(&mut self.accs[slot], acc);
-    }
-
-    /// Moves the touched accumulators to `out`, leaving every slot
-    /// untouched.
-    fn drain_into(&mut self, out: &mut Vec<(u32, Accumulator)>) {
-        let accs = &mut self.accs;
-        out.extend(
-            self.touched
-                .drain(..)
-                .map(|slot| (slot, accs[slot as usize].take().expect("touched"))),
-        );
-    }
-}
-
-/// A scan worker's memory, reused from segment to segment: the fold
-/// group's slot accumulators and the reconstructed grid of the segment
-/// being evaluated.
-struct Scratch {
-    slots: SlotAccs,
-    grid: Vec<Value>,
-}
-
-/// Segments per *fold group*: consecutive segments (by global scan index)
-/// accumulate into one set of slot accumulators, and the groups fold into
-/// the partial in index order. The size scales with the surviving-segment
-/// count — roughly one group per 256 survivors, clamped to `[16, 256]` — so
-/// broad scans amortize per-group overhead while narrow ones still split into
-/// enough groups to parallelize. Group boundaries depend only on the scan
-/// order and the survivor count — never on the worker count or block
-/// shapes — which is what makes results bit-identical at every parallelism
-/// setting. Scans whose fold must follow single segments keep per-segment
-/// entries inside the group instead: a `Value`-filtered segment's slot
-/// accumulators, and a bucketed scan's `(tid, bucket)` entries.
-pub fn fold_group_size(survivors: usize) -> usize {
-    (survivors / 256).clamp(16, 256)
 }
 
 /// Pruned-segment count below which an attached [`ScanPool`] is bypassed:
@@ -232,7 +155,7 @@ pub struct QueryEngine<'a> {
     catalog: &'a Catalog,
     registry: &'a ModelRegistry,
     store: &'a dyn SegmentStore,
-    /// A persistent scan pool; without one every fold group runs inline.
+    /// A persistent scan pool; without one every scan runs inline.
     pool: Option<&'a ScanPool>,
     /// Pruned-segment count from which an attached pool engages; `None`
     /// derives it from the pool's worker count ([`pool_bypass_threshold`]).
@@ -242,7 +165,8 @@ pub struct QueryEngine<'a> {
     gid_scope: Option<&'a [Gid]>,
     /// The time levels the store's continuous aggregates materialize (empty
     /// = rollups off). Non-empty switches eligible plain aggregates to the
-    /// bucketed scan so serve and scan share one float association.
+    /// bucketed scan so serve and scan share one float association (cells
+    /// fold in `f64`, per `(tid, bucket)` in scan order).
     rollup_levels: &'a [TimeLevel],
     /// Whether whole-bucket aggregates may be answered from rollup cells.
     /// Scanning with `rollup_levels` still set keeps the bucketed
@@ -260,7 +184,7 @@ struct SegmentEvaluator<'a> {
 }
 
 /// The collected scan: the surviving [`SegmentRun`]s plus a prefix-sum
-/// index, so fold groups address segments by **global scan index** — a
+/// index, so pool chunks address segments by **global scan index** — a
 /// block-backed run keeps its cached block alive and its segments are read
 /// as borrowed views, so collecting N surviving segments costs one `Arc`
 /// clone per block, not one record clone per segment.
@@ -302,33 +226,6 @@ impl RunSet {
     /// Total segments across all runs.
     fn len(&self) -> usize {
         *self.starts.last().unwrap()
-    }
-
-    /// Splits the runs into one set per unit ([`unit_of`]), each in scan
-    /// order: a run that mixes gids is cut into stretches of one gid that
-    /// share its block. Whether the store keeps a segment does not depend
-    /// on which other gids the predicate names, so a unit's set holds
-    /// exactly the segments a scan scoped to its gid alone collects, in the
-    /// same order.
-    fn split(self, units: Option<&[Gid]>) -> Vec<RunSet> {
-        let Some(gids) = units else {
-            return vec![self];
-        };
-        let mut sets: Vec<RunSet> = gids.iter().map(|_| RunSet::default()).collect();
-        for run in self.runs {
-            let mut lo = 0;
-            while lo < run.len() {
-                let gid = run.segment(lo).gid;
-                let hi = (lo + 1..run.len())
-                    .find(|&i| run.segment(i).gid != gid)
-                    .unwrap_or(run.len());
-                if let Some(unit) = unit_of(units, gid) {
-                    sets[unit].push(run.slice(lo, hi));
-                }
-                lo = hi;
-            }
-        }
-        sets
     }
 
     /// Calls `f` for every segment with global index in `lo..hi`, in scan
@@ -373,44 +270,34 @@ struct ScanContext {
     /// Only the Segment View may aggregate on the models directly.
     use_models: bool,
     runs: RunSet,
-    /// Segments per fold group ([`fold_group_size`]).
-    fold_size: usize,
-    /// Segments per pool job, scaled to the scan so each worker sees only a
-    /// few messages per query.
-    chunk_size: usize,
 }
 
 impl ScanContext {
-    /// Evaluates the fold groups of global scan indices `lo..hi` in order;
-    /// `lo` must start a fold group.
-    fn folds(
+    /// Folds the segments of global scan indices `lo..hi` into a fresh
+    /// partial, in scan order.
+    fn fold(
         &self,
         evaluator: &SegmentEvaluator<'_>,
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<GroupFold>> {
-        let mut scratch = Scratch {
-            slots: SlotAccs {
-                accs: vec![None; self.keys.rows.len()],
-                touched: Vec::new(),
-            },
-            grid: Vec::new(),
-        };
-        (lo..hi)
-            .step_by(self.fold_size)
-            .map(|group_lo| {
-                let group_hi = (group_lo + self.fold_size).min(hi);
-                evaluator.fold_group(self, group_lo, group_hi, &mut scratch)
-            })
-            .collect()
+    ) -> Result<PartialAggregates> {
+        let mut partial = PartialAggregates::new(&self.keys);
+        let mut grid = Vec::new();
+        self.runs.for_each_in(lo, hi, &mut |segment| {
+            evaluator.iterate_segment(self, segment, &mut grid, &mut partial)
+        })?;
+        Ok(partial)
     }
 }
 
-/// A job for one chunk of a [`ScanContext`]'s segments.
+/// A job for one chunk of a [`ScanContext`]'s segments: global scan
+/// indices `lo..hi`.
 struct PoolJob {
     context: Arc<ScanContext>,
     chunk: usize,
-    results: crossbeam_channel::Sender<(usize, Result<Vec<GroupFold>>)>,
+    lo: usize,
+    hi: usize,
+    results: crossbeam_channel::Sender<(usize, Result<PartialAggregates>)>,
 }
 
 /// A persistent pool of scan workers for the partial-aggregation phase.
@@ -426,16 +313,10 @@ pub struct ScanPool {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Evaluates one job's chunk of fold groups and sends the result back.
+/// Folds one job's chunk and sends the partial back.
 fn run_pool_job(evaluator: &SegmentEvaluator<'_>, job: &PoolJob) {
-    let context = &*job.context;
-    let lo = job.chunk * context.chunk_size;
-    let hi = (lo + context.chunk_size).min(context.runs.len());
-    // chunk_size is a multiple of fold_size, so the fold groups line up
-    // across transport chunks.
-    let _ = job
-        .results
-        .send((job.chunk, context.folds(evaluator, lo, hi)));
+    let partial = job.context.fold(evaluator, job.lo, job.hi);
+    let _ = job.results.send((job.chunk, partial));
 }
 
 impl ScanPool {
@@ -473,17 +354,15 @@ impl ScanPool {
         self.workers
     }
 
-    /// Runs one scan on the pool, returning the fold groups' contributions
-    /// in scan order (chunks are reassembled by index, so the later fold is
-    /// bit-identical to a sequential scan).
-    fn execute(&self, mut context: ScanContext) -> Result<Vec<GroupFold>> {
+    /// Runs one scan on the pool, returning each chunk's partial in scan
+    /// order (chunks are reassembled by index, so bucket entries keep the
+    /// order of a sequential scan).
+    fn execute(&self, context: ScanContext) -> Result<Vec<PartialAggregates>> {
         let n_segments = context.runs.len();
         // A few chunks per runner: enough slack to balance uneven segments,
-        // few enough that channel hops stay negligible. Rounded to a
-        // multiple of the fold-group size so groups align across chunks.
-        let target = n_segments.div_ceil(self.workers * 4);
-        context.chunk_size = context.fold_size * target.div_ceil(context.fold_size).max(1);
-        let n_chunks = n_segments.div_ceil(context.chunk_size);
+        // few enough that channel hops stay negligible.
+        let chunk_size = n_segments.div_ceil(self.workers * 4).max(1);
+        let n_chunks = n_segments.div_ceil(chunk_size);
         let context = Arc::new(context);
         let (results, result_rx) = crossbeam_channel::unbounded();
         let jobs = self.jobs.as_ref().expect("pool alive while borrowed");
@@ -491,24 +370,25 @@ impl ScanPool {
             jobs.send(PoolJob {
                 context: Arc::clone(&context),
                 chunk,
+                lo: chunk * chunk_size,
+                hi: ((chunk + 1) * chunk_size).min(n_segments),
                 results: results.clone(),
             })
             .map_err(|_| MdbError::Query("scan pool shut down".into()))?;
         }
         drop(results);
-        let mut by_chunk: Vec<Option<Result<Vec<GroupFold>>>> =
+        let mut by_chunk: Vec<Option<Result<PartialAggregates>>> =
             (0..n_chunks).map(|_| None).collect();
         for _ in 0..n_chunks {
-            let (chunk, folds) = result_rx
+            let (chunk, partial) = result_rx
                 .recv()
                 .map_err(|_| MdbError::Query("scan worker died without a result".into()))?;
-            by_chunk[chunk] = Some(folds);
+            by_chunk[chunk] = Some(partial);
         }
-        let mut out = Vec::with_capacity(n_segments.div_ceil(context.fold_size));
-        for folds in by_chunk {
-            out.extend(folds.expect("every chunk was received")?);
-        }
-        Ok(out)
+        by_chunk
+            .into_iter()
+            .map(|partial| partial.expect("every chunk was received"))
+            .collect()
     }
 }
 
@@ -529,9 +409,9 @@ fn narrow(tids: Option<Vec<Tid>>, keep: &[Tid]) -> Vec<Tid> {
     }
 }
 
-/// The unit a segment or cell of `gid` folds into: the only one when
-/// `units` is `None` (one partial for the whole scope), otherwise the index
-/// of `gid` in the sorted `units` (one partial per gid), or `None` when the
+/// The unit a listed segment of `gid` goes to: the only one when `units`
+/// is `None` (one row set for the whole scope), otherwise the index of
+/// `gid` in the sorted `units` (one row set per gid), or `None` when the
 /// gid is not among them.
 fn unit_of(units: Option<&[Gid]>, gid: Gid) -> Option<usize> {
     units.map_or(Some(0), |gids| gids.binary_search(&gid).ok())
@@ -970,21 +850,24 @@ impl<'a> QueryEngine<'a> {
     /// local store within this engine's gid scope, folding every segment
     /// into one partial.
     pub fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
-        let mut partials = self.partials(plan, None)?;
-        Ok(partials.pop().expect("one unit, one partial"))
-    }
-
-    /// [`QueryEngine::plan_partial`] for each group of the engine's gid
-    /// scope (every catalog group when unscoped), in ascending gid order,
-    /// from one walk of the store. Each group folds on its own, exactly as
-    /// an engine scoped to that group alone would, so a group's partial is
-    /// bit-identical wherever it is computed and with whichever groups
-    /// beside it — what a cluster worker needs to keep answers independent
-    /// of placement.
-    pub fn plan_partial_per_gid(&self, plan: &Plan) -> Result<Vec<(Gid, PartialAggregates)>> {
-        let gids = self.scope_gids();
-        let partials = self.partials(plan, Some(&gids))?;
-        Ok(gids.into_iter().zip(partials).collect())
+        let mut rw = plan.rw.clone();
+        self.apply_scope(&mut rw);
+        let mut partial = PartialAggregates::new(&plan.keys);
+        let bucket = match plan.representation {
+            Representation::Sketch => {
+                return Err(MdbError::Query(
+                    "sketch queries merge sketches, not aggregate partials".into(),
+                ))
+            }
+            _ if rw.empty => return Ok(partial),
+            Representation::Rollup { level } => match self.serve_from_rollups(plan, &rw, level)? {
+                Some(served) => return Ok(served),
+                None => Some(level),
+            },
+            Representation::Scan { bucket } => bucket,
+        };
+        self.scan(plan, rw, bucket, &mut partial)?;
+        Ok(partial)
     }
 
     /// The engine's gid scope, sorted and deduplicated; every catalog group
@@ -997,30 +880,6 @@ impl<'a> QueryEngine<'a> {
         gids.sort_unstable();
         gids.dedup();
         gids
-    }
-
-    /// One partial per unit ([`unit_of`]) of the segments in scope.
-    fn partials(&self, plan: &Plan, units: Option<&[Gid]>) -> Result<Vec<PartialAggregates>> {
-        let mut rw = plan.rw.clone();
-        self.apply_scope(&mut rw);
-        let mut partials = vec![PartialAggregates::new(&plan.keys); unit_count(units)];
-        let bucket = match plan.representation {
-            Representation::Sketch => {
-                return Err(MdbError::Query(
-                    "sketch queries merge sketches, not aggregate partials".into(),
-                ))
-            }
-            _ if rw.empty => return Ok(partials),
-            Representation::Rollup { level } => {
-                match self.serve_from_rollups(plan, &rw, level, units)? {
-                    Some(served) => return Ok(served),
-                    None => Some(level),
-                }
-            }
-            Representation::Scan { bucket } => bucket,
-        };
-        self.scan(plan, rw, bucket, units, &mut partials)?;
-        Ok(partials)
     }
 
     /// Whether the bucket starting at `b` lies entirely inside the query's
@@ -1047,31 +906,20 @@ impl<'a> QueryEngine<'a> {
         plan: &Plan,
         rw: &Rewritten,
         level: TimeLevel,
-        units: Option<&[Gid]>,
-    ) -> Result<Option<Vec<PartialAggregates>>> {
-        let mut partials = vec![PartialAggregates::new(&plan.keys); unit_count(units)];
+    ) -> Result<Option<PartialAggregates>> {
+        let mut partial = PartialAggregates::new(&plan.keys);
         // The store visits only buckets starting inside the TS range — a
         // superset of the covered ones; `bucket_covered` drops the trailing
-        // partial one. Cells come in gid order, so each unit sees its own
-        // cells in the order a scope of its gid alone would.
+        // partial one.
         let served = self.store.rollup_cells(
             level,
             rw.pushdown.gids.as_deref(),
             (rw.ts_from, rw.ts_to),
-            &mut |gid, tid, bucket, acc| {
-                let Some(unit) = unit_of(units, gid) else {
-                    return;
-                };
+            &mut |_, tid, bucket, acc| {
                 if Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
                     && plan.keys.lookup(tid).is_some()
                 {
-                    let acc = Accumulator {
-                        count: acc.count,
-                        sum: acc.sum,
-                        min: acc.min,
-                        max: acc.max,
-                    };
-                    partials[unit].buckets.push((tid, bucket, acc));
+                    partial.buckets.push((tid, bucket, *acc));
                 }
             },
         )?;
@@ -1088,9 +936,9 @@ impl<'a> QueryEngine<'a> {
             rw_edge.ts_to = hi;
             rw_edge.pushdown.from = Some(lo);
             rw_edge.pushdown.to = Some(hi);
-            self.scan(plan, rw_edge, Some(level), units, &mut partials)?;
+            self.scan(plan, rw_edge, Some(level), &mut partial)?;
         }
-        Ok(Some(partials))
+        Ok(Some(partial))
     }
 
     /// The sub-ranges of `[from, to]` that lie in partially-covered
@@ -1120,68 +968,51 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Collects the runs `rw` selects once, splits them by unit
-    /// ([`unit_of`]), and folds each unit's runs into its partial, fold
-    /// group by fold group in scan order — on the attached [`ScanPool`] when
-    /// one is present and the unit's survivor count reaches its bypass
-    /// threshold, inline otherwise.
+    /// Collects the runs `rw` selects and folds them into `partial` — on the
+    /// attached [`ScanPool`] in chunks when one is present and the survivor
+    /// count reaches its bypass threshold, inline otherwise.
     ///
     /// The store's per-block statistics have already skipped whole blocks
     /// outside the scope, time range or value predicate. A block-backed run
     /// shares its cached block, so the collect costs one `Arc` clone per
-    /// surviving block and segments are evaluated as borrowed views. Group
-    /// boundaries and the fold order depend only on the scan order and
-    /// survivor count, so every parallelism setting performs the same float
-    /// operations in the same order.
-    ///
-    /// Under a `Value` filter a fold group keeps each segment's slot
-    /// accumulators as entries of their own, merged into the partial in
-    /// scan order: value pruning removes segments that an unpruned scan
-    /// would visit (and find contributing nothing), and per-segment entries
-    /// make such no-op segments irrelevant to the float association — so
-    /// pruned and unpruned value-filtered scans stay exactly equal, not
-    /// just approximately.
+    /// surviving block and segments are evaluated as borrowed views. Chunks
+    /// merge in scan order, so bucket entries keep a sequential scan's
+    /// order; slot sums are exact, so the chunking cannot move their bits.
     fn scan(
         &self,
         plan: &Plan,
         rw: Rewritten,
         bucket: Option<TimeLevel>,
-        units: Option<&[Gid]>,
-        partials: &mut [PartialAggregates],
+        partial: &mut PartialAggregates,
     ) -> Result<()> {
-        let sets = RunSet::collect(self.store, &rw.pushdown)?.split(units);
-        for (runs, partial) in sets.into_iter().zip(partials) {
-            let n_segments = runs.len();
-            if n_segments == 0 {
-                continue;
+        let runs = RunSet::collect(self.store, &rw.pushdown)?;
+        let n_segments = runs.len();
+        if n_segments == 0 {
+            return Ok(());
+        }
+        let context = ScanContext {
+            rw,
+            keys: Arc::clone(&plan.keys),
+            bucket,
+            use_models: plan.use_models,
+            runs,
+        };
+        let engaged = |pool: &&ScanPool| {
+            let threshold = self.pool_threshold;
+            n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
+        };
+        let chunks = match self.pool.filter(engaged) {
+            Some(pool) => pool.execute(context)?,
+            None => {
+                let evaluator = SegmentEvaluator {
+                    catalog: self.catalog,
+                    registry: self.registry,
+                };
+                vec![context.fold(&evaluator, 0, n_segments)?]
             }
-            let fold_size = fold_group_size(n_segments);
-            let context = ScanContext {
-                rw: rw.clone(),
-                keys: Arc::clone(&plan.keys),
-                bucket,
-                use_models: plan.use_models,
-                runs,
-                fold_size,
-                chunk_size: fold_size, // recomputed by ScanPool::execute
-            };
-            let engaged = |pool: &&ScanPool| {
-                let threshold = self.pool_threshold;
-                n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
-            };
-            let folds = match self.pool.filter(engaged) {
-                Some(pool) => pool.execute(context)?,
-                None => {
-                    let evaluator = SegmentEvaluator {
-                        catalog: self.catalog,
-                        registry: self.registry,
-                    };
-                    context.folds(&evaluator, 0, n_segments)?
-                }
-            };
-            for fold in folds {
-                partial.absorb(fold);
-            }
+        };
+        for chunk in chunks {
+            merge_partials(partial, chunk);
         }
         Ok(())
     }
@@ -1282,42 +1113,14 @@ impl<'a> QueryEngine<'a> {
 }
 
 impl<'a> SegmentEvaluator<'a> {
-    /// Evaluates one fold group — global scan indices `lo..hi` of the
-    /// collected runs — the unit of work a scan worker (pooled or inline)
-    /// executes. Within the group, segments accumulate in order into the
-    /// group's slot accumulators, exactly like a sequential scan over the
-    /// group — under a `Value` filter segment by segment, so each segment's
-    /// accumulators become entries of their own; `scratch` is left
-    /// untouched for the next group.
-    fn fold_group(
-        &self,
-        scan: &ScanContext,
-        lo: usize,
-        hi: usize,
-        scratch: &mut Scratch,
-    ) -> Result<GroupFold> {
-        let mut slots = Vec::new();
-        let mut buckets = Vec::new();
-        let per_segment = scan.rw.values.is_some();
-        scan.runs.for_each_in(lo, hi, &mut |segment| {
-            self.iterate_segment(scan, segment, scratch, &mut buckets)?;
-            if per_segment {
-                scratch.slots.drain_into(&mut slots);
-            }
-            Ok(())
-        })?;
-        scratch.slots.drain_into(&mut slots);
-        Ok(GroupFold { slots, buckets })
-    }
-
     /// The `iterate` step over one segment (a borrowed view — block-backed
     /// segments are evaluated straight out of the cached buffer).
     fn iterate_segment(
         &self,
         scan: &ScanContext,
         segment: SegmentView<'_>,
-        scratch: &mut Scratch,
-        buckets: &mut Vec<(Tid, Timestamp, Accumulator)>,
+        grid: &mut Vec<Value>,
+        partial: &mut PartialAggregates,
     ) -> Result<()> {
         let rw = &scan.rw;
         if !rw.segment_time_matches(&segment) {
@@ -1328,7 +1131,7 @@ impl<'a> SegmentEvaluator<'a> {
         })?;
         let group_size = group.size();
         let n_present = segment.gaps.count_present(group_size);
-        let mut cursor = SegmentCursor::new(segment, n_present, &mut scratch.grid);
+        let mut cursor = SegmentCursor::new(segment, n_present, grid);
         let Some(range) = rw.tick_range(&segment) else {
             return Ok(());
         };
@@ -1352,10 +1155,11 @@ impl<'a> SegmentEvaluator<'a> {
             }
             match scan.bucket {
                 None => {
-                    let acc =
-                        self.range_accumulator(scan, &mut cursor, series_pos, range, scaling)?;
-                    if acc.count > 0 {
-                        scratch.slots.merge(slot, acc);
+                    let term = self.range_term(scan, &mut cursor, series_pos, range, scaling)?;
+                    if term.count > 0 {
+                        partial.slots[slot]
+                            .get_or_insert_with(Accumulator::new)
+                            .add(&term);
                     }
                 }
                 // Algorithm 6: split the tick range at calendar boundaries;
@@ -1363,10 +1167,9 @@ impl<'a> SegmentEvaluator<'a> {
                 // entry — the granularity rollup cells are materialized at.
                 Some(level) => {
                     for (bucket, sub) in BoundarySplits::new(segment, range, level) {
-                        let acc =
-                            self.range_accumulator(scan, &mut cursor, series_pos, sub, scaling)?;
-                        if acc.count > 0 {
-                            buckets.push((tid, bucket, acc));
+                        let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling)?;
+                        if term.count > 0 {
+                            partial.buckets.push((tid, bucket, term));
                         }
                     }
                 }
@@ -1375,39 +1178,38 @@ impl<'a> SegmentEvaluator<'a> {
         Ok(())
     }
 
-    /// A fresh accumulator of the series at `series_pos` over the tick
-    /// `range`: its model aggregate, or under a `Value` filter the points
-    /// that pass, reconstructed from the grid (possibly none). Its sum
-    /// starts at `+0.0`, so it is never `-0.0` and merging it equals adding
-    /// its terms directly, bit for bit.
-    fn range_accumulator(
+    /// The term of the series at `series_pos` over the tick `range`: its
+    /// model aggregate, or under a `Value` filter the points that pass,
+    /// reconstructed from the grid and folded in tick order (possibly none).
+    fn range_term(
         &self,
         scan: &ScanContext,
         cursor: &mut SegmentCursor<'_, '_>,
         series_pos: usize,
         range: (usize, usize),
         scaling: f64,
-    ) -> Result<Accumulator> {
+    ) -> Result<RollupAcc> {
         let undecodable = || MdbError::Corrupt("undecodable segment".into());
         let Some(filter) = &scan.rw.values else {
             let agg = cursor
                 .aggregate_with(self.registry, series_pos, range, scan.use_models)
                 .ok_or_else(undecodable)?;
-            let mut acc = Accumulator::new();
-            acc.add_segment_agg(agg, (range.1 - range.0 + 1) as u64, scaling);
-            return Ok(acc);
+            return Ok(term(agg, (range.1 - range.0 + 1) as u64, scaling));
         };
         let stride = cursor.n_series;
         let grid = cursor.grid(self.registry).ok_or_else(undecodable)?;
         let rows = &grid[range.0 * stride..(range.1 + 1) * stride];
-        let mut acc = Accumulator::new();
+        let mut term = EMPTY_TERM;
         for &stored in rows.iter().skip(series_pos).step_by(stride) {
             let v = f64::from(stored) / scaling;
             if filter.contains(v) {
-                acc.add_raw(v);
+                term.count += 1;
+                term.sum += v;
+                term.min = term.min.min(v);
+                term.max = term.max.max(v);
             }
         }
-        Ok(acc)
+        Ok(term)
     }
 }
 
@@ -1440,26 +1242,32 @@ impl<'a> QueryEngine<'a> {
                 folded.insert((slot, 0), acc);
             }
         }
-        // Bucket entries fold per (tid, bucket) in fold order (the sort is
-        // stable), then in ascending (tid, bucket) order — the same on every
-        // path that produces them (cells, scans, any cluster layout). The
-        // bucket start becomes the CUBE date-part, or folds away.
+        // Bucket entries fold as rollup cells do: per (tid, bucket) in scan
+        // order (the sort is stable), then in ascending (tid, bucket) order
+        // — the same on every path that produces them (cells, scans, any
+        // cluster layout, since a tid lives in one group and a group's
+        // segments are scanned in insertion order). The bucket start
+        // becomes the CUBE date-part, or folds away.
         buckets.sort_by_key(|&(tid, bucket, _)| (tid, bucket));
+        let mut cells: BTreeMap<(usize, i64), RollupAcc> = BTreeMap::new();
         let mut entries = buckets.into_iter().peekable();
-        while let Some((tid, bucket, mut acc)) = entries.next() {
+        while let Some((tid, bucket, mut cell)) = entries.next() {
             while let Some((_, _, next)) = entries.next_if(|e| (e.0, e.1) == (tid, bucket)) {
-                acc.merge(&next);
+                cell.merge(&next);
             }
             let (slot, _) = keys
                 .lookup(tid)
                 .expect("bucket entries hold only tids the key plan keeps");
             let part = cube.map_or(0, |level| time::part(level, bucket));
-            match folded.entry((slot, part)) {
-                Entry::Occupied(mut mine) => mine.get_mut().merge(&acc),
+            match cells.entry((slot, part)) {
+                Entry::Occupied(mut mine) => mine.get_mut().merge(&cell),
                 Entry::Vacant(vacant) => {
-                    vacant.insert(acc);
+                    vacant.insert(cell);
                 }
             }
+        }
+        for (key, cell) in cells {
+            folded.entry(key).or_default().add(&cell);
         }
 
         // Column layout: SELECT order, with the implicit time-part column
@@ -1754,16 +1562,19 @@ impl<'a> QueryEngine<'a> {
 }
 
 /// Merges `from` after `into` (Algorithm 5's `mergeResults`): into an empty
-/// partial it moves in whole, otherwise slot by slot, with its bucket
-/// entries following `into`'s. Both must come from the same query's plans.
+/// partial it moves in whole, otherwise slot by slot — in any order to the
+/// same bits — with its bucket entries following `into`'s. Both must come
+/// from the same query's plans.
 fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
     if into.slots.is_empty() && into.buckets.is_empty() {
         *into = from;
         return;
     }
     for (mine, theirs) in into.slots.iter_mut().zip(from.slots) {
-        if let Some(theirs) = theirs {
-            merge_slot(mine, theirs);
+        match (mine, theirs) {
+            (Some(mine), Some(theirs)) => mine.merge(&theirs),
+            (mine, theirs @ Some(_)) => *mine = theirs,
+            (_, None) => {}
         }
     }
     into.buckets.extend(from.buckets);
@@ -2357,14 +2168,16 @@ mod tests {
         });
         let mut p = PartialAggregates::new(&keys);
         for &(slot, x) in entries {
-            let acc = Accumulator {
+            let point = RollupAcc {
                 count: 1,
                 sum: x,
                 min: x,
                 max: x,
             };
-            p.slots[slot] = Some(acc);
-            p.buckets.push((1, slot as i64, acc));
+            p.slots[slot]
+                .get_or_insert_with(Accumulator::new)
+                .add(&point);
+            p.buckets.push((1, slot as i64, point));
         }
         p
     }
@@ -2381,17 +2194,25 @@ mod tests {
         assert_eq!(moved.slots, a.slots);
         assert_eq!(moved.buckets, a.buckets);
 
-        // Into a non-empty partial: touched slots union, shared slots fold
-        // left to right, so the float association is ((0.1 + 0.2) + 0.3);
-        // bucket entries follow in merge order.
-        merge_partials(&mut moved, b);
-        merge_partials(&mut moved, c);
-        let shared = moved.slots[0].unwrap();
+        // Into a non-empty partial: touched slots union, and a shared slot
+        // holds the correctly rounded sum in every merge order — 0.6, where
+        // a left fold gives ((0.1 + 0.2) + 0.3) = 0.6000000000000001.
+        // Bucket entries follow in merge order.
+        merge_partials(&mut moved, b.clone());
+        merge_partials(&mut moved, c.clone());
+        let shared = moved.slots[0].as_ref().unwrap();
         assert_eq!(shared.count, 3);
-        assert_eq!(shared.sum.to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
-        assert_ne!(shared.sum.to_bits(), (0.1f64 + (0.2 + 0.3)).to_bits());
-        assert_eq!(moved.slots[1].unwrap().sum, 5.0);
-        assert_eq!(moved.slots[2].unwrap().sum, 7.0);
+        assert_eq!(shared.sum().to_bits(), 0.6f64.to_bits());
+        assert_ne!(shared.sum().to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
+        for order in [[&b, &a, &c], [&c, &b, &a], [&a, &c, &b]] {
+            let mut other = PartialAggregates::default();
+            for p in order {
+                merge_partials(&mut other, p.clone());
+            }
+            assert_eq!(other.slots, moved.slots);
+        }
+        assert_eq!(moved.slots[1].as_ref().unwrap().sum(), 5.0);
+        assert_eq!(moved.slots[2].as_ref().unwrap().sum(), 7.0);
         let order: Vec<i64> = moved.buckets.iter().map(|&(_, b, _)| b).collect();
         assert_eq!(order, [0, 1, 0, 2, 0]);
     }

@@ -38,8 +38,8 @@ pub struct CommonOptions {
     /// Scan workers for the partial-aggregation phase, resolved by one rule
     /// in every deployment: `0` (auto) means the machine's available
     /// parallelism, and a persistent scan pool is started only when the
-    /// setting resolves to more than 1; otherwise every fold group runs
-    /// inline. A cluster applies this *per worker* (its default stays 1
+    /// setting resolves to more than 1; otherwise every scan runs inline.
+    /// A cluster applies this *per worker* (its default stays 1
     /// because the workers already scan concurrently). Results are
     /// bit-identical at every setting.
     pub query_parallelism: usize,

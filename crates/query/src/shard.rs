@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use mdb_compression::{CompressionConfig, GroupIngestor};
 use mdb_models::ModelRegistry;
-use mdb_storage::{Catalog, DiskStore, DiskStoreOptions, SegmentStore};
+use mdb_storage::{Catalog, DiskStore, DiskStoreOptions, RollupFeed, SegmentStore};
 use mdb_types::{BatchView, BlockFormat, Gid, MdbError, Result, SegmentRecord, TimeLevel};
 
+use crate::digest::ModelDigester;
 use crate::engine::resolve_workers;
 use crate::{CommonOptions, QueryEngine, ScanPool};
 
@@ -58,17 +59,18 @@ impl Shard {
         zone_pruning: bool,
         gids: &[Gid],
     ) -> Result<Self> {
-        // All three statistics are derived in one pass over one
+        // One digester derives all three statistics in one pass over one
         // reconstruction of each finalized segment.
-        let value_bounds = crate::value_bounds_fn(&catalog, &registry);
-        let sketch_feed = crate::sketch_feed(&catalog, &registry);
-        let rollup_feed = (!options.rollup_levels.is_empty())
-            .then(|| crate::rollup_feed(&catalog, &registry, &options.rollup_levels));
+        let digester = ModelDigester::shared(&catalog, &registry);
+        let rollup_feed = (!options.rollup_levels.is_empty()).then(|| RollupFeed {
+            levels: options.rollup_levels.clone(),
+            digester: Arc::clone(&digester),
+        });
         let store_options = DiskStoreOptions {
             bulk_write_size: options.bulk_write_size,
             memory_budget_bytes: options.memory_budget_bytes,
-            value_bounds: Some(value_bounds),
-            sketch_feed: Some(sketch_feed),
+            value_bounds: Some(Arc::clone(&digester)),
+            sketch_feed: Some(digester),
             rollup_feed,
             prefetch_depth: options.prefetch_depth,
             write_format: block_format,

@@ -421,7 +421,8 @@ impl DiskStore {
 
     /// Enables or disables block-statistics pruning in scans (the
     /// statistics are still maintained). Disabling yields the plain
-    /// fetch-every-block scan — the benchmark baseline.
+    /// fetch-every-block scan — the reference path the query-equivalence
+    /// suite compares pruned scans with.
     pub fn set_pruning(&mut self, pruning: bool) {
         self.pruning = pruning;
     }

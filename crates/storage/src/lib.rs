@@ -176,22 +176,6 @@ impl SegmentRun {
         }
     }
 
-    /// Segments `lo..hi` of the run as a run of their own: a block-backed
-    /// run shares its block, an inline run copies the records.
-    pub fn slice(&self, lo: usize, hi: usize) -> SegmentRun {
-        debug_assert!(lo <= hi && hi <= self.len());
-        match self {
-            SegmentRun::Block {
-                block, lo: first, ..
-            } => SegmentRun::Block {
-                block: Arc::clone(block),
-                lo: first + lo,
-                hi: first + hi,
-            },
-            SegmentRun::Inline(records) => SegmentRun::Inline(records[lo..hi].to_vec()),
-        }
-    }
-
     /// Iterates the run's segments in scan order.
     pub fn segments(&self) -> impl Iterator<Item = SegmentView<'_>> + '_ {
         (0..self.len()).map(|i| self.segment(i))

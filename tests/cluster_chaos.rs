@@ -5,7 +5,7 @@
 //! At replication factor 2, losing any single worker at any moment must be
 //! invisible in query results: the master promotes the surviving replica,
 //! ingestion continues, and every SQL result is **bit-identical** to a run
-//! that never failed (per-group partials merged in global gid order make
+//! that never failed (exact slot sums and per-group bucket order make
 //! results placement-independent). At replication factor 1 the data is
 //! gone — the run must *say so* through [`modelardb::Cluster::health`]
 //! instead of failing silently, while queries keep answering from the

@@ -286,9 +286,9 @@ proptest! {
         };
         let a = sequential.sql(&sql).unwrap();
         let b = parallel.sql(&sql).unwrap();
-        // Bit-identical, not approximately equal: the pruned-parallel path
-        // folds fixed segment groups in scan order, so it performs exactly
-        // the same float operations as the sequential scan.
+        // Bit-identical, not approximately equal: slot sums are exact and
+        // rounded once, so however the pruned-parallel path chunks the scan
+        // it lands on the sequential scan's bits.
         prop_assert_eq!(a.columns, b.columns);
         prop_assert_eq!(a.rows, b.rows, "{}", sql);
     }
@@ -319,8 +319,8 @@ proptest! {
     ) {
         // Several tids per group key: `Park` folds both series into one
         // key, `Turbine` keeps one per key — each under a segment-time bound
-        // (model aggregates, shared fold groups) and under a Value filter
-        // (per-point filtering, per-segment fold groups).
+        // (model aggregates) and under a Value filter (per-point filtering,
+        // one tick-order subtotal per segment and series).
         let (sequential, parallel) = sequential_and_parallel();
         let func = ["COUNT", "MIN", "MAX", "SUM", "AVG"][func_idx];
         let end = end * 100;

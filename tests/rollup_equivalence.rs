@@ -301,8 +301,9 @@ fn ingest_cluster(cluster: &Cluster, ds: &Dataset) {
 fn cluster_serving_matches_the_embedded_scan_at_any_layout() {
     // The embedded engine with serving OFF is the ground truth: a cluster
     // with serving ON (the default) must reproduce it bit-for-bit at every
-    // worker count — per-(tid, bucket) partials merge in global gid order,
-    // so placement never leaks into the float association.
+    // worker count — a (tid, bucket)'s entries come from its group's one
+    // primary in scan order, so placement never leaks into the float
+    // association.
     let ds = ep(13, Scale::tiny()).unwrap();
     let mut embedded = build_engine(&ds, true, 5.0);
     ingest_engine(&mut embedded, &ds, TICKS);
