@@ -120,7 +120,7 @@ impl Accumulator {
 /// the scaling constant of each time series as part of the iterate step",
 /// Section 6.1). Its sum starts at `+0.0`, so it is never `-0.0`; a `NaN`
 /// extreme is dropped, as every fold drops it.
-pub fn term(agg: SegmentAgg, count: u64, scaling: f64) -> RollupAcc {
+pub(crate) fn term(agg: SegmentAgg, count: u64, scaling: f64) -> RollupAcc {
     let (mut lo, mut hi) = (f64::from(agg.min) / scaling, f64::from(agg.max) / scaling);
     if lo > hi {
         std::mem::swap(&mut lo, &mut hi); // negative scaling flips extremes
@@ -134,7 +134,7 @@ pub fn term(agg: SegmentAgg, count: u64, scaling: f64) -> RollupAcc {
 }
 
 /// The term of no point, which a tick-order fold starts from.
-pub const EMPTY_TERM: RollupAcc = RollupAcc {
+pub(crate) const EMPTY_TERM: RollupAcc = RollupAcc {
     count: 0,
     sum: 0.0,
     min: f64::INFINITY,

@@ -48,11 +48,11 @@ pub fn sketch_feed(
 /// finalized segment and every level, the segment's tick range is split at
 /// calendar boundaries (Algorithm 6) and each sub-range is aggregated with
 /// **exactly** the arithmetic the Segment View's bucketed scan uses — one
-/// [`term`] of the model's constant-time
-/// aggregate — so a cell built incrementally from
-/// these deltas is bit-identical to the per-(tid, bucket) partial a scan
-/// would produce. A segment of an unknown group, or one that cannot be
-/// aggregated, poisons the cells (queries fall back to scanning).
+/// `term` of the model's constant-time aggregate — so a cell built
+/// incrementally from these deltas is bit-identical to the per-(tid,
+/// bucket) partial a scan would produce. A segment of an unknown group, or
+/// one that cannot be aggregated, poisons the cells (queries fall back to
+/// scanning).
 pub fn rollup_feed(
     catalog: &Arc<Catalog>,
     registry: &Arc<ModelRegistry>,

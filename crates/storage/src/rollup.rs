@@ -72,9 +72,10 @@ pub fn finest_level(levels: &[TimeLevel]) -> Option<TimeLevel> {
 }
 
 /// One materialized cell: the accumulator state of every data point of one
-/// time series inside one calendar bucket. Field semantics and merge
-/// arithmetic mirror the query engine's `Accumulator` exactly — that
-/// equivalence is what makes cell-served results bit-identical to scans.
+/// time series inside one calendar bucket. A bucketed scan keeps its
+/// `(tid, bucket)` entries as `RollupAcc`s too and folds them with the same
+/// [`RollupAcc::merge`] — that is what makes cell-served results
+/// bit-identical to scans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RollupAcc {
     /// Number of data points.
@@ -88,8 +89,8 @@ pub struct RollupAcc {
 }
 
 impl RollupAcc {
-    /// Folds another accumulator in — identical operations, in identical
-    /// order, to `Accumulator::merge` on the scan path.
+    /// Folds another accumulator in, in `f64`: cells and a bucketed scan's
+    /// entries fold with it in the same order.
     pub fn merge(&mut self, other: &RollupAcc) {
         self.count += other.count;
         self.sum += other.sum;
