@@ -14,8 +14,10 @@
 //!   it anywhere within `ε = ErrorBound::epsilon_for(stored)`. Divided back
 //!   by the scaling, each point may answer anywhere within a half-width `w`
 //!   of its raw value. `w` also covers the `f32` rounding of the stored
-//!   value and of reconstructed values, which a closed form over a line
-//!   does not perform.
+//!   value and, under a lossy bound, of reconstructed values, which a
+//!   closed form over a line does not perform. At 0 % only the scaling's
+//!   rounding remains: with scaling 1 an answer is exact up to float
+//!   association.
 //! * `COUNT` is exact. `SUM` lies within `Σ w`; `AVG`, `MIN` and `MAX`
 //!   within `max w`.
 //! * A point whose interval straddles a `Value` threshold, or whose
@@ -47,9 +49,9 @@ use proptest::prelude::*;
 const CASES: u32 = 256;
 const QUERIES_PER_CASE: usize = 6;
 
-/// Relative slack on a stored value for `f32` rounding: of the scaled value
-/// at ingestion, of each reconstructed value, and between a closed form over
-/// the ideal line and the rounded values it stands for.
+/// Relative slack on a stored value under a lossy bound, for `f32`
+/// rounding: of each reconstructed value, and between a closed form over the
+/// ideal line and the rounded values it stands for.
 const F32_SLACK: f64 = 1.0 / (1u64 << 21) as f64;
 
 const HOUR_MS: i64 = 3_600_000;
@@ -181,8 +183,12 @@ fn points(d: &Deployment) -> Vec<Point> {
             };
             let (raw, scaling) = (f64::from(raw), meta.scaling);
             let stored = (raw * scaling) as f32;
+            // At 0 % every answer reproduces the stored value exactly.
             let eps = d.bound.epsilon_for(stored);
-            let reach = eps + (f64::from(stored).abs() + eps) * F32_SLACK;
+            let reach = match d.bound {
+                ErrorBound::Lossless => 0.0,
+                _ => eps + (f64::from(stored).abs() + eps) * F32_SLACK,
+            };
             let quantized = (f64::from(stored) / scaling - raw).abs();
             points.push(Point {
                 tid: meta.tid,
