@@ -9,13 +9,26 @@
 //! engine scanning sequentially, a query engine over a rebuilt store without
 //! a scan pool, and the same engine with a two-worker pool forced on for
 //! every scan. All three must produce the recorded digest.
+//!
+//! The first two panels run at scaling 1, where every term is an
+//! `f32`-valued closed form and every partial sum fits in 53 bits, so any
+//! association gives the same bits. The third runs over a catalog whose
+//! scalings are not 1 (built as `tests/raw_oracle.rs` builds one), where
+//! `stored / scaling` terms round: it pins the association itself.
 
 use std::sync::Arc;
 
-use mdb_bench::{build_engine_with, ingest_engine};
+use mdb_bench::{build_engine_with, catalog_from_dataset, ingest_engine};
 use mdb_datagen::{eh, ep, Dataset, Scale};
 use mdb_query::Shard;
-use modelardb::{BlockFormat, Cell, Config, Gid, QueryResult};
+use modelardb::{
+    BlockFormat, Cell, Config, ErrorBound, Gid, ModelRegistry, ModelarDb, QueryResult, StorageSpec,
+};
+
+const HOUR_MS: i64 = 3_600_000;
+const DAY_MS: i64 = 24 * HOUR_MS;
+/// 2021-02-01T00:00:00Z: an hour, day and month boundary at once.
+const FEB_1_2021: i64 = 1_612_137_600_000;
 
 /// The query panel: the dashboard's broad shapes (dimension group-bys with a
 /// segment-time bound, and the ungrouped total), `Value` filters grouped by
@@ -70,6 +83,35 @@ fn panel(ds: &Dataset) -> Vec<String> {
     ]
 }
 
+/// The scaled panel: [`panel`] plus the shapes whose association depends on
+/// which calendar buckets a range is cut into — a ragged `TS` range across
+/// day and month boundaries, ragged `CUBE_*` at Day and Month, and a
+/// segment-time cut through the middle of the data.
+fn scaled_panel(ds: &Dataset) -> Vec<String> {
+    let ticks = ds.scale.ticks;
+    let from = FEB_1_2021 - DAY_MS - 5 * HOUR_MS - 17 * 60_000 - 3;
+    let to = FEB_1_2021 + DAY_MS + 7 * HOUR_MS + 43 * 60_000 + 11;
+    let cut = ds.timestamp(ticks / 2);
+    let mut queries = panel(ds);
+    queries.extend([
+        format!(
+            "SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment WHERE TS >= {from} AND TS <= {to} \
+             GROUP BY Tid ORDER BY Tid"
+        ),
+        format!(
+            "SELECT Entity, CUBE_SUM_DAY(*) FROM Segment WHERE TS >= {from} AND TS <= {to} \
+             GROUP BY Entity ORDER BY Entity"
+        ),
+        format!("SELECT CUBE_AVG_MONTH(*), CUBE_SUM_MONTH(*) FROM Segment WHERE TS >= {from}"),
+        format!(
+            "SELECT Category, SUM_S(*) FROM Segment WHERE EndTime <= {cut} \
+             GROUP BY Category ORDER BY Category"
+        ),
+        format!("SELECT SUM_S(*), COUNT_S(*) FROM Segment WHERE StartTime >= {cut}"),
+    ]);
+    queries
+}
+
 /// FNV-1a over the result's column names and every cell, floats by their
 /// exact bits.
 fn digest(result: &QueryResult) -> u64 {
@@ -117,7 +159,12 @@ fn digest(result: &QueryResult) -> u64 {
 fn check(ds: &Dataset, expected: &[(usize, u64)]) {
     let mut db = build_engine_with(ds, true, 5.0, 1, true);
     ingest_engine(&mut db, ds, ds.scale.ticks);
+    check_engine(db, ds, &panel(ds), expected);
+}
 
+/// Runs `panel` on the loaded `db` all three ways and checks each answer's
+/// row count and digest against `expected`.
+fn check_engine(db: ModelarDb, ds: &Dataset, panel: &[String], expected: &[(usize, u64)]) {
     // The same segments in a shard with a two-worker scan pool.
     let mut options = Config::default().common;
     options.query_parallelism = 2;
@@ -139,9 +186,8 @@ fn check(ds: &Dataset, expected: &[(usize, u64)]) {
     }
     shard.store_mut().flush().unwrap();
 
-    let panel = panel(ds);
     let mut got = Vec::new();
-    for sql in &panel {
+    for sql in panel {
         let embedded = db.sql(sql).unwrap();
         let inline = shard
             .engine(None)
@@ -199,6 +245,27 @@ const EH_TINY: [(usize, u64); 11] = [
     (1, 0x0e638eef1289e5f5),
 ];
 
+/// `(rows, digest)` per scaled-panel query on `ep(3, Scale::small())` ending
+/// across February 1st, scalings cycling through 2, 0.5, 4.75, −1.5 and 3.
+const EP_SCALED: [(usize, u64); 16] = [
+    (8, 0x8e4a5a6a5979bd1a),
+    (1, 0x291276d0db334d97),
+    (4, 0x2a7725d67469ec27),
+    (1, 0x6014b7f2359e5826),
+    (1, 0x99ee43c50b339bec),
+    (32, 0xdeeb0ac440fa456d),
+    (8, 0x222ae30e21c3bab9),
+    (32, 0xf21cc67f89f70156),
+    (96, 0x10c9186cdb8897a3),
+    (32, 0x38938b8633ebe22a),
+    (15, 0xdffc65d38f92d6ff),
+    (32, 0x96bc5a0317a96dde),
+    (32, 0xc036d49815314b8d),
+    (2, 0x8c8417c5e0f55b68),
+    (1, 0xc6c315ea1beef900),
+    (1, 0x032c8d480ffdb2d1),
+];
+
 #[test]
 fn ep_small_answers_are_pinned() {
     check(&ep(3, Scale::small()).unwrap(), &EP_SMALL);
@@ -207,4 +274,23 @@ fn ep_small_answers_are_pinned() {
 #[test]
 fn eh_tiny_answers_are_pinned() {
     check(&eh(3, Scale::tiny()).unwrap(), &EH_TINY);
+}
+
+#[test]
+fn scaled_answers_are_pinned() {
+    let mut ds = ep(3, Scale::small()).unwrap();
+    ds.start = FEB_1_2021 - 2 * DAY_MS;
+    let mut catalog = (*catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap()).clone();
+    let scalings = [2.0, 0.5, 4.75, -1.5, 3.0];
+    for (meta, scaling) in catalog.series.iter_mut().zip(scalings.iter().cycle()) {
+        meta.scaling = *scaling;
+    }
+    let mut config = Config::default();
+    config.compression.error_bound = ErrorBound::relative(5.0);
+    config.storage = StorageSpec::Memory;
+    config.query_parallelism = 1;
+    let registry = Arc::new(ModelRegistry::standard());
+    let mut db = ModelarDb::from_catalog(Arc::new(catalog), registry, config).unwrap();
+    ingest_engine(&mut db, &ds, ds.scale.ticks);
+    check_engine(db, &ds, &scaled_panel(&ds), &EP_SCALED);
 }
