@@ -182,9 +182,9 @@ impl ModelarDb {
         self.shard.engine(None).sql(text)
     }
 
-    /// Enables or disables answering whole-bucket aggregates from the
+    /// Enables or disables answering whole tiles of aggregates from the
     /// materialized rollup cells. Results are bit-identical either way
-    /// (scanning keeps the bucketed association); the toggle exists so the
+    /// (scanning keeps the tiled association); the toggle exists so the
     /// rollup-equivalence suite can check served answers against scans on
     /// the same engine.
     pub fn set_rollup_serve(&mut self, serve: bool) {

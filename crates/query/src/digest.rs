@@ -18,7 +18,7 @@ use mdb_storage::{Catalog, Digest, DigestBuf, RollupDelta, RollupFeed, SegmentDi
 use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value};
 
 use crate::aggregate::{grid_aggregate, term};
-use crate::engine::BoundarySplits;
+use crate::tile::Tiling;
 
 /// Keeps a store's stored-value ranges, behind its block statistics: the
 /// models' constant-time aggregate over a segment's full range, per present
@@ -133,7 +133,12 @@ impl SegmentDigester for ModelDigester {
         buf.ranges.clear();
         buf.cells.clear();
         for &level in levels {
-            for (bucket, sub) in BoundarySplits::new(segment.view(), (0, count - 1), level) {
+            let tiles = Tiling::whole(level);
+            for (bucket, sub) in tiles.splits(
+                segment.start_time,
+                segment.sampling_interval,
+                (0, count - 1),
+            ) {
                 let slot = buf
                     .ranges
                     .iter()
@@ -318,8 +323,8 @@ mod tests {
                 let tid = group.tids[member_pos];
                 let scaling = self.catalog.scaling_of(tid);
                 for &level in levels {
-                    for (bucket, sub) in BoundarySplits::new(segment.view(), (0, last_tick), level)
-                    {
+                    let (start, si) = (segment.start_time, segment.sampling_interval);
+                    for (bucket, sub) in Tiling::whole(level).splits(start, si, (0, last_tick)) {
                         let agg = cursor.aggregate_with(&self.registry, series_pos, sub, true)?;
                         deltas.push(RollupDelta {
                             tid,

@@ -23,16 +23,23 @@
 //! entries in scan order instead, the order the rollup cells fold in.
 //!
 //! When the store maintains continuous aggregates ([`mdb_storage::rollup`]),
-//! whole-bucket time-hierarchy aggregates are answered from materialized
-//! cells instead of a scan — see [`QueryEngine::with_rollups`] — with
-//! segment scans only for the partial buckets at the edges of a time range.
+//! a Segment View aggregate without a `Value` filter is *tiled*: its `TS`
+//! range is cut into the coarsest whole calendar buckets of the maintained
+//! levels that fit (months, then days, then hours) and at most two partial
+//! edge buckets. Whole tiles are answered from the materialized cells
+//! instead of a scan — see [`QueryEngine::with_rollups`] — and only the
+//! edges and the tiles a `StartTime`/`EndTime` comparison cuts through are
+//! scanned, with segments split at the same tile boundaries.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mdb_models::{ModelRegistry, SegmentAgg};
-use mdb_storage::{Catalog, RollupAcc, SegmentPredicate, SegmentRun, SegmentStore};
+use mdb_storage::rollup::level_tag;
+use mdb_storage::{
+    Catalog, RollupAcc, SegmentEnvelope, SegmentPredicate, SegmentRun, SegmentStore,
+};
 use mdb_types::{
     time, BlockSketch, Gid, MdbError, Result, SegmentView, Tid, TimeLevel, Timestamp, Value,
     ValueInterval,
@@ -41,6 +48,7 @@ use mdb_types::{
 use crate::aggregate::{term, Accumulator, AggFunc, SegmentCursor, EMPTY_TERM};
 use crate::cell::{Cell, QueryResult};
 use crate::sql::{CmpOp, Predicate, Query, SelectItem, SketchFunc, TimeColumn, View};
+use crate::tile::{bucket_end, Span, Tiling};
 
 /// A group-by key component (group keys are never floats).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,15 +87,29 @@ impl KeyPlan {
 }
 
 /// The representation a compiled aggregate query is answered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Representation {
     /// The store's merged per-group sketches; no segment body is read.
     Sketch,
-    /// Whole buckets from rollup cells, edge buckets scanned; falls back to
-    /// the bit-identical bucketed scan when the store cannot serve.
-    Rollup { level: TimeLevel },
-    /// A segment scan, bucketed (CUBE, or rollup-eligible) or not.
-    Scan { bucket: Option<TimeLevel> },
+    /// A plain segment scan into exact per-slot sums.
+    Scan,
+    /// One bucket entry per `(tid, tile)`: whole tiles from rollup cells
+    /// where the store serves them, every other tile scanned with segments
+    /// split at the same tile boundaries, so the two paths fold the same
+    /// terms per tile and give the same bits.
+    Tiled(Tiling),
+}
+
+/// What the store's segment-time statistics make of one tile under the
+/// query's `StartTime`/`EndTime` comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Every segment that meets the tile passes: its cells are the answer.
+    Serve,
+    /// No segment that meets the tile passes: it contributes nothing.
+    Skip,
+    /// Some may pass and some may not: the tile is scanned.
+    Scan,
 }
 
 /// An aggregate query compiled once ([`QueryEngine::compile`]).
@@ -106,15 +128,15 @@ pub type GidRows = Vec<(Gid, Vec<Vec<Cell>>)>;
 
 /// Worker-local partial aggregation state of one [`Plan`]: one exact
 /// [`Accumulator`] per group key, so partials merge in any order to the same
-/// bits. Bucketed plans instead keep one [`RollupAcc`] per segment or rollup
-/// cell that touched a `(tid, bucket)`, in scan order, for
+/// bits. Tiled plans instead keep one [`RollupAcc`] per segment or rollup
+/// cell that touched a `(tid, tile)`, in scan order, for
 /// [`QueryEngine::finalize_aggregates`] to fold as the cells are folded.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAggregates {
     keys: Arc<KeyPlan>,
     /// Indexed by slot; `None` until a segment touches the slot.
     slots: Vec<Option<Accumulator>>,
-    /// `(tid, bucket start, term)` in scan order.
+    /// `(tid, tile start, term)` in scan order.
     buckets: Vec<(Tid, Timestamp, RollupAcc)>,
 }
 
@@ -164,13 +186,13 @@ pub struct QueryEngine<'a> {
     /// [`QueryEngine::with_gid_scope`]).
     gid_scope: Option<&'a [Gid]>,
     /// The time levels the store's continuous aggregates materialize (empty
-    /// = rollups off). Non-empty switches eligible plain aggregates to the
-    /// bucketed scan so serve and scan share one float association (cells
-    /// fold in `f64`, per `(tid, bucket)` in scan order).
+    /// = rollups off). Non-empty tiles eligible aggregates at these levels
+    /// so serve and scan share one float association (cells fold in `f64`,
+    /// per `(tid, tile)` in scan order).
     rollup_levels: &'a [TimeLevel],
-    /// Whether whole-bucket aggregates may be answered from rollup cells.
-    /// Scanning with `rollup_levels` still set keeps the bucketed
-    /// association, which is what makes the two paths bit-identical.
+    /// Whether whole tiles may be answered from rollup cells. Scanning with
+    /// `rollup_levels` still set keeps the tiled association, which is what
+    /// makes the two paths bit-identical.
     rollup_serve: bool,
 }
 
@@ -262,11 +284,12 @@ impl RunSet {
 
 /// One scan's owned state, shipped to [`ScanPool`] workers: the rewritten
 /// filters (with the `TS` bounds of the window being scanned), the key plan,
-/// the bucketing level, and the pruned runs.
+/// the tiling segments are split at (`None` for exact per-slot sums), and
+/// the pruned runs.
 struct ScanContext {
     rw: Rewritten,
     keys: Arc<KeyPlan>,
-    bucket: Option<TimeLevel>,
+    tiling: Option<Tiling>,
     /// Only the Segment View may aggregate on the models directly.
     use_models: bool,
     runs: RunSet,
@@ -282,9 +305,9 @@ impl ScanContext {
         hi: usize,
     ) -> Result<PartialAggregates> {
         let mut partial = PartialAggregates::new(&self.keys);
-        let mut grid = Vec::new();
+        let (mut grid, mut splits) = (Vec::new(), Vec::new());
         self.runs.for_each_in(lo, hi, &mut |segment| {
-            evaluator.iterate_segment(self, segment, &mut grid, &mut partial)
+            evaluator.iterate_segment(self, segment, &mut grid, &mut splits, &mut partial)
         })?;
         Ok(partial)
     }
@@ -488,6 +511,59 @@ impl Rewritten {
         })
     }
 
+    /// The rewrite restricted to the `TS` window `[lo, hi]` (inside its
+    /// range): the window bounds the scan, and the push-down keeps any
+    /// tighter segment-time bound.
+    fn within(&self, lo: Timestamp, hi: Timestamp) -> Rewritten {
+        let mut rw = self.clone();
+        (rw.ts_from, rw.ts_to) = (lo, hi);
+        if lo != i64::MIN {
+            rw.pushdown.from = Some(rw.pushdown.from.map_or(lo, |from| from.max(lo)));
+        }
+        if hi != i64::MAX {
+            rw.pushdown.to = Some(rw.pushdown.to.map_or(hi, |to| to.min(hi)));
+        }
+        rw
+    }
+
+    /// What the segment-time comparisons make of the segments `envelopes`
+    /// summarize that meet `tile`. Each comparison is decided on the range
+    /// its column may take inside an envelope — `[min_end, max_end]` for
+    /// `EndTime`, and for `StartTime` `[min_start, max_end]`, since a
+    /// segment starts no later than it ends: it keeps every segment when it
+    /// holds at both ends of the range, and none when it fails at both
+    /// (for `=`, when the range misses the value).
+    fn verdict(&self, envelopes: &[SegmentEnvelope], (lo, hi): Span) -> Verdict {
+        let (mut all, mut none) = (true, true);
+        for e in envelopes
+            .iter()
+            .filter(|e| e.min_start <= hi && e.max_end >= lo)
+        {
+            let (mut keeps_all, mut keeps_none) = (true, false);
+            for &(column, op, value) in &self.segment_time {
+                let (min, max) = match column {
+                    TimeColumn::StartTime => (e.min_start, e.max_end),
+                    _ => (e.min_end, e.max_end),
+                };
+                keeps_all &= op.holds(min, value) && op.holds(max, value);
+                keeps_none |= match op {
+                    CmpOp::Eq => value < min || value > max,
+                    _ => !op.holds(min, value) && !op.holds(max, value),
+                };
+            }
+            all &= keeps_all;
+            none &= keeps_none;
+            if !all && !none {
+                return Verdict::Scan;
+            }
+        }
+        if all {
+            Verdict::Serve
+        } else {
+            Verdict::Skip
+        }
+    }
+
     /// The tick-index range of `segment` inside the `TS` bounds, or `None`
     /// when no tick is.
     fn tick_range(&self, segment: &SegmentView<'_>) -> Option<(usize, usize)> {
@@ -525,10 +601,10 @@ impl<'a> QueryEngine<'a> {
 
     /// Declares the continuous-aggregate configuration: `levels` must match
     /// the store's rollup feed (empty disables rollups entirely), and
-    /// `serve` controls whether whole-bucket aggregates are answered from
-    /// the materialized cells. `serve = false` with non-empty levels keeps
-    /// the bucketed scan association, so toggling `serve` never changes a
-    /// single output bit — only how many segment bodies are read.
+    /// `serve` controls whether whole tiles are answered from the
+    /// materialized cells. `serve = false` with non-empty levels keeps the
+    /// tiled scan association, so toggling `serve` never changes a single
+    /// output bit — only how many segment bodies are read.
     pub fn with_rollups(mut self, levels: &'a [TimeLevel], serve: bool) -> Self {
         self.rollup_levels = levels;
         self.rollup_serve = serve;
@@ -694,16 +770,24 @@ impl<'a> QueryEngine<'a> {
             });
             pushdown.values = Some(stored.widened());
         }
-        // Sound push-down from segment-time comparisons.
-        for (column, op, value) in &segment_time {
-            match (column, op) {
-                (TimeColumn::EndTime, CmpOp::Ge) | (TimeColumn::EndTime, CmpOp::Gt) => {
-                    pushdown.from = Some(pushdown.from.map_or(*value, |f| f.max(*value)));
-                }
-                (TimeColumn::StartTime, CmpOp::Le) | (TimeColumn::StartTime, CmpOp::Lt) => {
-                    pushdown.to = Some(pushdown.to.map_or(*value, |t| t.min(*value)));
-                }
-                _ => {}
+        // Sound push-down from segment-time comparisons. A segment starts
+        // no later than it ends, so one that starts at or after `v` also
+        // ends at or after it: `StartTime >= v` prunes like `EndTime >= v`.
+        for &(column, op, value) in &segment_time {
+            let (lower, upper) = match op {
+                CmpOp::Ge | CmpOp::Gt => (true, false),
+                CmpOp::Le | CmpOp::Lt => (false, true),
+                CmpOp::Eq => (true, true),
+            };
+            if lower {
+                pushdown.from = Some(pushdown.from.map_or(value, |f| f.max(value)));
+            }
+            if upper {
+                let bound = match column {
+                    TimeColumn::StartTime => &mut pushdown.to,
+                    _ => &mut pushdown.ends_by,
+                };
+                *bound = Some(bound.map_or(value, |b| b.min(value)));
             }
         }
         Ok(Rewritten {
@@ -721,10 +805,20 @@ impl<'a> QueryEngine<'a> {
 
     /// Compiles an aggregate or sketch query once: validates it, rewrites
     /// its WHERE clause, chooses the representation that answers it —
-    /// sketches, rollup cells, or a bucketed or plain scan — and resolves
-    /// every tid it keeps to a group-key slot (so an unknown GROUP BY column
-    /// is an error whatever the data). The gid scope is applied later, by
+    /// sketches, a tiling, or a plain scan — and resolves every tid it
+    /// keeps to a group-key slot (so an unknown GROUP BY column is an error
+    /// whatever the data). The gid scope is applied later, by
     /// [`QueryEngine::plan_partial`].
+    ///
+    /// A Segment View aggregate without a `Value` filter is *cellular*: it
+    /// is tiled at the maintained rollup levels (for `CUBE_*`, those no
+    /// coarser than its own, so tiles lie inside its output buckets), with
+    /// the finest of them as the edge level. The tiling depends on the
+    /// query's `TS` range and the levels alone; which tiles the store then
+    /// serves, skips or scans ([`QueryEngine::plan_partial`]) never moves a
+    /// bit. A `CUBE_*` query that is not cellular, or finer than every
+    /// level, is tiled by its own level's buckets; any other plain
+    /// aggregate is a plain scan.
     pub fn compile(&self, query: &Query) -> Result<Plan> {
         if query
             .items
@@ -772,24 +866,20 @@ impl<'a> QueryEngine<'a> {
         let rw = self.rewrite(query)?;
         let keys = Arc::new(self.key_plan(query, &rw)?);
         // Rollup cells fold the Segment View's model aggregates; a per-point
-        // `Value` filter or a `StartTime`/`EndTime` comparison (which keeps or
-        // drops whole segments) cannot be answered from them. An eligible
-        // plain aggregate buckets at the finest rollup level anyway, so the
-        // served and scanned paths share one float association — a
-        // per-(tid, bucket) left fold in scan order — and toggling serving
-        // never changes an output.
-        let cellular =
-            query.view == View::Segment && rw.values.is_none() && rw.segment_time.is_empty();
-        let bucket = cube.or(if cellular {
-            mdb_storage::rollup::finest_level(self.rollup_levels)
-        } else {
-            None
-        });
-        let representation = match bucket {
-            Some(level) if cellular && self.rollup_serve && self.rollup_levels.contains(&level) => {
-                Representation::Rollup { level }
-            }
-            bucket => Representation::Scan { bucket },
+        // `Value` filter cannot be answered from them.
+        let cellular = query.view == View::Segment && rw.values.is_none();
+        let levels: Vec<TimeLevel> = match cellular {
+            true => self
+                .rollup_levels
+                .iter()
+                .copied()
+                .filter(|l| cube.is_none_or(|c| level_tag(*l) >= level_tag(c)))
+                .collect(),
+            false => Vec::new(),
+        };
+        let representation = match mdb_storage::rollup::finest_level(&levels).or(cube) {
+            Some(edge) => Representation::Tiled(Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
+            None => Representation::Scan,
         };
         Ok(Plan {
             representation,
@@ -848,25 +938,32 @@ impl<'a> QueryEngine<'a> {
 
     /// The worker half of Algorithms 5 and 6: initialize + iterate over the
     /// local store within this engine's gid scope, folding every segment
-    /// into one partial.
+    /// into one partial. A tiled plan takes the whole tiles the store
+    /// serves from its rollup cells (`serve_tiles`) and scans
+    /// the rest; with serving off, or no level to serve, it scans the whole
+    /// range with the same tile splits.
     pub fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
         let mut rw = plan.rw.clone();
         self.apply_scope(&mut rw);
         let mut partial = PartialAggregates::new(&plan.keys);
-        let bucket = match plan.representation {
+        let tiling = match &plan.representation {
             Representation::Sketch => {
                 return Err(MdbError::Query(
                     "sketch queries merge sketches, not aggregate partials".into(),
                 ))
             }
             _ if rw.empty => return Ok(partial),
-            Representation::Rollup { level } => match self.serve_from_rollups(plan, &rw, level)? {
-                Some(served) => return Ok(served),
-                None => Some(level),
-            },
-            Representation::Scan { bucket } => bucket,
+            Representation::Scan => None,
+            Representation::Tiled(tiling) => Some(tiling),
         };
-        self.scan(plan, rw, bucket, &mut partial)?;
+        match tiling {
+            Some(tiling) if self.rollup_serve && tiling.has_levels() => {
+                for (lo, hi) in self.serve_tiles(plan, &rw, tiling, &mut partial)? {
+                    self.scan(plan, rw.within(lo, hi), Some(tiling), &mut partial)?;
+                }
+            }
+            _ => self.scan(plan, rw, tiling, &mut partial)?,
+        }
         Ok(partial)
     }
 
@@ -882,90 +979,76 @@ impl<'a> QueryEngine<'a> {
         gids
     }
 
-    /// Whether the bucket starting at `b` lies entirely inside the query's
-    /// `TS` range, so its materialized cell covers exactly what a scan
-    /// would visit. A saturated `next_boundary` (bucket runs past
-    /// `i64::MAX`) still compares correctly: the bucket is only covered by
-    /// an unbounded upper range.
-    fn bucket_covered(level: TimeLevel, b: Timestamp, from: Timestamp, to: Timestamp) -> bool {
-        (from == i64::MIN || b >= from)
-            && (to == i64::MAX || time::next_boundary(level, b).saturating_sub(1) <= to)
-    }
-
-    /// Answers a bucketed aggregate from the store's materialized rollup
-    /// cells: covered buckets become per-(tid, bucket) entries straight
-    /// from the cells (no segment bodies are read), and the at-most-two
-    /// partial buckets at the range edges are scanned through the ordinary
-    /// bucketed path with the `TS` bounds narrowed to the partial windows.
-    /// Returns `Ok(None)` when the store cannot serve (no rollup feed, a
-    /// poisoned cell set, or the level is not materialized) — the caller
-    /// falls back to the full bucketed scan, which produces bit-identical
-    /// partials.
-    fn serve_from_rollups(
+    /// Answers the whole tiles of `tiling` the store can serve from its
+    /// rollup cells — per-(tid, tile) entries straight from the cells, no
+    /// segment body read — and returns the spans left to scan, merged where
+    /// they touch: the edge tiles, every tile of a level the store cannot
+    /// serve (no rollup feed, a poisoned cell set, the level not
+    /// materialized), and the tiles a segment-time comparison cuts through.
+    ///
+    /// Under `StartTime`/`EndTime` comparisons each tile gets a
+    /// [`Verdict`] from the time envelopes of the log blocks and the write
+    /// buffer ([`SegmentStore::segment_envelopes`]): served when every
+    /// segment that meets it passes, skipped when none does, scanned with
+    /// the comparisons otherwise. A served tile's cell folds exactly the
+    /// terms its scan would, and a skipped one's scan would fold none, so
+    /// the verdict never moves a bit.
+    fn serve_tiles(
         &self,
         plan: &Plan,
         rw: &Rewritten,
-        level: TimeLevel,
-    ) -> Result<Option<PartialAggregates>> {
-        let mut partial = PartialAggregates::new(&plan.keys);
-        // The store visits only buckets starting inside the TS range — a
-        // superset of the covered ones; `bucket_covered` drops the trailing
-        // partial one.
-        let served = self.store.rollup_cells(
-            level,
-            rw.pushdown.gids.as_deref(),
-            (rw.ts_from, rw.ts_to),
-            &mut |_, tid, bucket, acc| {
-                if Self::bucket_covered(level, bucket, rw.ts_from, rw.ts_to)
-                    && plan.keys.lookup(tid).is_some()
-                {
-                    partial.buckets.push((tid, bucket, *acc));
-                }
-            },
-        )?;
-        if !served {
-            return Ok(None);
-        }
-        // Scan the partial buckets at the edges of the TS range (at most a
-        // leading and a trailing window; one window when both edges fall in
-        // the same bucket). Their buckets are disjoint from every served
-        // cell, so the merge order cannot affect any accumulator.
-        for (lo, hi) in Self::edge_windows(level, rw.ts_from, rw.ts_to) {
-            let mut rw_edge = rw.clone();
-            rw_edge.ts_from = lo;
-            rw_edge.ts_to = hi;
-            rw_edge.pushdown.from = Some(lo);
-            rw_edge.pushdown.to = Some(hi);
-            self.scan(plan, rw_edge, Some(level), &mut partial)?;
-        }
-        Ok(Some(partial))
-    }
-
-    /// The sub-ranges of `[from, to]` that lie in partially-covered
-    /// buckets of `level` — empty when both edges are bucket-aligned (or
-    /// unbounded).
-    fn edge_windows(
-        level: TimeLevel,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<(Timestamp, Timestamp)> {
-        let lead = (from != i64::MIN && time::truncate(level, from) != from)
-            .then(|| time::truncate(level, from));
-        let trail = (to != i64::MAX && time::next_boundary(level, to) != to.saturating_add(1))
-            .then(|| time::truncate(level, to));
-        match (lead, trail) {
-            (Some(a), Some(b)) if a == b => vec![(from, to)],
-            (lead, trail) => {
-                let mut windows = Vec::new();
-                if lead.is_some() {
-                    windows.push((from, to.min(time::next_boundary(level, from) - 1)));
-                }
-                if let Some(b) = trail {
-                    windows.push((from.max(b), to));
-                }
-                windows
+        tiling: &Tiling,
+        partial: &mut PartialAggregates,
+    ) -> Result<Vec<Span>> {
+        let gids = rw.pushdown.gids.as_deref();
+        let (regions, mut scans) = tiling.regions();
+        let mut envelopes = Vec::new();
+        if !rw.segment_time.is_empty() {
+            let listed =
+                self.store
+                    .segment_envelopes(gids, (rw.ts_from, rw.ts_to), &mut |envelope| {
+                        envelopes.push(*envelope)
+                    })?;
+            if !listed {
+                return Ok(vec![(rw.ts_from, rw.ts_to)]);
             }
         }
+        for (level, span) in regions {
+            let served_before = partial.buckets.len();
+            let mut verdicts: BTreeMap<Timestamp, Verdict> = BTreeMap::new();
+            let served = self
+                .store
+                .rollup_cells(level, gids, span, &mut |_, tid, tile, acc| {
+                    if plan.keys.lookup(tid).is_none() {
+                        return;
+                    }
+                    let verdict = match rw.segment_time.is_empty() {
+                        true => Verdict::Serve,
+                        false => *verdicts.entry(tile).or_insert_with(|| {
+                            rw.verdict(&envelopes, (tile, bucket_end(level, tile)))
+                        }),
+                    };
+                    if verdict == Verdict::Serve {
+                        partial.buckets.push((tid, tile, *acc));
+                    }
+                })?;
+            if !served {
+                partial.buckets.truncate(served_before);
+                scans.push(span);
+                continue;
+            }
+            let cut = verdicts.into_iter().filter(|(_, v)| *v == Verdict::Scan);
+            scans.extend(cut.map(|(tile, _)| (tile, bucket_end(level, tile))));
+        }
+        scans.sort_unstable();
+        let mut merged: Vec<Span> = Vec::with_capacity(scans.len());
+        for (lo, hi) in scans {
+            match merged.last_mut() {
+                Some(last) if last.1.checked_add(1) == Some(lo) => last.1 = hi,
+                _ => merged.push((lo, hi)),
+            }
+        }
+        Ok(merged)
     }
 
     /// Collects the runs `rw` selects and folds them into `partial` — on the
@@ -982,7 +1065,7 @@ impl<'a> QueryEngine<'a> {
         &self,
         plan: &Plan,
         rw: Rewritten,
-        bucket: Option<TimeLevel>,
+        tiling: Option<&Tiling>,
         partial: &mut PartialAggregates,
     ) -> Result<()> {
         let runs = RunSet::collect(self.store, &rw.pushdown)?;
@@ -993,7 +1076,7 @@ impl<'a> QueryEngine<'a> {
         let context = ScanContext {
             rw,
             keys: Arc::clone(&plan.keys),
-            bucket,
+            tiling: tiling.cloned(),
             use_models: plan.use_models,
             runs,
         };
@@ -1120,6 +1203,7 @@ impl<'a> SegmentEvaluator<'a> {
         scan: &ScanContext,
         segment: SegmentView<'_>,
         grid: &mut Vec<Value>,
+        splits: &mut Vec<(Timestamp, (usize, usize))>,
         partial: &mut PartialAggregates,
     ) -> Result<()> {
         let rw = &scan.rw;
@@ -1135,6 +1219,14 @@ impl<'a> SegmentEvaluator<'a> {
         let Some(range) = rw.tick_range(&segment) else {
             return Ok(());
         };
+        // Algorithm 6: split the tick range at tile boundaries, once for
+        // every series; each sub-range lands in its own (tid, tile start)
+        // entry — the granularity rollup cells are materialized at.
+        splits.clear();
+        if let Some(tiling) = &scan.tiling {
+            let si = segment.sampling_interval;
+            splits.extend(tiling.splits(segment.start_time, si, range));
+        }
 
         for (series_pos, member_pos) in segment.gaps.present_positions(group_size).enumerate() {
             let tid = group.tids[member_pos];
@@ -1153,25 +1245,18 @@ impl<'a> SegmentEvaluator<'a> {
                     continue;
                 }
             }
-            match scan.bucket {
-                None => {
-                    let term = self.range_term(scan, &mut cursor, series_pos, range, scaling)?;
-                    if term.count > 0 {
-                        partial.slots[slot]
-                            .get_or_insert_with(Accumulator::new)
-                            .add(&term);
-                    }
+            if scan.tiling.is_none() {
+                let term = self.range_term(scan, &mut cursor, series_pos, range, scaling)?;
+                if term.count > 0 {
+                    partial.slots[slot]
+                        .get_or_insert_with(Accumulator::new)
+                        .add(&term);
                 }
-                // Algorithm 6: split the tick range at calendar boundaries;
-                // each sub-interval lands in its own (tid, bucket-start)
-                // entry — the granularity rollup cells are materialized at.
-                Some(level) => {
-                    for (bucket, sub) in BoundarySplits::new(segment, range, level) {
-                        let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling)?;
-                        if term.count > 0 {
-                            partial.buckets.push((tid, bucket, term));
-                        }
-                    }
+            }
+            for &(tile, sub) in splits.iter() {
+                let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling)?;
+                if term.count > 0 {
+                    partial.buckets.push((tid, tile, term));
                 }
             }
         }
@@ -1242,12 +1327,13 @@ impl<'a> QueryEngine<'a> {
                 folded.insert((slot, 0), acc);
             }
         }
-        // Bucket entries fold as rollup cells do: per (tid, bucket) in scan
-        // order (the sort is stable), then in ascending (tid, bucket) order
+        // Bucket entries fold as rollup cells do: per (tid, tile) in scan
+        // order (the sort is stable), then in ascending (tid, tile) order
         // — the same on every path that produces them (cells, scans, any
         // cluster layout, since a tid lives in one group and a group's
-        // segments are scanned in insertion order). The bucket start
-        // becomes the CUBE date-part, or folds away.
+        // segments are scanned in insertion order). The tile start becomes
+        // the CUBE date-part (a tile lies inside one output bucket), or
+        // folds away.
         buckets.sort_by_key(|&(tid, bucket, _)| (tid, bucket));
         let mut cells: BTreeMap<(usize, i64), RollupAcc> = BTreeMap::new();
         let mut entries = buckets.into_iter().peekable();
@@ -1584,56 +1670,6 @@ fn compare_cells(a: &Cell, b: &Cell) -> std::cmp::Ordering {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
         _ => a.to_string().cmp(&b.to_string()),
-    }
-}
-
-/// Algorithm 6's interval walk: splits the tick-index `range` of `segment`
-/// at calendar boundaries of `level`, yielding `(bucket start, sub-range)`
-/// pairs — the bucket start is the absolute timestamp of the containing
-/// bucket (the key rollup cells are materialized under); the display
-/// date-part is derived from it at finalize. The final sub-interval ends at
-/// the segment's inclusive end time, matching Figure 12 ("the last value is
-/// computed with an inclusive end time as ModelarDB does not store
-/// connected segments").
-pub(crate) struct BoundarySplits {
-    level: TimeLevel,
-    start_time: Timestamp,
-    si: i64,
-    /// Timestamp of the next sub-range's first tick.
-    current: Timestamp,
-    /// Timestamp of the range's last tick.
-    end_ts: Timestamp,
-}
-
-impl BoundarySplits {
-    pub(crate) fn new(segment: SegmentView<'_>, range: (usize, usize), level: TimeLevel) -> Self {
-        let si = segment.sampling_interval;
-        Self {
-            level,
-            start_time: segment.start_time,
-            si,
-            current: segment.start_time + range.0 as i64 * si,
-            end_ts: segment.start_time + range.1 as i64 * si,
-        }
-    }
-}
-
-impl Iterator for BoundarySplits {
-    type Item = (Timestamp, (usize, usize));
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (current, si) = (self.current, self.si);
-        if current > self.end_ts {
-            return None;
-        }
-        let boundary = time::next_boundary(self.level, current);
-        let capped = self.end_ts.min(boundary - 1);
-        // Last tick at or before `capped`.
-        let sub_end = current + (capped - current) / si * si;
-        let idx_a = ((current - self.start_time) / si) as usize;
-        let idx_b = ((sub_end - self.start_time) / si) as usize;
-        self.current = sub_end + si;
-        Some((time::truncate(self.level, current), (idx_a, idx_b)))
     }
 }
 
@@ -2141,7 +2177,9 @@ mod tests {
             params: Bytes::new(),
             gaps: Default::default(),
         };
-        let parts: Vec<_> = BoundarySplits::new(seg.view(), (0, 155), TimeLevel::Hour).collect();
+        let parts: Vec<_> = crate::tile::Tiling::whole(TimeLevel::Hour)
+            .splits(seg.start_time, seg.sampling_interval, (0, 155))
+            .collect();
         assert_eq!(parts.len(), 3);
         // Buckets are keyed by absolute start timestamp (midnight-anchored
         // hours here), not by display date-part.

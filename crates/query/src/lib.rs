@@ -23,6 +23,7 @@ pub mod engine;
 pub mod options;
 pub mod shard;
 pub mod sql;
+mod tile;
 
 pub use aggregate::{Accumulator, AggFunc};
 pub use cell::{Cell, QueryResult};

@@ -58,7 +58,7 @@ pub struct CommonOptions {
     /// rollups; the order is part of the configuration identity (a store
     /// sidecar is only adopted when its levels match exactly).
     pub rollup_levels: Vec<TimeLevel>,
-    /// Whether whole-bucket time-hierarchy aggregates are answered from
+    /// Whether the whole tiles of time-hierarchy aggregates are answered from
     /// the materialized cells (`true`, the default) or always scanned.
     /// Either setting produces bit-identical results — the knob only
     /// changes how many segment bodies are read.

@@ -183,8 +183,8 @@ impl Shard {
         engine
     }
 
-    /// Enables or disables answering whole-bucket aggregates from rollup
-    /// cells; results are bit-identical either way.
+    /// Enables or disables answering the whole tiles of aggregates from
+    /// rollup cells; results are bit-identical either way.
     pub fn set_rollup_serve(&mut self, serve: bool) {
         self.rollup_serve = serve;
     }

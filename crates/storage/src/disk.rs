@@ -73,7 +73,7 @@ use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
 use crate::digest::{Absorber, DigestStats, GroupSketches, SegmentDigester};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
 use crate::sidecar::{self, Sidecar, SidecarRef};
-use crate::{SegmentPredicate, SegmentRun, SegmentStore};
+use crate::{SegmentEnvelope, SegmentPredicate, SegmentRun, SegmentStore};
 
 const BLOCK_MAGIC: u32 = 0x4D44_4253; // "MDBS" — v1 varint payload
 const BLOCK_MAGIC_V2: u32 = 0x4D44_4232; // "MDB2" — v2 columnar payload
@@ -317,6 +317,8 @@ pub struct DiskStore {
     /// Stored-value range per buffered segment (parallel to `write_buffer`),
     /// computed once at insert for the block summary.
     buffer_ranges: Vec<Option<ValueInterval>>,
+    /// The envelope of the write buffer's segments (`None` when empty).
+    buffer_envelope: Option<SegmentEnvelope>,
     /// High-water mark of the write buffer, for resident-memory accounting.
     buffer_peak: usize,
     bulk_write_size: usize,
@@ -394,6 +396,7 @@ impl DiskStore {
             write_format: options.write_format,
             write_buffer: Vec::new(),
             buffer_ranges: Vec::new(),
+            buffer_envelope: None,
             buffer_peak: 0,
             sidecar_dirty: false,
             bulk_write_size: options.bulk_write_size.max(1),
@@ -447,6 +450,11 @@ impl DiskStore {
         }
         if let Some(to) = predicate.to {
             if meta.starts_after(to) {
+                return true;
+            }
+        }
+        if let Some(ends_by) = predicate.ends_by {
+            if meta.min_end > ends_by {
                 return true;
             }
         }
@@ -510,6 +518,7 @@ impl DiskStore {
         self.blocks.push(meta);
         self.write_buffer.clear();
         self.buffer_ranges.clear();
+        self.buffer_envelope = None;
         self.sidecar_dirty = true;
         Ok(())
     }
@@ -854,6 +863,10 @@ impl SegmentStore for DiskStore {
             .absorb(&segment, self.rollups.as_mut(), &mut self.sketches);
         self.logical_bytes += segment.storage_bytes() as u64;
         self.n_segments += 1;
+        match &mut self.buffer_envelope {
+            Some(envelope) => envelope.include(&segment),
+            None => self.buffer_envelope = Some(SegmentEnvelope::of(&segment)),
+        }
         self.write_buffer.push(segment);
         self.buffer_ranges.push(range);
         self.buffer_peak = self.buffer_peak.max(self.write_buffer.len());
@@ -1003,6 +1016,38 @@ impl SegmentStore for DiskStore {
             return Ok(false);
         }
         cells.for_each(level, scope, range, f);
+        Ok(true)
+    }
+
+    /// Answered from the block summaries and the write buffer's running
+    /// envelope alone: no block body is fetched. Pruning by gid and time
+    /// applies even with [`DiskStore::set_pruning`] off — the envelopes are
+    /// statistics, not a scan.
+    fn segment_envelopes(
+        &self,
+        scope: Option<&[Gid]>,
+        (from, to): (Timestamp, Timestamp),
+        f: &mut dyn FnMut(&SegmentEnvelope),
+    ) -> Result<bool> {
+        let sorted_scope: Option<Vec<Gid>> = scope.map(|gids| {
+            let mut sorted = gids.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted
+        });
+        let meets = |e: &SegmentEnvelope| {
+            let in_scope = sorted_scope.as_deref().is_none_or(|gids| {
+                let i = gids.partition_point(|g| *g < e.min_gid);
+                gids.get(i).is_some_and(|g| *g <= e.max_gid)
+            });
+            in_scope && e.max_end >= from && e.min_start <= to
+        };
+        let blocks = self.blocks.iter().map(SegmentEnvelope::from);
+        for envelope in blocks.chain(self.buffer_envelope) {
+            if meets(&envelope) {
+                f(&envelope);
+            }
+        }
         Ok(true)
     }
 
@@ -1636,6 +1681,68 @@ mod tests {
         // And the rescan rewrote a bounds-aware sidecar: the next open
         // trusts it directly and prunes the same way.
         prunes_every_block(&open_with_bounds(), "reopen adopts the rewritten sidecar");
+    }
+
+    #[test]
+    fn segment_time_bounds_skip_blocks_unfetched() {
+        for place in Place::both("segment-time") {
+            {
+                // Three blocks of four: ends 900–3 900, 4 900–7 900 and
+                // 8 900–11 900; one buffered segment after them.
+                let mut store = place.open(4);
+                for i in 0..12 {
+                    store.insert(seg(1, i * 1000, i * 1000 + 900)).unwrap();
+                }
+                store.flush().unwrap();
+            }
+            // Each scan on a cold reopen: `misses` counts the blocks fetched.
+            let scan = |predicate: SegmentPredicate| {
+                let store = place.open(4);
+                let kept = scan_to_vec(&store, &predicate).unwrap().len();
+                (kept, store.cache_stats().misses)
+            };
+            // `EndTime <= 4 900`: the third block's earliest end is later.
+            let ends_by = SegmentPredicate {
+                ends_by: Some(4_900),
+                ..SegmentPredicate::all()
+            };
+            assert_eq!(scan(ends_by), (5, 2));
+            // `StartTime >= 8 000` pushes down as `from`: a segment ends no
+            // earlier than it starts, so blocks ending before are skipped.
+            let starts_from = SegmentPredicate {
+                from: Some(8_000),
+                ..SegmentPredicate::all()
+            };
+            assert_eq!(scan(starts_from), (4, 1));
+            assert_eq!(scan(SegmentPredicate::all()), (12, 3));
+
+            // The envelopes come from the summaries alone, buffer included.
+            let mut store = place.open(4);
+            store.insert(seg(2, 20_000, 20_900)).unwrap();
+            let envelopes = |scope: Option<&[Gid]>, range| {
+                let mut seen = Vec::new();
+                assert!(store
+                    .segment_envelopes(scope, range, &mut |e| seen.push(*e))
+                    .unwrap());
+                seen
+            };
+            let all = envelopes(None, (i64::MIN, i64::MAX));
+            assert_eq!(all.len(), 4);
+            assert_eq!(
+                all[1],
+                SegmentEnvelope {
+                    min_gid: 1,
+                    max_gid: 1,
+                    min_start: 4_000,
+                    min_end: 4_900,
+                    max_end: 7_900,
+                }
+            );
+            assert_eq!(all[3], SegmentEnvelope::of(&seg(2, 20_000, 20_900)));
+            assert_eq!(envelopes(Some(&[2]), (i64::MIN, i64::MAX)), &all[3..]);
+            assert_eq!(envelopes(None, (5_000, 8_000)), &all[1..3]);
+            assert_eq!(store.cache_stats().misses, 0);
+        }
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub mod sidecar;
 use std::sync::Arc;
 
 use mdb_types::{
-    BlockSketch, Gid, Result, SegmentRecord, SegmentView, Tid, TimeLevel, Timestamp, ValueInterval,
+    BlockMeta, BlockSketch, Gid, Result, SegmentRecord, SegmentView, Tid, TimeLevel, Timestamp,
+    ValueInterval,
 };
 
 pub use cache::{BlockCache, CacheStats, CachedBlock};
@@ -58,6 +59,10 @@ pub struct SegmentPredicate {
     pub from: Option<Timestamp>,
     /// Only segments whose interval starts at or before this time.
     pub to: Option<Timestamp>,
+    /// Only segments whose interval ends at or before this time (an
+    /// `EndTime <=` comparison); a block whose earliest end lies after it
+    /// is skipped unfetched.
+    pub ends_by: Option<Timestamp>,
     /// Only blocks whose *stored* (scaled) value range intersects this
     /// interval, checked against each block's [`mdb_types::BlockMeta`]
     /// statistics — the store cannot evaluate individual values without
@@ -100,7 +105,7 @@ impl SegmentPredicate {
     /// segment. The block-granular `values` clause is irrelevant here; it
     /// prunes blocks, never individual segments.
     pub fn matches_every_segment(&self) -> bool {
-        self.gids.is_none() && self.from.is_none() && self.to.is_none()
+        self.gids.is_none() && self.from.is_none() && self.to.is_none() && self.ends_by.is_none()
     }
 
     /// Whether `segment` satisfies the gid and time parts of the predicate.
@@ -128,7 +133,64 @@ impl SegmentPredicate {
                 return false;
             }
         }
+        if let Some(ends_by) = self.ends_by {
+            if segment.end_time > ends_by {
+                return false;
+            }
+        }
         true
+    }
+}
+
+/// The time envelope of a set of stored segments — one log block, or the
+/// whole write buffer: their gid range and the extremes of their start and
+/// end times, the statistics a `StartTime`/`EndTime` comparison can be
+/// decided from without reading a segment body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentEnvelope {
+    /// Smallest group id.
+    pub min_gid: Gid,
+    /// Largest group id.
+    pub max_gid: Gid,
+    /// Smallest start time.
+    pub min_start: Timestamp,
+    /// Smallest end time.
+    pub min_end: Timestamp,
+    /// Largest end time.
+    pub max_end: Timestamp,
+}
+
+impl SegmentEnvelope {
+    /// The envelope of one segment.
+    pub fn of(segment: &SegmentRecord) -> Self {
+        Self {
+            min_gid: segment.gid,
+            max_gid: segment.gid,
+            min_start: segment.start_time,
+            min_end: segment.end_time,
+            max_end: segment.end_time,
+        }
+    }
+
+    /// Widens the envelope to cover `segment` too.
+    pub fn include(&mut self, segment: &SegmentRecord) {
+        self.min_gid = self.min_gid.min(segment.gid);
+        self.max_gid = self.max_gid.max(segment.gid);
+        self.min_start = self.min_start.min(segment.start_time);
+        self.min_end = self.min_end.min(segment.end_time);
+        self.max_end = self.max_end.max(segment.end_time);
+    }
+}
+
+impl From<&BlockMeta> for SegmentEnvelope {
+    fn from(meta: &BlockMeta) -> Self {
+        Self {
+            min_gid: meta.min_gid,
+            max_gid: meta.max_gid,
+            min_start: meta.min_start,
+            min_end: meta.min_end,
+            max_end: meta.max_end,
+        }
     }
 }
 
@@ -264,6 +326,21 @@ pub trait SegmentStore: Send + Sync {
         _scope: Option<&[Gid]>,
         _range: (Timestamp, Timestamp),
         _f: &mut dyn FnMut(Gid, Tid, Timestamp, &rollup::RollupAcc),
+    ) -> Result<bool> {
+        Ok(false)
+    }
+
+    /// Visits the [`SegmentEnvelope`] of every log block and of the write
+    /// buffer that may hold a segment of the `scope` groups overlapping
+    /// `range` = `[from, to]`, **without touching segment bodies**. No
+    /// segment-time bound prunes them, so the envelopes meeting any part of
+    /// the range summarize every segment there. Returns `Ok(false)` when the
+    /// store cannot list them; the caller then scans.
+    fn segment_envelopes(
+        &self,
+        _scope: Option<&[Gid]>,
+        _range: (Timestamp, Timestamp),
+        _f: &mut dyn FnMut(&SegmentEnvelope),
     ) -> Result<bool> {
         Ok(false)
     }

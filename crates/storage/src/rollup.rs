@@ -64,9 +64,8 @@ pub fn level_from_tag(tag: u8) -> Option<TimeLevel> {
     }
 }
 
-/// The finest (largest tag) of a set of maintained levels — the bucket width
-/// the query engine keys plain whole-range aggregates by so they too can be
-/// cell-served.
+/// The finest (largest tag) of a set of maintained levels — the level whose
+/// partial buckets are the edge tiles of the query engine's tiled plans.
 pub fn finest_level(levels: &[TimeLevel]) -> Option<TimeLevel> {
     levels.iter().copied().max_by_key(|l| level_tag(*l))
 }

@@ -221,7 +221,7 @@ const EP_SMALL: [(usize, u64); 11] = [
     (1, 0x311c6eb5c6375e61),
     (4, 0xbf1f8f95a3161877),
     (1, 0xd88d3a4e7dcd1640),
-    (1, 0x0e94d2c404f74c9a),
+    (1, 0x9c979bf9ee86ed09),
     (32, 0xbaa20fbf604a277c),
     (8, 0xe05fb15c5f3db2e8),
     (32, 0x61cc3519c435cd43),
@@ -248,21 +248,21 @@ const EH_TINY: [(usize, u64); 11] = [
 /// `(rows, digest)` per scaled-panel query on `ep(3, Scale::small())` ending
 /// across February 1st, scalings cycling through 2, 0.5, 4.75, −1.5 and 3.
 const EP_SCALED: [(usize, u64); 16] = [
-    (8, 0x8e4a5a6a5979bd1a),
+    (8, 0x1d97f96ae682c384),
     (1, 0x291276d0db334d97),
-    (4, 0x2a7725d67469ec27),
+    (4, 0x7059218b63725039),
     (1, 0x6014b7f2359e5826),
-    (1, 0x99ee43c50b339bec),
+    (1, 0x605d683f2cedde8f),
     (32, 0xdeeb0ac440fa456d),
     (8, 0x222ae30e21c3bab9),
     (32, 0xf21cc67f89f70156),
     (96, 0x10c9186cdb8897a3),
     (32, 0x38938b8633ebe22a),
     (15, 0xdffc65d38f92d6ff),
-    (32, 0x96bc5a0317a96dde),
-    (32, 0xc036d49815314b8d),
-    (2, 0x8c8417c5e0f55b68),
-    (1, 0xc6c315ea1beef900),
+    (32, 0xcf556ae50267fa05),
+    (32, 0x2600cc2dc5e140c0),
+    (2, 0xb20af7619296d41f),
+    (1, 0x3877a3f8a3c8051b),
     (1, 0x032c8d480ffdb2d1),
 ];
 

@@ -363,3 +363,226 @@ fn cluster_rollups_survive_replication_failover_and_membership_changes() {
     }
     cluster.shutdown().unwrap();
 }
+
+// ---------------------------------------------------------------------------
+// Tiled plans: whole months, days and hours from their cells, segment-time
+// comparisons decided per tile.
+
+/// 2021-02-01T00:00:00Z: an hour, day and month boundary at once.
+const FEB_1_2021: i64 = 1_612_137_600_000;
+const DAY_MS: i64 = 24 * HOUR_MS;
+
+/// `ep(seed, tiny)` sampled every 10 minutes from two days before
+/// February 1st: 500 ticks span January 30th to February 2nd, so ranges
+/// cut across hour, day and month boundaries.
+fn across_february(seed: u64) -> Dataset {
+    let mut ds = ep(seed, Scale::tiny()).unwrap();
+    let si = 600_000;
+    ds.profile.si_ms = si;
+    for meta in &mut ds.series {
+        meta.sampling_interval = si;
+    }
+    ds.start = FEB_1_2021 - 2 * DAY_MS;
+    ds
+}
+
+/// An embedded engine over `ds` with `levels` of rollups and scalings
+/// other than 1 (so a change of tiling shows in the bits).
+fn scaled_engine(
+    ds: &Dataset,
+    levels: &[modelardb::TimeLevel],
+    bulk_write_size: usize,
+) -> ModelarDb {
+    let mut catalog = (*catalog_from_dataset(ds, &ds.correlation_spec()).unwrap()).clone();
+    for (meta, scaling) in catalog
+        .series
+        .iter_mut()
+        .zip([2.0, 0.5, 4.75, -1.5, 3.0].iter().cycle())
+    {
+        meta.scaling = *scaling;
+    }
+    let mut config = Config::default();
+    config.compression.error_bound = ErrorBound::relative(5.0);
+    config.bulk_write_size = bulk_write_size;
+    config.rollup_levels = levels.to_vec();
+    ModelarDb::from_catalog(
+        Arc::new(catalog),
+        Arc::new(ModelRegistry::standard()),
+        config,
+    )
+    .unwrap()
+}
+
+/// Plain and `CUBE_*` aggregates with segment-time comparisons cutting
+/// through the data at `cut`, and ragged `TS` ranges across day and month
+/// boundaries.
+fn tiled_panel(ds: &Dataset, cut: i64) -> Vec<String> {
+    let from = FEB_1_2021 - DAY_MS - 5 * HOUR_MS - 17 * 60_000 - 3;
+    let to = FEB_1_2021 + DAY_MS + 7 * HOUR_MS + 43 * 60_000 + 11;
+    let last = ds.timestamp(TICKS - 1);
+    vec![
+        format!("SELECT Tid, SUM_S(*), COUNT_S(*) FROM Segment WHERE EndTime <= {cut} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT Entity, AVG_S(*), MIN_S(*) FROM Segment WHERE StartTime >= {cut} GROUP BY Entity ORDER BY Entity"),
+        format!("SELECT SUM_S(*), MAX_S(*) FROM Segment WHERE EndTime > {cut} AND StartTime < {last}"),
+        format!("SELECT Tid, SUM_S(*) FROM Segment WHERE StartTime <= {cut} AND TS >= {from} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT COUNT_S(*), SUM_S(*) FROM Segment WHERE EndTime = {cut}"),
+        format!("SELECT Tid, CUBE_SUM_DAY(*) FROM Segment WHERE EndTime <= {cut} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment WHERE TS >= {from} AND TS <= {to} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT Entity, CUBE_AVG_DAY(*) FROM Segment WHERE TS >= {from} AND TS <= {to} GROUP BY Entity ORDER BY Entity"),
+        format!("SELECT CUBE_SUM_MONTH(*), CUBE_COUNT_MONTH(*) FROM Segment WHERE TS >= {from}"),
+        format!("SELECT CUBE_MAX_HOUR(*) FROM Segment WHERE TS >= {from} AND TS <= {to} AND EndTime <= {cut}"),
+        "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid".into(),
+    ]
+}
+
+#[test]
+fn segment_time_cuts_through_the_store_are_served_bit_identically() {
+    let ds = across_february(11);
+    let mut db = scaled_engine(
+        &ds,
+        &[
+            modelardb::TimeLevel::Hour,
+            modelardb::TimeLevel::Day,
+            modelardb::TimeLevel::Month,
+        ],
+        32,
+    );
+    for tick in 0..TICKS {
+        db.ingest_row(ds.timestamp(tick), &ds.row(tick)).unwrap();
+        if tick % 97 == 96 {
+            db.flush().unwrap();
+        }
+    }
+    db.flush().unwrap();
+    for cut_tick in [1, TICKS / 3, TICKS / 2, TICKS - 2] {
+        let cut = ds.timestamp(cut_tick) + 7;
+        let results = served_equals_scanned(&mut db, &tiled_panel(&ds, cut), "blocks");
+        if cut_tick >= TICKS / 3 {
+            assert!(!results[0].rows.is_empty(), "the cut keeps segments");
+        }
+    }
+}
+
+#[test]
+fn buffered_segments_on_both_sides_of_a_cut_are_decided_soundly() {
+    // The first half goes to a block; the second half stays in the write
+    // buffer, which the cut runs through. Every cut leaves segments on both
+    // sides of it in the buffer or in the blocks.
+    let ds = across_february(12);
+    let mut db = scaled_engine(
+        &ds,
+        &[
+            modelardb::TimeLevel::Hour,
+            modelardb::TimeLevel::Day,
+            modelardb::TimeLevel::Month,
+        ],
+        50_000,
+    );
+    for tick in 0..TICKS / 2 {
+        db.ingest_row(ds.timestamp(tick), &ds.row(tick)).unwrap();
+    }
+    db.flush().unwrap();
+    for tick in TICKS / 2..TICKS {
+        db.ingest_row(ds.timestamp(tick), &ds.row(tick)).unwrap();
+    }
+    for cut_tick in [TICKS / 4, TICKS / 2 - 1, TICKS / 2 + 40, (TICKS * 7) / 8] {
+        let cut = ds.timestamp(cut_tick);
+        served_equals_scanned(&mut db, &tiled_panel(&ds, cut), "buffer");
+    }
+}
+
+#[test]
+fn tiles_without_cells_fall_back_to_the_same_bits() {
+    // An engine tiling at Month, Day and Hour over a store that keeps only
+    // Day and Hour cells: the Month tiles are scanned, split at the same
+    // boundaries, and answer what the all-scan path answers.
+    use modelardb::TimeLevel::{Day, Hour, Month};
+    let ds = across_february(13);
+    let mut db = scaled_engine(&ds, &[Hour, Day, Month], 64);
+    ingest_engine(&mut db, &ds, TICKS);
+    let store = mdb_storage::DiskStore::in_memory(mdb_storage::DiskStoreOptions {
+        bulk_write_size: 64,
+        rollup_feed: Some(mdb_query::rollup_feed(
+            &Arc::new(db.catalog().clone()),
+            &Arc::new(db.registry().clone()),
+            &[Day, Hour],
+        )),
+        ..Default::default()
+    });
+    let mut store = store.unwrap();
+    for segment in db.segments().unwrap() {
+        mdb_storage::SegmentStore::insert(&mut store, segment).unwrap();
+    }
+    mdb_storage::SegmentStore::flush(&mut store).unwrap();
+    let levels = [Hour, Day, Month];
+    let queries = tiled_panel(&ds, ds.timestamp(TICKS / 2));
+    for q in &queries {
+        let answer = |serve: bool| {
+            mdb_query::QueryEngine::new(db.catalog(), db.registry(), &store)
+                .with_rollups(&levels, serve)
+                .sql(q)
+                .unwrap()
+        };
+        let want = db.sql(q).unwrap();
+        assert_bit_identical(&answer(true), &want, &format!("Month cells missing: {q}"));
+        assert_bit_identical(&answer(false), &want, &format!("serving off: {q}"));
+    }
+    // Serving off on the engine itself: every tile scanned.
+    served_equals_scanned(&mut db, &queries, "all levels");
+}
+
+#[test]
+fn frozen_store_answers_segment_time_bounds_without_segment_bodies() {
+    // The dashboard's broad shape on a cold reopened disk engine: `EndTime
+    // <= <last>` keeps every segment, so every tile is served from its cell
+    // and no block is fetched; the scan path answers the same bits.
+    let case = TempDir::new("rollup-segment-time-zero-fetch");
+    let dir = case.path();
+    let ds = across_february(14);
+    let mut db = build_disk_engine(&ds, dir, 5.0, 32, None);
+    ingest_engine(&mut db, &ds, TICKS);
+    drop(db);
+
+    let mut config = Config::default();
+    config.compression.error_bound = ErrorBound::relative(5.0);
+    config.storage = StorageSpec::Disk(dir.to_path_buf());
+    config.bulk_write_size = 32;
+    let mut db = ModelarDb::reopen(dir, Arc::new(ModelRegistry::standard()), config).unwrap();
+
+    let last = ds.timestamp(TICKS - 1);
+    let first = ds.timestamp(0);
+    let broad = [
+        format!("SELECT Entity, SUM_S(*) FROM Segment WHERE EndTime <= {last} GROUP BY Entity ORDER BY Entity"),
+        format!("SELECT Category, AVG_S(*) FROM Segment WHERE EndTime <= {last} GROUP BY Category ORDER BY Category"),
+        format!("SELECT SUM_S(*), COUNT_S(*) FROM Segment WHERE StartTime >= {first}"),
+        // Past the data: every tile is skipped.
+        format!("SELECT SUM_S(*) FROM Segment WHERE StartTime > {last}"),
+    ];
+    let before = db.cache_stats();
+    let served: Vec<QueryResult> = broad.iter().map(|q| db.sql(q).unwrap()).collect();
+    let after = db.cache_stats();
+    assert_eq!(
+        after.hits, before.hits,
+        "served queries must not hit the cache"
+    );
+    assert_eq!(
+        after.misses, before.misses,
+        "served queries must not fetch blocks"
+    );
+    assert_eq!(
+        after.bytes_read, before.bytes_read,
+        "served queries must not read the log"
+    );
+    assert!(!served[0].rows.is_empty());
+    assert!(served[3].rows.is_empty());
+
+    db.set_rollup_serve(false);
+    for (q, want) in broad.iter().zip(&served) {
+        assert_bit_identical(&db.sql(q).unwrap(), want, q);
+    }
+    let post = db.cache_stats();
+    assert!(
+        post.hits + post.misses > after.hits + after.misses,
+        "the scan path control must actually fetch blocks"
+    );
+}
