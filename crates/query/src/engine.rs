@@ -868,14 +868,12 @@ impl<'a> QueryEngine<'a> {
         // Rollup cells fold the Segment View's model aggregates; a per-point
         // `Value` filter cannot be answered from them.
         let cellular = query.view == View::Segment && rw.values.is_none();
-        let levels: Vec<TimeLevel> = match cellular {
-            true => self
-                .rollup_levels
-                .iter()
-                .copied()
-                .filter(|l| cube.is_none_or(|c| level_tag(*l) >= level_tag(c)))
-                .collect(),
-            false => Vec::new(),
+        let levels: Vec<TimeLevel> = if cellular {
+            let coarsest = cube.map_or(0, level_tag);
+            let levels = self.rollup_levels.iter().copied();
+            levels.filter(|l| level_tag(*l) >= coarsest).collect()
+        } else {
+            Vec::new()
         };
         let representation = match mdb_storage::rollup::finest_level(&levels).or(cube) {
             Some(edge) => Representation::Tiled(Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
@@ -1022,11 +1020,13 @@ impl<'a> QueryEngine<'a> {
                     if plan.keys.lookup(tid).is_none() {
                         return;
                     }
-                    let verdict = match rw.segment_time.is_empty() {
-                        true => Verdict::Serve,
-                        false => *verdicts.entry(tile).or_insert_with(|| {
-                            rw.verdict(&envelopes, (tile, bucket_end(level, tile)))
-                        }),
+                    let verdict = if rw.segment_time.is_empty() {
+                        Verdict::Serve
+                    } else {
+                        let span = (tile, bucket_end(level, tile));
+                        *verdicts
+                            .entry(tile)
+                            .or_insert_with(|| rw.verdict(&envelopes, span))
                     };
                     if verdict == Verdict::Serve {
                         partial.buckets.push((tid, tile, *acc));
