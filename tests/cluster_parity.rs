@@ -19,6 +19,15 @@ fn queries() -> Vec<String> {
         "SELECT Tid, CUBE_SUM_DAY(*) FROM Segment WHERE Tid IN (1,2,5) GROUP BY Tid".into(),
         "SELECT CUBE_AVG_HOUR(*) FROM Segment WHERE Category = 'ProductionMWh'".into(),
         "SELECT SUM(Value) FROM DataPoint WHERE Tid = 3".into(),
+        // Listings without ORDER BY over several groups: every deployment
+        // lists the groups in ascending gid order, each group's rows in
+        // scan order, so LIMIT keeps the same rows everywhere.
+        "SELECT Tid, TS, Value FROM DataPoint".into(),
+        "SELECT * FROM DataPoint WHERE Tid IN (1, 2, 5)".into(),
+        "SELECT Tid, TS, Value FROM DataPoint LIMIT 40".into(),
+        "SELECT Tid, StartTime, EndTime FROM Segment".into(),
+        "SELECT * FROM Segment".into(),
+        "SELECT Tid, StartTime FROM Segment LIMIT 12".into(),
     ]
 }
 
