@@ -8,15 +8,16 @@
 //! queries shuffle data, which is what produces the near-linear scale-out
 //! of Figure 20.
 //!
-//! Queries follow Algorithm 5's annotations: every worker computes one
-//! partial aggregate over the groups it is primary of (one walk of its
-//! store per query) and the master merges the partials. A group's segments
-//! are identical on every holder (same batches, same deterministic
-//! compression), slot sums are exact so partials merge in any order, and a
-//! time bucket's entries all come from its group's one primary in scan
+//! Queries follow Algorithm 5's annotations, and the cluster only carries
+//! them: every worker answers [`QueryEngine::partial`] over the groups it
+//! is primary of (one walk of its store per query) and the master merges
+//! the partials with [`QueryEngine::finalize`], the two halves an embedded
+//! engine runs over its one store. A group's segments are identical on
+//! every holder (same batches, same deterministic compression), slot sums
+//! are exact so partials merge in any order, and a time bucket's entries
+//! and a listing's rows all come from their group's one primary in scan
 //! order; so query results are bit-identical regardless of which holder
 //! serves a group — across failovers, group handoffs, and cluster sizes.
-//! Listing rows are gathered per group and ordered by gid.
 //!
 //! The master supervises workers rather than trusting them: each worker is
 //! an OS thread whose panics are caught and recorded, every channel
@@ -51,13 +52,10 @@ use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mdb_compression::{CompressionConfig, CompressionStats};
 use mdb_models::ModelRegistry;
 use mdb_partitioner::assign_replicas;
-use mdb_query::{
-    CommonOptions, GidRows, PartialAggregates, PointAssembler, Query, QueryEngine, QueryResult,
-    SelectItem, Shard,
-};
+use mdb_query::{CommonOptions, Partial, PointAssembler, Query, QueryEngine, QueryResult, Shard};
 use mdb_storage::{Catalog, SegmentPredicate};
 use mdb_types::{
-    BlockFormat, BlockSketch, Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value,
+    BlockFormat, Gid, MdbError, Result, RowBatch, SegmentRecord, Tid, Timestamp, Value,
 };
 
 /// Cluster runtime configuration.
@@ -174,10 +172,6 @@ struct GroupBatch {
 /// The groups a scatter command covers, shared across the reply round-trip.
 type GidScope = Arc<Vec<Gid>>;
 
-/// A listing reply: a row-less shape result (for the column names) and the
-/// per-group rows.
-type RowsReply = (QueryResult, GidRows);
-
 /// Exported state of one group: its segment runs in the source store's
 /// deterministic per-group scan order (run/block boundaries preserved) and
 /// the compression counters accumulated on the source, so statistics
@@ -187,16 +181,9 @@ type GroupRuns = (Gid, Vec<Vec<SegmentRecord>>, CompressionStats);
 enum Command {
     Ingest(Vec<GroupBatch>),
     Flush(Sender<Result<()>>),
-    /// Run the partial-aggregation phase over the scope in one store walk.
-    QueryPartial(Arc<Query>, GidScope, Sender<Result<PartialAggregates>>),
-    /// Run a listing query over the scope in one store walk, routing each
-    /// row to its group.
-    QueryRows(Arc<Query>, GidScope, Sender<Result<RowsReply>>),
-    /// Merge the store's running sketches over the scoped groups —
-    /// metadata only, no segment bodies. One merged sketch suffices:
-    /// sketch merging is commutative and associative, so the master needs
-    /// no per-gid ordering to stay deterministic.
-    QuerySketch(Arc<Query>, GidScope, Sender<Result<BlockSketch>>),
+    /// Answer the worker half of a query ([`QueryEngine::partial`]) over
+    /// the scope, in one store walk.
+    Query(Arc<Query>, GidScope, Sender<Result<Partial>>),
     /// Compression/storage statistics restricted to the scope, so replicas
     /// and handed-off leftovers are never double counted.
     Stats(GidScope, Sender<Result<(CompressionStats, u64, usize)>>),
@@ -848,91 +835,32 @@ impl Cluster {
 
     /// One scatter/gather attempt. `Ok(None)` means a worker died and was
     /// declared dead — the caller should retry against the new placement.
+    /// Every primary answers its half of the query and the master
+    /// finalizes: a group's partial comes from its one primary, in that
+    /// group's scan order, and [`QueryEngine::finalize`] merges any split to
+    /// the bits one engine produces.
     fn try_sql(&self, query: &Arc<Query>) -> Result<Option<QueryResult>> {
-        let is_sketch = query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Sketch(_)));
-        let is_aggregate = query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg { .. }));
         let targets = self.primary_targets();
         if targets.is_empty() {
             return Err(MdbError::Query(
                 "no active workers; see Cluster::health()".into(),
             ));
         }
-        let mut result = if is_sketch {
-            // Sketch scatter/gather: each worker merges its primary groups'
-            // running sketches, no segment body; the master merges the worker
-            // partials (order-independent) and finalizes. Results are
-            // identical at every worker count and replication factor.
-            let Some(partials) = self.scatter(targets, |scope, reply| {
-                Command::QuerySketch(Arc::clone(query), scope, reply)
-            })?
-            else {
-                return Ok(None);
-            };
-            QueryEngine::finalize_sketches(query, partials)?
-        } else if is_aggregate {
-            let Some(partials) = self.scatter(targets, |scope, reply| {
-                Command::QueryPartial(Arc::clone(query), scope, reply)
-            })?
-            else {
-                return Ok(None);
-            };
-            // Slot sums are exact, so the worker partials merge in any
-            // order to the bits one engine produces; a bucket entry comes
-            // from the one primary of its group, in that group's scan order.
-            QueryEngine::finalize_aggregates(query, partials)?
-        } else {
-            // Listing: run without ORDER/LIMIT on workers, apply at master.
-            let mut local = (**query).clone();
-            local.order_by = None;
-            local.limit = None;
-            let local = Arc::new(local);
-            let Some(replies) = self.scatter(targets, |scope, reply| {
-                Command::QueryRows(Arc::clone(&local), scope, reply)
-            })?
-            else {
-                return Ok(None);
-            };
-            let mut shape: Option<QueryResult> = None;
-            let mut pairs: GidRows = Vec::new();
-            for (columns, rows) in replies {
-                shape.get_or_insert(columns);
-                pairs.extend(rows);
-            }
-            pairs.sort_by_key(|(gid, _)| *gid);
-            let mut result = shape.unwrap_or_default();
-            for (_, rows) in pairs {
-                result.rows.extend(rows);
-            }
-            result
-        };
-        QueryEngine::apply_order_limit(&mut result, query)?;
-        Ok(Some(result))
-    }
-
-    /// One query round trip to every target. `Ok(None)` means a worker died
-    /// mid-query and was declared dead: the caller retries.
-    fn scatter<T>(
-        &self,
-        targets: Vec<Target<GidScope>>,
-        request: impl FnMut(GidScope, Sender<Result<T>>) -> Command,
-    ) -> Result<Option<Vec<T>>> {
-        let replies = round_trip(targets, "query", None, request, |index, why| {
-            self.declare_dead(index, why)
-        });
+        let replies = round_trip(
+            targets,
+            "query",
+            None,
+            |scope, reply| Command::Query(Arc::clone(query), scope, reply),
+            |index, why| self.declare_dead(index, why),
+        );
         if replies.iter().any(|(_, r)| matches!(r, Reply::Gone)) {
             return Ok(None);
         }
-        answers(replies, "query").map(Some)
+        QueryEngine::finalize(query, answers(replies, "query")?).map(Some)
     }
 
-    /// Measures each worker's execution time for an aggregate query with
-    /// the workers queried **one at a time**, so the measurements are free
+    /// Measures each worker's execution time for a query with the workers
+    /// queried **one at a time**, so the measurements are free
     /// of CPU contention between worker threads. The master times each
     /// round trip, so a time includes one channel hop each way. This is the
     /// measurement behind the simulated scale-out of Figure 20: because
@@ -949,7 +877,7 @@ impl Cluster {
                     vec![target],
                     "query",
                     None,
-                    |scope, reply| Command::QueryPartial(Arc::clone(&query), scope, reply),
+                    |scope, reply| Command::Query(Arc::clone(&query), scope, reply),
                     |index, why| self.declare_dead(index, why),
                 );
                 answers(replies, "query").map(|_| start.elapsed())
@@ -1275,17 +1203,8 @@ fn worker_loop(receiver: Receiver<Command>, mut shard: Shard, shared: Arc<Worker
                 };
                 let _ = reply.send(result);
             }
-            Command::QueryPartial(query, scope, reply) => {
-                // One plan and one store walk for every primary group.
-                let engine = shard.engine(Some(&scope));
-                let run = || engine.plan_partial(&engine.compile(&query)?);
-                let _ = reply.send(run());
-            }
-            Command::QuerySketch(query, scope, reply) => {
-                let _ = reply.send(shard.engine(Some(&scope)).sketch_partial(&query));
-            }
-            Command::QueryRows(query, scope, reply) => {
-                let _ = reply.send(shard.engine(Some(&scope)).listing_per_gid(&query));
+            Command::Query(query, scope, reply) => {
+                let _ = reply.send(shard.engine(Some(&scope)).partial(&query));
             }
             Command::Stats(scope, reply) => {
                 let mut stats = CompressionStats::default();

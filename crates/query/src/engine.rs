@@ -2,12 +2,20 @@
 //! Algorithm 6 (aggregation in the time dimension), and the listing paths of
 //! both views (the point/range workload).
 //!
-//! The engine is deliberately split into *compile → partial →
-//! merge/finalize* phases so the cluster runtime can run the partial phase
-//! on every worker and merge at the master, exactly as the pseudo-code
-//! annotates ("executed on workers with the result sent to the master").
-//! Compiling ([`QueryEngine::compile`]) extends Algorithm 5's rewrite step:
-//! it also resolves every tid's group key to a dense slot once per query.
+//! Every query runs in two halves, exactly as the pseudo-code annotates
+//! ("executed on workers with the result sent to the master"):
+//! [`QueryEngine::partial`] answers for the store within the engine's gid
+//! scope, and [`QueryEngine::finalize`] merges any split of those partials
+//! and applies ORDER BY and LIMIT. [`QueryEngine::execute`] is the two
+//! halves over one store; a cluster runs the first on every worker and the
+//! second at the master, so both deployments give the same answer. An
+//! aggregate's partial starts by compiling it once, which extends
+//! Algorithm 5's rewrite step: every tid's group key is resolved to a
+//! dense slot once per query.
+//!
+//! A listing without ORDER BY returns its groups in ascending gid order,
+//! each group's rows in the store's scan order, so LIMIT keeps the same
+//! rows whichever stores the groups are spread over.
 //!
 //! The partial phase is itself parallel: the rewritten push-down predicate
 //! (checked against the store's per-block gid, time and value statistics)
@@ -86,20 +94,6 @@ impl KeyPlan {
     }
 }
 
-/// The representation a compiled aggregate query is answered from.
-#[derive(Debug, Clone, PartialEq)]
-enum Representation {
-    /// The store's merged per-group sketches; no segment body is read.
-    Sketch,
-    /// A plain segment scan into exact per-slot sums.
-    Scan,
-    /// One bucket entry per `(tid, tile)`: whole tiles from rollup cells
-    /// where the store serves them, every other tile scanned with segments
-    /// split at the same tile boundaries, so the two paths fold the same
-    /// terms per tile and give the same bits.
-    Tiled(Tiling),
-}
-
 /// What the store's segment-time statistics make of one tile under the
 /// query's `StartTime`/`EndTime` comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,25 +106,66 @@ enum Verdict {
     Scan,
 }
 
-/// An aggregate query compiled once ([`QueryEngine::compile`]).
+/// An aggregate query compiled once (`QueryEngine::compile`).
 #[derive(Debug)]
-pub struct Plan {
-    representation: Representation,
+struct Plan {
+    /// `None` for a plain segment scan into exact per-slot sums. `Some`
+    /// keeps one bucket entry per `(tid, tile)`: whole tiles from rollup
+    /// cells where the store serves them, every other tile scanned with
+    /// segments split at the same tile boundaries, so the two paths fold
+    /// the same terms per tile and give the same bits.
+    tiling: Option<Tiling>,
     rw: Rewritten,
     keys: Arc<KeyPlan>,
     /// Only the Segment View may aggregate on the models directly.
     use_models: bool,
 }
 
-/// Listing rows per group, in ascending gid order
-/// ([`QueryEngine::listing_per_gid`]).
-pub type GidRows = Vec<(Gid, Vec<Vec<Cell>>)>;
+/// Listing rows per group, in ascending gid order.
+pub type GidRows = BTreeMap<Gid, Vec<Vec<Cell>>>;
 
-/// Worker-local partial aggregation state of one [`Plan`]: one exact
+/// A store's share of a query's answer ([`QueryEngine::partial`]), for
+/// [`QueryEngine::finalize`] to merge with the other stores' shares.
+#[derive(Debug)]
+pub enum Partial {
+    /// An aggregate query's partial aggregation state.
+    Aggregates(PartialAggregates),
+    /// A sketch query's merged per-group sketches.
+    Sketch(BlockSketch),
+    /// A listing's column names and its rows per group, with neither ORDER
+    /// BY nor LIMIT applied.
+    Rows(Vec<String>, GidRows),
+}
+
+/// The three ways a query is answered, decided by its SELECT items alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Any sketch function: the store's sketches, no segment body read.
+    Sketch,
+    /// Any other aggregate: Algorithms 5 and 6.
+    Aggregate,
+    /// No aggregate: rows of either view.
+    Listing,
+}
+
+impl Class {
+    fn of(query: &Query) -> Class {
+        let items = || query.items.iter();
+        if items().any(|i| matches!(i, SelectItem::Sketch(_))) {
+            Class::Sketch
+        } else if items().any(|i| matches!(i, SelectItem::Agg { .. })) {
+            Class::Aggregate
+        } else {
+            Class::Listing
+        }
+    }
+}
+
+/// Worker-local partial aggregation state of one compiled query: one exact
 /// [`Accumulator`] per group key, so partials merge in any order to the same
 /// bits. Tiled plans instead keep one [`RollupAcc`] per segment or rollup
-/// cell that touched a `(tid, tile)`, in scan order, for
-/// [`QueryEngine::finalize_aggregates`] to fold as the cells are folded.
+/// cell that touched a `(tid, tile)`, in scan order, for the finalize step
+/// to fold as the cells are folded.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAggregates {
     keys: Arc<KeyPlan>,
@@ -432,19 +467,6 @@ fn narrow(tids: Option<Vec<Tid>>, keep: &[Tid]) -> Vec<Tid> {
     }
 }
 
-/// The unit a listed segment of `gid` goes to: the only one when `units`
-/// is `None` (one row set for the whole scope), otherwise the index of
-/// `gid` in the sorted `units` (one row set per gid), or `None` when the
-/// gid is not among them.
-fn unit_of(units: Option<&[Gid]>, gid: Gid) -> Option<usize> {
-    units.map_or(Some(0), |gids| gids.binary_search(&gid).ok())
-}
-
-/// How many units `units` describes ([`unit_of`]).
-fn unit_count(units: Option<&[Gid]>) -> usize {
-    units.map_or(1, <[Gid]>::len)
-}
-
 /// The raw values `v <op> x` admits, as an exact closed interval: floats
 /// are discrete, so `v > x` is `v >= x.next_up()` and `v < x` is
 /// `v <= x.next_down()` for every value. `NaN` lies in no interval, and
@@ -648,21 +670,65 @@ impl<'a> QueryEngine<'a> {
         self.execute(&query)
     }
 
-    /// Executes a parsed query.
+    /// Executes a parsed query: the partial of this engine's store,
+    /// finalized.
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
-        let aggregates = query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg { .. } | SelectItem::Sketch(_)));
-        let mut result = if aggregates {
-            let plan = self.compile(query)?;
-            if plan.representation == Representation::Sketch {
-                Self::finalize_sketches(query, vec![self.sketch_partial(query)?])?
-            } else {
-                Self::finalize_aggregates(query, vec![self.plan_partial(&plan)?])?
+        Self::finalize(query, vec![self.partial(query)?])
+    }
+
+    /// The worker half of every query: this store's share of the answer
+    /// within the engine's gid scope — the partial aggregation state of an
+    /// aggregate (Algorithms 5 and 6's initialize + iterate), the merged
+    /// sketches of a sketch query, or a listing's rows per group.
+    pub fn partial(&self, query: &Query) -> Result<Partial> {
+        match Class::of(query) {
+            Class::Sketch => self.sketch_partial(query).map(Partial::Sketch),
+            Class::Aggregate => {
+                let plan = self.compile(query)?;
+                self.plan_partial(&plan).map(Partial::Aggregates)
             }
-        } else {
-            self.listing(query)?
+            Class::Listing => {
+                let (columns, rows) = self.list(query)?;
+                Ok(Partial::Rows(columns, rows))
+            }
+        }
+    }
+
+    /// The master half of every query (Algorithm 5's `mergeResults` +
+    /// `finalize`): merges the partials of any split of the stores — in any
+    /// order, to the same bits — and applies ORDER BY and LIMIT. Listing
+    /// rows are merged group by group in ascending gid order.
+    pub fn finalize(query: &Query, partials: Vec<Partial>) -> Result<QueryResult> {
+        let class = Class::of(query);
+        let mut sketches = Vec::new();
+        let mut aggregates = Vec::new();
+        let mut listing: Option<(Vec<String>, GidRows)> = None;
+        for partial in partials {
+            match (class, partial) {
+                (Class::Sketch, Partial::Sketch(sketch)) => sketches.push(sketch),
+                (Class::Aggregate, Partial::Aggregates(partial)) => aggregates.push(partial),
+                (Class::Listing, Partial::Rows(columns, rows)) => {
+                    let (_, merged) = listing.get_or_insert_with(|| (columns, GidRows::new()));
+                    for (gid, rows) in rows {
+                        merged.entry(gid).or_default().extend(rows);
+                    }
+                }
+                _ => {
+                    return Err(MdbError::Query(format!(
+                        "a partial of another query class cannot finalize a {class:?} query"
+                    )))
+                }
+            }
+        }
+        let mut result = match class {
+            Class::Sketch => Self::finalize_sketches(query, sketches),
+            Class::Aggregate => Self::finalize_aggregates(query, aggregates)?,
+            Class::Listing => {
+                let (columns, rows) = listing.unwrap_or_default();
+                let mut result = QueryResult::new(columns);
+                result.rows = rows.into_values().flatten().collect();
+                result
+            }
         };
         Self::apply_order_limit(&mut result, query)?;
         Ok(result)
@@ -803,12 +869,11 @@ impl<'a> QueryEngine<'a> {
 
     // ------------------------------------------------ aggregate (Alg 5) --
 
-    /// Compiles an aggregate or sketch query once: validates it, rewrites
-    /// its WHERE clause, chooses the representation that answers it —
-    /// sketches, a tiling, or a plain scan — and resolves every tid it
-    /// keeps to a group-key slot (so an unknown GROUP BY column is an error
-    /// whatever the data). The gid scope is applied later, by
-    /// [`QueryEngine::plan_partial`].
+    /// Compiles an aggregate query once: validates it, rewrites its WHERE
+    /// clause, chooses the representation that answers it — a tiling or a
+    /// plain scan — and resolves every tid it keeps to a group-key slot (so
+    /// an unknown GROUP BY column is an error whatever the data). The gid
+    /// scope is applied later, by [`QueryEngine::plan_partial`].
     ///
     /// A Segment View aggregate without a `Value` filter is *cellular*: it
     /// is tiled at the maintained rollup levels (for `CUBE_*`, those no
@@ -819,20 +884,7 @@ impl<'a> QueryEngine<'a> {
     /// bit. A `CUBE_*` query that is not cellular, or finer than every
     /// level, is tiled by its own level's buckets; any other plain
     /// aggregate is a plain scan.
-    pub fn compile(&self, query: &Query) -> Result<Plan> {
-        if query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Sketch(_)))
-        {
-            Self::sketch_items(query)?;
-            return Ok(Plan {
-                representation: Representation::Sketch,
-                rw: self.rewrite(query)?,
-                keys: Arc::default(),
-                use_models: true,
-            });
-        }
+    fn compile(&self, query: &Query) -> Result<Plan> {
         let cubes: Vec<Option<TimeLevel>> = query
             .items
             .iter()
@@ -875,12 +927,9 @@ impl<'a> QueryEngine<'a> {
         } else {
             Vec::new()
         };
-        let representation = match mdb_storage::rollup::finest_level(&levels).or(cube) {
-            Some(edge) => Representation::Tiled(Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
-            None => Representation::Scan,
-        };
+        let edge = mdb_storage::rollup::finest_level(&levels).or(cube);
         Ok(Plan {
-            representation,
+            tiling: edge.map(|edge| Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
             rw,
             keys,
             use_models: query.view == View::Segment,
@@ -940,41 +989,22 @@ impl<'a> QueryEngine<'a> {
     /// serves from its rollup cells (`serve_tiles`) and scans
     /// the rest; with serving off, or no level to serve, it scans the whole
     /// range with the same tile splits.
-    pub fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
+    fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
         let mut rw = plan.rw.clone();
         self.apply_scope(&mut rw);
         let mut partial = PartialAggregates::new(&plan.keys);
-        let tiling = match &plan.representation {
-            Representation::Sketch => {
-                return Err(MdbError::Query(
-                    "sketch queries merge sketches, not aggregate partials".into(),
-                ))
-            }
-            _ if rw.empty => return Ok(partial),
-            Representation::Scan => None,
-            Representation::Tiled(tiling) => Some(tiling),
-        };
-        match tiling {
+        if rw.empty {
+            return Ok(partial);
+        }
+        match &plan.tiling {
             Some(tiling) if self.rollup_serve && tiling.has_levels() => {
                 for (lo, hi) in self.serve_tiles(plan, &rw, tiling, &mut partial)? {
-                    self.scan(plan, rw.within(lo, hi), Some(tiling), &mut partial)?;
+                    self.scan(plan, rw.within(lo, hi), &mut partial)?;
                 }
             }
-            _ => self.scan(plan, rw, tiling, &mut partial)?,
+            _ => self.scan(plan, rw, &mut partial)?,
         }
         Ok(partial)
-    }
-
-    /// The engine's gid scope, sorted and deduplicated; every catalog group
-    /// when unscoped.
-    fn scope_gids(&self) -> Vec<Gid> {
-        let mut gids: Vec<Gid> = match self.gid_scope {
-            Some(scope) => scope.to_vec(),
-            None => self.catalog.groups.iter().map(|g| g.gid).collect(),
-        };
-        gids.sort_unstable();
-        gids.dedup();
-        gids
     }
 
     /// Answers the whole tiles of `tiling` the store can serve from its
@@ -1061,13 +1091,7 @@ impl<'a> QueryEngine<'a> {
     /// surviving block and segments are evaluated as borrowed views. Chunks
     /// merge in scan order, so bucket entries keep a sequential scan's
     /// order; slot sums are exact, so the chunking cannot move their bits.
-    fn scan(
-        &self,
-        plan: &Plan,
-        rw: Rewritten,
-        tiling: Option<&Tiling>,
-        partial: &mut PartialAggregates,
-    ) -> Result<()> {
+    fn scan(&self, plan: &Plan, rw: Rewritten, partial: &mut PartialAggregates) -> Result<()> {
         let runs = RunSet::collect(self.store, &rw.pushdown)?;
         let n_segments = runs.len();
         if n_segments == 0 {
@@ -1076,7 +1100,7 @@ impl<'a> QueryEngine<'a> {
         let context = ScanContext {
             rw,
             keys: Arc::clone(&plan.keys),
-            tiling: tiling.cloned(),
+            tiling: plan.tiling.clone(),
             use_models: plan.use_models,
             runs,
         };
@@ -1102,15 +1126,15 @@ impl<'a> QueryEngine<'a> {
 
     // ------------------------------------------------ sketch functions --
 
-    /// Validates a sketch query and returns its functions in SELECT order.
-    /// Sketches summarize *everything stored* — they cannot be filtered or
-    /// grouped after the fact — so WHERE, GROUP BY, and mixing with other
-    /// select items are rejected rather than silently ignored.
-    fn sketch_items(query: &Query) -> Result<Vec<SketchFunc>> {
-        let mut funcs = Vec::new();
+    /// Validates a sketch query. Sketches summarize *everything stored* —
+    /// they cannot be filtered or grouped after the fact — so WHERE, GROUP
+    /// BY, and mixing with other select items are rejected rather than
+    /// silently ignored.
+    fn validate_sketch(query: &Query) -> Result<()> {
+        let mut top_k = false;
         for item in &query.items {
             match item {
-                SelectItem::Sketch(func) => funcs.push(func.clone()),
+                SelectItem::Sketch(func) => top_k |= matches!(func, SketchFunc::TopK(_)),
                 other => {
                     return Err(MdbError::Query(format!(
                         "sketch functions cannot be mixed with {other:?}"
@@ -1133,22 +1157,23 @@ impl<'a> QueryEngine<'a> {
                 "sketch functions do not support GROUP BY".into(),
             ));
         }
-        if funcs.iter().any(|f| matches!(f, SketchFunc::TopK(_))) && funcs.len() > 1 {
+        if top_k && query.items.len() > 1 {
             return Err(MdbError::Query(
                 "TOP_K_S returns one row per series and must be the only select item".into(),
             ));
         }
-        Ok(funcs)
+        Ok(())
     }
 
-    /// The worker half of a sketch query: merge the store's per-group
-    /// sketches (restricted to the engine's gid scope) **without touching
-    /// segment bodies**. Erroring instead of falling back to a scan is
-    /// deliberate: sketch functions promise metadata-only cost, and a store
-    /// that cannot honor that (no feed, or an unsketchable segment) must say
-    /// so rather than silently change its complexity class.
-    pub fn sketch_partial(&self, query: &Query) -> Result<BlockSketch> {
-        Self::sketch_items(query)?;
+    /// The worker half of a sketch query: validate it, then merge the
+    /// store's per-group sketches (restricted to the engine's gid scope)
+    /// **without touching segment bodies**. Erroring instead of falling
+    /// back to a scan is deliberate: sketch functions promise metadata-only
+    /// cost, and a store that cannot honor that (no feed, or an unsketchable
+    /// segment) must say so rather than silently change its complexity
+    /// class.
+    fn sketch_partial(&self, query: &Query) -> Result<BlockSketch> {
+        Self::validate_sketch(query)?;
         self.store.merge_sketches(self.gid_scope)?.ok_or_else(|| {
             MdbError::Query(
                 "sketch functions need a sketch-maintaining store \
@@ -1159,11 +1184,19 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The master half: merge worker sketch partials and evaluate the
-    /// functions. Sketch merging is commutative and associative, so any
-    /// partial order and nesting yields the same result — the property the
-    /// cluster relies on for identical answers at every rf and worker count.
-    pub fn finalize_sketches(query: &Query, partials: Vec<BlockSketch>) -> Result<QueryResult> {
-        let funcs = Self::sketch_items(query)?;
+    /// functions (the query was validated by [`QueryEngine::sketch_partial`]).
+    /// Sketch merging is commutative and associative, so any partial order
+    /// and nesting yields the same result — the property the cluster relies
+    /// on for identical answers at every rf and worker count.
+    fn finalize_sketches(query: &Query, partials: Vec<BlockSketch>) -> QueryResult {
+        let funcs: Vec<&SketchFunc> = query
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                SelectItem::Sketch(func) => Some(func),
+                _ => None,
+            })
+            .collect();
         let mut merged = BlockSketch::new();
         for partial in &partials {
             merged.merge(partial);
@@ -1176,9 +1209,9 @@ impl<'a> QueryEngine<'a> {
                     .rows
                     .push(vec![Cell::Int(i64::from(tid)), Cell::Int(count as i64)]);
             }
-            return Ok(result);
+            return result;
         }
-        let mut result = QueryResult::new(funcs.iter().map(SketchFunc::column_name).collect());
+        let mut result = QueryResult::new(funcs.iter().map(|f| f.column_name()).collect());
         let row = funcs
             .iter()
             .map(|func| match func {
@@ -1191,7 +1224,7 @@ impl<'a> QueryEngine<'a> {
             })
             .collect();
         result.rows.push(row);
-        Ok(result)
+        result
     }
 }
 
@@ -1301,10 +1334,7 @@ impl<'a> SegmentEvaluator<'a> {
 impl<'a> QueryEngine<'a> {
     /// The master half: merge worker partials and finalize (Algorithm 5's
     /// `mergeResults` + `finalize`).
-    pub fn finalize_aggregates(
-        query: &Query,
-        partials: Vec<PartialAggregates>,
-    ) -> Result<QueryResult> {
+    fn finalize_aggregates(query: &Query, partials: Vec<PartialAggregates>) -> Result<QueryResult> {
         let cube = query.items.iter().find_map(|i| match i {
             SelectItem::Agg { cube, .. } => *cube,
             _ => None,
@@ -1381,11 +1411,7 @@ impl<'a> QueryEngine<'a> {
                         "SELECT * cannot be combined with aggregates".into(),
                     ));
                 }
-                SelectItem::Sketch(_) => {
-                    return Err(MdbError::Query(
-                        "sketch functions cannot be combined with aggregates".into(),
-                    ));
-                }
+                SelectItem::Sketch(_) => unreachable!("sketch queries finalize from sketches"),
             }
         }
         let mut result = QueryResult::new(columns);
@@ -1424,35 +1450,11 @@ impl<'a> QueryEngine<'a> {
 
     // ------------------------------------------------------- listing --
 
-    /// The non-aggregate path: Segment View listing or Data Point View
-    /// reconstruction (the P/R workload).
-    pub fn listing(&self, query: &Query) -> Result<QueryResult> {
-        let (mut result, mut rows) = self.list(query, None)?;
-        result.rows = rows.pop().expect("one unit, one row set");
-        Ok(result)
-    }
-
-    /// [`QueryEngine::listing`] for each group of the engine's gid scope
-    /// (every catalog group when unscoped), from one walk of the store: the
-    /// result's column shape with no rows, and each group's rows in scan
-    /// order, in ascending gid order — exactly the rows an engine scoped to
-    /// that group alone would list. Groups without a row are left out.
-    pub fn listing_per_gid(&self, query: &Query) -> Result<(QueryResult, GidRows)> {
-        let gids = self.scope_gids();
-        let (shape, rows) = self.list(query, Some(&gids))?;
-        let per_gid = gids.into_iter().zip(rows);
-        Ok((
-            shape,
-            per_gid.filter(|(_, rows)| !rows.is_empty()).collect(),
-        ))
-    }
-
-    /// The column shape of a listing and its rows per unit ([`unit_of`]).
-    fn list(
-        &self,
-        query: &Query,
-        units: Option<&[Gid]>,
-    ) -> Result<(QueryResult, Vec<Vec<Vec<Cell>>>)> {
+    /// The non-aggregate path — Segment View listing or Data Point View
+    /// reconstruction (the P/R workload) — from one walk of the store: the
+    /// listing's columns, and each group's rows in scan order. Groups
+    /// without a row are left out.
+    fn list(&self, query: &Query) -> Result<(Vec<String>, GidRows)> {
         let mut rw = self.rewrite(query)?;
         self.apply_scope(&mut rw);
         if query.view == View::Segment && rw.values.is_some() {
@@ -1461,9 +1463,9 @@ impl<'a> QueryEngine<'a> {
             ));
         }
         let columns = self.listing_columns(query)?;
-        let mut rows = vec![Vec::new(); unit_count(units)];
+        let mut rows = GidRows::new();
         if rw.empty {
-            return Ok((QueryResult::new(columns), rows));
+            return Ok((columns, rows));
         }
         let mut scan_error = None;
         let mut grid = Vec::new();
@@ -1472,10 +1474,7 @@ impl<'a> QueryEngine<'a> {
                 return;
             }
             for segment in run.segments() {
-                let Some(unit) = unit_of(units, segment.gid) else {
-                    continue;
-                };
-                let rows = &mut rows[unit];
+                let rows = rows.entry(segment.gid).or_default();
                 let listed = self.list_segment(query, &rw, &columns, segment, &mut grid, rows);
                 if let Err(e) = listed {
                     scan_error = Some(e);
@@ -1486,7 +1485,8 @@ impl<'a> QueryEngine<'a> {
         if let Some(e) = scan_error {
             return Err(e);
         }
-        Ok((QueryResult::new(columns), rows))
+        rows.retain(|_, rows| !rows.is_empty());
+        Ok((columns, rows))
     }
 
     fn listing_columns(&self, query: &Query) -> Result<Vec<String>> {
@@ -1624,9 +1624,8 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Applies ORDER BY and LIMIT to a finished result (also used by the
-    /// cluster master after merging worker rows).
-    pub fn apply_order_limit(result: &mut QueryResult, query: &Query) -> Result<()> {
+    /// Applies ORDER BY and LIMIT to a merged result.
+    fn apply_order_limit(result: &mut QueryResult, query: &Query) -> Result<()> {
         if let Some((column, desc)) = &query.order_by {
             let idx = result
                 .column_index(column)
