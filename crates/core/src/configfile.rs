@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! # comments and blank lines are ignored
-//! modelardb.error_bound          = 5.0          # percent; 0 = lossless
+//! modelardb.error_bound          = 5.0          # percent, finite and >= 0; 0 = lossless
 //! modelardb.length_limit         = 50
-//! modelardb.dynamic_split        = true
+//! modelardb.dynamic_split        = true         # true/on/1 or false/off/0
 //! modelardb.split_fraction       = 10
 //! modelardb.bulk_write_size      = 50000
 //! modelardb.storage              = memory       # or a directory path
@@ -18,7 +18,6 @@
 //! modelardb.ingest_queue_depth   = 8            # bound on buffered ingest batches
 //! modelardb.max_connections      = 256          # concurrent server sessions (serve mode)
 //! modelardb.rollup_levels        = hour, day, month  # continuous aggregates; "none" = off
-//! modelardb.rollup_serve         = true         # answer whole buckets from rollup cells
 //!
 //! modelardb.dimension            = Location, Country, Park, Turbine
 //! modelardb.dimension            = Measure, Category, Concrete
@@ -73,7 +72,6 @@ pub struct ConfigFile {
     /// `Some(levels)` when a `rollup_levels` line was present; `none`
     /// parses to an empty list (rollups off).
     pub rollup_levels: Option<Vec<TimeLevel>>,
-    pub rollup_serve: Option<bool>,
 }
 
 impl ConfigFile {
@@ -93,18 +91,23 @@ impl ConfigFile {
             let ctx = |e: MdbError| MdbError::Config(format!("line {}: {e}", number + 1));
             match key.as_str() {
                 "modelardb.error_bound" => {
-                    cfg.error_bound_percent = value.parse::<f64>().map_err(|_| {
-                        MdbError::Config(format!("line {}: bad error bound {value:?}", number + 1))
-                    })?;
+                    cfg.error_bound_percent = value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|percent| percent.is_finite() && *percent >= 0.0)
+                        .ok_or_else(|| {
+                            MdbError::Config(format!(
+                                "line {}: bad error bound {value:?} \
+                                 (a finite percentage, 0 or more)",
+                                number + 1
+                            ))
+                        })?;
                 }
                 "modelardb.length_limit" => {
                     cfg.length_limit = Some(parse_number(value, number)?);
                 }
                 "modelardb.dynamic_split" => {
-                    cfg.dynamic_split = Some(matches!(
-                        value.to_ascii_lowercase().as_str(),
-                        "true" | "on" | "1"
-                    ));
+                    cfg.dynamic_split = Some(parse_bool(value, number)?);
                 }
                 "modelardb.split_fraction" => {
                     cfg.split_fraction = Some(value.parse::<f64>().map_err(|_| {
@@ -159,12 +162,6 @@ impl ConfigFile {
                             })
                             .collect::<Result<Vec<TimeLevel>>>()?
                     });
-                }
-                "modelardb.rollup_serve" => {
-                    cfg.rollup_serve = Some(matches!(
-                        value.to_ascii_lowercase().as_str(),
-                        "true" | "on" | "1"
-                    ));
                 }
                 "modelardb.block_format" => {
                     cfg.block_format = Some(match value.to_ascii_lowercase().as_str() {
@@ -264,9 +261,6 @@ impl ConfigFile {
         if let Some(levels) = &self.rollup_levels {
             options.rollup_levels = levels.clone();
         }
-        if let Some(serve) = self.rollup_serve {
-            options.rollup_serve = serve;
-        }
         options
     }
 
@@ -298,6 +292,18 @@ fn parse_number(value: &str, line: usize) -> Result<usize> {
     value
         .parse::<usize>()
         .map_err(|_| MdbError::Config(format!("line {}: bad number {value:?}", line + 1)))
+}
+
+/// `true`/`on`/`1` or `false`/`off`/`0`, ignoring case.
+fn parse_bool(value: &str, line: usize) -> Result<bool> {
+    match value.to_ascii_lowercase().as_str() {
+        "true" | "on" | "1" => Ok(true),
+        "false" | "off" | "0" => Ok(false),
+        _ => Err(MdbError::Config(format!(
+            "line {}: bad boolean {value:?} (true/on/1 or false/off/0)",
+            line + 1
+        ))),
+    }
 }
 
 /// `<source>, <si ms> [, <Dimension>=<member>/<member>/…]…`
@@ -443,17 +449,13 @@ modelardb.correlation.scaling = series t9572.gz 4.75
 
     #[test]
     fn rollup_keys_parse_and_land_in_common_options() {
-        let cfg =
-            ConfigFile::parse("modelardb.rollup_levels = day, hour\nmodelardb.rollup_serve = off")
-                .unwrap();
+        let cfg = ConfigFile::parse("modelardb.rollup_levels = day, hour").unwrap();
         assert_eq!(
             cfg.rollup_levels,
             Some(vec![TimeLevel::Day, TimeLevel::Hour])
         );
-        assert_eq!(cfg.rollup_serve, Some(false));
         let options = cfg.common_options();
         assert_eq!(options.rollup_levels, vec![TimeLevel::Day, TimeLevel::Hour]);
-        assert!(!options.rollup_serve);
         // "none" disables rollups; absent keys keep the defaults.
         let cfg = ConfigFile::parse("modelardb.rollup_levels = none").unwrap();
         assert_eq!(cfg.rollup_levels, Some(Vec::new()));
@@ -501,6 +503,43 @@ modelardb.correlation.scaling = series t9572.gz 4.75
                 err.contains(needle) || err.contains("line 1"),
                 "{bad}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn error_bounds_that_are_not_finite_percentages_are_rejected() {
+        for bad in ["-1", "NaN", "inf"] {
+            let text = format!("modelardb.length_limit = 50\nmodelardb.error_bound = {bad}");
+            let err = ConfigFile::parse(&text).unwrap_err();
+            assert!(matches!(err, MdbError::Config(_)), "{bad}: {err}");
+            let err = err.to_string();
+            assert!(err.contains("line 2: bad error bound"), "{bad}: {err}");
+        }
+        for good in ["0", "0.0", "5", "12.5"] {
+            let cfg = ConfigFile::parse(&format!("modelardb.error_bound = {good}")).unwrap();
+            cfg.common_options();
+        }
+    }
+
+    #[test]
+    fn booleans_are_true_or_false_and_nothing_else() {
+        for (text, expected) in [
+            ("true", true),
+            ("On", true),
+            ("1", true),
+            ("FALSE", false),
+            ("off", false),
+            ("0", false),
+        ] {
+            let cfg = ConfigFile::parse(&format!("modelardb.dynamic_split = {text}")).unwrap();
+            assert_eq!(cfg.dynamic_split, Some(expected), "{text}");
+        }
+        for bad in ["yes", "enabled", "ture", ""] {
+            let text = format!("# split\nmodelardb.dynamic_split = {bad}");
+            let err = ConfigFile::parse(&text).unwrap_err();
+            assert!(matches!(err, MdbError::Config(_)), "{bad:?}: {err}");
+            let err = err.to_string();
+            assert!(err.contains("line 2: bad boolean"), "{bad:?}: {err}");
         }
     }
 

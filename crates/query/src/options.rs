@@ -58,11 +58,6 @@ pub struct CommonOptions {
     /// rollups; the order is part of the configuration identity (a store
     /// sidecar is only adopted when its levels match exactly).
     pub rollup_levels: Vec<TimeLevel>,
-    /// Whether the whole tiles of time-hierarchy aggregates are answered from
-    /// the materialized cells (`true`, the default) or always scanned.
-    /// Either setting produces bit-identical results — the knob only
-    /// changes how many segment bodies are read.
-    pub rollup_serve: bool,
 }
 
 impl Default for CommonOptions {
@@ -76,7 +71,6 @@ impl Default for CommonOptions {
             storage_dir: None,
             ingest_queue_depth: 8,
             rollup_levels: vec![TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month],
-            rollup_serve: true,
         }
     }
 }
@@ -99,6 +93,5 @@ mod tests {
             o.rollup_levels,
             vec![TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month]
         );
-        assert!(o.rollup_serve);
     }
 }

@@ -36,6 +36,8 @@ pub struct Shard {
     /// [`CommonOptions::query_parallelism`] resolves to one worker.
     scan_pool: Option<ScanPool>,
     rollup_levels: Vec<TimeLevel>,
+    /// Whether whole tiles are answered from rollup cells (the default);
+    /// off only as a reference for equivalence checks.
     rollup_serve: bool,
 }
 
@@ -91,7 +93,7 @@ impl Shard {
             ingestors: BTreeMap::new(),
             scan_pool,
             rollup_levels: options.rollup_levels.clone(),
-            rollup_serve: options.rollup_serve,
+            rollup_serve: true,
         };
         for &gid in gids {
             shard.adopt(gid)?;
