@@ -835,6 +835,7 @@ impl Cluster {
 
     /// One scatter/gather attempt. `Ok(None)` means a worker died and was
     /// declared dead — the caller should retry against the new placement.
+    ///
     /// Every primary answers its half of the query and the master
     /// finalizes: a group's partial comes from its one primary, in that
     /// group's scan order, and [`QueryEngine::finalize`] merges any split to
