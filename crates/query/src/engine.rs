@@ -138,7 +138,7 @@ pub enum Partial {
 }
 
 /// The three ways a query is answered, decided by its SELECT items alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Class {
     /// Any sketch function: the store's sketches, no segment body read.
     Sketch,
