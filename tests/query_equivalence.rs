@@ -10,7 +10,8 @@ use mdb_bench::{build_engine, ingest_engine};
 use mdb_datagen::{ep, Scale};
 use mdb_models::{MID_PMC_MEAN, MID_SWING};
 use modelardb::{
-    Cell, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, QueryResult, SeriesSpec,
+    Cell, CorrelationSpec, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, QueryResult,
+    ScalingHint, SeriesSpec,
 };
 
 const TICKS: u64 = 300;
@@ -121,6 +122,99 @@ fn closed_form_values(db: &ModelarDb) -> Vec<f64> {
     values
 }
 
+/// Two engines as in [`sequential_and_parallel`], over two groups whose
+/// scalings are not 1: Aalborg's series `a` and `b` scaled by −1.5 and
+/// Skive's `c` and `d` by 4.75. Each group alternates plateaus (PMC-Mean)
+/// with rising and falling sine stretches (Swing), with per-series gaps and
+/// whole-group gap ticks.
+fn scaled_sequential_and_parallel() -> (ModelarDb, ModelarDb) {
+    let build = |parallelism: usize, pruning: bool| {
+        let mut b = ModelarDbBuilder::new();
+        b.config_mut().compression.error_bound = ErrorBound::absolute(0.5);
+        b.config_mut().query_parallelism = parallelism;
+        b.config_mut().zone_pruning = pruning;
+        b.add_dimension(
+            DimensionSchema::from_leaf_up("Location", vec!["Turbine".into(), "Park".into()])
+                .unwrap(),
+        );
+        let mut spec = CorrelationSpec::none();
+        spec.add_clause("Location 1").unwrap();
+        for (name, park, turbine, factor) in [
+            ("a", "Aalborg", "1", -1.5),
+            ("b", "Aalborg", "2", -1.5),
+            ("c", "Skive", "3", 4.75),
+            ("d", "Skive", "4", 4.75),
+        ] {
+            b.add_series(SeriesSpec::new(name, 100).with_members("Location", &[park, turbine]));
+            spec.scaling.push(ScalingHint::Series {
+                name: name.into(),
+                factor,
+            });
+        }
+        b.with_correlation(spec);
+        b.build().unwrap()
+    };
+    let mut sequential = build(1, false);
+    let mut parallel = build(4, true);
+    for t in 0..SJ_TICKS {
+        let wave = |period: f32, plateau: i64| {
+            if (t / 60) % 3 == plateau {
+                0.0
+            } else {
+                (t as f32 / period).sin()
+            }
+        };
+        let a = 5.0 + 2.0 * wave(30.0, 0);
+        let c = 20.0 + 3.0 * wave(40.0, 1);
+        let row = if t % 97 == 13 {
+            [None; 4]
+        } else {
+            [
+                (t % 37 != 0).then_some(a),
+                Some(a + 0.01),
+                Some(c),
+                Some(c + 0.02),
+            ]
+        };
+        sequential.ingest_row(t * 100, &row).unwrap();
+        parallel.ingest_row(t * 100, &row).unwrap();
+    }
+    sequential.flush().unwrap();
+    parallel.flush().unwrap();
+    assert_eq!(
+        sequential.segments().unwrap(),
+        parallel.segments().unwrap(),
+        "both engines must hold byte-identical segments"
+    );
+    (sequential, parallel)
+}
+
+/// The values a `Value` filter is compared with where a monotone model's
+/// run may start or stop passing it: every PMC-Mean constant and Swing
+/// endpoint divided by its series' scaling, sorted and deduplicated.
+fn scaled_closed_form_values(db: &ModelarDb) -> Vec<f64> {
+    let catalog = db.catalog();
+    let mut values: Vec<f64> = db
+        .segments()
+        .unwrap()
+        .iter()
+        .filter(|segment| matches!(segment.mid, MID_PMC_MEAN | MID_SWING))
+        .flat_map(|segment| {
+            let tids = &catalog.group(segment.gid).unwrap().tids;
+            let scalings: Vec<f64> = tids.iter().map(|&tid| catalog.scaling_of(tid)).collect();
+            segment
+                .params
+                .chunks_exact(4)
+                .map(|b| f64::from(f32::from_le_bytes(b.try_into().unwrap())))
+                .flat_map(move |v| scalings.clone().into_iter().map(move |s| v / s))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    values.sort_by(f64::total_cmp);
+    values.dedup();
+    values
+}
+
 /// `x` as an SQL float literal that parses back to exactly `x`.
 fn literal(x: f64) -> String {
     let text = x.to_string();
@@ -195,6 +289,87 @@ proptest! {
                 .unwrap_or(0);
             let listed = listing.rows.iter().filter(|row| row[0].as_i64() == Some(tid)).count();
             prop_assert_eq!(count as usize, listed, "tid {} under {}", tid, filter);
+        }
+    }
+
+    #[test]
+    fn monotone_value_filters_match_the_point_listing(
+        pick in 0usize..100_000,
+        other in 0usize..100_000,
+        nudge in 0usize..3,
+        op_idx in 0usize..6,
+    ) {
+        // Thresholds at the un-scaled PMC-Mean constants and Swing
+        // endpoints, exactly and one ulp either side, where a monotone
+        // model's run starts or stops passing. Per tid, the Segment View's
+        // COUNT, MIN and MAX must be the listing's bit for bit, and its SUM
+        // (the closed form over the passing sub-range) within the f32
+        // rounding of the listed points.
+        let (sequential, parallel) = scaled_sequential_and_parallel();
+        let mids: Vec<u8> = sequential.segments().unwrap().iter().map(|s| s.mid).collect();
+        prop_assert!(mids.contains(&MID_PMC_MEAN) && mids.contains(&MID_SWING));
+        let values = scaled_closed_form_values(&sequential);
+        let nudged = |i: usize| {
+            let x = values[i % values.len()];
+            [x, x.next_down(), x.next_up()][nudge]
+        };
+        let (x, y) = (nudged(pick), nudged(other));
+        let filter = match op_idx {
+            0 => format!("Value > {}", literal(x)),
+            1 => format!("Value >= {}", literal(x)),
+            2 => format!("Value < {}", literal(x)),
+            3 => format!("Value <= {}", literal(x)),
+            4 => format!("Value = {}", literal(x)),
+            _ => format!("Value >= {} AND Value < {}", literal(x.min(y)), literal(x.max(y))),
+        };
+        let per_tid = format!(
+            "SELECT Tid, COUNT_S(*), MIN_S(*), MAX_S(*), SUM_S(*) FROM Segment \
+             WHERE {filter} GROUP BY Tid ORDER BY Tid"
+        );
+        for sql in [
+            per_tid.clone(),
+            format!("SELECT Park, AVG_S(*), MIN_S(*) FROM Segment WHERE {filter} GROUP BY Park"),
+            format!("SELECT Tid, CUBE_SUM_MINUTE(*) FROM Segment WHERE {filter} GROUP BY Tid"),
+        ] {
+            let a = sequential.sql(&sql).unwrap();
+            let b = parallel.sql(&sql).unwrap();
+            prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
+        }
+        let answers = sequential.sql(&per_tid).unwrap();
+        let listing = sequential
+            .sql(&format!("SELECT Tid, Value FROM DataPoint WHERE {filter}"))
+            .unwrap();
+        for tid in 1..=4i64 {
+            let listed: Vec<f64> = listing
+                .rows
+                .iter()
+                .filter(|row| row[0].as_i64() == Some(tid))
+                .map(|row| row[1].as_f64().unwrap())
+                .collect();
+            let row = answers.rows.iter().find(|row| row[0].as_i64() == Some(tid));
+            let Some(row) = row else {
+                prop_assert!(listed.is_empty(), "tid {} under {}: no answer row", tid, filter);
+                continue;
+            };
+            let (count, min, max, sum) = (
+                row[1].as_i64().unwrap(),
+                row[2].as_f64().unwrap(),
+                row[3].as_f64().unwrap(),
+                row[4].as_f64().unwrap(),
+            );
+            let least = listed.iter().copied().fold(f64::INFINITY, f64::min);
+            let most = listed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert_eq!(count as usize, listed.len(), "tid {} under {}", tid, filter);
+            prop_assert_eq!(min.to_bits(), least.to_bits(), "MIN of tid {} under {}", tid, filter);
+            prop_assert_eq!(max.to_bits(), most.to_bits(), "MAX of tid {} under {}", tid, filter);
+            // Each listed point is the f32 rounding of the model line,
+            // within one f32 ulp of the closed form's line.
+            let exact: f64 = listed.iter().sum();
+            let magnitude: f64 = listed.iter().map(|v| v.abs()).sum();
+            prop_assert!(
+                (sum - exact).abs() <= magnitude * 2f64.powi(-22),
+                "SUM of tid {} under {}: {} vs listed {}", tid, filter, sum, exact
+            );
         }
     }
 
