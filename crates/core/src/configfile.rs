@@ -104,7 +104,15 @@ impl ConfigFile {
                         })?;
                 }
                 "modelardb.length_limit" => {
-                    cfg.length_limit = Some(parse_number(value, number)?);
+                    let limit = parse_number(value, number)?;
+                    if limit == 0 {
+                        return Err(MdbError::Config(format!(
+                            "line {}: bad length limit {value:?} \
+                             (a segment holds at least one point)",
+                            number + 1
+                        )));
+                    }
+                    cfg.length_limit = Some(limit);
                 }
                 "modelardb.dynamic_split" => {
                     cfg.dynamic_split = Some(parse_bool(value, number)?);
@@ -517,6 +525,19 @@ modelardb.correlation.scaling = series t9572.gz 4.75
         }
         for good in ["0", "0.0", "5", "12.5"] {
             let cfg = ConfigFile::parse(&format!("modelardb.error_bound = {good}")).unwrap();
+            cfg.common_options();
+        }
+    }
+
+    #[test]
+    fn a_length_limit_of_zero_is_rejected() {
+        let err =
+            ConfigFile::parse("modelardb.error_bound = 5\nmodelardb.length_limit = 0").unwrap_err();
+        assert!(matches!(err, MdbError::Config(_)), "{err}");
+        let err = err.to_string();
+        assert!(err.contains("line 2: bad length limit"), "{err}");
+        for good in ["1", "50"] {
+            let cfg = ConfigFile::parse(&format!("modelardb.length_limit = {good}")).unwrap();
             cfg.common_options();
         }
     }
