@@ -91,6 +91,13 @@ pub struct SegmentAgg {
 
 /// A model type: a factory for fitters plus the decoding half of the black
 /// box. Implement this trait (and register it) to add a user-defined model.
+///
+/// Decoding comes in three levels. [`ModelType::grid`] reconstructs every
+/// value and is required. [`ModelType::agg`] answers aggregates over a tick
+/// range in constant time, and [`ModelType::monotone_value_at`] evaluates
+/// one value of a series that rises or falls with time, which lets a
+/// `Value` filter be answered without a grid. Both may return `None` (the
+/// evaluator's default): a query then reconstructs the model's values.
 pub trait ModelType: Send + Sync {
     /// A short stable name (the `Classpath` column of the Model table in
     /// Figure 6 plays this role in the paper).
@@ -148,6 +155,104 @@ pub trait ModelType: Send + Sync {
         range: (usize, usize),
         series: usize,
     ) -> Option<SegmentAgg>;
+
+    /// The reconstructed value of the series at `series` position at tick
+    /// `t`, for a model that promises its series are monotone in `t`. The
+    /// default is `None`: the model makes no such promise, and the query
+    /// engine reconstructs the grid instead.
+    ///
+    /// **Contract:** a `Some` value is bit-identical to
+    /// `grid(params, n_series, count)[t * n_series + series]`, and the
+    /// values over `t in 0..count` are non-decreasing or non-increasing
+    /// (no `NaN`). The engine answers a `Value` filter from this alone: the
+    /// ticks whose value passes a closed interval form one contiguous range
+    /// ([`crossing_range`]), whose `COUNT` is its length and whose `MIN` and
+    /// `MAX` are its end values, so an evaluator that breaks the contract
+    /// drops or invents points.
+    fn monotone_value_at(
+        &self,
+        _params: &[u8],
+        _n_series: usize,
+        _count: usize,
+        _t: usize,
+        _series: usize,
+    ) -> Option<Value> {
+        None
+    }
+}
+
+/// The ticks of a monotone run that pass a filter, found by
+/// [`crossing_range`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crossing {
+    /// The first and the last passing tick (inclusive).
+    pub range: (usize, usize),
+    /// The compared values at those two ticks: the extremes of every
+    /// passing value, in the run's order.
+    pub keys: (f64, f64),
+}
+
+/// The ticks of `range` (inclusive) at which a monotone series passes
+/// `filter`, found by binary search in at most about `2·log₂(len) + 4`
+/// calls of `key`: `key(t)` is the value compared at tick `t` (for the
+/// query engine, [`ModelType::monotone_value_at`] divided by the series'
+/// scaling) and must be non-decreasing or non-increasing over `range`, so
+/// the passing ticks form one contiguous sub-range.
+///
+/// Returns `Some(Some(crossing))` for the passing sub-range, `Some(None)`
+/// when no tick passes, and `None` when `key` returns `None` or a `NaN`,
+/// which leaves the caller to look at every point.
+pub fn crossing_range(
+    range: (usize, usize),
+    filter: &ValueInterval,
+    mut key: impl FnMut(usize) -> Option<f64>,
+) -> Option<Option<Crossing>> {
+    let mut key = |t| key(t).filter(|k| !k.is_nan());
+    let (a, b) = range;
+    let (first, last) = (key(a)?, key(b)?);
+    if filter.contains(first) && filter.contains(last) {
+        let keys = (first, last);
+        return Some(Some(Crossing { range, keys }));
+    }
+    // Both ends on one side of the filter: so is every tick between them.
+    let (lo, hi) = (filter.lo, filter.hi);
+    if (first < lo && last < lo) || (first > hi && last > hi) {
+        return Some(None);
+    }
+    // On a rising run the ticks below the filter come first and those
+    // above it last; a falling run is the mirror image.
+    let rising = first <= last;
+    let fails_early = |k: f64| if rising { k < lo } else { k > hi };
+    let fails_late = |k: f64| if rising { k > hi } else { k < lo };
+    let start = partition_point(a, b + 1, |t| key(t).map(fails_early))?;
+    let end = partition_point(start, b + 1, |t| key(t).map(|k| !fails_late(k)))?;
+    if start >= end {
+        return Some(None);
+    }
+    let keys = (key(start)?, key(end - 1)?);
+    Some(Some(Crossing {
+        range: (start, end - 1),
+        keys,
+    }))
+}
+
+/// The first tick of `lo..hi` at which `holds` is false (`hi` when it
+/// holds throughout), for a `holds` that is true on a prefix; `None` when
+/// `holds` does.
+fn partition_point(
+    mut lo: usize,
+    mut hi: usize,
+    mut holds: impl FnMut(usize) -> Option<bool>,
+) -> Option<usize> {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid)? {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 /// Intersects the intervals of acceptable approximations for all values of a
@@ -384,5 +489,167 @@ mod tests {
             ..pmc
         };
         assert!(segment_value_range(&registry, &empty, 2).is_none());
+    }
+
+    /// Asserts [`ModelType::monotone_value_at`]'s contract for every series
+    /// of a segment: each value is the grid's, bit for bit, and each
+    /// series is non-decreasing or non-increasing.
+    fn check_monotone_evaluator(
+        model: &dyn ModelType,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let grid = model.grid(params, n_series, count).unwrap();
+        for series in 0..n_series {
+            let values: Vec<Value> = (0..count)
+                .map(|t| model.monotone_value_at(params, n_series, count, t, series))
+                .collect::<Option<_>>()
+                .unwrap();
+            for (t, v) in values.iter().enumerate() {
+                let g = grid[t * n_series + series];
+                proptest::prop_assert_eq!(v.to_bits(), g.to_bits(), "{} t={}", model.name(), t);
+            }
+            let rising = values[0] <= values[count - 1];
+            proptest::prop_assert!(
+                values
+                    .windows(2)
+                    .all(|w| if rising { w[0] <= w[1] } else { w[0] >= w[1] }),
+                "{}: series {} is not monotone: {:?}",
+                model.name(),
+                series,
+                values
+            );
+            proptest::prop_assert!(model
+                .monotone_value_at(params, n_series, count, count, series)
+                .is_none());
+        }
+        Ok(())
+    }
+
+    /// [`crossing_range`] by looking at every tick.
+    fn linear_crossing(
+        keys: &[f64],
+        range: (usize, usize),
+        filter: &ValueInterval,
+    ) -> Option<Crossing> {
+        let passing: Vec<usize> = (range.0..=range.1)
+            .filter(|&t| filter.contains(keys[t]))
+            .collect();
+        let (&first, &last) = (passing.first()?, passing.last()?);
+        assert_eq!(
+            passing.len(),
+            last - first + 1,
+            "passing ticks are contiguous"
+        );
+        Some(Crossing {
+            range: (first, last),
+            keys: (keys[first], keys[last]),
+        })
+    }
+
+    proptest::proptest! {
+        // The evaluator of every monotone model, fitted from drifting,
+        // noisy groups; a per-series adapter also after a case III append
+        // whose later child rejects, which leaves the earlier children one
+        // value longer than the segment.
+        #[test]
+        fn monotone_evaluators_equal_the_grid(
+            model_idx in 0usize..4,
+            n_series in 1usize..4,
+            base in -1000.0f32..1000.0,
+            slope in -5.0f32..5.0,
+            noise in proptest::collection::vec(-1.0f32..1.0, 1..120),
+            pct in 0.5f64..20.0,
+            truncate in proptest::bool::ANY,
+        ) {
+            use std::sync::Arc;
+            let model: Arc<dyn ModelType> = match model_idx {
+                0 => Arc::new(pmc::PmcMean),
+                1 => Arc::new(swing::Swing),
+                2 => Arc::new(multi::PerSeries::new(Arc::new(pmc::PmcMean))),
+                _ => Arc::new(multi::PerSeries::new(Arc::new(swing::Swing))),
+            };
+            let row = |t: usize, n: f32| -> Vec<Value> {
+                (0..n_series)
+                    .map(|s| base + slope * t as f32 + n * (s + 1) as f32 * 0.1)
+                    .collect()
+            };
+            let mut fitter = model.fitter(ErrorBound::relative(pct), n_series, 200);
+            for (t, n) in noise.iter().enumerate() {
+                if !fitter.append(t as i64 * 100, &row(t, *n)) {
+                    break;
+                }
+            }
+            let count = fitter.len();
+            if truncate && count > 0 {
+                // Series 0 continues, the last series leaps out of bound.
+                let mut leap = row(count, 0.0);
+                *leap.last_mut().unwrap() += 1.0e6;
+                fitter.append(count as i64 * 100, &leap);
+            }
+            if count > 0 {
+                proptest::prop_assert_eq!(fitter.len(), count);
+                check_monotone_evaluator(&*model, &fitter.params(), n_series, count)?;
+            }
+        }
+
+        // The binary search against a linear scan, on rising, falling and
+        // flat runs with repeated keys, and filters whose edges sit on a
+        // key, one ulp either side of it, or outside every key.
+        #[test]
+        fn crossing_range_equals_a_linear_scan(
+            mut keys in proptest::collection::vec(-8i32..8, 1..80),
+            falling in proptest::bool::ANY,
+            a in 0usize..1000,
+            b in 0usize..1000,
+            lo_pick in 0usize..1000,
+            hi_pick in 0usize..1000,
+            lo_nudge in 0usize..4,
+            hi_nudge in 0usize..4,
+        ) {
+            keys.sort_unstable();
+            if falling {
+                keys.reverse();
+            }
+            let keys: Vec<f64> = keys.iter().map(|&k| f64::from(k) * 0.5).collect();
+            let edge = |pick: usize, nudge: usize| {
+                let k = keys[pick % keys.len()];
+                [k, k.next_down(), k.next_up(), k * 3.0 + 1.0][nudge]
+            };
+            let filter = ValueInterval::new(edge(lo_pick, lo_nudge), edge(hi_pick, hi_nudge));
+            let start = a % keys.len();
+            let range = (start, start + b % (keys.len() - start));
+            let mut calls = 0u32;
+            let found = crossing_range(range, &filter, |t| {
+                calls += 1;
+                Some(keys[t])
+            });
+            proptest::prop_assert_eq!(found, Some(linear_crossing(&keys, range, &filter)));
+            let len = (range.1 - range.0 + 1) as u32;
+            proptest::prop_assert!(
+                calls <= 2 * (u32::BITS - len.leading_zeros()) + 4,
+                "{} calls for {} ticks",
+                calls,
+                len
+            );
+        }
+    }
+
+    #[test]
+    fn crossing_range_gives_up_on_missing_or_nan_keys() {
+        let all = ValueInterval::ALL;
+        assert_eq!(crossing_range((0, 9), &all, |_| None), None);
+        assert_eq!(crossing_range((0, 9), &all, |_| Some(f64::NAN)), None);
+        let filter = ValueInterval::new(4.0, 6.0);
+        let keys = [0.0, 1.0, 2.0, 3.0, f64::NAN, 5.0, 6.0, 7.0];
+        assert_eq!(crossing_range((0, 7), &filter, |t| Some(keys[t])), None);
+        let found = crossing_range((5, 7), &filter, |t| Some(keys[t]));
+        assert_eq!(found.unwrap().unwrap().range, (5, 6));
+        // Gorilla promises nothing, so its values are never searched.
+        let params = gorilla::Gorilla.fitter(ErrorBound::Lossless, 1, 4).params();
+        assert!(gorilla::Gorilla
+            .monotone_value_at(&params, 1, 1, 0, 0)
+            .is_none());
     }
 }

@@ -59,11 +59,11 @@ impl ModelType for PerSeries {
     fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>> {
         let children = split_params(params, n_series)?;
         let mut per_series = Vec::with_capacity(n_series);
-        for (child_count, child_params) in &children {
-            if *child_count < count {
+        for &(child_count, child_params) in &children {
+            if child_count < count {
                 return None;
             }
-            let g = self.inner.grid(child_params, 1, *child_count)?;
+            let g = self.inner.grid(child_params, 1, child_count)?;
             per_series.push(g);
         }
         let mut out = Vec::with_capacity(count * n_series);
@@ -86,15 +86,32 @@ impl ModelType for PerSeries {
         if range.1 >= count {
             return None;
         }
-        let children = split_params(params, n_series)?;
-        let (child_count, child_params) = children.get(series)?;
-        self.inner.agg(child_params, 1, *child_count, range, 0)
+        let (child_count, child_params) = *split_params(params, n_series)?.get(series)?;
+        self.inner.agg(child_params, 1, child_count, range, 0)
+    }
+
+    /// Forwards to the child with the child's own count, as `agg` does: a
+    /// prefix of a monotone series is monotone.
+    fn monotone_value_at(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        t: usize,
+        series: usize,
+    ) -> Option<Value> {
+        let (child_count, child_params) = *split_params(params, n_series)?.get(series)?;
+        if t >= count || child_count < count {
+            return None;
+        }
+        self.inner
+            .monotone_value_at(child_params, 1, child_count, t, 0)
     }
 }
 
 /// Parses the adapter's parameter layout: per child, varint fitted-count,
 /// varint byte length, then the child's own parameters.
-fn split_params(params: &[u8], n_series: usize) -> Option<Vec<(usize, Vec<u8>)>> {
+fn split_params(params: &[u8], n_series: usize) -> Option<Vec<(usize, &[u8])>> {
     let mut slice = params;
     let mut out = Vec::with_capacity(n_series);
     for _ in 0..n_series {
@@ -104,7 +121,7 @@ fn split_params(params: &[u8], n_series: usize) -> Option<Vec<(usize, Vec<u8>)>>
             return None;
         }
         let (head, rest) = slice.split_at(len);
-        out.push((count, head.to_vec()));
+        out.push((count, head));
         slice = rest;
     }
     Some(out)

@@ -74,6 +74,18 @@ impl ModelType for PmcMean {
             max: value,
         })
     }
+
+    /// A constant is monotone both ways.
+    fn monotone_value_at(
+        &self,
+        params: &[u8],
+        _n_series: usize,
+        count: usize,
+        t: usize,
+        _series: usize,
+    ) -> Option<Value> {
+        decode(params).filter(|v| t < count && !v.is_nan())
+    }
 }
 
 fn decode(params: &[u8]) -> Option<Value> {

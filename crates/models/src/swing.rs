@@ -98,6 +98,23 @@ impl ModelType for Swing {
             max: va.max(vb),
         })
     }
+
+    /// `value_at` is monotone in `t` for finite endpoints: each of its
+    /// steps (the division by `count - 1`, the product with the fixed
+    /// difference, the sum with the fixed first value, the cast to `f32`)
+    /// is a monotone function followed by a monotone rounding.
+    fn monotone_value_at(
+        &self,
+        params: &[u8],
+        _n_series: usize,
+        count: usize,
+        t: usize,
+        _series: usize,
+    ) -> Option<Value> {
+        let (first, last) = decode(params)?;
+        (t < count && first.is_finite() && last.is_finite())
+            .then(|| value_at(first, last, t, count))
+    }
 }
 
 fn decode(params: &[u8]) -> Option<(Value, Value)> {
@@ -369,6 +386,76 @@ mod tests {
         params.extend_from_slice(&last.to_le_bytes());
         let agg = Swing.agg(&params, 3, 23, (0, 22), 0).unwrap();
         assert!((agg.sum - 2996.9).abs() < 0.1, "{}", agg.sum);
+    }
+
+    /// An arbitrary finite endpoint: any bit pattern (huge and subnormal
+    /// magnitudes included), one with a zero exponent (a subnormal or a
+    /// signed zero), or an ordinary value.
+    fn endpoint(kind: usize, bits: u32, ordinary: f32) -> Value {
+        let v = match kind {
+            0 => f32::from_bits(bits),
+            1 => f32::from_bits(bits & 0x807f_ffff),
+            _ => ordinary,
+        };
+        if v.is_finite() {
+            v
+        } else {
+            ordinary
+        }
+    }
+
+    proptest::proptest! {
+        // `value_at` over arbitrary finite endpoints: independent ones,
+        // equal ones, ones of opposite sign and ones a huge ratio apart,
+        // with every count from a single tick up.
+        #[test]
+        fn value_at_is_monotone_and_is_the_grid(
+            kinds in (0usize..3, 0usize..3),
+            bits in (proptest::num::u32::ANY, proptest::num::u32::ANY),
+            ordinary in (-1.0e3f32..1.0e3, -1.0e3f32..1.0e3),
+            relation in 0usize..4,
+            count_pick in (0usize..3, 1usize..2000),
+        ) {
+            let first = endpoint(kinds.0, bits.0, ordinary.0);
+            let last = match relation {
+                0 => endpoint(kinds.1, bits.1, ordinary.1),
+                1 => first,
+                2 => -first,
+                _ => first * 1.0e-30 + f32::MIN_POSITIVE * ordinary.1,
+            };
+            let count = [1, 2, count_pick.1][count_pick.0];
+            let mut params = first.to_le_bytes().to_vec();
+            params.extend_from_slice(&last.to_le_bytes());
+            let values: Vec<Value> = (0..count).map(|t| value_at(first, last, t, count)).collect();
+            let rising = values[0] <= values[count - 1];
+            for (t, w) in values.windows(2).enumerate() {
+                proptest::prop_assert!(
+                    if rising { w[0] <= w[1] } else { w[0] >= w[1] },
+                    "{} -> {} over {}: t={} {} then {}", first, last, count, t, w[0], w[1]
+                );
+            }
+            let grid = Swing.grid(&params, 2, count).unwrap();
+            for (t, v) in values.iter().enumerate() {
+                for s in 0..2 {
+                    let at = Swing.monotone_value_at(&params, 2, count, t, s).unwrap();
+                    proptest::prop_assert_eq!(at.to_bits(), v.to_bits());
+                    proptest::prop_assert_eq!(grid[t * 2 + s].to_bits(), v.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_endpoints_are_not_searched() {
+        for (first, last) in [
+            (f32::NAN, 1.0),
+            (1.0, f32::INFINITY),
+            (f32::NEG_INFINITY, 0.0),
+        ] {
+            let mut params = first.to_le_bytes().to_vec();
+            params.extend_from_slice(&last.to_le_bytes());
+            assert!(Swing.monotone_value_at(&params, 1, 5, 0, 0).is_none());
+        }
     }
 
     proptest::proptest! {

@@ -3,9 +3,9 @@
 //! functions, evaluated on *models* when the model type supports constant-
 //! time aggregation and on reconstructed values otherwise.
 
-use mdb_models::{ModelRegistry, SegmentAgg};
+use mdb_models::{crossing_range, ModelRegistry, SegmentAgg};
 use mdb_storage::RollupAcc;
-use mdb_types::{SegmentView, Value};
+use mdb_types::{SegmentView, Value, ValueInterval};
 
 /// A simple aggregate function (suffixed `_S` on the Segment View).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,12 +38,13 @@ impl AggFunc {
 /// `mergeResults`).
 ///
 /// Its terms are [`RollupAcc`]s: one per segment and series (a closed-form
-/// aggregate, or a tick-order subtotal of the points a `Value` filter
-/// keeps). The sum is exact over every term and rounded once, in
-/// [`Accumulator::finalize`], and the extremes are order-free at `±0.0`, so
-/// adding and merging are associative and commutative bit for bit: an
-/// answer does not depend on how a scan is split or in which order the
-/// partials meet.
+/// aggregate, under a `Value` filter over the sub-range of ticks a
+/// monotone model keeps, or a tick-order subtotal of the points the filter
+/// keeps of any other model). The sum is exact over every term and rounded
+/// once, in [`Accumulator::finalize`], and the extremes are order-free at
+/// `±0.0`, so adding and merging are associative and commutative bit for
+/// bit: an answer does not depend on how a scan is split or in which order
+/// the partials meet.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     pub count: u64,
@@ -121,13 +122,19 @@ impl Accumulator {
 /// Section 6.1). Its sum starts at `+0.0`, so it is never `-0.0`; a `NaN`
 /// extreme is dropped, as every fold drops it.
 pub(crate) fn term(agg: SegmentAgg, count: u64, scaling: f64) -> RollupAcc {
-    let (mut lo, mut hi) = (f64::from(agg.min) / scaling, f64::from(agg.max) / scaling);
+    let ends = (f64::from(agg.min) / scaling, f64::from(agg.max) / scaling);
+    unscaled_term(count, agg.sum / scaling, ends)
+}
+
+/// The term of `count` un-scaled values summing to `sum` whose extremes
+/// are `ends`, in either order (a negative scaling flips them).
+fn unscaled_term(count: u64, sum: f64, (mut lo, mut hi): (f64, f64)) -> RollupAcc {
     if lo > hi {
-        std::mem::swap(&mut lo, &mut hi); // negative scaling flips extremes
+        std::mem::swap(&mut lo, &mut hi);
     }
     RollupAcc {
         count,
-        sum: 0.0 + agg.sum / scaling,
+        sum: 0.0 + sum,
         min: f64::INFINITY.min(lo),
         max: f64::NEG_INFINITY.max(hi),
     }
@@ -392,6 +399,44 @@ impl<'a, 'g> SegmentCursor<'a, 'g> {
         }
         let model = registry.get(self.segment.mid)?;
         model.agg(self.segment.params, self.n_series, count, range, series)
+    }
+
+    /// The term of the series at `series` over the ticks of `range` whose
+    /// value passes `filter` once divided by `scaling`, without
+    /// reconstructing the grid: for a monotone model
+    /// ([`mdb_models::ModelType::monotone_value_at`]) the passing ticks are
+    /// one sub-range ([`crossing_range`]), so their count is its length,
+    /// their extremes are its end values, and their sum is the closed form
+    /// over it. `None` when the model promises no monotone series (or has
+    /// no closed form, or the scaling is `0` or not finite, which could make
+    /// a value in the middle `NaN`): the caller then filters every point.
+    pub(crate) fn crossing_term(
+        &self,
+        registry: &ModelRegistry,
+        series: usize,
+        range: (usize, usize),
+        filter: &ValueInterval,
+        scaling: f64,
+    ) -> Option<RollupAcc> {
+        if !scaling.is_finite() || scaling == 0.0 {
+            return None;
+        }
+        let model = registry.get(self.segment.mid)?;
+        let (params, n_series, count) = (self.segment.params, self.n_series, self.segment.len());
+        let unscaled = |t| {
+            let v = model.monotone_value_at(params, n_series, count, t, series)?;
+            Some(f64::from(v) / scaling)
+        };
+        let Some(crossing) = crossing_range(range, filter, unscaled)? else {
+            return Some(EMPTY_TERM);
+        };
+        let (a, b) = crossing.range;
+        let sum = model.agg(params, n_series, count, (a, b), series)?.sum;
+        Some(unscaled_term(
+            (b - a + 1) as u64,
+            sum / scaling,
+            crossing.keys,
+        ))
     }
 
     /// Aggregates the series at position-in-segment `series` over the tick

@@ -1266,18 +1266,6 @@ impl<'a> SegmentEvaluator<'a> {
             let Some((slot, scaling)) = scan.keys.lookup(tid) else {
                 continue;
             };
-            // Under a `Value` filter, a series whose closed form misses the
-            // filter has no point that passes: it is never reconstructed
-            // (on the Segment View, which may use the models).
-            if let Some(filter) = &rw.values {
-                let excluded = scan.use_models
-                    && cursor
-                        .model_agg(self.registry, series_pos, range)
-                        .is_some_and(|agg| excludes(filter, agg, scaling));
-                if excluded {
-                    continue;
-                }
-            }
             if scan.tiling.is_none() {
                 let term = self.range_term(scan, &mut cursor, series_pos, range, scaling)?;
                 if term.count > 0 {
@@ -1297,8 +1285,13 @@ impl<'a> SegmentEvaluator<'a> {
     }
 
     /// The term of the series at `series_pos` over the tick `range`: its
-    /// model aggregate, or under a `Value` filter the points that pass,
-    /// reconstructed from the grid and folded in tick order (possibly none).
+    /// model aggregate, or under a `Value` filter the points that pass
+    /// (possibly none). On the Segment View, which may use the models, a
+    /// monotone model answers the filter from the sub-range where its
+    /// values lie in it ([`SegmentCursor::crossing_term`]), and a series
+    /// whose closed form misses the filter has no point that passes. Any
+    /// other series is reconstructed from the grid and its passing points
+    /// folded in tick order.
     fn range_term(
         &self,
         scan: &ScanContext,
@@ -1314,6 +1307,19 @@ impl<'a> SegmentEvaluator<'a> {
                 .ok_or_else(undecodable)?;
             return Ok(term(agg, (range.1 - range.0 + 1) as u64, scaling));
         };
+        if scan.use_models {
+            if let Some(term) =
+                cursor.crossing_term(self.registry, series_pos, range, filter, scaling)
+            {
+                return Ok(term);
+            }
+            let excluded = cursor
+                .model_agg(self.registry, series_pos, range)
+                .is_some_and(|agg| excludes(filter, agg, scaling));
+            if excluded {
+                return Ok(EMPTY_TERM);
+            }
+        }
         let stride = cursor.n_series;
         let grid = cursor.grid(self.registry).ok_or_else(undecodable)?;
         let rows = &grid[range.0 * stride..(range.1 + 1) * stride];

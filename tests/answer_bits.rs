@@ -222,8 +222,8 @@ const EP_SMALL: [(usize, u64); 11] = [
     (4, 0xbf1f8f95a3161877),
     (1, 0xd88d3a4e7dcd1640),
     (1, 0x9c979bf9ee86ed09),
-    (32, 0xbaa20fbf604a277c),
-    (8, 0xe05fb15c5f3db2e8),
+    (32, 0x0336272f0a255bb2),
+    (8, 0xaeeaa82606b538cc),
     (32, 0x61cc3519c435cd43),
     (96, 0x3c566d076ae4b27f),
     (32, 0x8c9f8e10dc316c17),
