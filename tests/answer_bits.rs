@@ -14,7 +14,10 @@
 //! `f32`-valued closed form and every partial sum fits in 53 bits, so any
 //! association gives the same bits. The third runs over a catalog whose
 //! scalings are not 1 (built as `tests/raw_oracle.rs` builds one), where
-//! `stored / scaling` terms round: it pins the association itself.
+//! `stored / scaling` terms round: it pins the association itself. The
+//! fourth scales each group by one constant, so PMC-Mean and Swing fit the
+//! scaled series, and adds `Value` filters on stored values: it pins their
+//! closed forms under scaling.
 
 use std::sync::Arc;
 
@@ -22,7 +25,8 @@ use mdb_bench::{build_engine_with, catalog_from_dataset, ingest_engine};
 use mdb_datagen::{eh, ep, Dataset, Scale};
 use mdb_query::Shard;
 use modelardb::{
-    BlockFormat, Cell, Config, ErrorBound, Gid, ModelRegistry, ModelarDb, QueryResult, StorageSpec,
+    BlockFormat, Catalog, Cell, Config, ErrorBound, Gid, ModelRegistry, ModelarDb, QueryResult,
+    StorageSpec,
 };
 
 const HOUR_MS: i64 = 3_600_000;
@@ -108,6 +112,34 @@ fn scaled_panel(ds: &Dataset) -> Vec<String> {
              GROUP BY Category ORDER BY Category"
         ),
         format!("SELECT SUM_S(*), COUNT_S(*) FROM Segment WHERE StartTime >= {cut}"),
+    ]);
+    queries
+}
+
+/// The group-scaled panel: [`scaled_panel`] plus `Value` filters on stored
+/// values (a PMC-Mean constant or a Swing endpoint when those models fit),
+/// one with a `CUBE_*` roll-up and one with a segment-time cut.
+fn group_scaled_panel(ds: &Dataset, db: &ModelarDb) -> Vec<String> {
+    let cut = ds.timestamp(ds.scale.ticks / 2);
+    let listing = db
+        .sql("SELECT TS, Value FROM DataPoint WHERE Tid = 1 ORDER BY TS LIMIT 64")
+        .unwrap();
+    let stored: Vec<f64> = listing.rows.iter().filter_map(|r| r[1].as_f64()).collect();
+    let (low, high) = (stored[7], stored[40]);
+    let mut queries = scaled_panel(ds);
+    queries.extend([
+        format!(
+            "SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment \
+             WHERE Value >= {low} GROUP BY Tid ORDER BY Tid"
+        ),
+        format!(
+            "SELECT Entity, CUBE_SUM_DAY(*) FROM Segment WHERE Value < {high} \
+             GROUP BY Entity ORDER BY Entity"
+        ),
+        format!(
+            "SELECT Category, AVG_S(*), COUNT_S(*) FROM Segment WHERE Value > {low} \
+             AND EndTime <= {cut} GROUP BY Category ORDER BY Category"
+        ),
     ]);
     queries
 }
@@ -266,6 +298,31 @@ const EP_SCALED: [(usize, u64); 16] = [
     (1, 0x032c8d480ffdb2d1),
 ];
 
+/// `(rows, digest)` per group-scaled-panel query on `ep(3, Scale::small())`
+/// ending across February 1st, the groups' scalings cycling through 2, 0.5,
+/// 4.75, −1.5 and 3.
+const EP_GROUP_SCALED: [(usize, u64); 19] = [
+    (8, 0x3b08932c1de85b7a),
+    (1, 0x77fbcea5b248618c),
+    (4, 0xd683bdeff7a9b37d),
+    (1, 0xb76df57433b0bea5),
+    (1, 0x4a718ff5654b6b32),
+    (32, 0x2df1381f7847a00b),
+    (8, 0xb073667d78ef6733),
+    (32, 0xa0e27b454ce10224),
+    (96, 0x3c566d076ae4b27f),
+    (32, 0x629fce74ec721da5),
+    (15, 0x61c0323c51fac899),
+    (32, 0xcb875be97d46a516),
+    (32, 0x24a6d104e20e57af),
+    (2, 0x86a9e1a687d3abd4),
+    (1, 0xb4bc508c62ee5bca),
+    (1, 0x659f02946b006fa8),
+    (32, 0x14bd1d0817147079),
+    (13, 0xbf66d166d5c61b1b),
+    (1, 0xd53017d6eca6e563),
+];
+
 #[test]
 fn ep_small_answers_are_pinned() {
     check(&ep(3, Scale::small()).unwrap(), &EP_SMALL);
@@ -278,19 +335,49 @@ fn eh_tiny_answers_are_pinned() {
 
 #[test]
 fn scaled_answers_are_pinned() {
-    let mut ds = ep(3, Scale::small()).unwrap();
-    ds.start = FEB_1_2021 - 2 * DAY_MS;
+    let ds = scaled_dataset();
     let mut catalog = (*catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap()).clone();
-    let scalings = [2.0, 0.5, 4.75, -1.5, 3.0];
-    for (meta, scaling) in catalog.series.iter_mut().zip(scalings.iter().cycle()) {
+    for (meta, scaling) in catalog.series.iter_mut().zip(SCALINGS.iter().cycle()) {
         meta.scaling = *scaling;
     }
+    let db = scaled_engine(&ds, catalog);
+    check_engine(db, &ds, &scaled_panel(&ds), &EP_SCALED);
+}
+
+#[test]
+fn group_scaled_answers_are_pinned() {
+    let ds = scaled_dataset();
+    let mut catalog = (*catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap()).clone();
+    for (group, scaling) in catalog.groups.clone().iter().zip(SCALINGS.iter().cycle()) {
+        for meta in &mut catalog.series {
+            if group.tids.contains(&meta.tid) {
+                meta.scaling = *scaling;
+            }
+        }
+    }
+    let db = scaled_engine(&ds, catalog);
+    let panel = group_scaled_panel(&ds, &db);
+    check_engine(db, &ds, &panel, &EP_GROUP_SCALED);
+}
+
+/// The scalings the scaled panels cycle through.
+const SCALINGS: [f64; 5] = [2.0, 0.5, 4.75, -1.5, 3.0];
+
+/// `ep(3, Scale::small())` ending across February 1st.
+fn scaled_dataset() -> Dataset {
+    let mut ds = ep(3, Scale::small()).unwrap();
+    ds.start = FEB_1_2021 - 2 * DAY_MS;
+    ds
+}
+
+/// An in-memory engine over `catalog` at a 5 % bound with `ds` loaded.
+fn scaled_engine(ds: &Dataset, catalog: Catalog) -> ModelarDb {
     let mut config = Config::default();
     config.compression.error_bound = ErrorBound::relative(5.0);
     config.storage = StorageSpec::Memory;
     config.query_parallelism = 1;
     let registry = Arc::new(ModelRegistry::standard());
     let mut db = ModelarDb::from_catalog(Arc::new(catalog), registry, config).unwrap();
-    ingest_engine(&mut db, &ds, ds.scale.ticks);
-    check_engine(db, &ds, &scaled_panel(&ds), &EP_SCALED);
+    ingest_engine(&mut db, ds, ds.scale.ticks);
+    db
 }

@@ -54,6 +54,9 @@ const QUERIES_PER_CASE: usize = 6;
 /// ideal line and the rounded values it stands for.
 const F32_SLACK: f64 = 1.0 / (1u64 << 21) as f64;
 
+/// The scalings a deployment picks from.
+const SCALINGS: [f64; 6] = [1.0, 2.0, 0.5, 4.75, -1.5, 3.0];
+
 const HOUR_MS: i64 = 3_600_000;
 const DAY_MS: i64 = 24 * HOUR_MS;
 /// 2021-02-01T00:00:00Z: an hour, day and month boundary at once.
@@ -115,8 +118,23 @@ fn deployment(c: &mut Choices) -> Deployment {
         ErrorBound::absolute(0.5),
     ]);
     let mut catalog = (*catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap()).clone();
-    for meta in &mut catalog.series {
-        meta.scaling = c.pick(&[1.0, 2.0, 0.5, 4.75, -1.5, 3.0]);
+    // About half the cases scale each group by one constant, the series
+    // that differ by a constant factor Section 4.1's scaling is for, so
+    // PMC-Mean and Swing fit scaled series. The rest scale each series on
+    // its own, which leaves a group's stored values apart: Gorilla.
+    if c.chance(50) {
+        for group in &catalog.groups {
+            let scaling = c.pick(&SCALINGS);
+            for meta in &mut catalog.series {
+                if group.tids.contains(&meta.tid) {
+                    meta.scaling = scaling;
+                }
+            }
+        }
+    } else {
+        for meta in &mut catalog.series {
+            meta.scaling = c.pick(&SCALINGS);
+        }
     }
     Deployment {
         ds,
@@ -373,7 +391,19 @@ fn member_of(ds: &Dataset, tid: Tid, column: &str) -> String {
     ds.dimensions.member_name(id).to_string()
 }
 
-fn random_query(c: &mut Choices, d: &Deployment, points: &[Point]) -> Query {
+/// Every value the Data Point View answers: what the system stores,
+/// reconstructed and divided by the scaling. A threshold on one of them
+/// lies on a model's value, a crossing range's end or a cell's extreme.
+fn stored_values(db: &ModelarDb) -> Vec<f64> {
+    let listing = db.sql("SELECT Value FROM DataPoint").unwrap();
+    listing
+        .rows
+        .iter()
+        .filter_map(|row| row[0].as_f64())
+        .collect()
+}
+
+fn random_query(c: &mut Choices, d: &Deployment, points: &[Point], stored: &[f64]) -> Query {
     let ds = &d.ds;
     let n_series = ds.n_series() as u64;
     let (first, last) = (ds.timestamp(0), ds.timestamp(d.ticks - 1));
@@ -442,8 +472,18 @@ fn random_query(c: &mut Choices, d: &Deployment, points: &[Point]) -> Query {
         (column, c.pick(&[Op::Lt, Op::Le, Op::Gt, Op::Ge]), at)
     });
     let value = (c.chance(25) && !points.is_empty()).then(|| {
-        let x = points[c.below(points.len() as u64) as usize].raw;
-        let x = if c.chance(50) { x } else { x + 0.25 };
+        let raw = points[c.below(points.len() as u64) as usize].raw;
+        let x = match c.below(4) {
+            0 => raw,
+            1 => raw + 0.25,
+            _ if stored.is_empty() => raw,
+            // A stored value, exactly or one ulp either side.
+            2 => c.pick(stored),
+            _ => {
+                let x = c.pick(stored);
+                c.pick(&[x.next_up(), x.next_down()])
+            }
+        };
         (c.pick(&[Op::Eq, Op::Lt, Op::Le, Op::Gt, Op::Ge]), x)
     });
     Query {
@@ -682,9 +722,10 @@ proptest! {
         let d = deployment(&mut c);
         let points = points(&d);
         let db = engine(&d, c.pick(&[1, 2]));
+        let stored = stored_values(&db);
         let cluster = cluster(&d);
         for _ in 0..QUERIES_PER_CASE {
-            let q = random_query(&mut c, &d, &points);
+            let q = random_query(&mut c, &d, &points, &stored);
             let sql = q.sql();
             check(&q, &d, &points, &db.sql(&sql).unwrap(), "engine");
             check(&q, &d, &points, &cluster.sql(&sql).unwrap(), "cluster");
@@ -698,16 +739,52 @@ fn answers_over_the_wire_lie_within_the_bound_of_the_raw_data() {
     let mut c = Choices(41);
     let d = deployment(&mut c);
     let points = points(&d);
-    let server = Server::start(
-        SharedDatastore::new(engine(&d, 0)),
-        ServerOptions::default(),
-    )
-    .unwrap();
+    let db = engine(&d, 0);
+    let stored = stored_values(&db);
+    let server = Server::start(SharedDatastore::new(db), ServerOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     for _ in 0..64 {
-        let q = random_query(&mut c, &d, &points);
+        let q = random_query(&mut c, &d, &points, &stored);
         check(&q, &d, &points, &client.sql(&q.sql()).unwrap(), "wire");
     }
     client.close().unwrap();
     server.shutdown().unwrap();
+}
+
+/// The oracle covers the closed forms it is meant to check: over the
+/// deployments the property draws, PMC-Mean and Swing hold at least a
+/// tenth of the points stored at a lossy bound, counted from the Segment
+/// View listing (one row per segment and series).
+#[test]
+fn closed_form_models_hold_a_tenth_of_lossy_points() {
+    let registry = ModelRegistry::standard();
+    let closed = [
+        registry.mid_of("PMC-Mean").unwrap(),
+        registry.mid_of("Swing").unwrap(),
+    ];
+    let (mut covered, mut total) = (0i64, 0i64);
+    for seed in 0..64 {
+        let d = deployment(&mut Choices(seed));
+        if d.bound == ErrorBound::Lossless {
+            continue;
+        }
+        let listing = engine(&d, 1)
+            .sql("SELECT Mid, StartTime, EndTime, SI FROM Segment")
+            .unwrap();
+        for row in &listing.rows {
+            let int = |i: usize| match row[i] {
+                Cell::Int(v) | Cell::Timestamp(v) => v,
+                ref other => panic!("unexpected cell {other:?}"),
+            };
+            let points = (int(2) - int(1)) / int(3) + 1;
+            total += points;
+            if closed.iter().any(|&mid| i64::from(mid) == int(0)) {
+                covered += points;
+            }
+        }
+    }
+    assert!(
+        covered * 10 >= total,
+        "PMC-Mean and Swing hold {covered} of {total} lossy points"
+    );
 }
