@@ -60,6 +60,11 @@ impl ModelType for Gorilla {
         // No closed form: the query engine reconstructs the values.
         None
     }
+
+    /// The engine takes the extremes from the reconstructed values.
+    fn attained_extremes(&self) -> bool {
+        true
+    }
 }
 
 /// Fits by streaming every accepted value into one XOR encoder.

@@ -179,6 +179,21 @@ pub trait ModelType: Send + Sync {
     ) -> Option<Value> {
         None
     }
+
+    /// Whether the extremes the query engine derives for this model are
+    /// attained, not only bounds. The default is `false`.
+    ///
+    /// **Contract:** `true` promises that over every tick range, `agg`'s
+    /// `min` and `max` (or, where `agg` is `None`, the extremes of the
+    /// reconstructed values) are each a value [`ModelType::grid`]
+    /// reconstructs for that series in that range. Rollup cells then hold
+    /// the exact `MIN`/`MAX` of their points, so the engine answers a
+    /// `Value`-filtered tile whose every point passes from its cell. With
+    /// any registered model that does not promise it, such tiles are
+    /// scanned.
+    fn attained_extremes(&self) -> bool {
+        false
+    }
 }
 
 /// The ticks of a monotone run that pass a filter, found by
@@ -289,10 +304,9 @@ pub fn allowed_interval(bound: &ErrorBound, values: &[Value]) -> Option<(f64, f6
 /// — the statistic the storage layer unions into each block's value range.
 ///
 /// Returns `None` when the model has no closed form (e.g. Gorilla, whose
-/// values would have to be reconstructed — too expensive on the write path)
-/// or when the parameters cannot be evaluated; a block holding such a
-/// segment has an unknown value range and is never pruned by value, so the
-/// statistic is always sound.
+/// values would have to be reconstructed; the store's digester then takes
+/// the range from the values it reconstructs anyway) or when the parameters
+/// cannot be evaluated.
 pub fn segment_value_range(
     registry: &ModelRegistry,
     segment: &SegmentRecord,
@@ -443,6 +457,68 @@ mod tests {
             }
         }
 
+        // A model that promises attained extremes: over any sub-range, the
+        // extremes the engine derives (the closed form's, or the grid's
+        // without one) are each a value the grid holds there, bit for bit.
+        #[test]
+        fn attained_extremes_are_reconstructed_values(
+            model_idx in 0usize..6,
+            n_series in 1usize..4,
+            base in -1000.0f32..1000.0,
+            slope in -5.0f32..5.0,
+            noise in proptest::collection::vec(-1.0f32..1.0, 1..120),
+            pct in 0.5f64..20.0,
+            a in 0usize..1000,
+            b in 0usize..1000,
+        ) {
+            use std::sync::Arc;
+            let child: Arc<dyn ModelType> = match model_idx % 3 {
+                0 => Arc::new(pmc::PmcMean),
+                1 => Arc::new(swing::Swing),
+                _ => Arc::new(gorilla::Gorilla),
+            };
+            let model: Arc<dyn ModelType> = match model_idx {
+                0..=2 => child,
+                _ => Arc::new(multi::PerSeries::new(child)),
+            };
+            proptest::prop_assert!(model.attained_extremes());
+            let mut fitter = model.fitter(ErrorBound::relative(pct), n_series, 200);
+            for (t, n) in noise.iter().enumerate() {
+                let row: Vec<Value> = (0..n_series)
+                    .map(|s| base + slope * t as f32 + n * (s + 1) as f32 * 0.1)
+                    .collect();
+                if !fitter.append(t as i64 * 100, &row) {
+                    break;
+                }
+            }
+            let count = fitter.len();
+            if count > 0 {
+                let (params, range) = (fitter.params(), sub_range(count, a, b));
+                let grid = model.grid(&params, n_series, count).unwrap();
+                for series in 0..n_series {
+                    let values: Vec<Value> =
+                        (range.0..=range.1).map(|t| grid[t * n_series + series]).collect();
+                    let (min, max) = match model.agg(&params, n_series, count, range, series) {
+                        Some(agg) => (agg.min, agg.max),
+                        None => values.iter().fold((Value::INFINITY, Value::NEG_INFINITY), |
+                            (lo, hi),
+                            &v,
+                        | (lo.min(v), hi.max(v))),
+                    };
+                    for extreme in [min, max] {
+                        proptest::prop_assert!(
+                            values.iter().any(|v| v.to_bits() == extreme.to_bits()),
+                            "{}: {} is no value of {:?} over {:?}",
+                            model.name(),
+                            extreme,
+                            values,
+                            range
+                        );
+                    }
+                }
+            }
+        }
+
         // Swing over arbitrary stored endpoints, wherever the line's
         // rounding falls.
         #[test]
@@ -457,6 +533,40 @@ mod tests {
             params.extend_from_slice(&last.to_le_bytes());
             check_agg_bounds_grid(&swing::Swing, &params, 2, count, sub_range(count, a, b))?;
         }
+    }
+
+    #[test]
+    fn only_the_distributed_models_promise_attained_extremes() {
+        use std::sync::Arc;
+        /// A model with every default: it promises nothing.
+        struct Bare;
+        impl ModelType for Bare {
+            fn name(&self) -> &str {
+                "Bare"
+            }
+            fn fitter(&self, bound: ErrorBound, n: usize, limit: usize) -> Box<dyn Fitter> {
+                pmc::PmcMean.fitter(bound, n, limit)
+            }
+            fn grid(&self, params: &[u8], n: usize, count: usize) -> Option<Vec<Value>> {
+                pmc::PmcMean.grid(params, n, count)
+            }
+            fn agg(
+                &self,
+                params: &[u8],
+                n: usize,
+                count: usize,
+                range: (usize, usize),
+                series: usize,
+            ) -> Option<SegmentAgg> {
+                pmc::PmcMean.agg(params, n, count, range, series)
+            }
+        }
+        assert!(ModelRegistry::standard().attained_extremes());
+        assert!(ModelRegistry::per_series_baseline().attained_extremes());
+        let mut custom = ModelRegistry::standard();
+        custom.register(Arc::new(Bare));
+        assert!(!custom.attained_extremes());
+        assert!(!multi::PerSeries::new(Arc::new(Bare)).attained_extremes());
     }
 
     #[test]
@@ -476,8 +586,7 @@ mod tests {
         };
         let range = segment_value_range(&registry, &pmc, 2).unwrap();
         assert_eq!(range, ValueInterval::new(2.5, 2.5));
-        // Gorilla has no closed form: the write path must not decode, so the
-        // statistic is "unbounded" (None).
+        // Gorilla has no closed form: no range without reconstructing it.
         let gorilla = SegmentRecord {
             mid: MID_GORILLA,
             ..pmc.clone()

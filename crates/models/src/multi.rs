@@ -107,6 +107,11 @@ impl ModelType for PerSeries {
         self.inner
             .monotone_value_at(child_params, 1, child_count, t, 0)
     }
+
+    /// Each series is its child's, so the child's promise holds.
+    fn attained_extremes(&self) -> bool {
+        self.inner.attained_extremes()
+    }
 }
 
 /// Parses the adapter's parameter layout: per child, varint fitted-count,

@@ -86,6 +86,11 @@ impl ModelType for PmcMean {
     ) -> Option<Value> {
         decode(params).filter(|v| t < count && !v.is_nan())
     }
+
+    /// `agg`'s extremes are the constant every tick reconstructs.
+    fn attained_extremes(&self) -> bool {
+        true
+    }
 }
 
 fn decode(params: &[u8]) -> Option<Value> {

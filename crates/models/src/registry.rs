@@ -80,6 +80,12 @@ impl ModelRegistry {
         self.types.iter().enumerate().map(|(i, t)| (i as u8, t))
     }
 
+    /// Whether every registered model type promises attained extremes
+    /// ([`ModelType::attained_extremes`]).
+    pub fn attained_extremes(&self) -> bool {
+        self.types.iter().all(|t| t.attained_extremes())
+    }
+
     /// Number of registered model types.
     pub fn len(&self) -> usize {
         self.types.len()

@@ -115,6 +115,11 @@ impl ModelType for Swing {
         (t < count && first.is_finite() && last.is_finite())
             .then(|| value_at(first, last, t, count))
     }
+
+    /// `agg`'s extremes are the reconstructed values at the range's ends.
+    fn attained_extremes(&self) -> bool {
+        true
+    }
 }
 
 fn decode(params: &[u8]) -> Option<(Value, Value)> {

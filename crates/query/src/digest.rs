@@ -15,15 +15,17 @@ use std::sync::Arc;
 
 use mdb_models::{segment_value_range, ModelRegistry};
 use mdb_storage::{Catalog, Digest, DigestBuf, RollupDelta, RollupFeed, SegmentDigester};
-use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value};
+use mdb_types::{BlockSketch, Gid, SegmentRecord, Tid, TimeLevel, Value, ValueInterval};
 
 use crate::aggregate::{grid_aggregate, term};
 use crate::tile::Tiling;
 
 /// Keeps a store's stored-value ranges, behind its block statistics: the
 /// models' constant-time aggregate over a segment's full range, per present
-/// series. Models without a closed form (Gorilla) have no range, so their
-/// blocks have an unknown value range and are never pruned by value.
+/// series, and for a model without a closed form (Gorilla) the extremes of
+/// its reconstructed values. A segment that cannot be decoded, or holds a
+/// `NaN`, has no range, so its block's value range is unknown and the block
+/// is never pruned by value.
 pub fn value_bounds_fn(
     catalog: &Arc<Catalog>,
     registry: &Arc<ModelRegistry>,
@@ -126,6 +128,7 @@ impl SegmentDigester for ModelDigester {
             digest.range = segment_value_range(&self.registry, segment, members.len());
         }
         let count = segment.len();
+        let values = count * n_present;
 
         // The sub-ranges to aggregate, once for all series: each level's
         // split of the segment, with sub-ranges shared between levels
@@ -176,9 +179,7 @@ impl SegmentDigester for ModelDigester {
                     let closed = model.agg(&segment.params, n_present, count, sub, series);
                     let agg = match closed {
                         Some(agg) => agg,
-                        None if reconstruct(&mut buf.grid)
-                            && buf.grid.len() >= count * n_present =>
-                        {
+                        None if reconstruct(&mut buf.grid) && buf.grid.len() >= values => {
                             grid_aggregate(&buf.grid, n_present, series, sub)
                         }
                         None => {
@@ -209,9 +210,26 @@ impl SegmentDigester for ModelDigester {
                     .insert_run(column.map(|value| f64::from(value) / scaling));
             }
         }
+        // Without a closed form, the range is the grid's, reconstructed
+        // above for a sketch or a rollup, or here for the range alone.
+        if range && digest.range.is_none() && reconstruct(&mut buf.grid) {
+            digest.range = buf.grid.get(..values).and_then(grid_range);
+        }
         digest.reconstructed = grid_ok.is_some();
         digest
     }
+}
+
+/// The range of reconstructed values, `None` when one is `NaN`.
+fn grid_range(values: &[Value]) -> Option<ValueInterval> {
+    let mut range = ValueInterval::EMPTY;
+    for &v in values {
+        if v.is_nan() {
+            return None;
+        }
+        range = range.union(&ValueInterval::point(f64::from(v)));
+    }
+    Some(range)
 }
 
 #[cfg(test)]
@@ -236,7 +254,7 @@ mod tests {
 
     use bytes::Bytes;
     use mdb_models::{Fitter, ModelType, SegmentAgg, MID_GORILLA, MID_PMC_MEAN, MID_SWING};
-    use mdb_storage::{DiskStore, DiskStoreOptions, SegmentStore};
+    use mdb_storage::{DiskStore, DiskStoreOptions, SegmentPredicate, SegmentStore};
     use mdb_testutil::TempDir;
     use mdb_types::{ErrorBound, GapsMask, GroupMeta, TimeSeriesMeta, Timestamp, ValueInterval};
     use proptest::prelude::*;
@@ -260,10 +278,24 @@ mod tests {
             }
         }
 
-        /// The models' constant-time aggregate over the segment's full range.
+        /// The models' constant-time aggregate over the segment's full
+        /// range; without one, the extremes of the reconstructed values
+        /// (none when one is `NaN`).
         fn range(&self, segment: &SegmentRecord) -> Option<ValueInterval> {
             let group = self.catalog.group(segment.gid)?;
-            segment_value_range(&self.registry, segment, group.size())
+            let closed = segment_value_range(&self.registry, segment, group.size());
+            let n_present = segment.gaps.count_present(group.size());
+            if closed.is_some() || n_present == 0 {
+                return closed;
+            }
+            let mut buffer = Vec::new();
+            let mut cursor = SegmentCursor::new(segment.view(), n_present, &mut buffer);
+            let grid = cursor.grid(&self.registry)?;
+            let grid = &grid[..segment.len() * n_present];
+            let lo = grid.iter().copied().fold(Value::INFINITY, Value::min);
+            let hi = grid.iter().copied().fold(Value::NEG_INFINITY, Value::max);
+            let nan = grid.iter().any(|v| v.is_nan());
+            (!nan).then(|| ValueInterval::new(f64::from(lo), f64::from(hi)))
         }
 
         /// Every data point as the Data Point View reconstructs it —
@@ -741,6 +773,48 @@ mod tests {
         );
     }
 
+    #[test]
+    fn gorilla_blocks_are_pruned_by_value_unfetched() {
+        let catalog = catalog();
+        let registry = Arc::new(ModelRegistry::standard());
+        let dir = TempDir::new("gorilla-ranges");
+        // Two blocks of Gorilla segments only, their values within ±40.
+        let gorilla = |i: u64| {
+            let shape = Shape {
+                kind: 2,
+                second_group: i.is_multiple_of(2),
+                gaps: 0,
+                ticks: 60,
+                si: 1,
+                lead: 30 + i as usize,
+                base: 40.0,
+                seed: i,
+            };
+            segment(&registry, &shape)
+        };
+        {
+            let mut store = Feeds::fused(&catalog, &registry).open(dir.path());
+            for i in 0..32 {
+                store.insert(gorilla(i)).unwrap();
+            }
+            store.flush().unwrap();
+            assert_eq!(store.block_count(), 2);
+        }
+        // Each scan on a cold reopen: `misses` counts the blocks fetched.
+        let scan = |values: ValueInterval| {
+            let store = Feeds::fused(&catalog, &registry).open(dir.path());
+            let predicate = SegmentPredicate {
+                values: Some(values),
+                ..SegmentPredicate::all()
+            };
+            let kept = mdb_storage::scan_to_vec(&store, &predicate).unwrap().len();
+            (kept, store.cache_stats().misses)
+        };
+        assert_eq!(scan(ValueInterval::new(1000.0, f64::INFINITY)), (0, 0));
+        assert_eq!(scan(ValueInterval::new(f64::NEG_INFINITY, -1000.0)), (0, 0));
+        assert_eq!(scan(ValueInterval::new(-1.0, 1.0)), (32, 2));
+    }
+
     /// Delegates to a built-in model and counts reconstructions.
     struct Counting {
         inner: Arc<dyn ModelType>,
@@ -838,7 +912,8 @@ mod tests {
         assert_eq!(store.digest_stats().reconstructions, gorillas as u64);
 
         // The reference, for contrast, reconstructs once per statistic that
-        // needs the values: sketch and rollup each decode a Gorilla segment.
+        // needs the values: range, sketch and rollup each decode a Gorilla
+        // segment.
         grids.store(0, Ordering::Relaxed);
         let dir = TempDir::new("count-closures");
         feeds = Feeds::closures_only(&catalog, &registry);
@@ -847,6 +922,9 @@ mod tests {
             store.insert(segment.clone()).unwrap();
         }
         store.flush().unwrap();
-        assert_eq!(grids.load(Ordering::Relaxed), populated.len() + gorillas);
+        assert_eq!(
+            grids.load(Ordering::Relaxed),
+            populated.len() + 2 * gorillas
+        );
     }
 }

@@ -27,17 +27,19 @@
 //! [`Accumulator`] sums its terms (one per segment and series) exactly and
 //! rounds once, so the partials merge in any order, and a scan split any
 //! way — over pool chunks, cluster workers or gid scopes — gives the bits
-//! of the sequential scan. Bucketed scans keep their `(tid, bucket)`
-//! entries in scan order instead, the order the rollup cells fold in.
+//! of the sequential scan. Tiled scans fold each `(tid, tile)`'s terms in
+//! scan order instead, the order the rollup cells fold in.
 //!
 //! When the store maintains continuous aggregates ([`mdb_storage::rollup`]),
-//! a Segment View aggregate without a `Value` filter is *tiled*: its `TS`
-//! range is cut into the coarsest whole calendar buckets of the maintained
-//! levels that fit (months, then days, then hours) and at most two partial
-//! edge buckets. Whole tiles are answered from the materialized cells
-//! instead of a scan — see [`QueryEngine::with_rollups`] — and only the
-//! edges and the tiles a `StartTime`/`EndTime` comparison cuts through are
-//! scanned, with segments split at the same tile boundaries.
+//! a Segment View aggregate is *tiled*: its `TS` range is cut into the
+//! coarsest whole calendar buckets of the maintained levels that fit
+//! (months, then days, then hours) and at most two partial edge buckets; a
+//! `Value`-filtered one by the finest level alone. Whole tiles are answered
+//! from the materialized cells instead of a scan — see
+//! [`QueryEngine::with_rollups`] — and only the edges, the tiles a
+//! `StartTime`/`EndTime` comparison cuts through and, per `(tid, tile)`,
+//! the cells whose extremes straddle a `Value` filter are scanned, with
+//! segments split at the same tile boundaries.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -110,10 +112,10 @@ enum Verdict {
 #[derive(Debug)]
 struct Plan {
     /// `None` for a plain segment scan into exact per-slot sums. `Some`
-    /// keeps one bucket entry per `(tid, tile)`: whole tiles from rollup
-    /// cells where the store serves them, every other tile scanned with
-    /// segments split at the same tile boundaries, so the two paths fold
-    /// the same terms per tile and give the same bits.
+    /// keeps one term per `(tid, tile)`: whole tiles from rollup cells
+    /// where the store serves them, every other tile scanned with segments
+    /// split at the same tile boundaries, so the two paths fold the same
+    /// terms per tile and give the same bits.
     tiling: Option<Tiling>,
     rw: Rewritten,
     keys: Arc<KeyPlan>,
@@ -161,28 +163,164 @@ impl Class {
     }
 }
 
+/// One tid's tiles: `(tile start, term)` in ascending tile order, each term
+/// the `f64` fold of the tile's terms in scan order, as its rollup cell is.
+type TileColumn = Vec<(Timestamp, RollupAcc)>;
+
 /// Worker-local partial aggregation state of one compiled query: one exact
 /// [`Accumulator`] per group key, so partials merge in any order to the same
-/// bits. Tiled plans instead keep one [`RollupAcc`] per segment or rollup
-/// cell that touched a `(tid, tile)`, in scan order, for the finalize step
-/// to fold as the cells are folded.
+/// bits. Tiled plans instead keep one [`RollupAcc`] per `(tid, tile)` — a
+/// served cell, or the fold of the tile's scanned terms in scan order — for
+/// the finalize step to fold as the cells are folded.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAggregates {
     keys: Arc<KeyPlan>,
     /// Indexed by slot; `None` until a segment touches the slot.
     slots: Vec<Option<Accumulator>>,
-    /// `(tid, tile start, term)` in scan order.
-    buckets: Vec<(Tid, Timestamp, RollupAcc)>,
+    /// Indexed by tid: the rollup cells served, apart from the scanned
+    /// tiles, which they interleave with; the finalize step walks both.
+    cells: Vec<TileColumn>,
+    /// Indexed by tid: the scanned tiles.
+    tiles: Vec<TileColumn>,
+    /// Set on a pool chunk after the first: each tid's first tile keeps its
+    /// terms one entry each, since an earlier chunk may have begun folding
+    /// that tile ([`merge_partials`] then folds them in, one by one).
+    heads: bool,
+    /// Whether a term arrived for a tile before a later tile of its tid.
+    reordered: bool,
 }
 
 impl PartialAggregates {
-    /// An untouched partial over `keys`' slots.
+    /// An untouched partial over `keys`' slots and tids.
     fn new(keys: &Arc<KeyPlan>) -> Self {
         Self {
             keys: Arc::clone(keys),
             slots: vec![None; keys.rows.len()],
-            buckets: Vec::new(),
+            cells: vec![Vec::new(); keys.by_tid.len()],
+            tiles: vec![Vec::new(); keys.by_tid.len()],
+            heads: false,
+            reordered: false,
         }
+    }
+
+    /// Folds a scanned term into its `(tid, tile)`, in scan order: into the
+    /// tid's last tile when it is that tile (no lookup on the common path,
+    /// where a tid's segments arrive in time order), after it when it is a
+    /// later one, in place otherwise.
+    fn add_tile_term(&mut self, tid: Tid, tile: Timestamp, term: RollupAcc) {
+        let column = &mut self.tiles[tid as usize];
+        if column.last().is_some_and(|last| last.0 > tile) {
+            self.reordered = true;
+            let at = column.partition_point(|e| e.0 < tile);
+            match column.get_mut(at) {
+                Some(entry) if entry.0 == tile => entry.1.merge(&term),
+                _ => column.insert(at, (tile, term)),
+            }
+            return;
+        }
+        let head = self.heads && column.first().is_some_and(|e| e.0 == tile);
+        match column.last_mut() {
+            Some(last) if last.0 == tile && !head => last.1.merge(&term),
+            _ => column.push((tile, term)),
+        }
+    }
+}
+
+/// What a `Value` filter makes of the points a rollup cell summarizes. Its
+/// `MIN` and `MAX` are attained, descaled values, in the filter's own
+/// domain, and bound every point: the filter keeps every point when it
+/// covers both, and none when it misses the range between them. A `NaN`
+/// point, which no filter keeps and no extreme shows, makes the sum `NaN`.
+fn value_verdict(filter: &ValueInterval, cell: &RollupAcc) -> Verdict {
+    let extremes = ValueInterval::new(cell.min, cell.max);
+    if cell.sum.is_nan() {
+        Verdict::Scan
+    } else if filter.covers(&extremes) {
+        Verdict::Serve
+    } else if !filter.intersects(&extremes) {
+        Verdict::Skip
+    } else {
+        Verdict::Scan
+    }
+}
+
+/// The whole tiles a value plan scans for some of its series only: those
+/// whose cell straddles the filter. Per group, the tiles any of its series
+/// scans, so a segment meeting none of them is passed by before any
+/// per-series work; per tid, the tile starts it scans.
+#[derive(Debug, Default)]
+struct TileIndex {
+    /// Ascending gids, each with its tiles in ascending order.
+    by_gid: Vec<(Gid, Vec<Span>)>,
+    /// Indexed by tid: ascending tile starts.
+    by_tid: Vec<Vec<Timestamp>>,
+}
+
+impl TileIndex {
+    /// The index of `(gid, tid, tile)` triples, `None` without any.
+    fn new(mut straddles: Vec<(Gid, Tid, Span)>, n_tids: usize) -> Option<TileIndex> {
+        if straddles.is_empty() {
+            return None;
+        }
+        let mut index = TileIndex {
+            by_gid: Vec::new(),
+            by_tid: vec![Vec::new(); n_tids],
+        };
+        for &(_, tid, (lo, _)) in &straddles {
+            index.by_tid[tid as usize].push(lo);
+        }
+        for tiles in &mut index.by_tid {
+            if !tiles.is_sorted() {
+                tiles.sort_unstable();
+            }
+        }
+        straddles.sort_unstable_by_key(|&(gid, _, span)| (gid, span));
+        for (gid, _, span) in straddles {
+            match index.by_gid.last_mut() {
+                Some((last, spans)) if *last == gid => {
+                    if spans.last() != Some(&span) {
+                        spans.push(span);
+                    }
+                }
+                _ => index.by_gid.push((gid, vec![span])),
+            }
+        }
+        Some(index)
+    }
+
+    /// Whether a segment of `gid` over `(start, end)` meets a tile here.
+    /// `cursors` holds, per group, the first tile the last check found
+    /// ending at or after its segment's start: a group's segments mostly
+    /// arrive in time order, so the search walks on from there.
+    fn meets(&self, gid: Gid, (start, end): Span, cursors: &mut [usize]) -> bool {
+        let Ok(g) = self.by_gid.binary_search_by_key(&gid, |(g, _)| *g) else {
+            return false;
+        };
+        let spans = &self.by_gid[g].1;
+        let mut at = cursors[g];
+        if at == 0 || spans[at - 1].1 >= start {
+            at = spans.partition_point(|&(_, hi)| hi < start);
+        } else {
+            while spans.get(at).is_some_and(|&(_, hi)| hi < start) {
+                at += 1;
+            }
+        }
+        cursors[g] = at;
+        spans.get(at).is_some_and(|&(lo, _)| lo <= end)
+    }
+
+    /// Whether `tid` scans the tile starting at `tile`.
+    fn scans(&self, tid: Tid, tile: Timestamp) -> bool {
+        let tiles = self.by_tid.get(tid as usize);
+        tiles.is_some_and(|tiles| tiles.binary_search(&tile).is_ok())
+    }
+
+    /// The span from the first tile to the end of the last.
+    fn hull(&self) -> Span {
+        let spans = self.by_gid.iter().flat_map(|(_, spans)| spans);
+        let lo = spans.clone().map(|s| s.0).min();
+        let hi = spans.map(|s| s.1).max();
+        (lo.unwrap_or(Timestamp::MAX), hi.unwrap_or(Timestamp::MIN))
     }
 }
 
@@ -319,14 +457,15 @@ impl RunSet {
 
 /// One scan's owned state, shipped to [`ScanPool`] workers: the rewritten
 /// filters (with the `TS` bounds of the window being scanned), the key plan,
-/// the tiling segments are split at (`None` for exact per-slot sums), and
-/// the pruned runs.
+/// the tiling segments are split at (`None` for exact per-slot sums), the
+/// whole tiles to scan per tid (`None` for every tile), and the pruned runs.
 struct ScanContext {
     rw: Rewritten,
     keys: Arc<KeyPlan>,
     tiling: Option<Tiling>,
     /// Only the Segment View may aggregate on the models directly.
     use_models: bool,
+    only: Option<TileIndex>,
     runs: RunSet,
 }
 
@@ -340,12 +479,27 @@ impl ScanContext {
         hi: usize,
     ) -> Result<PartialAggregates> {
         let mut partial = PartialAggregates::new(&self.keys);
-        let (mut grid, mut splits) = (Vec::new(), Vec::new());
+        partial.heads = lo > 0;
+        let mut scratch = Scratch {
+            cursors: vec![0; self.only.as_ref().map_or(0, |only| only.by_gid.len())],
+            ..Scratch::default()
+        };
         self.runs.for_each_in(lo, hi, &mut |segment| {
-            evaluator.iterate_segment(self, segment, &mut grid, &mut splits, &mut partial)
+            evaluator.iterate_segment(self, segment, &mut scratch, &mut partial)
         })?;
         Ok(partial)
     }
+}
+
+/// A fold's buffers, reused from segment to segment.
+#[derive(Default)]
+struct Scratch {
+    /// The segment's reconstructed values.
+    grid: Vec<Value>,
+    /// The segment's tick range split at tile boundaries.
+    splits: Vec<(Timestamp, (usize, usize))>,
+    /// Per group of the scan's [`TileIndex`], where its last check stopped.
+    cursors: Vec<usize>,
 }
 
 /// A job for one chunk of a [`ScanContext`]'s segments: global scan
@@ -413,20 +567,18 @@ impl ScanPool {
     }
 
     /// Runs one scan on the pool, returning each chunk's partial in scan
-    /// order (chunks are reassembled by index, so bucket entries keep the
-    /// order of a sequential scan).
-    fn execute(&self, context: ScanContext) -> Result<Vec<PartialAggregates>> {
+    /// order (chunks are reassembled by index).
+    fn execute(&self, context: &Arc<ScanContext>) -> Result<Vec<PartialAggregates>> {
         let n_segments = context.runs.len();
         // A few chunks per runner: enough slack to balance uneven segments,
         // few enough that channel hops stay negligible.
         let chunk_size = n_segments.div_ceil(self.workers * 4).max(1);
         let n_chunks = n_segments.div_ceil(chunk_size);
-        let context = Arc::new(context);
         let (results, result_rx) = crossbeam_channel::unbounded();
         let jobs = self.jobs.as_ref().expect("pool alive while borrowed");
         for chunk in 0..n_chunks {
             jobs.send(PoolJob {
-                context: Arc::clone(&context),
+                context: Arc::clone(context),
                 chunk,
                 lo: chunk * chunk_size,
                 hi: ((chunk + 1) * chunk_size).min(n_segments),
@@ -875,15 +1027,17 @@ impl<'a> QueryEngine<'a> {
     /// an unknown GROUP BY column is an error whatever the data). The gid
     /// scope is applied later, by [`QueryEngine::plan_partial`].
     ///
-    /// A Segment View aggregate without a `Value` filter is *cellular*: it
-    /// is tiled at the maintained rollup levels (for `CUBE_*`, those no
-    /// coarser than its own, so tiles lie inside its output buckets), with
-    /// the finest of them as the edge level. The tiling depends on the
-    /// query's `TS` range and the levels alone; which tiles the store then
-    /// serves, skips or scans ([`QueryEngine::plan_partial`]) never moves a
-    /// bit. A `CUBE_*` query that is not cellular, or finer than every
-    /// level, is tiled by its own level's buckets; any other plain
-    /// aggregate is a plain scan.
+    /// A Segment View aggregate is tiled at the maintained rollup levels
+    /// (for `CUBE_*`, those no coarser than its own, so tiles lie inside its
+    /// output buckets), with the finest of them as the edge level. A
+    /// `Value`-filtered one is tiled by that finest level alone: its tiles
+    /// are decided per `(tid, tile)` from the cells' extremes, and a
+    /// coarser cell almost always straddles a threshold. The tiling depends
+    /// on the query's `TS` range, its filter's presence and the levels
+    /// alone; which tiles the store then serves, skips or scans
+    /// ([`QueryEngine::plan_partial`]) never moves a bit. A `CUBE_*` query
+    /// on the Data Point View, or finer than every level, is tiled by its
+    /// own level's buckets; any other aggregate is a plain scan.
     fn compile(&self, query: &Query) -> Result<Plan> {
         let cubes: Vec<Option<TimeLevel>> = query
             .items
@@ -917,16 +1071,18 @@ impl<'a> QueryEngine<'a> {
 
         let rw = self.rewrite(query)?;
         let keys = Arc::new(self.key_plan(query, &rw)?);
-        // Rollup cells fold the Segment View's model aggregates; a per-point
-        // `Value` filter cannot be answered from them.
-        let cellular = query.view == View::Segment && rw.values.is_none();
-        let levels: Vec<TimeLevel> = if cellular {
+        // Rollup cells fold the Segment View's model aggregates.
+        let mut levels: Vec<TimeLevel> = Vec::new();
+        if query.view == View::Segment {
             let coarsest = cube.map_or(0, level_tag);
-            let levels = self.rollup_levels.iter().copied();
-            levels.filter(|l| level_tag(*l) >= coarsest).collect()
-        } else {
-            Vec::new()
-        };
+            let eligible = self.rollup_levels.iter().copied();
+            levels.extend(eligible.filter(|l| level_tag(*l) >= coarsest));
+            if rw.values.is_some() {
+                levels = mdb_storage::rollup::finest_level(&levels)
+                    .into_iter()
+                    .collect();
+            }
+        }
         let edge = mdb_storage::rollup::finest_level(&levels).or(cube);
         Ok(Plan {
             tiling: edge.map(|edge| Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
@@ -986,9 +1142,13 @@ impl<'a> QueryEngine<'a> {
     /// The worker half of Algorithms 5 and 6: initialize + iterate over the
     /// local store within this engine's gid scope, folding every segment
     /// into one partial. A tiled plan takes the whole tiles the store
-    /// serves from its rollup cells (`serve_tiles`) and scans
-    /// the rest; with serving off, or no level to serve, it scans the whole
-    /// range with the same tile splits.
+    /// serves from its rollup cells (`serve_tiles`), scans the spans left
+    /// for every series, then the straddling tiles of a `Value` filter for
+    /// their series only; with serving off, or no level to serve, it scans
+    /// the whole range with the same tile splits. A `Value`-filtered plan
+    /// is served only when every registered model promises attained
+    /// extremes ([`mdb_models::ModelType::attained_extremes`]), which is
+    /// what makes a cell's `MIN`/`MAX` its points' own.
     fn plan_partial(&self, plan: &Plan) -> Result<PartialAggregates> {
         let mut rw = plan.rw.clone();
         self.apply_scope(&mut rw);
@@ -996,38 +1156,49 @@ impl<'a> QueryEngine<'a> {
         if rw.empty {
             return Ok(partial);
         }
+        let serve = self.rollup_serve && (rw.values.is_none() || self.registry.attained_extremes());
         match &plan.tiling {
-            Some(tiling) if self.rollup_serve && tiling.has_levels() => {
-                for (lo, hi) in self.serve_tiles(plan, &rw, tiling, &mut partial)? {
-                    self.scan(plan, rw.within(lo, hi), &mut partial)?;
+            Some(tiling) if serve && tiling.has_levels() => {
+                let (spans, straddles) = self.serve_tiles(plan, &rw, tiling, &mut partial)?;
+                for (lo, hi) in spans {
+                    self.scan(plan, rw.within(lo, hi), None, &mut partial)?;
+                }
+                if let Some(index) = straddles {
+                    let (lo, hi) = index.hull();
+                    self.scan(plan, rw.within(lo, hi), Some(index), &mut partial)?;
                 }
             }
-            _ => self.scan(plan, rw, &mut partial)?,
+            _ => self.scan(plan, rw, None, &mut partial)?,
         }
         Ok(partial)
     }
 
     /// Answers the whole tiles of `tiling` the store can serve from its
-    /// rollup cells — per-(tid, tile) entries straight from the cells, no
-    /// segment body read — and returns the spans left to scan, merged where
-    /// they touch: the edge tiles, every tile of a level the store cannot
-    /// serve (no rollup feed, a poisoned cell set, the level not
-    /// materialized), and the tiles a segment-time comparison cuts through.
+    /// rollup cells — per-(tid, tile) terms straight from the cells, no
+    /// segment body read — and returns what is left to scan: the spans
+    /// every series scans, merged where they touch — the edge tiles, every
+    /// tile of a level the store cannot serve (no rollup feed, a poisoned
+    /// cell set, the level not materialized), and the tiles a segment-time
+    /// comparison cuts through — and the tiles only some series scan.
     ///
-    /// Under `StartTime`/`EndTime` comparisons each tile gets a
-    /// [`Verdict`] from the time envelopes of the log blocks and the write
-    /// buffer ([`SegmentStore::segment_envelopes`]): served when every
-    /// segment that meets it passes, skipped when none does, scanned with
-    /// the comparisons otherwise. A served tile's cell folds exactly the
-    /// terms its scan would, and a skipped one's scan would fold none, so
-    /// the verdict never moves a bit.
+    /// Each whole tile gets a [`Verdict`]. Under `StartTime`/`EndTime`
+    /// comparisons one per tile, from the time envelopes of the log blocks
+    /// and the write buffer ([`SegmentStore::segment_envelopes`]): served
+    /// when every segment that meets it passes, skipped when none does,
+    /// scanned with the comparisons otherwise. Under a `Value` filter, a
+    /// served tile then gets one per tid from its cell's extremes
+    /// ([`value_verdict`]): served when every point passes, skipped when
+    /// none does, and otherwise scanned for that tid alone. A served tile's
+    /// cell folds exactly the terms its scan would (a scanned sub-range
+    /// whose every point passes contributes its unfiltered term), and a
+    /// skipped one's scan would fold none, so no verdict moves a bit.
     fn serve_tiles(
         &self,
         plan: &Plan,
         rw: &Rewritten,
         tiling: &Tiling,
         partial: &mut PartialAggregates,
-    ) -> Result<Vec<Span>> {
+    ) -> Result<(Vec<Span>, Option<TileIndex>)> {
         let gids = rw.pushdown.gids.as_deref();
         let (regions, mut scans) = tiling.regions();
         let mut envelopes = Vec::new();
@@ -1038,37 +1209,56 @@ impl<'a> QueryEngine<'a> {
                         envelopes.push(*envelope)
                     })?;
             if !listed {
-                return Ok(vec![(rw.ts_from, rw.ts_to)]);
+                return Ok((vec![(rw.ts_from, rw.ts_to)], None));
             }
         }
+        let mut straddles: Vec<(Gid, Tid, Span)> = Vec::new();
         for (level, span) in regions {
-            let served_before = partial.buckets.len();
+            let served_before: Vec<usize> = partial.cells.iter().map(Vec::len).collect();
+            let straddled_before = straddles.len();
             let mut verdicts: BTreeMap<Timestamp, Verdict> = BTreeMap::new();
-            let served = self
-                .store
-                .rollup_cells(level, gids, span, &mut |_, tid, tile, acc| {
-                    if plan.keys.lookup(tid).is_none() {
-                        return;
-                    }
-                    let verdict = if rw.segment_time.is_empty() {
-                        Verdict::Serve
-                    } else {
-                        let span = (tile, bucket_end(level, tile));
-                        *verdicts
-                            .entry(tile)
-                            .or_insert_with(|| rw.verdict(&envelopes, span))
-                    };
-                    if verdict == Verdict::Serve {
-                        partial.buckets.push((tid, tile, *acc));
-                    }
-                })?;
+            let served =
+                self.store
+                    .rollup_cells(level, gids, span, &mut |gid, tid, tile, acc| {
+                        if plan.keys.lookup(tid).is_none() {
+                            return;
+                        }
+                        let verdict = if rw.segment_time.is_empty() {
+                            Verdict::Serve
+                        } else {
+                            let span = (tile, bucket_end(level, tile));
+                            *verdicts
+                                .entry(tile)
+                                .or_insert_with(|| rw.verdict(&envelopes, span))
+                        };
+                        if verdict != Verdict::Serve {
+                            return;
+                        }
+                        match rw.values.map_or(Verdict::Serve, |f| value_verdict(&f, acc)) {
+                            Verdict::Serve => partial.cells[tid as usize].push((tile, *acc)),
+                            Verdict::Skip => {}
+                            Verdict::Scan => {
+                                straddles.push((gid, tid, (tile, bucket_end(level, tile))));
+                            }
+                        }
+                    })?;
             if !served {
-                partial.buckets.truncate(served_before);
+                for (column, len) in partial.cells.iter_mut().zip(served_before) {
+                    column.truncate(len);
+                }
+                straddles.truncate(straddled_before);
                 scans.push(span);
                 continue;
             }
             let cut = verdicts.into_iter().filter(|(_, v)| *v == Verdict::Scan);
             scans.extend(cut.map(|(tile, _)| (tile, bucket_end(level, tile))));
+        }
+        // Cells arrive in ascending tile order per level; the levels'
+        // regions interleave in time.
+        for column in &mut partial.cells {
+            if !column.is_sorted_by_key(|e| e.0) {
+                column.sort_unstable_by_key(|e| e.0);
+            }
         }
         scans.sort_unstable();
         let mut merged: Vec<Span> = Vec::with_capacity(scans.len());
@@ -1078,49 +1268,66 @@ impl<'a> QueryEngine<'a> {
                 _ => merged.push((lo, hi)),
             }
         }
-        Ok(merged)
+        Ok((merged, TileIndex::new(straddles, partial.cells.len())))
     }
 
     /// Collects the runs `rw` selects and folds them into `partial` — on the
     /// attached [`ScanPool`] in chunks when one is present and the survivor
-    /// count reaches its bypass threshold, inline otherwise.
+    /// count reaches its bypass threshold, inline otherwise. With `only`,
+    /// each tid scans just the whole tiles it lists.
     ///
     /// The store's per-block statistics have already skipped whole blocks
     /// outside the scope, time range or value predicate. A block-backed run
     /// shares its cached block, so the collect costs one `Arc` clone per
-    /// surviving block and segments are evaluated as borrowed views. Chunks
-    /// merge in scan order, so bucket entries keep a sequential scan's
-    /// order; slot sums are exact, so the chunking cannot move their bits.
-    fn scan(&self, plan: &Plan, rw: Rewritten, partial: &mut PartialAggregates) -> Result<()> {
+    /// surviving block and segments are evaluated as borrowed views. Slot
+    /// sums are exact, so the chunking cannot move their bits. Chunks merge
+    /// in scan order, and a tile term stays the fold of its terms in scan
+    /// order: a chunk keeps its first tile per tid term by term. Should a
+    /// chunk's other tiles meet an earlier chunk's (a tid's segments out of
+    /// time order), the scan is folded again inline.
+    fn scan(
+        &self,
+        plan: &Plan,
+        rw: Rewritten,
+        only: Option<TileIndex>,
+        partial: &mut PartialAggregates,
+    ) -> Result<()> {
         let runs = RunSet::collect(self.store, &rw.pushdown)?;
         let n_segments = runs.len();
         if n_segments == 0 {
             return Ok(());
         }
-        let context = ScanContext {
+        let context = Arc::new(ScanContext {
             rw,
             keys: Arc::clone(&plan.keys),
             tiling: plan.tiling.clone(),
             use_models: plan.use_models,
+            only,
             runs,
-        };
+        });
         let engaged = |pool: &&ScanPool| {
             let threshold = self.pool_threshold;
             n_segments >= threshold.unwrap_or_else(|| pool_bypass_threshold(pool.workers()))
         };
-        let chunks = match self.pool.filter(engaged) {
-            Some(pool) => pool.execute(context)?,
-            None => {
-                let evaluator = SegmentEvaluator {
-                    catalog: self.catalog,
-                    registry: self.registry,
-                };
-                vec![context.fold(&evaluator, 0, n_segments)?]
-            }
+        let evaluator = SegmentEvaluator {
+            catalog: self.catalog,
+            registry: self.registry,
         };
-        for chunk in chunks {
-            merge_partials(partial, chunk);
-        }
+        let scanned = match self.pool.filter(engaged) {
+            Some(pool) => {
+                let mut scanned = PartialAggregates::new(&plan.keys);
+                let mut in_order = true;
+                for chunk in pool.execute(&context)? {
+                    in_order &= merge_partials(&mut scanned, chunk);
+                }
+                match in_order {
+                    true => scanned,
+                    false => context.fold(&evaluator, 0, n_segments)?,
+                }
+            }
+            None => context.fold(&evaluator, 0, n_segments)?,
+        };
+        merge_partials(partial, scanned);
         Ok(())
     }
 
@@ -1235,14 +1442,22 @@ impl<'a> SegmentEvaluator<'a> {
         &self,
         scan: &ScanContext,
         segment: SegmentView<'_>,
-        grid: &mut Vec<Value>,
-        splits: &mut Vec<(Timestamp, (usize, usize))>,
+        scratch: &mut Scratch,
         partial: &mut PartialAggregates,
     ) -> Result<()> {
         let rw = &scan.rw;
         if !rw.segment_time_matches(&segment) {
             return Ok(());
         }
+        // A scan of straddling tiles passes by a segment that meets none of
+        // its group's before any per-series work.
+        if let Some(only) = &scan.only {
+            let span = (segment.start_time, segment.end_time);
+            if !only.meets(segment.gid, span, &mut scratch.cursors) {
+                return Ok(());
+            }
+        }
+        let (grid, splits) = (&mut scratch.grid, &mut scratch.splits);
         let group = self.catalog.group(segment.gid).ok_or_else(|| {
             MdbError::Corrupt(format!("segment references unknown gid {}", segment.gid))
         })?;
@@ -1267,7 +1482,7 @@ impl<'a> SegmentEvaluator<'a> {
                 continue;
             };
             if scan.tiling.is_none() {
-                let term = self.range_term(scan, &mut cursor, series_pos, range, scaling)?;
+                let term = self.range_term(scan, &mut cursor, series_pos, range, scaling, false)?;
                 if term.count > 0 {
                     partial.slots[slot]
                         .get_or_insert_with(Accumulator::new)
@@ -1275,9 +1490,17 @@ impl<'a> SegmentEvaluator<'a> {
                 }
             }
             for &(tile, sub) in splits.iter() {
-                let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling)?;
+                if scan
+                    .only
+                    .as_ref()
+                    .is_some_and(|only| !only.scans(tid, tile))
+                {
+                    continue;
+                }
+                let whole = scan.tiling.as_ref().is_some_and(|t| t.is_whole(tile));
+                let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling, whole)?;
                 if term.count > 0 {
-                    partial.buckets.push((tid, tile, term));
+                    partial.add_tile_term(tid, tile, term);
                 }
             }
         }
@@ -1291,7 +1514,9 @@ impl<'a> SegmentEvaluator<'a> {
     /// values lie in it ([`SegmentCursor::crossing_term`]), and a series
     /// whose closed form misses the filter has no point that passes. Any
     /// other series is reconstructed from the grid and its passing points
-    /// folded in tick order.
+    /// folded in tick order — except that in a `whole` tile, a range whose
+    /// every point passes a model with attained extremes contributes its
+    /// unfiltered term, the term the tile's rollup cell folds.
     fn range_term(
         &self,
         scan: &ScanContext,
@@ -1299,41 +1524,61 @@ impl<'a> SegmentEvaluator<'a> {
         series_pos: usize,
         range: (usize, usize),
         scaling: f64,
+        whole: bool,
     ) -> Result<RollupAcc> {
         let undecodable = || MdbError::Corrupt("undecodable segment".into());
+        let len = (range.1 - range.0 + 1) as u64;
         let Some(filter) = &scan.rw.values else {
             let agg = cursor
                 .aggregate_with(self.registry, series_pos, range, scan.use_models)
                 .ok_or_else(undecodable)?;
-            return Ok(term(agg, (range.1 - range.0 + 1) as u64, scaling));
+            return Ok(term(agg, len, scaling));
         };
+        let mut closed = None;
         if scan.use_models {
             if let Some(term) =
                 cursor.crossing_term(self.registry, series_pos, range, filter, scaling)
             {
                 return Ok(term);
             }
-            let excluded = cursor
-                .model_agg(self.registry, series_pos, range)
-                .is_some_and(|agg| excludes(filter, agg, scaling));
-            if excluded {
+            closed = cursor.model_agg(self.registry, series_pos, range);
+            if closed.is_some_and(|agg| excludes(filter, agg, scaling)) {
                 return Ok(EMPTY_TERM);
             }
         }
+        let model = self.registry.get(cursor.segment.mid);
+        let cell_term = whole && model.is_some_and(|model| model.attained_extremes());
         let stride = cursor.n_series;
         let grid = cursor.grid(self.registry).ok_or_else(undecodable)?;
         let rows = &grid[range.0 * stride..(range.1 + 1) * stride];
-        let mut term = EMPTY_TERM;
+        let mut passing = EMPTY_TERM;
+        // For the cell's term: every point, folded as `grid_aggregate`
+        // folds it.
+        let mut all = SegmentAgg {
+            sum: 0.0,
+            min: Value::INFINITY,
+            max: Value::NEG_INFINITY,
+        };
         for &stored in rows.iter().skip(series_pos).step_by(stride) {
+            if cell_term {
+                all.sum += f64::from(stored);
+                all.min = all.min.min(stored);
+                all.max = all.max.max(stored);
+            }
             let v = f64::from(stored) / scaling;
             if filter.contains(v) {
-                term.count += 1;
-                term.sum += v;
-                term.min = term.min.min(v);
-                term.max = term.max.max(v);
+                passing.count += 1;
+                passing.sum += v;
+                passing.min = passing.min.min(v);
+                passing.max = passing.max.max(v);
             }
         }
-        Ok(term)
+        // The unfiltered term — the closed form where there is one, as the
+        // unfiltered scan and the rollup cells take it.
+        if cell_term && passing.count == len {
+            return Ok(term(closed.unwrap_or(all), len, scaling));
+        }
+        Ok(passing)
     }
 }
 
@@ -1352,7 +1597,9 @@ impl<'a> QueryEngine<'a> {
         let PartialAggregates {
             keys,
             slots,
-            mut buckets,
+            cells: served,
+            tiles,
+            ..
         } = merged;
 
         // `(slot, time part)` → accumulator, in output order (slots are
@@ -1363,28 +1610,34 @@ impl<'a> QueryEngine<'a> {
                 folded.insert((slot, 0), acc);
             }
         }
-        // Bucket entries fold as rollup cells do: per (tid, tile) in scan
-        // order (the sort is stable), then in ascending (tid, tile) order
-        // — the same on every path that produces them (cells, scans, any
-        // cluster layout, since a tid lives in one group and a group's
-        // segments are scanned in insertion order). The tile start becomes
-        // the CUBE date-part (a tile lies inside one output bucket), or
-        // folds away.
-        buckets.sort_by_key(|&(tid, bucket, _)| (tid, bucket));
+        // Tile terms — each the fold of its terms in scan order, as a
+        // rollup cell is — fold in ascending (tid, tile) order, the same on
+        // every path that produces them (cells, scans, any cluster layout,
+        // since a tid lives in one group and a group's segments are scanned
+        // in insertion order). The tile start becomes the CUBE date-part (a
+        // tile lies inside one output bucket), or folds away; a tid's run
+        // of tiles in one part folds without another lookup.
         let mut cells: BTreeMap<(usize, i64), RollupAcc> = BTreeMap::new();
-        let mut entries = buckets.into_iter().peekable();
-        while let Some((tid, bucket, mut cell)) = entries.next() {
-            while let Some((_, _, next)) = entries.next_if(|e| (e.0, e.1) == (tid, bucket)) {
-                cell.merge(&next);
-            }
-            let (slot, _) = keys
-                .lookup(tid)
-                .expect("bucket entries hold only tids the key plan keeps");
-            let part = cube.map_or(0, |level| time::part(level, bucket));
-            match cells.entry((slot, part)) {
-                Entry::Occupied(mut mine) => mine.get_mut().merge(&cell),
-                Entry::Vacant(vacant) => {
-                    vacant.insert(cell);
+        for (tid, (served, scanned)) in served.iter().zip(&tiles).enumerate() {
+            let mut entries = in_tile_order(served, scanned).peekable();
+            while let Some(&(tile, first)) = entries.next() {
+                let (slot, _) = keys
+                    .lookup(tid as Tid)
+                    .expect("tile terms hold only tids the key plan keeps");
+                let part = cube.map_or(0, |level| time::part(level, tile));
+                let cell = match cells.entry((slot, part)) {
+                    Entry::Occupied(mine) => {
+                        let cell = mine.into_mut();
+                        cell.merge(&first);
+                        cell
+                    }
+                    Entry::Vacant(vacant) => vacant.insert(first),
+                };
+                let same_part = |e: &&(Timestamp, RollupAcc)| {
+                    cube.is_none_or(|level| time::part(level, e.0) == part)
+                };
+                while let Some((_, term)) = entries.next_if(same_part) {
+                    cell.merge(term);
                 }
             }
         }
@@ -1654,12 +1907,18 @@ impl<'a> QueryEngine<'a> {
 
 /// Merges `from` after `into` (Algorithm 5's `mergeResults`): into an empty
 /// partial it moves in whole, otherwise slot by slot — in any order to the
-/// same bits — with its bucket entries following `into`'s. Both must come
-/// from the same query's plans.
-fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
-    if into.slots.is_empty() && into.buckets.is_empty() {
-        *into = from;
-        return;
+/// same bits — and tile by tile, `from`'s terms after `into`'s. Both must
+/// come from the same query's plans. Returns whether every merged tile term
+/// is still the fold of its terms in scan order: it is not when a tile of
+/// `from` folded in holds more than one term, or `from` is a pool chunk
+/// whose terms arrived out of tile order.
+fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) -> bool {
+    if into.slots.is_empty() && into.cells.is_empty() {
+        if !from.heads {
+            *into = from;
+            return true;
+        }
+        *into = PartialAggregates::new(&from.keys);
     }
     for (mine, theirs) in into.slots.iter_mut().zip(from.slots) {
         match (mine, theirs) {
@@ -1668,7 +1927,79 @@ fn merge_partials(into: &mut PartialAggregates, from: PartialAggregates) {
             (_, None) => {}
         }
     }
-    into.buckets.extend(from.buckets);
+    for (mine, theirs) in into.cells.iter_mut().zip(from.cells) {
+        if !theirs.is_empty() {
+            merge_column(mine, theirs, None);
+        }
+    }
+    let mut in_order = !(from.heads && from.reordered);
+    for (mine, theirs) in into.tiles.iter_mut().zip(from.tiles) {
+        if let Some(&(first, _)) = theirs.first() {
+            in_order &= merge_column(mine, theirs, from.heads.then_some(first));
+        }
+    }
+    in_order
+}
+
+/// The entries of two columns in ascending tile order, `a`'s first on a tie.
+fn in_tile_order<'c>(
+    a: &'c TileColumn,
+    b: &'c TileColumn,
+) -> impl Iterator<Item = &'c (Timestamp, RollupAcc)> {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// Merges `theirs`, later in scan order, into `mine`, both in ascending
+/// tile order, folding a tile's terms in that order. `head` is the tile
+/// whose entries in `theirs` are single terms, one each; folding any other
+/// entry of `theirs` into a term of `mine` makes the merge report `false`.
+fn merge_column(mine: &mut TileColumn, theirs: TileColumn, head: Option<Timestamp>) -> bool {
+    if mine.is_empty() && head.is_none() {
+        *mine = theirs;
+        return true;
+    }
+    let mut in_order = true;
+    let mut push =
+        |out: &mut TileColumn, (tile, term): (Timestamp, RollupAcc), later: bool| match out
+            .last_mut()
+        {
+            Some(last) if last.0 == tile => {
+                in_order &= !later || head == Some(tile);
+                last.1.merge(&term);
+            }
+            _ => out.push((tile, term)),
+        };
+    if mine.last().is_none_or(|last| last.0 < theirs[0].0) {
+        for entry in theirs {
+            push(mine, entry, true);
+        }
+        return in_order;
+    }
+    let mut out = TileColumn::with_capacity(mine.len() + theirs.len());
+    let mut earlier = std::mem::take(mine).into_iter().peekable();
+    let mut later = theirs.into_iter().peekable();
+    loop {
+        let take_later = match (earlier.peek(), later.peek()) {
+            (Some(a), Some(b)) => b.0 < a.0,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        match if take_later {
+            later.next()
+        } else {
+            earlier.next()
+        } {
+            Some(entry) => push(&mut out, entry, take_later),
+            None => break,
+        }
+    }
+    *mine = out;
+    in_order
 }
 
 fn compare_cells(a: &Cell, b: &Cell) -> std::cmp::Ordering {
@@ -2203,13 +2534,15 @@ mod tests {
     }
 
     /// A partial over three slots (keys 1, 2, 3) with one point per entry,
-    /// and one bucket entry per entry for tid 1.
-    fn partial(entries: &[(usize, f64)]) -> PartialAggregates {
+    /// and one tile term per entry for tid 1, in the tile numbered like the
+    /// entry's slot; `heads` makes it a pool chunk after the first.
+    fn partial(entries: &[(usize, f64)], heads: bool) -> PartialAggregates {
         let keys = Arc::new(KeyPlan {
             by_tid: vec![None, Some((0, 1.0))],
             rows: (1..=3).map(|k| vec![KeyCell::Int(k)]).collect(),
         });
         let mut p = PartialAggregates::new(&keys);
+        p.heads = heads;
         for &(slot, x) in entries {
             let point = RollupAcc {
                 count: 1,
@@ -2220,29 +2553,30 @@ mod tests {
             p.slots[slot]
                 .get_or_insert_with(Accumulator::new)
                 .add(&point);
-            p.buckets.push((1, slot as i64, point));
+            p.add_tile_term(1, slot as i64, point);
         }
         p
     }
 
     #[test]
     fn merge_partials_moves_into_empty_and_folds_in_order() {
-        let a = partial(&[(0, 0.1), (1, 5.0)]);
-        let b = partial(&[(0, 0.2), (2, 7.0)]);
-        let c = partial(&[(0, 0.3)]);
+        let a = partial(&[(0, 0.1), (1, 5.0)], false);
+        let b = partial(&[(0, 0.2), (2, 7.0)], true);
+        let c = partial(&[(0, 0.3)], true);
 
         // Into an empty partial: exactly `a`.
         let mut moved = PartialAggregates::default();
-        merge_partials(&mut moved, a.clone());
+        assert!(merge_partials(&mut moved, a.clone()));
         assert_eq!(moved.slots, a.slots);
-        assert_eq!(moved.buckets, a.buckets);
+        assert_eq!(moved.tiles, a.tiles);
 
         // Into a non-empty partial: touched slots union, and a shared slot
         // holds the correctly rounded sum in every merge order — 0.6, where
-        // a left fold gives ((0.1 + 0.2) + 0.3) = 0.6000000000000001.
-        // Bucket entries follow in merge order.
-        merge_partials(&mut moved, b.clone());
-        merge_partials(&mut moved, c.clone());
+        // a left fold gives ((0.1 + 0.2) + 0.3) = 0.6000000000000001. Tile
+        // terms fold in merge order, a later chunk's first tile term by
+        // term: that left fold.
+        assert!(merge_partials(&mut moved, b.clone()));
+        assert!(merge_partials(&mut moved, c.clone()));
         let shared = moved.slots[0].as_ref().unwrap();
         assert_eq!(shared.count, 3);
         assert_eq!(shared.sum().to_bits(), 0.6f64.to_bits());
@@ -2256,8 +2590,20 @@ mod tests {
         }
         assert_eq!(moved.slots[1].as_ref().unwrap().sum(), 5.0);
         assert_eq!(moved.slots[2].as_ref().unwrap().sum(), 7.0);
-        let order: Vec<i64> = moved.buckets.iter().map(|&(_, b, _)| b).collect();
-        assert_eq!(order, [0, 1, 0, 2, 0]);
+        let tiles: Vec<(i64, u64)> = moved.tiles[1]
+            .iter()
+            .map(|&(tile, term)| (tile, term.sum.to_bits()))
+            .collect();
+        let fold = ((0.1f64 + 0.2) + 0.3).to_bits();
+        assert_eq!(tiles, [(0, fold), (1, 5f64.to_bits()), (2, 7f64.to_bits())]);
+
+        // A chunk whose first tile is not the one an earlier chunk folded
+        // into, or a partial that is not a later chunk, cannot be folded in
+        // scan order.
+        let mut late = partial(&[(1, 0.5), (2, 0.25)], true);
+        assert!(!merge_partials(&mut moved.clone(), late.clone()));
+        late.heads = false;
+        assert!(!merge_partials(&mut moved, late));
     }
 
     /// A read-only store wrapper counting the cells `rollup_cells` hands to

@@ -130,6 +130,14 @@ impl Tiling {
         !self.covers.is_empty()
     }
 
+    /// Whether the tile starting at `lo` is a whole bucket of a level. The
+    /// finest cover contains every whole tile, and no edge tile starts in
+    /// it.
+    pub(crate) fn is_whole(&self, lo: Timestamp) -> bool {
+        let finest = self.covers.last().and_then(|&(_, cover)| cover);
+        finest.is_some_and(|(from, to)| from <= lo && lo <= to)
+    }
+
     /// The tile containing `ts`, which must lie in the range.
     pub(crate) fn tile_at(&self, ts: Timestamp) -> Tile {
         debug_assert!((self.from..=self.to).contains(&ts));
@@ -201,9 +209,15 @@ impl Iterator for Splits<'_> {
             return None;
         }
         let tile = self.tiling.tile_at(self.start + self.next as i64 * self.si);
-        // The last tick at or before the tile's end.
-        let ticks = (i128::from(tile.hi) - i128::from(self.start)) / i128::from(self.si);
-        let end = ticks.min(self.last as i128) as usize;
+        // The last tick at or before the tile's end, in `i64` unless the
+        // tile ends too far past the start for it.
+        let end = match tile.hi.checked_sub(self.start) {
+            Some(span) => usize::try_from(span / self.si).map_or(self.last, |t| t.min(self.last)),
+            None => {
+                let ticks = (i128::from(tile.hi) - i128::from(self.start)) / i128::from(self.si);
+                ticks.min(self.last as i128) as usize
+            }
+        };
         let sub = (self.next, end);
         self.next = end + 1;
         Some((tile.lo, sub))

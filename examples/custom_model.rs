@@ -181,5 +181,13 @@ fn main() -> modelardb::Result<()> {
         "\naggregates straight off the custom model:\n{}",
         r.to_table()
     );
+    // The Step model does not promise that its extremes are attained values
+    // (`ModelType::attained_extremes`), so no rollup cell answers a `Value`
+    // filter here: every hour is scanned, its points filtered one by one.
+    let r = db.sql("SELECT COUNT_S(*), MIN_S(*) FROM Segment WHERE Value > 200")?;
+    println!(
+        "\nthe upper plateaus, filtered point by point:\n{}",
+        r.to_table()
+    );
     Ok(())
 }

@@ -254,8 +254,8 @@ const EP_SMALL: [(usize, u64); 11] = [
     (4, 0xbf1f8f95a3161877),
     (1, 0xd88d3a4e7dcd1640),
     (1, 0x9c979bf9ee86ed09),
-    (32, 0x0336272f0a255bb2),
-    (8, 0xaeeaa82606b538cc),
+    (32, 0x68f9851d43bd7944),
+    (8, 0x2bafb9f4ac29abec),
     (32, 0x61cc3519c435cd43),
     (96, 0x3c566d076ae4b27f),
     (32, 0x8c9f8e10dc316c17),
@@ -285,8 +285,8 @@ const EP_SCALED: [(usize, u64); 16] = [
     (4, 0x7059218b63725039),
     (1, 0x6014b7f2359e5826),
     (1, 0x605d683f2cedde8f),
-    (32, 0xdeeb0ac440fa456d),
-    (8, 0x222ae30e21c3bab9),
+    (32, 0x9272daeedfa72013),
+    (8, 0x2e9c61c479bdaf5f),
     (32, 0xf21cc67f89f70156),
     (96, 0x10c9186cdb8897a3),
     (32, 0x38938b8633ebe22a),
@@ -307,8 +307,8 @@ const EP_GROUP_SCALED: [(usize, u64); 19] = [
     (4, 0xd683bdeff7a9b37d),
     (1, 0xb76df57433b0bea5),
     (1, 0x4a718ff5654b6b32),
-    (32, 0x2df1381f7847a00b),
-    (8, 0xb073667d78ef6733),
+    (32, 0x202e394953a562e6),
+    (8, 0x4da01a7ab2b684c1),
     (32, 0xa0e27b454ce10224),
     (96, 0x3c566d076ae4b27f),
     (32, 0x629fce74ec721da5),
@@ -318,9 +318,9 @@ const EP_GROUP_SCALED: [(usize, u64); 19] = [
     (2, 0x86a9e1a687d3abd4),
     (1, 0xb4bc508c62ee5bca),
     (1, 0x659f02946b006fa8),
-    (32, 0x14bd1d0817147079),
-    (13, 0xbf66d166d5c61b1b),
-    (1, 0xd53017d6eca6e563),
+    (32, 0xd2a88331a53e53eb),
+    (13, 0xd0787d2cfbe61a11),
+    (1, 0xd88f96fb4b32c7ce),
 ];
 
 #[test]

@@ -586,3 +586,341 @@ fn frozen_store_answers_segment_time_bounds_without_segment_bodies() {
         "the scan path control must actually fetch blocks"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Value filters: each whole hour decided per (tid, hour) from its cell —
+// served when every point passes, skipped when none does, scanned for that
+// series otherwise.
+
+/// [`scaled_engine`]'s catalog, but with one scaling per group (−1.5 among
+/// them), so PMC-Mean and Swing fit the scaled series.
+fn group_scaled_catalog(ds: &Dataset) -> Arc<modelardb::Catalog> {
+    let mut catalog = (*catalog_from_dataset(ds, &ds.correlation_spec()).unwrap()).clone();
+    let scalings = [-1.5, 2.0, 0.5, 4.75, 3.0];
+    for (group, scaling) in catalog.groups.clone().iter().zip(scalings.iter().cycle()) {
+        for meta in &mut catalog.series {
+            if group.tids.contains(&meta.tid) {
+                meta.scaling = *scaling;
+            }
+        }
+    }
+    Arc::new(catalog)
+}
+
+/// An engine over `catalog` at a 5 % bound with Hour, Day and Month cells,
+/// in memory or in `dir`.
+fn value_engine(catalog: &Arc<modelardb::Catalog>, dir: Option<&std::path::Path>) -> ModelarDb {
+    use modelardb::TimeLevel::{Day, Hour, Month};
+    let mut config = Config::default();
+    config.compression.error_bound = ErrorBound::relative(5.0);
+    config.bulk_write_size = 32;
+    config.rollup_levels = vec![Hour, Day, Month];
+    if let Some(dir) = dir {
+        config.storage = StorageSpec::Disk(dir.to_path_buf());
+    }
+    let registry = Arc::new(ModelRegistry::standard());
+    ModelarDb::from_catalog(Arc::clone(catalog), registry, config).unwrap()
+}
+
+/// Thresholds on cell extremes: the smallest and largest value of some
+/// `(tid, hour)`s as the Data Point View answers them — what the cells hold
+/// — each exactly and one ulp either side.
+fn cell_extremes(db: &ModelarDb) -> Vec<f64> {
+    let points = db.sql("SELECT Tid, TS, Value FROM DataPoint").unwrap();
+    let mut cells: std::collections::BTreeMap<(i64, i64), (f64, f64)> = Default::default();
+    for row in &points.rows {
+        let (tid, ts, v) = (
+            row[0].as_i64().unwrap(),
+            row[1].as_i64().unwrap(),
+            row[2].as_f64().unwrap(),
+        );
+        let cell = cells
+            .entry((tid, ts.div_euclid(HOUR_MS)))
+            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
+        *cell = (cell.0.min(v), cell.1.max(v));
+    }
+    let picked = cells.values().step_by(cells.len() / 3 + 1);
+    let extremes = picked.flat_map(|&(lo, hi)| [lo, hi]);
+    extremes
+        .flat_map(|x| [x, x.next_up(), x.next_down()])
+        .collect()
+}
+
+/// `Value` filters at `x` alone, with `EndTime`/`StartTime` cuts at `cut`,
+/// with a ragged `TS` range, and rolled up per hour.
+fn value_panel(ds: &Dataset, x: f64, cut: i64) -> Vec<String> {
+    let from = ds.timestamp(37) + 11;
+    let to = ds.timestamp(TICKS - 23) - 5;
+    vec![
+        format!("SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment WHERE Value > {x} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT Entity, AVG_S(*), COUNT_S(*) FROM Segment WHERE Value <= {x} AND EndTime <= {cut} GROUP BY Entity ORDER BY Entity"),
+        format!("SELECT SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment WHERE Value >= {x} AND StartTime >= {cut}"),
+        format!("SELECT Tid, AVG_S(*), MAX_S(*) FROM Segment WHERE Value < {x} AND TS >= {from} AND TS <= {to} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment WHERE Value > {x} AND TS >= {from} GROUP BY Tid ORDER BY Tid"),
+        format!("SELECT COUNT_S(*), SUM_S(*) FROM Segment WHERE Value = {x}"),
+    ]
+}
+
+#[test]
+fn value_filters_on_cell_extremes_are_served_bit_identically() {
+    let ds = across_february(15);
+    let cut = ds.timestamp(TICKS / 2) + 7;
+    let per_series = scaled_engine(
+        &ds,
+        &[
+            modelardb::TimeLevel::Hour,
+            modelardb::TimeLevel::Day,
+            modelardb::TimeLevel::Month,
+        ],
+        32,
+    );
+    let per_group = value_engine(&group_scaled_catalog(&ds), None);
+    for (label, mut db) in [("per-series", per_series), ("per-group", per_group)] {
+        for tick in 0..TICKS {
+            db.ingest_row(ds.timestamp(tick), &ds.row(tick)).unwrap();
+            if tick % 97 == 96 {
+                db.flush().unwrap();
+            }
+        }
+        db.flush().unwrap();
+        // The cluster cuts segments where the engine does: same flushes.
+        let catalog = Arc::new(db.catalog().clone());
+        let cluster = start_cluster(&catalog, 2, 1);
+        for tick in 0..TICKS {
+            cluster
+                .ingest_row(ds.timestamp(tick), &ds.row(tick))
+                .unwrap();
+            if tick % 97 == 96 {
+                cluster.flush().unwrap();
+            }
+        }
+        cluster.flush().unwrap();
+        let mut kept = 0;
+        for x in cell_extremes(&db) {
+            let queries = value_panel(&ds, x, cut);
+            let served = served_equals_scanned(&mut db, &queries, label);
+            kept += served[0].rows.len();
+            for (q, want) in queries.iter().zip(&served) {
+                let got = cluster.sql(q).unwrap();
+                assert_bit_identical(&got, want, &format!("{label}, 2-worker cluster: {q}"));
+            }
+        }
+        assert!(kept > 0, "{label}: the thresholds keep points");
+        cluster.shutdown().unwrap();
+    }
+}
+
+/// Fails every `nth` segment's rollup, which poisons the store's cells.
+struct Poisoning {
+    inner: Arc<dyn mdb_storage::SegmentDigester>,
+    seen: std::sync::atomic::AtomicUsize,
+    nth: usize,
+}
+
+impl mdb_storage::SegmentDigester for Poisoning {
+    fn digest(
+        &self,
+        segment: &modelardb::SegmentRecord,
+        range: bool,
+        levels: &[modelardb::TimeLevel],
+        sketch: Option<&mut modelardb::BlockSketch>,
+        buf: &mut mdb_storage::DigestBuf,
+    ) -> mdb_storage::Digest {
+        let mut digest = self.inner.digest(segment, range, levels, sketch, buf);
+        let seen = self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        digest.rolled_up &= seen % self.nth != self.nth - 1;
+        digest
+    }
+}
+
+#[test]
+fn value_filters_survive_restarts_and_poisoned_cells() {
+    use modelardb::TimeLevel::{Day, Hour, Month};
+    let case = TempDir::new("rollup-value-restart");
+    let dir = case.path();
+    let ds = across_february(16);
+    let catalog = group_scaled_catalog(&ds);
+    let mut db = value_engine(&catalog, Some(dir));
+    ingest_engine(&mut db, &ds, TICKS);
+    let cut = ds.timestamp(TICKS / 3);
+    let queries: Vec<String> = cell_extremes(&db)
+        .into_iter()
+        .step_by(2)
+        .flat_map(|x| value_panel(&ds, x, cut))
+        .collect();
+    let want = served_equals_scanned(&mut db, &queries, "writer");
+
+    // Poisoned cells: the store serves none, so every tile is scanned.
+    let levels = [Hour, Day, Month];
+    let feed = mdb_query::rollup_feed(
+        &Arc::new(db.catalog().clone()),
+        &Arc::new(db.registry().clone()),
+        &levels,
+    );
+    let poisoning = Poisoning {
+        inner: feed.digester,
+        seen: Default::default(),
+        nth: 5,
+    };
+    let mut store = mdb_storage::DiskStore::in_memory(mdb_storage::DiskStoreOptions {
+        rollup_feed: Some(mdb_storage::RollupFeed {
+            levels: levels.to_vec(),
+            digester: Arc::new(poisoning),
+        }),
+        ..Default::default()
+    })
+    .unwrap();
+    for segment in db.segments().unwrap() {
+        mdb_storage::SegmentStore::insert(&mut store, segment).unwrap();
+    }
+    mdb_storage::SegmentStore::flush(&mut store).unwrap();
+    let served = mdb_storage::SegmentStore::rollup_cells(
+        &store,
+        Hour,
+        None,
+        (i64::MIN, i64::MAX),
+        &mut |_, _, _, _| {},
+    );
+    assert!(!served.unwrap(), "the cells are poisoned");
+    for (q, want) in queries.iter().zip(&want) {
+        let got = mdb_query::QueryEngine::new(db.catalog(), db.registry(), &store)
+            .with_rollups(&levels, true)
+            .sql(q)
+            .unwrap();
+        assert_bit_identical(&got, want, &format!("poisoned cells: {q}"));
+    }
+    drop(db);
+
+    // Reopened through the sidecar, and rebuilt by a rescan without it.
+    let config = || {
+        let mut config = Config::default();
+        config.compression.error_bound = ErrorBound::relative(5.0);
+        config.bulk_write_size = 32;
+        config.rollup_levels = levels.to_vec();
+        config.storage = StorageSpec::Disk(dir.to_path_buf());
+        config
+    };
+    for label in ["sidecar reopen", "rescan"] {
+        let registry = Arc::new(ModelRegistry::standard());
+        let mut reopened = ModelarDb::reopen(dir, registry, config()).unwrap();
+        for (q, want) in queries.iter().zip(&want) {
+            assert_bit_identical(&reopened.sql(q).unwrap(), want, &format!("{label}: {q}"));
+        }
+        served_equals_scanned(&mut reopened, &queries, label);
+        drop(reopened);
+        std::fs::remove_file(dir.join("segments.idx")).unwrap();
+    }
+}
+
+/// A read-only store wrapper counting the scans the engine starts.
+struct ScanCounter<'s> {
+    inner: &'s mdb_storage::DiskStore,
+    scans: std::sync::atomic::AtomicUsize,
+}
+
+impl mdb_storage::SegmentStore for ScanCounter<'_> {
+    fn insert(&mut self, _segment: modelardb::SegmentRecord) -> modelardb::Result<()> {
+        unreachable!("the wrapper is read-only")
+    }
+
+    fn flush(&mut self) -> modelardb::Result<()> {
+        Ok(())
+    }
+
+    fn scan_runs(
+        &self,
+        predicate: &mdb_storage::SegmentPredicate,
+        f: &mut dyn FnMut(mdb_storage::SegmentRun),
+    ) -> modelardb::Result<()> {
+        self.scans
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.scan_runs(predicate, f)
+    }
+
+    fn rollup_cells(
+        &self,
+        level: modelardb::TimeLevel,
+        scope: Option<&[modelardb::Gid]>,
+        range: (i64, i64),
+        f: &mut dyn FnMut(modelardb::Gid, modelardb::Tid, i64, &mdb_storage::RollupAcc),
+    ) -> modelardb::Result<bool> {
+        self.inner.rollup_cells(level, scope, range, f)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn logical_bytes(&self) -> u64 {
+        self.inner.logical_bytes()
+    }
+
+    fn persistent_bytes(&self) -> u64 {
+        self.inner.persistent_bytes()
+    }
+}
+
+#[test]
+fn decided_hours_evaluate_no_segment() {
+    // Whole hours only: a threshold below every value serves each hour from
+    // its cell, one above every value skips it, and neither starts a scan.
+    // A threshold inside the data scans the hours it straddles, and serving
+    // off scans everything; all four agree with the scan bit for bit.
+    use modelardb::TimeLevel::{Day, Hour, Month};
+    let ds = across_february(17);
+    let mut db = value_engine(&group_scaled_catalog(&ds), None);
+    ingest_engine(&mut db, &ds, TICKS);
+    let store = mdb_storage::DiskStore::in_memory(mdb_storage::DiskStoreOptions {
+        bulk_write_size: 32,
+        rollup_feed: Some(mdb_query::rollup_feed(
+            &Arc::new(db.catalog().clone()),
+            &Arc::new(db.registry().clone()),
+            &[Hour, Day, Month],
+        )),
+        ..Default::default()
+    });
+    let mut store = store.unwrap();
+    for segment in db.segments().unwrap() {
+        mdb_storage::SegmentStore::insert(&mut store, segment).unwrap();
+    }
+    mdb_storage::SegmentStore::flush(&mut store).unwrap();
+    let values: Vec<f64> = db
+        .sql("SELECT Value FROM DataPoint")
+        .unwrap()
+        .rows
+        .iter()
+        .filter_map(|row| row[0].as_f64())
+        .collect();
+    let lowest = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let highest = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let from = ds.start + 2 * HOUR_MS;
+    let to = ds.start + 40 * HOUR_MS - 1;
+    let counter = ScanCounter {
+        inner: &store,
+        scans: Default::default(),
+    };
+    let levels = [Hour, Day, Month];
+    for (x, serve, scanned) in [
+        (lowest - 1.0, true, false),
+        (highest, true, false),
+        (values[values.len() / 2], true, true),
+        (lowest - 1.0, false, true),
+    ] {
+        let sql = format!(
+            "SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment \
+             WHERE Value > {x} AND TS >= {from} AND TS <= {to} GROUP BY Tid ORDER BY Tid"
+        );
+        let engine = |serve: bool| {
+            mdb_query::QueryEngine::new(db.catalog(), db.registry(), &counter)
+                .with_rollups(&levels, serve)
+                .sql(&sql)
+                .unwrap()
+        };
+        let before = counter.scans.load(std::sync::atomic::Ordering::Relaxed);
+        let answer = engine(serve);
+        let scans = counter.scans.load(std::sync::atomic::Ordering::Relaxed) - before;
+        assert_eq!(scans > 0, scanned, "{scans} scans (serving {serve}): {sql}");
+        assert_bit_identical(&answer, &engine(false), &sql);
+        assert_eq!(answer.rows.is_empty(), x >= highest, "{sql}");
+    }
+}
