@@ -222,14 +222,13 @@ impl SegmentDigester for ModelDigester {
 
 /// The range of reconstructed values, `None` when one is `NaN`.
 fn grid_range(values: &[Value]) -> Option<ValueInterval> {
-    let mut range = ValueInterval::EMPTY;
+    let (mut lo, mut hi, mut nan) = (Value::INFINITY, Value::NEG_INFINITY, false);
     for &v in values {
-        if v.is_nan() {
-            return None;
-        }
-        range = range.union(&ValueInterval::point(f64::from(v)));
+        lo = lo.min(v);
+        hi = hi.max(v);
+        nan |= v.is_nan();
     }
-    Some(range)
+    (!nan).then(|| ValueInterval::new(f64::from(lo), f64::from(hi)))
 }
 
 #[cfg(test)]

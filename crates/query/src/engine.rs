@@ -1320,9 +1320,10 @@ impl<'a> QueryEngine<'a> {
                 for chunk in pool.execute(&context)? {
                     in_order &= merge_partials(&mut scanned, chunk);
                 }
-                match in_order {
-                    true => scanned,
-                    false => context.fold(&evaluator, 0, n_segments)?,
+                if in_order {
+                    scanned
+                } else {
+                    context.fold(&evaluator, 0, n_segments)?
                 }
             }
             None => context.fold(&evaluator, 0, n_segments)?,
