@@ -96,13 +96,14 @@ impl KeyPlan {
     }
 }
 
-/// What the store's segment-time statistics make of one tile under the
-/// query's `StartTime`/`EndTime` comparisons.
+/// What a summary makes of one tile: the store's segment-time statistics
+/// under the query's `StartTime`/`EndTime` comparisons, or a rollup cell's
+/// extremes under its `Value` filter ([`value_verdict`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
-    /// Every segment that meets the tile passes: its cells are the answer.
+    /// Everything that meets the tile passes: its cells are the answer.
     Serve,
-    /// No segment that meets the tile passes: it contributes nothing.
+    /// Nothing that meets the tile passes: it contributes nothing.
     Skip,
     /// Some may pass and some may not: the tile is scanned.
     Scan,
