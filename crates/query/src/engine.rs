@@ -2463,6 +2463,73 @@ mod tests {
     }
 
     #[test]
+    fn pooled_tiled_scans_of_out_of_order_segments_fold_as_one_scan() {
+        // 120 five-minute PMC-Mean segments of group 1 over ten hours, one
+        // per block, at scaling 3 (so the terms round), inserted two per
+        // hour at a time, hour after hour, six times over: each tid's
+        // tiles arrive out of time order, a pool chunk folds two terms of
+        // an hour an earlier chunk has begun, and the scan is folded again
+        // inline. The tiled answers keep the sequential scan's bits.
+        let Fixture {
+            mut catalog,
+            registry,
+            ..
+        } = fixture();
+        for series in &mut catalog.series {
+            series.scaling = 3.0;
+        }
+        let mut store = DiskStore::in_memory(DiskStoreOptions {
+            bulk_write_size: 1,
+            ..DiskStoreOptions::default()
+        })
+        .unwrap();
+        let (t0, si) = (1_622_505_600_000i64, 60_000i64);
+        let slots = (0..6).flat_map(|round| {
+            (0..10).flat_map(move |hour| [hour * 12 + 2 * round, hour * 12 + 2 * round + 1])
+        });
+        for i in slots {
+            let value = 0.1 + (i % 7) as f32 * 0.6;
+            store
+                .insert(SegmentRecord {
+                    gid: 1,
+                    start_time: t0 + i * 5 * si,
+                    end_time: t0 + (i * 5 + 4) * si,
+                    sampling_interval: si,
+                    mid: mdb_models::MID_PMC_MEAN,
+                    params: bytes::Bytes::from(value.to_le_bytes().to_vec()),
+                    gaps: mdb_types::GapsMask::EMPTY,
+                })
+                .unwrap();
+        }
+        store.flush().unwrap();
+        let pool = ScanPool::new(Arc::new(catalog.clone()), Arc::new(registry.clone()), 3);
+        let levels = [TimeLevel::Hour];
+        let queries = [
+            "SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
+            "SELECT Tid, CUBE_SUM_HOUR(*) FROM Segment GROUP BY Tid ORDER BY Tid",
+            "SELECT Tid, COUNT_S(*), SUM_S(*) FROM Segment WHERE Value > 0.5 GROUP BY Tid",
+        ];
+        for q in queries {
+            let engine = || QueryEngine::new(&catalog, &registry, &store);
+            let sequential = engine().with_rollups(&levels, false).sql(q).unwrap();
+            let pooled = engine()
+                .with_rollups(&levels, false)
+                .with_scan_pool(&pool)
+                .with_pool_threshold(1)
+                .sql(q)
+                .unwrap();
+            let bits = |r: &QueryResult| -> Vec<Vec<Option<u64>>> {
+                r.rows
+                    .iter()
+                    .map(|row| row.iter().map(|c| c.as_f64().map(f64::to_bits)).collect())
+                    .collect()
+            };
+            assert!(!sequential.rows.is_empty(), "{q}");
+            assert_eq!(bits(&sequential), bits(&pooled), "{q}");
+        }
+    }
+
+    #[test]
     fn value_pushdown_prunes_bounded_runs() {
         use mdb_storage::scan_to_vec;
         // Rebuild the fixture's segments in a store that records value
