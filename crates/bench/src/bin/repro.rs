@@ -227,7 +227,6 @@ fn chaos(scale: Scale) {
                     },
                     storage_dir: Some(dir.to_path_buf()),
                     bulk_write_size: 64,
-                    query_parallelism: 1,
                     ..CommonOptions::default()
                 },
                 replication_factor: 2,

@@ -48,18 +48,16 @@ pub fn catalog_from_dataset(ds: &Dataset, spec: &CorrelationSpec) -> Result<Arc<
 /// grouping — the ModelarDBv1 baseline (MMC only); `true` uses the data
 /// set's evaluation correlation hints (MMGC).
 pub fn build_engine(ds: &Dataset, correlated: bool, error_pct: f64) -> ModelarDb {
-    build_engine_with(ds, correlated, error_pct, 0, true)
+    build_engine_with(ds, correlated, error_pct, true)
 }
 
-/// Like [`build_engine`], but with the query-path knobs exposed: the scan
-/// `parallelism` (0 = auto, 1 = sequential) and whether block `pruning`
-/// is enabled. `(1, false)` is the plain sequential scan the `query_latency`
-/// bench baselines against.
+/// Like [`build_engine`], but with block `pruning` exposed: `false` is the
+/// plain fetch-every-block scan the `query_latency` bench baselines
+/// against.
 pub fn build_engine_with(
     ds: &Dataset,
     correlated: bool,
     error_pct: f64,
-    parallelism: usize,
     pruning: bool,
 ) -> ModelarDb {
     let spec = if correlated {
@@ -71,7 +69,6 @@ pub fn build_engine_with(
     let mut config = Config::default();
     config.compression.error_bound = ErrorBound::relative(error_pct);
     config.storage = StorageSpec::Memory;
-    config.query_parallelism = parallelism;
     config.zone_pruning = pruning;
     ModelarDb::from_catalog(catalog, Arc::new(ModelRegistry::standard()), config).expect("engine")
 }

@@ -29,7 +29,7 @@
 //!
 //! Workers are OS threads connected by **bounded** channels; each owns a
 //! [`Shard`] over the groups it hosts — the same group ingestors → segment
-//! store → scan pool core the embedded engine runs — behind its channel.
+//! store → query engine core the embedded engine runs — behind its channel.
 //! Ingestion is batch-oriented end-to-end: the master splits a columnar
 //! [`RowBatch`] into per-group batches and ships whole batches, and a worker
 //! that falls [`ClusterConfig::ingest_queue_depth`](mdb_query::CommonOptions::ingest_queue_depth)
@@ -66,12 +66,6 @@ use mdb_types::{
 /// `config.ingest_queue_depth`, …) keep working unchanged. Cluster-specific
 /// readings of the shared knobs:
 ///
-/// * `common.query_parallelism` — scan workers *per cluster worker*,
-///   resolved by the engine's rule: `0` means the machine's available
-///   parallelism, and a worker starts a scan pool only when the setting
-///   resolves to more than 1. The cluster default is `1` (inline scans per
-///   worker) because the workers already scan concurrently during
-///   scatter/gather. Results are bit-identical at every setting.
 /// * `common.storage_dir` — when set, every worker persists its segments in
 ///   an out-of-core [`mdb_storage::DiskStore`] under `<dir>/worker-<i>`,
 ///   and the master persists its placement in `<dir>/cluster.meta` so a
@@ -90,9 +84,10 @@ use mdb_types::{
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The knobs shared with the embedded engine (compression, bulk write
-    /// size, cache budget, prefetch depth, per-worker scan parallelism,
-    /// storage root, queue depth), reachable directly on `ClusterConfig`
-    /// through `Deref`.
+    /// size, cache budget, prefetch depth, storage root, queue depth),
+    /// reachable directly on `ClusterConfig` through `Deref`. Each worker
+    /// folds its share of a query in one inline scan; the workers scan
+    /// concurrently during scatter/gather.
     pub common: CommonOptions,
     /// How long [`Cluster::health`] waits for a worker's liveness reply
     /// before reporting it as unresponsive. The probe queues behind any
@@ -117,10 +112,7 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            common: CommonOptions {
-                query_parallelism: 1,
-                ..CommonOptions::default()
-            },
+            common: CommonOptions::default(),
             health_probe_timeout: Duration::from_secs(30),
             replication_factor: 1,
         }

@@ -14,7 +14,6 @@
 //! modelardb.memory_budget        = 67108864     # block-cache bytes; or "unbounded"
 //! modelardb.prefetch_depth       = 2            # blocks read ahead of a scan; 0 = off
 //! modelardb.block_format         = v2           # layout for new blocks: v1 or v2
-//! modelardb.query_parallelism    = 0            # scan workers; 0 = auto
 //! modelardb.ingest_queue_depth   = 8            # bound on buffered ingest batches
 //! modelardb.max_connections      = 256          # concurrent server sessions (serve mode)
 //! modelardb.rollup_levels        = hour, day, month  # continuous aggregates; "none" = off
@@ -62,7 +61,6 @@ pub struct ConfigFile {
     pub memory_budget_bytes: Option<Option<u64>>,
     pub prefetch_depth: Option<usize>,
     pub block_format: Option<BlockFormat>,
-    pub query_parallelism: Option<usize>,
     pub ingest_queue_depth: Option<usize>,
     /// Server-only (like [`ServerOptions::max_connections`]): ignored by
     /// the embedded engine and the cluster, applied by `serve` mode.
@@ -142,9 +140,6 @@ impl ConfigFile {
                 }
                 "modelardb.prefetch_depth" => {
                     cfg.prefetch_depth = Some(parse_number(value, number)?);
-                }
-                "modelardb.query_parallelism" => {
-                    cfg.query_parallelism = Some(parse_number(value, number)?);
                 }
                 "modelardb.ingest_queue_depth" => {
                     cfg.ingest_queue_depth = Some(parse_number(value, number)?);
@@ -260,9 +255,6 @@ impl ConfigFile {
         if let Some(depth) = self.prefetch_depth {
             options.prefetch_depth = depth;
         }
-        if let Some(workers) = self.query_parallelism {
-            options.query_parallelism = workers;
-        }
         if let Some(depth) = self.ingest_queue_depth {
             options.ingest_queue_depth = depth;
         }
@@ -359,7 +351,6 @@ modelardb.storage       = memory
 modelardb.memory_budget = 8388608
 modelardb.prefetch_depth = 4
 modelardb.block_format  = v2
-modelardb.query_parallelism = 2
 modelardb.ingest_queue_depth = 16
 modelardb.max_connections = 64
 
@@ -387,7 +378,6 @@ modelardb.correlation.scaling = series t9572.gz 4.75
         assert_eq!(cfg.memory_budget_bytes, Some(Some(8 << 20)));
         assert_eq!(cfg.prefetch_depth, Some(4));
         assert_eq!(cfg.block_format, Some(BlockFormat::V2));
-        assert_eq!(cfg.query_parallelism, Some(2));
         assert_eq!(cfg.ingest_queue_depth, Some(16));
         assert_eq!(cfg.max_connections, Some(64));
         assert_eq!(cfg.dimensions.len(), 2);
@@ -445,13 +435,12 @@ modelardb.correlation.scaling = series t9572.gz 4.75
     fn tuning_keys_land_in_common_options() {
         let cfg = ConfigFile::parse(SAMPLE).unwrap();
         let options = cfg.common_options();
-        assert_eq!(options.query_parallelism, 2);
         assert_eq!(options.ingest_queue_depth, 16);
         assert_eq!(options.bulk_write_size, 1000);
         assert_eq!(options.memory_budget_bytes, Some(8 << 20));
         // max_connections is server-only: not a CommonOptions knob.
         assert!(ConfigFile::parse("modelardb.max_connections = many").is_err());
-        assert!(ConfigFile::parse("modelardb.query_parallelism = -1").is_err());
+        assert!(ConfigFile::parse("modelardb.prefetch_depth = -1").is_err());
         assert!(ConfigFile::parse("modelardb.ingest_queue_depth = none").is_err());
     }
 
@@ -496,6 +485,7 @@ modelardb.correlation.scaling = series t9572.gz 4.75
     fn malformed_lines_are_rejected_with_line_numbers() {
         for (bad, needle) in [
             ("modelardb.unknown = 1", "unknown key"),
+            ("modelardb.query_parallelism = 2", "unknown key"),
             ("just some text", "expected key = value"),
             ("modelardb.error_bound = high", "bad error bound"),
             ("modelardb.source = only_name", "sampling interval"),

@@ -174,10 +174,9 @@ impl ModelarDb {
     }
 
     /// Executes a SQL query (Section 6's Segment View and Data Point View).
-    /// Aggregate scans run on the engine's persistent pool of
-    /// [`Config::query_parallelism`](mdb_query::CommonOptions::query_parallelism)
-    /// workers over the blocks the store's block statistics do not prune;
-    /// results are bit-identical to a sequential scan.
+    /// An aggregate folds, in one inline scan on the calling thread, the
+    /// blocks the store's block statistics do not prune; concurrent callers
+    /// each run their own scan.
     pub fn sql(&self, text: &str) -> Result<QueryResult> {
         self.shard.engine(None).sql(text)
     }

@@ -76,15 +76,15 @@ pub use mdb_types::{
 /// The full system configuration; defaults mirror Table 1 of the paper.
 ///
 /// The knobs every deployment shares (compression, bulk write size, cache
-/// budget, prefetch depth, scan parallelism, queue depths) live in the
+/// budget, prefetch depth, queue depths) live in the
 /// embedded [`CommonOptions`]; `Config` adds the engine-only knobs. The
 /// struct derefs to [`CommonOptions`], so the historical field paths
 /// (`config.compression`, `config.bulk_write_size`, …) keep working.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// The knobs shared with [`ClusterConfig`] — compression, bulk write
-    /// size, block-cache budget, prefetch depth, scan parallelism, queue
-    /// depths — reachable directly on `Config` through `Deref`.
+    /// size, block-cache budget, prefetch depth, queue depths — reachable
+    /// directly on `Config` through `Deref`.
     ///
     /// The embedded engine ignores `common.storage_dir`; its persistence
     /// location is [`Config::storage`] (see [`Config::from_common`], which

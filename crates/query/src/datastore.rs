@@ -57,7 +57,7 @@ pub trait Datastore: Send + Sync {
     fn ingest_points(&mut self, points: &[(Tid, Timestamp, Value)]) -> Result<()>;
 
     /// Runs one SQL statement. Results are bit-identical across
-    /// deployments, parallelism, and placement.
+    /// deployments and placement.
     fn sql(&self, query: &str) -> Result<QueryResult>;
 
     /// Drains every buffer so subsequent queries see all ingested data.

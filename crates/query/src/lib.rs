@@ -29,7 +29,7 @@ pub use aggregate::{Accumulator, AggFunc};
 pub use cell::{Cell, QueryResult};
 pub use datastore::{Datastore, DatastoreHealth, PointAssembler};
 pub use digest::{rollup_feed, sketch_feed, value_bounds_fn};
-pub use engine::{pool_bypass_threshold, Partial, QueryEngine, ScanPool};
+pub use engine::{Partial, QueryEngine};
 pub use options::CommonOptions;
 pub use shard::Shard;
 pub use sql::{parse, Predicate, Query, SelectItem, SketchFunc, View};

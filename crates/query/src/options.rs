@@ -3,7 +3,7 @@
 //! The embedded engine's `Config` and the cluster runtime's `ClusterConfig`
 //! historically each carried their own copy of the same tuning knobs
 //! (compression settings, bulk write size, block-cache budget, prefetch
-//! depth, scan parallelism, storage location, queue depths), and the two
+//! depth, storage location, queue depths), and the two
 //! drifted. [`CommonOptions`] is the single source of truth both configs
 //! now embed; they `Deref` to it, so the old field paths
 //! (`config.compression`, `config.prefetch_depth`, …) keep working
@@ -35,14 +35,6 @@ pub struct CommonOptions {
     /// reads ahead of the scan (`0` disables prefetching), on disk or in
     /// memory alike.
     pub prefetch_depth: usize,
-    /// Scan workers for the partial-aggregation phase, resolved by one rule
-    /// in every deployment: `0` (auto) means the machine's available
-    /// parallelism, and a persistent scan pool is started only when the
-    /// setting resolves to more than 1; otherwise every scan runs inline.
-    /// A cluster applies this *per worker* (its default stays 1
-    /// because the workers already scan concurrently). Results are
-    /// bit-identical at every setting.
-    pub query_parallelism: usize,
     /// Where segments are persisted: `None` keeps the store's log in
     /// memory, `Some` persists it under this directory (the engine's block log + catalog, or
     /// one `worker-<i>` subdirectory per cluster worker plus the
@@ -67,7 +59,6 @@ impl Default for CommonOptions {
             bulk_write_size: 50_000,
             memory_budget_bytes: None,
             prefetch_depth: 2,
-            query_parallelism: 0,
             storage_dir: None,
             ingest_queue_depth: 8,
             rollup_levels: vec![TimeLevel::Hour, TimeLevel::Day, TimeLevel::Month],
@@ -86,7 +77,6 @@ mod tests {
         assert_eq!(o.compression.length_limit, 50);
         assert_eq!(o.memory_budget_bytes, None);
         assert_eq!(o.prefetch_depth, 2);
-        assert_eq!(o.query_parallelism, 0);
         assert!(o.storage_dir.is_none());
         assert_eq!(o.ingest_queue_depth, 8);
         assert_eq!(

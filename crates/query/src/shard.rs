@@ -2,12 +2,12 @@
 //! Section 3.1, which runs embedded and inside every cluster worker.
 //!
 //! A [`Shard`] owns a segment store (fed by the value-range, sketch and
-//! rollup providers), one [`GroupIngestor`] per group it hosts in ascending
-//! gid order, and the optional persistent [`ScanPool`]. The embedded engine
-//! holds a shard over every group; a cluster worker holds one over its
-//! hosted groups behind its command channel. Both deployments therefore
-//! build stores, ingestors and the pool by the same rules, drain with the
-//! same error policy, and query through the same [`QueryEngine`] chain.
+//! rollup providers) and one [`GroupIngestor`] per group it hosts in
+//! ascending gid order. The embedded engine holds a shard over every group;
+//! a cluster worker holds one over its hosted groups behind its command
+//! channel. Both deployments therefore build stores and ingestors by the
+//! same rules, drain with the same error policy, and query through the same
+//! [`QueryEngine`] chain.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -20,10 +20,9 @@ use mdb_storage::{Catalog, DiskStore, DiskStoreOptions, RollupFeed, SegmentStore
 use mdb_types::{BatchView, BlockFormat, Gid, MdbError, Result, SegmentRecord, TimeLevel};
 
 use crate::digest::ModelDigester;
-use crate::engine::resolve_workers;
-use crate::{CommonOptions, QueryEngine, ScanPool};
+use crate::{CommonOptions, QueryEngine};
 
-/// A store, the ingestors of the groups it hosts, and the scan pool.
+/// A store and the ingestors of the groups it hosts.
 pub struct Shard {
     catalog: Arc<Catalog>,
     registry: Arc<ModelRegistry>,
@@ -32,9 +31,6 @@ pub struct Shard {
     /// Keyed by gid, so drains walk groups in ascending gid order —
     /// deterministic, and identical on every holder of a group.
     ingestors: BTreeMap<Gid, GroupIngestor>,
-    /// Persistent scan workers; `None` when
-    /// [`CommonOptions::query_parallelism`] resolves to one worker.
-    scan_pool: Option<ScanPool>,
     rollup_levels: Vec<TimeLevel>,
     /// Whether whole tiles are answered from rollup cells (the default);
     /// off only as a reference for equivalence checks.
@@ -46,10 +42,8 @@ impl Shard {
     /// RAM when `dir` is `None`, built from the same options either way and
     /// maintaining value bounds, sketches and the rollup cells of
     /// `options.rollup_levels` as segments finalize — and creates an
-    /// ingestor for each of `gids`. A scan pool is started only when
-    /// `options.query_parallelism` (`0` = the machine's available
-    /// parallelism) resolves to more than one worker. `block_format` and
-    /// `zone_pruning` are the store's write layout and block-pruning switch.
+    /// ingestor for each of `gids`. `block_format` and `zone_pruning` are
+    /// the store's write layout and block-pruning switch.
     /// `options.storage_dir` is not read: the engine and a cluster worker
     /// each choose `dir` themselves.
     pub fn open(
@@ -82,16 +76,12 @@ impl Shard {
             None => DiskStore::in_memory(store_options)?,
         };
         store.set_pruning(zone_pruning);
-        let workers = resolve_workers(options.query_parallelism);
-        let scan_pool = (workers > 1)
-            .then(|| ScanPool::new(Arc::clone(&catalog), Arc::clone(&registry), workers));
         let mut shard = Self {
             catalog,
             registry,
             compression: options.compression.clone(),
             store: Box::new(store),
             ingestors: BTreeMap::new(),
-            scan_pool,
             rollup_levels: options.rollup_levels.clone(),
             rollup_serve: true,
         };
@@ -171,16 +161,13 @@ impl Shard {
         Ok(Some(ingestor))
     }
 
-    /// A query engine over the store with the shard's rollup configuration
-    /// and scan pool, restricted to `scope` when given.
+    /// A query engine over the store with the shard's rollup configuration,
+    /// restricted to `scope` when given.
     pub fn engine<'a>(&'a self, scope: Option<&'a [Gid]>) -> QueryEngine<'a> {
         let mut engine = QueryEngine::new(&self.catalog, &self.registry, self.store.as_ref())
             .with_rollups(&self.rollup_levels, self.rollup_serve);
         if let Some(scope) = scope {
             engine = engine.with_gid_scope(scope);
-        }
-        if let Some(pool) = &self.scan_pool {
-            engine = engine.with_scan_pool(pool);
         }
         engine
     }
@@ -252,15 +239,11 @@ mod tests {
         Arc::new(catalog)
     }
 
-    fn shard(query_parallelism: usize) -> Shard {
-        let options = CommonOptions {
-            query_parallelism,
-            ..CommonOptions::default()
-        };
+    fn shard() -> Shard {
         Shard::open(
             catalog(),
             Arc::new(ModelRegistry::standard()),
-            &options,
+            &CommonOptions::default(),
             None,
             BlockFormat::V2,
             true,
@@ -317,7 +300,7 @@ mod tests {
 
     #[test]
     fn drain_keeps_the_first_error_and_drains_every_other_group() {
-        let mut shard = shard(1);
+        let mut shard = shard();
         let log = Arc::new(Mutex::new(Log::default()));
         shard.store = Box::new(FailingStore {
             failing: 2,
@@ -343,7 +326,7 @@ mod tests {
 
     #[test]
     fn unknown_groups_are_errors_not_panics() {
-        let mut shard = shard(1);
+        let mut shard = shard();
         let batch = RowBatch::with_capacity(1, 1);
         assert!(matches!(
             shard.ingest(9, batch.view()),
@@ -351,13 +334,5 @@ mod tests {
         ));
         assert!(shard.adopt(9).is_err());
         assert!(shard.ingestor(9).is_none());
-    }
-
-    #[test]
-    fn a_pool_starts_only_above_one_worker() {
-        assert!(shard(1).scan_pool.is_none());
-        assert_eq!(shard(2).scan_pool.as_ref().map(ScanPool::workers), Some(2));
-        let auto = resolve_workers(0);
-        assert_eq!(shard(0).scan_pool.is_some(), auto > 1);
     }
 }

@@ -5,10 +5,9 @@
 //! fold (which accumulators meet in which order) fails here even when every
 //! path changes the same way.
 //!
-//! Each panel runs three ways over byte-identical segments: the embedded
-//! engine scanning sequentially, a query engine over a rebuilt store without
-//! a scan pool, and the same engine with a two-worker pool forced on for
-//! every scan. All three must produce the recorded digest.
+//! Each panel runs two ways over byte-identical segments: the embedded
+//! engine, and a query engine over a shard whose store is rebuilt from the
+//! embedded engine's segments. Both must produce the recorded digest.
 //!
 //! The first two panels run at scaling 1, where every term is an
 //! `f32`-valued closed form and every partial sum fits in 53 bits, so any
@@ -21,7 +20,7 @@
 
 use std::sync::Arc;
 
-use mdb_bench::{build_engine_with, catalog_from_dataset, ingest_engine};
+use mdb_bench::{build_engine, catalog_from_dataset, ingest_engine};
 use mdb_datagen::{eh, ep, Dataset, Scale};
 use mdb_query::Shard;
 use modelardb::{
@@ -186,20 +185,19 @@ fn digest(result: &QueryResult) -> u64 {
     h
 }
 
-/// Runs the panel on `ds` all three ways and checks each answer's row count
-/// and digest against `expected`.
+/// Runs the panel on `ds` both ways and checks each answer's row count and
+/// digest against `expected`.
 fn check(ds: &Dataset, expected: &[(usize, u64)]) {
-    let mut db = build_engine_with(ds, true, 5.0, 1, true);
+    let mut db = build_engine(ds, true, 5.0);
     ingest_engine(&mut db, ds, ds.scale.ticks);
     check_engine(db, ds, &panel(ds), expected);
 }
 
-/// Runs `panel` on the loaded `db` all three ways and checks each answer's
-/// row count and digest against `expected`.
+/// Runs `panel` on the loaded `db` both ways and checks each answer's row
+/// count and digest against `expected`.
 fn check_engine(db: ModelarDb, ds: &Dataset, panel: &[String], expected: &[(usize, u64)]) {
-    // The same segments in a shard with a two-worker scan pool.
-    let mut options = Config::default().common;
-    options.query_parallelism = 2;
+    // The same segments in a shard of their own.
+    let options = Config::default().common;
     let catalog = Arc::new(db.catalog().clone());
     let registry = Arc::new(db.registry().clone());
     let no_groups: [Gid; 0] = [];
@@ -221,22 +219,12 @@ fn check_engine(db: ModelarDb, ds: &Dataset, panel: &[String], expected: &[(usiz
     let mut got = Vec::new();
     for sql in panel {
         let embedded = db.sql(sql).unwrap();
-        let inline = shard
-            .engine(None)
-            .with_pool_threshold(usize::MAX)
-            .sql(sql)
-            .unwrap();
-        let pooled = shard.engine(None).with_pool_threshold(0).sql(sql).unwrap();
+        let inline = shard.engine(None).sql(sql).unwrap();
         got.push((embedded.rows.len(), digest(&embedded)));
         assert_eq!(
             digest(&inline),
             digest(&embedded),
             "inline vs embedded: {sql}"
-        );
-        assert_eq!(
-            digest(&pooled),
-            digest(&embedded),
-            "pooled vs embedded: {sql}"
         );
     }
     assert_eq!(
@@ -375,7 +363,6 @@ fn scaled_engine(ds: &Dataset, catalog: Catalog) -> ModelarDb {
     let mut config = Config::default();
     config.compression.error_bound = ErrorBound::relative(5.0);
     config.storage = StorageSpec::Memory;
-    config.query_parallelism = 1;
     let registry = Arc::new(ModelRegistry::standard());
     let mut db = ModelarDb::from_catalog(Arc::new(catalog), registry, config).unwrap();
     ingest_engine(&mut db, ds, ds.scale.ticks);

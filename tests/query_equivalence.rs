@@ -25,17 +25,16 @@ fn database() -> ModelarDb {
     db
 }
 
-/// Two engines over byte-identical segments: the plain sequential scan
-/// (pruning off, one worker) and the pruned-parallel path (block pruning
-/// on, four scan workers). The ingest pattern mixes per-series gaps,
+/// Two engines over byte-identical segments: the plain scan that fetches
+/// every block (pruning off) and the pruned scan that skips blocks by their
+/// statistics (pruning on). The ingest pattern mixes per-series gaps,
 /// whole-group gap ticks, and a decorrelation phase noisy enough to force
 /// dynamic split and join episodes (asserted below).
-fn sequential_and_parallel() -> (ModelarDb, ModelarDb) {
-    let build = |parallelism: usize, pruning: bool| {
+fn unpruned_and_pruned() -> (ModelarDb, ModelarDb) {
+    let build = |pruning: bool| {
         let mut b = ModelarDbBuilder::new();
         b.config_mut().compression.error_bound = ErrorBound::absolute(0.5);
         b.config_mut().compression.split_fraction = 2.0;
-        b.config_mut().query_parallelism = parallelism;
         b.config_mut().zone_pruning = pruning;
         b.add_dimension(
             DimensionSchema::from_leaf_up("Location", vec!["Turbine".into(), "Park".into()])
@@ -46,8 +45,8 @@ fn sequential_and_parallel() -> (ModelarDb, ModelarDb) {
         .correlate("Location 1");
         b.build().unwrap()
     };
-    let mut sequential = build(1, false);
-    let mut parallel = build(4, true);
+    let mut unpruned = build(false);
+    let mut pruned = build(true);
     let mut x = 99u32;
     for t in 0..SJ_TICKS {
         x = x.wrapping_mul(1103515245).wrapping_add(12345);
@@ -61,23 +60,23 @@ fn sequential_and_parallel() -> (ModelarDb, ModelarDb) {
         } else {
             [(t % 37 != 0).then_some(5.0), Some(5.1)]
         };
-        sequential.ingest_row(t * 100, &row).unwrap();
-        parallel.ingest_row(t * 100, &row).unwrap();
+        unpruned.ingest_row(t * 100, &row).unwrap();
+        pruned.ingest_row(t * 100, &row).unwrap();
     }
-    sequential.flush().unwrap();
-    parallel.flush().unwrap();
-    let stats = sequential.stats();
+    unpruned.flush().unwrap();
+    pruned.flush().unwrap();
+    let stats = unpruned.stats();
     assert!(stats.splits >= 1, "fixture must exercise dynamic splits");
     assert!(stats.joins >= 1, "fixture must exercise dynamic joins");
     assert_eq!(
-        sequential.segments().unwrap(),
-        parallel.segments().unwrap(),
+        unpruned.segments().unwrap(),
+        pruned.segments().unwrap(),
         "both engines must hold byte-identical segments"
     );
-    (sequential, parallel)
+    (unpruned, pruned)
 }
 
-/// Ticks ingested by [`sequential_and_parallel`] (timestamps `t * 100`).
+/// Ticks ingested by [`unpruned_and_pruned`] (timestamps `t * 100`).
 const SJ_TICKS: i64 = 900;
 
 /// Each row with floats as their exact bits, so `-0.0` vs `0.0` or a
@@ -97,7 +96,7 @@ fn bits(result: &QueryResult) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// The values [`sequential_and_parallel`] stores with a closed form: every
+/// The values [`unpruned_and_pruned`] stores with a closed form: every
 /// PMC-Mean constant and Swing endpoint, as raw values (both series have
 /// scaling 1), sorted and deduplicated — where a value filter's boundary
 /// decides whether a whole segment is skipped or reconstructed.
@@ -122,16 +121,15 @@ fn closed_form_values(db: &ModelarDb) -> Vec<f64> {
     values
 }
 
-/// Two engines as in [`sequential_and_parallel`], over two groups whose
+/// Two engines as in [`unpruned_and_pruned`], over two groups whose
 /// scalings are not 1: Aalborg's series `a` and `b` scaled by −1.5 and
 /// Skive's `c` and `d` by 4.75. Each group alternates plateaus (PMC-Mean)
 /// with rising and falling sine stretches (Swing), with per-series gaps and
 /// whole-group gap ticks.
-fn scaled_sequential_and_parallel() -> (ModelarDb, ModelarDb) {
-    let build = |parallelism: usize, pruning: bool| {
+fn scaled_unpruned_and_pruned() -> (ModelarDb, ModelarDb) {
+    let build = |pruning: bool| {
         let mut b = ModelarDbBuilder::new();
         b.config_mut().compression.error_bound = ErrorBound::absolute(0.5);
-        b.config_mut().query_parallelism = parallelism;
         b.config_mut().zone_pruning = pruning;
         b.add_dimension(
             DimensionSchema::from_leaf_up("Location", vec!["Turbine".into(), "Park".into()])
@@ -154,8 +152,8 @@ fn scaled_sequential_and_parallel() -> (ModelarDb, ModelarDb) {
         b.with_correlation(spec);
         b.build().unwrap()
     };
-    let mut sequential = build(1, false);
-    let mut parallel = build(4, true);
+    let mut unpruned = build(false);
+    let mut pruned = build(true);
     for t in 0..SJ_TICKS {
         let wave = |period: f32, plateau: i64| {
             if (t / 60) % 3 == plateau {
@@ -176,17 +174,17 @@ fn scaled_sequential_and_parallel() -> (ModelarDb, ModelarDb) {
                 Some(c + 0.02),
             ]
         };
-        sequential.ingest_row(t * 100, &row).unwrap();
-        parallel.ingest_row(t * 100, &row).unwrap();
+        unpruned.ingest_row(t * 100, &row).unwrap();
+        pruned.ingest_row(t * 100, &row).unwrap();
     }
-    sequential.flush().unwrap();
-    parallel.flush().unwrap();
+    unpruned.flush().unwrap();
+    pruned.flush().unwrap();
     assert_eq!(
-        sequential.segments().unwrap(),
-        parallel.segments().unwrap(),
+        unpruned.segments().unwrap(),
+        pruned.segments().unwrap(),
         "both engines must hold byte-identical segments"
     );
-    (sequential, parallel)
+    (unpruned, pruned)
 }
 
 /// The values a `Value` filter is compared with where a monotone model's
@@ -238,10 +236,10 @@ proptest! {
         // Thresholds drawn from the stored values themselves, exactly and
         // one ulp either side, so a filter's edge lands on a closed-form
         // extreme: the skip must never drop a point the per-point filter
-        // keeps, and pruned-parallel must equal the unpruned sequential
-        // scan bit for bit.
-        let (sequential, parallel) = sequential_and_parallel();
-        let values = closed_form_values(&sequential);
+        // keeps, and the pruned scan must equal the unpruned one bit for
+        // bit.
+        let (unpruned, pruned) = unpruned_and_pruned();
+        let values = closed_form_values(&unpruned);
         prop_assert!(values.len() > 2, "fixture must store PMC and Swing segments");
         let nudged = |i: usize| {
             let x = values[i % values.len()];
@@ -269,15 +267,15 @@ proptest! {
             ),
             format!("SELECT Tid, CUBE_SUM_MINUTE(*) FROM Segment WHERE {filter} GROUP BY Tid"),
         ] {
-            let a = sequential.sql(&sql).unwrap();
-            let b = parallel.sql(&sql).unwrap();
+            let a = unpruned.sql(&sql).unwrap();
+            let b = pruned.sql(&sql).unwrap();
             prop_assert_eq!(&a.columns, &b.columns);
             prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
         }
         // Every tid's COUNT_S is the number of points the Data Point View
         // lists under the same filter (the listing never skips).
-        let counts = sequential.sql(&per_tid).unwrap();
-        let listing = sequential
+        let counts = unpruned.sql(&per_tid).unwrap();
+        let listing = unpruned
             .sql(&format!("SELECT Tid, TS FROM DataPoint WHERE {filter}"))
             .unwrap();
         for tid in 1..=2i64 {
@@ -305,10 +303,10 @@ proptest! {
         // COUNT, MIN and MAX must be the listing's bit for bit, and its SUM
         // (the closed form over the passing sub-range) within the f32
         // rounding of the listed points.
-        let (sequential, parallel) = scaled_sequential_and_parallel();
-        let mids: Vec<u8> = sequential.segments().unwrap().iter().map(|s| s.mid).collect();
+        let (unpruned, pruned) = scaled_unpruned_and_pruned();
+        let mids: Vec<u8> = unpruned.segments().unwrap().iter().map(|s| s.mid).collect();
         prop_assert!(mids.contains(&MID_PMC_MEAN) && mids.contains(&MID_SWING));
-        let values = scaled_closed_form_values(&sequential);
+        let values = scaled_closed_form_values(&unpruned);
         let nudged = |i: usize| {
             let x = values[i % values.len()];
             [x, x.next_down(), x.next_up()][nudge]
@@ -331,12 +329,12 @@ proptest! {
             format!("SELECT Park, AVG_S(*), MIN_S(*) FROM Segment WHERE {filter} GROUP BY Park"),
             format!("SELECT Tid, CUBE_SUM_MINUTE(*) FROM Segment WHERE {filter} GROUP BY Tid"),
         ] {
-            let a = sequential.sql(&sql).unwrap();
-            let b = parallel.sql(&sql).unwrap();
+            let a = unpruned.sql(&sql).unwrap();
+            let b = pruned.sql(&sql).unwrap();
             prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
         }
-        let answers = sequential.sql(&per_tid).unwrap();
-        let listing = sequential
+        let answers = unpruned.sql(&per_tid).unwrap();
+        let listing = unpruned
             .sql(&format!("SELECT Tid, Value FROM DataPoint WHERE {filter}"))
             .unwrap();
         for tid in 1..=4i64 {
@@ -443,7 +441,7 @@ proptest! {
         span in 1i64..600,
         group_by_tid in proptest::bool::ANY,
     ) {
-        let (sequential, parallel) = sequential_and_parallel();
+        let (unpruned, pruned) = unpruned_and_pruned();
         let func = ["COUNT", "MIN", "MAX", "SUM", "AVG"][func_idx];
         let tid_list = tids.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ");
         let from = window * 100;
@@ -459,11 +457,11 @@ proptest! {
                  AND TS >= {from} AND TS <= {to}"
             )
         };
-        let a = sequential.sql(&sql).unwrap();
-        let b = parallel.sql(&sql).unwrap();
+        let a = unpruned.sql(&sql).unwrap();
+        let b = pruned.sql(&sql).unwrap();
         // Bit-identical, not approximately equal: slot sums are exact and
-        // rounded once, so however the pruned-parallel path chunks the scan
-        // it lands on the sequential scan's bits.
+        // rounded once, so whichever blocks pruning skips the pruned scan
+        // lands on the unpruned scan's bits.
         prop_assert_eq!(a.columns, b.columns);
         prop_assert_eq!(a.rows, b.rows, "{}", sql);
     }
@@ -474,15 +472,15 @@ proptest! {
         ge in proptest::bool::ANY,
         window in 0i64..850,
     ) {
-        let (sequential, parallel) = sequential_and_parallel();
+        let (unpruned, pruned) = unpruned_and_pruned();
         let from = window * 100;
         let op = if ge { ">=" } else { "<" };
         let sql = format!(
             "SELECT Tid, SUM_S(*), COUNT_S(*) FROM Segment WHERE Value {op} {bound:.3} \
              AND TS >= {from} GROUP BY Tid ORDER BY Tid"
         );
-        let a = sequential.sql(&sql).unwrap();
-        let b = parallel.sql(&sql).unwrap();
+        let a = unpruned.sql(&sql).unwrap();
+        let b = pruned.sql(&sql).unwrap();
         prop_assert_eq!(a.rows, b.rows, "{}", sql);
     }
 
@@ -496,7 +494,7 @@ proptest! {
         // key, `Turbine` keeps one per key — each under a segment-time bound
         // (model aggregates) and under a Value filter (per-point filtering,
         // one tick-order subtotal per segment and series).
-        let (sequential, parallel) = sequential_and_parallel();
+        let (unpruned, pruned) = unpruned_and_pruned();
         let func = ["COUNT", "MIN", "MAX", "SUM", "AVG"][func_idx];
         let end = end * 100;
         for column in ["Park", "Turbine"] {
@@ -505,8 +503,8 @@ proptest! {
                     "SELECT {column}, {func}_S(*) FROM Segment WHERE {filter} \
                      GROUP BY {column} ORDER BY {column}"
                 );
-                let a = sequential.sql(&sql).unwrap();
-                let b = parallel.sql(&sql).unwrap();
+                let a = unpruned.sql(&sql).unwrap();
+                let b = pruned.sql(&sql).unwrap();
                 prop_assert_eq!(&a.columns, &b.columns);
                 prop_assert_eq!(bits(&a), bits(&b), "{}", sql);
             }

@@ -1,8 +1,8 @@
 //! The raw-data oracle: aggregate answers checked against the data that was
 //! loaded, not against another execution path.
 //!
-//! Every other answer suite compares the system with itself — sequential
-//! with pooled, served with scanned, engine with cluster, this build with
+//! Every other answer suite compares the system with itself — pruned
+//! with unpruned, served with scanned, engine with cluster, this build with
 //! recorded bits — so a defect that every path shares (a wrong closed form,
 //! an off-by-one at a calendar boundary, a dropped scaling division) passes
 //! all of them. Here a reference evaluator walks [`Dataset::value`] and the
@@ -146,11 +146,10 @@ fn deployment(c: &mut Choices) -> Deployment {
     }
 }
 
-fn engine(d: &Deployment, parallelism: usize) -> ModelarDb {
+fn engine(d: &Deployment) -> ModelarDb {
     let mut config = Config::default();
     config.compression.error_bound = d.bound;
     config.bulk_write_size = d.bulk_write_size;
-    config.query_parallelism = parallelism;
     if !d.rollups {
         config.rollup_levels.clear();
     }
@@ -721,7 +720,7 @@ proptest! {
         let mut c = Choices(seed);
         let d = deployment(&mut c);
         let points = points(&d);
-        let db = engine(&d, c.pick(&[1, 2]));
+        let db = engine(&d);
         let stored = stored_values(&db);
         let cluster = cluster(&d);
         for _ in 0..QUERIES_PER_CASE {
@@ -739,7 +738,7 @@ fn answers_over_the_wire_lie_within_the_bound_of_the_raw_data() {
     let mut c = Choices(41);
     let d = deployment(&mut c);
     let points = points(&d);
-    let db = engine(&d, 0);
+    let db = engine(&d);
     let stored = stored_values(&db);
     let server = Server::start(SharedDatastore::new(db), ServerOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -768,7 +767,7 @@ fn closed_form_models_hold_a_tenth_of_lossy_points() {
         if d.bound == ErrorBound::Lossless {
             continue;
         }
-        let listing = engine(&d, 1)
+        let listing = engine(&d)
             .sql("SELECT Mid, StartTime, EndTime, SI FROM Segment")
             .unwrap();
         for row in &listing.rows {

@@ -3,17 +3,16 @@
 //! the error bounds `mdb_sketch` documents — imported here as constants, so
 //! the docs, the implementation, and this suite cannot drift apart — when
 //! compared against exact answers computed by a full Data Point View scan.
-//! Separately, the sketch path must be *placement-invariant*: a sequential
-//! engine, a pooled-parallel engine, and a replicated cluster must return
-//! bit-identical sketch answers. And on a disk-backed store the whole point
+//! Separately, the sketch path must be *placement-invariant*: an embedded
+//! engine and a replicated cluster must return bit-identical sketch
+//! answers. And on a disk-backed store the whole point
 //! of the feature is pinned: sketch queries resolve from block metadata
 //! without fetching a single segment body.
 
 use std::sync::Arc;
 
 use mdb_bench::{
-    build_disk_engine, build_engine, build_engine_with, catalog_from_dataset, ingest_cluster,
-    ingest_engine, scalar,
+    build_disk_engine, build_engine, catalog_from_dataset, ingest_cluster, ingest_engine, scalar,
 };
 use mdb_datagen::{ep, Scale};
 use mdb_sketch::{DISTINCT_RELATIVE_ERROR, QUANTILE_RELATIVE_ERROR, QUANTILE_ZERO_THRESHOLD};
@@ -125,21 +124,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Sketch answers are placement-invariant: a sequential engine, a
-    // pooled-parallel engine, and an rf=2 cluster (any worker count) agree
-    // exactly — sketch merging is commutative and associative over integer
-    // state, so every merge tree produces the same bits.
+    // Sketch answers are placement-invariant: an embedded engine and an
+    // rf=2 cluster (any worker count) agree exactly — sketch merging is
+    // commutative and associative over integer state, so every merge tree
+    // produces the same bits.
     #[test]
-    fn sequential_pooled_and_replicated_cluster_agree_exactly(
+    fn engine_and_replicated_cluster_agree_exactly(
         seed in 0u64..64,
         ticks in 60u64..200,
         n_workers in 2usize..5,
     ) {
         let ds = ep(seed, Scale::tiny()).unwrap();
-        let mut sequential = build_engine_with(&ds, true, 5.0, 1, true);
-        let mut pooled = build_engine_with(&ds, true, 5.0, 4, true);
-        ingest_engine(&mut sequential, &ds, ticks);
-        ingest_engine(&mut pooled, &ds, ticks);
+        let mut engine = build_engine(&ds, true, 5.0);
+        ingest_engine(&mut engine, &ds, ticks);
 
         let catalog = catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap();
         let cluster = Cluster::start_with(
@@ -163,8 +160,7 @@ proptest! {
             "SELECT PCTL_S(10) FROM Segment",
             "SELECT TOP_K_S(3) FROM Segment",
         ] {
-            let expected = sequential.sql(sql).unwrap();
-            prop_assert_eq!(&pooled.sql(sql).unwrap(), &expected, "{} (pooled)", sql);
+            let expected = engine.sql(sql).unwrap();
             prop_assert_eq!(
                 &cluster.sql(sql).unwrap(),
                 &expected,
