@@ -7,16 +7,20 @@
 //! **bit-identical** SQL aggregates and DataPoint listings for arbitrary
 //! time ranges and value predicates, over data with per-series gaps,
 //! whole-group gap ticks, and dynamic split/join episodes (the same ingest
-//! pattern as `tests/query_equivalence.rs`). Two fixed cases pin the full
+//! pattern as `tests/query_equivalence.rs`). Three fixed cases pin the full
 //! scan itself: both block formats answer the full-span probes identically,
-//! and a cold prefetching scan reads every block exactly once.
+//! a v1 log reopened with v2 appends and a non-empty write buffer answers
+//! like an all-v2 one, and a cold prefetching scan reads every block
+//! exactly once.
+
+use std::sync::Arc;
 
 use mdb_testutil::TempDir;
 use proptest::prelude::*;
 
 use modelardb::{
-    BlockFormat, DimensionSchema, DiskStore, DiskStoreOptions, ErrorBound, ModelarDb,
-    ModelarDbBuilder, SegmentStore, SeriesSpec, StorageSpec,
+    BlockFormat, DimensionSchema, DiskStore, DiskStoreOptions, ErrorBound, ModelRegistry,
+    ModelarDb, ModelarDbBuilder, SegmentStore, SeriesSpec, StorageSpec,
 };
 
 /// Ticks ingested by [`engines`] (timestamps `t * 100`).
@@ -227,6 +231,89 @@ fn v1_and_v2_stores_answer_the_scan_probes_identically() {
     };
     assert_eq!(v1.cache_stats().owned_decodes, blocks(&v1_dir));
     assert_eq!(v2.cache_stats().owned_decodes, 0);
+}
+
+/// Ticks [`reopened_engine`] ingests before it reopens the store; the rest
+/// of [`SJ_TICKS`] is appended after the reopen.
+const REOPEN_AT: i64 = 500;
+
+/// Written in `first` format up to [`REOPEN_AT`], then reopened with v2
+/// writes, `budget` and `pruning`, and appended to until [`SJ_TICKS`]. A
+/// flush every 100 ticks cuts blocks on both sides of the reopen; the last
+/// 50 ticks are not flushed, so their segments wait in the write buffer.
+fn reopened_engine(
+    dir: &TempDir,
+    first: BlockFormat,
+    budget: Option<u64>,
+    pruning: bool,
+) -> ModelarDb {
+    let mut x = 99u32;
+    let mut config = {
+        let mut db = build(dir, None, 0, first);
+        for t in 0..REOPEN_AT {
+            db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
+            if t % 100 == 49 {
+                db.flush().unwrap();
+            }
+        }
+        db.flush().unwrap();
+        db.config().clone()
+    };
+    config.block_format = BlockFormat::V2;
+    config.memory_budget_bytes = budget;
+    config.zone_pruning = pruning;
+    let mut db =
+        ModelarDb::reopen(dir.path(), Arc::new(ModelRegistry::standard()), config).unwrap();
+    for t in REOPEN_AT..SJ_TICKS {
+        db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
+        if t % 100 == 49 {
+            db.flush().unwrap();
+        }
+    }
+    db
+}
+
+/// A log written in v1, reopened with v2 writes and appended to, with
+/// segments still in the write buffer, answers the scan probes, a value
+/// filter and a Data Point listing bit-identically to an all-v2 store over
+/// the same ingest — pruning on and off, served from cells and scanned, at
+/// a zero cache budget (every fetch re-reads the block) and an unbounded
+/// one.
+#[test]
+fn mixed_format_logs_with_buffered_segments_answer_like_all_v2_logs() {
+    let queries = [
+        SCAN_PROBES[0],
+        SCAN_PROBES[1],
+        "SELECT Tid, SUM_S(*), COUNT_S(*) FROM Segment WHERE Value > 5.05 GROUP BY Tid ORDER BY Tid",
+        "SELECT Tid, TS, Value FROM DataPoint WHERE TS >= 30000",
+    ];
+    for budget in [Some(0u64), None] {
+        for pruning in [true, false] {
+            let (mixed_dir, v2_dir) = (TempDir::new("cache-eq-mixed"), TempDir::new("cache-eq-v2"));
+            let mut mixed = reopened_engine(&mixed_dir, BlockFormat::V1, budget, pruning);
+            let mut v2 = reopened_engine(&v2_dir, BlockFormat::V2, budget, pruning);
+            assert!(
+                mixed.resident_segments() > mixed.cache_stats().resident_segments,
+                "the fixture must leave segments in the write buffer"
+            );
+            assert_eq!(mixed.segments().unwrap(), v2.segments().unwrap());
+            for serve in [true, false] {
+                mixed.set_rollup_serve(serve);
+                v2.set_rollup_serve(serve);
+                for sql in queries {
+                    let label =
+                        format!("{sql} (budget {budget:?}, pruning {pruning}, serve {serve})");
+                    assert_eq!(mixed.sql(sql).unwrap(), v2.sql(sql).unwrap(), "{label}");
+                }
+            }
+            let stats = mixed.cache_stats();
+            assert!(
+                stats.owned_decodes > 0 && stats.decode_validations > 0,
+                "{stats:?}"
+            );
+            assert_eq!(v2.cache_stats().owned_decodes, 0);
+        }
+    }
 }
 
 /// A cold full scan with the prefetcher on brings every block in exactly
