@@ -223,8 +223,8 @@ impl ModelarDb {
     }
 
     /// Block-cache counters of the underlying store, on disk or in memory
-    /// alike — bytes read, prefetches issued and hit, decode validations,
-    /// and owned decodes on the scan path.
+    /// alike — bytes read, prefetches issued and hit, v2 payloads validated
+    /// and v1 payloads re-laid out as v2 on the scan path.
     pub fn cache_stats(&self) -> mdb_storage::CacheStats {
         self.shard.store().cache_stats()
     }

@@ -20,8 +20,8 @@
 //! The partial phase is one inline scan on the querying thread: the
 //! rewritten push-down predicate (checked against the store's per-block
 //! gid, time and value statistics) shrinks the scan to the surviving
-//! [`SegmentRun`](mdb_storage::SegmentRun)s — block-backed runs share the cached block buffer, so
-//! segments are evaluated as borrowed [`SegmentView`]s with **no
+//! [`SegmentRun`](mdb_storage::SegmentRun)s — each borrowed from a fetched block or the write
+//! buffer, so segments are evaluated as borrowed [`SegmentView`]s with **no
 //! per-segment allocation** — and each run is folded as the store hands it
 //! over. Concurrency comes from concurrent sessions and cluster workers,
 //! not from splitting one scan. A group key's [`Accumulator`] sums its
@@ -2294,7 +2294,7 @@ mod tests {
         fn scan_runs(
             &self,
             predicate: &SegmentPredicate,
-            f: &mut dyn FnMut(SegmentRun),
+            f: &mut dyn FnMut(SegmentRun<'_>),
         ) -> Result<()> {
             self.inner.scan_runs(predicate, f)
         }

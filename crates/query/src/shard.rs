@@ -281,7 +281,7 @@ mod tests {
             Ok(())
         }
 
-        fn scan_runs(&self, _: &SegmentPredicate, _: &mut dyn FnMut(SegmentRun)) -> Result<()> {
+        fn scan_runs(&self, _: &SegmentPredicate, _: &mut dyn FnMut(SegmentRun<'_>)) -> Result<()> {
             Ok(())
         }
 

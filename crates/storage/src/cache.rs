@@ -2,14 +2,13 @@
 //!
 //! The out-of-core [`crate::disk::DiskStore`] keeps only block *summaries*
 //! resident; segment bodies are fetched block-by-block on demand and parked
-//! here. The cache holds [`CachedBlock`]s keyed by their log offset —
-//! blocks are immutable once written, so there is no invalidation, only
-//! eviction. A v2 block is cached as its validated raw buffer
-//! ([`BlockView`]) and scanned through borrowed [`SegmentView`]s; a legacy
-//! v1 block is cached as the owned records its row-major payload decodes
-//! into. Either way an entry is charged its exact *file* bytes (header +
-//! payload as stored on disk), so the budget arithmetic is not a heap
-//! estimate: cached bytes are file bytes.
+//! here. The cache holds one form of block, a validated [`BlockView`],
+//! keyed by its log offset — blocks are immutable once written, so there is
+//! no invalidation, only eviction. A legacy v1 payload is re-laid out as v2
+//! when it is read, so it is cached and scanned exactly like a v2 block.
+//! An entry is charged its exact *file* bytes (header + payload as stored
+//! on disk), so the budget arithmetic is not a heap estimate: cached bytes
+//! are file bytes.
 //!
 //! Capacity comes from the engine's `memory_budget_bytes`: `None` caches
 //! everything ever fetched (the all-resident behaviour the store had before
@@ -27,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mdb_types::{BlockView, Result, SegmentRecord, SegmentView};
+use mdb_types::{BlockFormat, BlockMeta, BlockView, Result};
 
 /// Number of independently locked shards.
 const SHARDS: usize = 8;
@@ -51,9 +50,9 @@ pub struct CacheStats {
     pub prefetch_issued: u64,
     /// Demand fetches answered by a block the prefetcher had staged.
     pub prefetch_hits: u64,
-    /// v2 blocks validated into a [`BlockView`] (once per block read).
+    /// v2 payloads validated into a [`BlockView`] (once per block read).
     pub decode_validations: u64,
-    /// Blocks decoded into owned records (v1 payloads only).
+    /// v1 payloads decoded and re-laid out as v2 (once per block read).
     pub owned_decodes: u64,
     /// Segments currently resident in the cache.
     pub resident_segments: usize,
@@ -63,48 +62,8 @@ pub struct CacheStats {
     pub peak_resident_segments: usize,
 }
 
-/// One fetched block as the cache holds it: a validated zero-copy buffer
-/// for v2 payloads, owned decoded records for legacy v1 payloads. Both
-/// variants serve segments as [`SegmentView`]s, so the scan path is
-/// format-agnostic and allocation-free over v2.
-#[derive(Debug)]
-pub enum CachedBlock {
-    /// A validated v2 buffer; segments are borrowed straight out of it.
-    View(BlockView),
-    /// Owned records decoded from a v1 payload.
-    Owned(Vec<SegmentRecord>),
-}
-
-impl CachedBlock {
-    /// Number of segments in the block.
-    pub fn len(&self) -> usize {
-        match self {
-            CachedBlock::View(v) => v.len(),
-            CachedBlock::Owned(records) => records.len(),
-        }
-    }
-
-    /// True when the block holds no segments.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th segment, borrowed from the block.
-    pub fn segment(&self, i: usize) -> SegmentView<'_> {
-        match self {
-            CachedBlock::View(v) => v.segment(i),
-            CachedBlock::Owned(records) => records[i].view(),
-        }
-    }
-
-    /// Iterates the block's segments in stored (log) order.
-    pub fn segments(&self) -> impl Iterator<Item = SegmentView<'_>> + '_ {
-        (0..self.len()).map(|i| self.segment(i))
-    }
-}
-
 struct Entry {
-    block: Arc<CachedBlock>,
+    block: Arc<BlockView>,
     /// Exact file bytes the block occupies on disk.
     bytes: usize,
     last_used: u64,
@@ -183,31 +142,34 @@ impl BlockCache {
         &self.shards[(h as usize) % SHARDS]
     }
 
-    fn note_decode(&self, block: &CachedBlock, file_bytes: usize) {
+    fn note_read(&self, meta: &BlockMeta) {
         self.bytes_read
-            .fetch_add(file_bytes as u64, Ordering::Relaxed);
-        match block {
-            CachedBlock::View(_) => &self.decode_validations,
-            CachedBlock::Owned(_) => &self.owned_decodes,
+            .fetch_add(meta.stored_bytes, Ordering::Relaxed);
+        match meta.format {
+            BlockFormat::V1 => &self.owned_decodes,
+            BlockFormat::V2 => &self.decode_validations,
         }
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Returns the block at `offset`, loading it through `load` on a miss.
-    /// `load` returns the block plus its exact file footprint in bytes,
-    /// which is what the budget is charged. The loaded block is cached
-    /// unless it alone exceeds the shard budget (in particular, a zero
-    /// budget caches nothing); eviction is LRU.
+    /// Returns the block `meta` describes, loading it through `load` on a
+    /// miss. The budget is charged the block's exact file footprint,
+    /// `meta.stored_bytes`. The loaded block is cached unless it alone
+    /// exceeds the shard budget (in particular, a zero budget caches
+    /// nothing); eviction is LRU.
     pub fn get_or_load(
         &self,
-        offset: u64,
-        load: impl FnOnce() -> Result<(CachedBlock, usize)>,
-    ) -> Result<Arc<CachedBlock>> {
+        meta: &BlockMeta,
+        load: impl FnOnce() -> Result<BlockView>,
+    ) -> Result<Arc<BlockView>> {
         {
-            let mut shard = self.shard_of(offset).lock().expect("cache shard poisoned");
+            let mut shard = self
+                .shard_of(meta.offset)
+                .lock()
+                .expect("cache shard poisoned");
             let tick = shard.tick + 1;
             shard.tick = tick;
-            if let Some(entry) = shard.entries.get_mut(&offset) {
+            if let Some(entry) = shard.entries.get_mut(&meta.offset) {
                 entry.last_used = tick;
                 if entry.prefetched {
                     entry.prefetched = false;
@@ -221,10 +183,9 @@ impl BlockCache {
         // unrelated shard traffic. Two racing loads of the same block both
         // succeed; the second insert simply replaces the first.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (block, file_bytes) = load()?;
-        self.note_decode(&block, file_bytes);
-        let block = Arc::new(block);
-        self.park(offset, &block, file_bytes, false);
+        let block = Arc::new(load()?);
+        self.note_read(meta);
+        self.park(meta, &block, false);
         Ok(block)
     }
 
@@ -233,19 +194,16 @@ impl BlockCache {
     /// the cache is budgeted to hold nothing; otherwise the entry is
     /// tagged so the first demand fetch counts as a prefetch hit. Returns
     /// whether the block was actually staged.
-    pub fn insert_prefetched(&self, offset: u64, block: CachedBlock, file_bytes: usize) -> bool {
-        if self.shard_budget.is_some_and(|budget| file_bytes > budget) {
+    pub fn insert_prefetched(&self, meta: &BlockMeta, block: BlockView) -> bool {
+        let too_big = self
+            .shard_budget
+            .is_some_and(|budget| meta.stored_bytes as usize > budget);
+        if too_big || self.contains(meta.offset) {
             return false;
         }
-        {
-            let shard = self.shard_of(offset).lock().expect("cache shard poisoned");
-            if shard.entries.contains_key(&offset) {
-                return false;
-            }
-        }
-        self.note_decode(&block, file_bytes);
+        self.note_read(meta);
         self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-        self.park(offset, &Arc::new(block), file_bytes, true);
+        self.park(meta, &Arc::new(block), true);
         true
     }
 
@@ -256,7 +214,8 @@ impl BlockCache {
         shard.entries.contains_key(&offset)
     }
 
-    fn park(&self, offset: u64, block: &Arc<CachedBlock>, bytes: usize, prefetched: bool) {
+    fn park(&self, meta: &BlockMeta, block: &Arc<BlockView>, prefetched: bool) {
+        let (offset, bytes) = (meta.offset, meta.stored_bytes as usize);
         if self.shard_budget.is_some_and(|budget| bytes > budget) {
             return; // larger than the whole shard: use, don't park
         }
@@ -344,7 +303,7 @@ impl BlockCache {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mdb_types::{encode_block_v2, GapsMask};
+    use mdb_types::{encode_block_v2, GapsMask, SegmentRecord};
 
     fn records(gid: u32, n: usize) -> Vec<SegmentRecord> {
         (0..n)
@@ -360,33 +319,53 @@ mod tests {
             .collect()
     }
 
-    fn block(gid: u32, n: usize) -> (CachedBlock, usize) {
-        let payload = encode_block_v2(&records(gid, n));
-        let bytes = payload.len() + 40; // header-inclusive file footprint
-        let view = BlockView::parse(payload, n as u32).unwrap();
-        (CachedBlock::View(view), bytes)
+    fn view(gid: u32, n: usize) -> BlockView {
+        BlockView::parse(encode_block_v2(&records(gid, n)), n as u32).unwrap()
+    }
+
+    /// The summary of an `n`-segment block at `offset` stored in `format`,
+    /// charged its v2 payload plus a header.
+    fn meta(offset: u64, format: BlockFormat, n: usize) -> BlockMeta {
+        let payload_len = encode_block_v2(&records(0, n)).len() as u32;
+        BlockMeta {
+            offset,
+            stored_bytes: u64::from(payload_len) + 40,
+            payload_len,
+            format,
+            checksum: 0,
+            count: n as u32,
+            logical_bytes: 0,
+            min_gid: 0,
+            max_gid: 0,
+            min_start: 0,
+            min_end: 0,
+            max_end: 0,
+            values: None,
+        }
     }
 
     #[test]
     fn hits_after_first_load() {
         let cache = BlockCache::new(None);
-        let a = cache.get_or_load(0, || Ok(block(1, 4))).unwrap();
-        let b = cache.get_or_load(0, || panic!("must not reload")).unwrap();
+        let m = meta(0, BlockFormat::V2, 4);
+        let a = cache.get_or_load(&m, || Ok(view(1, 4))).unwrap();
+        let b = cache.get_or_load(&m, || panic!("must not reload")).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_segments, 4);
         assert_eq!(stats.decode_validations, 1);
         assert_eq!(stats.owned_decodes, 0);
-        assert_eq!(stats.bytes_read as usize, block(1, 4).1);
+        assert_eq!(stats.bytes_read, m.stored_bytes);
     }
 
     #[test]
     fn zero_budget_caches_nothing() {
         let cache = BlockCache::new(Some(0));
         assert!(cache.caches_nothing());
-        cache.get_or_load(0, || Ok(block(1, 4))).unwrap();
-        cache.get_or_load(0, || Ok(block(1, 4))).unwrap();
+        let m = meta(0, BlockFormat::V2, 4);
+        cache.get_or_load(&m, || Ok(view(1, 4))).unwrap();
+        cache.get_or_load(&m, || Ok(view(1, 4))).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);
@@ -396,11 +375,13 @@ mod tests {
 
     #[test]
     fn bounded_budget_evicts_lru_and_tracks_peak() {
-        let (_, block_bytes) = block(1, 8);
+        let block_bytes = meta(0, BlockFormat::V2, 8).stored_bytes as usize;
         // Room for about two blocks per shard, charged at file bytes.
         let cache = BlockCache::new(Some((block_bytes * 2 * SHARDS) as u64));
         for offset in 0..64u64 {
-            cache.get_or_load(offset, || Ok(block(1, 8))).unwrap();
+            cache
+                .get_or_load(&meta(offset, BlockFormat::V2, 8), || Ok(view(1, 8)))
+                .unwrap();
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "{stats:?}");
@@ -412,7 +393,9 @@ mod tests {
         assert!(stats.resident_bytes <= 2 * SHARDS * block_bytes);
         assert!(stats.peak_resident_segments <= 2 * SHARDS * 8 + 8);
         // Recently used blocks survive; the cache still answers correctly.
-        let last = cache.get_or_load(63, || Ok(block(9, 1))).unwrap();
+        let last = cache
+            .get_or_load(&meta(63, BlockFormat::V2, 1), || Ok(view(9, 1)))
+            .unwrap();
         assert_eq!(
             last.segment(0).gid,
             1,
@@ -423,56 +406,53 @@ mod tests {
     #[test]
     fn load_errors_propagate_and_cache_nothing() {
         let cache = BlockCache::new(None);
-        let err = cache.get_or_load(7, || Err(mdb_types::MdbError::Corrupt("boom".into())));
+        let m = meta(7, BlockFormat::V2, 2);
+        let err = cache.get_or_load(&m, || Err(mdb_types::MdbError::Corrupt("boom".into())));
         assert!(err.is_err());
         assert_eq!(cache.stats().resident_segments, 0);
         // A later good load works.
-        assert_eq!(cache.get_or_load(7, || Ok(block(2, 2))).unwrap().len(), 2);
+        assert_eq!(cache.get_or_load(&m, || Ok(view(2, 2))).unwrap().len(), 2);
     }
 
     #[test]
-    fn owned_blocks_serve_views_and_count_decodes() {
+    fn v1_blocks_serve_views_and_count_owned_decodes() {
         let cache = BlockCache::new(None);
-        let recs = records(3, 5);
-        let expected = recs.clone();
-        let cached = cache
-            .get_or_load(11, || Ok((CachedBlock::Owned(recs), 300)))
-            .unwrap();
+        let m = meta(11, BlockFormat::V1, 5);
+        let expected = records(3, 5);
+        let cached = cache.get_or_load(&m, || Ok(view(3, 5))).unwrap();
         for (view, record) in cached.segments().zip(&expected) {
             assert_eq!(view, record.view());
         }
         let stats = cache.stats();
         assert_eq!(stats.owned_decodes, 1);
         assert_eq!(stats.decode_validations, 0);
-        assert_eq!(stats.bytes_read, 300);
+        assert_eq!(stats.bytes_read, m.stored_bytes);
     }
 
     #[test]
     fn prefetched_blocks_hit_and_count_once() {
         let cache = BlockCache::new(None);
-        let (b, bytes) = block(2, 4);
-        assert!(cache.insert_prefetched(40, b, bytes));
+        let m = meta(40, BlockFormat::V2, 4);
+        assert!(cache.insert_prefetched(&m, view(2, 4)));
         assert!(cache.contains(40));
         // Re-staging the same offset is refused.
-        let (b2, bytes2) = block(2, 4);
-        assert!(!cache.insert_prefetched(40, b2, bytes2));
+        assert!(!cache.insert_prefetched(&m, view(2, 4)));
         // First demand fetch is a hit and counts as THE prefetch hit…
-        cache.get_or_load(40, || panic!("staged")).unwrap();
+        cache.get_or_load(&m, || panic!("staged")).unwrap();
         // …later fetches are plain hits.
-        cache.get_or_load(40, || panic!("staged")).unwrap();
+        cache.get_or_load(&m, || panic!("staged")).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.prefetch_issued, 1);
         assert_eq!(stats.prefetch_hits, 1);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 0);
-        assert_eq!(stats.bytes_read as usize, bytes);
+        assert_eq!(stats.bytes_read, m.stored_bytes);
     }
 
     #[test]
     fn zero_budget_refuses_prefetch() {
         let cache = BlockCache::new(Some(0));
-        let (b, bytes) = block(2, 4);
-        assert!(!cache.insert_prefetched(8, b, bytes));
+        assert!(!cache.insert_prefetched(&meta(8, BlockFormat::V2, 4), view(2, 4)));
         assert_eq!(cache.stats().prefetch_issued, 0);
     }
 }

@@ -19,12 +19,14 @@
 //! ```
 //!
 //! The log is heterogeneous: the magic selects the payload format per
-//! block, so a store reopened over v1 blocks keeps serving them through the
-//! owned-decode path while appending new blocks in the configured
-//! `write_format` (v2 by default) — v1 logs migrate lazily, block by block,
-//! as the log grows. A fetched v2 block is validated **once** into a
-//! [`BlockView`] and scanned through borrowed views: the scan path
-//! materializes no owned records and performs no per-segment allocation.
+//! block, so a store reopened over v1 blocks keeps them as they are while
+//! appending new blocks in the configured `write_format` (v2 by default).
+//! The read path knows one block form: every fetched payload becomes a
+//! [`BlockView`] in one place (`block_view`) — a v2 payload is validated
+//! **once**, a v1 payload is decoded and re-laid out as v2 first. Scans
+//! hand out runs that borrow the block or the write buffer and read them
+//! through borrowed views: the scan path copies no records and performs no
+//! per-segment allocation.
 //!
 //! Writes are buffered until `bulk_write_size` segments accumulate (Table 1:
 //! Bulk Write Size 50,000) or `flush` is called; each flush appends one
@@ -64,11 +66,11 @@ use std::thread::JoinHandle;
 
 use mdb_types::{
     encode_block_v2, BlockFormat, BlockMeta, BlockSketch, BlockView, Gid, MdbError, Result,
-    SegmentRecord, Tid, TimeLevel, Timestamp, ValueInterval,
+    SegmentRecord, SegmentView, Tid, TimeLevel, Timestamp, ValueInterval,
 };
 
 use crate::backend::{Backend, FileBackend, MemoryBackend};
-use crate::cache::{BlockCache, CacheStats, CachedBlock};
+use crate::cache::{BlockCache, CacheStats};
 use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
 use crate::digest::{Absorber, DigestStats, GroupSketches, SegmentDigester};
 use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
@@ -288,8 +290,10 @@ fn prefetch_loop(
             if read_ok && !cache.contains(meta.offset) {
                 let payload = &buffer[at + HEADER_BYTES..at + stored];
                 if payload_checksum(meta.format, payload) == meta.checksum {
-                    if let Ok(block) = decode_cached(payload.to_vec(), meta) {
-                        cache.insert_prefetched(meta.offset, block, stored);
+                    if let Ok(block) =
+                        block_view(payload.to_vec(), meta.format, meta.count, meta.offset)
+                    {
+                        cache.insert_prefetched(meta, block);
                     }
                 }
             }
@@ -466,12 +470,12 @@ impl DiskStore {
         false
     }
 
-    /// Fetches one block through the cache, reading (and for v2 validating,
-    /// for v1 decoding) it on a miss. The payload checksum is verified on
-    /// every read from the backend, so silent corruption surfaces as
+    /// Fetches one block through the cache, reading it and turning it into
+    /// a [`BlockView`] on a miss. The payload checksum is verified on every
+    /// read from the backend, so silent corruption surfaces as
     /// [`MdbError::Corrupt`] instead of bad query results.
-    fn fetch_block(&self, meta: &BlockMeta) -> Result<Arc<CachedBlock>> {
-        self.cache.get_or_load(meta.offset, || {
+    fn fetch_block(&self, meta: &BlockMeta) -> Result<Arc<BlockView>> {
+        self.cache.get_or_load(meta, || {
             let mut payload = vec![0u8; meta.payload_len as usize];
             self.backend
                 .read_at(meta.offset + HEADER_BYTES as u64, &mut payload)?;
@@ -481,7 +485,7 @@ impl DiskStore {
                     meta.offset
                 )));
             }
-            Ok((decode_cached(payload, meta)?, meta.stored_bytes as usize))
+            block_view(payload, meta.format, meta.count, meta.offset)
         })
     }
 
@@ -540,56 +544,31 @@ impl DiskStore {
     }
 }
 
-/// Emits maximal contiguous runs of `segments` matching `predicate` to `f`
-/// (zero-copy: runs borrow the block or buffer they live in).
-fn emit_matching_runs(
-    segments: &[SegmentRecord],
-    predicate: &SegmentPredicate,
-    f: &mut dyn FnMut(&[SegmentRecord]),
-) {
-    if predicate.matches_every_segment() {
-        if !segments.is_empty() {
-            f(segments);
-        }
-        return;
-    }
-    let mut run_start = None;
-    for (i, segment) in segments.iter().enumerate() {
-        if predicate.matches(segment) {
-            run_start.get_or_insert(i);
-        } else if let Some(start) = run_start.take() {
-            f(&segments[start..i]);
-        }
-    }
-    if let Some(start) = run_start {
-        f(&segments[start..]);
-    }
-}
-
-/// Emits maximal contiguous index ranges `[lo, hi)` of `block`'s segments
+/// Emits the maximal contiguous index ranges `[lo, hi)` of `segments`
 /// matching `predicate` — evaluated over borrowed views, so no segment is
 /// materialized to decide membership.
-fn emit_view_runs(
-    block: &CachedBlock,
+fn emit_runs<'v>(
+    segments: impl ExactSizeIterator<Item = SegmentView<'v>>,
     predicate: &SegmentPredicate,
-    f: &mut dyn FnMut(usize, usize),
+    mut f: impl FnMut(usize, usize),
 ) {
+    let len = segments.len();
     if predicate.matches_every_segment() {
-        if !block.is_empty() {
-            f(0, block.len());
+        if len > 0 {
+            f(0, len);
         }
         return;
     }
     let mut run_start = None;
-    for i in 0..block.len() {
-        if predicate.matches_view(&block.segment(i)) {
+    for (i, segment) in segments.enumerate() {
+        if predicate.matches(&segment) {
             run_start.get_or_insert(i);
         } else if let Some(start) = run_start.take() {
             f(start, i);
         }
     }
     if let Some(start) = run_start {
-        f(start, block.len());
+        f(start, len);
     }
 }
 
@@ -645,45 +624,30 @@ fn payload_checksum(format: BlockFormat, payload: &[u8]) -> u32 {
     }
 }
 
-/// Turns one checksum-verified payload into the cache's representation:
-/// v2 payloads are validated once into a zero-copy [`BlockView`], v1
-/// payloads are decoded into owned records.
-fn decode_cached(payload: Vec<u8>, meta: &BlockMeta) -> Result<CachedBlock> {
-    match meta.format {
-        BlockFormat::V2 => BlockView::parse(payload, meta.count)
-            .map(CachedBlock::View)
-            .ok_or_else(|| {
-                MdbError::Corrupt(format!(
-                    "v2 block at offset {} passed its checksum but failed layout validation",
-                    meta.offset
-                ))
-            }),
+/// Turns one checksum-verified payload of the block at `offset` into a
+/// [`BlockView`], the one block form the read path knows: a v2 payload is
+/// validated as it is, a v1 payload is decoded and re-laid out as v2 first.
+/// The demand fetch, the prefetcher and the recovery rescan all read
+/// blocks through here.
+fn block_view(payload: Vec<u8>, format: BlockFormat, count: u32, offset: u64) -> Result<BlockView> {
+    let corrupt = |what: &str| {
+        MdbError::Corrupt(format!(
+            "block at offset {offset} passed its checksum but failed {what}"
+        ))
+    };
+    let payload = match format {
         BlockFormat::V1 => {
-            decode_block(&payload, meta.count as usize, meta.offset).map(CachedBlock::Owned)
-        }
-    }
-}
-
-/// Decodes one v1 block payload into segment records.
-fn decode_block(payload: &[u8], count: usize, offset: u64) -> Result<Vec<SegmentRecord>> {
-    let mut slice = payload;
-    let mut segments = Vec::with_capacity(count);
-    for _ in 0..count {
-        match read_segment(&mut slice) {
-            Some(s) => segments.push(s),
-            None => {
-                return Err(MdbError::Corrupt(format!(
-                    "block at offset {offset} passed its checksum but failed to decode"
-                )))
+            let mut rest = payload.as_slice();
+            let records: Option<Vec<SegmentRecord>> =
+                (0..count).map(|_| read_segment(&mut rest)).collect();
+            match records {
+                Some(records) if rest.is_empty() => encode_block_v2(&records),
+                _ => return Err(corrupt("to decode")),
             }
         }
-    }
-    if !slice.is_empty() {
-        return Err(MdbError::Corrupt(format!(
-            "block at offset {offset} passed its checksum but failed to decode"
-        )));
-    }
-    Ok(segments)
+        BlockFormat::V2 => payload,
+    };
+    BlockView::parse(payload, count).ok_or_else(|| corrupt("layout validation"))
 }
 
 /// What `open` recovered without keeping any segment bodies resident.
@@ -822,16 +786,8 @@ fn scan_blocks_from(
         }
         // The one-time rescan materializes records whatever the format —
         // every statistic needs every segment once.
-        let segments = match format {
-            BlockFormat::V1 => decode_block(&payload, count as usize, offset)?,
-            BlockFormat::V2 => BlockView::parse(payload.clone(), count)
-                .ok_or_else(|| {
-                    MdbError::Corrupt(format!(
-                        "v2 block at offset {offset} passed its checksum but failed layout validation"
-                    ))
-                })?
-                .to_records(),
-        };
+        let segments =
+            block_view(std::mem::take(&mut payload), format, count, offset)?.to_records();
         // Absorbed in log order — the order the insert path absorbed them
         // in originally — so block value ranges, rollup cells (rebuilt, or
         // extended on a suffix scan) and the running sketches come out as
@@ -899,7 +855,11 @@ impl SegmentStore for DiskStore {
         self.write_block()
     }
 
-    fn scan_runs(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(SegmentRun)) -> Result<()> {
+    fn scan_runs(
+        &self,
+        predicate: &SegmentPredicate,
+        f: &mut dyn FnMut(SegmentRun<'_>),
+    ) -> Result<()> {
         let sorted_gids: Option<Vec<Gid>> = predicate.gids.as_ref().map(|gids| {
             let mut sorted = gids.clone();
             sorted.sort_unstable();
@@ -956,18 +916,22 @@ impl SegmentStore for DiskStore {
                 prefetch.state.wait_for(meta.offset);
             }
             let block = self.fetch_block(meta)?;
-            emit_view_runs(&block, predicate, &mut |lo, hi| {
+            let segments = (0..block.len()).map(|i| block.segment(i));
+            emit_runs(segments, predicate, |lo, hi| {
                 f(SegmentRun::Block {
-                    block: Arc::clone(&block),
+                    block: &block,
                     lo,
                     hi,
                 })
             });
         }
         // Buffered (not yet durable) segments scan last, in insert order.
-        emit_matching_runs(&self.write_buffer, predicate, &mut |run| {
-            f(SegmentRun::Inline(run.to_vec()))
-        });
+        let buffer = &self.write_buffer;
+        emit_runs(
+            buffer.iter().map(SegmentRecord::view),
+            predicate,
+            |lo, hi| f(SegmentRun::Buffered(&buffer[lo..hi])),
+        );
         Ok(())
     }
 

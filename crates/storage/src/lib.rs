@@ -20,7 +20,8 @@
 //! * [`sidecar`] — the checksummed, versioned `segments.idx` summary of the
 //!   log (block statistics, per-group running sketches, rollup cells as
 //!   compressed per-series columns) that makes fast reopen possible.
-//! * [`cache`] — the sharded LRU [`BlockCache`] of decoded blocks.
+//! * [`cache`] — the sharded LRU [`BlockCache`] of fetched blocks, each one
+//!   [`BlockView`] whatever the payload format it was read from.
 //! * [`digest`] — the one insert-time pass inserts, imports and recovery
 //!   derive stored-value ranges, rollup cells and per-group sketches
 //!   through: the store's one [`SegmentDigester`], with one reconstruction
@@ -35,14 +36,12 @@ pub mod disk;
 pub mod rollup;
 pub mod sidecar;
 
-use std::sync::Arc;
-
 use mdb_types::{
-    BlockMeta, BlockSketch, Gid, Result, SegmentRecord, SegmentView, Tid, TimeLevel, Timestamp,
-    ValueInterval,
+    BlockMeta, BlockSketch, BlockView, Gid, Result, SegmentRecord, SegmentView, Tid, TimeLevel,
+    Timestamp, ValueInterval,
 };
 
-pub use cache::{BlockCache, CacheStats, CachedBlock};
+pub use cache::{BlockCache, CacheStats};
 pub use catalog::Catalog;
 pub use codec::{checksum, checksum_v2};
 pub use digest::{Digest, DigestBuf, DigestStats, SegmentDigester};
@@ -111,13 +110,7 @@ impl SegmentPredicate {
     /// Whether `segment` satisfies the gid and time parts of the predicate.
     /// The `values` part is block-granular: it cannot be decided per segment
     /// without decoding the model, so it is intentionally not checked here.
-    pub fn matches(&self, segment: &SegmentRecord) -> bool {
-        self.matches_view(&segment.view())
-    }
-
-    /// [`SegmentPredicate::matches`] over a borrowed view — the form the
-    /// zero-copy scan path evaluates without materializing a record.
-    pub fn matches_view(&self, segment: &SegmentView<'_>) -> bool {
+    pub fn matches(&self, segment: &SegmentView<'_>) -> bool {
         if let Some(gids) = &self.gids {
             if !gids.contains(&segment.gid) {
                 return false;
@@ -195,52 +188,35 @@ impl From<&BlockMeta> for SegmentEnvelope {
 }
 
 /// One contiguous run of matching segments as [`SegmentStore::scan_runs`]
-/// yields it: either a slice `[lo, hi)` of a cached block — shared, so the
-/// consumer holds the block alive and reads segments as borrowed views with
-/// no per-segment allocation — or a small owned batch (the write buffer).
-#[derive(Debug)]
-pub enum SegmentRun {
-    /// Segments `lo..hi` of a cached on-disk block.
+/// yields it, borrowed for the callback: segments `lo..hi` of a fetched
+/// block, or a slice of the write buffer. Either way its segments are read
+/// as borrowed views with no per-segment allocation.
+#[derive(Debug, Clone, Copy)]
+pub enum SegmentRun<'a> {
+    /// Segments `lo..hi` of a fetched on-disk block.
     Block {
-        /// The cached block the run borrows from.
-        block: Arc<CachedBlock>,
+        /// The block the run borrows from.
+        block: &'a BlockView,
         /// First matching segment index (inclusive).
         lo: usize,
         /// One past the last matching segment index.
         hi: usize,
     },
-    /// An owned batch of buffered segments (not yet in a block).
-    Inline(Vec<SegmentRecord>),
+    /// Buffered segments, not yet in a block.
+    Buffered(&'a [SegmentRecord]),
 }
 
-impl SegmentRun {
-    /// Number of segments in the run.
-    pub fn len(&self) -> usize {
-        match self {
-            SegmentRun::Block { lo, hi, .. } => hi - lo,
-            SegmentRun::Inline(records) => records.len(),
-        }
-    }
-
-    /// True when the run is empty (stores never emit empty runs).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th segment of the run as a borrowed view.
-    pub fn segment(&self, i: usize) -> SegmentView<'_> {
-        match self {
-            SegmentRun::Block { block, lo, hi } => {
-                debug_assert!(lo + i < *hi);
-                block.segment(lo + i)
-            }
-            SegmentRun::Inline(records) => records[i].view(),
-        }
-    }
-
+impl<'a> SegmentRun<'a> {
     /// Iterates the run's segments in scan order.
-    pub fn segments(&self) -> impl Iterator<Item = SegmentView<'_>> + '_ {
-        (0..self.len()).map(|i| self.segment(i))
+    pub fn segments(self) -> impl Iterator<Item = SegmentView<'a>> {
+        let range = match self {
+            SegmentRun::Block { lo, hi, .. } => lo..hi,
+            SegmentRun::Buffered(records) => 0..records.len(),
+        };
+        range.map(move |i| match self {
+            SegmentRun::Block { block, .. } => block.segment(i),
+            SegmentRun::Buffered(records) => records[i].view(),
+        })
     }
 }
 
@@ -262,13 +238,17 @@ pub trait SegmentStore: Send + Sync {
     /// [`SegmentRun`]s, in a **deterministic** order — [`DiskStore`] yields
     /// log (insertion) order, write buffer last. Scanning the same store
     /// state twice always yields the same sequence — the invariant the
-    /// bit-identical query guarantees are built on. A run's segments are
-    /// read as borrowed [`SegmentView`]s: a block-backed run shares the
-    /// cached block itself, so the aggregate scan path materializes no owned
-    /// records at all. [`DiskStore`] checks each block's
+    /// bit-identical query guarantees are built on. A run borrows the
+    /// fetched block or the write buffer for the callback only, and its
+    /// segments are read as borrowed [`SegmentView`]s, so the aggregate scan
+    /// path materializes and copies no records. [`DiskStore`] checks each block's
     /// [`mdb_types::BlockMeta`] statistics here and skips, before fetching
     /// it, every block whose gid, time or stored-value range cannot match.
-    fn scan_runs(&self, predicate: &SegmentPredicate, f: &mut dyn FnMut(SegmentRun)) -> Result<()>;
+    fn scan_runs(
+        &self,
+        predicate: &SegmentPredicate,
+        f: &mut dyn FnMut(SegmentRun<'_>),
+    ) -> Result<()>;
 
     /// Collects every segment of the given groups, preserving the store's
     /// deterministic scan order and its run boundaries — the unit a cluster
@@ -361,7 +341,7 @@ pub trait SegmentStore: Send + Sync {
     /// [`DiskStore`]; the same count either way.
     fn persistent_bytes(&self) -> u64;
 
-    /// Segments currently resident as decoded blocks or buffered records:
+    /// Segments currently resident as fetched blocks or buffered records:
     /// for [`DiskStore`] the block cache plus the write buffer.
     fn resident_segments(&self) -> usize {
         self.len()
@@ -420,7 +400,8 @@ mod tests {
 
     #[test]
     fn predicate_matches_gid_and_interval_overlap() {
-        let s = seg(3, 1_000, 2_000);
+        let record = seg(3, 1_000, 2_000);
+        let s = record.view();
         assert!(SegmentPredicate::all().matches(&s));
         assert!(SegmentPredicate::for_gids(vec![3]).matches(&s));
         assert!(!SegmentPredicate::for_gids(vec![4]).matches(&s));

@@ -18,7 +18,7 @@ use crate::meta::Gid;
 /// the configured write format, dispatching per block on the header magic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockFormat {
-    /// Row-major varint segments, decoded into owned records on fetch.
+    /// Row-major varint segments, re-laid out as v2 when a block is read.
     V1,
     /// Self-describing columnar layout ([`crate::view::BlockView`]),
     /// validated once per fetch and scanned through borrowed views.

@@ -203,7 +203,8 @@ const SCAN_PROBES: [&str; 2] = [
 
 /// A v1 and a v2 store over the same ingest answer the scan probes
 /// bit-identically, served from rollup cells and scanned alike; the scan
-/// decodes every v1 block into owned records and no v2 block.
+/// decodes every v1 block once and re-lays it out as v2, and decodes no v2
+/// block into records.
 #[test]
 fn v1_and_v2_stores_answer_the_scan_probes_identically() {
     let (v1_dir, v2_dir) = (TempDir::new("cache-eq-v1"), TempDir::new("cache-eq-v2"));
@@ -318,45 +319,52 @@ fn mixed_format_logs_with_buffered_segments_answer_like_all_v2_logs() {
 
 /// A cold full scan with the prefetcher on brings every block in exactly
 /// once, through a prefetch or a demand miss, and reads exactly the log's
-/// persistent bytes; no block is decoded into owned records.
+/// persistent bytes — over a v2 log, where no block is decoded into
+/// records, and over a v1 log, where every block is decoded once and
+/// re-laid out as v2.
 #[test]
 fn cold_prefetching_scan_reads_every_block_once() {
-    let dir = TempDir::new("cache-eq-cold");
-    {
-        // A flush every 50 ticks cuts a block each time, so the prefetcher
-        // has many blocks to read ahead of the scan.
-        let mut db = build(&dir, None, 0, BlockFormat::V2);
-        let mut x = 99u32;
-        for t in 0..SJ_TICKS {
-            db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
-            if t % 50 == 49 {
-                db.flush().unwrap();
+    for format in [BlockFormat::V1, BlockFormat::V2] {
+        let dir = TempDir::new("cache-eq-cold");
+        {
+            // A flush every 50 ticks cuts a block each time, so the
+            // prefetcher has many blocks to read ahead of the scan.
+            let mut db = build(&dir, None, 0, format);
+            let mut x = 99u32;
+            for t in 0..SJ_TICKS {
+                db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
+                if t % 50 == 49 {
+                    db.flush().unwrap();
+                }
             }
+            db.flush().unwrap();
         }
-        db.flush().unwrap();
-    }
-    let store = DiskStore::open_with(
-        dir.path(),
-        DiskStoreOptions {
-            bulk_write_size: BULK_WRITE,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let (blocks, persistent) = (store.block_count() as u64, store.persistent_bytes());
-    drop(store);
-    assert!(
-        blocks >= 8,
-        "the fixture must span many blocks, got {blocks}"
-    );
+        let store = DiskStore::open_with(
+            dir.path(),
+            DiskStoreOptions {
+                bulk_write_size: BULK_WRITE,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let (blocks, persistent) = (store.block_count() as u64, store.persistent_bytes());
+        drop(store);
+        assert!(
+            blocks >= 8,
+            "the fixture must span many blocks, got {blocks}"
+        );
 
-    let mut db = build(&dir, None, 256, BlockFormat::V2);
-    db.set_rollup_serve(false);
-    for probe in SCAN_PROBES {
-        db.sql(probe).unwrap();
+        let mut db = build(&dir, None, 256, format);
+        db.set_rollup_serve(false);
+        for probe in SCAN_PROBES {
+            db.sql(probe).unwrap();
+        }
+        let stats = db.cache_stats();
+        assert_eq!(stats.prefetch_issued + stats.misses, blocks);
+        assert_eq!(stats.bytes_read, persistent);
+        match format {
+            BlockFormat::V1 => assert_eq!(stats.owned_decodes, blocks),
+            BlockFormat::V2 => assert_eq!(stats.owned_decodes, 0),
+        }
     }
-    let stats = db.cache_stats();
-    assert_eq!(stats.prefetch_issued + stats.misses, blocks);
-    assert_eq!(stats.bytes_read, persistent);
-    assert_eq!(stats.owned_decodes, 0);
 }

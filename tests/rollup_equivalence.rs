@@ -830,7 +830,7 @@ impl mdb_storage::SegmentStore for ScanCounter<'_> {
     fn scan_runs(
         &self,
         predicate: &mdb_storage::SegmentPredicate,
-        f: &mut dyn FnMut(mdb_storage::SegmentRun),
+        f: &mut dyn FnMut(mdb_storage::SegmentRun<'_>),
     ) -> modelardb::Result<()> {
         self.scans
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
