@@ -162,14 +162,12 @@ impl BlockCache {
         meta: &BlockMeta,
         load: impl FnOnce() -> Result<BlockView>,
     ) -> Result<Arc<BlockView>> {
+        let offset = meta.offset;
         {
-            let mut shard = self
-                .shard_of(meta.offset)
-                .lock()
-                .expect("cache shard poisoned");
+            let mut shard = self.shard_of(offset).lock().expect("cache shard poisoned");
             let tick = shard.tick + 1;
             shard.tick = tick;
-            if let Some(entry) = shard.entries.get_mut(&meta.offset) {
+            if let Some(entry) = shard.entries.get_mut(&offset) {
                 entry.last_used = tick;
                 if entry.prefetched {
                     entry.prefetched = false;
