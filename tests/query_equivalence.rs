@@ -3,14 +3,23 @@
 //! via the Segment View must agree with executing on *reconstructed points*
 //! via the Data Point View — that is the paper's licence to answer OLAP
 //! queries from segments in constant time per segment.
+//!
+//! The count-only suite ([`count_only_aggregates_agree_on_ep_like_data`],
+//! [`count_only_aggregates_agree_on_eh_like_data`]) checks every `COUNT_S`
+//! and `CUBE_COUNT_*` shape against the same query with `SUM_S` added and
+//! against the Data Point View's `COUNT`, on the engine with pruning and
+//! rollup serving on and off and on a two-worker rf=2 cluster.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mdb_bench::{build_engine, ingest_engine};
-use mdb_datagen::{ep, Scale};
-use mdb_models::{MID_PMC_MEAN, MID_SWING};
+use mdb_bench::{build_engine, catalog_from_dataset, ingest_engine};
+use mdb_datagen::{eh, ep, Dataset, Scale};
+use mdb_models::{MID_GORILLA, MID_PMC_MEAN, MID_SWING};
 use modelardb::{
-    Cell, CorrelationSpec, DimensionSchema, ErrorBound, ModelarDb, ModelarDbBuilder, QueryResult,
+    Catalog, Cell, Cluster, ClusterConfig, CompressionConfig, Config, CorrelationSpec, Datastore,
+    DimensionSchema, ErrorBound, ModelRegistry, ModelarDb, ModelarDbBuilder, QueryResult,
     ScalingHint, SeriesSpec,
 };
 
@@ -530,4 +539,268 @@ proptest! {
         let count = count.rows.first().and_then(|r| r[0].as_i64()).unwrap_or(0);
         prop_assert_eq!(count as usize, listing.rows.len());
     }
+}
+
+const HOUR_MS: i64 = 3_600_000;
+/// 2021-02-01T00:00:00Z: an hour, day and month boundary at once.
+const FEB_1_2021: i64 = 1_612_137_600_000;
+
+/// The scalings the count-only fixtures assign, one negative.
+const SCALINGS: [f64; 4] = [-1.5, 4.75, 1.0, 0.5];
+
+/// A count-only fixture: EP- or EH-like data over `ticks` ticks whose
+/// middle tick is the hour, day and month boundary of February 1st, with
+/// series dropping out in windows of 40 ticks far more often than the
+/// generators' defaults, and every series scaled (one scaling negative):
+/// per group on EP, so PMC-Mean and Swing still fit, and per series on the
+/// lossless EH, which leaves Gorilla.
+fn count_fixture(eh_like: bool, ticks: u64) -> (Dataset, Arc<Catalog>, ErrorBound) {
+    let mut ds = if eh_like {
+        eh(5, Scale::tiny())
+    } else {
+        ep(5, Scale::tiny())
+    }
+    .unwrap();
+    ds.start = FEB_1_2021 - ds.profile.si_ms * (ticks / 2) as i64;
+    ds.profile.gap_probability = 0.3;
+    ds.profile.gap_window = 40;
+    let mut catalog = (*catalog_from_dataset(&ds, &ds.correlation_spec()).unwrap()).clone();
+    let groups: Vec<Vec<u32>> = catalog.groups.iter().map(|g| g.tids.clone()).collect();
+    for meta in &mut catalog.series {
+        let group = groups
+            .iter()
+            .position(|tids| tids.contains(&meta.tid))
+            .unwrap();
+        let pick = if eh_like { meta.tid as usize } else { group };
+        meta.scaling = SCALINGS[pick % SCALINGS.len()];
+    }
+    let bound = if eh_like {
+        ErrorBound::Lossless
+    } else {
+        ErrorBound::relative(5.0)
+    };
+    (ds, Arc::new(catalog), bound)
+}
+
+/// Every deployment the count-only suite compares, loaded with the same
+/// batches: the engine with block pruning on and off, each with rollup
+/// serving on and off, and a two-worker cluster at replication factor 2.
+fn count_systems(
+    ds: &Dataset,
+    catalog: &Arc<Catalog>,
+    bound: ErrorBound,
+    ticks: u64,
+) -> Vec<(String, Box<dyn Datastore>)> {
+    let mut systems: Vec<(String, Box<dyn Datastore>)> = Vec::new();
+    for pruning in [true, false] {
+        for serve in [true, false] {
+            let mut config = Config::default();
+            config.compression.error_bound = bound;
+            config.bulk_write_size = 16;
+            config.zone_pruning = pruning;
+            let registry = Arc::new(ModelRegistry::standard());
+            let mut db = ModelarDb::from_catalog(Arc::clone(catalog), registry, config).unwrap();
+            for batch in ds.batches(ticks, 64) {
+                db.ingest_batch(&batch).unwrap();
+            }
+            db.flush().unwrap();
+            db.set_rollup_serve(serve);
+            let label = format!("engine, pruning {pruning}, serving {serve}");
+            systems.push((label, Box::new(db)));
+        }
+    }
+    let mut config = ClusterConfig::with_compression(CompressionConfig {
+        error_bound: bound,
+        ..Default::default()
+    });
+    config.replication_factor = 2;
+    config.bulk_write_size = 16;
+    let registry = Arc::new(ModelRegistry::standard());
+    let mut cluster = Cluster::start_with(Arc::clone(catalog), registry, config, 2).unwrap();
+    for batch in ds.batches(ticks, 64) {
+        cluster.ingest_batch(&batch).unwrap();
+    }
+    Datastore::flush(&mut cluster).unwrap();
+    systems.push(("cluster, 2 workers, rf=2".into(), Box::new(cluster)));
+    systems
+}
+
+/// The count-only panel over a fixture: `(head, level, tail)` makes
+/// `SELECT {head}{aggregates} FROM {view} {tail}`, the aggregates being
+/// `COUNT_S(*)`, or `CUBE_COUNT_{level}(*)` with a level. `member` is a
+/// member predicate and `column` a dimension level to group by; the `TS`
+/// windows cut segments and hour edges, and the `StartTime`/`EndTime`
+/// comparisons cut through segments.
+fn count_panel(
+    ds: &Dataset,
+    ticks: u64,
+    member: &str,
+    column: &str,
+) -> Vec<(String, Option<&'static str>, String)> {
+    let si = ds.profile.si_ms;
+    let mid = ds.timestamp(ticks / 3) + si / 2;
+    let filters = [
+        String::new(),
+        format!(
+            "TS >= {} AND TS <= {}",
+            ds.timestamp(37) + 1,
+            ds.timestamp(ticks - 23) - 1
+        ),
+        format!(
+            "TS >= {} AND TS < {}",
+            FEB_1_2021 - 7 * si - 1,
+            FEB_1_2021 + 11 * si
+        ),
+        format!(
+            "TS >= {} AND TS <= {}",
+            FEB_1_2021 - HOUR_MS,
+            FEB_1_2021 + HOUR_MS - 1
+        ),
+        format!("StartTime >= {mid}"),
+        format!("EndTime <= {mid}"),
+        format!(
+            "StartTime > {} AND EndTime < {} AND TS >= {}",
+            ds.timestamp(10),
+            ds.timestamp(ticks - 10),
+            ds.timestamp(ticks / 4) + 1
+        ),
+        "Tid IN (1, 4, 5)".into(),
+        member.into(),
+    ];
+    let mut panel = Vec::new();
+    for filter in &filters {
+        let filter = if filter.is_empty() {
+            String::new()
+        } else {
+            format!("WHERE {filter}")
+        };
+        panel.push((String::new(), None, filter.clone()));
+        for group in ["Tid", "Entity", column] {
+            let tail = format!("{filter} GROUP BY {group} ORDER BY {group}");
+            panel.push((format!("{group}, "), None, tail));
+        }
+        for level in ["HOUR", "DAY"] {
+            panel.push((String::new(), Some(level), filter.clone()));
+            panel.push((
+                "Tid, ".into(),
+                Some(level),
+                format!("{filter} GROUP BY Tid"),
+            ));
+        }
+    }
+    panel
+}
+
+/// Runs the count-only panel on every deployment. On each, a count-only
+/// query's rows are, bit for bit, the same query's with `SUM_S` added, its
+/// last column dropped, and the Data Point View's `COUNT`; every deployment
+/// gives the first one's rows.
+fn check_count_panel(eh_like: bool, member: &str, column: &str) {
+    let ticks = if eh_like { 720 } else { 400 };
+    let (ds, catalog, bound) = count_fixture(eh_like, ticks);
+    let systems = count_systems(&ds, &catalog, bound, ticks);
+    let panel = count_panel(&ds, ticks, member, column);
+    let mut reference: Vec<Vec<Vec<Cell>>> = Vec::new();
+    let mut non_empty = 0;
+    for (label, system) in &systems {
+        for (i, (head, level, tail)) in panel.iter().enumerate() {
+            let (count, sum, point) = match level {
+                None => (
+                    "COUNT_S(*)".to_string(),
+                    "SUM_S(*)".to_string(),
+                    "COUNT(Value)".to_string(),
+                ),
+                Some(l) => (
+                    format!("CUBE_COUNT_{l}(*)"),
+                    format!("CUBE_SUM_{l}(*)"),
+                    format!("CUBE_COUNT_{l}(Value)"),
+                ),
+            };
+            let sql = format!("SELECT {head}{count} FROM Segment {tail}");
+            let counts = system.sql(&sql).unwrap();
+            let with_sum = system
+                .sql(&format!("SELECT {head}{count}, {sum} FROM Segment {tail}"))
+                .unwrap();
+            let points = system
+                .sql(&format!("SELECT {head}{point} FROM DataPoint {tail}"))
+                .unwrap();
+            let width = counts.columns.len();
+            let summed: Vec<Vec<Cell>> = with_sum
+                .rows
+                .iter()
+                .map(|row| row[..width].to_vec())
+                .collect();
+            assert_eq!(counts.rows, summed, "{label}: {sql} against SUM_S added");
+            assert_eq!(counts.columns, points.columns, "{label}: {sql}");
+            assert_eq!(
+                counts.rows, points.rows,
+                "{label}: {sql} against the Data Point View"
+            );
+            if reference.len() == i {
+                non_empty += usize::from(!counts.rows.is_empty());
+                reference.push(counts.rows);
+            } else {
+                assert_eq!(
+                    counts.rows, reference[i],
+                    "{label}: {sql} against {}",
+                    systems[0].0
+                );
+            }
+        }
+    }
+    assert!(
+        non_empty * 10 >= panel.len() * 9,
+        "the panel counts points: {non_empty} of {}",
+        panel.len()
+    );
+}
+
+/// The count-only suite's data, checked once: EP-like segments mix
+/// PMC-Mean and Swing with Gorilla, EH-like ones are mostly Gorilla, and
+/// both hold gaps.
+#[test]
+fn count_fixtures_hold_gaps_and_their_data_sets_models() {
+    for (eh_like, ticks) in [(false, 400), (true, 720)] {
+        let (ds, catalog, bound) = count_fixture(eh_like, ticks);
+        let mut config = Config::default();
+        config.compression.error_bound = bound;
+        let registry = Arc::new(ModelRegistry::standard());
+        let mut db = ModelarDb::from_catalog(catalog, registry, config).unwrap();
+        for batch in ds.batches(ticks, 64) {
+            db.ingest_batch(&batch).unwrap();
+        }
+        db.flush().unwrap();
+        let segments = db.segments().unwrap();
+        let gorilla = segments.iter().filter(|s| s.mid == MID_GORILLA).count();
+        assert!(
+            segments.iter().any(|s| s.gaps.count_missing() > 0),
+            "{}: gaps",
+            ds.name
+        );
+        if eh_like {
+            assert!(
+                gorilla * 2 > segments.len(),
+                "EH: {gorilla} of {} Gorilla",
+                segments.len()
+            );
+        } else {
+            let closed = segments
+                .iter()
+                .filter(|s| matches!(s.mid, MID_PMC_MEAN | MID_SWING));
+            assert!(
+                closed.count() * 2 > segments.len(),
+                "EP: mostly closed forms"
+            );
+        }
+    }
+}
+
+#[test]
+fn count_only_aggregates_agree_on_ep_like_data() {
+    check_count_panel(false, "Entity = 'entity1'", "Type");
+}
+
+#[test]
+fn count_only_aggregates_agree_on_eh_like_data() {
+    check_count_panel(true, "Park = 'park0'", "Park");
 }
