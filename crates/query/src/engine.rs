@@ -121,6 +121,27 @@ struct Plan {
     keys: Arc<KeyPlan>,
     /// Only the Segment View may aggregate on the models directly.
     use_models: bool,
+    /// A Segment View aggregate of `COUNT`s alone, without a `Value`
+    /// filter: each term is its tick range's length, read from the
+    /// segment's metadata, so no model is evaluated or reconstructed (its
+    /// blocks are still fetched and checksum-verified). The Data Point
+    /// View's aggregates are over reconstructed points, so it reconstructs.
+    counts_only: bool,
+}
+
+/// What a listing column lists, resolved once per query.
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    Tid,
+    StartTime,
+    EndTime,
+    Si,
+    Mid,
+    Gaps,
+    Ts,
+    Value,
+    /// A dimension level: `(dimension, level)`.
+    Member(usize, usize),
 }
 
 /// Listing rows per group, in ascending gid order.
@@ -804,8 +825,13 @@ impl<'a> QueryEngine<'a> {
             }
         }
         let edge = mdb_storage::rollup::finest_level(&levels).or(cube);
+        let counts = !query
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Agg { func, .. } if *func != AggFunc::Count));
         Ok(Plan {
             tiling: edge.map(|edge| Tiling::new(rw.ts_from, rw.ts_to, &levels, edge)),
+            counts_only: counts && query.view == View::Segment && rw.values.is_none(),
             rw,
             keys,
             use_models: query.view == View::Segment,
@@ -1215,13 +1241,15 @@ impl<'a> QueryEngine<'a> {
 
     /// The term of the series at `series_pos` over the tick `range`: its
     /// model aggregate, or under a `Value` filter the points that pass
-    /// (possibly none). On the Segment View, which may use the models, a
-    /// monotone model answers the filter from the sub-range where its
-    /// values lie in it ([`SegmentCursor::crossing_term`]), and a series
-    /// whose closed form misses the filter has no point that passes. Any
-    /// other series is reconstructed from the grid and its passing points
-    /// folded in tick order — except that in a `whole` tile, a range whose
-    /// every point passes a model with attained extremes contributes its
+    /// (possibly none). A count-only plan's term is the range's length
+    /// alone, so a segment whose parameters do not decode is still
+    /// counted. On the Segment View, which may use the models, a monotone
+    /// model answers the filter from the sub-range where its values lie in
+    /// it ([`SegmentCursor::crossing_term`]), and a series whose closed
+    /// form misses the filter has no point that passes. Any other series
+    /// is reconstructed from the grid and its passing points folded in
+    /// tick order — except that in a `whole` tile, a range whose every
+    /// point passes a model with attained extremes contributes its
     /// unfiltered term, the term the tile's rollup cell folds.
     fn range_term(
         &self,
@@ -1235,6 +1263,12 @@ impl<'a> QueryEngine<'a> {
         let undecodable = || MdbError::Corrupt("undecodable segment".into());
         let len = (range.1 - range.0 + 1) as u64;
         let Some(filter) = &scan.rw.values else {
+            if scan.plan.counts_only {
+                return Ok(RollupAcc {
+                    count: len,
+                    ..EMPTY_TERM
+                });
+            }
             let agg = cursor
                 .aggregate_with(self.registry, series_pos, range, scan.plan.use_models)
                 .ok_or_else(undecodable)?;
@@ -1425,10 +1459,10 @@ impl<'a> QueryEngine<'a> {
                 "Value predicates require the Data Point View or aggregates".into(),
             ));
         }
-        let columns = self.listing_columns(query)?;
+        let (names, columns) = self.listing_columns(query)?;
         let mut rows = GidRows::new();
         if rw.empty {
-            return Ok((columns, rows));
+            return Ok((names, rows));
         }
         let mut grid = Vec::new();
         self.for_each_segment(&rw.pushdown, |segment| {
@@ -1436,50 +1470,57 @@ impl<'a> QueryEngine<'a> {
             self.list_segment(query, &rw, &columns, segment, &mut grid, rows)
         })?;
         rows.retain(|_, rows| !rows.is_empty());
-        Ok((columns, rows))
+        Ok((names, rows))
     }
 
-    fn listing_columns(&self, query: &Query) -> Result<Vec<String>> {
-        let dim_columns: Vec<String> = self
-            .catalog
-            .dimensions
-            .schemas()
-            .iter()
-            .flat_map(|s| {
-                (1..=s.height())
-                    .map(|l| s.level_name(l).unwrap().to_string())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let base: Vec<String> = match query.view {
-            View::Segment => ["Tid", "StartTime", "EndTime", "SI", "Mid", "Gaps"]
-                .iter()
-                .map(|s| s.to_string())
-                .chain(dim_columns.clone())
-                .collect(),
-            View::DataPoint => ["Tid", "TS", "Value"]
-                .iter()
-                .map(|s| s.to_string())
-                .chain(dim_columns.clone())
-                .collect(),
+    /// The listing's column names, and what each lists.
+    fn listing_columns(&self, query: &Query) -> Result<(Vec<String>, Vec<Column>)> {
+        let fixed: &[&str] = match query.view {
+            View::Segment => &["Tid", "StartTime", "EndTime", "SI", "Mid", "Gaps"],
+            View::DataPoint => &["Tid", "TS", "Value"],
         };
-        let mut out = Vec::new();
+        let schemas = self.catalog.dimensions.schemas();
+        let levels = schemas
+            .iter()
+            .flat_map(|s| (1..=s.height()).filter_map(|l| s.level_name(l)));
+        let base: Vec<&str> = fixed.iter().copied().chain(levels).collect();
+        let mut names = Vec::new();
         for item in &query.items {
             match item {
-                SelectItem::AllColumns => out.extend(base.iter().cloned()),
+                SelectItem::AllColumns => names.extend(base.iter().map(|b| b.to_string())),
                 SelectItem::Column(c) => {
                     let canonical = base
                         .iter()
                         .find(|b| b.eq_ignore_ascii_case(c))
                         .ok_or_else(|| MdbError::Query(format!("unknown column {c}")))?;
-                    out.push(canonical.clone());
+                    names.push(canonical.to_string());
                 }
                 SelectItem::Agg { .. } | SelectItem::Sketch(_) => {
                     unreachable!("listing path has no aggregates or sketches")
                 }
             }
         }
-        Ok(out)
+        let resolve = |name: &String| self.resolve_column(query.view, name);
+        let columns = names.iter().map(resolve).collect::<Result<_>>()?;
+        Ok((names, columns))
+    }
+
+    /// What the listing column `name` lists on `view`.
+    fn resolve_column(&self, view: View, name: &str) -> Result<Column> {
+        Ok(match (view, name.to_ascii_uppercase().as_str()) {
+            (_, "TID") => Column::Tid,
+            (View::Segment, "STARTTIME") => Column::StartTime,
+            (View::Segment, "ENDTIME") => Column::EndTime,
+            (View::Segment, "SI") => Column::Si,
+            (View::Segment, "MID") => Column::Mid,
+            (View::Segment, "GAPS") => Column::Gaps,
+            (View::DataPoint, "TS") => Column::Ts,
+            (View::DataPoint, "VALUE") => Column::Value,
+            _ => match self.catalog.dimensions.resolve_level(name) {
+                Some((dim, level)) => Column::Member(dim, level),
+                None => return Err(MdbError::Query(format!("unknown column {name}"))),
+            },
+        })
     }
 
     /// Lists one segment's rows, reconstructing into `grid`.
@@ -1487,7 +1528,7 @@ impl<'a> QueryEngine<'a> {
         &self,
         query: &Query,
         rw: &Rewritten,
-        columns: &[String],
+        columns: &[Column],
         segment: SegmentView<'_>,
         grid: &mut Vec<Value>,
         rows: &mut Vec<Vec<Cell>>,
@@ -1509,11 +1550,8 @@ impl<'a> QueryEngine<'a> {
             let scaling = self.catalog.scaling_of(tid);
             match query.view {
                 View::Segment => {
-                    let row = columns
-                        .iter()
-                        .map(|c| self.segment_cell(c, tid, &segment))
-                        .collect::<Result<Vec<Cell>>>()?;
-                    rows.push(row);
+                    let cell = |&c| self.listing_cell(c, tid, &segment, (0, f64::NAN));
+                    rows.push(columns.iter().map(cell).collect());
                 }
                 View::DataPoint => {
                     let Some((idx_lo, idx_hi)) = rw.tick_range(&segment) else {
@@ -1529,11 +1567,8 @@ impl<'a> QueryEngine<'a> {
                         if rw.values.is_some_and(|filter| !filter.contains(value)) {
                             continue;
                         }
-                        let row = columns
-                            .iter()
-                            .map(|c| self.data_point_cell(c, tid, ts, value))
-                            .collect::<Result<Vec<Cell>>>()?;
-                        rows.push(row);
+                        let cell = |&c| self.listing_cell(c, tid, &segment, (ts, value));
+                        rows.push(columns.iter().map(cell).collect());
                     }
                 }
             }
@@ -1541,36 +1576,30 @@ impl<'a> QueryEngine<'a> {
         Ok(())
     }
 
-    fn dimension_cell(&self, column: &str, tid: Tid) -> Option<Result<Cell>> {
-        let (dim, level) = self.catalog.dimensions.resolve_level(column)?;
-        Some(Ok(match self.catalog.dimensions.member(tid, dim, level) {
-            Some(m) => Cell::Str(self.catalog.dimensions.member_name(m).to_string()),
-            None => Cell::Null,
-        }))
-    }
-
-    fn segment_cell(&self, column: &str, tid: Tid, segment: &SegmentView<'_>) -> Result<Cell> {
-        match column.to_ascii_uppercase().as_str() {
-            "TID" => Ok(Cell::Int(i64::from(tid))),
-            "STARTTIME" => Ok(Cell::Timestamp(segment.start_time)),
-            "ENDTIME" => Ok(Cell::Timestamp(segment.end_time)),
-            "SI" => Ok(Cell::Int(segment.sampling_interval)),
-            "MID" => Ok(Cell::Int(i64::from(segment.mid))),
-            "GAPS" => Ok(Cell::Int(segment.gaps.count_missing() as i64)),
-            _ => self
-                .dimension_cell(column, tid)
-                .unwrap_or_else(|| Err(MdbError::Query(format!("unknown column {column}")))),
-        }
-    }
-
-    fn data_point_cell(&self, column: &str, tid: Tid, ts: Timestamp, value: f64) -> Result<Cell> {
-        match column.to_ascii_uppercase().as_str() {
-            "TID" => Ok(Cell::Int(i64::from(tid))),
-            "TS" => Ok(Cell::Timestamp(ts)),
-            "VALUE" => Ok(Cell::Float(value)),
-            _ => self
-                .dimension_cell(column, tid)
-                .unwrap_or_else(|| Err(MdbError::Query(format!("unknown column {column}")))),
+    /// The `column` cell of `tid`'s row for `segment`, at the data point
+    /// `(ts, value)` on the Data Point View (no Segment View column
+    /// resolves to either).
+    fn listing_cell(
+        &self,
+        column: Column,
+        tid: Tid,
+        segment: &SegmentView<'_>,
+        (ts, value): (Timestamp, f64),
+    ) -> Cell {
+        let dimensions = &self.catalog.dimensions;
+        match column {
+            Column::Tid => Cell::Int(i64::from(tid)),
+            Column::StartTime => Cell::Timestamp(segment.start_time),
+            Column::EndTime => Cell::Timestamp(segment.end_time),
+            Column::Si => Cell::Int(segment.sampling_interval),
+            Column::Mid => Cell::Int(i64::from(segment.mid)),
+            Column::Gaps => Cell::Int(segment.gaps.count_missing() as i64),
+            Column::Ts => Cell::Timestamp(ts),
+            Column::Value => Cell::Float(value),
+            Column::Member(dim, level) => match dimensions.member(tid, dim, level) {
+                Some(m) => Cell::Str(dimensions.member_name(m).to_string()),
+                None => Cell::Null,
+            },
         }
     }
 
@@ -1843,6 +1872,82 @@ mod tests {
         let sv = s.rows[0][0].as_f64().unwrap();
         let dv = d.rows[0][0].as_f64().unwrap();
         assert!((sv - dv).abs() <= 1e-3 * dv.abs().max(1.0), "{sv} vs {dv}");
+    }
+
+    /// A count reads segment metadata alone: a checksum-valid Gorilla
+    /// segment whose parameters do not decode is counted, while every query
+    /// that needs its values fails as corrupt. A block that fails its
+    /// checksum fails every query, counts included.
+    #[test]
+    fn a_count_needs_only_segment_metadata() {
+        let f = fixture();
+        let si = 60_000;
+        let mut segments = mdb_storage::scan_to_vec(&f.store, &SegmentPredicate::all()).unwrap();
+        let end = segments.iter().map(|s| s.end_time).max().unwrap();
+        let params = bytes::Bytes::from_static(&[0xff]);
+        let gorilla = f.registry.get(mdb_models::MID_GORILLA).unwrap();
+        assert!(
+            gorilla.grid(&params, 1, 10).is_none(),
+            "the parameters do not decode"
+        );
+        segments.push(SegmentRecord {
+            gid: 2,
+            start_time: end + si,
+            end_time: end + 10 * si,
+            sampling_interval: si,
+            mid: mdb_models::MID_GORILLA,
+            params,
+            gaps: mdb_types::GapsMask::EMPTY,
+        });
+        assert!(segments.len() >= 4, "the log holds at least two blocks");
+        let dir = mdb_testutil::TempDir::new("engine-count-metadata");
+        let options = || DiskStoreOptions {
+            bulk_write_size: 2,
+            ..Default::default()
+        };
+        let mut first_block_bytes = 0;
+        {
+            let mut store = DiskStore::open_with(dir.path(), options()).unwrap();
+            for (i, segment) in segments.iter().enumerate() {
+                store.insert(segment.clone()).unwrap();
+                if i == 1 {
+                    first_block_bytes = store.persistent_bytes();
+                }
+            }
+            store.flush().unwrap();
+        }
+        let run = |sql: &str| {
+            let store = DiskStore::open_with(dir.path(), options()).unwrap();
+            assert_eq!(store.len(), segments.len(), "every block opens");
+            QueryEngine::new(&f.catalog, &f.registry, &store).sql(sql)
+        };
+        let counts = "SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid ORDER BY Tid";
+        let rows = |pairs: [(i64, i64); 3]| {
+            let row = |(tid, count)| vec![Cell::Int(tid), Cell::Int(count)];
+            pairs.into_iter().map(row).collect::<Vec<_>>()
+        };
+        assert_eq!(run(counts).unwrap().rows, rows([(1, 60), (2, 60), (3, 70)]));
+        let needing_values = [
+            "SELECT SUM_S(*) FROM Segment WHERE Tid = 3",
+            "SELECT Tid, COUNT_S(*), MAX_S(*) FROM Segment GROUP BY Tid",
+            "SELECT COUNT_S(*) FROM Segment WHERE Value > 0.0",
+            "SELECT COUNT(Value) FROM DataPoint",
+            "SELECT Tid, TS, Value FROM DataPoint WHERE Tid = 3",
+        ];
+        for sql in needing_values {
+            let err = run(sql).unwrap_err();
+            assert!(matches!(err, MdbError::Corrupt(_)), "{sql}: {err}");
+        }
+        // Rot the last payload byte of the first block: the store still
+        // opens, and fetching that block fails its checksum.
+        let path = dir.path().join("segments.log");
+        let mut log = std::fs::read(&path).unwrap();
+        log[first_block_bytes as usize - 1] ^= 0x55;
+        std::fs::write(&path, &log).unwrap();
+        for sql in needing_values.into_iter().chain([counts]) {
+            let err = run(sql).unwrap_err();
+            assert!(matches!(err, MdbError::Corrupt(_)), "{sql}: {err}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! against the Data Point View's `COUNT`, on the engine with pruning and
 //! rollup serving on and off and on a two-worker rf=2 cluster.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -19,8 +20,8 @@ use mdb_datagen::{eh, ep, Dataset, Scale};
 use mdb_models::{MID_GORILLA, MID_PMC_MEAN, MID_SWING};
 use modelardb::{
     Catalog, Cell, Cluster, ClusterConfig, CompressionConfig, Config, CorrelationSpec, Datastore,
-    DimensionSchema, ErrorBound, ModelRegistry, ModelarDb, ModelarDbBuilder, QueryResult,
-    ScalingHint, SeriesSpec,
+    DimensionSchema, ErrorBound, Fitter, ModelRegistry, ModelType, ModelarDb, ModelarDbBuilder,
+    QueryResult, ScalingHint, SegmentAgg, SeriesSpec, Value,
 };
 
 const TICKS: u64 = 300;
@@ -803,4 +804,105 @@ fn count_only_aggregates_agree_on_ep_like_data() {
 #[test]
 fn count_only_aggregates_agree_on_eh_like_data() {
     check_count_panel(true, "Park = 'park0'", "Park");
+}
+
+/// Delegates to a standard model and counts its reconstructions.
+struct Counting {
+    inner: Arc<dyn ModelType>,
+    grids: Arc<AtomicUsize>,
+}
+
+impl ModelType for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn fitter(&self, bound: ErrorBound, n_series: usize, limit: usize) -> Box<dyn Fitter> {
+        self.inner.fitter(bound, n_series, limit)
+    }
+
+    fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>> {
+        self.grids.fetch_add(1, Ordering::Relaxed);
+        self.inner.grid(params, n_series, count)
+    }
+
+    fn grid_into(&self, params: &[u8], n: usize, count: usize, out: &mut Vec<Value>) -> bool {
+        self.grids.fetch_add(1, Ordering::Relaxed);
+        self.inner.grid_into(params, n, count, out)
+    }
+
+    fn agg(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        range: (usize, usize),
+        series: usize,
+    ) -> Option<SegmentAgg> {
+        self.inner.agg(params, n_series, count, range, series)
+    }
+
+    fn monotone_value_at(
+        &self,
+        params: &[u8],
+        n_series: usize,
+        count: usize,
+        t: usize,
+        series: usize,
+    ) -> Option<Value> {
+        self.inner
+            .monotone_value_at(params, n_series, count, t, series)
+    }
+
+    fn attained_extremes(&self) -> bool {
+        self.inner.attained_extremes()
+    }
+}
+
+/// Count-only Segment View queries read segment metadata alone: on
+/// EH-like (Gorilla) data, the count-only panel reconstructs nothing with
+/// rollup serving on or off, while adding `SUM_S`, a `Value` filter, or
+/// asking the Data Point View still reconstructs.
+#[test]
+fn count_only_segment_view_queries_reconstruct_nothing() {
+    let ticks = 720;
+    let (ds, catalog, bound) = count_fixture(true, ticks);
+    let grids = Arc::new(AtomicUsize::new(0));
+    let mut counting = ModelRegistry::empty();
+    for (_, model) in ModelRegistry::standard().iter() {
+        counting.register(Arc::new(Counting {
+            inner: Arc::clone(model),
+            grids: Arc::clone(&grids),
+        }));
+    }
+    let mut config = Config::default();
+    config.compression.error_bound = bound;
+    config.bulk_write_size = 16;
+    let mut db = ModelarDb::from_catalog(catalog, Arc::new(counting), config).unwrap();
+    for batch in ds.batches(ticks, 64) {
+        db.ingest_batch(&batch).unwrap();
+    }
+    db.flush().unwrap();
+    let decodes = |db: &ModelarDb, sql: &str| {
+        grids.store(0, Ordering::Relaxed);
+        db.sql(sql).unwrap();
+        grids.load(Ordering::Relaxed)
+    };
+    for serve in [true, false] {
+        db.set_rollup_serve(serve);
+        for (head, level, tail) in count_panel(&ds, ticks, "Park = 'park0'", "Park") {
+            let count = level.map_or("COUNT_S(*)".into(), |l| format!("CUBE_COUNT_{l}(*)"));
+            let sql = format!("SELECT {head}{count} FROM Segment {tail}");
+            assert_eq!(decodes(&db, &sql), 0, "{sql} (serving {serve})");
+        }
+    }
+    db.set_rollup_serve(false);
+    for sql in [
+        "SELECT COUNT_S(*), SUM_S(*) FROM Segment",
+        "SELECT Tid, CUBE_COUNT_HOUR(*), CUBE_SUM_HOUR(*) FROM Segment GROUP BY Tid",
+        "SELECT COUNT_S(*) FROM Segment WHERE Value > 0.0",
+        "SELECT COUNT(Value) FROM DataPoint",
+    ] {
+        assert!(decodes(&db, sql) > 0, "{sql}");
+    }
 }
