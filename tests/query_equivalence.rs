@@ -555,7 +555,34 @@ const SCALINGS: [f64; 4] = [-1.5, 4.75, 1.0, 0.5];
 /// generators' defaults, and every series scaled (one scaling negative):
 /// per group on EP, so PMC-Mean and Swing still fit, and per series on the
 /// lossless EH, which leaves Gorilla.
-fn count_fixture(eh_like: bool, ticks: u64) -> (Dataset, Arc<Catalog>, ErrorBound) {
+struct CountFixture {
+    ds: Dataset,
+    catalog: Arc<Catalog>,
+    bound: ErrorBound,
+    ticks: u64,
+}
+
+impl CountFixture {
+    /// An engine over `registry` loaded with the fixture, 16 segments per
+    /// block, with block pruning on or off.
+    fn engine(&self, registry: ModelRegistry, pruning: bool) -> ModelarDb {
+        let mut config = Config::default();
+        config.compression.error_bound = self.bound;
+        config.bulk_write_size = 16;
+        config.zone_pruning = pruning;
+        let catalog = Arc::clone(&self.catalog);
+        let mut db = ModelarDb::from_catalog(catalog, Arc::new(registry), config).unwrap();
+        for batch in self.ds.batches(self.ticks, 64) {
+            db.ingest_batch(&batch).unwrap();
+        }
+        db.flush().unwrap();
+        db
+    }
+}
+
+/// The EH-like fixture (720 ticks) or the EP-like one (400 ticks).
+fn count_fixture(eh_like: bool) -> CountFixture {
+    let ticks = if eh_like { 720 } else { 400 };
     let mut ds = if eh_like {
         eh(5, Scale::tiny())
     } else {
@@ -580,45 +607,36 @@ fn count_fixture(eh_like: bool, ticks: u64) -> (Dataset, Arc<Catalog>, ErrorBoun
     } else {
         ErrorBound::relative(5.0)
     };
-    (ds, Arc::new(catalog), bound)
+    CountFixture {
+        ds,
+        catalog: Arc::new(catalog),
+        bound,
+        ticks,
+    }
 }
 
 /// Every deployment the count-only suite compares, loaded with the same
 /// batches: the engine with block pruning on and off, each with rollup
 /// serving on and off, and a two-worker cluster at replication factor 2.
-fn count_systems(
-    ds: &Dataset,
-    catalog: &Arc<Catalog>,
-    bound: ErrorBound,
-    ticks: u64,
-) -> Vec<(String, Box<dyn Datastore>)> {
+fn count_systems(f: &CountFixture) -> Vec<(String, Box<dyn Datastore>)> {
     let mut systems: Vec<(String, Box<dyn Datastore>)> = Vec::new();
     for pruning in [true, false] {
         for serve in [true, false] {
-            let mut config = Config::default();
-            config.compression.error_bound = bound;
-            config.bulk_write_size = 16;
-            config.zone_pruning = pruning;
-            let registry = Arc::new(ModelRegistry::standard());
-            let mut db = ModelarDb::from_catalog(Arc::clone(catalog), registry, config).unwrap();
-            for batch in ds.batches(ticks, 64) {
-                db.ingest_batch(&batch).unwrap();
-            }
-            db.flush().unwrap();
+            let mut db = f.engine(ModelRegistry::standard(), pruning);
             db.set_rollup_serve(serve);
             let label = format!("engine, pruning {pruning}, serving {serve}");
             systems.push((label, Box::new(db)));
         }
     }
     let mut config = ClusterConfig::with_compression(CompressionConfig {
-        error_bound: bound,
+        error_bound: f.bound,
         ..Default::default()
     });
     config.replication_factor = 2;
     config.bulk_write_size = 16;
     let registry = Arc::new(ModelRegistry::standard());
-    let mut cluster = Cluster::start_with(Arc::clone(catalog), registry, config, 2).unwrap();
-    for batch in ds.batches(ticks, 64) {
+    let mut cluster = Cluster::start_with(Arc::clone(&f.catalog), registry, config, 2).unwrap();
+    for batch in f.ds.batches(f.ticks, 64) {
         cluster.ingest_batch(&batch).unwrap();
     }
     Datastore::flush(&mut cluster).unwrap();
@@ -633,11 +651,11 @@ fn count_systems(
 /// windows cut segments and hour edges, and the `StartTime`/`EndTime`
 /// comparisons cut through segments.
 fn count_panel(
-    ds: &Dataset,
-    ticks: u64,
+    f: &CountFixture,
     member: &str,
     column: &str,
 ) -> Vec<(String, Option<&'static str>, String)> {
+    let (ds, ticks) = (&f.ds, f.ticks);
     let si = ds.profile.si_ms;
     let mid = ds.timestamp(ticks / 3) + si / 2;
     let filters = [
@@ -697,10 +715,9 @@ fn count_panel(
 /// last column dropped, and the Data Point View's `COUNT`; every deployment
 /// gives the first one's rows.
 fn check_count_panel(eh_like: bool, member: &str, column: &str) {
-    let ticks = if eh_like { 720 } else { 400 };
-    let (ds, catalog, bound) = count_fixture(eh_like, ticks);
-    let systems = count_systems(&ds, &catalog, bound, ticks);
-    let panel = count_panel(&ds, ticks, member, column);
+    let fixture = count_fixture(eh_like);
+    let systems = count_systems(&fixture);
+    let panel = count_panel(&fixture, member, column);
     let mut reference: Vec<Vec<Vec<Cell>>> = Vec::new();
     let mut non_empty = 0;
     for (label, system) in &systems {
@@ -761,22 +778,17 @@ fn check_count_panel(eh_like: bool, member: &str, column: &str) {
 /// both hold gaps.
 #[test]
 fn count_fixtures_hold_gaps_and_their_data_sets_models() {
-    for (eh_like, ticks) in [(false, 400), (true, 720)] {
-        let (ds, catalog, bound) = count_fixture(eh_like, ticks);
-        let mut config = Config::default();
-        config.compression.error_bound = bound;
-        let registry = Arc::new(ModelRegistry::standard());
-        let mut db = ModelarDb::from_catalog(catalog, registry, config).unwrap();
-        for batch in ds.batches(ticks, 64) {
-            db.ingest_batch(&batch).unwrap();
-        }
-        db.flush().unwrap();
-        let segments = db.segments().unwrap();
+    for eh_like in [false, true] {
+        let fixture = count_fixture(eh_like);
+        let segments = fixture
+            .engine(ModelRegistry::standard(), true)
+            .segments()
+            .unwrap();
         let gorilla = segments.iter().filter(|s| s.mid == MID_GORILLA).count();
         assert!(
             segments.iter().any(|s| s.gaps.count_missing() > 0),
             "{}: gaps",
-            ds.name
+            fixture.ds.name
         );
         if eh_like {
             assert!(
@@ -865,8 +877,7 @@ impl ModelType for Counting {
 /// asking the Data Point View still reconstructs.
 #[test]
 fn count_only_segment_view_queries_reconstruct_nothing() {
-    let ticks = 720;
-    let (ds, catalog, bound) = count_fixture(true, ticks);
+    let fixture = count_fixture(true);
     let grids = Arc::new(AtomicUsize::new(0));
     let mut counting = ModelRegistry::empty();
     for (_, model) in ModelRegistry::standard().iter() {
@@ -875,14 +886,7 @@ fn count_only_segment_view_queries_reconstruct_nothing() {
             grids: Arc::clone(&grids),
         }));
     }
-    let mut config = Config::default();
-    config.compression.error_bound = bound;
-    config.bulk_write_size = 16;
-    let mut db = ModelarDb::from_catalog(catalog, Arc::new(counting), config).unwrap();
-    for batch in ds.batches(ticks, 64) {
-        db.ingest_batch(&batch).unwrap();
-    }
-    db.flush().unwrap();
+    let mut db = fixture.engine(counting, true);
     let decodes = |db: &ModelarDb, sql: &str| {
         grids.store(0, Ordering::Relaxed);
         db.sql(sql).unwrap();
@@ -890,7 +894,7 @@ fn count_only_segment_view_queries_reconstruct_nothing() {
     };
     for serve in [true, false] {
         db.set_rollup_serve(serve);
-        for (head, level, tail) in count_panel(&ds, ticks, "Park = 'park0'", "Park") {
+        for (head, level, tail) in count_panel(&fixture, "Park = 'park0'", "Park") {
             let count = level.map_or("COUNT_S(*)".into(), |l| format!("CUBE_COUNT_{l}(*)"));
             let sql = format!("SELECT {head}{count} FROM Segment {tail}");
             assert_eq!(decodes(&db, &sql), 0, "{sql} (serving {serve})");
