@@ -8,7 +8,9 @@
 //! [`count_only_aggregates_agree_on_eh_like_data`]) checks every `COUNT_S`
 //! and `CUBE_COUNT_*` shape against the same query with `SUM_S` added and
 //! against the Data Point View's `COUNT`, on the engine with pruning and
-//! rollup serving on and off and on a two-worker rf=2 cluster.
+//! rollup serving on and off and on a two-worker rf=2 cluster, and
+//! [`count_only_segment_view_queries_reconstruct_nothing`] counts the
+//! reconstructions those counts make: none.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
