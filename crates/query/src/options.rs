@@ -26,10 +26,13 @@ pub struct CommonOptions {
     /// (Table 1's Bulk Write Size: 50,000), on disk or in memory alike.
     pub bulk_write_size: usize,
     /// Byte budget for the store's block cache — the bound on decoded
-    /// segment bodies kept resident. `None` (the default) keeps every
-    /// fetched block; `Some(0)` caches nothing and re-reads blocks from the
-    /// log on demand. A cluster splits the budget evenly over its workers.
-    /// The same rule holds whether the log is on disk or in memory.
+    /// segment bodies kept resident. Blocks are parked when they are
+    /// written as well as when they are fetched: `None` (the default) keeps
+    /// every block the store writes or fetches; `Some(0)` caches nothing and
+    /// re-reads blocks from the log on demand. On-disk damage to a block
+    /// this process wrote is detected at its next read from the log (after
+    /// eviction or a reopen). A cluster splits the budget evenly over its
+    /// workers. The same rule holds whether the log is on disk or in memory.
     pub memory_budget_bytes: Option<u64>,
     /// How many blocks that survive block pruning the store's prefetcher
     /// reads ahead of the scan (`0` disables prefetching), on disk or in

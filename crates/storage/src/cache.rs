@@ -2,19 +2,21 @@
 //!
 //! The out-of-core [`crate::disk::DiskStore`] keeps only block *summaries*
 //! resident; segment bodies are fetched block-by-block on demand and parked
-//! here. The cache holds one form of block, a validated [`BlockView`],
-//! keyed by its log offset — blocks are immutable once written, so there is
-//! no invalidation, only eviction. A legacy v1 payload is re-laid out as v2
+//! here, and every block the store writes is parked as it is written, so
+//! data read right after a flush is not read back from the log. The cache
+//! holds one form of block, a validated [`BlockView`], keyed by its log
+//! offset — blocks are immutable once written, so there is no
+//! invalidation, only eviction. A legacy v1 payload is re-laid out as v2
 //! when it is read, so it is cached and scanned exactly like a v2 block.
 //! An entry is charged its exact *file* bytes (header + payload as stored
 //! on disk), so the budget arithmetic is not a heap estimate: cached bytes
 //! are file bytes.
 //!
 //! Capacity comes from the engine's `memory_budget_bytes`: `None` caches
-//! everything ever fetched (the all-resident behaviour the store had before
-//! it went out-of-core), `Some(0)` caches nothing, and anything in between
-//! is a hard byte budget split evenly across shards, each evicting
-//! least-recently-used blocks.
+//! everything ever fetched or written (the all-resident behaviour the store
+//! had before it went out-of-core), `Some(0)` caches nothing, and anything
+//! in between is a hard byte budget split evenly across shards, each
+//! evicting least-recently-used blocks.
 //!
 //! Reads take one shard lock; shards are selected by block offset, so
 //! concurrent scans over different regions of the log rarely contend. The
@@ -29,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use mdb_types::{BlockFormat, BlockMeta, BlockView, Result};
 
 /// Number of independently locked shards.
-const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 /// Observable cache behaviour: hit ratio and I/O volume for diagnostics,
 /// resident/peak segment counts that show a memory budget holds, and
@@ -193,16 +195,35 @@ impl BlockCache {
     /// tagged so the first demand fetch counts as a prefetch hit. Returns
     /// whether the block was actually staged.
     pub fn insert_prefetched(&self, meta: &BlockMeta, block: BlockView) -> bool {
-        let too_big = self
-            .shard_budget
-            .is_some_and(|budget| meta.stored_bytes as usize > budget);
-        if too_big || self.contains(meta.offset) {
+        if !self.admits(meta) || self.contains(meta.offset) {
             return false;
         }
         self.note_read(meta);
         self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
         self.park(meta, &Arc::new(block), true);
         true
+    }
+
+    /// Parks a block the store has just written as the most recently used
+    /// entry, so its first reader finds it in memory. `build` turns the
+    /// written payload into a [`BlockView`] and only runs when the budget
+    /// admits the block, under the same rules as a loaded one (a zero
+    /// budget or a block larger than a shard's share parks nothing). Nothing
+    /// was read, so no read counter moves; a block `build` rejects is not
+    /// parked, and its first fetch reads and reports it.
+    pub fn insert_written(&self, meta: &BlockMeta, build: impl FnOnce() -> Result<BlockView>) {
+        if !self.admits(meta) {
+            return;
+        }
+        if let Ok(block) = build() {
+            self.park(meta, &Arc::new(block), false);
+        }
+    }
+
+    /// True when the budget has room for `meta`'s block at all.
+    fn admits(&self, meta: &BlockMeta) -> bool {
+        self.shard_budget
+            .is_none_or(|budget| meta.stored_bytes as usize <= budget)
     }
 
     /// True when `offset` is already resident (used by the prefetcher to
@@ -213,10 +234,10 @@ impl BlockCache {
     }
 
     fn park(&self, meta: &BlockMeta, block: &Arc<BlockView>, prefetched: bool) {
-        let (offset, bytes) = (meta.offset, meta.stored_bytes as usize);
-        if self.shard_budget.is_some_and(|budget| bytes > budget) {
+        if !self.admits(meta) {
             return; // larger than the whole shard: use, don't park
         }
+        let (offset, bytes) = (meta.offset, meta.stored_bytes as usize);
         let mut freed_segments = 0usize;
         {
             let mut shard = self.shard_of(offset).lock().expect("cache shard poisoned");
@@ -445,6 +466,17 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 0);
         assert_eq!(stats.bytes_read, m.stored_bytes);
+    }
+
+    #[test]
+    fn written_blocks_the_budget_cannot_hold_are_never_built() {
+        let m = meta(24, BlockFormat::V2, 4);
+        let share_short = (m.stored_bytes as usize * SHARDS - 1) as u64;
+        for budget in [Some(0), Some(share_short)] {
+            let cache = BlockCache::new(budget);
+            cache.insert_written(&m, || panic!("not admitted"));
+            assert_eq!(cache.stats().resident_bytes, 0);
+        }
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //! Writes are buffered until `bulk_write_size` segments accumulate (Table 1:
 //! Bulk Write Size 50,000) or `flush` is called; each flush appends one
 //! block and rewrites the sidecar index (`segments.idx`, see
-//! [`crate::sidecar`]) holding per-block [`BlockMeta`] statistics.
+//! [`crate::sidecar`]) holding per-block [`BlockMeta`] statistics. Every
+//! appended block — a flush, a `bulk_write_size` cut or an imported run —
+//! is parked in the block cache as it is written, so a query right after a
+//! flush reads it from memory.
 //!
 //! Unlike the original store, segment bodies are **not** resident: `open`
 //! loads the block summaries from the sidecar (falling back to a streaming
@@ -129,8 +132,10 @@ pub struct DiskStoreOptions {
     /// Size); `0` is treated as `1`. The default of 0 therefore flushes a
     /// block per segment — callers normally pass their configured size.
     pub bulk_write_size: usize,
-    /// Byte budget for the block cache: `None` keeps every fetched block
-    /// resident (the pre-out-of-core behaviour), `Some(0)` caches nothing.
+    /// Byte budget for the block cache, which parks blocks when they are
+    /// written as well as when they are fetched: `None` keeps every block
+    /// the store writes or fetches resident (the pre-out-of-core
+    /// behaviour), `Some(0)` caches nothing.
     pub memory_budget_bytes: Option<u64>,
     /// Keeps stored-value ranges for the block statistics, derived by this
     /// digester (typically `mdb_query::value_bounds_fn`); without it only
@@ -494,30 +499,42 @@ impl DiskStore {
     /// (buffer, log length) only advances once it succeeds:
     /// after a failure the buffer is retried at the same offset, overwriting
     /// whatever part of the failed attempt reached the log.
+    ///
+    /// A written block is parked in the cache as its most recently used
+    /// entry (when the budget admits it), built from the payload in memory:
+    /// its first reader neither reads the log nor re-verifies the checksum.
+    /// On-disk damage to such a block is caught at its next read from the
+    /// log, after eviction or a reopen. A failed write parks nothing.
     fn write_block(&mut self) -> Result<()> {
         if self.write_buffer.is_empty() {
             return Ok(());
         }
-        let mut bytes = vec![0u8; HEADER_BYTES];
-        match self.write_format {
+        let payload = match self.write_format {
             BlockFormat::V1 => {
+                let mut payload = Vec::new();
                 for segment in &self.write_buffer {
-                    write_segment(&mut bytes, segment);
+                    write_segment(&mut payload, segment);
                 }
+                payload
             }
-            BlockFormat::V2 => bytes.extend_from_slice(&encode_block_v2(&self.write_buffer)),
-        }
-        let payload = &bytes[HEADER_BYTES..];
+            BlockFormat::V2 => encode_block_v2(&self.write_buffer),
+        };
         let meta = summarize_block(
             self.persistent_bytes,
             payload.len() as u32,
-            payload_checksum(self.write_format, payload),
+            payload_checksum(self.write_format, &payload),
             self.write_format,
             &self.write_buffer,
             &self.buffer_ranges,
         );
-        bytes[..HEADER_BYTES].copy_from_slice(&encode_header(&meta));
+        let mut bytes = Vec::with_capacity(meta.stored_bytes as usize);
+        bytes.extend_from_slice(&encode_header(&meta));
+        bytes.extend_from_slice(&payload);
         self.backend.write_at(meta.offset, &bytes)?;
+        drop(bytes);
+        self.cache.insert_written(&meta, || {
+            block_view(payload, meta.format, meta.count, meta.offset)
+        });
         self.persistent_bytes += meta.stored_bytes;
         self.blocks.push(meta);
         self.write_buffer.clear();
@@ -628,7 +645,7 @@ fn payload_checksum(format: BlockFormat, payload: &[u8]) -> u32 {
 /// [`BlockView`], the one block form the read path knows: a v2 payload is
 /// validated as it is, a v1 payload is decoded and re-laid out as v2 first.
 /// The demand fetch, the prefetcher and the recovery rescan all read
-/// blocks through here.
+/// blocks through here, and the write path parks what it wrote through it.
 fn block_view(payload: Vec<u8>, format: BlockFormat, count: u32, offset: u64) -> Result<BlockView> {
     let corrupt = |what: &str| {
         MdbError::Corrupt(format!(
@@ -832,6 +849,8 @@ impl SegmentStore for DiskStore {
         Ok(())
     }
 
+    /// Appends the write buffer as one block (parked in the cache, see
+    /// `write_block`), syncs the log and rewrites a dirty sidecar.
     fn flush(&mut self) -> Result<()> {
         self.write_block()?;
         self.backend.sync()?;
@@ -1048,6 +1067,7 @@ impl SegmentStore for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SHARDS;
     use crate::digest::testing::TestDigester;
     use crate::scan_to_vec;
     use bytes::Bytes;
@@ -1358,6 +1378,8 @@ mod tests {
             store.insert(segment.clone()).unwrap();
         }
         store.flush().unwrap();
+        let resident = store.cache_stats().resident_bytes;
+        assert_eq!(resident as u64, store.persistent_bytes(), "parked on write");
         // Write 2 is short: the error reaches the caller, half a block
         // sits past the valid log, and reopening recovers the first flush.
         for segment in &segments[4..8] {
@@ -1365,6 +1387,11 @@ mod tests {
         }
         assert!(matches!(store.flush(), Err(MdbError::Io(_))));
         assert!(bytes.len().unwrap() > store.persistent_bytes());
+        assert_eq!(
+            store.cache_stats().resident_bytes,
+            resident,
+            "nothing parked"
+        );
         assert_eq!(reopen(), (segments[..4].to_vec(), 4));
         assert_eq!(
             scan_to_vec(&store, &all).unwrap(),
@@ -1378,6 +1405,12 @@ mod tests {
             store.insert(segment.clone()).unwrap();
         }
         assert!(matches!(store.flush(), Err(MdbError::Io(_))));
+        assert_eq!(
+            store.cache_stats().resident_bytes as u64,
+            store.persistent_bytes(),
+            "the retried block is parked"
+        );
+        assert_eq!(scan_to_vec(&store, &all).unwrap(), reopen().0);
         // Sync 3 succeeds: the sidecar the failed flush owed is written.
         store.insert(segments[10].clone()).unwrap();
         store.insert(segments[11].clone()).unwrap();
@@ -1386,6 +1419,7 @@ mod tests {
         // reopening over the same bytes — through the sidecar, and
         // through the rescan that validates every block.
         assert_eq!(scan_to_vec(&store, &all).unwrap(), segments);
+        assert_eq!(store.cache_stats().misses, 0, "every block was parked");
         let sketched = store
             .merge_sketches(None)
             .unwrap()
@@ -1749,6 +1783,18 @@ mod tests {
                 store.insert(seg(1, i * 1000, i * 1000 + 900)).unwrap();
             }
             store.flush().unwrap();
+            // Warm: every block was parked as it was written.
+            let warm = scan_to_vec(
+                &store,
+                &SegmentPredicate::all().with_time_range(60_000, 60_500),
+            )
+            .unwrap();
+            assert_eq!(warm.len(), 1);
+            let stats = store.cache_stats();
+            assert_eq!((stats.misses, stats.bytes_read), (0, 0), "{stats:?}");
+            // Cold: a reopened store reads what it scans from the log.
+            drop(store);
+            let mut store = place.open(8);
             // A range inside the last block must fetch exactly one block.
             let got = scan_to_vec(
                 &store,
@@ -1767,6 +1813,73 @@ mod tests {
             .unwrap();
             assert_eq!(got.len(), 1);
             assert_eq!(store.cache_stats().misses + store.cache_stats().hits, 9);
+        }
+    }
+
+    /// Flushes one eight-segment block in `format` under `budget` into
+    /// `place` and scans it back; returns the scan's cache counters and the
+    /// block's stored bytes, after checking that a reopened store scans the
+    /// same rows.
+    fn scan_written_block(
+        place: &Place,
+        format: BlockFormat,
+        budget: Option<u64>,
+    ) -> (CacheStats, u64) {
+        let options = || DiskStoreOptions {
+            memory_budget_bytes: budget,
+            write_format: format,
+            ..with_bulk(100)
+        };
+        let all = SegmentPredicate::all();
+        let mut store = place.open_with(options());
+        for i in 0..8 {
+            store
+                .insert(seg(i % 3 + 1, i as i64 * 1000, i as i64 * 1000 + 900))
+                .unwrap();
+        }
+        store.flush().unwrap();
+        let got = scan_to_vec(&store, &all).unwrap();
+        assert_eq!(got.len(), 8);
+        let (stats, stored) = (store.cache_stats(), store.blocks[0].stored_bytes);
+        drop(store);
+        assert_eq!(scan_to_vec(&place.open_with(options()), &all).unwrap(), got);
+        (stats, stored)
+    }
+
+    #[test]
+    fn written_blocks_are_scanned_without_a_read_when_the_budget_holds_them() {
+        for format in [BlockFormat::V1, BlockFormat::V2] {
+            let [probe, _] = Place::both("park-probe");
+            let (_, stored) = scan_written_block(&probe, format, None);
+            // A budget whose shard share is exactly the block holds it.
+            for budget in [None, Some(stored * SHARDS as u64)] {
+                for place in Place::both("park-held") {
+                    let (stats, _) = scan_written_block(&place, format, budget);
+                    let label = format!("{format:?}, budget {budget:?}: {stats:?}");
+                    assert_eq!((stats.misses, stats.bytes_read), (0, 0), "{label}");
+                    assert_eq!(stats.hits, 1, "{label}");
+                    assert_eq!(stats.resident_bytes as u64, stored, "{label}");
+                    assert_eq!((stats.decode_validations, stats.owned_decodes), (0, 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn written_blocks_beyond_the_budget_are_read_back_from_the_log() {
+        for format in [BlockFormat::V1, BlockFormat::V2] {
+            let [probe, _] = Place::both("unparked-probe");
+            let (_, stored) = scan_written_block(&probe, format, None);
+            // A zero budget, and one whose shard share is a byte short.
+            for budget in [Some(0), Some(stored * SHARDS as u64 - 1)] {
+                for place in Place::both("unparked") {
+                    let (stats, _) = scan_written_block(&place, format, budget);
+                    let label = format!("{format:?}, budget {budget:?}: {stats:?}");
+                    assert_eq!((stats.hits, stats.misses), (0, 1), "{label}");
+                    assert_eq!(stats.bytes_read, stored, "{label}");
+                    assert_eq!(stats.resident_bytes, 0, "{label}");
+                }
+            }
         }
     }
 
@@ -1861,6 +1974,16 @@ mod tests {
                 store.insert(seg(1, i * 1000, i * 1000 + 900)).unwrap();
             }
             store.flush().unwrap();
+            // Warm: the written blocks are scanned without a read.
+            assert_eq!(
+                scan_to_vec(&store, &SegmentPredicate::all()).unwrap().len(),
+                32
+            );
+            let stats = store.cache_stats();
+            assert_eq!((stats.misses, stats.bytes_read), (0, 0), "{stats:?}");
+            // Cold: a reopened store validates each block it reads.
+            drop(store);
+            let store = place.open(8);
             assert_eq!(
                 scan_to_vec(&store, &SegmentPredicate::all()).unwrap().len(),
                 32
@@ -1891,6 +2014,13 @@ mod tests {
                 store.insert(seg(1, i * 1000, i * 1000 + 900)).unwrap();
             }
             store.flush().unwrap();
+            // Warm: the v1 blocks were parked as they were written.
+            assert_eq!(
+                scan_to_vec(&store, &SegmentPredicate::all()).unwrap().len(),
+                8
+            );
+            let stats = store.cache_stats();
+            assert_eq!((stats.misses, stats.bytes_read), (0, 0), "{stats:?}");
         }
         // Reopen with the default (v2) writer: v1 blocks stay readable,
         // new blocks append as v2, and scans cross the format boundary.
@@ -1902,7 +2032,19 @@ mod tests {
         }
         store.flush().unwrap();
         assert_eq!(store.blocks[2].format, BlockFormat::V2);
+        // Warm: the v1 blocks are read from the log, the v2 blocks just
+        // written are not.
+        let warm = scan_to_vec(&store, &SegmentPredicate::all()).unwrap();
+        assert_eq!(warm.len(), 16);
+        let stats = store.cache_stats();
+        assert_eq!((stats.owned_decodes, stats.decode_validations), (2, 0));
+        let v1_bytes: u64 = store.blocks[..2].iter().map(|b| b.stored_bytes).sum();
+        assert_eq!((stats.misses, stats.bytes_read), (2, v1_bytes), "{stats:?}");
+        // Cold: a reopened store reads all four blocks.
+        drop(store);
+        let store = open(dir.path(), 4);
         let got = scan_to_vec(&store, &SegmentPredicate::all()).unwrap();
+        assert_eq!(got, warm);
         assert_eq!(got.len(), 16);
         let stats = store.cache_stats();
         assert_eq!(stats.owned_decodes, 2, "the two v1 blocks decode owned");

@@ -201,6 +201,23 @@ const SCAN_PROBES: [&str; 2] = [
     "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
 ];
 
+/// Reopens `db`'s directory under its own configuration, so its block
+/// cache starts cold.
+fn reopen_cold(dir: &TempDir, db: ModelarDb) -> ModelarDb {
+    let config = db.config().clone();
+    drop(db);
+    ModelarDb::reopen(dir.path(), Arc::new(ModelRegistry::standard()), config).unwrap()
+}
+
+/// Scans every block of `db` and asserts that none was read from the log:
+/// the blocks it wrote are parked in its cache.
+fn assert_scans_warm(db: &mut ModelarDb) {
+    db.set_rollup_serve(false);
+    db.sql(SCAN_PROBES[0]).unwrap();
+    let stats = db.cache_stats();
+    assert_eq!((stats.misses, stats.bytes_read), (0, 0), "{stats:?}");
+}
+
 /// A v1 and a v2 store over the same ingest answer the scan probes
 /// bit-identically, served from rollup cells and scanned alike; the scan
 /// decodes every v1 block once and re-lays it out as v2, and decodes no v2
@@ -212,6 +229,10 @@ fn v1_and_v2_stores_answer_the_scan_probes_identically() {
     let mut v2 = build(&v2_dir, None, 0, BlockFormat::V2);
     ingest(&mut v1);
     ingest(&mut v2);
+    // Warm right after the flush; cold (every block read once) reopened.
+    assert_scans_warm(&mut v1);
+    assert_scans_warm(&mut v2);
+    let (mut v1, mut v2) = (reopen_cold(&v1_dir, v1), reopen_cold(&v2_dir, v2));
     for serve in [true, false] {
         v1.set_rollup_serve(serve);
         v2.set_rollup_serve(serve);
@@ -238,10 +259,16 @@ fn v1_and_v2_stores_answer_the_scan_probes_identically() {
 /// of [`SJ_TICKS`] is appended after the reopen.
 const REOPEN_AT: i64 = 500;
 
+/// The tick before which [`reopened_engine`] reopens the store a second
+/// time, so the blocks its v2 writer appended are read back cold.
+const COLD_AT: i64 = 850;
+
 /// Written in `first` format up to [`REOPEN_AT`], then reopened with v2
 /// writes, `budget` and `pruning`, and appended to until [`SJ_TICKS`]. A
-/// flush every 100 ticks cuts blocks on both sides of the reopen; the last
-/// 50 ticks are not flushed, so their segments wait in the write buffer.
+/// flush every 100 ticks cuts blocks on both sides of the reopen. The store
+/// is reopened once more at [`COLD_AT`], after its last flush, so no block
+/// it holds was parked by its own write; the last 50 ticks are not
+/// flushed, so their segments wait in the write buffer.
 fn reopened_engine(
     dir: &TempDir,
     first: BlockFormat,
@@ -265,11 +292,15 @@ fn reopened_engine(
     config.zone_pruning = pruning;
     let mut db =
         ModelarDb::reopen(dir.path(), Arc::new(ModelRegistry::standard()), config).unwrap();
-    for t in REOPEN_AT..SJ_TICKS {
+    for t in REOPEN_AT..COLD_AT {
         db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
         if t % 100 == 49 {
             db.flush().unwrap();
         }
+    }
+    let mut db = reopen_cold(dir, db);
+    for t in COLD_AT..SJ_TICKS {
+        db.ingest_row(t * 100, &row(t, &mut x)).unwrap();
     }
     db
 }
@@ -313,6 +344,19 @@ fn mixed_format_logs_with_buffered_segments_answer_like_all_v2_logs() {
                 "{stats:?}"
             );
             assert_eq!(v2.cache_stats().owned_decodes, 0);
+            if budget.is_none() {
+                // Warm: the block that flushing the write buffer appends is
+                // parked, so reading the ticks it holds reads nothing.
+                mixed.flush().unwrap();
+                mixed
+                    .sql("SELECT Tid, TS, Value FROM DataPoint WHERE TS >= 85000")
+                    .unwrap();
+                let warm = mixed.cache_stats();
+                assert_eq!(
+                    (warm.misses, warm.bytes_read),
+                    (stats.misses, stats.bytes_read)
+                );
+            }
         }
     }
 }
