@@ -208,11 +208,18 @@ pub struct Crossing {
 }
 
 /// The ticks of `range` (inclusive) at which a monotone series passes
-/// `filter`, found by binary search in at most about `2·log₂(len) + 4`
-/// calls of `key`: `key(t)` is the value compared at tick `t` (for the
-/// query engine, [`ModelType::monotone_value_at`] divided by the series'
+/// `filter`: `key(t)` is the value compared at tick `t` (for the query
+/// engine, [`ModelType::monotone_value_at`] divided by the series'
 /// scaling) and must be non-decreasing or non-increasing over `range`, so
 /// the passing ticks form one contiguous sub-range.
+///
+/// The run's two end keys are read first and decide what they can: a run
+/// whose first key already passes the near bound starts at its first tick,
+/// and one whose last key passes the far bound ends at its last tick, so
+/// only an end they leave open is binary-searched, and no key is read
+/// twice. A filter open on one side (`Value > x`, `Value <= x`) takes at
+/// most `bitlen(len) + 3` calls of `key`, any other at most
+/// `2·bitlen(len) + 4`.
 ///
 /// Returns `Some(Some(crossing))` for the passing sub-range, `Some(None)`
 /// when no tick passes, and `None` when `key` returns `None` or a `NaN`,
@@ -239,35 +246,53 @@ pub fn crossing_range(
     let rising = first <= last;
     let fails_early = |k: f64| if rising { k < lo } else { k > hi };
     let fails_late = |k: f64| if rising { k > hi } else { k < lo };
-    let start = partition_point(a, b + 1, |t| key(t).map(fails_early))?;
-    let end = partition_point(start, b + 1, |t| key(t).map(|k| !fails_late(k)))?;
-    if start >= end {
+    // The first tick past the near bound. When it is not the first, it is
+    // at most the last, whose key cannot fail early too (the ends would
+    // then lie on one side).
+    let (start, start_key) = if fails_early(first) {
+        let (t, _, k) = partition_point((a + 1, b), (first, last), &mut key, fails_early)?;
+        (t, k)
+    } else {
+        (a, first)
+    };
+    if fails_late(start_key) {
         return Some(None);
     }
-    let keys = (key(start)?, key(end - 1)?);
+    // The last tick within the far bound: the last one, or the one before
+    // the first tick past it, which lies after `start`.
+    let (end, end_key) = if fails_late(last) {
+        let passes = |k| !fails_late(k);
+        let (t, k, _) = partition_point((start + 1, b), (start_key, last), &mut key, passes)?;
+        (t - 1, k)
+    } else {
+        (b, last)
+    };
     Some(Some(Crossing {
-        range: (start, end - 1),
-        keys,
+        range: (start, end),
+        keys: (start_key, end_key),
     }))
 }
 
-/// The first tick of `lo..hi` at which `holds` is false (`hi` when it
-/// holds throughout), for a `holds` that is true on a prefix; `None` when
-/// `holds` does.
+/// The first tick of `lo..=hi` at which `holds` fails, for a `holds` that
+/// is true on a prefix, given that it holds at `lo - 1`, whose key is
+/// `before`, and fails at `hi`, whose key is `at`: that tick, with the keys
+/// just before it and at it. `None` when `key` does.
 fn partition_point(
-    mut lo: usize,
-    mut hi: usize,
-    mut holds: impl FnMut(usize) -> Option<bool>,
-) -> Option<usize> {
+    (mut lo, mut hi): (usize, usize),
+    (mut before, mut at): (f64, f64),
+    key: &mut impl FnMut(usize) -> Option<f64>,
+    holds: impl Fn(f64) -> bool,
+) -> Option<(usize, f64, f64)> {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if holds(mid)? {
-            lo = mid + 1;
+        let k = key(mid)?;
+        if holds(k) {
+            (lo, before) = (mid + 1, k);
         } else {
-            hi = mid;
+            (hi, at) = (mid, k);
         }
     }
-    Some(lo)
+    Some((lo, before, at))
 }
 
 /// Intersects the intervals of acceptable approximations for all values of a
@@ -705,7 +730,8 @@ mod tests {
 
         // The binary search against a linear scan, on rising, falling and
         // flat runs with repeated keys, and filters whose edges sit on a
-        // key, one ulp either side of it, or outside every key.
+        // key, one ulp either side of it, or outside every key, closed or
+        // open on one side.
         #[test]
         fn crossing_range_equals_a_linear_scan(
             mut keys in proptest::collection::vec(-8i32..8, 1..80),
@@ -716,6 +742,7 @@ mod tests {
             hi_pick in 0usize..1000,
             lo_nudge in 0usize..4,
             hi_nudge in 0usize..4,
+            open in 0usize..3,
         ) {
             keys.sort_unstable();
             if falling {
@@ -726,7 +753,12 @@ mod tests {
                 let k = keys[pick % keys.len()];
                 [k, k.next_down(), k.next_up(), k * 3.0 + 1.0][nudge]
             };
-            let filter = ValueInterval::new(edge(lo_pick, lo_nudge), edge(hi_pick, hi_nudge));
+            let (lo, hi) = (edge(lo_pick, lo_nudge), edge(hi_pick, hi_nudge));
+            let filter = match open {
+                1 => ValueInterval::new(lo, f64::INFINITY),
+                2 => ValueInterval::new(f64::NEG_INFINITY, hi),
+                _ => ValueInterval::new(lo, hi),
+            };
             let start = a % keys.len();
             let range = (start, start + b % (keys.len() - start));
             let mut calls = 0u32;
@@ -736,9 +768,17 @@ mod tests {
             });
             proptest::prop_assert_eq!(found, Some(linear_crossing(&keys, range, &filter)));
             let len = (range.1 - range.0 + 1) as u32;
+            let bitlen = u32::BITS - len.leading_zeros();
             proptest::prop_assert!(
-                calls <= 2 * (u32::BITS - len.leading_zeros()) + 4,
+                calls <= 2 * bitlen + 4,
                 "{} calls for {} ticks",
+                calls,
+                len
+            );
+            // Open on one side, one end is decided by its key alone.
+            proptest::prop_assert!(
+                open == 0 || calls <= bitlen + 3,
+                "{} calls for {} ticks, open on one side",
                 calls,
                 len
             );

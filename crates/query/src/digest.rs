@@ -690,17 +690,19 @@ mod tests {
                 level,
                 None,
                 (Timestamp::MIN, Timestamp::MAX),
-                &mut |gid, tid, bucket, acc| {
-                    cells.push((
-                        level,
-                        gid,
-                        tid,
-                        bucket,
-                        acc.count,
-                        acc.sum.to_bits(),
-                        acc.min.to_bits(),
-                        acc.max.to_bits(),
-                    ));
+                &mut |column| {
+                    for &((gid, _, tid, bucket), acc) in column {
+                        cells.push((
+                            level,
+                            gid,
+                            tid,
+                            bucket,
+                            acc.count,
+                            acc.sum.to_bits(),
+                            acc.min.to_bits(),
+                            acc.max.to_bits(),
+                        ));
+                    }
                 },
             );
             assert!(served.unwrap(), "{level:?} cells are maintained");

@@ -256,81 +256,73 @@ fn value_verdict(filter: &ValueInterval, cell: &RollupAcc) -> Verdict {
 }
 
 /// The whole tiles a value plan scans for some of its series only: those
-/// whose cell straddles the filter. Per group, the tiles any of its series
-/// scans, so a segment meeting none of them is passed by before any
-/// per-series work; per tid, the tile starts it scans.
+/// whose cell straddles the filter. Per group, its straddling tiles in
+/// ascending order, each with the mask of the member positions whose cells
+/// straddle there, so a segment meeting none of its group's tiles is passed
+/// by before any per-series work, and one that meets some walks just those
+/// tiles and members.
 #[derive(Debug, Default)]
 struct TileIndex {
-    /// Ascending gids, each with its tiles in ascending order.
-    by_gid: Vec<(Gid, Vec<Span>)>,
-    /// Indexed by tid: ascending tile starts.
-    by_tid: Vec<Vec<Timestamp>>,
+    /// Indexed by the group's position in the catalog: its tiles in
+    /// ascending order and their member masks (bit `p` for member position
+    /// `p`); empty for a group without any.
+    by_group: Vec<Vec<(Span, u64)>>,
 }
 
 impl TileIndex {
-    /// The index of `(gid, tid, tile)` triples, `None` without any.
-    fn new(mut straddles: Vec<(Gid, Tid, Span)>, n_tids: usize) -> Option<TileIndex> {
+    /// The index of `(group position, tile, member mask)` straddles over a
+    /// catalog of `n_groups` groups, `None` without any; the masks of one
+    /// group's tile are joined.
+    fn new(mut straddles: Vec<(usize, Span, u64)>, n_groups: usize) -> Option<TileIndex> {
         if straddles.is_empty() {
             return None;
         }
-        let mut index = TileIndex {
-            by_gid: Vec::new(),
-            by_tid: vec![Vec::new(); n_tids],
-        };
-        for &(_, tid, (lo, _)) in &straddles {
-            index.by_tid[tid as usize].push(lo);
-        }
-        for tiles in &mut index.by_tid {
-            if !tiles.is_sorted() {
-                tiles.sort_unstable();
+        straddles.sort_unstable_by_key(|&(group, span, _)| (group, span));
+        let mut by_group = vec![Vec::new(); n_groups];
+        for (group, span, members) in straddles {
+            let tiles = &mut by_group[group];
+            match tiles.last_mut() {
+                Some((tile, mask)) if *tile == span => *mask |= members,
+                _ => tiles.push((span, members)),
             }
         }
-        straddles.sort_unstable_by_key(|&(gid, _, span)| (gid, span));
-        for (gid, _, span) in straddles {
-            match index.by_gid.last_mut() {
-                Some((last, spans)) if *last == gid => {
-                    if spans.last() != Some(&span) {
-                        spans.push(span);
-                    }
-                }
-                _ => index.by_gid.push((gid, vec![span])),
-            }
-        }
-        Some(index)
+        Some(TileIndex { by_group })
     }
 
-    /// Whether a segment of `gid` over `(start, end)` meets a tile here.
-    /// `cursors` holds, per group, the first tile the last check found
-    /// ending at or after its segment's start: a group's segments mostly
-    /// arrive in time order, so the search walks on from there.
-    fn meets(&self, gid: Gid, (start, end): Span, cursors: &mut [usize]) -> bool {
-        let Ok(g) = self.by_gid.binary_search_by_key(&gid, |(g, _)| *g) else {
-            return false;
-        };
-        let spans = &self.by_gid[g].1;
-        let mut at = cursors[g];
-        if at == 0 || spans[at - 1].1 >= start {
-            at = spans.partition_point(|&(_, hi)| hi < start);
+    /// The tiles of the group at catalog position `group` from the first
+    /// that a segment over `(start, end)` meets, or `None` when it meets
+    /// none. `cursors` holds, per group, the first tile the last check
+    /// found ending at or after its segment's start: a group's segments
+    /// mostly arrive in time order, so the search walks on from there.
+    fn meets(
+        &self,
+        group: usize,
+        (start, end): Span,
+        cursors: &mut [usize],
+    ) -> Option<&[(Span, u64)]> {
+        let tiles = &self.by_group[group];
+        let ends_before = |&((_, hi), _): &(Span, u64)| hi < start;
+        let mut at = cursors[group];
+        if at == 0 || !ends_before(&tiles[at - 1]) {
+            at = tiles.partition_point(ends_before);
         } else {
-            while spans.get(at).is_some_and(|&(_, hi)| hi < start) {
+            while tiles.get(at).is_some_and(ends_before) {
                 at += 1;
             }
         }
-        cursors[g] = at;
-        spans.get(at).is_some_and(|&(lo, _)| lo <= end)
-    }
-
-    /// Whether `tid` scans the tile starting at `tile`.
-    fn scans(&self, tid: Tid, tile: Timestamp) -> bool {
-        let tiles = self.by_tid.get(tid as usize);
-        tiles.is_some_and(|tiles| tiles.binary_search(&tile).is_ok())
+        cursors[group] = at;
+        let tiles = &tiles[at..];
+        tiles
+            .first()
+            .is_some_and(|&((lo, _), _)| lo <= end)
+            .then_some(tiles)
     }
 
     /// The span from the first tile to the end of the last.
     fn hull(&self) -> Span {
-        let spans = self.by_gid.iter().flat_map(|(_, spans)| spans);
-        let lo = spans.clone().map(|s| s.0).min();
-        let hi = spans.map(|s| s.1).max();
+        let spans = self.by_group.iter().flatten();
+        let lo = spans.clone().map(|((lo, _), _)| *lo).min();
+        let hi = spans.map(|((_, hi), _)| *hi).max();
         (lo.unwrap_or(Timestamp::MAX), hi.unwrap_or(Timestamp::MIN))
     }
 }
@@ -355,8 +347,8 @@ pub struct QueryEngine<'a> {
 }
 
 /// One scan of a compiled plan: the rewrite with the `TS` bounds of the
-/// window being scanned, and the whole tiles to scan per tid (`None` for
-/// every tile).
+/// window being scanned, and the straddling tiles to walk per group and
+/// member (`None` for every tile and series).
 struct Scan<'p> {
     plan: &'p Plan,
     rw: &'p Rewritten,
@@ -935,10 +927,15 @@ impl<'a> QueryEngine<'a> {
     /// scanned with the comparisons otherwise. Under a `Value` filter, a
     /// served tile then gets one per tid from its cell's extremes
     /// ([`value_verdict`]): served when every point passes, skipped when
-    /// none does, and otherwise scanned for that tid alone. A served tile's
-    /// cell folds exactly the terms its scan would (a scanned sub-range
-    /// whose every point passes contributes its unfiltered term), and a
-    /// skipped one's scan would fold none, so no verdict moves a bit.
+    /// none does, and otherwise scanned for that tid alone: the tile joins
+    /// its group's [`TileIndex`] entry with the tid's member bit set. A
+    /// served tile's cell folds exactly the terms its scan would (a scanned
+    /// sub-range whose every point passes contributes its unfiltered term),
+    /// and a skipped one's scan would fold none, so no verdict moves a bit.
+    ///
+    /// The store hands the cells over one `(gid, tid)` column at a time, so
+    /// each tid is looked up, and its member position resolved, once per
+    /// column; a plan without either comparison takes a column whole.
     fn serve_tiles(
         &self,
         plan: &Plan,
@@ -959,36 +956,61 @@ impl<'a> QueryEngine<'a> {
                 return Ok((vec![(rw.ts_from, rw.ts_to)], None));
             }
         }
-        let mut straddles: Vec<(Gid, Tid, Span)> = Vec::new();
+        let mut straddles: Vec<(usize, Span, u64)> = Vec::new();
+        let mut stray = None;
         for (level, span) in regions {
             let served_before: Vec<usize> = partial.cells.iter().map(Vec::len).collect();
             let straddled_before = straddles.len();
             let mut verdicts: BTreeMap<Timestamp, Verdict> = BTreeMap::new();
-            let served =
-                self.store
-                    .rollup_cells(level, gids, span, &mut |gid, tid, tile, acc| {
-                        if plan.keys.lookup(tid).is_none() {
-                            return;
-                        }
-                        let verdict = if rw.segment_time.is_empty() {
-                            Verdict::Serve
-                        } else {
-                            let span = (tile, bucket_end(level, tile));
-                            *verdicts
-                                .entry(tile)
-                                .or_insert_with(|| rw.verdict(&envelopes, span))
-                        };
+            let served = self.store.rollup_cells(level, gids, span, &mut |column| {
+                let ((gid, _, tid, _), _) = column[0];
+                if plan.keys.lookup(tid).is_none() {
+                    return;
+                }
+                let cells = &mut partial.cells[tid as usize];
+                if rw.segment_time.is_empty() && rw.values.is_none() {
+                    cells.extend(column.iter().map(|&((.., tile), acc)| (tile, acc)));
+                    return;
+                }
+                // The tid's group and its bit in the straddles' member
+                // masks, resolved once per column.
+                let mut member = None;
+                for &((.., tile), acc) in column {
+                    if !rw.segment_time.is_empty() {
+                        let verdict = *verdicts.entry(tile).or_insert_with(|| {
+                            rw.verdict(&envelopes, (tile, bucket_end(level, tile)))
+                        });
                         if verdict != Verdict::Serve {
-                            return;
+                            continue;
                         }
-                        match rw.values.map_or(Verdict::Serve, |f| value_verdict(&f, acc)) {
-                            Verdict::Serve => partial.cells[tid as usize].push((tile, *acc)),
-                            Verdict::Skip => {}
-                            Verdict::Scan => {
-                                straddles.push((gid, tid, (tile, bucket_end(level, tile))));
-                            }
+                    }
+                    match rw
+                        .values
+                        .map_or(Verdict::Serve, |f| value_verdict(&f, &acc))
+                    {
+                        Verdict::Serve => cells.push((tile, acc)),
+                        Verdict::Skip => {}
+                        Verdict::Scan => {
+                            let member = *member.get_or_insert_with(|| {
+                                let group = self.catalog.group_index(gid)?;
+                                let tids = &self.catalog.groups[group].tids;
+                                Some((group, tids.iter().position(|&t| t == tid)?))
+                            });
+                            let Some((group, position)) = member else {
+                                stray = Some((gid, tid));
+                                return;
+                            };
+                            let span = (tile, bucket_end(level, tile));
+                            straddles.push((group, span, 1 << position));
                         }
-                    })?;
+                    }
+                }
+            })?;
+            if let Some((gid, tid)) = stray {
+                return Err(MdbError::Corrupt(format!(
+                    "rollup cells of tid {tid} filed under gid {gid}, which does not hold it"
+                )));
+            }
             if !served {
                 for (column, len) in partial.cells.iter_mut().zip(served_before) {
                     column.truncate(len);
@@ -1015,12 +1037,13 @@ impl<'a> QueryEngine<'a> {
                 _ => merged.push((lo, hi)),
             }
         }
-        Ok((merged, TileIndex::new(straddles, partial.cells.len())))
+        Ok((merged, TileIndex::new(straddles, self.catalog.groups.len())))
     }
 
     /// Folds the segments of the runs `rw` selects into a fresh partial,
     /// inline and in scan order, each run as the store hands it over. With
-    /// `only`, each tid scans just the whole tiles it lists.
+    /// `only`, a segment is evaluated just in its group's straddling tiles,
+    /// and there only for the members each tile's mask names.
     ///
     /// The store's per-block statistics have already skipped whole blocks
     /// outside the scope, time range or value predicate. A block-backed run
@@ -1035,7 +1058,7 @@ impl<'a> QueryEngine<'a> {
         let scan = Scan { plan, rw, only };
         let mut partial = PartialAggregates::new(&plan.keys);
         let mut scratch = Scratch {
-            cursors: vec![0; only.map_or(0, |only| only.by_gid.len())],
+            cursors: vec![0; only.map_or(0, |only| only.by_group.len())],
             ..Scratch::default()
         };
         self.for_each_segment(&rw.pushdown, |segment| {
@@ -1185,21 +1208,29 @@ impl<'a> QueryEngine<'a> {
         if !rw.segment_time_matches(&segment) {
             return Ok(());
         }
-        // A scan of straddling tiles passes by a segment that meets none of
-        // its group's before any per-series work.
-        if let Some(only) = scan.only {
-            let span = (segment.start_time, segment.end_time);
-            if !only.meets(segment.gid, span, &mut scratch.cursors) {
-                return Ok(());
-            }
-        }
-        let (grid, splits) = (&mut scratch.grid, &mut scratch.splits);
-        let group = self.catalog.group(segment.gid).ok_or_else(|| {
+        let g = self.catalog.group_index(segment.gid).ok_or_else(|| {
             MdbError::Corrupt(format!("segment references unknown gid {}", segment.gid))
         })?;
+        // A scan of straddling tiles passes by a segment that meets none of
+        // its group's before any per-series work.
+        let straddles = match scan.only {
+            Some(only) => {
+                let span = (segment.start_time, segment.end_time);
+                let Some(tiles) = only.meets(g, span, &mut scratch.cursors) else {
+                    return Ok(());
+                };
+                Some(tiles)
+            }
+            None => None,
+        };
+        let (grid, splits) = (&mut scratch.grid, &mut scratch.splits);
+        let group = &self.catalog.groups[g];
         let group_size = group.size();
         let n_present = segment.gaps.count_present(group_size);
         let mut cursor = SegmentCursor::new(segment, n_present, grid);
+        if let Some(tiles) = straddles {
+            return self.walk_straddles(scan, &mut cursor, &group.tids, tiles, partial);
+        }
         let Some(range) = rw.tick_range(&segment) else {
             return Ok(());
         };
@@ -1226,13 +1257,58 @@ impl<'a> QueryEngine<'a> {
                 }
             }
             for &(tile, sub) in splits.iter() {
-                if scan.only.is_some_and(|only| !only.scans(tid, tile)) {
-                    continue;
-                }
                 let whole = plan.tiling.as_ref().is_some_and(|t| t.is_whole(tile));
                 let term = self.range_term(scan, &mut cursor, series_pos, sub, scaling, whole)?;
                 if term.count > 0 {
                     partial.add_tile_term(tid, tile, term);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The straddle walk of a segment whose group's `tiles` it meets
+    /// ([`TileIndex::meets`]), `tids` the group's members: per tile, the
+    /// segment's ticks inside it (every straddling tile lies inside the
+    /// scan's `TS` window), and one term for each member its mask names
+    /// that the segment represents — the terms the tile splits of a full
+    /// scan give those members there.
+    fn walk_straddles(
+        &self,
+        scan: &Scan<'_>,
+        cursor: &mut SegmentCursor<'_, '_>,
+        tids: &[Tid],
+        tiles: &[(Span, u64)],
+        partial: &mut PartialAggregates,
+    ) -> Result<()> {
+        let segment = cursor.segment;
+        let (start, si) = (segment.start_time, segment.sampling_interval);
+        let gaps = segment.gaps.0;
+        let met = tiles
+            .iter()
+            .take_while(|((lo, _), _)| *lo <= segment.end_time);
+        for &((lo, hi), members) in met {
+            let first = (lo.max(start) - start + si - 1) / si;
+            let last = (hi.min(segment.end_time) - start) / si;
+            if first > last {
+                continue;
+            }
+            let sub = (first as usize, last as usize);
+            let mut present = members & !gaps;
+            while present != 0 {
+                let member_pos = present.trailing_zeros();
+                present &= present - 1;
+                // Its series position: the members present before it.
+                let missing_before = (gaps & ((1 << member_pos) - 1)).count_ones();
+                let series_pos = (member_pos - missing_before) as usize;
+                let tid = tids[member_pos as usize];
+                let Some((_, scaling)) = scan.plan.keys.lookup(tid) else {
+                    continue;
+                };
+                // A straddling tile is a whole cell.
+                let term = self.range_term(scan, cursor, series_pos, sub, scaling, true)?;
+                if term.count > 0 {
+                    partial.add_tile_term(tid, lo, term);
                 }
             }
         }
@@ -1701,6 +1777,7 @@ mod tests {
     use super::*;
     use mdb_compression::{CompressionConfig, GroupIngestor};
     use mdb_models::ModelRegistry;
+    use mdb_storage::rollup::KeyedCell;
     use mdb_storage::{DiskStore, DiskStoreOptions, SegmentRun, SegmentStore};
     use mdb_types::{DimensionSchema, ErrorBound, GroupMeta, SegmentRecord, TimeSeriesMeta, Value};
     use std::sync::Arc;
@@ -2409,14 +2486,13 @@ mod tests {
             level: TimeLevel,
             scope: Option<&[Gid]>,
             range: (Timestamp, Timestamp),
-            f: &mut dyn FnMut(Gid, Tid, Timestamp, &mdb_storage::RollupAcc),
+            f: &mut dyn FnMut(&[KeyedCell]),
         ) -> Result<bool> {
-            self.inner
-                .rollup_cells(level, scope, range, &mut |g, t, b, a| {
-                    self.visits
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    f(g, t, b, a)
-                })
+            self.inner.rollup_cells(level, scope, range, &mut |column| {
+                self.visits
+                    .fetch_add(column.len(), std::sync::atomic::Ordering::Relaxed);
+                f(column)
+            })
         }
 
         fn len(&self) -> usize {
@@ -2536,5 +2612,180 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&served), bits(&scanned));
+    }
+
+    /// Delegates to a built-in model and records the `(n_series, series)`
+    /// of every `monotone_value_at` call.
+    struct MonotoneCounter {
+        inner: Arc<dyn mdb_models::ModelType>,
+        calls: Arc<std::sync::Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl mdb_models::ModelType for MonotoneCounter {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn fitter(
+            &self,
+            bound: ErrorBound,
+            n_series: usize,
+            limit: usize,
+        ) -> Box<dyn mdb_models::Fitter> {
+            self.inner.fitter(bound, n_series, limit)
+        }
+
+        fn grid(&self, params: &[u8], n_series: usize, count: usize) -> Option<Vec<Value>> {
+            self.inner.grid(params, n_series, count)
+        }
+
+        fn agg(
+            &self,
+            params: &[u8],
+            n_series: usize,
+            count: usize,
+            range: (usize, usize),
+            series: usize,
+        ) -> Option<SegmentAgg> {
+            self.inner.agg(params, n_series, count, range, series)
+        }
+
+        fn monotone_value_at(
+            &self,
+            params: &[u8],
+            n_series: usize,
+            count: usize,
+            t: usize,
+            series: usize,
+        ) -> Option<Value> {
+            self.calls.lock().unwrap().push((n_series, series));
+            self.inner
+                .monotone_value_at(params, n_series, count, t, series)
+        }
+
+        fn attained_extremes(&self) -> bool {
+            self.inner.attained_extremes()
+        }
+    }
+
+    #[test]
+    fn straddling_hours_evaluate_only_the_members_they_name() {
+        // One group of three series over three whole hours at SI = 1
+        // minute, all stored as the ramp 0, 1, …, 179 under scalings 4, 2
+        // and 1, so tid 1 reads a quarter of tid 3 and tid 2 half of it.
+        // Tid 1 is in a gap for the first half of the middle hour, which
+        // leaves the members after it at lower series positions there.
+        let Fixture {
+            mut catalog,
+            registry: standard,
+            ..
+        } = fixture();
+        let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut registry = ModelRegistry::empty();
+        for mid in 0..standard.len() as u8 {
+            registry.register(Arc::new(MonotoneCounter {
+                inner: Arc::clone(standard.get(mid).unwrap()),
+                calls: Arc::clone(&calls),
+            }));
+        }
+        let scalings = [4.0, 2.0, 1.0];
+        for (i, series) in catalog.series.iter_mut().enumerate() {
+            (series.gid, series.scaling) = (1, scalings[i]);
+        }
+        catalog.groups = vec![GroupMeta {
+            gid: 1,
+            tids: vec![1, 2, 3],
+            sampling_interval: 60_000,
+        }];
+        let levels = [TimeLevel::Hour];
+        let (catalog_arc, registry_arc) = (Arc::new(catalog.clone()), Arc::new(registry));
+        let mut store = DiskStore::in_memory(DiskStoreOptions {
+            rollup_feed: Some(crate::rollup_feed(&catalog_arc, &registry_arc, &levels)),
+            ..DiskStoreOptions::default()
+        })
+        .unwrap();
+        let config = CompressionConfig {
+            error_bound: ErrorBound::Lossless,
+            ..Default::default()
+        };
+        let mut ingestor = GroupIngestor::new(
+            catalog.groups[0].clone(),
+            scalings.to_vec(),
+            Arc::clone(&registry_arc),
+            config,
+        )
+        .unwrap();
+        let (t0, si) = (1_622_505_600_000i64, 60_000i64); // 2021-06-01 00:00 UTC.
+        for t in 0..180i64 {
+            let row: Vec<Option<Value>> = scalings
+                .iter()
+                .enumerate()
+                .map(|(m, scaling)| {
+                    let gap = m == 0 && (60..90).contains(&t);
+                    (!gap).then_some(t as Value / *scaling as Value)
+                })
+                .collect();
+            for s in ingestor.push_row(t0 + t * si, &row).unwrap() {
+                store.insert(s).unwrap();
+            }
+        }
+        for s in ingestor.flush().unwrap() {
+            store.insert(s).unwrap();
+        }
+        store.flush().unwrap();
+        let registry = &*registry_arc;
+        let answer = |sql: &str, serve: bool| {
+            QueryEngine::new(&catalog, registry, &store)
+                .with_rollups(&levels, serve)
+                .sql(sql)
+                .unwrap()
+        };
+        let bits = |r: &QueryResult| -> Vec<Vec<Option<u64>>> {
+            r.rows
+                .iter()
+                .map(|row| row.iter().map(|c| c.as_f64().map(f64::to_bits)).collect())
+                .collect()
+        };
+        // Value > 25 straddles hour 0 for tids 2 and 3 and hour 1 for tid
+        // 1; Value > 100 straddles hour 1 for tid 3 alone.
+        let filters = [
+            "Value > 25",
+            "Value > 100",
+            "Value <= 50",
+            "Value >= 10 AND Value <= 20",
+            "Value = 30",
+        ];
+        for filter in filters {
+            let sql = format!(
+                "SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*), AVG_S(*) FROM Segment \
+                 WHERE {filter} GROUP BY Tid ORDER BY Tid"
+            );
+            let served = answer(&sql, true);
+            let scanned = answer(&sql, false);
+            assert!(!served.rows.is_empty(), "{filter}");
+            assert_eq!(bits(&served), bits(&scanned), "{filter}");
+        }
+
+        // Served, the straddle of tid 3 alone evaluates tid 3 alone: the
+        // last present series of each segment it meets.
+        let sql = "SELECT Tid, COUNT_S(*), SUM_S(*) FROM Segment WHERE Value > 100 GROUP BY Tid";
+        calls.lock().unwrap().clear();
+        answer(sql, true);
+        let served = std::mem::take(&mut *calls.lock().unwrap());
+        assert!(!served.is_empty(), "a straddling hour was evaluated");
+        assert!(
+            served.iter().all(|&(n, series)| series + 1 == n),
+            "only tid 3 was evaluated: {served:?}"
+        );
+        assert!(
+            served.iter().any(|&(n, _)| n == 2),
+            "a segment with tid 1 in its gap was evaluated"
+        );
+        answer(sql, false);
+        let scanned = calls.lock().unwrap();
+        assert!(
+            (0..3).all(|series| scanned.iter().any(|&(_, s)| s == series)),
+            "a scan evaluates every member"
+        );
     }
 }

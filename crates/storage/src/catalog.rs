@@ -47,8 +47,18 @@ impl Catalog {
 
     /// The group `gid`.
     pub fn group(&self, gid: Gid) -> Option<&GroupMeta> {
-        let i = self.groups.binary_search_by_key(&gid, |g| g.gid).ok()?;
-        Some(&self.groups[i])
+        Some(&self.groups[self.group_index(gid)?])
+    }
+
+    /// The position of group `gid` in [`Catalog::groups`]. Groups are
+    /// numbered `1..=n` as the builder creates them, so `gid - 1` is tried
+    /// before a binary search.
+    pub fn group_index(&self, gid: Gid) -> Option<usize> {
+        let guess = (gid as usize).wrapping_sub(1);
+        if self.groups.get(guess).is_some_and(|g| g.gid == gid) {
+            return Some(guess);
+        }
+        self.groups.binary_search_by_key(&gid, |g| g.gid).ok()
     }
 
     /// The gid of `tid` (the Gid→Tid mapping of Algorithm 5's query

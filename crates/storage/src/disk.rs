@@ -69,14 +69,14 @@ use std::thread::JoinHandle;
 
 use mdb_types::{
     encode_block_v2, BlockFormat, BlockMeta, BlockSketch, BlockView, Gid, MdbError, Result,
-    SegmentRecord, SegmentView, Tid, TimeLevel, Timestamp, ValueInterval,
+    SegmentRecord, SegmentView, TimeLevel, Timestamp, ValueInterval,
 };
 
 use crate::backend::{Backend, FileBackend, MemoryBackend};
 use crate::cache::{BlockCache, CacheStats};
 use crate::codec::{checksum, checksum_v2, read_segment, write_segment};
 use crate::digest::{Absorber, DigestStats, GroupSketches, SegmentDigester};
-use crate::rollup::{RollupAcc, RollupCells, RollupFeed};
+use crate::rollup::{KeyedCell, RollupCells, RollupFeed};
 use crate::sidecar::{self, Sidecar, SidecarRef};
 use crate::{SegmentEnvelope, SegmentPredicate, SegmentRun, SegmentStore};
 
@@ -433,8 +433,11 @@ impl DiskStore {
 
     /// Enables or disables block-statistics pruning in scans (the
     /// statistics are still maintained). Disabling yields the plain
-    /// fetch-every-block scan — the reference path the query-equivalence
-    /// suite compares pruned scans with.
+    /// fetch-every-block scan that matches every segment on its own — the
+    /// reference path the query-equivalence suite compares pruned scans
+    /// with. With pruning on, a block (or write buffer) whose envelope the
+    /// predicate [covers](SegmentPredicate::covers) is also emitted as one
+    /// run without a per-segment match.
     pub fn set_pruning(&mut self, pruning: bool) {
         self.pruning = pruning;
     }
@@ -563,14 +566,17 @@ impl DiskStore {
 
 /// Emits the maximal contiguous index ranges `[lo, hi)` of `segments`
 /// matching `predicate` — evaluated over borrowed views, so no segment is
-/// materialized to decide membership.
+/// materialized to decide membership — or all of them as one run when
+/// `covered` (the predicate [covers](SegmentPredicate::covers) their
+/// envelope).
 fn emit_runs<'v>(
     segments: impl ExactSizeIterator<Item = SegmentView<'v>>,
     predicate: &SegmentPredicate,
+    covered: bool,
     mut f: impl FnMut(usize, usize),
 ) {
     let len = segments.len();
-    if predicate.matches_every_segment() {
+    if covered {
         if len > 0 {
             f(0, len);
         }
@@ -936,7 +942,8 @@ impl SegmentStore for DiskStore {
             }
             let block = self.fetch_block(meta)?;
             let segments = (0..block.len()).map(|i| block.segment(i));
-            emit_runs(segments, predicate, |lo, hi| {
+            let covered = self.pruning && predicate.covers(&SegmentEnvelope::from(*meta));
+            emit_runs(segments, predicate, covered, |lo, hi| {
                 f(SegmentRun::Block {
                     block: &block,
                     lo,
@@ -946,9 +953,14 @@ impl SegmentStore for DiskStore {
         }
         // Buffered (not yet durable) segments scan last, in insert order.
         let buffer = &self.write_buffer;
+        let covered = self.pruning
+            && self
+                .buffer_envelope
+                .is_some_and(|envelope| predicate.covers(&envelope));
         emit_runs(
             buffer.iter().map(SegmentRecord::view),
             predicate,
+            covered,
             |lo, hi| f(SegmentRun::Buffered(&buffer[lo..hi])),
         );
         Ok(())
@@ -990,7 +1002,7 @@ impl SegmentStore for DiskStore {
         level: TimeLevel,
         scope: Option<&[Gid]>,
         range: (Timestamp, Timestamp),
-        f: &mut dyn FnMut(Gid, Tid, Timestamp, &RollupAcc),
+        f: &mut dyn FnMut(&[KeyedCell]),
     ) -> Result<bool> {
         let Some(cells) = self.rollups.as_ref() else {
             return Ok(false);
@@ -1069,9 +1081,10 @@ mod tests {
     use super::*;
     use crate::cache::SHARDS;
     use crate::digest::testing::TestDigester;
+    use crate::rollup::RollupAcc;
     use crate::scan_to_vec;
     use bytes::Bytes;
-    use mdb_types::GapsMask;
+    use mdb_types::{GapsMask, Tid};
 
     fn seg(gid: Gid, start: i64, end: i64) -> SegmentRecord {
         SegmentRecord {
@@ -1681,6 +1694,134 @@ mod tests {
         prunes_every_block(&open_with_bounds(), "reopen adopts the rewritten sidecar");
     }
 
+    /// The runs `scan_runs` yields, each as `(from a block, lo, hi)`, with
+    /// a buffered run's indices into the write buffer.
+    fn runs_of(store: &DiskStore, predicate: &SegmentPredicate) -> Vec<(bool, usize, usize)> {
+        let mut runs = Vec::new();
+        store
+            .scan_runs(predicate, &mut |run| {
+                runs.push(match run {
+                    SegmentRun::Block { lo, hi, .. } => (true, lo, hi),
+                    SegmentRun::Buffered(records) => {
+                        let buffer = &store.write_buffer;
+                        let lo = buffer.iter().position(|r| std::ptr::eq(r, &records[0]));
+                        let lo = lo.expect("a buffered run borrows the write buffer");
+                        (false, lo, lo + records.len())
+                    }
+                })
+            })
+            .unwrap();
+        runs
+    }
+
+    #[test]
+    fn covered_blocks_and_write_buffers_are_emitted_as_whole_runs() {
+        for place in Place::both("whole-runs") {
+            // Segment i is gid i % 3 + 1 over [1 000·i, 1 000·i + 900]:
+            // three blocks of gids 1..=3 and a write buffer of gids 1..=2.
+            let mut store = place.open(3);
+            for i in 0..11i64 {
+                store
+                    .insert(seg((i % 3) as Gid + 1, i * 1000, i * 1000 + 900))
+                    .unwrap();
+            }
+            assert_eq!(store.block_count(), 3);
+            let envelopes: Vec<SegmentEnvelope> =
+                store.blocks.iter().map(SegmentEnvelope::from).collect();
+            let buffer = store.buffer_envelope.expect("two buffered segments");
+            let ends_by = |t| SegmentPredicate {
+                ends_by: Some(t),
+                ..SegmentPredicate::all()
+            };
+            let window = |from, to| SegmentPredicate::all().with_time_range(from, to);
+            let (b, w) = (true, false);
+            // Each case: the predicate, which blocks and whether the buffer
+            // it covers, and the runs it yields.
+            #[allow(clippy::type_complexity)]
+            let cases: Vec<(SegmentPredicate, [bool; 4], Vec<(bool, usize, usize)>)> = vec![
+                // A window holding whole blocks: one run per block.
+                (
+                    window(0, 5900),
+                    [true, true, false, false],
+                    vec![(b, 0, 3), (b, 0, 3)],
+                ),
+                (
+                    ends_by(5900),
+                    [true, true, false, false],
+                    vec![(b, 0, 3), (b, 0, 3)],
+                ),
+                (
+                    window(0, i64::MAX),
+                    [true; 4],
+                    vec![(b, 0, 3), (b, 0, 3), (b, 0, 3), (w, 0, 2)],
+                ),
+                // Blocks the window cuts are matched segment by segment.
+                (
+                    window(1000, 6900),
+                    [false, true, false, false],
+                    vec![(b, 1, 3), (b, 0, 3), (b, 0, 1)],
+                ),
+                // A gid set covering the blocks' range, in any order.
+                (
+                    SegmentPredicate::for_gids(vec![3, 1, 2]),
+                    [true; 4],
+                    vec![(b, 0, 3), (b, 0, 3), (b, 0, 3), (w, 0, 2)],
+                ),
+                // A hole inside the range: no block is covered.
+                (
+                    SegmentPredicate::for_gids(vec![1, 3]),
+                    [false; 4],
+                    vec![
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (w, 0, 1),
+                    ],
+                ),
+                (
+                    SegmentPredicate::for_gids(vec![1, 3, 3, 1]),
+                    [false; 4],
+                    vec![
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (b, 0, 1),
+                        (b, 2, 3),
+                        (w, 0, 1),
+                    ],
+                ),
+                // The write buffer follows the same rule.
+                (
+                    SegmentPredicate::for_gids(vec![2, 1, 2]).with_time_range(9000, 10900),
+                    [false, false, false, true],
+                    vec![(w, 0, 2)],
+                ),
+                (window(9950, 10900), [false; 4], vec![(w, 1, 2)]),
+            ];
+            for (predicate, covered, runs) in cases {
+                let covers: Vec<bool> = envelopes
+                    .iter()
+                    .chain([&buffer])
+                    .map(|e| predicate.covers(e))
+                    .collect();
+                assert_eq!(covers, covered, "{predicate:?}");
+                assert_eq!(runs_of(&store, &predicate), runs, "{predicate:?}");
+                let rows = scan_to_vec(&store, &predicate).unwrap();
+                store.set_pruning(false);
+                assert_eq!(
+                    rows,
+                    scan_to_vec(&store, &predicate).unwrap(),
+                    "{predicate:?}"
+                );
+                store.set_pruning(true);
+            }
+        }
+    }
+
     #[test]
     fn segment_time_bounds_skip_blocks_unfetched() {
         for place in Place::both("segment-time") {
@@ -2092,7 +2233,12 @@ mod tests {
                 TimeLevel::Hour,
                 None,
                 (Timestamp::MIN, Timestamp::MAX),
-                &mut |g, t, b, a| cells.push((g, t, b, a.count, a.sum.to_bits())),
+                &mut |column| {
+                    let flat = column
+                        .iter()
+                        .map(|&((g, _, t, b), a)| (g, t, b, a.count, a.sum.to_bits()));
+                    cells.extend(flat)
+                },
             )
             .unwrap()
             .then_some(cells)
@@ -2169,7 +2315,7 @@ mod tests {
                 mdb_types::TimeLevel::Day,
                 None,
                 (Timestamp::MIN, Timestamp::MAX),
-                &mut |_, _, _, _| n += 1
+                &mut |column| n += column.len()
             )
             .unwrap());
         assert_eq!(n, 1, "all 8 segments fold into the single day bucket");
@@ -2179,7 +2325,7 @@ mod tests {
                     mdb_types::TimeLevel::Hour,
                     None,
                     (Timestamp::MIN, Timestamp::MAX),
-                    &mut |_, _, _, _| {}
+                    &mut |_| {}
                 )
                 .unwrap(),
             "an unmaintained level is not served"

@@ -37,7 +37,7 @@ pub mod rollup;
 pub mod sidecar;
 
 use mdb_types::{
-    BlockMeta, BlockSketch, BlockView, Gid, Result, SegmentRecord, SegmentView, Tid, TimeLevel,
+    BlockMeta, BlockSketch, BlockView, Gid, Result, SegmentRecord, SegmentView, TimeLevel,
     Timestamp, ValueInterval,
 };
 
@@ -98,13 +98,29 @@ impl SegmentPredicate {
         self
     }
 
-    /// True when the per-segment clauses (gid, time) restrict nothing, so
-    /// every segment of a surviving block matches — the full-span fast path:
-    /// scans emit whole blocks as single runs without evaluating a view per
-    /// segment. The block-granular `values` clause is irrelevant here; it
-    /// prunes blocks, never individual segments.
-    pub fn matches_every_segment(&self) -> bool {
-        self.gids.is_none() && self.from.is_none() && self.to.is_none() && self.ends_by.is_none()
+    /// Whether every segment the `envelope` summarizes satisfies the gid
+    /// and time parts of the predicate: the gid set holds every gid of the
+    /// envelope's range (a set with a hole inside it does not), every
+    /// segment ends at or after `from`, and every one ends — so starts — by
+    /// `to` and by `ends_by`. Scans emit a covered block as one run without
+    /// evaluating a view per segment. The block-granular `values` clause is
+    /// irrelevant here; it prunes blocks, never individual segments.
+    pub fn covers(&self, envelope: &SegmentEnvelope) -> bool {
+        let gids_covered = self.gids.as_ref().is_none_or(|gids| {
+            let (lo, hi) = (envelope.min_gid, envelope.max_gid);
+            let inside = gids.iter().filter(|g| (lo..=hi).contains(*g)).count();
+            // As many gids inside the range as it is wide cover it when no
+            // gid repeats (a strictly ascending set); otherwise each gid of
+            // the range is looked up.
+            inside as u64 > u64::from(hi - lo)
+                && (gids.is_sorted_by(|a, b| a < b) || (lo..=hi).all(|g| gids.contains(&g)))
+        });
+        gids_covered
+            && self.from.is_none_or(|from| envelope.min_end >= from)
+            && self.to.is_none_or(|to| envelope.max_end <= to)
+            && self
+                .ends_by
+                .is_none_or(|ends_by| envelope.max_end <= ends_by)
     }
 
     /// Whether `segment` satisfies the gid and time parts of the predicate.
@@ -289,13 +305,15 @@ pub trait SegmentStore: Send + Sync {
 
     /// Visits the materialized rollup cells of `level` whose bucket *start*
     /// lies in `range` = `[from, to]` (optionally restricted to `scope`
-    /// groups) in `(gid, tid, bucket)` key order, **without touching segment
-    /// bodies** — for the disk store this never reads the `BlockCache`.
-    /// Buckets outside the range are not visited at all; a bucket that
-    /// starts inside the range but runs past `to` still is, so callers
-    /// filter partially covered edge buckets themselves. Pass
-    /// `(Timestamp::MIN, Timestamp::MAX)` for every cell. Returns
-    /// `Ok(false)` when cells cannot serve here: no rollup feed is
+    /// groups), **without touching segment bodies** — for the disk store
+    /// this never reads the `BlockCache`. `f` is called once per `(gid,
+    /// tid)` column, in `(gid, tid)` order, with that column's in-range
+    /// cells as one bucket-ascending slice (never an empty one); each cell
+    /// carries its full [`rollup::CellKey`] ([`rollup::KeyedCell`]). Buckets outside the range are
+    /// not visited at all; a bucket that starts inside the range but runs
+    /// past `to` still is, so callers filter partially covered edge buckets
+    /// themselves. Pass `(Timestamp::MIN, Timestamp::MAX)` for every cell.
+    /// Returns `Ok(false)` when cells cannot serve here: no rollup feed is
     /// configured, `level` is not maintained, or the cell map was poisoned
     /// (rollups fail open like sketches); the caller then falls back to the
     /// scan path. `Ok(true)` means every stored segment's contribution at
@@ -305,7 +323,7 @@ pub trait SegmentStore: Send + Sync {
         _level: TimeLevel,
         _scope: Option<&[Gid]>,
         _range: (Timestamp, Timestamp),
-        _f: &mut dyn FnMut(Gid, Tid, Timestamp, &rollup::RollupAcc),
+        _f: &mut dyn FnMut(&[rollup::KeyedCell]),
     ) -> Result<bool> {
         Ok(false)
     }

@@ -135,10 +135,13 @@ impl std::fmt::Debug for RollupFeed {
 /// A cell's full key, `(gid, level_tag, tid, bucket_start)`.
 pub type CellKey = (Gid, u8, Tid, Timestamp);
 
+/// One cell with its full key, as columns hold it.
+pub type KeyedCell = (CellKey, RollupAcc);
+
 /// One series' cells — every cell of one `(gid, level_tag, tid)` —
 /// bucket-ascending. Each cell keeps its whole key, so [`RollupCells::iter`]
 /// hands out borrowed keys.
-pub type SeriesColumn = Vec<(CellKey, RollupAcc)>;
+pub type SeriesColumn = Vec<KeyedCell>;
 
 /// The materialized cell map of one store: one bucket-sorted column per
 /// `(gid, level_tag, tid)` series, for every maintained level, plus a
@@ -218,20 +221,21 @@ impl RollupCells {
         }
     }
 
-    /// Visits every cell of `level` whose bucket start lies in
+    /// Visits the cells of `level` whose bucket start lies in
     /// `[range.0, range.1]` (optionally restricted to `scope` groups,
-    /// deduplicated) in `(gid, tid, bucket)` key order; pass
-    /// `(Timestamp::MIN, Timestamp::MAX)` for all time. Each visited series
-    /// costs one binary search for its first cell at or after `range.0`,
-    /// then its cells up to `range.1` in one contiguous run; buckets outside
-    /// the range are never visited. Does not check soundness — callers gate
-    /// on [`RollupCells::is_sound`].
+    /// deduplicated), one `(gid, tid)` column at a time in `(gid, tid)`
+    /// order: `f` gets each column's in-range cells as one bucket-ascending
+    /// slice, never an empty one. Pass `(Timestamp::MIN, Timestamp::MAX)`
+    /// for all time. Each visited series costs two binary searches, for its
+    /// first cell at or after `range.0` and its last at or before
+    /// `range.1`; buckets outside the range are never visited. Does not
+    /// check soundness — callers gate on [`RollupCells::is_sound`].
     pub fn for_each(
         &self,
         level: TimeLevel,
         scope: Option<&[Gid]>,
         (from, to): (Timestamp, Timestamp),
-        f: &mut dyn FnMut(Gid, Tid, Timestamp, &RollupAcc),
+        f: &mut dyn FnMut(&[KeyedCell]),
     ) {
         if from > to {
             return;
@@ -239,8 +243,9 @@ impl RollupCells {
         let tag = level_tag(level);
         let mut visit = |column: &SeriesColumn| {
             let lo = column.partition_point(|(k, _)| k.3 < from);
-            for ((g, _, t, b), acc) in column[lo..].iter().take_while(|(k, _)| k.3 <= to) {
-                f(*g, *t, *b, acc);
+            let hi = column.partition_point(|(k, _)| k.3 <= to);
+            if lo < hi {
+                f(&column[lo..hi]);
             }
         };
         match scope {
@@ -323,8 +328,12 @@ mod tests {
         cells.apply(1, &[d(0, 4.0)]);
         assert_eq!(cells.len(), 2);
         let mut seen = Vec::new();
-        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |g, tid, bucket, a| {
-            seen.push((g, tid, bucket, *a))
+        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |column| {
+            seen.extend(
+                column
+                    .iter()
+                    .map(|&((g, _, tid, bucket), a)| (g, tid, bucket, a)),
+            )
         });
         assert_eq!(seen[0], (1, 7, 0, acc(4, 5.5, 1.5, 4.0)));
         assert_eq!(seen[1], (1, 7, 3_600_000, acc(2, 2.5, 2.5, 2.5)));
@@ -342,18 +351,17 @@ mod tests {
         cells.apply(1, std::slice::from_ref(&d));
         cells.apply(2, std::slice::from_ref(&d));
         let mut n = 0;
-        cells.for_each(
-            TimeLevel::Day,
-            Some(&[2, 2, 2]),
-            ALL_TIME,
-            &mut |g, _, _, _| {
-                assert_eq!(g, 2);
+        cells.for_each(TimeLevel::Day, Some(&[2, 2, 2]), ALL_TIME, &mut |column| {
+            for ((g, ..), _) in column {
+                assert_eq!(*g, 2);
                 n += 1;
-            },
-        );
+            }
+        });
         assert_eq!(n, 1);
         let mut m = 0;
-        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |_, _, _, _| m += 1);
+        cells.for_each(TimeLevel::Hour, None, ALL_TIME, &mut |column| {
+            m += column.len()
+        });
         assert_eq!(m, 0, "unmaintained level yields no cells");
     }
 
@@ -443,8 +451,8 @@ mod tests {
                 .map(|(&(g, _, t, b), a)| (g, t, b, *a))
                 .collect();
             let mut walked = Vec::new();
-            cells.for_each(level, scope.as_deref(), range, &mut |g, t, b, a| {
-                walked.push((g, t, b, *a))
+            cells.for_each(level, scope.as_deref(), range, &mut |column| {
+                walked.extend(column.iter().map(|&((g, _, t, b), a)| (g, t, b, a)))
             });
             proptest::prop_assert_eq!(walked, expected);
         }

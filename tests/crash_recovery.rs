@@ -424,16 +424,18 @@ fn expected_cells(segments: &[SegmentRecord]) -> Vec<FlatCell> {
         TimeLevel::Hour,
         None,
         (Timestamp::MIN, Timestamp::MAX),
-        &mut |g, t, b, a| {
-            flat.push((
-                g,
-                t,
-                b,
-                a.count,
-                a.sum.to_bits(),
-                a.min.to_bits(),
-                a.max.to_bits(),
-            ));
+        &mut |column| {
+            for &((g, _, t, b), a) in column {
+                flat.push((
+                    g,
+                    t,
+                    b,
+                    a.count,
+                    a.sum.to_bits(),
+                    a.min.to_bits(),
+                    a.max.to_bits(),
+                ));
+            }
         },
     );
     flat
@@ -447,16 +449,18 @@ fn collect_cells(store: &DiskStore) -> Vec<FlatCell> {
                 TimeLevel::Hour,
                 None,
                 (Timestamp::MIN, Timestamp::MAX),
-                &mut |g, t, b, a| {
-                    flat.push((
-                        g,
-                        t,
-                        b,
-                        a.count,
-                        a.sum.to_bits(),
-                        a.min.to_bits(),
-                        a.max.to_bits(),
-                    ));
+                &mut |column| {
+                    for &((g, _, t, b), a) in column {
+                        flat.push((
+                            g,
+                            t,
+                            b,
+                            a.count,
+                            a.sum.to_bits(),
+                            a.min.to_bits(),
+                            a.max.to_bits(),
+                        ));
+                    }
                 }
             )
             .unwrap(),

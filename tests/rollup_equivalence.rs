@@ -779,7 +779,7 @@ fn value_filters_survive_restarts_and_poisoned_cells() {
         Hour,
         None,
         (i64::MIN, i64::MAX),
-        &mut |_, _, _, _| {},
+        &mut |_| {},
     );
     assert!(!served.unwrap(), "the cells are poisoned");
     for (q, want) in queries.iter().zip(&want) {
@@ -842,7 +842,7 @@ impl mdb_storage::SegmentStore for ScanCounter<'_> {
         level: modelardb::TimeLevel,
         scope: Option<&[modelardb::Gid]>,
         range: (i64, i64),
-        f: &mut dyn FnMut(modelardb::Gid, modelardb::Tid, i64, &mdb_storage::RollupAcc),
+        f: &mut dyn FnMut(&[mdb_storage::rollup::KeyedCell]),
     ) -> modelardb::Result<bool> {
         self.inner.rollup_cells(level, scope, range, f)
     }
